@@ -17,7 +17,6 @@ package scbr_test
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"testing"
@@ -30,7 +29,6 @@ import (
 	"scbr/internal/exp"
 	"scbr/internal/pubsub"
 	"scbr/internal/scrypto"
-	"scbr/internal/sgx"
 	"scbr/internal/simmem"
 	"scbr/internal/streamhub"
 	"scbr/internal/workload"
@@ -503,56 +501,6 @@ func BenchmarkRSAHybrid(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkEPCPaging measures the real cost of the paging path
-// (residency bookkeeping plus genuine AES-GCM page sealing).
-func BenchmarkEPCPaging(b *testing.B) {
-	dev, err := sgx.NewDevice([]byte("bench"), simmem.DefaultCost())
-	if err != nil {
-		b.Fatal(err)
-	}
-	signer, err := scrypto.NewKeyPair(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enclave, err := dev.Launch([]byte("bench image"), signer.Public(),
-		sgx.EnclaveConfig{EPCBytes: 64 * simmem.PageSize})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem := enclave.Memory()
-	// Allocate 4× the EPC so every strided read pages.
-	offs := make([]uint64, 256)
-	for i := range offs {
-		off, err := mem.Alloc(simmem.PageSize)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mem.Write(off, make([]byte, simmem.PageSize))
-		offs[i] = off
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mem.Read(offs[rng.Intn(len(offs))], 64)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(mem.PageFaults())/float64(b.N), "faults/op")
-}
-
-// BenchmarkLLCModel measures the simulator's own overhead per access.
-func BenchmarkLLCModel(b *testing.B) {
-	llc := simmem.NewDefaultLLC()
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(64 << 20))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		llc.Touch(addrs[i%len(addrs)])
-	}
 }
 
 // BenchmarkCodecs measures the wire encodings on the hot path.

@@ -274,6 +274,90 @@ func DecodeConstraintsInto(dst []Constraint, raw []byte) ([]Constraint, int, err
 	return cs, r.pos, nil
 }
 
+// MatchEncoded evaluates ev against an AppendConstraints blob in place:
+// the verdict and the number of constraints tested (for cycle charging)
+// are those of decoding the blob and testing its constraints in order,
+// stopping at the first the event fails, but with no []Constraint and
+// no string built per call — the matching engine runs it on every node
+// it visits. Only the bytes up to that first failure are read, and
+// every one of them is bounds-checked: a blob truncated inside the part
+// read is an ErrCodec.
+func MatchEncoded(ev *Event, raw []byte) (matched bool, evaluated int, err error) {
+	if len(raw) < 2 {
+		return false, 0, errShort(2, 0, len(raw))
+	}
+	n := int(binary.LittleEndian.Uint16(raw))
+	pos := 2
+	attrs := ev.Attrs
+	i := 0
+	for k := 1; k <= n; k++ {
+		if len(raw)-pos < 3 {
+			return false, k, errShort(3, pos, len(raw))
+		}
+		id := AttrID(binary.LittleEndian.Uint16(raw[pos:]))
+		flags := raw[pos+2]
+		pos += 3
+		for i < len(attrs) && attrs[i].ID < id {
+			i++
+		}
+		if i >= len(attrs) || attrs[i].ID != id {
+			return false, k, nil
+		}
+		v := &attrs[i].Value
+		if flags&cfStr != 0 {
+			if len(raw)-pos < 2 {
+				return false, k, errShort(2, pos, len(raw))
+			}
+			sl := int(binary.LittleEndian.Uint16(raw[pos:]))
+			pos += 2
+			if len(raw)-pos < sl {
+				return false, k, errShort(sl, pos, len(raw))
+			}
+			want := raw[pos : pos+sl]
+			pos += sl
+			// A prefix constraint wants v.S to start with want, an
+			// equality also to end there. Comparing a string with
+			// string(bytes) does not allocate.
+			if v.Kind != KindString || len(v.S) < sl || v.S[:sl] != string(want) {
+				return false, k, nil
+			}
+			if flags&cfPrefix == 0 && len(v.S) != sl {
+				return false, k, nil
+			}
+			continue
+		}
+		width := 0
+		if flags&cfHasLo != 0 {
+			width += 8
+		}
+		if flags&cfHasHi != 0 {
+			width += 8
+		}
+		if len(raw)-pos < width {
+			return false, k, errShort(width, pos, len(raw))
+		}
+		if !v.Numeric() {
+			return false, k, nil
+		}
+		f := v.AsFloat()
+		if flags&cfHasLo != 0 {
+			lo := math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+			pos += 8
+			if belowLo(f, lo, flags&cfLoIncl != 0) {
+				return false, k, nil
+			}
+		}
+		if flags&cfHasHi != 0 {
+			hi := math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+			pos += 8
+			if aboveHi(f, hi, flags&cfHiIncl != 0) {
+				return false, k, nil
+			}
+		}
+	}
+	return true, n, nil
+}
+
 // value kind tags on the wire.
 const (
 	wireInt    = 1
@@ -322,9 +406,15 @@ type reader struct {
 
 func (r *reader) need(n int) error {
 	if r.pos+n > len(r.buf) {
-		return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCodec, n, r.pos, len(r.buf)-r.pos)
+		return errShort(n, r.pos, len(r.buf))
 	}
 	return nil
+}
+
+// errShort reports that n bytes were needed at pos of a size-byte
+// buffer.
+func errShort(n, pos, size int) error {
+	return fmt.Errorf("%w: need %d bytes at offset %d, have %d", ErrCodec, n, pos, size-pos)
 }
 
 func (r *reader) byte() (byte, error) {

@@ -196,25 +196,32 @@ func (c Constraint) SatisfiedBy(v Value) bool {
 		return false
 	}
 	f := v.AsFloat()
-	if c.HasLo {
-		if c.LoIncl {
-			if f < c.Lo {
-				return false
-			}
-		} else if f <= c.Lo {
-			return false
-		}
+	if c.HasLo && belowLo(f, c.Lo, c.LoIncl) {
+		return false
 	}
-	if c.HasHi {
-		if c.HiIncl {
-			if f > c.Hi {
-				return false
-			}
-		} else if f >= c.Hi {
-			return false
-		}
+	if c.HasHi && aboveHi(f, c.Hi, c.HiIncl) {
+		return false
 	}
 	return true
+}
+
+// belowLo reports whether f violates the lower bound lo, closed when
+// incl. SatisfiedBy and the in-place evaluator (MatchEncoded) share it
+// and aboveHi, so the two cannot disagree on a bound.
+func belowLo(f, lo float64, incl bool) bool {
+	if incl {
+		return f < lo
+	}
+	return f <= lo
+}
+
+// aboveHi reports whether f violates the upper bound hi, closed when
+// incl.
+func aboveHi(f, hi float64, incl bool) bool {
+	if incl {
+		return f > hi
+	}
+	return f >= hi
 }
 
 // Covers reports whether c admits every value that d admits (c ⊒ d for

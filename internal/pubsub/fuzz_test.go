@@ -1,6 +1,13 @@
 package pubsub
 
-import "testing"
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 // Fuzz targets harden the decoders that face attacker-controlled bytes:
 // the event/subscription codecs sit behind decryption inside the
@@ -113,4 +120,157 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		_, _ = Normalize(NewSchema(), spec)
 	})
+}
+
+// evaluateDecoded is what the matching engine did before MatchEncoded:
+// test decoded constraints in order with the merge join of
+// Subscription.Matches, and count how many were tested.
+func evaluateDecoded(ev *Event, cs []Constraint) (matched bool, evaluated int) {
+	for n := 1; n <= len(cs); n++ {
+		if !(&Subscription{Constraints: cs[:n]}).Matches(ev) {
+			return false, n
+		}
+	}
+	return true, len(cs)
+}
+
+// eventNear draws an event aimed at the decision points of cs: for
+// each constrained attribute (and a few unconstrained ones) it is
+// missing, a string equal to / extending / cutting short / unrelated to
+// the constraint's, or an int or float on, beside or between the
+// bounds.
+func eventNear(rng *rand.Rand, cs []Constraint, extra []AttrID) *Event {
+	byID := make(map[AttrID]Value)
+	for _, c := range cs {
+		if rng.Intn(6) == 0 {
+			continue // missing attribute
+		}
+		var v Value
+		switch pick := rng.Intn(8); {
+		case pick < 4 && c.Str:
+			v = Str([]string{c.EqS, c.EqS + "x", c.EqS[:len(c.EqS)/2], "zz"}[pick])
+		case pick < 4:
+			base := []float64{c.Lo, c.Hi, (c.Lo + c.Hi) / 2, 0}[pick]
+			base += []float64{-1, 0, 0, 0.5, 1}[rng.Intn(5)]
+			if rng.Intn(2) == 0 && base == math.Trunc(base) && math.Abs(base) < 1<<52 {
+				v = Int(int64(base))
+			} else {
+				v = Float(base)
+			}
+		case pick < 6:
+			v = Str("s")
+		case pick < 7:
+			v = Int(int64(rng.Intn(7)) - 3)
+		default:
+			v = Float(rng.NormFloat64())
+		}
+		byID[c.ID] = v
+	}
+	for _, id := range extra {
+		if _, taken := byID[id]; !taken && rng.Intn(2) == 0 {
+			byID[id] = Int(int64(rng.Intn(100)))
+		}
+	}
+	ev := &Event{Attrs: make([]EventAttr, 0, len(byID))}
+	for id, v := range byID {
+		ev.Attrs = append(ev.Attrs, EventAttr{ID: id, Value: v})
+	}
+	sort.Slice(ev.Attrs, func(i, j int) bool { return ev.Attrs[i].ID < ev.Attrs[j].ID })
+	return ev
+}
+
+// matchEncodedSeeds covers every constraint shape the codec has:
+// string equality and prefix, closed, open and half-open intervals, a
+// point interval, and a single bound on either side.
+func matchEncodedSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var blobs [][]byte
+	for _, cs := range [][]Constraint{
+		{{ID: 1, Str: true, EqS: "HAL"}, {ID: 3, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: 1, Hi: 5}},
+		{{ID: 0, Str: true, Prefix: true, EqS: "HA"}, {ID: 2, HasHi: true, Hi: 50}},
+		{{ID: 2, HasLo: true, Lo: -3.5}, {ID: 4, HasLo: true, HasHi: true, LoIncl: true, Lo: 10, Hi: 20}},
+		{{ID: 5, HasLo: true, HasHi: true, HiIncl: true, Lo: 0, Hi: 1e6}, {ID: 6, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: 7, Hi: 7}},
+		{{ID: 7, Str: true, EqS: ""}, {ID: 8, HasLo: true, LoIncl: true, Lo: 2}, {ID: 9, HasHi: true, HiIncl: true, Hi: 2}},
+	} {
+		blob, err := AppendConstraints(nil, cs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// FuzzMatchEncoded holds the in-place evaluator to the decoder: on
+// every blob DecodeConstraints accepts, verdict and evaluated count
+// equal decode-then-evaluate-in-order; on arbitrary bytes it never
+// panics and fails only with ErrCodec.
+func FuzzMatchEncoded(f *testing.F) {
+	for i, blob := range matchEncodedSeeds(f) {
+		f.Add(blob, int64(i))
+		f.Add(blob[:len(blob)-3], int64(i))
+	}
+	f.Add([]byte{}, int64(0))
+	f.Add([]byte{0xFF, 0xFF, 1, 0, 1}, int64(1))
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
+		cs, _, decodeErr := DecodeConstraints(raw)
+		rng := rand.New(rand.NewSource(seed))
+		// Arbitrary bytes still get events on the attribute they name first.
+		extra := []AttrID{0, 1, 2, 3}
+		if len(raw) >= 4 {
+			extra = append(extra, AttrID(binary.LittleEndian.Uint16(raw[2:])))
+		}
+		for trial := 0; trial < 16; trial++ {
+			ev := eventNear(rng, cs, extra)
+			matched, evaluated, err := MatchEncoded(ev, raw)
+			if err != nil && !errors.Is(err, ErrCodec) {
+				t.Fatalf("MatchEncoded failed with %v, want an ErrCodec", err)
+			}
+			if decodeErr != nil {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("blob decodes but MatchEncoded fails: %v", err)
+			}
+			if wantMatched, wantEvaluated := evaluateDecoded(ev, cs); matched != wantMatched || evaluated != wantEvaluated {
+				t.Fatalf("event %+v on %v: matched=%v evaluated=%d, decoded evaluation says %v %d",
+					ev.Attrs, cs, matched, evaluated, wantMatched, wantEvaluated)
+			}
+		}
+	})
+}
+
+// TestMatchEncodedTruncated cuts each seed blob short under an event
+// that satisfies it, so every byte is read: each cut must surface as an
+// ErrCodec, never as a verdict or a panic.
+func TestMatchEncodedTruncated(t *testing.T) {
+	for _, blob := range matchEncodedSeeds(t) {
+		cs, _, err := DecodeConstraints(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := &Event{}
+		for _, c := range cs {
+			var v Value
+			switch {
+			case c.Str:
+				v = Str(c.EqS)
+			case c.HasLo && c.HasHi:
+				v = Float((c.Lo + c.Hi) / 2)
+			case c.HasLo:
+				v = Float(c.Lo + 1)
+			default:
+				v = Float(c.Hi - 1)
+			}
+			ev.Attrs = append(ev.Attrs, EventAttr{ID: c.ID, Value: v})
+		}
+		if matched, evaluated, err := MatchEncoded(ev, blob); err != nil || !matched || evaluated != len(cs) {
+			t.Fatalf("%v: whole blob gives matched=%v evaluated=%d err=%v", cs, matched, evaluated, err)
+		}
+		for cut := 0; cut < len(blob); cut++ {
+			if _, _, err := MatchEncoded(ev, blob[:cut]); !errors.Is(err, ErrCodec) {
+				t.Fatalf("%v cut to %d of %d bytes: err = %v, want ErrCodec", cs, cut, len(blob), err)
+			}
+		}
+	}
 }

@@ -9,7 +9,7 @@ import (
 	"scbr/internal/simmem"
 )
 
-func testDevice(t *testing.T) *Device {
+func testDevice(t testing.TB) *Device {
 	t.Helper()
 	d, err := NewDevice([]byte("test-device"), simmem.DefaultCost())
 	if err != nil {
@@ -18,7 +18,7 @@ func testDevice(t *testing.T) *Device {
 	return d
 }
 
-func testSigner(t *testing.T) *scrypto.KeyPair {
+func testSigner(t testing.TB) *scrypto.KeyPair {
 	t.Helper()
 	kp, err := scrypto.NewKeyPair(nil)
 	if err != nil {
@@ -27,7 +27,7 @@ func testSigner(t *testing.T) *scrypto.KeyPair {
 	return kp
 }
 
-func launch(t *testing.T, d *Device, code []byte, cfg EnclaveConfig) *Enclave {
+func launch(t testing.TB, d *Device, code []byte, cfg EnclaveConfig) *Enclave {
 	t.Helper()
 	e, err := d.Launch(code, testSigner(t).Public(), cfg)
 	if err != nil {

@@ -61,7 +61,10 @@ type splitCache struct {
 	cost     simmem.CostModel
 	counters *simmem.Counters
 
-	resident map[uint64]*splitEntry
+	// resident is indexed by page number (arena pages are dense from
+	// 0) and grows with the highest page touched, from
+	// residentMinPages like the epc's.
+	resident []splitEntry
 	clock    []uint64 // ring of resident page numbers
 	hand     int
 
@@ -78,9 +81,9 @@ type splitCache struct {
 }
 
 type splitEntry struct {
+	slot  int32 // 1 + index in the clock ring; 0 while not resident
 	ref   bool
 	dirty bool
-	slot  int // index in the clock ring
 }
 
 var (
@@ -95,7 +98,7 @@ func newSplitCache(cacheBytes uint64, key []byte, cost simmem.CostModel, counter
 		key:      key,
 		cost:     cost,
 		counters: counters,
-		resident: make(map[uint64]*splitEntry),
+		resident: make([]splitEntry, 0, residentMinPages),
 		sealed:   make(map[uint64][]byte),
 		versions: make(map[uint64]uint64),
 	}
@@ -109,13 +112,14 @@ func (s *splitCache) sealCycles() uint64 {
 
 // Touch implements simmem.Pager.
 func (s *splitCache) Touch(page uint64, write bool) uint64 {
-	if ent, ok := s.resident[page]; ok {
+	if page < uint64(len(s.resident)) && s.resident[page].slot != 0 {
+		ent := &s.resident[page]
 		ent.ref = true
 		ent.dirty = ent.dirty || write
 		return 0
 	}
 	var cycles uint64
-	if len(s.resident) >= s.capacity {
+	if len(s.clock) >= s.capacity {
 		cycles += s.evictOne()
 	}
 	if _, cold := s.sealed[page]; cold {
@@ -132,18 +136,20 @@ func (s *splitCache) Touch(page uint64, write bool) uint64 {
 		// Fresh page: an EAUG-style soft add, not a paging event.
 		cycles += s.cost.MinorFaultCycles
 	}
-	ent := &splitEntry{ref: true, dirty: write, slot: len(s.clock)}
+	if n := uint64(len(s.resident)); page >= n {
+		s.resident = append(s.resident, make([]splitEntry, page+1-n)...)
+	}
 	s.clock = append(s.clock, page)
-	s.resident[page] = ent
-	if len(s.resident) > s.peakResident {
-		s.peakResident = len(s.resident)
+	s.resident[page] = splitEntry{slot: int32(len(s.clock)), ref: true, dirty: write}
+	if len(s.clock) > s.peakResident {
+		s.peakResident = len(s.clock)
 	}
 	return cycles
 }
 
 // ResidentBytes implements simmem.Residency.
 func (s *splitCache) ResidentBytes() (resident, peak uint64) {
-	return uint64(len(s.resident)) * simmem.PageSize, uint64(s.peakResident) * simmem.PageSize
+	return uint64(len(s.clock)) * simmem.PageSize, uint64(s.peakResident) * simmem.PageSize
 }
 
 // evictOne runs the CLOCK hand to a victim with a clear reference bit
@@ -153,7 +159,7 @@ func (s *splitCache) ResidentBytes() (resident, peak uint64) {
 func (s *splitCache) evictOne() uint64 {
 	for {
 		page := s.clock[s.hand]
-		ent := s.resident[page]
+		ent := &s.resident[page]
 		if ent.ref {
 			ent.ref = false
 			s.hand = (s.hand + 1) % len(s.clock)
@@ -179,13 +185,13 @@ func (s *splitCache) evictOne() uint64 {
 		}
 		last := len(s.clock) - 1
 		moved := s.clock[last]
-		s.clock[ent.slot] = moved
+		s.clock[ent.slot-1] = moved
 		s.resident[moved].slot = ent.slot
 		s.clock = s.clock[:last]
 		if s.hand >= len(s.clock) && len(s.clock) > 0 {
 			s.hand = 0
 		}
-		delete(s.resident, page)
+		*ent = splitEntry{}
 		return cycles
 	}
 }
@@ -288,7 +294,7 @@ func (a *SplitAccessor) Writebacks() uint64 { return a.cache.writebacks }
 
 // ResidentPages returns the number of pages currently held in
 // plaintext inside the enclave.
-func (a *SplitAccessor) ResidentPages() int { return len(a.cache.resident) }
+func (a *SplitAccessor) ResidentPages() int { return len(a.cache.clock) }
 
 // PeakResidentPages returns the in-enclave residency high-water mark.
 func (a *SplitAccessor) PeakResidentPages() int { return a.cache.peakResident }

@@ -42,15 +42,21 @@ var (
 const THPRegionPages = 512 // 2 MB
 
 type thpPager struct {
-	cost    CostModel
-	c       *Counters
-	touched map[uint64]bool
+	cost CostModel
+	c    *Counters
+	// touched is indexed by region number: arena pages are dense
+	// from 0. It starts with room for a whole cache line of regions
+	// (128 MB), so it never shares one with an allocator neighbour.
+	touched []bool
 }
 
 func (t *thpPager) Touch(page uint64, _ bool) uint64 {
 	region := page / THPRegionPages
-	if t.touched[region] {
+	if region < uint64(len(t.touched)) && t.touched[region] {
 		return 0
+	}
+	if n := uint64(len(t.touched)); region >= n {
+		t.touched = append(t.touched, make([]bool, region+1-n)...)
 	}
 	t.touched[region] = true
 	t.c.MinorFaults++
@@ -61,14 +67,18 @@ func (t *thpPager) Touch(page uint64, _ bool) uint64 {
 // so the resident set is every THP region ever touched and the peak
 // equals the current size.
 func (t *thpPager) ResidentBytes() (resident, peak uint64) {
-	resident = uint64(len(t.touched)) * THPRegionPages * PageSize
+	for _, touched := range t.touched {
+		if touched {
+			resident += THPRegionPages * PageSize
+		}
+	}
 	return resident, resident
 }
 
 // NewPlainAccessor builds an accessor in plain mode.
 func NewPlainAccessor(cost CostModel) *PlainAccessor {
 	meter := NewMeter(cost)
-	pager := &thpPager{cost: cost, c: &meter.C, touched: make(map[uint64]bool)}
+	pager := &thpPager{cost: cost, c: &meter.C, touched: make([]bool, 0, 64)}
 	meter.SetPager(pager)
 	return &PlainAccessor{arena: NewArena(), meter: meter, thp: pager}
 }

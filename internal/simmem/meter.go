@@ -26,6 +26,8 @@ type Meter struct {
 	C       Counters
 	enclave bool
 	pager   Pager
+
+	_ [256 - 224]byte // whole cache lines, as for the LLC
 }
 
 // NewMeter builds a meter in plain (non-enclave) mode with the default
@@ -62,27 +64,30 @@ func (m *Meter) Access(addr uint64, size int, write bool) {
 	if size <= 0 {
 		return
 	}
+	end := addr + uint64(size) - 1
 	if m.pager != nil {
-		first := pageOf(addr)
-		last := pageOf(addr + uint64(size) - 1)
-		for p := first; p <= last; p++ {
+		for p, last := pageOf(addr), pageOf(end); p <= last; p++ {
 			m.C.Cycles += m.pager.Touch(p, write)
 		}
 	}
-	lineSize := m.LLC.LineSize()
-	firstLine := addr / lineSize
-	lastLine := (addr + uint64(size) - 1) / lineSize
-	for line := firstLine; line <= lastLine; line++ {
-		if m.LLC.Touch(line * lineSize) {
-			m.C.LLCHits++
-			m.C.Cycles += m.Cost.LLCHitCycles
-		} else {
-			m.C.LLCMisses++
-			m.C.Cycles += m.Cost.LLCHitCycles + m.Cost.DRAMCycles
-			if m.enclave {
-				m.C.Cycles += m.Cost.MEECycles
-			}
+	llc := m.LLC
+	first, last := addr>>llc.lineShift, end>>llc.lineShift
+	var misses uint64
+	for line := first; line <= last; line++ {
+		if !llc.hit(line) {
+			llc.install(line)
+			misses++
 		}
+	}
+	m.C.LLCHits += last - first + 1 - misses
+	m.C.Cycles += (last - first + 1) * m.Cost.LLCHitCycles
+	if misses > 0 {
+		m.C.LLCMisses += misses
+		missCycles := m.Cost.DRAMCycles
+		if m.enclave {
+			missCycles += m.Cost.MEECycles
+		}
+		m.C.Cycles += misses * missCycles
 	}
 	if write {
 		m.C.BytesWritten += uint64(size)

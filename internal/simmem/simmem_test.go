@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestArenaAllocDoesNotCrossPages(t *testing.T) {
@@ -58,12 +59,12 @@ func TestLLCSmallWorkingSetHits(t *testing.T) {
 	llc := NewDefaultLLC()
 	// 1 MB working set fits in an 8 MB cache: after a warmup pass,
 	// everything hits.
-	for addr := uint64(0); addr < 1<<20; addr += 64 {
-		llc.Touch(addr)
+	for line := uint64(0); line < (1<<20)/64; line++ {
+		llc.touchLine(line)
 	}
-	for addr := uint64(0); addr < 1<<20; addr += 64 {
-		if !llc.Touch(addr) {
-			t.Fatalf("miss at %d with resident working set", addr)
+	for line := uint64(0); line < (1<<20)/64; line++ {
+		if !llc.touchLine(line) {
+			t.Fatalf("miss at line %d with resident working set", line)
 		}
 	}
 }
@@ -74,8 +75,8 @@ func TestLLCLargeWorkingSetMisses(t *testing.T) {
 	// revisit: the set is 8× the cache.
 	for pass := 0; pass < 2; pass++ {
 		misses := 0
-		for addr := uint64(0); addr < 64<<20; addr += 64 {
-			if !llc.Touch(addr) {
+		for line := uint64(0); line < (64<<20)/64; line++ {
+			if !llc.touchLine(line) {
 				misses++
 			}
 		}
@@ -88,27 +89,27 @@ func TestLLCLargeWorkingSetMisses(t *testing.T) {
 func TestLLCAssociativity(t *testing.T) {
 	llc := NewLLC(64*16*4, 64, 16) // 4 sets, 16 ways
 	// 16 lines mapping to the same set all fit.
-	stride := uint64(64 * 4)
+	stride := uint64(4) // in lines
 	for i := uint64(0); i < 16; i++ {
-		llc.Touch(i * stride)
+		llc.touchLine(i * stride)
 	}
 	for i := uint64(0); i < 16; i++ {
-		if !llc.Touch(i * stride) {
+		if !llc.touchLine(i * stride) {
 			t.Fatalf("line %d evicted from non-full set", i)
 		}
 	}
 	// The 17th conflicts and evicts the LRU line (line 0).
-	llc.Touch(16 * stride)
-	if llc.Touch(0) {
+	llc.touchLine(16 * stride)
+	if llc.touchLine(0) {
 		t.Fatal("LRU line survived a conflict miss")
 	}
 }
 
 func TestLLCFlush(t *testing.T) {
 	llc := NewDefaultLLC()
-	llc.Touch(0)
+	llc.touchLine(0)
 	llc.Flush()
-	if llc.Touch(0) {
+	if llc.touchLine(0) {
 		t.Fatal("hit after flush")
 	}
 }
@@ -240,5 +241,86 @@ func TestArenaAllocQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestModelStructsFillWholeCacheLines keeps the padding of Meter and
+// LLC honest when a field is added: a size that is not a multiple of
+// the host's 64-byte line lets two slices' models share one.
+func TestModelStructsFillWholeCacheLines(t *testing.T) {
+	if s := unsafe.Sizeof(Meter{}); s%64 != 0 {
+		t.Errorf("Meter is %d bytes: adjust its padding to a multiple of 64", s)
+	}
+	if s := unsafe.Sizeof(LLC{}); s%64 != 0 {
+		t.Errorf("LLC is %d bytes: adjust its padding to a multiple of 64", s)
+	}
+}
+
+// hotAccessor returns a plain accessor with n pages allocated and every
+// line of them already in the LLC model (n pages must fit the cache).
+func hotAccessor(tb testing.TB, pages int) *PlainAccessor {
+	tb.Helper()
+	p := NewPlainAccessor(DefaultCost())
+	for i := 0; i < pages; i++ {
+		off, err := p.Alloc(PageSize)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.Read(off, PageSize)
+	}
+	return p
+}
+
+// TestMeterAccessHitAllocatesNothing guards the hot path of the model:
+// a cache- and page-resident access is a few loads and stores, with no
+// allocation.
+func TestMeterAccessHitAllocatesNothing(t *testing.T) {
+	m := hotAccessor(t, 64).Meter()
+	var addr uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		m.Access(addr%(64*PageSize-128), 100, false)
+		addr += 4099
+	})
+	if allocs != 0 {
+		t.Fatalf("Meter.Access on a hit allocates %.1f times, want 0", allocs)
+	}
+	if m.C.LLCMisses != 64*PageSize/DefaultLineSize {
+		t.Fatalf("accesses over a resident working set missed: %d misses, want only the %d of the warm-up",
+			m.C.LLCMisses, 64*PageSize/DefaultLineSize)
+	}
+}
+
+// BenchmarkMeterAccessHit and BenchmarkMeterAccessMiss are the
+// simulator's own cost per 48-byte access (a node header): over a
+// working set that fits the modelled LLC, and over a sweep of four
+// times its capacity, where every lookup evicts. The fault path is
+// BenchmarkMeterAccessFault in internal/sgx.
+func BenchmarkMeterAccessHit(b *testing.B) {
+	m := hotAccessor(b, 256).Meter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var addr uint64
+	for i := 0; i < b.N; i++ {
+		m.Access(addr%(256*PageSize-64), 48, false)
+		addr += 4099
+	}
+}
+
+func BenchmarkMeterAccessMiss(b *testing.B) {
+	const sweep = 4 * DefaultLLCSize
+	m := NewMeter(DefaultCost())
+	for addr := uint64(0); addr < sweep; addr += DefaultLineSize {
+		m.Access(addr, 48, false) // grow the stamp table outside the timer
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var addr uint64
+	for i := 0; i < b.N; i++ {
+		m.Access(addr%sweep, 48, false)
+		addr += DefaultLineSize
+	}
+	b.StopTimer()
+	if m.C.LLCHits != 0 {
+		b.Fatalf("%d hits on a sweep of four times the cache", m.C.LLCHits)
 	}
 }
