@@ -78,6 +78,21 @@ func TestBenchdiffCLI(t *testing.T) {
 		t.Fatalf("expected loadgen cell metrics:\n%s", out)
 	}
 
+	// A pre-split artifact (events_per_sec = the offered rate) lines up
+	// with a current one on the offered rate; the through-drain rate has
+	// no counterpart there and is left out.
+	loadgenNew := write("loadgen_new.json", `{"cells":[
+		{"partitions":4,"scheme":"aspe","routers":1,"scale":1,
+		 "offered_events_per_sec":2000,"drained_events_per_sec":1500,
+		 "end_to_end":{"p50_ns":5000000,"p95_ns":9000000}}]}`)
+	out = run(0, loadgen, loadgenNew)
+	if !strings.Contains(out, "offered-events/sec") || !strings.Contains(out, "+100.00%") || strings.Contains(out, "drained-events/sec") {
+		t.Fatalf("expected the offered rates of old and new artifacts compared:\n%s", out)
+	}
+	if out = run(0, loadgenNew, loadgenNew); !strings.Contains(out, "drained-events/sec") {
+		t.Fatalf("expected the through-drain rate between current artifacts:\n%s", out)
+	}
+
 	// Mixed shapes: nothing comparable, still exit 0.
 	out = run(0, loadgen, newBench)
 	if !strings.Contains(out, "no overlapping variants") {

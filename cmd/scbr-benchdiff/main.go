@@ -178,8 +178,14 @@ type loadgenCell struct {
 	Routers    int     `json:"routers"`
 	Scale      float64 `json:"scale"`
 	RegPerSec  float64 `json:"register_per_sec"`
-	EvtsPerSec float64 `json:"events_per_sec"`
-	EndToEnd   struct {
+	// The offered rate (events over the publish calls' wall time) was
+	// events_per_sec until loadgen split it from the through-drain
+	// rate; committed artifacts from before the split (BENCH_pr6.json)
+	// still carry the old key.
+	OfferedPerSec    float64 `json:"offered_events_per_sec"`
+	OfferedPerSecOld float64 `json:"events_per_sec"`
+	DrainedPerSec    float64 `json:"drained_events_per_sec"`
+	EndToEnd         struct {
 		P50  float64 `json:"p50_ns"`
 		P95  float64 `json:"p95_ns"`
 		P99  float64 `json:"p99_ns"`
@@ -200,14 +206,18 @@ func parseCell(raw json.RawMessage) (string, map[string]float64, error) {
 	if c.Scenario != "" {
 		name = c.Scenario + "/" + name
 	}
-	return name, map[string]float64{
-		"register/sec":     c.RegPerSec,
-		"events/sec":       c.EvtsPerSec,
-		"e2e-p50-ns":       c.EndToEnd.P50,
-		"e2e-p95-ns":       c.EndToEnd.P95,
-		"e2e-p99-ns":       c.EndToEnd.P99,
-		"enq-write-p50-ns": c.EnqueueWrite.P50,
-	}, nil
+	vals := map[string]float64{
+		"register/sec":       c.RegPerSec,
+		"offered-events/sec": max(c.OfferedPerSec, c.OfferedPerSecOld),
+		"e2e-p50-ns":         c.EndToEnd.P50,
+		"e2e-p95-ns":         c.EndToEnd.P95,
+		"e2e-p99-ns":         c.EndToEnd.P99,
+		"enq-write-p50-ns":   c.EnqueueWrite.P50,
+	}
+	if c.DrainedPerSec > 0 {
+		vals["drained-events/sec"] = c.DrainedPerSec
+	}
+	return name, vals, nil
 }
 
 // lowerIsBetter classifies a metric's direction; metrics that are
@@ -216,7 +226,7 @@ func parseCell(raw json.RawMessage) (string, map[string]float64, error) {
 // store under the same EPC budget.
 func lowerIsBetter(metric string) bool {
 	switch metric {
-	case "register/sec", "events/sec", "fwd/op",
+	case "register/sec", "offered-events/sec", "drained-events/sec", "fwd/op",
 		"cliff-subs", "cliff-db-mb", "cliff-shift":
 		return false
 	}

@@ -49,7 +49,7 @@ type Client struct {
 	publisherPK *rsa.PublicKey
 	pubConn     net.Conn
 	routerConn  net.Conn
-	groupKey    *scrypto.SymmetricKey
+	groupOpener *scrypto.Opener // opens payloads under the current group key; nil before the first key
 	epoch       uint64
 	subs        map[uint64]*Subscription
 	listened    bool          // a delivery channel has been bound at least once
@@ -249,7 +249,13 @@ func (c *Client) installGroupKeyLocked(blob []byte, epoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("broker: parsing group key: %w", err)
 	}
-	c.groupKey = key
+	// One opener per key epoch: the key setup (AES schedule, HMAC pads)
+	// is paid here, not once per delivery.
+	opener, err := scrypto.NewOpener(key)
+	if err != nil {
+		return fmt.Errorf("broker: preparing group key: %w", err)
+	}
+	c.groupOpener = opener
 	c.epoch = epoch
 	return nil
 }
@@ -325,13 +331,17 @@ func (c *Client) Listen(conn net.Conn) (<-chan Delivery, error) {
 	return out, err
 }
 
-func (c *Client) listen(ctx context.Context, conn net.Conn, withStream, resumable bool) (<-chan Delivery, uint64, error) {
+func (c *Client) listen(ctx context.Context, raw net.Conn, withStream, resumable bool) (<-chan Delivery, uint64, error) {
 	if err := c.closedErr(); err != nil {
 		return nil, 0, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
+	// The delivery connection is read through one buffered reader from
+	// the listen ack on: the ack and any replay burst behind it share
+	// it with the pump, and a burst of deliveries is one read.
+	conn := newBufferedConn(raw)
 	// A resuming client that has listened before presents its cursor;
 	// the first bind is an ordinary attach with nothing to replay.
 	c.mu.Lock()
@@ -540,7 +550,7 @@ func (c *Client) dispatch(d Delivery, out chan Delivery) {
 func (c *Client) decryptDelivery(m *Message) Delivery {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.groupKey == nil || m.Epoch > c.epoch {
+	if c.groupOpener == nil || m.Epoch > c.epoch {
 		if err := c.refreshGroupKeyLocked(); err != nil {
 			return Delivery{Epoch: m.Epoch, Err: fmt.Errorf("broker: cannot obtain group key: %w", err)}
 		}
@@ -548,7 +558,7 @@ func (c *Client) decryptDelivery(m *Message) Delivery {
 	if m.Epoch != c.epoch {
 		return Delivery{Epoch: m.Epoch, Err: fmt.Errorf("broker: no key for epoch %d", m.Epoch)}
 	}
-	plain, err := scrypto.Open(c.groupKey, m.Payload)
+	plain, err := c.groupOpener.OpenAppend(m.Payload, nil)
 	if err != nil {
 		return Delivery{Epoch: m.Epoch, Err: fmt.Errorf("broker: decrypting payload: %w", err)}
 	}

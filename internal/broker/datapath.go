@@ -27,7 +27,6 @@
 package broker
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -37,6 +36,7 @@ import (
 	"scbr/internal/scheme"
 	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
+	"scbr/internal/wire"
 )
 
 // partition is one matcher slice: an enclave, its scheme store (a
@@ -406,11 +406,13 @@ func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.Symmet
 func (r *Router) pushPublication(m *Message) error {
 	raw := m.raw
 	if raw == nil {
-		// Direct callers (in-process tests) build Messages by hand;
-		// wire traffic always carries its received frame.
+		// Built in-process (a forwarded publication re-entering from a
+		// peer link, a test): wire traffic always carries its received
+		// frame. The ring carries the bytes a publisher would have sent.
+		tag, _ := dataTag(m.Type)
+		f := m.dataFrame(tag)
 		var err error
-		raw, err = json.Marshal(m)
-		if err != nil {
+		if raw, err = wire.AppendDataFrame(nil, &f); err != nil {
 			return fmt.Errorf("encoding publication for the ring: %w", err)
 		}
 	}

@@ -76,6 +76,14 @@ const (
 	// client throttling the publication stream feeding it; a frame
 	// parked when the connection dies is abandoned like any other
 	// in-flight frame and recovered through the replay ring on resume.
+	//
+	// The bound: the writer moves frames from the queue to the socket
+	// a burst at a time, and a burst takes only what is queued when it
+	// starts (at most burstMax bytes of it). While a write is blocked
+	// nothing more leaves the queue, so the queue bound holds: at most
+	// DeliveryQueueLen frames queued plus one burst in the blocked
+	// write are accepted and unwritten — everything past that waits in
+	// the enqueue. All of them are in the replay ring either way.
 	OverflowPause
 )
 
@@ -223,12 +231,14 @@ func (st *clientState) replayAfterLocked(lastSeen uint64) ([]*Message, uint64) {
 // bounded queue and the connection its writer drains onto. pending
 // carries the listen ack plus any cursor replay, written before the
 // channel is drained so they are guaranteed to be the first frames on
-// the wire.
+// the wire; it is filled once by attach, sized to what it holds, and
+// only ever drained.
 type clientQueue struct {
 	st      *clientState
 	conn    net.Conn
-	pending []*Message
+	pending chan *Message
 	ch      chan *Message
+	burst   []*Message // the writer's storage for the frames of one burst
 	quit    chan struct{}
 	drain   chan struct{}
 	once    sync.Once
@@ -352,13 +362,16 @@ func (t *deliveryTable) attach(name string, conn net.Conn, hello *Message, lastS
 	st.mu.Lock()
 	old := st.q
 	hello.Cursor = st.cursor
-	q.pending = []*Message{hello}
+	var replay []*Message
 	if resume {
-		replay, gap := st.replayAfterLocked(lastSeen)
-		hello.Gap = gap
-		q.pending = append(q.pending, replay...)
+		replay, hello.Gap = st.replayAfterLocked(lastSeen)
 		t.replayed.Add(uint64(len(replay)))
-		t.gapTotal.Add(gap)
+		t.gapTotal.Add(hello.Gap)
+	}
+	q.pending = make(chan *Message, 1+len(replay))
+	q.pending <- hello
+	for _, m := range replay {
+		q.pending <- m
 	}
 	st.q = q
 	st.detachedAt = time.Time{}
@@ -453,21 +466,23 @@ func (t *deliveryTable) detach(q *clientQueue) {
 
 // writer drains one client's queue onto its connection. It is the
 // only goroutine writing this conn, so frames never interleave; the
-// pending frames (listen ack, then any replay) go first.
+// pending frames (listen ack, then any replay) go first. Frames leave
+// in bursts (sendBurst): whatever is already queued behind the frame
+// the writer took rides the same Write. A burst whose write fails
+// detaches the queue once; its frames — like everything enqueued —
+// are in the replay ring for the next resume.
 func (t *deliveryTable) writer(q *clientQueue) {
 	defer t.wg.Done()
-	for _, m := range q.pending {
+	for len(q.pending) > 0 {
 		select {
 		case <-q.quit:
 			return
 		default:
 		}
-		if err := Send(q.conn, m); err != nil {
-			t.detach(q)
+		if !t.writeBurst(q, <-q.pending, q.pending, false) {
 			return
 		}
 	}
-	q.pending = nil
 	for {
 		// quit always wins over buffered work: a forced stop (drain
 		// deadline, replacement by a reconnect) must not be outraced by
@@ -481,12 +496,9 @@ func (t *deliveryTable) writer(q *clientQueue) {
 		case <-q.quit:
 			return
 		case m := <-q.ch:
-			if err := Send(q.conn, m); err != nil {
-				// A broken listener must not block the others.
-				t.detach(q)
+			if !t.writeBurst(q, m, q.ch, true) {
 				return
 			}
-			t.recordLatency(q.st, m)
 		case <-q.drain:
 			// Shutdown: flush what is already buffered, then close the
 			// connection. Producers are gone, so this terminates.
@@ -495,11 +507,9 @@ func (t *deliveryTable) writer(q *clientQueue) {
 				case <-q.quit:
 					return
 				case m := <-q.ch:
-					if err := Send(q.conn, m); err != nil {
-						t.detach(q)
+					if !t.writeBurst(q, m, q.ch, true) {
 						return
 					}
-					t.recordLatency(q.st, m)
 				default:
 					q.stop()
 					return
@@ -509,9 +519,28 @@ func (t *deliveryTable) writer(q *clientQueue) {
 	}
 }
 
+// writeBurst puts m and what is queued behind it on ch on q's
+// connection in one Write, detaching the queue if that fails. Live
+// frames have their enqueue→write latency recorded, each its own, once
+// the burst's write is out. Only q's writer calls it.
+func (t *deliveryTable) writeBurst(q *clientQueue, m *Message, ch <-chan *Message, live bool) bool {
+	var err error
+	if q.burst, err = sendBurst(q.conn, m, ch, q.burst); err != nil {
+		// A broken listener must not block the others.
+		t.detach(q)
+		return false
+	}
+	if live {
+		for _, sent := range q.burst {
+			t.recordLatency(q.st, sent)
+		}
+	}
+	return true
+}
+
 // recordLatency records one delivered frame's enqueue→write span into
 // the client's and the table's histograms. Replayed frames travel via
-// q.pending, not the live queue, so they never reach here — their
+// q.pending, not the live queue, so they are never recorded — their
 // stamp describes the enqueue of a previous connection's life.
 func (t *deliveryTable) recordLatency(st *clientState, m *Message) {
 	if m.enqueuedAt.IsZero() {
@@ -699,7 +728,9 @@ func (r *Router) deliver(matches []core.MatchResult, payload []byte, epoch uint6
 	}
 	// Deliver frames and their SubIDs are always freshly allocated:
 	// the replay ring retains them indefinitely, so nothing here may
-	// alias pooled or per-publication scratch.
+	// alias pooled or per-publication scratch. The payload is a view
+	// of the publish frame it arrived in — that frame's own, unshared
+	// allocation, which lives for as long as a ring references it.
 	single := true
 	for _, match := range matches[1:] {
 		if match.ClientRef != matches[0].ClientRef {

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -253,10 +255,29 @@ func TestOverflowDisconnect(t *testing.T) {
 	}
 }
 
-// TestOverflowPauseBackpressure: a full queue blocks the enqueue until
-// the consumer drains — lossless — and a reconnect releases a blocked
-// enqueue instead of deadlocking, with the parked frame recovered via
-// replay.
+// wedgeWriter blocks until the delivery writer is inside a Write on
+// the other end of a net.Pipe, by reading the first frame's 4-byte
+// prefix: a pipe Write returns only once every byte is consumed, so
+// from here on the writer is stuck holding exactly the burst it had
+// composed, and nothing enqueued later can join it. The returned
+// reader replays the prefix ahead of the rest of the stream.
+func wedgeWriter(t *testing.T, client net.Conn) io.Reader {
+	t.Helper()
+	var prefix [4]byte
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(client, prefix[:]); err != nil {
+		t.Fatalf("reading the wedged frame's prefix: %v", err)
+	}
+	_ = client.SetReadDeadline(time.Time{})
+	return io.MultiReader(bytes.NewReader(prefix[:]), client)
+}
+
+// TestOverflowPauseBackpressure pins the Pause bound under burst
+// writes: a burst takes only what is queued when it starts, so once
+// the writer is blocked in a Write the queue bound holds — a full
+// queue blocks the enqueue until the consumer drains, losslessly —
+// and a reconnect releases a blocked enqueue instead of deadlocking,
+// with the parked frame recovered via replay.
 func TestOverflowPauseBackpressure(t *testing.T) {
 	table := newDeliveryTable(1, 16, OverflowPause, -1)
 	server, client := net.Pipe()
@@ -266,9 +287,11 @@ func TestOverflowPauseBackpressure(t *testing.T) {
 	if m := mustRecv(t, client); m.Type != TypeListenOK {
 		t.Fatalf("hello = %+v", m)
 	}
-	// Frame 1 is taken by the writer (which wedges on the unread send),
-	// frame 2 fills the queue, frame 3 must block.
+	// Wedge the writer first: frame 1 alone is its burst, stuck in the
+	// unread Write. Only then does frame 2 fill the queue, so frame 3
+	// must block — the queue bound plus one burst, deterministically.
 	table.enqueue("a", deliverMsg(1))
+	stream := wedgeWriter(t, client)
 	table.enqueue("a", deliverMsg(2))
 	unblocked := make(chan struct{})
 	go func() {
@@ -280,12 +303,21 @@ func TestOverflowPauseBackpressure(t *testing.T) {
 		t.Fatal("enqueue did not block on a full queue under Pause")
 	case <-time.After(100 * time.Millisecond):
 	}
+	if depth := table.depths()["a"]; depth != 1 {
+		t.Fatalf("queue depth %d while the writer is blocked, want the bound (1)", depth)
+	}
 	// Draining the connection releases the backpressure losslessly.
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for i := 1; i <= 3; i++ {
-		if m := mustRecv(t, client); m.Cursor != uint64(i) {
+		m, err := Recv(stream)
+		if err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if m.Cursor != uint64(i) {
 			t.Fatalf("cursor %d, want %d", m.Cursor, i)
 		}
 	}
+	_ = client.SetReadDeadline(time.Time{})
 	select {
 	case <-unblocked:
 	case <-time.After(2 * time.Second):
@@ -299,6 +331,7 @@ func TestOverflowPauseBackpressure(t *testing.T) {
 	// connection. The swap must unblock the parked enqueue (the old
 	// queue dies), and the resume replay must deliver its frame anyway.
 	table.enqueue("a", deliverMsg(4))
+	wedgeWriter(t, client)
 	table.enqueue("a", deliverMsg(5))
 	parked := make(chan struct{})
 	go func() {

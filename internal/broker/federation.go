@@ -73,13 +73,17 @@ func (l *peerLink) offer(m *Message) bool {
 	}
 }
 
+// writer drains the link's queue onto its connection in bursts: the
+// frames already queued behind the one it took ride the same Write.
 func (l *peerLink) writer() {
+	var burst []*Message
 	for {
 		select {
 		case <-l.quit:
 			return
 		case m := <-l.out:
-			if err := Send(l.conn, m); err != nil {
+			var err error
+			if burst, err = sendBurst(l.conn, m, l.out, burst); err != nil {
 				l.stop()
 				return
 			}
@@ -138,8 +142,11 @@ func (r *Router) dialPeer(addr string) {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+		raw, err := net.DialTimeout("tcp", addr, peerDialTimeout)
 		if err == nil {
+			// Read through one buffered reader from the dial on: the
+			// handshake reply and the link's frames share it.
+			conn := newBufferedConn(raw)
 			var name string
 			var key *scrypto.SymmetricKey
 			name, key, err = r.dialHandshake(conn)

@@ -16,10 +16,11 @@
 package broker
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -82,15 +83,18 @@ const (
 )
 
 // BatchItem is one publication of a publish-batch message: the
-// SK-encrypted header plus the group-key-encrypted payload.
-type BatchItem struct {
-	Blob    []byte `json:"blob"`
-	Payload []byte `json:"payload"`
-}
+// SK-encrypted header plus the group-key-encrypted payload. It is the
+// wire codec's item type, so a decoded batch needs no conversion.
+type BatchItem = wire.Item
 
 // Message is the single wire envelope; unused fields stay empty.
-// []byte fields serialise as Base64 inside JSON, matching the paper's
-// Base64 text serialisation.
+// Control messages travel as JSON, []byte fields as Base64 text —
+// the paper's serialisation. The four data messages (publish,
+// publish-batch, deliver, fwd-pub) travel in internal/wire's binary
+// data-frame codec, which carries exactly the fields of each type's
+// layout: Scheme/Epoch/Blob/Payload, Scheme/Epoch/Items,
+// Epoch/Cursor/SubIDs/Payload, and Blob. A field set outside its
+// type's layout does not travel.
 type Message struct {
 	Type     MsgType `json:"type"`
 	ClientID string  `json:"client_id,omitempty"`
@@ -123,10 +127,11 @@ type Message struct {
 	Err     string        `json:"err,omitempty"`
 	Code    string        `json:"code,omitempty"` // machine-readable error class
 
-	// raw is the frame this message was decoded from, kept so the
-	// switchless publication path can hand the publisher's exact bytes
-	// to the partition rings instead of re-encoding the just-decoded
-	// message. Unexported: it never serialises.
+	// raw is the frame body a data message was decoded from — the
+	// allocation its Blob, Payload and Items are views of — kept so
+	// the switchless publication path can hand the publisher's exact
+	// bytes to the partition rings instead of re-encoding the
+	// just-decoded message. Unexported: it never serialises.
 	raw []byte
 
 	// enqueuedAt stamps a deliver frame when the delivery layer accepts
@@ -137,66 +142,213 @@ type Message struct {
 	enqueuedAt time.Time
 }
 
-// sendBuffer is one pooled encode buffer: frames are marshalled into
-// it, written to the socket, and the buffer is recycled, so the wire's
-// hottest producers (delivery writers, publishers) stop allocating a
-// fresh JSON encoding per frame.
+// dataTag maps the four data message types onto their wire tag; every
+// other type is a JSON control frame.
+func dataTag(t MsgType) (byte, bool) {
+	switch t {
+	case TypePublish:
+		return wire.TagPublish, true
+	case TypePublishBatch:
+		return wire.TagPublishBatch, true
+	case TypeDeliver:
+		return wire.TagDeliver, true
+	case TypeFwdPub:
+		return wire.TagFwdPub, true
+	}
+	return 0, false
+}
+
+// dataTypes is dataTag's inverse, indexed by tag.
+var dataTypes = [...]MsgType{
+	wire.TagPublish:      TypePublish,
+	wire.TagPublishBatch: TypePublishBatch,
+	wire.TagDeliver:      TypeDeliver,
+	wire.TagFwdPub:       TypeFwdPub,
+}
+
+// dataFrame is a data message's wire form under tag.
+func (m *Message) dataFrame(tag byte) wire.DataFrame {
+	return wire.DataFrame{
+		Tag:     tag,
+		Scheme:  m.Scheme,
+		Epoch:   m.Epoch,
+		Cursor:  m.Cursor,
+		SubIDs:  m.SubIDs,
+		Blob:    m.Blob,
+		Payload: m.Payload,
+		Items:   m.Items,
+	}
+}
+
+// sendBuffer is one pooled frame buffer: whole frames — prefix and
+// body — are encoded into it back to back and leave in one Write, so
+// the wire's hottest producers (delivery writers, publishers, peer
+// links) neither allocate per frame nor pay a syscall per frame.
 type sendBuffer struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+	buf []byte
+	enc *json.Encoder // control frames: encodes into buf through Write
+}
+
+// Write appends to the buffer; it is the json.Encoder's sink.
+func (b *sendBuffer) Write(p []byte) (int, error) {
+	b.buf = append(b.buf, p...)
+	return len(p), nil
 }
 
 // sendBufMax caps the capacity a recycled buffer may retain; a
 // one-off jumbo batch frame must not pin megabytes in the pool.
 const sendBufMax = 1 << 20
 
+// burstMax bounds how many bytes of already-queued frames a writer
+// gathers into one Write (sendBurst): past it the buffer is written
+// and a new burst begins.
+const burstMax = 64 << 10
+
 var sendBufPool = sync.Pool{New: func() any {
 	b := &sendBuffer{}
-	b.enc = json.NewEncoder(&b.buf)
+	b.enc = json.NewEncoder(b)
 	return b
 }}
 
-// Send marshals and frames one message through a pooled buffer.
-func Send(w io.Writer, m *Message) error {
-	b := sendBufPool.Get().(*sendBuffer)
-	b.buf.Reset()
-	if err := b.enc.Encode(m); err != nil {
-		sendBufPool.Put(b)
+// appendFrame encodes m as one whole frame at the end of the buffer.
+// A message that does not encode leaves the buffer as it was.
+func (b *sendBuffer) appendFrame(m *Message) error {
+	start := len(b.buf)
+	b.buf = wire.BeginFrame(b.buf)
+	var err error
+	if tag, ok := dataTag(m.Type); ok {
+		f := m.dataFrame(tag)
+		b.buf, err = wire.AppendDataFrame(b.buf, &f)
+	} else if err = b.enc.Encode(m); err == nil {
+		b.buf = b.buf[:len(b.buf)-1] // drop the Encoder's trailing newline
+	}
+	if err == nil {
+		err = wire.EndFrame(b.buf, start)
+	}
+	if err != nil {
+		b.buf = b.buf[:start]
 		return fmt.Errorf("broker: encoding %s: %w", m.Type, err)
 	}
-	raw := b.buf.Bytes()
-	raw = raw[:len(raw)-1] // drop the Encoder's trailing newline: frames stay byte-identical to json.Marshal
-	err := wire.WriteFrame(w, raw)
-	if b.buf.Cap() <= sendBufMax {
+	return nil
+}
+
+// writeTo puts the buffered frames on w in a single Write.
+func (b *sendBuffer) writeTo(w io.Writer) error {
+	if _, err := w.Write(b.buf); err != nil {
+		return fmt.Errorf("broker: writing frame: %w", err)
+	}
+	return nil
+}
+
+// Send encodes and frames one message through a pooled buffer and
+// puts it on w in a single Write.
+func Send(w io.Writer, m *Message) error {
+	b := sendBufPool.Get().(*sendBuffer)
+	b.buf = b.buf[:0]
+	err := b.appendFrame(m)
+	if err == nil {
+		err = b.writeTo(w)
+	}
+	if cap(b.buf) <= sendBufMax {
 		sendBufPool.Put(b)
 	}
 	return err
 }
 
-// Recv reads and unmarshals one message.
-func Recv(r io.Reader) (*Message, error) {
-	m, _, err := recvAppend(r, nil)
-	return m, err
+// sendBurst is Send for a queue-fed writer: it frames first and then
+// whatever is already queued on ch behind it into one pooled buffer
+// and puts the lot on w in a single Write — N frames under load are
+// one syscall, and a lone frame leaves as soon as it is taken. A burst
+// never waits: it takes at most what was queued when it started, and
+// stops early once the buffer holds burstMax bytes. The frames taken
+// are returned in order (in sent's storage), written or not — on an
+// error none of them is known to have reached the peer.
+func sendBurst(w io.Writer, first *Message, ch <-chan *Message, sent []*Message) ([]*Message, error) {
+	b := sendBufPool.Get().(*sendBuffer)
+	b.buf = b.buf[:0]
+	sent = append(sent[:0], first)
+	err := b.appendFrame(first)
+	for queued := len(ch); err == nil && queued > 0 && len(b.buf) < burstMax; queued-- {
+		select {
+		case m := <-ch:
+			sent = append(sent, m)
+			err = b.appendFrame(m)
+		default:
+			queued = 0 // an evicting enqueue (OverflowDropOldest) took it first
+		}
+	}
+	if err == nil {
+		err = b.writeTo(w)
+	}
+	if cap(b.buf) <= sendBufMax {
+		sendBufPool.Put(b)
+	}
+	return sent, err
 }
 
-// recvAppend is Recv reading the frame into buf's capacity. It returns
-// the (possibly grown) buffer for the caller's next call; the returned
-// message's raw frame aliases it, so the message must be fully
-// consumed before the buffer is reused — the router's connection loop
-// finishes each handler before reading the next frame, and every path
-// that keeps publication bytes past the handler (the partition rings)
-// copies them.
-func recvAppend(r io.Reader, buf []byte) (*Message, []byte, error) {
-	raw, err := wire.ReadFrameAppend(r, buf)
+// Recv reads and decodes one message. The frame is read into an
+// allocation of its own, which a data message's []byte fields are
+// views of (see Message.raw): the message owns its bytes for as long
+// as anything references them. Given a raw connection it reads exactly
+// one frame and never past it; connections that carry more than a
+// handshake are read through a bufferedConn instead.
+func Recv(r io.Reader) (*Message, error) {
+	raw, err := wire.ReadFrame(r)
 	if err != nil {
-		return nil, buf, err
+		return nil, err
 	}
-	var m Message
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, raw, fmt.Errorf("broker: decoding message: %w", err)
+	if !wire.IsDataFrame(raw) {
+		m := new(Message)
+		if err := json.Unmarshal(raw, m); err != nil {
+			return nil, fmt.Errorf("broker: decoding message: %w", err)
+		}
+		return m, nil
 	}
-	m.raw = raw
-	return &m, raw, nil
+	var f wire.DataFrame
+	if err := wire.DecodeDataFrame(raw, &f); err != nil {
+		return nil, fmt.Errorf("broker: decoding message: %w", err)
+	}
+	return &Message{
+		Type:    dataTypes[f.Tag],
+		Scheme:  f.Scheme,
+		Epoch:   f.Epoch,
+		Cursor:  f.Cursor,
+		SubIDs:  f.SubIDs,
+		Blob:    f.Blob,
+		Payload: f.Payload,
+		Items:   f.Items,
+		raw:     raw,
+	}, nil
+}
+
+// bufferedConn is a connection whose reads go through one buffered
+// reader it owns from accept or dial on, so a burst of frames is one
+// read syscall. Every reader of the connection goes through it —
+// nothing can strand buffered bytes by reading the raw conn — while
+// writes, deadlines and Close pass straight through.
+type bufferedConn struct {
+	net.Conn
+	r *bufio.Reader
+}
+
+func newBufferedConn(conn net.Conn) *bufferedConn {
+	return &bufferedConn{Conn: conn, r: bufio.NewReaderSize(conn, burstMax)}
+}
+
+func (c *bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// discard reads and drops whatever the peer still sends until the
+// connection ends. It lets go of the read buffer first: a listening
+// client's connection sits here for its whole life, and nothing it
+// sends is wanted. No other Read may follow or run beside it.
+func (c *bufferedConn) discard() {
+	c.r = nil
+	var scratch [512]byte
+	for {
+		if _, err := c.Conn.Read(scratch[:]); err != nil {
+			return
+		}
+	}
 }
 
 // sendErr reports a protocol error to the peer (best effort),

@@ -24,6 +24,7 @@ import (
 type Publisher struct {
 	keys     *scrypto.KeyPair
 	sk       *scrypto.SymmetricKey
+	skSealer *scrypto.Sealer // seals headers and subscriptions under sk
 	group    *scrypto.GroupKeyManager
 	registry *ClientRegistry
 	ias      *attest.Service
@@ -71,6 +72,10 @@ func NewPublisherWithCodec(ias *attest.Service, routerID attest.Identity, codec 
 	if err != nil {
 		return nil, fmt.Errorf("broker: generating SK: %w", err)
 	}
+	skSealer, err := scrypto.NewSealer(sk)
+	if err != nil {
+		return nil, fmt.Errorf("broker: preparing SK: %w", err)
+	}
 	group, err := scrypto.NewGroupKeyManager(nil)
 	if err != nil {
 		return nil, fmt.Errorf("broker: creating group key manager: %w", err)
@@ -78,6 +83,7 @@ func NewPublisherWithCodec(ias *attest.Service, routerID attest.Identity, codec 
 	return &Publisher{
 		keys:     keys,
 		sk:       sk,
+		skSealer: skSealer,
 		group:    group,
 		registry: NewClientRegistry(),
 		ias:      ias,
@@ -106,7 +112,8 @@ func (p *Publisher) GroupEpoch() uint64 { return p.group.Epoch() }
 // registrations and publications. Cancelling ctx severs the
 // connection; attestation failures wrap ErrAttestationFailed and keep
 // the underlying attest sentinel in the chain.
-func (p *Publisher) ConnectRouter(ctx context.Context, conn net.Conn) error {
+func (p *Publisher) ConnectRouter(ctx context.Context, raw net.Conn) error {
+	conn := newBufferedConn(raw) // replies are read through it from here on
 	if err := p.provisionRouter(ctx, conn); err != nil {
 		return err
 	}
@@ -122,10 +129,11 @@ func (p *Publisher) ConnectRouter(ctx context.Context, conn net.Conn) error {
 // Every router of the overlay must be provisioned (they share one SK)
 // — call this once per router, then SetDefaultRouter to choose where
 // this publisher's own publications enter the overlay.
-func (p *Publisher) ConnectRouterNamed(ctx context.Context, name string, conn net.Conn) error {
+func (p *Publisher) ConnectRouterNamed(ctx context.Context, name string, raw net.Conn) error {
 	if name == "" {
 		return errors.New("broker: router name must not be empty")
 	}
+	conn := newBufferedConn(raw) // replies are read through it from here on
 	if err := p.provisionRouter(ctx, conn); err != nil {
 		return err
 	}
@@ -255,7 +263,7 @@ func (p *Publisher) handleSubscribe(conn net.Conn, m *Message) error {
 		return fmt.Errorf("invalid subscription: %w", err)
 	}
 	if p.codec.Capabilities().SealedExchange {
-		if enc, err = scrypto.Seal(p.sk, enc); err != nil {
+		if enc, err = p.skSealer.Seal(enc); err != nil {
 			return fmt.Errorf("re-encrypting subscription: %w", err)
 		}
 	}
@@ -386,8 +394,8 @@ func (p *Publisher) Publish(ctx context.Context, header pubsub.EventSpec, payloa
 	if err != nil {
 		return err
 	}
-	groupKey, epoch := p.group.Key()
-	encPayload, err := scrypto.Seal(groupKey, payload)
+	payloadSealer, epoch := p.group.Sealer()
+	encPayload, err := payloadSealer.Seal(payload)
 	if err != nil {
 		return fmt.Errorf("broker: encrypting payload: %w", err)
 	}
@@ -411,17 +419,18 @@ func (p *Publisher) encodeHeader(header pubsub.EventSpec) ([]byte, error) {
 	if !p.codec.Capabilities().SealedExchange {
 		return raw, nil
 	}
-	enc, err := scrypto.Seal(p.sk, raw)
+	enc, err := p.skSealer.Seal(raw)
 	if err != nil {
 		return nil, fmt.Errorf("broker: encrypting header: %w", err)
 	}
 	return enc, nil
 }
 
-// batchFrameBudget bounds the pre-encoding size of one publish-batch
-// frame. JSON base64-inflates []byte fields by 4/3 plus field
-// overhead, so staying under this keeps the encoded frame safely
-// below wire.MaxFrame (16 MB) with room to spare.
+// batchFrameBudget bounds the ciphertext bytes of one publish-batch or
+// register-batch frame. A register-batch is a JSON control frame,
+// which Base64-inflates []byte fields by 4/3 plus field overhead, so
+// staying under this keeps either frame safely below wire.MaxFrame
+// (16 MB) with room to spare.
 const batchFrameBudget = 8 << 20
 
 // PublishBatch is step ④ for a whole batch: every header is encrypted
@@ -442,14 +451,14 @@ func (p *Publisher) PublishBatch(ctx context.Context, events []Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	groupKey, epoch := p.group.Key()
+	payloadSealer, epoch := p.group.Sealer()
 	items := make([]BatchItem, len(events))
 	for i := range events {
 		encHeader, err := p.encodeHeader(events[i].Header)
 		if err != nil {
 			return fmt.Errorf("broker: batch event %d: %w", i, err)
 		}
-		encPayload, err := scrypto.Seal(groupKey, events[i].Payload)
+		encPayload, err := payloadSealer.Seal(events[i].Payload)
 		if err != nil {
 			return fmt.Errorf("broker: encrypting batch payload %d: %w", i, err)
 		}
@@ -506,7 +515,7 @@ func (p *Publisher) RegisterBulk(ctx context.Context, clientID, router string, s
 			return nil, fmt.Errorf("broker: bulk subscription %d invalid: %w", i, err)
 		}
 		if sealed {
-			if enc, err = scrypto.Seal(p.sk, enc); err != nil {
+			if enc, err = p.skSealer.Seal(enc); err != nil {
 				return nil, fmt.Errorf("broker: re-encrypting bulk subscription %d: %w", i, err)
 			}
 		}

@@ -602,19 +602,26 @@ func (r *Router) Close() {
 	})
 }
 
-// handleConn dispatches messages from one peer connection. Frames are
-// read into one per-connection buffer reused across messages: every
-// handler finishes before the next read, and the []byte fields that
-// outlive a handler (blobs, payloads, registration records) are fresh
-// Base64 decodings, never views of the frame — only m.raw aliases it,
-// and the one consumer that keeps raw bytes (the partition rings)
-// copies them before the handler returns.
-func (r *Router) handleConn(conn net.Conn) {
-	var buf []byte
+// handleConn dispatches messages from one peer connection. The
+// connection is read through one buffered reader from here on — this
+// loop, every handler it calls (provisioning's second round trip, the
+// listen drain, a peer link's read side) and nothing else — so a burst
+// of frames is one read and no handler strands buffered bytes.
+//
+// Ownership: every frame is read into an allocation of its own, and a
+// data message's Blob, Payload and Items are views of it, not copies
+// — one allocation per frame instead of one per field. They may
+// therefore outlive the handler: header blobs ride the match jobs
+// (past this loop on the switchless path) and payloads live on in the
+// per-client replay rings, each pinning the frame it arrived in until
+// the ring lets go. Nothing is reused across frames, so nothing here
+// needs copying before the next read. Control messages are decoded by
+// encoding/json into fresh fields and their frames are garbage once
+// decoded.
+func (r *Router) handleConn(raw net.Conn) {
+	conn := newBufferedConn(raw)
 	for {
-		var m *Message
-		var err error
-		m, buf, err = recvAppend(conn, buf)
+		m, err := Recv(conn)
 		if err != nil {
 			return // connection closed or corrupt framing
 		}
@@ -650,11 +657,8 @@ func (r *Router) handleConn(conn net.Conn) {
 			// the delivery writer — replying to anything further here
 			// would interleave frames with in-flight deliveries. Drain
 			// and discard the read side so the close is still observed.
-			for {
-				if _, err := Recv(conn); err != nil {
-					return
-				}
-			}
+			conn.discard()
+			return
 		default:
 			sendErrf(conn, "unexpected message %q", m.Type)
 			return

@@ -11,7 +11,8 @@ import (
 // FuzzSchemeTaggedFrame round-trips scheme-tagged protocol frames —
 // the provisioning, registration, publication, and listen messages
 // whose Scheme field the router's mismatch checks read — through the
-// full Send/Recv path (JSON body inside length-prefixed wire frames).
+// full Send/Recv path (a JSON body for control types, the binary
+// data-frame codec for publish, inside length-prefixed wire frames).
 // The scheme tag, blobs, and identities must survive byte-identically:
 // the mismatch check and the registration signature both depend on it.
 func FuzzSchemeTaggedFrame(f *testing.F) {
@@ -38,6 +39,18 @@ func FuzzSchemeTaggedFrame(f *testing.F) {
 		out, err := Recv(&buf)
 		if err != nil {
 			t.Fatalf("sent frame does not parse back: %v", err)
+		}
+		if _, data := dataTag(in.Type); data {
+			// A data frame carries its layout's fields as raw bytes — no
+			// text coercion — and nothing else (ClientID and Sig are not
+			// publication fields).
+			if out.Type != in.Type || out.Scheme != in.Scheme || !bytes.Equal(out.Blob, in.Blob) || out.Epoch != in.Epoch {
+				t.Fatalf("data frame diverged: %+v vs %+v", out, in)
+			}
+			if out.ClientID != "" || out.Sig != nil {
+				t.Fatalf("fields outside the layout travelled: %+v", out)
+			}
+			return
 		}
 		// encoding/json coerces invalid UTF-8 in strings, so compare
 		// against the normal form: what the sent JSON parses back to.

@@ -52,6 +52,13 @@ func subscribeOnly(t *testing.T, sys *testSystem, id string, spec pubsub.Subscri
 	t.Cleanup(c.Close)
 }
 
+// stallPayloadLen sizes the payloads of the tests that need a stalled
+// listener's writer to block for real: 64 of them must not fit in the
+// kernel's socket buffers (the send side alone autotunes to 4 MiB on
+// Linux). Deliver frames carry the payload as raw bytes, so the
+// payload is the frame.
+const stallPayloadLen = 128 << 10
+
 // stalledListener binds conn as id's delivery channel and then never
 // reads it again: the router-side writer eventually blocks on the
 // socket and the queue backs up — the deliberately misbehaving
@@ -172,7 +179,7 @@ func TestStalledListenerDisconnected(t *testing.T) {
 	})
 	subscribeOnly(t, sys, "mallory", halSpec(50))
 	stalled := stalledListener(t, sys, "mallory")
-	payload := make([]byte, 64<<10)
+	payload := make([]byte, stallPayloadLen)
 	for i := 0; i < 64; i++ {
 		if err := sys.publisher.Publish(bg, halQuote(42), payload); err != nil {
 			t.Fatal(err)
@@ -431,7 +438,7 @@ func TestReconnectGapReportedUnderDisconnect(t *testing.T) {
 	subscribeOnly(t, sys, "mallory", halSpec(50))
 	stalled := stalledListener(t, sys, "mallory")
 	const total = 64
-	payload := make([]byte, 64<<10)
+	payload := make([]byte, stallPayloadLen)
 	for i := 0; i < total; i++ {
 		if err := sys.publisher.Publish(bg, halQuote(42), payload); err != nil {
 			t.Fatal(err)

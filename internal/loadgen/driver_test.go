@@ -80,7 +80,7 @@ func TestRunTinyScenario(t *testing.T) {
 		if c.Resumes < s.Measured {
 			t.Fatalf("cell %s/r%d: %d resumes, want at least one per listener", c.Scheme, c.Routers, c.Resumes)
 		}
-		if c.EventsPerSec <= 0 || c.RegisterPerSec <= 0 {
+		if c.OfferedEventsPerSec <= 0 || c.RegisterPerSec <= 0 || c.DrainedEventsPerSec <= 0 || c.DrainedEventsPerSec > c.OfferedEventsPerSec {
 			t.Fatalf("cell %s/r%d: missing throughput: %+v", c.Scheme, c.Routers, c)
 		}
 	}

@@ -76,10 +76,18 @@ type CellResult struct {
 	RegisterSecs   float64 `json:"register_secs"`
 	RegisterPerSec float64 `json:"register_per_sec"`
 
-	// PublishSecs covers every publish phase (steady + flash + churn);
-	// EventsPerSec is total events over that time.
-	PublishSecs  float64 `json:"publish_secs"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	// PublishSecs covers every publish phase (steady + flash + churn),
+	// up to the last publish call's return; OfferedEventsPerSec is
+	// total events over that time — the rate the publishers offered,
+	// not one the deployment is known to have sustained. DrainSecs adds
+	// the wait for the last delivery (or reported gap), and
+	// DrainedEventsPerSec is total events over publish + drain: the
+	// rate with every event accounted for inside the clock. (Artifacts
+	// from before the split carry the offered rate as events_per_sec.)
+	PublishSecs         float64 `json:"publish_secs"`
+	OfferedEventsPerSec float64 `json:"offered_events_per_sec"`
+	DrainSecs           float64 `json:"drain_secs"`
+	DrainedEventsPerSec float64 `json:"drained_events_per_sec"`
 
 	// Delivery accounting across every measured listener: each event is
 	// expected once per listener; Delivered counts unique receipts, Gaps

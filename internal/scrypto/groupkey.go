@@ -19,6 +19,7 @@ type GroupKeyManager struct {
 	mu      sync.RWMutex
 	epoch   uint64
 	key     *SymmetricKey
+	sealer  *Sealer // payload sealer for key, rebuilt on rotation
 	members map[string]bool
 	src     io.Reader
 }
@@ -33,9 +34,14 @@ func NewGroupKeyManager(src io.Reader) (*GroupKeyManager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scrypto: initial group key: %w", err)
 	}
+	sealer, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
 	return &GroupKeyManager{
 		epoch:   1,
 		key:     key,
+		sealer:  sealer,
 		members: make(map[string]bool),
 		src:     src,
 	}, nil
@@ -48,11 +54,13 @@ func (g *GroupKeyManager) Epoch() uint64 {
 	return g.epoch
 }
 
-// Key returns the current group key and its epoch.
-func (g *GroupKeyManager) Key() (*SymmetricKey, uint64) {
+// Sealer returns the payload sealer for the current group key and its
+// epoch: one Sealer per epoch, so publishing pays the key setup once
+// per rotation, not once per payload.
+func (g *GroupKeyManager) Sealer() (*Sealer, uint64) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.key, g.epoch
+	return g.sealer, g.epoch
 }
 
 // Members returns the sorted list of current member identities.
@@ -91,7 +99,11 @@ func (g *GroupKeyManager) Revoke(clientID string) (uint64, error) {
 	if err != nil {
 		return g.epoch, fmt.Errorf("scrypto: rotating group key: %w", err)
 	}
-	g.key = key
+	sealer, err := NewSealer(key)
+	if err != nil {
+		return g.epoch, err
+	}
+	g.key, g.sealer = key, sealer
 	g.epoch++
 	return g.epoch, nil
 }

@@ -248,9 +248,21 @@ func TestGroupKeyRotationOnRevoke(t *testing.T) {
 	if epoch != e1+1 {
 		t.Fatalf("Revoke epoch = %d, want %d", epoch, e1+1)
 	}
-	k3, _ := g.Key()
+	k3, _ := g.Join("bob") // already a member: reads the current key
 	if k3.Equal(k1) {
 		t.Fatal("revocation did not rotate the group key")
+	}
+	// The payload sealer rotates with the key and names its epoch.
+	sealer, sealEpoch := g.Sealer()
+	env, err := sealer.Seal([]byte("after revocation"))
+	if err != nil || sealEpoch != epoch {
+		t.Fatalf("Sealer: epoch %d (want %d), err %v", sealEpoch, epoch, err)
+	}
+	if _, err := Open(k1, env); err == nil {
+		t.Fatal("revoked key opens a payload sealed after the rotation")
+	}
+	if got, err := Open(k3, env); err != nil || string(got) != "after revocation" {
+		t.Fatalf("current key cannot open the sealer's envelope: %q, %v", got, err)
 	}
 	if g.IsMember("alice") || !g.IsMember("bob") {
 		t.Fatal("membership wrong after revocation")
