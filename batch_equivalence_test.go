@@ -14,7 +14,8 @@ import (
 )
 
 // batchHarness is a full public-API deployment parameterised over the
-// batch-first matrix: matching scheme, partition count, switchless.
+// batch-first matrix: matching scheme, partition count, and the
+// transition policy (switchless) the slice workers charge.
 type batchHarness struct {
 	router    *scbr.Router
 	publisher *scbr.Publisher
@@ -147,8 +148,8 @@ func drainUntil(t *testing.T, ctx context.Context, sub *scbr.Subscription, senti
 // property across the full deployment matrix: a batch publish yields
 // exactly the deliveries — same events, same subscription IDs, same
 // per-client order — that the same events published one at a time
-// yield, for both matching schemes, 1 and 4 partitions, and both the
-// synchronous and the switchless publication paths.
+// yield, for both matching schemes, 1 and 4 partitions, and both
+// transition policies of the one publication pipeline.
 func TestPublishBatchEquivalence(t *testing.T) {
 	events := []scbr.EventSpec{
 		quoteEvent("HAL", 42, 100),   // narrow + wide
@@ -231,7 +232,7 @@ func quoteEvent(symbol string, price float64, volume int64) scbr.EventSpec {
 
 // TestBatchPoolingStress hammers the pooled frame path — batch and
 // single publishes interleaved from concurrent goroutines through the
-// switchless multi-partition pipeline — and checks that every
+// multi-partition pipeline — and checks that every
 // delivered payload arrives exactly once and intact. Pooled send
 // buffers, reused frame buffers, or recycled match jobs aliasing a
 // retained delivery would surface here as corrupt/duplicate payloads,

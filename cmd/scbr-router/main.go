@@ -90,7 +90,7 @@ func run() error {
 		partitions  = flag.Int("partitions", 1, "enclave matcher slices to shard the subscription database across")
 		placeShards = flag.Int("placement-shards", 0, "virtual shards registrations hash onto, the migration grain for /control/repartition (0 = default 64, max 256)")
 		placeSeed   = flag.Int64("placement-seed", 0, "seed for the rendezvous shard→slice hash (0 = fixed built-in seed)")
-		switchless  = flag.Bool("switchless", false, "route publications through per-partition untrusted-memory rings")
+		switchless  = flag.Bool("switchless", false, "charge the slice workers one enclave entry plus a queue poll per publication message (the paper's §6 border exchange) instead of an ecall each")
 		queueLen    = flag.Int("delivery-queue", 0, "per-client delivery queue bound (0 = default 256)")
 		overflow    = flag.String("overflow", "drop-oldest", "slow-consumer policy when a delivery queue fills: drop-oldest, disconnect, or pause")
 		replayRing  = flag.Int("replay-ring", 0, "per-client delivery replay ring bound for cursor resume (0 = default 512, negative = disabled)")

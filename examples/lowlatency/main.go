@@ -1,14 +1,15 @@
-// Lowlatency: publication delivery into the enclave with and without
-// the switchless ring (the paper's §6 "message exchanges at the
-// enclave border"), and with batching on top.
+// Lowlatency: what a publication costs at the enclave border with and
+// without switchless transitions (the paper's §6 "message exchanges at
+// the enclave border"), and with batching on top.
 //
-// The classic router pays one EENTER/EEXIT round trip (~2 µs on the
-// paper's hardware) per publication. With WithSwitchless the router's
-// enclave worker enters once and consumes ciphertext from an
-// untrusted-memory ring, so a burst of quotes costs zero per-message
-// transitions. PublishBatch amortises further: a whole batch is one
-// wire round trip and one enclave crossing even on the per-ecall
-// path. This example runs the same burst through three configurations
+// By default the router charges one EENTER/EEXIT round trip (~2 µs on
+// the paper's hardware) per publication message per slice. With
+// WithSwitchless each slice's resident worker is charged one entry for
+// its lifetime and then only a poll of its untrusted queue per message,
+// so a burst of quotes costs zero per-message transitions. PublishBatch
+// amortises further: a whole batch is one wire round trip and one
+// enclave crossing even at the per-ecall price. The pipeline is the
+// same in all three; this example runs one burst through each
 // and prints the enclave transition counts and simulated enclave time
 // per publication.
 //
@@ -229,6 +230,6 @@ func run() error {
 		fmt.Printf("  %-15s %11d %19.2f %11s\n",
 			mode.name, transitions, cost.Micros(cycles)/burst, wall.Round(time.Millisecond))
 	}
-	fmt.Println("\ndone: batching amortises the ecall, the ring eliminates it")
+	fmt.Println("\ndone: batching amortises the ecall, switchless transitions eliminate it")
 	return nil
 }

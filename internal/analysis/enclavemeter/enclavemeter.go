@@ -2,7 +2,7 @@
 // discipline: every touch of the matcher store — a scheme.Slice
 // method or one of streamhub.Hub's direct per-slice methods — must
 // happen inside a charged enclave entry, either an sgx.Enclave.Ecall
-// body or a resident switchless ring worker. A store access outside
+// body or a resident slice worker. A store access outside
 // that boundary silently bypasses the simulated EPC cost model
 // (internal/simmem), so every paper-facing number produced afterwards
 // lies about enclave transition and paging cost.

@@ -36,7 +36,7 @@ func newTestSystem(t *testing.T) *testSystem {
 }
 
 // newTestSystemCfg builds the deployment with an optional RouterConfig
-// mutation (e.g. enabling the switchless publication path).
+// mutation (e.g. more partitions, or the switchless transition policy).
 func newTestSystemCfg(t *testing.T, mutate func(*RouterConfig)) *testSystem {
 	t.Helper()
 	dev, err := sgx.NewDevice([]byte("broker-test"), simmem.DefaultCost())

@@ -7,28 +7,25 @@
 // set shrinks by k (the Fig. 8 paging-cliff remedy).
 //
 // The layer is batch-first: a publish-batch travels as ONE unit — one
-// enclave entry per slice on the synchronous path, one ring push and
-// one matchJob per slice on the switchless path — and the schemes
-// match it through their MatchEncodedBatch surface, so per-item work
-// (enclave crossings, database walks, allocations) is amortised across
-// the batch. A single publish is just a batch of one.
+// matchJob handed to every slice — and the schemes match it through
+// their MatchEncodedBatch surface, so per-item work (enclave crossings,
+// database walks, allocations) is amortised across the batch. A single
+// publish is just a batch of one.
 //
-// Two publication paths share this layer:
-//
-//   - synchronous: the publishing connection enters each slice's
-//     enclave (one ecall per slice per wire message, however many
-//     items it carries) and merges inline;
-//   - switchless: each slice owns an untrusted-memory ring drained by
-//     a resident enclave worker. The raw wire frame is pushed to every
-//     ring, the workers match concurrently, and a single merger
-//     goroutine joins the per-slice results in publication order so
-//     per-client delivery order is preserved.
+// There is one publication path. Every slice owns a resident worker
+// fed by a job queue; the publishing connection dispatches the decoded
+// message to every worker and to the merge queue and goes back to its
+// socket, the workers match concurrently, and a single merger goroutine
+// joins the per-slice results in publication order, so per-client
+// delivery order is preserved. What RouterConfig.Switchless selects is
+// only the transition a worker charges its slice's meter per wire
+// message: the call gate's EENTER+EEXIT round trip, or — the paper's §6
+// "message exchanges at the enclave border" — one entry for the
+// worker's lifetime plus a poll of the untrusted queue per message.
 
 package broker
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -36,15 +33,22 @@ import (
 	"scbr/internal/scheme"
 	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
-	"scbr/internal/wire"
 )
+
+// pipelineDepth bounds the wire messages in flight between dispatch
+// and delivery: the capacity of every slice's job queue and of the
+// merge queue, and the number of recycled jobs the router retains. A
+// full queue blocks the publishing connection — the pipeline's
+// backpressure — and 128 messages is deep enough that a worker never
+// idles behind a producer's scheduling hiccup.
+const pipelineDepth = 128
 
 // partition is one matcher slice: an enclave, its scheme store (a
 // share of the subscription database in the matching scheme's
-// encoding), and — in the switchless configuration — the slice's
-// publication ring and resident worker. The partition lock serialises
-// enclave entries and meter access for this slice only; other slices,
-// the control plane, and delivery never wait on it.
+// encoding), and the slice's job queue and resident worker. The
+// partition lock serialises enclave entries and meter access for this
+// slice only; other slices, the control plane, and delivery never wait
+// on it.
 type partition struct {
 	idx     int
 	enclave *sgx.Enclave
@@ -60,9 +64,8 @@ type partition struct {
 	openerKey *scrypto.SymmetricKey
 	enc       [][]byte
 
-	// Switchless plumbing (nil when disabled). jobs carries the decoded
-	// counterpart of every frame pushed onto ring, in ring order.
-	ring       *sgx.Ring
+	// jobs feeds the slice's resident worker, in dispatch order;
+	// workerDone closes when the worker has drained it and exited.
 	jobs       chan *matchJob
 	workerDone chan struct{}
 }
@@ -72,8 +75,8 @@ type partition struct {
 // the merge state the slices fill in. perPart[p][i] is slice p's
 // matches for item i: every slot is preallocated by the dispatcher and
 // written only by its own slice, so contribution is lock-free — no
-// merge mutex, no append-growth under a lock. Jobs are pooled and
-// recycled once the merger (or the synchronous caller) has delivered.
+// merge mutex, no append-growth under a lock. Jobs are recycled once
+// the merger has delivered them.
 type matchJob struct {
 	blobs    [][]byte // per-item encrypted/encoded headers
 	payloads [][]byte // per-item group-key payloads
@@ -82,8 +85,8 @@ type matchJob struct {
 	perPart [][][]core.MatchResult // [slice][item] result slots
 	merged  []core.MatchResult     // per-item cross-slice merge scratch
 
-	// Switchless completion (unused on the synchronous path): done
-	// closes when the last slice has contributed.
+	// pending counts the slices yet to contribute; the last one hands
+	// the merger a token on done (capacity 1, so the job is reusable).
 	pending atomic.Int32
 	done    chan struct{}
 
@@ -109,21 +112,48 @@ func forEachPublication(m *Message, fn func(blob, payload []byte)) {
 // contribute signals that one slice has filled its perPart slot.
 func (j *matchJob) contribute() {
 	if j.pending.Add(-1) == 0 {
-		close(j.done)
+		j.done <- struct{}{}
 	}
 }
 
-// acquireJob pulls a recycled job from the pool and loads it with m's
-// publication items, resizing the per-slice merge slots while keeping
-// every previously grown buffer.
-func (r *Router) acquireJob(m *Message) *matchJob {
-	job, _ := r.jobPool.Get().(*matchJob)
-	if job == nil {
-		job = &matchJob{}
+// jobList recycles matchJobs — batch carriers plus their grown result
+// slots. It is a stack, so a pipeline that keeps few messages in
+// flight keeps reusing the same few jobs, and it is bounded, so the
+// retained slots are bounded by the pipeline's depth rather than
+// multiplied per P as a sync.Pool's caches are.
+type jobList struct {
+	mu   sync.Mutex
+	free []*matchJob
+}
+
+func (l *jobList) get() *matchJob {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return &matchJob{done: make(chan struct{}, 1)}
 	}
+	job := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return job
+}
+
+func (l *jobList) put(job *matchJob) {
+	l.mu.Lock()
+	if len(l.free) < pipelineDepth {
+		l.free = append(l.free, job)
+	}
+	l.mu.Unlock()
+}
+
+// acquireJob takes a recycled job and loads it with m's publication
+// items, resizing the per-slice merge slots while keeping every
+// previously grown buffer. The caller holds planeMu, so the slice count
+// the slots are sized for is the one the job is dispatched to.
+func (r *Router) acquireJob(m *Message) *matchJob {
+	job := r.jobs.get()
 	job.epoch = m.Epoch
-	job.blobs = job.blobs[:0]
-	job.payloads = job.payloads[:0]
 	if m.Type == TypePublishBatch {
 		for i := range m.Items {
 			job.blobs = append(job.blobs, m.Items[i].Blob)
@@ -153,25 +183,20 @@ func (r *Router) acquireJob(m *Message) *matchJob {
 		}
 		job.perPart[p] = rows
 	}
+	job.pending.Store(int32(k))
 	return job
 }
 
-// releaseJob clears the job's references to message bytes (so the pool
-// never pins a frame) and recycles it. The match-result slots keep
-// their capacity — that is the point of pooling them.
+// releaseJob clears the job's references to message bytes (so the free
+// list never pins a frame) and recycles it. The match-result slots keep
+// their capacity — that is the point of recycling them.
 func (r *Router) releaseJob(job *matchJob) {
-	for i := range job.blobs {
-		job.blobs[i] = nil
-	}
-	for i := range job.payloads {
-		job.payloads[i] = nil
-	}
+	clear(job.blobs)
+	clear(job.payloads)
 	job.blobs = job.blobs[:0]
 	job.payloads = job.payloads[:0]
 	job.merged = job.merged[:0]
-	job.done = nil
-	job.flush = nil
-	r.jobPool.Put(job)
+	r.jobs.put(job)
 }
 
 // deliverJob merges each item's per-slice results in slice order and
@@ -181,7 +206,7 @@ func (r *Router) releaseJob(job *matchJob) {
 // match twice in one item; the merge collapses those to one delivery.
 // The flag is a single atomic load, so the steady-state path pays
 // nothing for the capability.
-func (r *Router) deliverJob(job *matchJob) {
+func (r *Router) deliverJob(job *matchJob, fan *fanout) {
 	dedup := r.dedupActive.Load()
 	for i := range job.blobs {
 		job.merged = job.merged[:0]
@@ -191,7 +216,7 @@ func (r *Router) deliverJob(job *matchJob) {
 		if dedup && len(job.merged) > 1 {
 			job.merged = dedupMatches(job.merged)
 		}
-		r.deliver(job.merged, job.payloads[i], job.epoch)
+		r.deliver(fan, job.merged, job.payloads[i], job.epoch)
 	}
 }
 
@@ -209,66 +234,44 @@ func dedupMatches(merged []core.MatchResult) []core.MatchResult {
 	return out
 }
 
-// ringCapacity resolves the configured switchless ring size.
-func (r *Router) ringCapacity() int {
-	if r.cfg.RingCapacity > 0 {
-		return r.cfg.RingCapacity
-	}
-	return 128
-}
-
-// equipSwitchless attaches a publication ring and job channel to one
-// partition (its resident worker is launched separately).
-func (r *Router) equipSwitchless(p *partition) error {
-	ring, err := sgx.NewRing(r.ringCapacity())
-	if err != nil {
-		return fmt.Errorf("broker: building publication ring: %w", err)
-	}
-	p.ring = ring
-	// Jobs outstanding between dispatch and the worker's receive
-	// never exceed the in-ring frame count plus the one the worker
-	// already popped, so this capacity keeps dispatch non-blocking.
-	p.jobs = make(chan *matchJob, ring.Capacity()+1)
+// equipPartition gives one partition its job queue (its resident
+// worker is launched separately, once the partition is in r.parts).
+func equipPartition(p *partition) {
+	p.jobs = make(chan *matchJob, pipelineDepth)
 	p.workerDone = make(chan struct{})
-	return nil
 }
 
-// startSwitchless brings up the per-partition rings, resident workers,
-// and the merger. Called once from NewRouter; slices added later by
-// Repartition are equipped individually.
-func (r *Router) startSwitchless() error {
-	for _, p := range r.parts {
-		if err := r.equipSwitchless(p); err != nil {
-			return err
-		}
-	}
-	r.merge = make(chan *matchJob, r.ringCapacity())
+// startPipeline brings up the per-slice workers and the merger. Called
+// once from NewRouter; slices added later by Repartition are equipped
+// and started individually.
+func (r *Router) startPipeline() {
+	r.merge = make(chan *matchJob, pipelineDepth)
 	r.mergerDone = make(chan struct{})
 	for _, p := range r.parts {
-		go r.publicationWorker(p)
+		equipPartition(p)
+		go r.sliceWorker(p)
 	}
 	go r.deliveryMerger()
-	return nil
 }
 
-// stopSwitchless drains the pipeline: every dispatched job still
+// stopPipeline drains the pipeline: every dispatched job still
 // completes (the producers are gone by the time Close calls this), the
-// workers unwind, then the merger. No-op when switchless is disabled.
-func (r *Router) stopSwitchless() {
-	if r.merge == nil {
-		return
-	}
-	for _, p := range r.parts {
-		close(p.jobs)
-	}
-	for _, p := range r.parts {
-		<-p.workerDone
-	}
-	for _, p := range r.parts {
-		p.ring.Close()
-	}
+// workers unwind, then the merger.
+func (r *Router) stopPipeline() {
+	stopWorkers(r.parts)
 	close(r.merge)
 	<-r.mergerDone
+}
+
+// stopWorkers closes the partitions' job queues and waits for their
+// workers to finish what was queued. No dispatcher may still reach them.
+func stopWorkers(parts []*partition) {
+	for _, p := range parts {
+		close(p.jobs)
+	}
+	for _, p := range parts {
+		<-p.workerDone
+	}
 }
 
 // handlePublish ingests a publication from a publisher connection:
@@ -286,67 +289,72 @@ func (r *Router) handlePublish(m *Message) error {
 	if r.fed != nil {
 		r.forwardPublication(m)
 	}
-	return r.routeLocal(m)
-}
-
-// routeLocal is steps ⑤–⑥ for both single publications and
-// batches. On the synchronous path each slice's enclave is entered
-// once for the whole wire message; on the switchless path the raw
-// frame is handed to every slice's ring and the resident workers do
-// the rest. Either way, delivery happens through the per-client
-// queues — matching never blocks on a client connection.
-func (r *Router) routeLocal(m *Message) error {
-	if r.merge != nil {
-		return r.pushPublication(m)
-	}
-	sk, _ := r.keys()
-	if sk == nil {
-		return ErrNotProvisioned
-	}
-	// The shared plane lock spans dispatch through delivery, so the
-	// slice set (and the job's per-slice slot layout) cannot change
-	// under this publication; a resize waits for it to finish.
-	r.planeMu.RLock()
-	defer r.planeMu.RUnlock()
-	job := r.acquireJob(m)
-	r.matchFanout(job, sk)
-	r.deliverJob(job)
-	r.releaseJob(job)
+	r.routeLocal(m)
 	return nil
 }
 
-// matchFanout runs trusted step ⑤ on every slice in parallel: one
-// ecall per slice covering the whole batch, each slice filling its own
-// preallocated merge slot. A per-item failure (tampered ciphertext,
-// malformed header) drops that item's contribution, matching the
-// wire's fire-and-forget semantics.
-func (r *Router) matchFanout(job *matchJob, sk *scrypto.SymmetricKey) {
-	run := func(p *partition) {
+// routeLocal hands one wire message — a publication or a whole batch —
+// to the pipeline for steps ⑤–⑥: the job is dispatched to every
+// slice's worker and joins the merge queue. pushMu keeps the two in
+// the same order across partitions and producers, which is what makes
+// the merger's output order match publication order. A full queue
+// blocks the producer: the pipeline's backpressure. Delivery happens
+// through the per-client queues — matching never blocks on a client
+// connection.
+func (r *Router) routeLocal(m *Message) {
+	// The shared plane lock keeps the slice set stable from slot sizing
+	// through the dispatch/merge handoff, so every worker this job was
+	// dispatched to exists until the job is in the merge queue; a
+	// resize waits behind in-flight dispatches.
+	r.planeMu.RLock()
+	defer r.planeMu.RUnlock()
+	job := r.acquireJob(m)
+	r.pushMu.Lock()
+	defer r.pushMu.Unlock()
+	for _, p := range r.parts {
+		p.jobs <- job
+	}
+	r.merge <- job
+}
+
+// sliceWorker is one slice's resident matcher: it takes wire messages
+// off the slice's job queue and runs trusted step ⑤ on each, one store
+// pass per batch. How it accounts for being inside the enclave is the
+// router's transition policy: per message, the call gate's round trip
+// (Ecall); or, switchless, one entry for the worker's lifetime and a
+// poll of the untrusted queue per message. An unprovisioned router
+// drops the slice's contribution, as do per-item failures (tampered
+// ciphertext, malformed headers) — publish messages are
+// fire-and-forget.
+//
+// All meter access happens under the partition lock: registration
+// ecalls on the same slice charge the same meter concurrently.
+func (r *Router) sliceWorker(p *partition) {
+	defer close(p.workerDone)
+	entered := false
+	for job := range p.jobs {
+		sk, _ := r.keys()
 		p.mu.Lock()
-		_ = p.enclave.Ecall(func() error {
-			r.matchSliceBatch(p, job, sk)
-			return nil
-		})
-		p.mu.Unlock()
-	}
-	if len(r.parts) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// One slice, or one P: fan-out would only add scheduling
-		// latency, so visit the slices in the calling goroutine.
-		for _, p := range r.parts {
-			run(p)
+		switch {
+		case r.cfg.Switchless:
+			meter := p.slice.Accessor().Meter()
+			if !entered {
+				meter.ChargeTransition() // the worker's one-time entry/exit round trip
+				entered = true
+			}
+			meter.Charge(meter.Cost.SwitchlessPollCycles)
+			if sk != nil {
+				r.matchSliceBatch(p, job, sk)
+			}
+		case sk != nil:
+			_ = p.enclave.Ecall(func() error {
+				r.matchSliceBatch(p, job, sk)
+				return nil
+			})
 		}
-		return
+		p.mu.Unlock()
+		job.contribute()
 	}
-	var wg sync.WaitGroup
-	for _, p := range r.parts[1:] {
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			run(p)
-		}(p)
-	}
-	run(r.parts[0]) // slice 0 rides the caller, saving one handoff
-	wg.Wait()
 }
 
 // matchSliceBatch is trusted step ⑤ on one slice for a whole batch:
@@ -358,11 +366,10 @@ func (r *Router) matchFanout(job *matchJob, sk *scrypto.SymmetricKey) {
 // batches; ciphertext schemes (aspe) hand the blobs to the store
 // as-is. An item whose envelope fails authentication is blanked, so
 // the scheme's decoder drops it exactly as the per-item path did. The
-// caller holds p.mu and has accounted the enclave entry (an ecall on
-// the synchronous path, the resident worker on the switchless path).
-// Results land in job.perPart[p.idx] — this slice's own slot.
+// caller holds p.mu and has accounted the enclave entry. Results land
+// in job.perPart[p.idx] — this slice's own slot.
 //
-// scbr:vet enclave-boundary: both callers charge the entry — matchFanout wraps this in an Ecall body, publicationWorker is the resident switchless worker whose transition is charged once per drain
+// scbr:vet enclave-boundary: sliceWorker, the only caller, charges the entry under either transition policy — it wraps this in an Ecall body, or is the resident switchless worker whose one transition was charged when it entered
 func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.SymmetricKey) {
 	encs := job.blobs
 	if r.backend.Caps.SealedExchange {
@@ -394,102 +401,17 @@ func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.Symmet
 	_ = r.hub.MatchEncodedBatchIn(p.idx, encs, job.perPart[p.idx])
 }
 
-// pushPublication hands one wire message to the switchless pipeline:
-// the job — carrying the whole batch — is dispatched to every slice's
-// worker, the raw frame (the publisher's exact bytes, no re-encode) is
-// pushed onto every slice's ring, and the job joins the merge queue.
-// pushMu keeps the three in the same order across partitions, which is
-// what makes ring position and job position line up and the merger's
-// output order match publication order. Ring backpressure (a full ring
-// blocks Push) propagates to the producer exactly as the single-ring
-// design did.
-func (r *Router) pushPublication(m *Message) error {
-	raw := m.raw
-	if raw == nil {
-		// Built in-process (a forwarded publication re-entering from a
-		// peer link, a test): wire traffic always carries its received
-		// frame. The ring carries the bytes a publisher would have sent.
-		tag, _ := dataTag(m.Type)
-		f := m.dataFrame(tag)
-		var err error
-		if raw, err = wire.AppendDataFrame(nil, &f); err != nil {
-			return fmt.Errorf("encoding publication for the ring: %w", err)
-		}
-	}
-	// The shared plane lock keeps the slice set stable from slot
-	// sizing through the dispatch/push/merge handoff, so every ring
-	// this job was dispatched to exists until the job is in the merge
-	// queue; a resize waits behind in-flight pushes.
-	r.planeMu.RLock()
-	defer r.planeMu.RUnlock()
-	job := r.acquireJob(m)
-	job.pending.Store(int32(len(r.parts)))
-	job.done = make(chan struct{})
-	r.pushMu.Lock()
-	defer r.pushMu.Unlock()
-	for _, p := range r.parts {
-		p.jobs <- job
-	}
-	for _, p := range r.parts {
-		if err := p.ring.Push(raw); err != nil {
-			return fmt.Errorf("%w: publication ring: %v", ErrClosed, err)
-		}
-	}
-	r.merge <- job
-	return nil
-}
-
-// publicationWorker is one slice's resident enclave thread in the
-// switchless configuration: it enters the enclave once and matches
-// publication batches straight off the slice's untrusted ring — one
-// ring pop and one store pass per batch. Per-item failures (tampered
-// ciphertext, malformed headers) and an unprovisioned router drop the
-// slice's contribution, exactly as the per-ecall path does for
-// fire-and-forget publish messages.
-//
-// The worker does not use Enclave.ServeRing: that helper charges the
-// enclave meter outside any lock, while here registration ecalls on
-// the same slice charge the same meter concurrently. All meter access
-// below happens under the partition lock, like every other path that
-// enters this slice.
-func (r *Router) publicationWorker(p *partition) {
-	defer close(p.workerDone)
-	entered := false
-	var buf []byte
-	for job := range p.jobs {
-		raw, ok := p.ring.Pop(buf)
-		if !ok {
-			// Ring severed mid-job (teardown): report empty so the
-			// merger never wedges on this job.
-			job.contribute()
-			continue
-		}
-		buf = raw
-		sk, _ := r.keys()
-		p.mu.Lock()
-		meter := p.slice.Accessor().Meter()
-		if !entered {
-			meter.ChargeTransition() // the worker's one-time entry/exit round trip
-			entered = true
-		}
-		meter.Charge(meter.Cost.SwitchlessPollCycles)
-		if sk != nil {
-			r.matchSliceBatch(p, job, sk)
-		}
-		p.mu.Unlock()
-		job.contribute()
-	}
-}
-
 // deliveryMerger joins the per-slice match results in publication
 // order and hands each item to the delivery layer, recycling the job
-// once delivered. It is the only goroutine that forwards switchless
-// matches, so per-client delivery order equals publication order even
-// though the slices match out of lockstep; it never blocks on a client
-// (the delivery queues are bounded and slow consumers are cut loose),
-// so one merger keeps up with k matchers.
+// once delivered. It is the only goroutine that forwards matches, so
+// per-client delivery order equals publication order even though the
+// slices match out of lockstep, and it owns the delivery fan-out
+// scratch. Under OverflowPause it waits for a full client queue;
+// otherwise it never blocks on a client, so one merger keeps up with k
+// matchers.
 func (r *Router) deliveryMerger() {
 	defer close(r.mergerDone)
+	var fan fanout
 	for job := range r.merge {
 		if job.flush != nil {
 			// Migration barrier sentinel: everything queued before it
@@ -498,7 +420,7 @@ func (r *Router) deliveryMerger() {
 			continue
 		}
 		<-job.done
-		r.deliverJob(job)
+		r.deliverJob(job, &fan)
 		r.releaseJob(job)
 	}
 }

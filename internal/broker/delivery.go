@@ -69,9 +69,10 @@ const (
 	// resume still recovers everything the ring retained.
 	OverflowDisconnect
 	// OverflowPause blocks the enqueue until the writer frees a slot,
-	// exerting backpressure into the delivery merger (switchless) or
-	// the publishing connection (synchronous) — never into the enclave
-	// matchers, which have already finished by the time delivery runs.
+	// exerting backpressure into the delivery merger and, once the
+	// pipeline behind it fills, the publishing connections — never into
+	// the enclave matchers, which have already finished by the time
+	// delivery runs.
 	// Lossless while the connection lives, at the cost of one stalled
 	// client throttling the publication stream feeding it; a frame
 	// parked when the connection dies is abandoned like any other
@@ -714,6 +715,22 @@ func (t *deliveryTable) close(drainTimeout time.Duration) {
 	}
 }
 
+// fanout is the merger's scratch for grouping one event's matches by
+// client. Only the merger goroutine touches it, so it is reused across
+// events without a lock; nothing in it outlives a deliver call.
+type fanout struct {
+	slot   map[uint32]int // client ref → index into groups
+	groups []clientGroup
+}
+
+// clientGroup is one client's share of an event's matches.
+type clientGroup struct {
+	ref    uint32
+	name   string
+	n      int      // how many of the client's subscriptions matched
+	subIDs []uint64 // the delivery's own allocation, exactly n long
+}
+
 // deliver is step ⑥: hand the still-encrypted payload once to every
 // matched client's outbound queue, whatever number of its
 // subscriptions matched. The delivery names every matched subscription
@@ -722,14 +739,14 @@ func (t *deliveryTable) close(drainTimeout time.Duration) {
 // delivery cursor by enqueue. Forwarded publications arriving over
 // federation links take this same path, so cross-router deliveries
 // ride local cursors like any other.
-func (r *Router) deliver(matches []core.MatchResult, payload []byte, epoch uint64) {
+func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte, epoch uint64) {
 	if len(matches) == 0 {
 		return
 	}
 	// Deliver frames and their SubIDs are always freshly allocated:
 	// the replay ring retains them indefinitely, so nothing here may
-	// alias pooled or per-publication scratch. The payload is a view
-	// of the publish frame it arrived in — that frame's own, unshared
+	// alias the merger's or a job's scratch. The payload is a view of
+	// the publish frame it arrived in — that frame's own, unshared
 	// allocation, which lives for as long as a ring references it.
 	single := true
 	for _, match := range matches[1:] {
@@ -740,14 +757,13 @@ func (r *Router) deliver(matches []core.MatchResult, payload []byte, epoch uint6
 	}
 	if single {
 		// Every match names the same client — the common case under
-		// selective subscriptions — so skip the dedup map entirely.
-		ref := matches[0].ClientRef
+		// selective subscriptions — so skip the grouping entirely.
 		subIDs := make([]uint64, len(matches))
 		for i, match := range matches {
 			subIDs[i] = match.SubID
 		}
 		r.ctlMu.RLock()
-		name := r.refName[ref]
+		name := r.refName[matches[0].ClientRef]
 		r.ctlMu.RUnlock()
 		r.delivery.enqueue(name, &Message{
 			Type:    TypeDeliver,
@@ -757,28 +773,43 @@ func (r *Router) deliver(matches []core.MatchResult, payload []byte, epoch uint6
 		})
 		return
 	}
-	// Deduplicate client targets: one delivery per client however many
-	// of its subscriptions matched.
-	perClient := make(map[uint32][]uint64, len(matches))
-	order := make([]uint32, 0, len(matches))
-	for _, match := range matches {
-		if _, ok := perClient[match.ClientRef]; !ok {
-			order = append(order, match.ClientRef)
-		}
-		perClient[match.ClientRef] = append(perClient[match.ClientRef], match.SubID)
+	// One delivery per client however many of its subscriptions
+	// matched, clients in order of first sight: count each client's
+	// matches, then fill one SubIDs slice of exactly that size each.
+	if fan.slot == nil {
+		fan.slot = make(map[uint32]int)
 	}
-	names := make([]string, len(order))
+	groups := fan.groups[:0]
+	for _, match := range matches {
+		g, seen := fan.slot[match.ClientRef]
+		if !seen {
+			g = len(groups)
+			fan.slot[match.ClientRef] = g
+			groups = append(groups, clientGroup{ref: match.ClientRef})
+		}
+		groups[g].n++
+	}
 	r.ctlMu.RLock()
-	for i, ref := range order {
-		names[i] = r.refName[ref]
+	for g := range groups {
+		groups[g].name = r.refName[groups[g].ref]
 	}
 	r.ctlMu.RUnlock()
-	for i, ref := range order {
-		r.delivery.enqueue(names[i], &Message{
+	for _, match := range matches {
+		g := &groups[fan.slot[match.ClientRef]]
+		if g.subIDs == nil {
+			g.subIDs = make([]uint64, 0, g.n)
+		}
+		g.subIDs = append(g.subIDs, match.SubID)
+	}
+	for g := range groups {
+		r.delivery.enqueue(groups[g].name, &Message{
 			Type:    TypeDeliver,
 			Payload: payload,
 			Epoch:   epoch,
-			SubIDs:  perClient[ref],
+			SubIDs:  groups[g].subIDs,
 		})
 	}
+	clear(fan.slot)
+	clear(groups) // drop the name and SubIDs references
+	fan.groups = groups
 }

@@ -375,7 +375,7 @@ func (r *Router) handleFwdPub(link *peerLink, m *Message) {
 	}
 	r.fedSend(outs)
 	if fwd != nil {
-		_ = r.routeLocal(&Message{Type: TypePublish, Blob: fwd.Header, Payload: fwd.Payload, Epoch: fwd.Epoch})
+		r.routeLocal(&Message{Type: TypePublish, Blob: fwd.Header, Payload: fwd.Payload, Epoch: fwd.Epoch})
 	}
 }
 

@@ -127,13 +127,6 @@ type Message struct {
 	Err     string        `json:"err,omitempty"`
 	Code    string        `json:"code,omitempty"` // machine-readable error class
 
-	// raw is the frame body a data message was decoded from — the
-	// allocation its Blob, Payload and Items are views of — kept so
-	// the switchless publication path can hand the publisher's exact
-	// bytes to the partition rings instead of re-encoding the
-	// just-decoded message. Unexported: it never serialises.
-	raw []byte
-
 	// enqueuedAt stamps a deliver frame when the delivery layer accepts
 	// it, so the writer can record the enqueue→write latency when the
 	// frame leaves on the wire. Unexported: it never serialises, and
@@ -288,8 +281,8 @@ func sendBurst(w io.Writer, first *Message, ch <-chan *Message, sent []*Message)
 
 // Recv reads and decodes one message. The frame is read into an
 // allocation of its own, which a data message's []byte fields are
-// views of (see Message.raw): the message owns its bytes for as long
-// as anything references them. Given a raw connection it reads exactly
+// views of: the message owns its bytes for as long as anything
+// references them. Given a raw connection it reads exactly
 // one frame and never past it; connections that carry more than a
 // handshake are read through a bufferedConn instead.
 func Recv(r io.Reader) (*Message, error) {
@@ -317,7 +310,6 @@ func Recv(r io.Reader) (*Message, error) {
 		Blob:    f.Blob,
 		Payload: f.Payload,
 		Items:   f.Items,
-		raw:     raw,
 	}, nil
 }
 

@@ -25,8 +25,8 @@
 //  5. Commit (stateMu exclusive): flip the placement table, bump the
 //     epoch, clear the shard fence.
 //  6. Flush barrier: wait out every publication dispatched before the
-//     flip (plane write lock + a merger sentinel on the switchless
-//     path). The barrier hold time is the migration's pause cost.
+//     flip (a sentinel through the merger). The barrier hold time is
+//     the migration's pause cost.
 //  7. Sweep: drop the stale source copies. Duplicate deliveries in
 //     the window between 4 and 7 are collapsed by deliverJob's dedup;
 //     the client-side cursor machinery (PR 4) makes any that predate
@@ -163,7 +163,7 @@ func (r *Router) Repartition(ctx context.Context, k int) (placement.Snapshot, er
 // records the run's counters.
 func (r *Router) finishMigration(subsMoved uint64, pause int64) {
 	if r.dedupActive.Load() {
-		r.flushDataPlane()
+		r.drainPlane()
 		r.dedupActive.Store(false)
 	}
 	r.pm.FinishMigration(subsMoved, pause)
@@ -233,19 +233,13 @@ func (r *Router) growSlices(cur, k int) error {
 				return fmt.Errorf("broker: configuring scheme parameters on new slice %d: %w", i, err)
 			}
 		}
-		if r.merge != nil {
-			if err := r.equipSwitchless(p); err != nil {
-				enclave.Terminate()
-				undo()
-				return err
-			}
-		}
+		equipPartition(p)
 		fresh = append(fresh, p)
 	}
 
 	r.stateMu.Lock()
 	r.planeMu.Lock()
-	r.quiescePlane()
+	r.drainPlane()
 	for _, p := range fresh {
 		r.parts = append(r.parts, p)
 		if err := r.hub.AddSlice(p.slice); err != nil {
@@ -264,22 +258,20 @@ func (r *Router) growSlices(cur, k int) error {
 	if err != nil {
 		return fmt.Errorf("broker: %w", err)
 	}
-	if r.merge != nil {
-		for _, p := range fresh {
-			go r.publicationWorker(p)
-		}
+	for _, p := range fresh {
+		go r.sliceWorker(p)
 	}
 	return nil
 }
 
 // shrinkSlices removes every slice at index ≥ k after the moves have
-// emptied them, then tears down their workers, rings, and enclaves.
+// emptied them, then tears down their workers and enclaves.
 // Returns the time the data plane was fenced.
 func (r *Router) shrinkSlices(k int) (int64, error) {
 	start := time.Now()
 	r.stateMu.Lock()
 	r.planeMu.Lock()
-	r.quiescePlane()
+	r.drainPlane()
 	var removed []*partition
 	err := r.pm.SetSlices(k)
 	if err == nil {
@@ -298,20 +290,9 @@ func (r *Router) shrinkSlices(k int) (int64, error) {
 	if err != nil {
 		return pause, fmt.Errorf("broker: %w", err)
 	}
-	// No publication can reach the removed slices past the fence; jobs
-	// dispatched before it still drain (the workers contribute for
-	// everything queued before their channel closes).
-	for _, p := range removed {
-		if p.jobs != nil {
-			close(p.jobs)
-		}
-	}
-	for _, p := range removed {
-		if p.workerDone != nil {
-			<-p.workerDone
-			p.ring.Close()
-		}
-	}
+	// No publication can reach the removed slices past the fence, and
+	// the drain under it emptied their queues.
+	stopWorkers(removed)
 	for _, p := range removed {
 		p.enclave.Terminate()
 	}
@@ -458,7 +439,7 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 
 	// 6. Flush barrier — the pause this move charges the data plane.
 	start := time.Now()
-	r.flushDataPlane()
+	r.drainPlane()
 	pause = time.Since(start).Nanoseconds()
 
 	// 7. Sweep the stale source copies of what was imported. DropCopy
@@ -476,32 +457,18 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 	return subsMoved, pause, err
 }
 
-// flushDataPlane waits out every publication in flight when it is
-// called: taking the plane write lock drains the synchronous path and
-// all switchless dispatches, and the merger sentinel drains the
-// switchless pipeline behind them.
-func (r *Router) flushDataPlane() {
-	r.planeMu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the barrier:
-	// acquiring the write lock waits out every in-flight publication.
-	r.planeMu.Unlock()
-	r.quiescePlane()
-}
-
-// quiescePlane drains the switchless workers of every job dispatched
-// before now: each dispatched job is in the merge queue before its
-// producer drops pushMu, so a sentinel enqueued under pushMu follows
-// them all, and the merger waits out each one's worker contributions
-// before reaching it. The dispatch fence is the caller's — hold
-// planeMu (read or write) or otherwise keep producers out, or jobs
-// pushed after the sentinel dodge the drain. growSlices/shrinkSlices
-// call this under the plane write lock before mutating the slice set
-// the workers' match fan-out reads; the merger only takes delivery
-// locks (ctlMu and below), so waiting on it here cannot deadlock.
-func (r *Router) quiescePlane() {
-	if r.merge == nil {
-		return
-	}
+// drainPlane waits until every publication dispatched before the call
+// has been matched and delivered: a dispatched job is in the merge
+// queue before its producer drops pushMu, so a sentinel enqueued under
+// pushMu follows them all, and the merger waits out each one's slice
+// contributions before reaching it. It is the migration engine's one
+// barrier. A publication dispatched after the sentinel is matched after
+// whatever the caller does next, which is all a move group's cutover
+// and the dedup disarm need; growSlices and shrinkSlices, which mutate
+// the slice set the workers read, call it under the plane write lock so
+// that nothing is dispatched behind it. The merger only takes delivery
+// locks (ctlMu and below), so waiting on it there cannot deadlock.
+func (r *Router) drainPlane() {
 	job := &matchJob{flush: make(chan struct{})}
 	r.pushMu.Lock()
 	r.merge <- job

@@ -63,7 +63,7 @@ func firstMissing(want map[string]bool, got map[string]int) string {
 // runRepartitionCell drives one cell of the equivalence matrix: the
 // delivered set must be exactly the predicate-determined expectation
 // whether the slice fleet holds still, resizes mid-publish, or resizes
-// mid-register — across both schemes and both publication transports.
+// mid-register — across both schemes and both transition policies.
 func runRepartitionCell(t *testing.T, schemeName string, switchless bool, mode string) {
 	mutate := func(cfg *RouterConfig) {
 		cfg.Partitions = 2

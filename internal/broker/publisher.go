@@ -436,11 +436,10 @@ const batchFrameBudget = 8 << 20
 // PublishBatch is step ④ for a whole batch: every header is encrypted
 // under SK and every payload under the current group key, and the
 // batch travels to the router as one message — one wire round trip,
-// one enclave crossing (one ecall, or one ring pass in the switchless
-// configuration) however many events it carries. This is the
+// one enclave crossing per slice (one ecall, or one queue poll under
+// the switchless policy) however many events it carries. This is the
 // amortisation seed for high-throughput feeds: the per-publication
-// EENTER/EEXIT cost of the synchronous path divides by the batch
-// size. A batch whose ciphertext would overflow the wire's frame
+// EENTER/EEXIT cost divides by the batch size. A batch whose ciphertext would overflow the wire's frame
 // limit is transparently split into the fewest frames that fit (each
 // still one enclave crossing); an empty batch is a no-op. Delivery
 // order within the batch is preserved either way.

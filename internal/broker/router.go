@@ -83,16 +83,15 @@ type RouterConfig struct {
 	// slices (0 = a fixed default). Deployments only need to vary it to
 	// de-correlate placement across routers.
 	PlacementSeed int64
-	// Switchless routes publications to the matchers through
-	// untrusted-memory rings consumed by resident enclave workers (one
-	// ring and one worker per partition) instead of one ecall per
-	// publication — the paper's §6 "message exchanges at the enclave
-	// border". Registrations and removals keep their synchronous ecall
-	// path (they must be acknowledged).
+	// Switchless selects the enclave transition a slice's resident
+	// worker charges its meter for publications. Off, every wire
+	// message costs each slice one call-gate round trip (Ecall); on, a
+	// worker enters its enclave once and then pays only a poll of the
+	// untrusted queue per message — the paper's §6 "message exchanges
+	// at the enclave border". The pipeline publications travel through
+	// is the same either way; registrations and removals always take
+	// an ecall (they must be acknowledged).
 	Switchless bool
-	// RingCapacity sizes each switchless publication ring (rounded up
-	// to a power of two; default 128). Ignored unless Switchless.
-	RingCapacity int
 	// DeliveryQueueLen bounds each listening client's outbound
 	// delivery queue (default 256 messages). OverflowPolicy decides
 	// what happens to a client whose queue fills.
@@ -201,12 +200,12 @@ type Router struct {
 	// destination directly).
 	stateMu sync.RWMutex
 
-	// planeMu fences the data plane for slice-set changes: every
-	// publication path holds it shared end to end (dispatch through
-	// delivery on the sync path, dispatch through ring push on the
-	// switchless path), and Repartition holds it exclusively while
-	// appending or removing slices, so r.parts and the per-job slot
-	// layout are stable within any single publication.
+	// planeMu fences the data plane for slice-set changes: a
+	// publication's dispatch holds it shared from slot sizing until the
+	// job is queued on every worker and the merger, and Repartition
+	// holds it exclusively while appending or removing slices, so
+	// r.parts and the per-job slot layout are stable within any single
+	// dispatch.
 	planeMu sync.RWMutex
 
 	// Migration engine state (migrate.go): migMu admits one Repartition
@@ -232,14 +231,12 @@ type Router struct {
 	closing   chan struct{}
 	closeOnce sync.Once
 
-	// Switchless publication spine (nil merge channel when disabled).
-	pushMu     sync.Mutex // aligns ring pushes with job dispatch across partitions
+	// The publication pipeline's spine (datapath.go): pushMu puts each
+	// job on every worker's queue and on the merge queue in one order.
+	pushMu     sync.Mutex
 	merge      chan *matchJob
 	mergerDone chan struct{}
-
-	// jobPool recycles matchJobs — batch carriers plus their per-slice
-	// merge slots — across publications on both publication paths.
-	jobPool sync.Pool
+	jobs       jobList
 
 	// Federation overlay (nil when disabled): digest state plus the
 	// live attested peer links.
@@ -253,7 +250,8 @@ type Router struct {
 // containment engine for sgx-plain, the ciphertext-vector store for
 // aspe). On any failure after launch every launched enclave is
 // terminated before the error returns, so a failed construction never
-// leaks EPC pages.
+// leaks EPC pages. A constructed router is running its publication
+// pipeline (one worker per slice and the merger); Close stops it.
 func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Router, error) {
 	if len(cfg.EnclaveImage) == 0 {
 		return nil, errors.New("broker: router needs an enclave image")
@@ -349,14 +347,10 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 		})
 	}
 	r.setHubBudgets(cfg.Partitions)
-	if cfg.Switchless {
-		if err := r.startSwitchless(); err != nil {
-			return nil, err
-		}
-	}
+	r.startPipeline()
 	if cfg.RouterID != "" || len(cfg.Peers) > 0 {
 		if err := r.startFederation(); err != nil {
-			r.stopSwitchless()
+			r.stopPipeline()
 			return nil, err
 		}
 	}
@@ -572,7 +566,7 @@ func (r *Router) Serve(ctx context.Context, l net.Listener) error {
 }
 
 // Close stops the router: the accept loop, every client connection,
-// and every peer link are severed, the switchless pipeline is
+// and every peer link are severed, the publication pipeline is
 // drained, and the per-client delivery writers flush already-matched
 // deliveries (bounded by DrainTimeout) before their connections
 // close. Safe to call more than once; concurrent callers block until
@@ -597,7 +591,7 @@ func (r *Router) Close() {
 		if r.fed != nil {
 			r.fed.Close()
 		}
-		r.stopSwitchless()
+		r.stopPipeline()
 		r.delivery.close(r.cfg.DrainTimeout)
 	})
 }
@@ -612,7 +606,7 @@ func (r *Router) Close() {
 // data message's Blob, Payload and Items are views of it, not copies
 // — one allocation per frame instead of one per field. They may
 // therefore outlive the handler: header blobs ride the match jobs
-// (past this loop on the switchless path) and payloads live on in the
+// past this loop and payloads live on in the
 // per-client replay rings, each pinning the frame it arrived in until
 // the ring lets go. Nothing is reused across frames, so nothing here
 // needs copying before the next read. Control messages are decoded by

@@ -12,7 +12,7 @@ import (
 	"scbr/internal/pubsub"
 )
 
-// dataPlaneModes runs a subtest per publication path of the
+// dataPlaneModes runs a subtest per transition policy of the
 // partitioned data plane.
 func dataPlaneModes(t *testing.T, partitions int, body func(t *testing.T, sys *testSystem)) {
 	t.Helper()
@@ -24,7 +24,6 @@ func dataPlaneModes(t *testing.T, partitions int, body func(t *testing.T, sys *t
 		{"switchless", func(cfg *RouterConfig) {
 			cfg.Partitions = partitions
 			cfg.Switchless = true
-			cfg.RingCapacity = 64
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,112 +314,103 @@ func resumableClient(t *testing.T, sys *testSystem, id string) (*Client, *Subscr
 // overflow and the client-side jump-sever recovery are covered by the
 // delivery_test.go unit tests.)
 func TestReconnectZeroLossUnderDropOldest(t *testing.T) {
-	for _, switchless := range []bool{false, true} {
-		name := "ecall"
-		if switchless {
-			name = "switchless"
+	sys := newTestSystemCfg(t, func(cfg *RouterConfig) {
+		cfg.Partitions = 2
+		cfg.ReplayRingLen = 4096
+		cfg.OverflowPolicy = OverflowDropOldest
+	})
+	const (
+		wave1 = 100
+		total = 200
+	)
+	alice, sub, conn := resumableClient(t, sys, "alice")
+
+	// The publisher sends wave 1, then holds wave 2 until the
+	// subscriber's delivery connection is provably dead — so wave
+	// 2's frames are enqueued while the client is away and can
+	// only reach it through the resume replay.
+	outage := make(chan struct{})
+	pubErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < wave1; i++ {
+			if err := sys.publisher.Publish(bg, halQuote(42), []byte(fmt.Sprintf("%04d", i))); err != nil {
+				pubErr <- err
+				return
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			sys := newTestSystemCfg(t, func(cfg *RouterConfig) {
-				cfg.Partitions = 2
-				cfg.Switchless = switchless
-				cfg.ReplayRingLen = 4096
-				cfg.OverflowPolicy = OverflowDropOldest
-			})
-			const (
-				wave1 = 100
-				total = 200
-			)
-			alice, sub, conn := resumableClient(t, sys, "alice")
+		<-outage
+		for i := wave1; i < total; i++ {
+			if err := sys.publisher.Publish(bg, halQuote(42), []byte(fmt.Sprintf("%04d", i))); err != nil {
+				pubErr <- err
+				return
+			}
+		}
+		pubErr <- nil
+	}()
 
-			// The publisher sends wave 1, then holds wave 2 until the
-			// subscriber's delivery connection is provably dead — so wave
-			// 2's frames are enqueued while the client is away and can
-			// only reach it through the resume replay.
-			outage := make(chan struct{})
-			pubErr := make(chan error, 1)
-			go func() {
-				for i := 0; i < wave1; i++ {
-					if err := sys.publisher.Publish(bg, halQuote(42), []byte(fmt.Sprintf("%04d", i))); err != nil {
-						pubErr <- err
-						return
-					}
+	done := make(chan error, 1)
+	go func() {
+		next := 0
+		for next < total {
+			d, err := sub.Next(bg)
+			if err != nil {
+				done <- fmt.Errorf("delivery %d: %w", next, err)
+				return
+			}
+			if d.Err != nil {
+				done <- fmt.Errorf("delivery %d: %w", next, d.Err)
+				return
+			}
+			if got := string(d.Payload); got != fmt.Sprintf("%04d", next) {
+				done <- fmt.Errorf("delivery %d out of order, duplicated, or lost: %q", next, got)
+				return
+			}
+			next++
+			if next == 25 {
+				// Kill the delivery connection mid-burst; release
+				// wave 2 only once the pump is dead, and resume only
+				// once part of it is already enqueued router-side.
+				_ = conn.Close()
+				<-alice.DeliveryDone()
+				close(outage)
+				for sys.router.DeliverySnapshot().Enqueued <= wave1 {
+					time.Sleep(time.Millisecond)
 				}
-				<-outage
-				for i := wave1; i < total; i++ {
-					if err := sys.publisher.Publish(bg, halQuote(42), []byte(fmt.Sprintf("%04d", i))); err != nil {
-						pubErr <- err
-						return
-					}
-				}
-				pubErr <- nil
-			}()
-
-			done := make(chan error, 1)
-			go func() {
-				next := 0
-				for next < total {
-					d, err := sub.Next(bg)
-					if err != nil {
-						done <- fmt.Errorf("delivery %d: %w", next, err)
-						return
-					}
-					if d.Err != nil {
-						done <- fmt.Errorf("delivery %d: %w", next, d.Err)
-						return
-					}
-					if got := string(d.Payload); got != fmt.Sprintf("%04d", next) {
-						done <- fmt.Errorf("delivery %d out of order, duplicated, or lost: %q", next, got)
-						return
-					}
-					next++
-					if next == 25 {
-						// Kill the delivery connection mid-burst; release
-						// wave 2 only once the pump is dead, and resume only
-						// once part of it is already enqueued router-side.
-						_ = conn.Close()
-						<-alice.DeliveryDone()
-						close(outage)
-						for sys.router.DeliverySnapshot().Enqueued <= wave1 {
-							time.Sleep(time.Millisecond)
-						}
-						nc, err := net.Dial("tcp", sys.routerLn.Addr().String())
-						if err != nil {
-							done <- err
-							return
-						}
-						gap, err := alice.Resume(bg, nc)
-						if err != nil {
-							done <- err
-							return
-						}
-						if gap != 0 {
-							done <- fmt.Errorf("resume at delivery %d lost %d frames beyond the ring", next, gap)
-							return
-						}
-						conn = nc
-					}
-				}
-				done <- nil
-			}()
-
-			select {
-			case err := <-done:
+				nc, err := net.Dial("tcp", sys.routerLn.Addr().String())
 				if err != nil {
-					t.Fatal(err)
+					done <- err
+					return
 				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("subscriber never received the full stream")
+				gap, err := alice.Resume(bg, nc)
+				if err != nil {
+					done <- err
+					return
+				}
+				if gap != 0 {
+					done <- fmt.Errorf("resume at delivery %d lost %d frames beyond the ring", next, gap)
+					return
+				}
+				conn = nc
 			}
-			if err := <-pubErr; err != nil {
-				t.Fatal(err)
-			}
-			// The reconnect was a real recovery: wave-2 frames enqueued
-			// while the client was away came back from the ring.
-			if got := sys.router.DeliverySnapshot(); got.DeliveriesReplayed == 0 {
-				t.Fatalf("the reconnect replayed nothing: %+v", got)
-			}
-		})
+		}
+		done <- nil
+	}()
+
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("subscriber never received the full stream")
+	}
+	if err := <-pubErr; err != nil {
+		t.Fatal(err)
+	}
+	// The reconnect was a real recovery: wave-2 frames enqueued
+	// while the client was away came back from the ring.
+	if got := sys.router.DeliverySnapshot(); got.DeliveriesReplayed == 0 {
+		t.Fatalf("the reconnect replayed nothing: %+v", got)
 	}
 }
 

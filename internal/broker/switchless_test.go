@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"fmt"
 	"net"
 	"testing"
 
@@ -33,32 +32,6 @@ func TestSwitchlessEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectNoDelivery(t, aliceRx)
-}
-
-func TestSwitchlessOrderedBurst(t *testing.T) {
-	sys := newSwitchlessSystem(t)
-	alice, aliceRx := sys.attach("alice")
-	if _, err := alice.Subscribe(bg, halSpec(50)); err != nil {
-		t.Fatal(err)
-	}
-	// A burst larger than the ring capacity (128) exercises
-	// backpressure on the producer side; deliveries must arrive
-	// complete and in order.
-	const n = 500
-	for i := 0; i < n; i++ {
-		if err := sys.publisher.Publish(bg, halQuote(42), []byte(fmt.Sprintf("q%04d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		d := recvDelivery(t, aliceRx)
-		if d.Err != nil {
-			t.Fatal(d.Err)
-		}
-		if want := fmt.Sprintf("q%04d", i); string(d.Payload) != want {
-			t.Fatalf("delivery %d = %q, want %q", i, d.Payload, want)
-		}
-	}
 }
 
 func TestSwitchlessPublicationsUseNoPerMessageTransitions(t *testing.T) {
@@ -99,7 +72,7 @@ func TestSwitchlessTamperedPublicationDropped(t *testing.T) {
 	}
 	// A plaintext (unauthenticated) header fails MAC verification
 	// inside the enclave worker and is dropped without wedging the
-	// ring.
+	// pipeline.
 	raw, err := pubsub.EncodeEventSpec(halQuote(42))
 	if err != nil {
 		t.Fatal(err)
@@ -122,8 +95,8 @@ func TestSwitchlessTamperedPublicationDropped(t *testing.T) {
 }
 
 // TestSwitchlessSealRestore: sealed-state restart works identically
-// when both routers run the switchless publication path (the
-// publication ring is transient state and is rebuilt on restart).
+// when both routers run the switchless transition policy (the
+// pipeline is transient state and is rebuilt on restart).
 func TestSwitchlessSealRestore(t *testing.T) {
 	f := newRestartFixture(t)
 	f.cfg.Switchless = true

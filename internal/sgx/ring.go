@@ -34,12 +34,14 @@ type ringSlot struct {
 }
 
 // Ring is the untrusted-memory message ring. Ownership is one ring
-// per enclave matcher slice: the producer side belongs to the router's
-// publication dispatch — a single logical producer, since the router
-// serialises its fan-out across the per-partition rings under its own
-// lock — and the consumer side to that slice's resident in-enclave
-// worker. Within that ownership discipline the exchange stays
-// lock-free: two atomic operations and a copy per message.
+// per enclave worker: the producer side belongs to a single logical
+// producer on the host and the consumer side to the resident
+// in-enclave worker. Within that ownership discipline the exchange
+// stays lock-free: two atomic operations and a copy per message. The
+// router prices this exchange (simmem's SwitchlessPollCycles) without
+// making the copy — its workers are handed decoded messages — so the
+// ring's users are the enclave-border ablation (internal/exp) and the
+// benchmark's per-layer walk.
 type Ring struct {
 	mask   uint64
 	slots  []ringSlot

@@ -27,7 +27,6 @@ type settings struct {
 	placementShards  int
 	placementSeed    int64
 	switchless       bool
-	ringCapacity     int
 	deliveryQueueLen int
 	overflowPolicy   broker.OverflowPolicy
 	replayRingLen    int
@@ -69,7 +68,6 @@ func (s settings) routerConfig(image []byte, signer *rsa.PublicKey) broker.Route
 		PlacementShards:  s.placementShards,
 		PlacementSeed:    s.placementSeed,
 		Switchless:       s.switchless,
-		RingCapacity:     s.ringCapacity,
 		DeliveryQueueLen: s.deliveryQueueLen,
 		OverflowPolicy:   s.overflowPolicy,
 		ReplayRingLen:    s.replayRingLen,
@@ -134,16 +132,13 @@ func WithPlacementShards(n int) Option { return func(s *settings) { s.placementS
 // sealed state into a rebuilt fleet — share a seed.
 func WithPlacementSeed(seed int64) Option { return func(s *settings) { s.placementSeed = seed } }
 
-// WithSwitchless routes publications into the enclaves through
-// untrusted-memory rings consumed by resident enclave workers (one
-// ring and worker per partition) — the paper's §6 "message exchanges
-// at the enclave border" — instead of one ecall per publication.
+// WithSwitchless makes each slice's resident matcher pay for
+// publications the way the paper's §6 "message exchanges at the
+// enclave border" does — one enclave entry for the worker's lifetime
+// and a poll of the untrusted queue per message — instead of one ecall
+// per message per slice. It changes what the simulated meter is
+// charged, not the path a publication takes.
 func WithSwitchless() Option { return func(s *settings) { s.switchless = true } }
-
-// WithRingCapacity sizes each switchless publication ring (rounded up
-// to a power of two; default 128). Implies nothing by itself — combine
-// with WithSwitchless.
-func WithRingCapacity(n int) Option { return func(s *settings) { s.ringCapacity = n } }
 
 // WithDeliveryQueue bounds each listening client's outbound delivery
 // queue to n messages (default 256). A client that stops draining its

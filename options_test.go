@@ -25,7 +25,7 @@ func TestRouterOptionApplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	router, err := scbr.NewRouter(dev, quoter, []byte("opts image"), signer.Public(),
-		scbr.WithEPC(8<<20), scbr.WithSwitchless(), scbr.WithRingCapacity(512), scbr.WithPadding(400))
+		scbr.WithEPC(8<<20), scbr.WithSwitchless(), scbr.WithPadding(400))
 	if err != nil {
 		t.Fatal(err)
 	}
