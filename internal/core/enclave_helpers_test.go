@@ -8,7 +8,7 @@ import (
 	"scbr/internal/simmem"
 )
 
-func newTestDevice(t *testing.T) *sgx.Device {
+func newTestDevice(t testing.TB) *sgx.Device {
 	t.Helper()
 	d, err := sgx.NewDevice([]byte("core-test-device"), simmem.DefaultCost())
 	if err != nil {
@@ -17,7 +17,7 @@ func newTestDevice(t *testing.T) *sgx.Device {
 	return d
 }
 
-func launchTestEnclave(t *testing.T, d *sgx.Device, epcBytes uint64) *sgx.Enclave {
+func launchTestEnclave(t testing.TB, d *sgx.Device, epcBytes uint64) *sgx.Enclave {
 	t.Helper()
 	signer, err := scrypto.NewKeyPair(nil)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"scbr/internal/pubsub"
@@ -103,7 +104,7 @@ type Engine struct {
 
 	// Scratch buffers (guarded by mu).
 	csNode []pubsub.Constraint
-	stack  []uint64
+	stack  []walkEntry
 	moved  []uint64
 }
 
@@ -122,7 +123,7 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		// engines' stacks are never small neighbours in one line that
 		// bounces between their cores (measured: 2–3× on a two-slice
 		// walk).
-		stack: make([]uint64, 0, 64),
+		stack: make([]walkEntry, 0, 64),
 	}
 	if _, err := acc.Alloc(simmem.PageSize); err != nil {
 		return nil, fmt.Errorf("core: reserving guard page: %w", err)
@@ -206,13 +207,7 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 	if !ok {
 		return e.general, nil
 	}
-	key := shardKey{id: id}
-	if v.Kind == pubsub.KindString {
-		key.str = true
-		key.s = v.S
-	} else {
-		key.f = math.Float64bits(v.AsFloat())
-	}
+	key := keyOf(id, &v)
 	if off, ok := e.shards[key]; ok {
 		return off, nil
 	}
@@ -333,115 +328,206 @@ func (e *Engine) Match(ev *pubsub.Event) ([]MatchResult, error) {
 }
 
 // MatchAppend is Match appending into out to avoid per-call
-// allocations on the hot path.
+// allocations on the hot path: the batch walk at n = 1.
 func (e *Engine) MatchAppend(ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+	evs := [1]*pubsub.Event{ev}
+	outs := [1][]MatchResult{out}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.matchAppendLocked(ev, out)
+	if err := e.matchChunk(evs[:], outs[:]); err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // MatchAppendBatch matches a batch of events under a single lock
-// acquisition — the engine-side half of the batch-first publication
-// path, where one enclave crossing covers a whole publish-batch. evs
-// and out are parallel; nil events are skipped (a dropped item keeps
-// its slot so callers can merge by index), and an event that fails
-// mid-walk contributes nothing to its slot, exactly as the per-item
-// MatchAppend would have returned nothing.
+// acquisition and one pass over the store per chunk of walkChunk
+// events — the engine-side half of the batch-first publication path,
+// where one enclave crossing covers a whole publish-batch. Every
+// forest is walked once per chunk with the set of events still live on
+// the path: a node's header, constraint blob and subscriber records
+// are read (and their memory cycles charged) once per visit, however
+// many events reach it, while predicate cycles are charged per event
+// evaluated. evs and out are parallel, and out[i] receives exactly the
+// MatchAppend(evs[i]) results in the same order; nil events are
+// skipped (a dropped item keeps its slot so callers can merge by
+// index), and an event that fails mid-walk contributes nothing to its
+// slot, exactly as the per-item MatchAppend would have returned
+// nothing — the other events of its chunk are not affected.
 func (e *Engine) MatchAppendBatch(evs []*pubsub.Event, out [][]MatchResult) error {
 	if len(out) < len(evs) {
 		return fmt.Errorf("core: batch result slots %d < events %d", len(out), len(evs))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, ev := range evs {
-		if ev == nil {
-			continue
-		}
-		base := len(out[i])
-		res, err := e.matchAppendLocked(ev, out[i])
-		if err != nil {
-			out[i] = out[i][:base]
-			continue
-		}
-		out[i] = res
+	for lo := 0; lo < len(evs); lo += walkChunk {
+		hi := min(lo+walkChunk, len(evs))
+		// A failed event's slot is already back at its base.
+		_ = e.matchChunk(evs[lo:hi], out[lo:hi])
 	}
 	return nil
 }
 
-func (e *Engine) matchAppendLocked(ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+// walkChunk is the number of events one forest walk carries: one bit
+// of a mask word each.
+const walkChunk = 64
 
-	out, err := e.matchForest(e.general, ev, out)
-	if err != nil {
-		return nil, err
-	}
-	var key shardKey
-	for _, attr := range ev.Attrs {
-		key = shardKey{id: attr.ID}
-		if attr.Value.Kind == pubsub.KindString {
-			key.str = true
-			key.s = attr.Value.S
-			key.f = 0
-		} else {
-			key.str = false
-			key.s = ""
-			key.f = math.Float64bits(attr.Value.AsFloat())
-		}
-		sentinel, ok := e.shards[key]
-		if !ok {
-			continue
-		}
-		if out, err = e.matchForest(sentinel, ev, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+// walkEntry is one pending visit of the walk: a node and the events of
+// the chunk that are live on the path to it (bit i = evs[i]).
+type walkEntry struct {
+	off  uint64
+	live uint64
 }
 
-// matchForest walks one shard's forest. The walk stack is a local for
-// the duration, and only its backing array goes back into the engine,
-// so the loop stores nothing into the Engine struct.
-func (e *Engine) matchForest(sentinel uint64, ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+// keyOf names the equality shard of one (attribute, value).
+func keyOf(id pubsub.AttrID, v *pubsub.Value) shardKey {
+	if v.Kind == pubsub.KindString {
+		return shardKey{id: id, str: true, s: v.S}
+	}
+	return shardKey{id: id, f: math.Float64bits(v.AsFloat())}
+}
+
+// matchChunk matches up to walkChunk events (nil = skipped) in one
+// pass: the general shard with every event live, then the equality
+// shards attribute position by attribute position, the events that
+// carry the same (attribute, value) at a position sharing one walk.
+// Each event therefore sees the general shard first and its own shards
+// in its attribute order, as if it had been matched alone. An event
+// that hits a corrupt node leaves every later walk and has its slot
+// truncated to where it started; the first such error is returned.
+func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
+	var (
+		base     [walkChunk]int
+		sentinel [walkChunk]uint64
+		live     uint64
+		maxAttrs int
+	)
+	for i, ev := range evs {
+		if ev == nil {
+			continue
+		}
+		live |= uint64(1) << i
+		base[i] = len(out[i])
+		maxAttrs = max(maxAttrs, len(ev.Attrs))
+	}
+	if live == 0 {
+		return nil
+	}
+	failed, firstErr := e.walkForest(e.general, live, evs, out)
+	live &^= failed
+	for pos := 0; pos < maxAttrs && live != 0; pos++ {
+		var pending uint64
+		for m := live; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if pos >= len(evs[i].Attrs) {
+				continue
+			}
+			attr := &evs[i].Attrs[pos]
+			if s, ok := e.shards[keyOf(attr.ID, &attr.Value)]; ok {
+				sentinel[i] = s
+				pending |= uint64(1) << i
+			}
+		}
+		for pending != 0 {
+			s := sentinel[bits.TrailingZeros64(pending)]
+			var group uint64
+			for m := pending; m != 0; m &= m - 1 {
+				if i := bits.TrailingZeros64(m); sentinel[i] == s {
+					group |= uint64(1) << i
+				}
+			}
+			pending &^= group
+			f, err := e.walkForest(s, group, evs, out)
+			if firstErr == nil {
+				firstErr = err
+			}
+			failed |= f
+			live &^= f
+		}
+	}
+	if firstErr == nil {
+		// Nothing failed, so the loop below would find nothing to take
+		// back. Redundant, and spelled out for the layout it gives: it
+		// keeps the benchmark's alignment-sensitive kernels where the
+		// parent commit linked them (docs/benchmarks.md, "One walk per
+		// batch").
+		return nil
+	}
+	for m := failed; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		out[i] = out[i][:base[i]]
+	}
+	return firstErr
+}
+
+// walkForest walks one shard's forest depth-first for the events in
+// mask, visiting each node at most once: a sibling inherits the mask
+// its node was entered with, a child the events that passed the node,
+// and a subtree no event reaches is pruned. It appends each event's
+// matches to its slot in the order a walk for that event alone would,
+// and returns the events that hit a corrupt node (with the first
+// error); those stop being evaluated from that node on. The walk stack
+// is a local for the duration, and only its backing array goes back
+// into the engine, so the loop stores nothing into the Engine struct.
+func (e *Engine) walkForest(sentinel, mask uint64, evs []*pubsub.Event, out [][]MatchResult) (failed uint64, err error) {
 	h := e.readHeader(sentinel)
 	if h.child == nilOff {
-		return out, nil
+		return 0, nil
 	}
-	stack := append(e.stack[:0], h.child)
+	stack := append(e.stack[:0], walkEntry{off: h.child, live: mask})
 	for len(stack) > 0 {
-		off := stack[len(stack)-1]
+		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nh := e.readHeader(off)
+		live := top.live &^ failed
+		if live == 0 {
+			continue
+		}
+		nh := e.readHeader(top.off)
 		if nh.sibling != nilOff {
-			stack = append(stack, nh.sibling)
+			stack = append(stack, walkEntry{off: nh.sibling, live: live})
 		}
 		// A node stored without constraints has no blob and matches
 		// every event with nothing evaluated.
-		matched, evaluated := true, 0
+		pass := live
 		if nh.predLen != 0 {
-			var err error
-			matched, evaluated, err = pubsub.MatchEncoded(ev, e.acc.Read(off+nodeHeaderSize, int(nh.predLen)))
-			if err != nil {
-				return nil, fmt.Errorf("core: corrupt node at %d: %w", off, err)
+			blob := e.acc.Read(top.off+nodeHeaderSize, int(nh.predLen))
+			pass = 0
+			evaluated := 0
+			for m := live; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				matched, n, merr := pubsub.MatchEncoded(evs[i], blob)
+				if merr != nil {
+					failed |= uint64(1) << i
+					if err == nil {
+						err = fmt.Errorf("core: corrupt node at %d: %w", top.off, merr)
+					}
+					continue
+				}
+				evaluated += n
+				if matched {
+					pass |= uint64(1) << i
+				}
 			}
+			e.acc.Charge(uint64(evaluated) * e.predCycles)
 		}
-		e.acc.Charge(uint64(evaluated) * e.predCycles)
-		if !matched {
+		if pass == 0 {
 			continue // prune: nothing below can match
 		}
-		sub := nh.firstSub
-		for sub != nilOff {
+		for sub := nh.firstSub; sub != nilOff; {
 			raw := e.acc.Read(sub, subRecordSize)
-			out = append(out, MatchResult{
-				SubID:     leUint64(raw[8:]),
-				ClientRef: leUint32(raw[16:]),
-			})
+			res := MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])}
 			sub = leUint64(raw[0:])
+			for m := pass; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				out[i] = append(out[i], res)
+			}
 		}
 		if nh.child != nilOff {
-			stack = append(stack, nh.child)
+			stack = append(stack, walkEntry{off: nh.child, live: pass})
 		}
 	}
 	e.stack = stack
-	return out, nil
+	return failed, err
 }
 
 // chargeCompare charges the CPU cost of one covering test over n

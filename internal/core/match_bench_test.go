@@ -52,25 +52,62 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int) (*Engine, []*pubsub.
 }
 
 // BenchmarkMatchForest is the slice-match layer of the per-layer set:
-// one event through a 10,000-subscription forest whose general shard
-// holds a third of them as roots, every access metered.
+// events through a 10,000-subscription forest whose general shard
+// holds a third of them as roots, every access metered, one
+// MatchAppendBatch of n events per iteration. ns/op is per event, so
+// batch=1 reads against the figure this benchmark printed when it
+// matched one event per call; accesses/event (LLC lookups) and
+// simus/event are what the batch divides. The epc=store/2 runs repeat
+// the walk in an enclave whose EPC holds half the store: faults/event
+// is the paper's Fig. 8 cost, paid once per page per chunk.
 func BenchmarkMatchForest(b *testing.B) {
-	e, evs := quoteEngine(b, newPlainAcc(), 10_000)
-	var out []MatchResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if out, err = e.MatchAppend(evs[i%len(evs)], out[:0]); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
+		out := make([][]MatchResult, n)
+		batch := func(i int) {
+			for j := range out {
+				out[j] = out[j][:0]
+			}
+			if err := e.MatchAppendBatch(evs[i*n%len(evs):][:n], out); err != nil {
+				b.Fatal(err)
+			}
 		}
+		for i := 0; i < len(evs)/n; i++ {
+			batch(i) // grow the slots and the walk stack, fill the LLC model
+		}
+		meter := e.Accessor().Meter()
+		before := meter.C
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += n {
+			batch(i / n)
+		}
+		b.StopTimer()
+		events := float64((b.N + n - 1) / n * n)
+		d := meter.C.Sub(before)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
+		b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/events, "accesses/event")
+		b.ReportMetric(meter.Cost.Micros(d.Cycles)/events, "simus/event")
+		if d.PageFaults > 0 {
+			b.ReportMetric(float64(d.PageFaults)/events, "faults/event")
+		}
+	}
+	e, evs := quoteEngine(b, newPlainAcc(), 10_000)
+	for _, n := range []int{1, 8, 32, 64} {
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { run(b, e, evs, n) })
+	}
+	epc := e.Stats().Bytes / 2 &^ (simmem.PageSize - 1)
+	paged, evs := quoteEngine(b, launchTestEnclave(b, newTestDevice(b), epc).Memory(), 10_000)
+	for _, n := range []int{1, 32} {
+		b.Run(fmt.Sprintf("epc=store÷2/batch=%d", n), func(b *testing.B) { run(b, paged, evs, n) })
 	}
 }
 
 // TestMatchAppendSteadyStateAllocatesNothing guards the in-place
-// evaluator: matching into a reused slice over a database with
-// string-equality nodes must not allocate (the decode it replaced built
-// a string per string-equality node visited).
+// evaluator and the walk's scratch: matching into reused slices over a
+// database with string-equality nodes must not allocate, one event at
+// a time or a batch at a time (the decode the evaluator replaced built
+// a string per string-equality node visited; the walk's stack and
+// masks are engine scratch and locals).
 func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
 	e, evs := quoteEngine(t, newPlainAcc(), 2_000)
 	out := make([]MatchResult, 0, 4096)
@@ -87,5 +124,26 @@ func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(len(evs), match); allocs != 0 {
 		t.Fatalf("steady-state MatchAppend allocates %.1f times per event, want 0", allocs)
+	}
+
+	const n = 100 // two chunks, with holes
+	batch, slots := make([]*pubsub.Event, n), make([][]MatchResult, n)
+	matchBatch := func() {
+		for j := range batch {
+			batch[j], slots[j] = evs[(i+j)%len(evs)], slots[j][:0]
+			if j%9 == 0 {
+				batch[j] = nil
+			}
+		}
+		if err := e.MatchAppendBatch(batch, slots); err != nil {
+			t.Fatal(err)
+		}
+		i += n
+	}
+	for range evs {
+		matchBatch() // grow every slot to the most any event matches
+	}
+	if allocs := testing.AllocsPerRun(len(evs), matchBatch); allocs != 0 {
+		t.Fatalf("steady-state MatchAppendBatch allocates %.1f times per batch, want 0", allocs)
 	}
 }

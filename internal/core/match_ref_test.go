@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,66 @@ import (
 	"scbr/internal/pubsub"
 	"scbr/internal/simmem"
 )
+
+// matchPerEvent is the walk MatchAppend made before one walk carried a
+// whole chunk of events: the general shard, then the shard of each
+// event attribute in order, each forest walked for this one event. It
+// is the reference the batch walk is held to — per event the same
+// results in the same order, and at batch size 1 the same simulated
+// counts.
+func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+	out, err := e.matchForestPerEvent(e.general, ev, out)
+	if err != nil {
+		return nil, err
+	}
+	for i := range ev.Attrs {
+		sentinel, ok := e.shards[keyOf(ev.Attrs[i].ID, &ev.Attrs[i].Value)]
+		if !ok {
+			continue
+		}
+		if out, err = e.matchForestPerEvent(sentinel, ev, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (e *Engine) matchForestPerEvent(sentinel uint64, ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+	h := e.readHeader(sentinel)
+	if h.child == nilOff {
+		return out, nil
+	}
+	stack := []uint64{h.child}
+	for len(stack) > 0 {
+		off := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nh := e.readHeader(off)
+		if nh.sibling != nilOff {
+			stack = append(stack, nh.sibling)
+		}
+		matched, evaluated := true, 0
+		if nh.predLen != 0 {
+			var err error
+			matched, evaluated, err = pubsub.MatchEncoded(ev, e.acc.Read(off+nodeHeaderSize, int(nh.predLen)))
+			if err != nil {
+				return nil, fmt.Errorf("core: corrupt node at %d: %w", off, err)
+			}
+		}
+		e.acc.Charge(uint64(evaluated) * e.predCycles)
+		if !matched {
+			continue
+		}
+		for sub := nh.firstSub; sub != nilOff; {
+			raw := e.acc.Read(sub, subRecordSize)
+			out = append(out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
+			sub = leUint64(raw[0:])
+		}
+		if nh.child != nilOff {
+			stack = append(stack, nh.child)
+		}
+	}
+	return out, nil
+}
 
 // matchDecoded is the walk Match made before it evaluated constraint
 // blobs in place: decode every visited node's constraints into a

@@ -25,6 +25,17 @@
 // matching a sharded subscription necessarily carries the shard's
 // attribute value); it only limits which covering edges are
 // materialised.
+//
+// There is one walk, and it carries up to 64 events: a walk-stack entry
+// is a node and the bitmask of events still live on the path to it, so
+// a publish-batch visits each node once — header, constraint blob and
+// subscriber records read and metered once — and evaluates the blob
+// against every live event, charging predicate cycles per event. A
+// sibling inherits its node's mask, a child the events that passed, and
+// a subtree no event reaches is pruned. Events that carry the same
+// (attribute, value) share the walk of that shard. Each event's results
+// are those of matching it alone, in the same order; a single event is
+// the batch of one, with the simulated counts the per-event walk had.
 package core
 
 import (

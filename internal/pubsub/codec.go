@@ -82,6 +82,84 @@ func (spec EventSpec) Intern(schema *Schema) (*Event, error) {
 	return NewEvent(schema, attrs)
 }
 
+// DecodeEventInto parses a header produced by EncodeEventSpec straight
+// into ev, reusing its attribute slice — the matching hot path's
+// DecodeEventSpec + Intern with nothing built on the way but the string
+// values: the same inputs are rejected, a name seen twice keeps its
+// last value, and names new to the schema are interned only once the
+// whole header has parsed. Every name is looked up under one read lock
+// (a map lookup keyed by string(bytes) does not allocate), and the
+// attributes are insertion-sorted by ID as they arrive. On error ev's
+// contents are unspecified.
+func DecodeEventInto(schema *Schema, raw []byte, ev *Event) error {
+	unknown, err := schema.decodeEvent(raw, ev)
+	if err != nil || !unknown {
+		return err
+	}
+	// First sight of an attribute name, once per name per schema:
+	// intern the header's names the way Intern does, then parse again.
+	spec, err := DecodeEventSpec(raw)
+	if err != nil {
+		return err
+	}
+	for _, a := range spec.Attrs {
+		if _, err := schema.Intern(a.Name); err != nil {
+			return err
+		}
+	}
+	_, err = schema.decodeEvent(raw, ev)
+	return err
+}
+
+// decodeEvent is DecodeEventInto's parse. It reports unknown when the
+// header is well-formed but names an attribute the schema has not
+// interned; ev is then incomplete.
+func (s *Schema) decodeEvent(raw []byte, ev *Event) (unknown bool, err error) {
+	r := reader{buf: raw}
+	n, err := r.uint16()
+	if err != nil {
+		return false, err
+	}
+	attrs := ev.Attrs[:0]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for i := 0; i < int(n); i++ {
+		nameLen, err := r.byte()
+		if err != nil {
+			return false, err
+		}
+		name, err := r.bytes(int(nameLen))
+		if err != nil {
+			return false, err
+		}
+		v, err := r.value()
+		if err != nil {
+			return false, err
+		}
+		id, ok := s.ids[string(name)]
+		if !ok {
+			unknown = true
+			continue
+		}
+		j := len(attrs)
+		for j > 0 && attrs[j-1].ID > id {
+			j--
+		}
+		if j > 0 && attrs[j-1].ID == id {
+			attrs[j-1].Value = v
+			continue
+		}
+		attrs = append(attrs, EventAttr{})
+		copy(attrs[j+1:], attrs[j:])
+		attrs[j] = EventAttr{ID: id, Value: v}
+	}
+	if !r.done() {
+		return false, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.remaining())
+	}
+	ev.Attrs = attrs
+	return unknown, nil
+}
+
 // EncodeSubscriptionSpec serialises a subscription spec for the
 // client→publisher and publisher→engine legs.
 func EncodeSubscriptionSpec(spec SubscriptionSpec) ([]byte, error) {
@@ -449,17 +527,23 @@ func (r *reader) float64() (float64, error) {
 	return math.Float64frombits(u), err
 }
 
+// bytes returns a view of the next n bytes.
+func (r *reader) bytes(n int) ([]byte, error) {
+	if err := r.need(n); err != nil {
+		return nil, err
+	}
+	b := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return b, nil
+}
+
 func (r *reader) string8() (string, error) {
 	n, err := r.byte()
 	if err != nil {
 		return "", err
 	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
+	b, err := r.bytes(int(n))
+	return string(b), err
 }
 
 func (r *reader) string16() (string, error) {
@@ -467,12 +551,8 @@ func (r *reader) string16() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := r.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s, nil
+	b, err := r.bytes(int(n))
+	return string(b), err
 }
 
 func (r *reader) value() (Value, error) {

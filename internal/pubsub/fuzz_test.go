@@ -14,18 +14,45 @@ import (
 // enclave, but a compromised publisher key or a malicious admitted
 // client must not be able to crash the router with crafted bodies.
 
-func FuzzDecodeEventSpec(f *testing.F) {
-	valid, err := EncodeEventSpec(EventSpec{Attrs: []NamedValue{
-		{Name: "symbol", Value: Str("HAL")},
-		{Name: "price", Value: Float(49.5)},
-		{Name: "volume", Value: Int(12)},
-	}})
-	if err != nil {
-		f.Fatal(err)
+// headerSeeds is the publication-header corpus: a well-formed header,
+// the degenerate ones, and the cases DecodeEventInto treats specially —
+// a name twice (last value wins), names out of ID order, an unknown
+// value tag, trailing bytes, an empty name.
+func headerSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	encode := func(attrs ...NamedValue) []byte {
+		raw, err := EncodeEventSpec(EventSpec{Attrs: attrs})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return raw
 	}
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte{0xFF, 0xFF})
+	valid := encode(NamedValue{"symbol", Str("HAL")}, NamedValue{"price", Float(49.5)}, NamedValue{"volume", Int(12)})
+	badTag := encode(NamedValue{"price", Int(1)})
+	badTag[2+1+len("price")] = 9
+	return [][]byte{
+		valid,
+		{},
+		{0xFF, 0xFF},
+		encode(NamedValue{"price", Float(1)}, NamedValue{"symbol", Str("IBM")}, NamedValue{"price", Int(2)}),
+		encode(NamedValue{"volume", Int(3)}, NamedValue{"price", Float(2)}, NamedValue{"symbol", Str("")}, NamedValue{"open", Int(1)}),
+		badTag,
+		append(append([]byte{}, valid...), 0),
+		valid[:len(valid)-1],
+		encode(NamedValue{"", Int(7)}),
+		encode(),
+	}
+}
+
+// sameValue is Value equality that also holds for a NaN.
+func sameValue(a, b Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
+}
+
+func FuzzDecodeEventSpec(f *testing.F) {
+	for _, seed := range headerSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec, err := DecodeEventSpec(raw)
 		if err != nil {
@@ -34,6 +61,70 @@ func FuzzDecodeEventSpec(f *testing.F) {
 		// Whatever decodes must re-encode.
 		if _, err := EncodeEventSpec(spec); err != nil {
 			t.Fatalf("decoded spec does not re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeEventInto holds the hot path's header parse to the one it
+// replaced there, DecodeEventSpec + Intern: the same inputs fail (with
+// nothing interned), and an accepted header gives the same event —
+// attribute for attribute on a schema that already knows the names
+// (decoded twice into one Event, so the reuse is exercised too), and
+// name for name on a fresh schema, where IDs are handed out in a
+// different order.
+func FuzzDecodeEventInto(f *testing.F) {
+	for _, seed := range headerSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		known, fresh := NewSchema(), NewSchema()
+		var want *Event
+		spec, refErr := DecodeEventSpec(raw)
+		if refErr == nil {
+			want, refErr = spec.Intern(known)
+		}
+		got := &Event{Attrs: []EventAttr{{ID: 9, Value: Str("stale")}}}
+		for pass := 0; pass < 2; pass++ {
+			err := DecodeEventInto(known, raw, got)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("DecodeEventInto err = %v, DecodeEventSpec + Intern err = %v", err, refErr)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCodec) {
+					t.Fatalf("DecodeEventInto failed with %v, want an ErrCodec", err)
+				}
+				continue
+			}
+			same := len(got.Attrs) == len(want.Attrs)
+			for i := 0; same && i < len(want.Attrs); i++ {
+				same = got.Attrs[i].ID == want.Attrs[i].ID && sameValue(got.Attrs[i].Value, want.Attrs[i].Value)
+			}
+			if !same {
+				t.Fatalf("pass %d: DecodeEventInto %+v, DecodeEventSpec + Intern %+v", pass, got.Attrs, want.Attrs)
+			}
+		}
+		var cold Event
+		if err := DecodeEventInto(fresh, raw, &cold); (err == nil) != (refErr == nil) {
+			t.Fatalf("fresh schema: DecodeEventInto err = %v, reference err = %v", err, refErr)
+		}
+		if refErr != nil {
+			if known.Len()+fresh.Len() != 0 {
+				t.Fatalf("a rejected header interned names: %v %v", known.Names(), fresh.Names())
+			}
+			return
+		}
+		if len(cold.Attrs) != len(want.Attrs) {
+			t.Fatalf("fresh schema: %d attributes, want %d", len(cold.Attrs), len(want.Attrs))
+		}
+		for i, a := range cold.Attrs {
+			if i > 0 && cold.Attrs[i-1].ID >= a.ID {
+				t.Fatalf("fresh schema: attributes not sorted by ID: %+v", cold.Attrs)
+			}
+			name, _ := fresh.Name(a.ID)
+			id, _ := known.Lookup(name)
+			if v, ok := want.Get(id); !ok || !sameValue(v, a.Value) {
+				t.Fatalf("fresh schema: %q = %v, reference %v (present %v)", name, a.Value, v, ok)
+			}
 		}
 	})
 }

@@ -65,9 +65,12 @@ func (plainCodec) EncodeEvent(spec pubsub.EventSpec) ([]byte, error) {
 type PlainSlice struct {
 	engine *core.Engine
 	schema *pubsub.Schema
-	// evs is MatchEncodedBatch's decode scratch (the broker serialises
-	// slice entries per partition, like aspeSlice's scratch).
-	evs []*pubsub.Event
+	// events and evs are the match calls' decode scratch (the broker
+	// serialises slice entries per partition, like aspeSlice's scratch):
+	// item i's header is parsed into events[i], and evs[i] points at it
+	// or is nil for a dropped item.
+	events []pubsub.Event
+	evs    []*pubsub.Event
 }
 
 // NewPlainSlice wraps an existing engine (sharing the hub schema).
@@ -113,34 +116,37 @@ func (s *PlainSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id ui
 
 func (s *PlainSlice) Unregister(id uint64) error { return s.engine.Unregister(id) }
 
-func (s *PlainSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
-	spec, err := pubsub.DecodeEventSpec(enc)
-	if err != nil {
+// header parses item i's wire header into scratch event i, growing the
+// scratch to hold it. Pointers handed out earlier stay valid: growing
+// leaves the events already parsed where they were.
+func (s *PlainSlice) header(i int, enc []byte) (*pubsub.Event, error) {
+	for len(s.events) <= i {
+		s.events = append(s.events, pubsub.Event{})
+	}
+	ev := &s.events[i]
+	if err := pubsub.DecodeEventInto(s.schema, enc, ev); err != nil {
 		return nil, fmt.Errorf("decoding header: %w", err)
 	}
-	ev, err := spec.Intern(s.schema)
+	return ev, nil
+}
+
+func (s *PlainSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
+	ev, err := s.header(0, enc)
 	if err != nil {
 		return nil, err
 	}
 	return s.engine.MatchAppend(ev, out)
 }
 
-// MatchEncodedBatch decodes and interns the whole batch, then crosses
-// into the engine once: one lock acquisition covers every item, the
-// sgx-plain counterpart of the ASPE store's single database walk.
+// MatchEncodedBatch parses every header into reused scratch, then
+// crosses into the engine once: one lock acquisition and one walk of
+// each forest per 64 items, every stored record read once per walk
+// however many items reach it — the sgx-plain counterpart of the ASPE
+// store's single database scan.
 func (s *PlainSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error {
 	s.evs = s.evs[:0]
-	for _, enc := range encs {
-		spec, err := pubsub.DecodeEventSpec(enc)
-		if err != nil {
-			s.evs = append(s.evs, nil) // dropped, like the per-item error
-			continue
-		}
-		ev, err := spec.Intern(s.schema)
-		if err != nil {
-			s.evs = append(s.evs, nil)
-			continue
-		}
+	for i, enc := range encs {
+		ev, _ := s.header(i, enc) // nil: dropped, like the per-item error
 		s.evs = append(s.evs, ev)
 	}
 	return s.engine.MatchAppendBatch(s.evs, out)
