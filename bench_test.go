@@ -1,17 +1,16 @@
-// Benchmarks regenerating the paper's evaluation. Every table and
-// figure has a bench: Table 1 (workload generation), Figure 5
-// (encryption/enclave overhead), Figure 6 (per-workload matching),
-// Figure 7 (ASPE comparison + miss rates), and Figure 8 (EPC
-// exhaustion). Simulated times from the calibrated cost model are
-// reported as custom "sim-µs/op"-style metrics next to the real
-// wall-clock numbers; EXPERIMENTS.md records the full-scale paper-vs-
-// measured comparison produced by cmd/scbr-bench.
+// Benchmarks at the root: wall-clock microbenchmarks of the substrates
+// (engine match and registration, forest sharding, AES envelope, RSA
+// hybrid, wire codecs) and the live-pipeline benches CI's bench job
+// reads — BenchmarkEndToEndPublish and BenchmarkRepartitionPublish,
+// which report simulated "simµs/op" next to wall clock and allocs.
 //
-// Microbenchmarks for the substrates (engine, ASPE, crypto, EPC
-// paging, LLC model, codecs) and the ablations follow: Bloom
-// pre-filtering, forest sharding, and the paper's §6 future-work
-// features (ecall batching, switchless delivery, split memory,
-// cache-line alignment, horizontal partitioning).
+// The paper's tables and figures are not benchmarked here:
+// internal/exp's tests run each figure and ablation at a reduced
+// config under `go test`, cmd/scbr-bench runs them at paper scale
+// (EXPERIMENTS.md records the paper-vs-measured comparison), and
+// benchmark/ measures sustained wall-clock throughput. Per-package
+// microbenchmarks live next to their packages (internal/core,
+// internal/simmem, internal/aspe).
 package scbr_test
 
 import (
@@ -23,202 +22,13 @@ import (
 	"time"
 
 	"scbr"
-	"scbr/internal/aspe"
 	"scbr/internal/core"
 	scbrdeploy "scbr/internal/deploy"
-	"scbr/internal/exp"
 	"scbr/internal/pubsub"
 	"scbr/internal/scrypto"
 	"scbr/internal/simmem"
-	"scbr/internal/streamhub"
 	"scbr/internal/workload"
 )
-
-// benchConfig keeps figure benches to seconds, not minutes; the full
-// paper-scale runs live in cmd/scbr-bench.
-func benchConfig() exp.Config {
-	cfg := exp.DefaultConfig()
-	cfg.NumSymbols = 100
-	cfg.PerSymbol = 250
-	cfg.Sizes = []int{1_000, 10_000, 50_000}
-	cfg.PubBatch = 200
-	cfg.ASPEPubBudget = 500_000
-	cfg.Fig8Subs = 30_000
-	cfg.Fig8Step = 3_000
-	cfg.EPCBytes = 8 << 20
-	return cfg
-}
-
-// BenchmarkTable1Workloads measures dataset generation per workload
-// and reports the realised equality mix.
-func BenchmarkTable1Workloads(b *testing.B) {
-	qs, err := workload.NewQuoteSet(1, 100, 250)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, spec := range workload.Table1() {
-		b.Run(spec.Name, func(b *testing.B) {
-			gen, err := workload.NewGenerator(spec, qs, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = gen.Subscription()
-			}
-			b.StopTimer()
-			mix := workload.AnalyzeSpecs(gen.Subscriptions(2000))
-			b.ReportMetric(mix.AvgPreds, "preds/sub")
-		})
-	}
-}
-
-// BenchmarkFigure5 runs the four configurations of Figure 5 at a
-// reduced scale and reports simulated matching time.
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure5(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.InAES, "simµs/inAES")
-		b.ReportMetric(last.OutAES, "simµs/outAES")
-		b.ReportMetric(last.InPlain, "simµs/inPlain")
-		b.ReportMetric(last.OutPlain, "simµs/outPlain")
-	}
-}
-
-// BenchmarkFigure6 runs all nine workloads outside enclaves and
-// reports each workload's simulated matching time at the largest size.
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure6(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		for name, us := range last.Micros {
-			b.ReportMetric(us, "simµs/"+name)
-		}
-	}
-}
-
-// BenchmarkFigure7 compares SCBR (in/out enclave) against ASPE per
-// workload panel.
-func BenchmarkFigure7(b *testing.B) {
-	for _, name := range []string{"e100a1", "e80a1", "e80a4"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := exp.Figure7(benchConfig(), name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last := rows[len(rows)-1]
-				b.ReportMetric(last.OutASPE, "simµs/ASPE")
-				b.ReportMetric(last.OutAES, "simµs/SCBR")
-				b.ReportMetric(last.OutASPE/last.OutAES, "ASPE/SCBR")
-				b.ReportMetric(last.MissRate*100, "miss%")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure8 runs the EPC-exhaustion registration experiment at
-// a reduced scale and reports the final in/out ratios.
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.Figure8(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.TimeRatio, "time-ratio")
-		b.ReportMetric(last.FaultRatio, "fault-ratio")
-		b.ReportMetric(last.DBMB, "db-MB")
-	}
-}
-
-// BenchmarkAblationSplitPaging reruns the Figure 8 sweep with the §6
-// split-memory engine (user-level sealing instead of hardware EPC
-// faults) and reports the final in/out ratios of both paths.
-func BenchmarkAblationSplitPaging(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationSplit(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		b.ReportMetric(last.EPCRatio, "epc-ratio")
-		b.ReportMetric(last.SplitRatio, "split-ratio")
-		b.ReportMetric(last.DBMB, "db-MB")
-	}
-}
-
-// BenchmarkAblationSwitchless compares publication delivery into the
-// enclave: one ecall per message, batched ecalls, and the §6
-// switchless ring (one transition total). It runs on a small (1 k)
-// database where the 2 µs transition is a large share of the
-// operation — the regime in which the paper's future-work remedies
-// matter (at 100 k subscriptions matching is miss-bound and delivery
-// cost vanishes; see EXPERIMENTS.md).
-func BenchmarkAblationSwitchless(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Sizes = []int{1_000}
-	cfg.EPCBytes = exp.DefaultConfig().EPCBytes
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationSwitchless(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.Micros, "simµs/"+r.Mode)
-		}
-	}
-}
-
-// BenchmarkAblationCacheAlign compares natural against 64B-aligned
-// record layout (§6 "fitting into cache lines"), inside and outside
-// the enclave. It keeps the default EPC so both runs are cache-bound
-// rather than paging-bound — alignment is a cache-line optimisation;
-// its interaction with paging pressure is the split ablation's story.
-func BenchmarkAblationCacheAlign(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Sizes = []int{20_000}
-	cfg.EPCBytes = exp.DefaultConfig().EPCBytes
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationCacheAlign(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			mode := "natural"
-			if r.Aligned {
-				mode = "aligned"
-			}
-			b.ReportMetric(r.OutMicros, "simµs/out-"+mode)
-			b.ReportMetric(r.InMicros, "simµs/in-"+mode)
-		}
-	}
-}
-
-// BenchmarkAblationHorizontal validates the paper's closing claim that
-// EPC exhaustion "can be overcome through horizontal scalability":
-// the same store paged on one enclave vs partitioned across four.
-func BenchmarkAblationHorizontal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.AblationHorizontal(benchConfig(), []int{1, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.MicrosPerSub, fmt.Sprintf("simµs/reg-k%d", r.Partitions))
-			b.ReportMetric(float64(r.PageFaults), fmt.Sprintf("faults/k%d", r.Partitions))
-		}
-	}
-}
-
-// --- Substrate microbenchmarks (real wall-clock time). ---
 
 func buildEngine(b *testing.B, n int, opts core.Options) (*core.Engine, []*pubsub.Event) {
 	b.Helper()
@@ -326,123 +136,6 @@ func BenchmarkAblationSharding(b *testing.B) {
 			b.StopTimer()
 			delta := meter.C.Sub(before)
 			b.ReportMetric(simmem.DefaultCost().Micros(delta.Cycles)/float64(b.N), "simµs/op")
-		})
-	}
-}
-
-// BenchmarkAblationBloomPrefilter isolates the DEBS'12 pre-filtering
-// gain inside the ASPE baseline.
-func BenchmarkAblationBloomPrefilter(b *testing.B) {
-	qs, err := workload.NewQuoteSet(1, 100, 250)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wspec, err := workload.SpecByName("e100a1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name      string
-		prefilter bool
-	}{
-		{"prefilter", true},
-		{"no-prefilter", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			schema := pubsub.NewSchema()
-			ids := make([]pubsub.AttrID, 0, 11)
-			for _, n := range []string{"symbol", "open", "high", "low", "close", "volume", "day", "month", "year", "adjclose", "change"} {
-				id, err := schema.Intern(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ids = append(ids, id)
-			}
-			scheme, err := aspe.NewScheme(schema, ids, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen, err := workload.NewGenerator(wspec, qs, 17)
-			if err != nil {
-				b.Fatal(err)
-			}
-			events := make([]*pubsub.Event, 0, 64)
-			for _, p := range gen.Publications(64) {
-				ev, err := p.Intern(schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = append(events, ev)
-			}
-			if err := scheme.CalibrateScales(events); err != nil {
-				b.Fatal(err)
-			}
-			matcher := aspe.NewMatcher(scheme, simmem.NewPlainAccessor(simmem.DefaultCost()), aspe.Options{Prefilter: tc.prefilter})
-			for _, s := range gen.Subscriptions(3_000) {
-				sub, err := pubsub.Normalize(schema, s)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := matcher.Register(sub); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := matcher.Match(events[i%len(events)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamHubScaling measures the simulated makespan advantage
-// of partitioned matching.
-func BenchmarkStreamHubScaling(b *testing.B) {
-	qs, err := workload.NewQuoteSet(1, 100, 250)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wspec, err := workload.SpecByName("e80a1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("partitions=%d", k), func(b *testing.B) {
-			hub, err := streamhub.NewPlain(k, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen, err := workload.NewGenerator(wspec, qs, 19)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i, s := range gen.Subscriptions(20_000) {
-				if _, err := hub.Register(s, uint32(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Events intern through the hub's shared schema.
-			events := make([]*pubsub.Event, 0, 64)
-			for _, p := range gen.Publications(64) {
-				ev, err := p.Intern(hub.Schema())
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = append(events, ev)
-			}
-			var makespan uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := hub.Match(events[i%len(events)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan += stats.MakespanCycles
-			}
-			b.StopTimer()
-			b.ReportMetric(simmem.DefaultCost().Micros(makespan)/float64(b.N), "simµs/op")
 		})
 	}
 }

@@ -58,6 +58,7 @@ import (
 
 	"scbr"
 	"scbr/internal/deploy"
+	"scbr/internal/sgx"
 	"scbr/internal/simmem"
 )
 
@@ -207,7 +208,7 @@ func measureIdentity(dev *scbr.Device, signer *scbr.KeyPair, epcBytes uint64, pa
 	if epcPer < simmem.PageSize {
 		epcPer = simmem.PageSize
 	}
-	probe, err := dev.Launch(enclaveImage, signer.Public(), scbr.EnclaveConfig{EPCBytes: epcPer})
+	probe, err := dev.Launch(enclaveImage, signer.Public(), sgx.EnclaveConfig{EPCBytes: epcPer})
 	if err != nil {
 		return scbr.Identity{}, err
 	}

@@ -44,10 +44,9 @@ var exempt = map[string]bool{
 
 // hubMethods are streamhub.Hub's direct per-slice store touches.
 var hubMethods = map[string]bool{
-	"MatchEncodedIn": true, "MatchEncodedBatchIn": true, "MatchSlice": true,
-	"RegisterEncodedAt": true, "RegisterEncodedAssigned": true,
-	"RegisterNormalizedAt": true, "RegisterAssignedIn": true,
-	"ImportAssigned": true, "UnregisterIn": true, "DropCopy": true,
+	"MatchEncodedBatchIn": true, "RegisterEncodedAt": true,
+	"RegisterEncodedAssigned": true, "ImportAssigned": true,
+	"UnregisterIn": true, "DropCopy": true,
 }
 
 // sliceMethods are the scheme.Slice store surface.

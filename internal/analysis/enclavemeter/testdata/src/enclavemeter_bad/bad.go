@@ -10,8 +10,8 @@ import (
 
 // nakedHubTouch matches against the store with no enclave entry at
 // all: the EPC cost model never sees it.
-func nakedHubTouch(h *streamhub.Hub, enc []byte) {
-	h.MatchEncodedIn(0, enc, nil) // want `MatchEncodedIn touches the matcher store outside the metered enclave boundary`
+func nakedHubTouch(h *streamhub.Hub, encs [][]byte) {
+	h.MatchEncodedBatchIn(0, encs, nil) // want `MatchEncodedBatchIn touches the matcher store outside the metered enclave boundary`
 }
 
 // nakedSliceTouch drives the scheme.Slice surface directly.

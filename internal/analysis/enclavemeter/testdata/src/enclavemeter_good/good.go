@@ -10,10 +10,9 @@ import (
 
 // insideEcall is the canonical charged entry: the literal passed to
 // Ecall is the enclave body.
-func insideEcall(e *sgx.Enclave, h *streamhub.Hub, enc []byte) error {
+func insideEcall(e *sgx.Enclave, h *streamhub.Hub, encs [][]byte) error {
 	return e.Ecall(func() error {
-		_, err := h.MatchEncodedIn(0, enc, nil)
-		return err
+		return h.MatchEncodedBatchIn(0, encs, nil)
 	})
 }
 
@@ -30,9 +29,9 @@ func sliceInsideEcall(e *sgx.Enclave, s scheme.Slice, enc []byte) error {
 // Ecall wrapping would double-charge.
 //
 // scbr:vet enclave-boundary: entry charged once by the switchless ring dispatcher before the drain loop
-func residentWorker(h *streamhub.Hub, encs [][]byte) {
-	for _, enc := range encs {
-		h.MatchEncodedIn(0, enc, nil)
+func residentWorker(h *streamhub.Hub, batches [][][]byte) {
+	for _, encs := range batches {
+		h.MatchEncodedBatchIn(0, encs, nil)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"scbr/internal/pubsub"
 	"scbr/internal/simmem"
+	"scbr/internal/workload"
 )
 
 func TestMatrixInverse(t *testing.T) {
@@ -99,7 +100,7 @@ func TestScalarProductPreservation(t *testing.T) {
 }
 
 // buildUniverse interns a fixed attribute set.
-func buildUniverse(t *testing.T, names ...string) (*pubsub.Schema, []pubsub.AttrID) {
+func buildUniverse(t testing.TB, names ...string) (*pubsub.Schema, []pubsub.AttrID) {
 	t.Helper()
 	schema := pubsub.NewSchema()
 	ids := make([]pubsub.AttrID, 0, len(names))
@@ -113,15 +114,52 @@ func buildUniverse(t *testing.T, names ...string) (*pubsub.Schema, []pubsub.Attr
 	return schema, ids
 }
 
-func newTestMatcher(t *testing.T, prefilter bool) (*pubsub.Schema, *Matcher) {
+// newTestMatcher builds the scheme's two halves side by side: the
+// Scheme that encrypts and a Store configured with its dimension.
+func newTestMatcher(t testing.TB, prefilter bool) (*Scheme, *Store) {
 	t.Helper()
 	schema, ids := buildUniverse(t, "symbol", "price", "volume", "open", "close")
 	scheme, err := NewScheme(schema, ids, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := simmem.NewPlainAccessor(simmem.DefaultCost())
-	return schema, NewMatcher(scheme, acc, Options{Prefilter: prefilter})
+	store := NewStore(simmem.NewPlainAccessor(simmem.DefaultCost()), Options{Prefilter: prefilter})
+	if err := store.Configure(scheme.Dim()); err != nil {
+		t.Fatal(err)
+	}
+	return scheme, store
+}
+
+// register encrypts a subscription and stores it.
+func register(t testing.TB, scheme *Scheme, store *Store, sub *pubsub.Subscription) uint64 {
+	t.Helper()
+	es, err := scheme.EncodeSubscription(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := store.Register(es, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// match encrypts an event and returns the IDs whose sign tests pass.
+func match(t testing.TB, scheme *Scheme, store *Store, ev *pubsub.Event) []uint64 {
+	t.Helper()
+	ep, err := scheme.EncodePublication(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := store.MatchEncoded(ep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, len(res))
+	for i, r := range res {
+		ids[i] = r.SubID
+	}
+	return ids
 }
 
 // closedMatches evaluates a subscription against an event under ASPE's
@@ -207,7 +245,8 @@ func randomASPEEvent(t *testing.T, rng *rand.Rand, schema *pubsub.Schema) *pubsu
 // plaintext result.
 func TestASPEEquivalentToClosedSemantics(t *testing.T) {
 	for _, prefilter := range []bool{false, true} {
-		schema, matcher := newTestMatcher(t, prefilter)
+		scheme, store := newTestMatcher(t, prefilter)
+		schema := scheme.schema
 		rng := rand.New(rand.NewSource(5))
 		subs := make(map[uint64]*pubsub.Subscription)
 		for i := 0; i < 400; i++ {
@@ -215,18 +254,11 @@ func TestASPEEquivalentToClosedSemantics(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			id, err := matcher.Register(sub)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs[id] = sub
+			subs[register(t, scheme, store, sub)] = sub
 		}
 		for i := 0; i < 200; i++ {
 			ev := randomASPEEvent(t, rng, schema)
-			got, err := matcher.Match(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := match(t, scheme, store, ev)
 			var want []uint64
 			for id, sub := range subs {
 				if closedMatches(sub, ev) {
@@ -250,31 +282,22 @@ func TestASPEEquivalentToClosedSemantics(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	// Whatever the filter says "skip" must truly not match. Compare
 	// prefiltered and unprefiltered matchers on identical inputs.
-	schemaA, plain := newTestMatcher(t, false)
+	scheme, plain := newTestMatcher(t, false)
 	_, filtered := newTestMatcher(t, true)
+	schemaA := scheme.schema
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {
 		sub, err := pubsub.Normalize(schemaA, randomASPESpec(rng))
 		if err != nil {
 			continue
 		}
-		if _, err := plain.Register(sub); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := filtered.Register(sub); err != nil {
-			t.Fatal(err)
-		}
+		register(t, scheme, plain, sub)
+		register(t, scheme, filtered, sub)
 	}
 	for i := 0; i < 100; i++ {
 		ev := randomASPEEvent(t, rng, schemaA)
-		a, err := plain.Match(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := filtered.Match(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := match(t, scheme, plain, ev)
+		b := match(t, scheme, filtered, ev)
 		if len(a) != len(b) {
 			t.Fatalf("event %d: prefilter dropped matches: %d vs %d", i, len(b), len(a))
 		}
@@ -282,8 +305,9 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 func TestPrefilterReducesWork(t *testing.T) {
-	schema, plain := newTestMatcher(t, false)
+	scheme, plain := newTestMatcher(t, false)
 	_, filtered := newTestMatcher(t, true)
+	schema := scheme.schema
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		spec := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
@@ -294,23 +318,15 @@ func TestPrefilterReducesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := plain.Register(sub); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := filtered.Register(sub); err != nil {
-			t.Fatal(err)
-		}
+		register(t, scheme, plain, sub)
+		register(t, scheme, filtered, sub)
 	}
 	ev := randomASPEEvent(t, rng, schema)
 	beforePlain := plain.Meter().C
-	if _, err := plain.Match(ev); err != nil {
-		t.Fatal(err)
-	}
+	match(t, scheme, plain, ev)
 	costPlain := plain.Meter().C.Sub(beforePlain).Cycles
 	beforeFiltered := filtered.Meter().C
-	if _, err := filtered.Match(ev); err != nil {
-		t.Fatal(err)
-	}
+	match(t, scheme, filtered, ev)
 	costFiltered := filtered.Meter().C.Sub(beforeFiltered).Cycles
 	// With only a handful of dimensions the saving is modest (the
 	// unfiltered scan already fails fast on the equality product); the
@@ -380,9 +396,68 @@ func TestCiphertextsDifferFromPlain(t *testing.T) {
 }
 
 func TestMatchEncryptedDimensionCheck(t *testing.T) {
-	_, matcher := newTestMatcher(t, false)
-	var f Bloom
-	if _, err := matcher.MatchEncrypted(make([]float64, 3), &f); err == nil {
+	_, store := newTestMatcher(t, false)
+	if _, err := store.MatchEncoded(&EncodedPublication{Dim: 3, Point: make([]float64, 3)}, nil); err == nil {
 		t.Fatal("wrong-dimension point accepted")
+	}
+}
+
+// BenchmarkAblationBloomPrefilter isolates the DEBS'12 pre-filtering
+// gain inside the ASPE baseline: 3,000 e100a1 subscriptions over the
+// 11-attribute quote universe, one encrypted publication scanned per
+// iteration.
+func BenchmarkAblationBloomPrefilter(b *testing.B) {
+	qs, err := workload.NewQuoteSet(1, 100, 250)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wspec, err := workload.SpecByName("e100a1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		prefilter bool
+	}{
+		{"prefilter", true},
+		{"no-prefilter", false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			schema, ids := buildUniverse(b, workload.QuoteAttrs(1)...)
+			scheme, err := NewScheme(schema, ids, 5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen, err := workload.NewGenerator(wspec, qs, 17)
+			if err != nil {
+				b.Fatal(err)
+			}
+			events := make([]*pubsub.Event, 0, 64)
+			for _, p := range gen.Publications(64) {
+				ev, err := p.Intern(schema)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = append(events, ev)
+			}
+			if err := scheme.CalibrateScales(events); err != nil {
+				b.Fatal(err)
+			}
+			store := NewStore(simmem.NewPlainAccessor(simmem.DefaultCost()), Options{Prefilter: tc.prefilter})
+			if err := store.Configure(scheme.Dim()); err != nil {
+				b.Fatal(err)
+			}
+			for _, s := range gen.Subscriptions(3_000) {
+				sub, err := pubsub.Normalize(schema, s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				register(b, scheme, store, sub)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				match(b, scheme, store, events[i%len(events)])
+			}
+		})
 	}
 }

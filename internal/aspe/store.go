@@ -28,8 +28,7 @@ type entry struct {
 // query vectors in a metered arena and scans them against encrypted
 // points. It never holds the scheme's secret matrices — the dimension
 // (its only parameter) arrives with provisioning as a public scheme
-// parameter. Compare Matcher, which bundles a Store with a Scheme for
-// the paper's single-process baseline.
+// parameter.
 //
 // Not safe for concurrent use; the broker serialises entries per
 // partition, exactly as it does for the containment engine.

@@ -117,7 +117,8 @@ func newTestSystemCfg(t *testing.T, mutate func(*RouterConfig)) *testSystem {
 	return sys
 }
 
-// attach creates a client connected to both publisher and router.
+// attach creates a client connected to the publisher and taps the
+// router's delivery channel for it.
 func (s *testSystem) attach(id string) (*Client, <-chan Delivery) {
 	s.t.Helper()
 	c, err := NewClient(id)
@@ -133,12 +134,62 @@ func (s *testSystem) attach(id string) (*Client, <-chan Delivery) {
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	deliveries, err := c.Listen(routerConn)
+	deliveries, err := tapDeliveries(c, routerConn)
 	if err != nil {
 		s.t.Fatal(err)
 	}
-	s.t.Cleanup(c.Close)
+	s.t.Cleanup(func() {
+		c.Close()
+		_ = routerConn.Close()
+	})
 	return c, deliveries
+}
+
+// tapDeliveries binds conn as c's delivery channel and returns every
+// deliver frame the router sends on it, decrypted with c's keys,
+// whichever subscriptions matched; the channel closes with the
+// connection. The tests here assert per-client facts about those
+// frames — one for two matching subscriptions, none after an
+// unsubscribe, none for a client that never subscribed — which
+// Subscription handles filter away by design, so the tap reads the
+// connection itself rather than through Client.Attach's pump. Sends
+// block: a test that stops reading stalls its router-side writer.
+func tapDeliveries(c *Client, raw net.Conn) (<-chan Delivery, error) {
+	conn := newBufferedConn(raw)
+	c.mu.Lock()
+	schemeTag := c.scheme
+	c.mu.Unlock()
+	if err := Send(conn, &Message{Type: TypeListen, ClientID: c.ID, Scheme: schemeTag}); err != nil {
+		return nil, err
+	}
+	ack, err := Recv(conn)
+	if err != nil {
+		return nil, err
+	}
+	if err := expect(ack, TypeListenOK); err != nil {
+		return nil, err
+	}
+	out := make(chan Delivery)
+	go func() {
+		defer close(out)
+		for {
+			m, err := Recv(conn)
+			if err != nil {
+				return
+			}
+			if m.Type != TypeDeliver {
+				continue
+			}
+			d := c.decryptDelivery(m)
+			d.SubIDs = m.SubIDs
+			select {
+			case out <- d:
+			case <-c.done:
+				return
+			}
+		}
+	}()
+	return out, nil
 }
 
 func halSpec(limit float64) pubsub.SubscriptionSpec {

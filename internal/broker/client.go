@@ -275,7 +275,7 @@ func (c *Client) Epoch() uint64 {
 // the connection closes every Subscription handle. For handles that
 // survive reconnects, bind with Resume instead.
 func (c *Client) Attach(ctx context.Context, conn net.Conn) error {
-	_, _, err := c.listen(ctx, conn, false, false)
+	_, err := c.listen(ctx, conn, false)
 	return err
 }
 
@@ -293,8 +293,7 @@ func (c *Client) Attach(ctx context.Context, conn net.Conn) error {
 // attach (nothing to replay). Watch DeliveryDone to learn when the
 // connection needs resuming.
 func (c *Client) Resume(ctx context.Context, conn net.Conn) (gap uint64, err error) {
-	_, gap, err = c.listen(ctx, conn, false, true)
-	return gap, err
+	return c.listen(ctx, conn, true)
 }
 
 // LastCursor returns the highest delivery cursor this client has
@@ -317,26 +316,12 @@ func (c *Client) DeliveryDone() <-chan struct{} {
 	return c.pumpDone
 }
 
-// Listen binds a merged client-wide delivery channel, the
-// pre-Subscription surface. Every delivery for this client — whatever
-// subscription matched — is sent (blocking) on the returned channel,
-// which closes when the connection does. A pump started by Listen
-// feeds only the merged channel; Subscription handles stay empty on
-// this connection.
-//
-// Deprecated: use Attach and per-Subscription Next/Deliveries instead;
-// the merged channel cannot tell subscriptions apart.
-func (c *Client) Listen(conn net.Conn) (<-chan Delivery, error) {
-	out, _, err := c.listen(context.Background(), conn, true, false)
-	return out, err
-}
-
-func (c *Client) listen(ctx context.Context, raw net.Conn, withStream, resumable bool) (<-chan Delivery, uint64, error) {
+func (c *Client) listen(ctx context.Context, raw net.Conn, resumable bool) (uint64, error) {
 	if err := c.closedErr(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	// The delivery connection is read through one buffered reader from
 	// the listen ack on: the ack and any replay burst behind it share
@@ -356,16 +341,16 @@ func (c *Client) listen(ctx context.Context, raw net.Conn, withStream, resumable
 	release := ctxGuard(ctx, conn)
 	if err := Send(conn, hello); err != nil {
 		release()
-		return nil, 0, ctxErr(ctx, err)
+		return 0, ctxErr(ctx, err)
 	}
 	ack, err := Recv(conn)
 	if err != nil {
 		release()
-		return nil, 0, ctxErr(ctx, err)
+		return 0, ctxErr(ctx, err)
 	}
 	if err := expect(ack, TypeListenOK); err != nil {
 		release()
-		return nil, 0, err
+		return 0, err
 	}
 	release()
 	// Rebinding replaces any previous delivery connection: close it and
@@ -414,33 +399,23 @@ func (c *Client) listen(ctx context.Context, raw net.Conn, withStream, resumable
 	pumpDone := make(chan struct{})
 	c.pumpDone = pumpDone
 	c.mu.Unlock()
-	var out chan Delivery
-	if withStream {
-		out = make(chan Delivery)
-	}
 	c.wg.Add(1)
-	go c.pump(ctx, conn, out, resumable, pumpDone)
-	return out, ack.Gap, nil
+	go c.pump(ctx, conn, resumable, pumpDone)
+	return ack.Gap, nil
 }
 
 // pump is the delivery loop of one router connection: it decrypts
-// each delivery once and routes it. A pump started by Attach feeds the
-// matched Subscription handles; a pump started by the deprecated
-// Listen feeds only the merged out channel (handles subscribe-time
-// state would otherwise fill unconsumed buffers and stall the pump).
-// Both paths block when the consumer lags, so backpressure reaches the
+// each delivery once and routes it to the matched Subscription
+// handles. It blocks when a consumer lags, so backpressure reaches the
 // router instead of deliveries being dropped.
-func (c *Client) pump(ctx context.Context, conn net.Conn, out chan Delivery, resumable bool, pumpDone chan struct{}) {
+func (c *Client) pump(ctx context.Context, conn net.Conn, resumable bool, pumpDone chan struct{}) {
 	defer c.wg.Done()
 	defer close(pumpDone)
-	if out != nil {
-		defer close(out)
-	} else if !resumable {
+	if !resumable {
 		// Attach mode: when the delivery connection is lost (router
 		// gone, ctx cancelled, client closed), close every live
 		// Subscription handle so blocked Next/Consume callers unwind
-		// with ErrClosed — the handle analogue of the legacy channel
-		// closing. Buffered deliveries still drain first. The dead
+		// with ErrClosed. Buffered deliveries still drain first. The dead
 		// handles also leave c.subs, so a later re-Attach dispatches
 		// to fresh handles only (re-Subscribe after reconnecting).
 		// Resume-mode pumps skip this: handles outlive the connection
@@ -492,7 +467,7 @@ func (c *Client) pump(ctx context.Context, conn net.Conn, out chan Delivery, res
 		}
 		d := c.decryptDelivery(m)
 		d.SubIDs = m.SubIDs
-		c.dispatch(d, out)
+		c.dispatch(d)
 	}
 }
 
@@ -515,16 +490,8 @@ func (c *Client) advanceCursor(cursor uint64) bool {
 	}
 }
 
-// dispatch routes one delivery: to the merged stream in legacy Listen
-// mode, to the matched subscription handles otherwise.
-func (c *Client) dispatch(d Delivery, out chan Delivery) {
-	if out != nil {
-		select {
-		case out <- d:
-		case <-c.done:
-		}
-		return
-	}
+// dispatch routes one delivery to the matched subscription handles.
+func (c *Client) dispatch(d Delivery) {
 	c.mu.Lock()
 	targets := make([]*Subscription, 0, len(d.SubIDs))
 	if len(d.SubIDs) == 0 {

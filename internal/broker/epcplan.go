@@ -47,7 +47,9 @@ type SliceFootprint struct {
 	// StoreBytes is the slice store's arena footprint.
 	StoreBytes uint64 `json:"store_bytes"`
 	// AccountedBytes is the hub's estimated byte load for the slice
-	// (entry-cost charges over the shards it owns).
+	// (entry-cost charges over the shards it owns) — a figure to hold
+	// against StoreBytes, not a placement input: shards are
+	// hash-placed.
 	AccountedBytes uint64 `json:"accounted_bytes"`
 	// EPCBudget is the slice's launch-time EPC share.
 	EPCBudget uint64 `json:"epc_budget"`
@@ -66,7 +68,7 @@ type SliceFootprint struct {
 func (r *Router) SliceFootprints() []SliceFootprint {
 	r.planeMu.RLock()
 	defer r.planeMu.RUnlock()
-	accounted, budgets := r.hub.SliceLoads()
+	accounted := r.hub.SliceLoads()
 	out := make([]SliceFootprint, len(r.parts))
 	for i, p := range r.parts {
 		p.mu.Lock()
@@ -83,23 +85,8 @@ func (r *Router) SliceFootprints() []SliceFootprint {
 			PeakResidentBytes: peak,
 			ResidencyTracked:  tracked,
 		}
-		if i < len(budgets) && budgets[i] != 0 {
-			out[i].EPCBudget = budgets[i]
-		}
 	}
 	return out
-}
-
-// setHubBudgets installs k copies of the fixed per-slice EPC share as
-// the hub's slice budgets — at construction and after every resize,
-// so the byte-weighted load accounting always normalises against the
-// current fleet.
-func (r *Router) setHubBudgets(k int) {
-	budgets := make([]uint64, k)
-	for i := range budgets {
-		budgets[i] = r.epcPer
-	}
-	r.hub.SetSliceBudgets(budgets)
 }
 
 // recommendHeadroomNum/Den keep each slice's working set at or below

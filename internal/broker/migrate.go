@@ -167,9 +167,6 @@ func (r *Router) finishMigration(subsMoved uint64, pause int64) {
 		r.dedupActive.Store(false)
 	}
 	r.pm.FinishMigration(subsMoved, pause)
-	// Re-key the hub's per-slice budgets to the (possibly intermediate)
-	// slice count the resize left behind.
-	r.setHubBudgets(r.pm.Slices())
 }
 
 // moveGroup is one source→destination slice pair's worth of a plan.

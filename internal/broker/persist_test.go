@@ -312,17 +312,19 @@ func TestRestartEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx1, err := alice.Listen(lc1)
-	if err != nil {
+	// Resume rather than Attach: the Subscription handle must outlive
+	// the first router's connection.
+	if _, err := alice.Resume(bg, lc1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alice.Subscribe(bg, halSpec(50)); err != nil {
+	sub, err := alice.Subscribe(bg, halSpec(50))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Publish(bg, halQuote(42), []byte("before restart")); err != nil {
 		t.Fatal(err)
 	}
-	if d := recvDelivery(t, rx1); d.Err != nil || string(d.Payload) != "before restart" {
+	if d := recvDelivery(t, sub.Deliveries()); d.Err != nil || string(d.Payload) != "before restart" {
 		t.Fatalf("pre-restart delivery = %+v", d)
 	}
 
@@ -368,14 +370,13 @@ func TestRestartEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx2, err := alice.Listen(lc2)
-	if err != nil {
+	if _, err := alice.Resume(bg, lc2); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Publish(bg, halQuote(43), []byte("after restart")); err != nil {
 		t.Fatal(err)
 	}
-	if d := recvDelivery(t, rx2); d.Err != nil || string(d.Payload) != "after restart" {
+	if d := recvDelivery(t, sub.Deliveries()); d.Err != nil || string(d.Payload) != "after restart" {
 		t.Fatalf("post-restart delivery = %+v", d)
 	}
 }

@@ -339,14 +339,8 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 	}
 	r.hub = hub
 	if fp := backend.Footprint; !fp.Zero() {
-		hub.SetEntryCost(func(encLen int) uint64 {
-			if encLen < 0 {
-				encLen = 0
-			}
-			return fp.EntryBytes(encLen)
-		})
+		hub.SetEntryCost(fp.EntryBytes)
 	}
-	r.setHubBudgets(cfg.Partitions)
 	r.startPipeline()
 	if cfg.RouterID != "" || len(cfg.Peers) > 0 {
 		if err := r.startFederation(); err != nil {

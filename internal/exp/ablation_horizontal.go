@@ -5,10 +5,10 @@ import (
 
 	"scbr/internal/core"
 	"scbr/internal/pubsub"
+	"scbr/internal/scheme"
 	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
 	"scbr/internal/simmem"
-	"scbr/internal/streamhub"
 	"scbr/internal/workload"
 )
 
@@ -34,8 +34,9 @@ type HorizontalRow struct {
 }
 
 // AblationHorizontal registers cfg.Fig8Subs subscriptions (workload
-// e80a1, padded records, cfg.EPCBytes per enclave) into hubs of
-// 1, 2, 4 and 8 enclave slices, then matches a publication batch.
+// e80a1, padded records, cfg.EPCBytes per enclave) round-robin into
+// 1, 2, 4 and 8 enclave slices, then matches a publication batch on
+// every slice.
 func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 	rt, err := newRuntime(cfg)
 	if err != nil {
@@ -45,6 +46,14 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 		parts = []int{1, 2, 4, 8}
 	}
 	spec, err := workload.SpecByName("e80a1")
+	if err != nil {
+		return nil, err
+	}
+	backend, err := scheme.Lookup(scheme.Plain)
+	if err != nil {
+		return nil, err
+	}
+	codec, err := scheme.NewCodec(scheme.Plain)
 	if err != nil {
 		return nil, err
 	}
@@ -71,30 +80,40 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// One enclave per slice, each with its own EPC: the replicated
+		// deployment of §3.4.
 		enclaves := make([]*sgx.Enclave, k)
+		slices := make([]scheme.Slice, k)
 		schema := pubsub.NewSchema()
-		hub, err := streamhub.New(k, schema,
-			func(i int, s *pubsub.Schema) (*core.Engine, error) {
-				e, err := dev.Launch([]byte(fmt.Sprintf("scbr slice image %d", i)), signer.Public(),
-					sgx.EnclaveConfig{EPCBytes: cfg.EPCBytes})
-				if err != nil {
-					return nil, err
-				}
-				enclaves[i] = e
-				return core.NewEngine(e.Memory(), s, core.Options{PadRecordTo: cfg.PadRecordTo})
-			},
-			func(i int, fn func() error) error { return enclaves[i].Ecall(fn) })
-		if err != nil {
-			return nil, err
+		for i := range slices {
+			e, err := dev.Launch([]byte(fmt.Sprintf("scbr slice image %d", i)), signer.Public(),
+				sgx.EnclaveConfig{EPCBytes: cfg.EPCBytes})
+			if err != nil {
+				return nil, err
+			}
+			enclaves[i] = e
+			if slices[i], err = backend.NewSlice(e.Memory(), schema, core.Options{PadRecordTo: cfg.PadRecordTo}); err != nil {
+				return nil, err
+			}
 		}
 
-		// Registration phase: the stream fans across slices.
-		var before []simmem.Counters
-		for _, e := range enclaves {
-			before = append(before, e.Memory().Meter().C)
+		// Registration phase: the stream is dealt round-robin across
+		// slices, one ecall per subscription.
+		before := make([]simmem.Counters, k)
+		for i, e := range enclaves {
+			before[i] = e.Memory().Meter().C
 		}
 		for i, s := range subGen.Subscriptions(cfg.Fig8Subs) {
-			if _, err := hub.Register(s, uint32(i)); err != nil {
+			enc, err := codec.EncodeSubscription(s)
+			if err != nil {
+				return nil, fmt.Errorf("exp: horizontal k=%d sub %d: %w", k, i, err)
+			}
+			slice := slices[i%k]
+			err = enclaves[i%k].Ecall(func() error {
+				_, err := slice.RegisterEncoded(enc, uint32(i))
+				return err
+			})
+			if err != nil {
 				return nil, fmt.Errorf("exp: horizontal k=%d sub %d: %w", k, i, err)
 			}
 		}
@@ -108,19 +127,35 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 		}
 		row.MicrosPerSub = cfg.Cost.Micros(regCycles) / float64(cfg.Fig8Subs)
 
-		// Matching phase: parallel fan-out, makespan accounting.
+		// Matching phase: every slice matches every publication; the
+		// slices of a deployment run side by side, so a publication
+		// costs what its slowest slice charged. Simulated cycles need no
+		// real parallelism to say that.
 		var makespan uint64
+		var scratch []core.MatchResult
 		nPubs := cfg.PubBatch
 		for _, p := range pubGen.Publications(nPubs) {
-			ev, err := p.Intern(schema)
+			enc, err := codec.EncodeEvent(p)
 			if err != nil {
 				return nil, err
 			}
-			_, stats, err := hub.Match(ev)
-			if err != nil {
-				return nil, err
+			var slowest uint64
+			for i, slice := range slices {
+				meter := enclaves[i].Memory().Meter()
+				start := meter.C.Cycles
+				err := enclaves[i].Ecall(func() error {
+					var err error
+					scratch, err = slice.MatchEncoded(enc, scratch[:0])
+					return err
+				})
+				if err != nil {
+					return nil, fmt.Errorf("exp: horizontal k=%d slice %d: %w", k, i, err)
+				}
+				if c := meter.C.Cycles - start; c > slowest {
+					slowest = c
+				}
 			}
-			makespan += stats.MakespanCycles
+			makespan += slowest
 		}
 		row.MatchMicros = cfg.Cost.Micros(makespan) / float64(nPubs)
 		rows = append(rows, row)

@@ -1,6 +1,6 @@
 // Package exp drives the reproduction of the paper's evaluation: one
 // entry point per figure/table, each returning typed rows that
-// cmd/scbr-bench prints and bench_test.go asserts shapes on.
+// cmd/scbr-bench prints and the package's tests assert shapes on.
 //
 // Methodology (matching §4): the subscription database is populated
 // incrementally to each target size; at every size a batch of

@@ -6,8 +6,8 @@ import "fmt"
 // scheme's subscription database occupies — the quantity the Fig. 8
 // paging cliff is measured against. The planner (internal/deploy) uses
 // it to size partition counts so every slice's working set stays under
-// its EPC share, and the placement layer uses it to weight least-loaded
-// shard selection by bytes rather than raw subscription counts.
+// its EPC share, and the hub prices each slice's byte load with it
+// (streamhub.Hub.SliceLoads) so a plan can be held against actuals.
 //
 // The model is linear in the subscription count and, where the scheme's
 // encoding scales with the attribute universe (ASPE: vector

@@ -1,22 +1,29 @@
 // Package streamhub implements the scaling architecture §3.4 of the
 // paper advocates instead of broker overlays: following StreamHub
 // (Barazzutti et al., DEBS'13), the subscription database is
-// partitioned across independent matching engines ("matcher slices")
-// behind a single ingress. A publication is matched by every slice in
-// parallel and the result sets are merged; the publisher↔matcher key
-// management of SCBR "could be simply replicated" per slice, which is
-// exactly what the enclave-backed constructor does.
+// partitioned across independent matcher slices behind a single
+// ingress. A publication is matched by every slice and the result sets
+// are merged; the publisher↔matcher key management of SCBR "could be
+// simply replicated" per slice, which is what the router does by
+// launching one enclave per slice.
 //
 // Partitioning also attacks the paper's EPC-exhaustion problem
 // (Fig. 8): each slice only holds 1/k of the database, so a database
 // that would page on one enclave fits k enclaves' EPCs.
 //
-// Placement is elastic: registration keys hash onto fixed virtual
-// shards (the top byte of every hub subscription ID), and a movable
-// placement.Map assigns shards to slices. Slices can be added and
-// removed at runtime (AddSlice, RemoveSlicesFrom) and whole shards
-// relocated between them (ImportAssigned, DropCopy) while matching
-// continues — the broker's migration engine drives those moves.
+// The hub owns ID packing, placement and load accounting; storage and
+// matching belong to each partition's scheme.Slice, and the caller owns
+// the fan-out and the enclave transitions (the broker's resident
+// per-slice workers are already inside the slice's enclave when they
+// consult the hub).
+//
+// Placement is by hash and elastic: registration keys hash onto fixed
+// virtual shards (ShardForKey; the shard is the top byte of every hub
+// subscription ID), and a movable placement.Map assigns shards to
+// slices. Slices can be added and removed at runtime (AddSlice,
+// RemoveSlicesFrom) and whole shards relocated between them
+// (ImportAssigned, DropCopy) while matching continues — the broker's
+// migration engine drives those moves.
 package streamhub
 
 import (
@@ -28,27 +35,13 @@ import (
 	"scbr/internal/placement"
 	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
-	"scbr/internal/simmem"
 )
 
-// Hub fans registrations and matches across partitioned slices. Two
-// constructions exist:
-//
-//   - engine-backed (New/NewPlain): every partition is a containment
-//     engine; the typed surface (Register, Match, Engine) operates on
-//     normalised subscriptions and interned events directly.
-//
-//   - scheme-backed (NewFromSlices/NewFromSlicesPlaced): every
-//     partition is a scheme-provided Slice storing whatever the
-//     scheme's wire encoding carries — the broker's data plane, where
-//     the matching scheme (sgx-plain, aspe, ...) owns storage and
-//     matching and the hub owns ID packing, placement, and load
-//     accounting. Only the encoded surface (RegisterEncodedAt,
-//     MatchEncodedIn, ...) is available.
-//
-// Engine-backed partitions also expose the encoded surface (they wrap
-// their engine in the plain scheme's slice adapter), so callers can be
-// written against the scheme-agnostic API alone.
+// Hub places registrations on, and addresses matches to, partitioned
+// scheme slices (NewFromSlices / NewFromSlicesPlaced). Every partition
+// is a scheme-provided Slice storing whatever the scheme's wire
+// encoding carries (sgx-plain, aspe, ...), so the surface is the
+// encoded one: RegisterEncodedAt, UnregisterIn, MatchEncodedBatchIn.
 //
 // The hub assigns every subscription a full 64-bit ID up front —
 // shard index in the top byte, a per-shard sequence below — and hands
@@ -64,24 +57,20 @@ import (
 type Hub struct {
 	mu     sync.Mutex
 	schema *pubsub.Schema
-	parts  []*partition
+	parts  []scheme.Slice
 	pm     *placement.Map
 	owner  map[uint64]ownerRec // subscription ID → owning slice + footprint bytes
 	// shardSeq is the per-shard ID sequence (next = shardSeq+1);
 	// shardSubs counts live subscriptions per shard; shardBytes carries
-	// each shard's estimated store footprint in bytes — the load the
-	// typed Register balances, normalised by per-slice EPC budgets.
+	// each shard's estimated store footprint in bytes. The byte figures
+	// are accounting only (SliceLoads): placement is by hash.
 	shardSeq   []uint64
 	shardSubs  []int
 	shardBytes []uint64
 	// entryCost estimates one subscription's store footprint from its
-	// encoding length (-1 when no encoding is at hand — the typed
-	// path). Nil charges a flat 1, which reduces byte-weighted
-	// selection to subscription counting.
+	// encoding length. Nil charges a flat 1, which reduces the byte
+	// loads to subscription counts.
 	entryCost func(encLen int) uint64
-	// budgets holds each slice's EPC budget in bytes; nil or zero
-	// entries weight all slices equally.
-	budgets []uint64
 }
 
 // ownerRec remembers where a subscription lives and what it weighs, so
@@ -110,44 +99,14 @@ func composeID(shard int, seq uint64) uint64 {
 // ShardOf returns the virtual shard index packed into a hub ID.
 func ShardOf(hubID uint64) int { return int(hubID >> idShift) }
 
-type partition struct {
-	engine *core.Engine             // nil for scheme-backed partitions
-	slice  scheme.Slice             // always non-nil
-	enter  func(func() error) error // enclave call gate, or nil
-}
-
-func newPlacementFor(k int) (*placement.Map, error) {
-	shards := placement.DefaultShards
-	if k > shards {
-		shards = k
-	}
-	return placement.New(shards, k, 0)
-}
-
-func (h *Hub) initShards() {
-	h.shardSeq = make([]uint64, h.pm.Shards())
-	h.shardSubs = make([]int, h.pm.Shards())
-	h.shardBytes = make([]uint64, h.pm.Shards())
-}
-
-// SetEntryCost installs the per-subscription footprint estimator used
-// by the load accounting — typically a scheme footprint model's
-// EntryBytes. Must be set before the hub is used concurrently.
+// SetEntryCost installs the per-subscription footprint estimator
+// behind SliceLoads — typically a scheme footprint model's EntryBytes.
+// It prices what is stored and has no say in where: routers hash-place
+// with ShardForKey. Must be set before the hub is used concurrently.
 func (h *Hub) SetEntryCost(f func(encLen int) uint64) { h.entryCost = f }
 
-// SetSliceBudgets installs each slice's EPC budget in bytes; the typed
-// Register normalises slice byte loads by these when picking the
-// least-loaded shard. Safe to call again after a resize.
-func (h *Hub) SetSliceBudgets(budgets []uint64) {
-	h.mu.Lock()
-	h.budgets = append([]uint64(nil), budgets...)
-	h.mu.Unlock()
-}
-
-// entryBytes prices one stored subscription. encLen is the wire
-// encoding length, or -1 on the typed path where no encoding exists.
-// Without an estimator every subscription weighs 1, reducing
-// byte-weighted selection to subscription counting.
+// entryBytes prices one stored subscription from its wire encoding
+// length. Without an estimator every subscription weighs 1.
 func (h *Hub) entryBytes(encLen int) uint64 {
 	if h.entryCost == nil {
 		return 1
@@ -158,45 +117,11 @@ func (h *Hub) entryBytes(encLen int) uint64 {
 	return 1
 }
 
-// New builds a hub with k partitions whose engines are produced by
-// newEngine (called with the shared schema and the partition index).
-// enter optionally wraps engine calls in an enclave transition
-// (pass nil for plain slices).
-func New(k int, schema *pubsub.Schema,
-	newEngine func(i int, schema *pubsub.Schema) (*core.Engine, error),
-	enter func(i int, fn func() error) error) (*Hub, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("streamhub: need at least one partition, got %d", k)
-	}
-	if k > MaxPartitions {
-		return nil, fmt.Errorf("streamhub: %d partitions exceed the ID space (max %d)", k, MaxPartitions)
-	}
-	pm, err := newPlacementFor(k)
-	if err != nil {
-		return nil, fmt.Errorf("streamhub: %w", err)
-	}
-	h := &Hub{schema: schema, pm: pm, owner: make(map[uint64]ownerRec)}
-	h.initShards()
-	for i := 0; i < k; i++ {
-		engine, err := newEngine(i, schema)
-		if err != nil {
-			return nil, fmt.Errorf("streamhub: building partition %d: %w", i, err)
-		}
-		p := &partition{engine: engine, slice: scheme.NewPlainSlice(engine, schema)}
-		if enter != nil {
-			idx := i
-			p.enter = func(fn func() error) error { return enter(idx, fn) }
-		}
-		h.parts = append(h.parts, p)
-	}
-	return h, nil
-}
-
 // NewFromSlices builds a hub over pre-built scheme slices with a
 // default placement map (placement.DefaultShards virtual shards,
 // default seed).
 func NewFromSlices(schema *pubsub.Schema, slices []scheme.Slice) (*Hub, error) {
-	pm, err := newPlacementFor(len(slices))
+	pm, err := placement.New(max(placement.DefaultShards, len(slices)), len(slices), 0)
 	if err != nil {
 		return nil, fmt.Errorf("streamhub: %w", err)
 	}
@@ -207,8 +132,7 @@ func NewFromSlices(schema *pubsub.Schema, slices []scheme.Slice) (*Hub, error) {
 // caller-owned placement map — the broker's partitioned data plane,
 // where the matching scheme owns per-slice storage, the broker runs
 // its own fan-out and enclave transitions, and the placement map is
-// shared with the broker's migration engine. Only the encoded surface
-// applies; the typed normalised-subscription methods return errors.
+// shared with the broker's migration engine.
 func NewFromSlicesPlaced(schema *pubsub.Schema, slices []scheme.Slice, pm *placement.Map) (*Hub, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("streamhub: need at least one slice")
@@ -219,25 +143,19 @@ func NewFromSlicesPlaced(schema *pubsub.Schema, slices []scheme.Slice, pm *place
 	if pm.Slices() != len(slices) {
 		return nil, fmt.Errorf("streamhub: placement map covers %d slices, hub has %d", pm.Slices(), len(slices))
 	}
-	h := &Hub{schema: schema, pm: pm, owner: make(map[uint64]ownerRec)}
-	h.initShards()
+	h := &Hub{
+		schema: schema, pm: pm, owner: make(map[uint64]ownerRec),
+		shardSeq:   make([]uint64, pm.Shards()),
+		shardSubs:  make([]int, pm.Shards()),
+		shardBytes: make([]uint64, pm.Shards()),
+	}
 	for _, s := range slices {
 		if s == nil {
 			return nil, fmt.Errorf("streamhub: nil slice")
 		}
-		h.parts = append(h.parts, &partition{slice: s})
+		h.parts = append(h.parts, s)
 	}
 	return h, nil
-}
-
-// NewPlain builds a hub of k plain-memory slices with the default cost
-// model — the common StreamHub deployment where matchers are ordinary
-// processes.
-func NewPlain(k int, opts core.Options) (*Hub, error) {
-	schema := pubsub.NewSchema()
-	return New(k, schema, func(_ int, s *pubsub.Schema) (*core.Engine, error) {
-		return core.NewEngine(simmem.NewPlainAccessor(simmem.DefaultCost()), s, opts)
-	}, nil)
 }
 
 // Partitions returns the number of slices.
@@ -306,81 +224,6 @@ func (h *Hub) bumpSeq(id uint64) {
 	h.mu.Unlock()
 }
 
-// Register normalises the subscription and inserts it on the
-// least-loaded shard's slice (engine-backed hubs only). Load is the
-// owning slice's estimated store bytes normalised by its EPC budget,
-// so EPC-poor slices fill proportionally slower than EPC-rich ones;
-// ties break to the shard with the fewest bytes of its own.
-func (h *Hub) Register(spec pubsub.SubscriptionSpec, clientRef uint32) (uint64, error) {
-	sub, err := pubsub.Normalize(h.schema, spec)
-	if err != nil {
-		return 0, err
-	}
-	h.mu.Lock()
-	shard := h.leastLoadedShardLocked()
-	h.mu.Unlock()
-
-	target := h.pm.SliceOf(shard)
-	p := h.parts[target]
-	id := h.reserveID(shard)
-	register := func() error { return p.engine.RegisterAssigned(sub, clientRef, id) }
-	if p.enter != nil {
-		err = p.enter(register)
-	} else {
-		err = register()
-	}
-	if err != nil {
-		return 0, err
-	}
-	h.adopt(id, target, true, h.entryBytes(-1))
-	return id, nil
-}
-
-// leastLoadedShardLocked picks the shard whose owning slice carries
-// the smallest budget-normalised byte load. Comparisons cross-multiply
-// (bytesA·budgetB vs bytesB·budgetA) to stay in integers; a nil or
-// zero budget weights that slice equally with every other such slice.
-// Caller holds h.mu; the hub→placement lock order is the established
-// one.
-func (h *Hub) leastLoadedShardLocked() int {
-	sliceBytes := make([]uint64, len(h.parts))
-	sliceOf := make([]int, h.pm.Shards())
-	for s := range sliceOf {
-		sliceOf[s] = h.pm.SliceOf(s)
-		sliceBytes[sliceOf[s]] += h.shardBytes[s]
-	}
-	budget := func(slice int) uint64 {
-		if slice < len(h.budgets) && h.budgets[slice] > 0 {
-			return h.budgets[slice]
-		}
-		return 1
-	}
-	best := 0
-	for s := 1; s < len(sliceOf); s++ {
-		cur, prev := sliceOf[s], sliceOf[best]
-		l := sliceBytes[cur] * budget(prev)
-		r := sliceBytes[prev] * budget(cur)
-		if l < r || (l == r && h.shardBytes[s] < h.shardBytes[best]) {
-			best = s
-		}
-	}
-	return best
-}
-
-// Unregister removes a hub subscription.
-func (h *Hub) Unregister(hubID uint64) error {
-	target, ok := h.dropOwner(hubID)
-	if !ok {
-		return fmt.Errorf("streamhub: %w: %d", core.ErrUnknownSubscription, hubID)
-	}
-	p := h.parts[target]
-	remove := func() error { return p.slice.Unregister(hubID) }
-	if p.enter != nil {
-		return p.enter(remove)
-	}
-	return remove()
-}
-
 func (h *Hub) dropOwner(hubID uint64) (int, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -399,21 +242,9 @@ func (h *Hub) dropOwner(hubID uint64) (int, bool) {
 	return rec.slice, true
 }
 
-// The "In"/"At" methods below are the direct per-slice surface for
-// callers that run their own fan-out and enclave transitions — the
-// broker's partitioned router, whose per-partition resident workers
-// and registration ecalls are already inside the slice's enclave when
-// the hub is consulted. They skip the optional enter gate; everything
-// else (ID assignment, load accounting) matches the gated methods.
-
-// Engine returns partition i's engine (experiments and the broker's
-// per-slice meters read it). Nil for scheme-backed partitions whose
-// scheme is not engine-based.
-func (h *Hub) Engine(i int) *core.Engine { return h.parts[i].engine }
-
 // Slice returns partition i's scheme store — the broker configures
 // scheme parameters through it under its own partition locks.
-func (h *Hub) Slice(i int) scheme.Slice { return h.parts[i].slice }
+func (h *Hub) Slice(i int) scheme.Slice { return h.parts[i] }
 
 // OwnerSlice reports which slice currently holds a subscription.
 func (h *Hub) OwnerSlice(hubID uint64) (int, bool) {
@@ -424,9 +255,9 @@ func (h *Hub) OwnerSlice(hubID uint64) (int, bool) {
 }
 
 // RegisterEncodedAt ingests one wire-encoded subscription for shard
-// into slice target directly, with no call gate, returning its hub ID.
-// The caller resolves target = SliceForShard(shard) under whatever
-// fence keeps placement stable across the resolution and the insert.
+// into slice target, returning its hub ID. The caller resolves
+// target = SliceForShard(shard) under whatever fence keeps placement
+// stable across the resolution and the insert.
 func (h *Hub) RegisterEncodedAt(shard, target int, enc []byte, clientRef uint32) (uint64, error) {
 	if shard < 0 || shard >= h.pm.Shards() {
 		return 0, fmt.Errorf("streamhub: shard %d of %d", shard, h.pm.Shards())
@@ -434,9 +265,9 @@ func (h *Hub) RegisterEncodedAt(shard, target int, enc []byte, clientRef uint32)
 	if target < 0 || target >= len(h.parts) {
 		return 0, fmt.Errorf("streamhub: partition %d of %d", target, len(h.parts))
 	}
-	p := h.parts[target]
+	slice := h.parts[target]
 	id := h.reserveID(shard)
-	if err := p.slice.RegisterEncodedAssigned(enc, clientRef, id); err != nil {
+	if err := slice.RegisterEncodedAssigned(enc, clientRef, id); err != nil {
 		return 0, err
 	}
 	h.adopt(id, target, true, h.entryBytes(len(enc)))
@@ -453,7 +284,7 @@ func (h *Hub) RegisterEncodedAssigned(enc []byte, clientRef uint32, hubID uint64
 		return fmt.Errorf("streamhub: hub ID %d names shard %d, but the hub has %d", hubID, shard, h.pm.Shards())
 	}
 	target := h.pm.SliceOf(shard)
-	if err := h.parts[target].slice.RegisterEncodedAssigned(enc, clientRef, hubID); err != nil {
+	if err := h.parts[target].RegisterEncodedAssigned(enc, clientRef, hubID); err != nil {
 		return err
 	}
 	h.bumpSeq(hubID)
@@ -469,7 +300,7 @@ func (h *Hub) ImportAssigned(target int, enc []byte, clientRef uint32, hubID uin
 	if target < 0 || target >= len(h.parts) {
 		return fmt.Errorf("streamhub: partition %d of %d", target, len(h.parts))
 	}
-	if err := h.parts[target].slice.RegisterEncodedAssigned(enc, clientRef, hubID); err != nil {
+	if err := h.parts[target].RegisterEncodedAssigned(enc, clientRef, hubID); err != nil {
 		return err
 	}
 	h.bumpSeq(hubID)
@@ -488,25 +319,19 @@ func (h *Hub) DropCopy(slice int, hubID uint64) {
 	if ok && rec.slice == slice {
 		return
 	}
-	_ = h.parts[slice].slice.Unregister(hubID)
-}
-
-// MatchEncodedIn matches one wire-encoded publication header against
-// partition i only, appending to out. Stored IDs are hub IDs, so the
-// results need no rewriting.
-func (h *Hub) MatchEncodedIn(i int, enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
-	return h.parts[i].slice.MatchEncoded(enc, out)
+	_ = h.parts[slice].Unregister(hubID)
 }
 
 // MatchEncodedBatchIn matches a batch of wire-encoded publication
 // headers against partition i in one store pass, appending encs[j]'s
-// matches to out[j]. The per-item append semantics are the slice's
+// matches to out[j]. Stored IDs are hub IDs, so the results need no
+// rewriting. The per-item append semantics are the slice's
 // MatchEncodedBatch: items that fail to decode contribute nothing, and
 // the error return is reserved for whole-store failures. Safe to call
 // concurrently for different partitions (the broker's parallel fan-out
 // does).
 func (h *Hub) MatchEncodedBatchIn(i int, encs [][]byte, out [][]core.MatchResult) error {
-	return h.parts[i].slice.MatchEncodedBatch(encs, out)
+	return h.parts[i].MatchEncodedBatch(encs, out)
 }
 
 // AddSlice appends a new scheme slice to the hub (the grow half of a
@@ -519,7 +344,7 @@ func (h *Hub) AddSlice(s scheme.Slice) error {
 	if len(h.parts)+1 > h.pm.Shards() {
 		return fmt.Errorf("streamhub: %d slices exceed the %d-shard placement map", len(h.parts)+1, h.pm.Shards())
 	}
-	h.parts = append(h.parts, &partition{slice: s})
+	h.parts = append(h.parts, s)
 	return nil
 }
 
@@ -546,123 +371,16 @@ func (h *Hub) RemoveSlicesFrom(k int) error {
 	return nil
 }
 
-// RegisterNormalizedAt inserts an already-normalised subscription for
-// shard into slice target directly, with no call gate (engine-backed
-// hubs only).
-func (h *Hub) RegisterNormalizedAt(shard, target int, sub *pubsub.Subscription, clientRef uint32) (uint64, error) {
-	if shard < 0 || shard >= h.pm.Shards() {
-		return 0, fmt.Errorf("streamhub: shard %d of %d", shard, h.pm.Shards())
-	}
-	if target < 0 || target >= len(h.parts) {
-		return 0, fmt.Errorf("streamhub: partition %d of %d", target, len(h.parts))
-	}
-	p := h.parts[target]
-	id := h.reserveID(shard)
-	if err := p.engine.RegisterAssigned(sub, clientRef, id); err != nil {
-		return 0, err
-	}
-	h.adopt(id, target, true, h.entryBytes(-1))
-	return id, nil
-}
-
-// RegisterAssignedIn re-inserts a subscription under a previously
-// issued hub ID — the state-restore path. The target slice is resolved
-// through the placement map from the shard packed into the ID, so a
-// restored database lands where the current placement says its shard
-// lives.
-func (h *Hub) RegisterAssignedIn(sub *pubsub.Subscription, clientRef uint32, hubID uint64) error {
-	shard := ShardOf(hubID)
-	if shard >= h.pm.Shards() {
-		return fmt.Errorf("streamhub: hub ID %d names shard %d, but the hub has %d", hubID, shard, h.pm.Shards())
-	}
-	target := h.pm.SliceOf(shard)
-	if err := h.parts[target].engine.RegisterAssigned(sub, clientRef, hubID); err != nil {
-		return err
-	}
-	h.bumpSeq(hubID)
-	h.adopt(hubID, target, true, h.entryBytes(-1))
-	return nil
-}
-
-// UnregisterIn removes a hub subscription directly, with no call gate.
+// UnregisterIn removes a hub subscription from the slice that owns it.
 func (h *Hub) UnregisterIn(hubID uint64) error {
 	target, ok := h.dropOwner(hubID)
 	if !ok {
 		return fmt.Errorf("streamhub: %w: %d", core.ErrUnknownSubscription, hubID)
 	}
-	return h.parts[target].slice.Unregister(hubID)
+	return h.parts[target].Unregister(hubID)
 }
 
-// MatchSlice matches ev against one slice only, appending to out —
-// the per-partition half of Match for callers running their own
-// fan-out. Stored IDs are hub IDs, so the results need no rewriting.
-func (h *Hub) MatchSlice(i int, ev *pubsub.Event, out []core.MatchResult) ([]core.MatchResult, error) {
-	return h.parts[i].engine.MatchAppend(ev, out)
-}
-
-// MatchStats reports the simulated cost of one fan-out match.
-type MatchStats struct {
-	// MakespanCycles is the slowest slice's cycle count — the simulated
-	// latency when slices run in parallel (separate machines/cores).
-	MakespanCycles uint64
-	// TotalCycles sums all slices — the work a single machine would do.
-	TotalCycles uint64
-}
-
-// Match fans the event out to every slice in parallel and merges the
-// results.
-func (h *Hub) Match(ev *pubsub.Event) ([]core.MatchResult, MatchStats, error) {
-	type sliceResult struct {
-		idx     int
-		matches []core.MatchResult
-		cycles  uint64
-		err     error
-	}
-	results := make([]sliceResult, len(h.parts))
-	var wg sync.WaitGroup
-	for i, p := range h.parts {
-		wg.Add(1)
-		go func(i int, p *partition) {
-			defer wg.Done()
-			meter := p.engine.Accessor().Meter()
-			before := meter.C.Cycles
-			match := func() error {
-				var err error
-				results[i].matches, err = p.engine.Match(ev)
-				return err
-			}
-			var err error
-			if p.enter != nil {
-				err = p.enter(match)
-			} else {
-				err = match()
-			}
-			results[i] = sliceResult{
-				idx:     i,
-				matches: results[i].matches,
-				cycles:  meter.C.Cycles - before,
-				err:     err,
-			}
-		}(i, p)
-	}
-	wg.Wait()
-
-	var out []core.MatchResult
-	var stats MatchStats
-	for _, r := range results {
-		if r.err != nil {
-			return nil, stats, fmt.Errorf("streamhub: partition %d: %w", r.idx, r.err)
-		}
-		out = append(out, r.matches...)
-		stats.TotalCycles += r.cycles
-		if r.cycles > stats.MakespanCycles {
-			stats.MakespanCycles = r.cycles
-		}
-	}
-	return out, stats, nil
-}
-
-// Stats aggregates the partition engines.
+// Stats aggregates the slices.
 type Stats struct {
 	Partitions    int
 	Subscriptions int
@@ -672,28 +390,25 @@ type Stats struct {
 	Bytes uint64
 }
 
-// SliceLoads returns each slice's estimated store byte load (the sum
-// of entry-cost charges over the shards it owns) alongside its
-// configured EPC budget (0 when none was set) — the accounting the
-// byte-weighted Register balances, exposed for metrics and for
-// validating deployment plans against actuals.
-func (h *Hub) SliceLoads() (bytes, budgets []uint64) {
+// SliceLoads returns each slice's estimated store byte load: the sum
+// of entry-cost charges over the shards it owns. Accounting only —
+// exposed for metrics and for validating deployment plans against
+// actuals; nothing places by it.
+func (h *Hub) SliceLoads() []uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	bytes = make([]uint64, len(h.parts))
-	budgets = make([]uint64, len(h.parts))
+	bytes := make([]uint64, len(h.parts))
 	for s := 0; s < h.pm.Shards(); s++ {
 		bytes[h.pm.SliceOf(s)] += h.shardBytes[s]
 	}
-	copy(budgets, h.budgets)
-	return bytes, budgets
+	return bytes
 }
 
 // Stats returns hub statistics.
 func (h *Hub) Stats() Stats {
 	st := Stats{Partitions: len(h.parts)}
 	for _, p := range h.parts {
-		es := p.slice.Stats()
+		es := p.Stats()
 		st.Subscriptions += es.Subscriptions
 		st.PerPartition = append(st.PerPartition, es.Subscriptions)
 		st.Bytes += es.Bytes

@@ -1,6 +1,7 @@
 package streamhub
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,8 +12,107 @@ import (
 	"scbr/internal/simmem"
 )
 
+// The tests drive the hub the way the router does: subscriptions and
+// headers in the plain scheme's wire encoding, hash placement by
+// ShardForKey, and a caller-run loop over the slices for matching.
+
+func plainCodec(t testing.TB) scheme.Codec {
+	t.Helper()
+	codec, err := scheme.NewCodec(scheme.Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codec
+}
+
+func newPlainSlice(t testing.TB, acc simmem.Accessor, schema *pubsub.Schema) scheme.Slice {
+	t.Helper()
+	backend, err := scheme.Lookup(scheme.Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := backend.NewSlice(acc, schema, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slice
+}
+
+// newPlainHub builds a hub of k plain slices over plain memory.
+func newPlainHub(t testing.TB, k int) *Hub {
+	t.Helper()
+	schema := pubsub.NewSchema()
+	slices := make([]scheme.Slice, k)
+	for i := range slices {
+		slices[i] = newPlainSlice(t, simmem.NewPlainAccessor(simmem.DefaultCost()), schema)
+	}
+	hub, err := NewFromSlices(schema, slices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hub
+}
+
+// register hash-places one subscription like a router connection does
+// (key: the client reference and the encoding) and returns its hub ID
+// and the slice it landed on.
+func register(t testing.TB, hub *Hub, spec pubsub.SubscriptionSpec, clientRef uint32) (id uint64, target int, enc []byte) {
+	t.Helper()
+	enc, err := plainCodec(t).EncodeSubscription(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := hub.ShardForKey(binary.BigEndian.AppendUint32(nil, clientRef), enc)
+	target = hub.SliceForShard(shard)
+	if id, err = hub.RegisterEncodedAt(shard, target, enc, clientRef); err != nil {
+		t.Fatal(err)
+	}
+	return id, target, enc
+}
+
+func encodeEvent(t testing.TB, ev pubsub.EventSpec) []byte {
+	t.Helper()
+	enc, err := plainCodec(t).EncodeEvent(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// matchIn matches one encoded header against slice i.
+func matchIn(t testing.TB, hub *Hub, i int, enc []byte) []core.MatchResult {
+	t.Helper()
+	out := make([][]core.MatchResult, 1)
+	if err := hub.MatchEncodedBatchIn(i, [][]byte{enc}, out); err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
+}
+
+// matchAll matches one encoded header against every slice and merges
+// the results.
+func matchAll(t testing.TB, hub *Hub, enc []byte) []core.MatchResult {
+	t.Helper()
+	var out []core.MatchResult
+	for i := 0; i < hub.Partitions(); i++ {
+		out = append(out, matchIn(t, hub, i, enc)...)
+	}
+	return out
+}
+
+func priceAbove(v float64) pubsub.SubscriptionSpec {
+	return pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
+		{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(v)},
+	}}
+}
+
+func priceEvent(v float64) pubsub.EventSpec {
+	return pubsub.EventSpec{Attrs: []pubsub.NamedValue{{Name: "price", Value: pubsub.Float(v)}}}
+}
+
+var symbols = []string{"HAL", "IBM", "MSFT", "AAPL"}
+
 func randomSpec(rng *rand.Rand) pubsub.SubscriptionSpec {
-	symbols := []string{"HAL", "IBM", "MSFT", "AAPL"}
 	var preds []pubsub.Predicate
 	if rng.Intn(3) > 0 {
 		preds = append(preds, pubsub.Predicate{
@@ -25,24 +125,15 @@ func randomSpec(rng *rand.Rand) pubsub.SubscriptionSpec {
 	return pubsub.SubscriptionSpec{Predicates: preds}
 }
 
-func randomEvent(t *testing.T, rng *rand.Rand, schema *pubsub.Schema) *pubsub.Event {
-	t.Helper()
-	symbols := []string{"HAL", "IBM", "MSFT", "AAPL"}
-	ev, err := pubsub.NewEvent(schema, map[string]pubsub.Value{
-		"symbol": pubsub.Str(symbols[rng.Intn(len(symbols))]),
-		"price":  pubsub.Float(float64(rng.Intn(120))),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ev
+func randomEvent(rng *rand.Rand) pubsub.EventSpec {
+	return pubsub.EventSpec{Attrs: []pubsub.NamedValue{
+		{Name: "symbol", Value: pubsub.Str(symbols[rng.Intn(len(symbols))])},
+		{Name: "price", Value: pubsub.Float(float64(rng.Intn(120)))},
+	}}
 }
 
 func TestHubEquivalentToSingleEngine(t *testing.T) {
-	hub, err := NewPlain(4, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := newPlainHub(t, 4)
 	singleSchema := pubsub.NewSchema()
 	single, err := core.NewEngine(simmem.NewPlainAccessor(simmem.DefaultCost()), singleSchema, core.Options{})
 	if err != nil {
@@ -51,26 +142,18 @@ func TestHubEquivalentToSingleEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		spec := randomSpec(rng)
-		if _, err := hub.Register(spec, uint32(i)); err != nil {
-			t.Fatal(err)
-		}
+		register(t, hub, spec, uint32(i))
 		if _, err := single.Register(spec, uint32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 200; i++ {
-		evHub := randomEvent(t, rng, hub.schema)
-		evSingle, err := pubsub.NewEvent(singleSchema, map[string]pubsub.Value{
-			"symbol": {Kind: pubsub.KindString, S: mustGet(evHub, hub.schema, "symbol").S},
-			"price":  {Kind: pubsub.KindFloat, F: mustGet(evHub, hub.schema, "price").F},
-		})
+		ev := randomEvent(rng)
+		evSingle, err := ev.Intern(singleSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, _, err := hub.Match(evHub)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := matchAll(t, hub, encodeEvent(t, ev))
 		b, err := single.Match(evSingle)
 		if err != nil {
 			t.Fatal(err)
@@ -94,89 +177,87 @@ func TestHubEquivalentToSingleEngine(t *testing.T) {
 	}
 }
 
-func mustGet(ev *pubsub.Event, schema *pubsub.Schema, name string) pubsub.Value {
-	id, _ := schema.Lookup(name)
-	v, _ := ev.Get(id)
-	return v
-}
-
 func TestHubBalancesPartitions(t *testing.T) {
-	hub, err := NewPlain(4, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	// Hash placement spreads registrations over every slice, and the
+	// hub's byte account for a slice is exactly the entry-cost sum of
+	// what was placed there — through registration and removal.
+	hub := newPlainHub(t, 4)
+	cost := func(encLen int) uint64 { return 100 + uint64(encLen) }
+	hub.SetEntryCost(cost)
+	const n = 1000
+	type placed struct {
+		id     uint64
+		target int
+		bytes  uint64
 	}
+	var subs []placed
+	want := make([]uint64, hub.Partitions())
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		if _, err := hub.Register(randomSpec(rng), uint32(i)); err != nil {
-			t.Fatal(err)
+	for i := 0; i < n; i++ {
+		id, target, enc := register(t, hub, randomSpec(rng), uint32(i))
+		subs = append(subs, placed{id, target, cost(len(enc))})
+		want[target] += cost(len(enc))
+	}
+	checkLoads := func(when string) {
+		t.Helper()
+		for i, b := range hub.SliceLoads() {
+			if b != want[i] {
+				t.Fatalf("%s: slice %d load %d, want %d", when, i, b, want[i])
+			}
 		}
 	}
 	st := hub.Stats()
-	if st.Subscriptions != 1000 || st.Partitions != 4 {
+	if st.Subscriptions != n || st.Partitions != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// Register fills a shard of the least-loaded slice each time
-	// (budget-normalised; equal here), so slice loads stay within one
-	// of each other: 1000 subscriptions over 4 slices is exactly 250
-	// each — balance the old shard-count proxy could not guarantee
-	// when the placement map dealt slices unequal shard counts.
-	for i, n := range st.PerPartition {
-		if n != 250 {
-			t.Fatalf("partition %d holds %d subscriptions, want 250 (%v)", i, n, st.PerPartition)
+	sum := 0
+	for i, c := range st.PerPartition {
+		if c == 0 {
+			t.Fatalf("slice %d holds nothing after %d hash-placed registrations (%v)", i, n, st.PerPartition)
 		}
+		sum += c
 	}
-	loads, budgets := hub.SliceLoads()
-	for i, b := range loads {
-		if b != 250 {
-			t.Fatalf("slice %d load %d, want 250 (flat entry cost) (%v)", i, b, loads)
-		}
-		if budgets[i] != 0 {
-			t.Fatalf("slice %d budget %d, want 0 (none set)", i, budgets[i])
-		}
+	if sum != n {
+		t.Fatalf("per-partition counts %v sum to %d, want %d", st.PerPartition, sum, n)
 	}
-}
+	checkLoads("after registration")
 
-func TestHubBudgetWeightedPlacement(t *testing.T) {
-	hub, err := NewPlain(2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Slice 0 gets three times slice 1's EPC budget, so with a flat
-	// entry cost it should absorb three quarters of the registrations.
-	hub.SetSliceBudgets([]uint64{3 << 20, 1 << 20})
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		if _, err := hub.Register(randomSpec(rng), uint32(i)); err != nil {
+	for _, s := range subs[:n/4] {
+		if err := hub.UnregisterIn(s.id); err != nil {
 			t.Fatal(err)
 		}
+		want[s.target] -= s.bytes
 	}
-	st := hub.Stats()
-	if st.PerPartition[0] < 740 || st.PerPartition[0] > 760 {
-		t.Fatalf("budget-weighted placement: partitions hold %v, want ~[750 250]", st.PerPartition)
+	if st := hub.Stats(); st.Subscriptions != n-n/4 {
+		t.Fatalf("stats after unregister = %+v", st)
 	}
+	checkLoads("after unregister")
 }
 
 func TestHubParallelSpeedup(t *testing.T) {
-	// The makespan of a 4-way hub must be well below the total work —
-	// that is the point of partitioned matching.
-	hub, err := NewPlain(4, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The makespan of a 4-way hub — the slowest slice's simulated cycles
+	// per publication — must be well below the total work: that is the
+	// point of partitioned matching.
+	hub := newPlainHub(t, 4)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 4000; i++ {
-		if _, err := hub.Register(randomSpec(rng), uint32(i)); err != nil {
-			t.Fatal(err)
-		}
+		register(t, hub, randomSpec(rng), uint32(i))
 	}
 	var makespan, total uint64
 	for i := 0; i < 50; i++ {
-		_, stats, err := hub.Match(randomEvent(t, rng, hub.schema))
-		if err != nil {
-			t.Fatal(err)
+		enc := encodeEvent(t, randomEvent(rng))
+		var slowest uint64
+		for p := 0; p < hub.Partitions(); p++ {
+			meter := hub.Slice(p).Accessor().Meter()
+			before := meter.C.Cycles
+			matchIn(t, hub, p, enc)
+			cycles := meter.C.Cycles - before
+			total += cycles
+			if cycles > slowest {
+				slowest = cycles
+			}
 		}
-		makespan += stats.MakespanCycles
-		total += stats.TotalCycles
+		makespan += slowest
 	}
 	if makespan == 0 || total == 0 {
 		t.Fatal("no cycles recorded")
@@ -188,39 +269,20 @@ func TestHubParallelSpeedup(t *testing.T) {
 }
 
 func TestHubUnregister(t *testing.T) {
-	hub, err := NewPlain(2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
-		{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(0)},
-	}}
-	id, err := hub.Register(spec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := pubsub.NewEvent(hub.schema, map[string]pubsub.Value{"price": pubsub.Float(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := hub.Match(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hub := newPlainHub(t, 2)
+	id, _, _ := register(t, hub, priceAbove(0), 7)
+	ev := encodeEvent(t, priceEvent(5))
+	got := matchAll(t, hub, ev)
 	if len(got) != 1 || got[0].SubID != id {
 		t.Fatalf("match = %v, want hub id %d", got, id)
 	}
-	if err := hub.Unregister(id); err != nil {
+	if err := hub.UnregisterIn(id); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = hub.Match(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
+	if got = matchAll(t, hub, ev); len(got) != 0 {
 		t.Fatalf("match after unregister = %v", got)
 	}
-	if err := hub.Unregister(id); err == nil {
+	if err := hub.UnregisterIn(id); err == nil {
 		t.Fatal("double unregister succeeded")
 	}
 	if st := hub.Stats(); st.Subscriptions != 0 {
@@ -229,31 +291,40 @@ func TestHubUnregister(t *testing.T) {
 }
 
 func TestHubValidation(t *testing.T) {
-	if _, err := NewPlain(0, core.Options{}); err == nil {
+	schema := pubsub.NewSchema()
+	if _, err := NewFromSlices(schema, nil); err == nil {
 		t.Fatal("zero partitions accepted")
 	}
-	hub, err := NewPlain(1, core.Options{})
+	if _, err := NewFromSlices(schema, []scheme.Slice{nil}); err == nil {
+		t.Fatal("nil slice accepted")
+	}
+	hub := newPlainHub(t, 1)
+	// An empty subscription is refused by the slice, and a refused
+	// registration leaves no trace in the hub's accounts.
+	enc, err := pubsub.EncodeSubscriptionSpec(pubsub.SubscriptionSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.Register(pubsub.SubscriptionSpec{}, 1); err == nil {
-		t.Fatal("empty spec accepted")
+	for _, bad := range [][]byte{enc, []byte("not a subscription")} {
+		if _, err := hub.RegisterEncodedAt(0, 0, bad, 1); err == nil {
+			t.Fatalf("encoding %q accepted", bad)
+		}
+	}
+	if st := hub.Stats(); st.Subscriptions != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if loads := hub.SliceLoads(); loads[0] != 0 {
+		t.Fatalf("refused registrations were charged: %v", loads)
 	}
 }
 
 func TestHubDirectSliceAPI(t *testing.T) {
-	// The At/In methods are the gate-less surface the broker's
-	// partitioned router drives: hash placement onto virtual shards,
-	// shard→slice resolution, direct register/unregister, single slice
-	// matching, and ID-addressed re-registration for restore.
-	hub, err := NewPlain(4, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
-		{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(0)},
-	}}
-	sub, err := pubsub.Normalize(hub.Schema(), spec)
+	// The surface the broker's partitioned router drives: hash placement
+	// onto virtual shards, shard→slice resolution, direct
+	// register/unregister, single slice matching, and ID-addressed
+	// re-registration for restore.
+	hub := newPlainHub(t, 4)
+	enc, err := plainCodec(t).EncodeSubscription(priceAbove(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +342,7 @@ func TestHubDirectSliceAPI(t *testing.T) {
 	if target < 0 || target >= hub.Partitions() {
 		t.Fatalf("shard %d placed on slice %d of %d", shard, target, hub.Partitions())
 	}
-	id, err := hub.RegisterNormalizedAt(shard, target, sub, 7)
+	id, err := hub.RegisterEncodedAt(shard, target, enc, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,23 +352,17 @@ func TestHubDirectSliceAPI(t *testing.T) {
 	if owner, ok := hub.OwnerSlice(id); !ok || owner != target {
 		t.Fatalf("OwnerSlice(%d) = %d,%v, want %d", id, owner, ok, target)
 	}
-	ev, err := pubsub.NewEvent(hub.Schema(), map[string]pubsub.Value{"price": pubsub.Float(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := hub.MatchSlice(target, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := encodeEvent(t, priceEvent(5))
+	got := matchIn(t, hub, target, ev)
 	if len(got) != 1 || got[0].SubID != id || got[0].ClientRef != 7 {
-		t.Fatalf("MatchSlice = %v, want hub id %d for client 7", got, id)
+		t.Fatalf("slice %d matched %v, want hub id %d for client 7", target, got, id)
 	}
 	for i := 0; i < hub.Partitions(); i++ {
 		if i == target {
 			continue
 		}
-		if other, err := hub.MatchSlice(i, ev, nil); err != nil || len(other) != 0 {
-			t.Fatalf("slice %d matched %v (err %v), want empty", i, other, err)
+		if other := matchIn(t, hub, i, ev); len(other) != 0 {
+			t.Fatalf("slice %d matched %v, want empty", i, other)
 		}
 	}
 	if err := hub.UnregisterIn(id); err != nil {
@@ -308,28 +373,27 @@ func TestHubDirectSliceAPI(t *testing.T) {
 	}
 	// Restore lands the subscription back on the slice its shard
 	// occupies under the placement map.
-	if err := hub.RegisterAssignedIn(sub, 7, id); err != nil {
+	if err := hub.RegisterEncodedAssigned(enc, 7, id); err != nil {
 		t.Fatal(err)
 	}
-	got, err = hub.MatchSlice(target, ev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].SubID != id {
-		t.Fatalf("after restore, MatchSlice = %v, want %d", got, id)
+	if got = matchIn(t, hub, target, ev); len(got) != 1 || got[0].SubID != id {
+		t.Fatalf("after restore, slice %d matched %v, want %d", target, got, id)
 	}
 	if st := hub.Stats(); st.Subscriptions != 1 || st.PerPartition[target] != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	bad := composeID(hub.Placement().Shards(), 1)
-	if err := hub.RegisterAssignedIn(sub, 7, bad); err == nil {
-		t.Fatal("RegisterAssignedIn accepted an out-of-range shard")
+	if err := hub.RegisterEncodedAssigned(enc, 7, bad); err == nil {
+		t.Fatal("RegisterEncodedAssigned accepted an out-of-range shard")
 	}
-	if _, err := hub.RegisterNormalizedAt(hub.Placement().Shards(), target, sub, 7); err == nil {
-		t.Fatal("RegisterNormalizedAt accepted an out-of-range shard")
+	if _, err := hub.RegisterEncodedAt(hub.Placement().Shards(), target, enc, 7); err == nil {
+		t.Fatal("RegisterEncodedAt accepted an out-of-range shard")
 	}
-	if _, err := hub.RegisterNormalizedAt(shard, hub.Partitions(), sub, 7); err == nil {
-		t.Fatal("RegisterNormalizedAt accepted an out-of-range slice")
+	if _, err := hub.RegisterEncodedAt(-1, target, enc, 7); err == nil {
+		t.Fatal("RegisterEncodedAt accepted a negative shard")
+	}
+	if _, err := hub.RegisterEncodedAt(shard, hub.Partitions(), enc, 7); err == nil {
+		t.Fatal("RegisterEncodedAt accepted an out-of-range slice")
 	}
 }
 
@@ -339,14 +403,8 @@ func TestHubElasticResize(t *testing.T) {
 	// existing ID, DropCopy sweeps the stale copy, RemoveSlicesFrom
 	// refuses while a removed slice still owns subscriptions and
 	// succeeds after migration back.
-	hub, err := NewPlain(2, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
-		{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(0)},
-	}}
-	enc, err := pubsub.EncodeSubscriptionSpec(spec)
+	hub := newPlainHub(t, 2)
+	enc, err := plainCodec(t).EncodeSubscription(priceAbove(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +415,7 @@ func TestHubElasticResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Grow: a third slice joins the fan-out.
-	engine, err := core.NewEngine(simmem.NewPlainAccessor(simmem.DefaultCost()), hub.Schema(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hub.AddSlice(scheme.NewPlainSlice(engine, hub.Schema())); err != nil {
+	if err := hub.AddSlice(newPlainSlice(t, simmem.NewPlainAccessor(simmem.DefaultCost()), hub.Schema())); err != nil {
 		t.Fatal(err)
 	}
 	if hub.Partitions() != 3 {
@@ -374,28 +428,20 @@ func TestHubElasticResize(t *testing.T) {
 	if owner, ok := hub.OwnerSlice(id); !ok || owner != 2 {
 		t.Fatalf("OwnerSlice(%d) = %d,%v after import, want 2", id, owner, ok)
 	}
-	evEnc, err := pubsub.EncodeEventSpec(pubsub.EventSpec{Attrs: []pubsub.NamedValue{
-		{Name: "price", Value: pubsub.Float(5)},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := hub.MatchEncodedIn(2, evEnc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := encodeEvent(t, priceEvent(5))
+	got := matchIn(t, hub, 2, ev)
 	if len(got) != 1 || got[0].SubID != id || got[0].ClientRef != 9 {
 		t.Fatalf("new slice matched %v, want id %d for client 9", got, id)
 	}
 	// Both copies exist until the sweep; DropCopy on the owner is a
 	// refusal, on the source it removes the stale copy.
 	hub.DropCopy(2, id)
-	if got, err = hub.MatchEncodedIn(2, evEnc, nil); err != nil || len(got) != 1 {
-		t.Fatalf("DropCopy removed the owning copy: %v (err %v)", got, err)
+	if got = matchIn(t, hub, 2, ev); len(got) != 1 {
+		t.Fatalf("DropCopy removed the owning copy: %v", got)
 	}
 	hub.DropCopy(src, id)
-	if got, err = hub.MatchEncodedIn(src, evEnc, nil); err != nil || len(got) != 0 {
-		t.Fatalf("source still matches %v after DropCopy (err %v)", got, err)
+	if got = matchIn(t, hub, src, ev); len(got) != 0 {
+		t.Fatalf("source still matches %v after DropCopy", got)
 	}
 	// Shrink refuses while slice 2 owns the subscription.
 	if err := hub.RemoveSlicesFrom(2); err == nil {
@@ -412,8 +458,8 @@ func TestHubElasticResize(t *testing.T) {
 	if hub.Partitions() != 2 {
 		t.Fatalf("partitions = %d after shrink, want 2", hub.Partitions())
 	}
-	if got, err = hub.MatchEncodedIn(src, evEnc, nil); err != nil || len(got) != 1 || got[0].SubID != id {
-		t.Fatalf("after shrink, source matches %v (err %v), want id %d", got, err, id)
+	if got = matchIn(t, hub, src, ev); len(got) != 1 || got[0].SubID != id {
+		t.Fatalf("after shrink, source matches %v, want id %d", got, id)
 	}
 	if err := hub.UnregisterIn(id); err != nil {
 		t.Fatal(err)
@@ -421,41 +467,66 @@ func TestHubElasticResize(t *testing.T) {
 }
 
 func TestHubPartitionBound(t *testing.T) {
-	if _, err := NewPlain(MaxPartitions+1, core.Options{}); err == nil {
-		t.Fatalf("%d partitions accepted, ID top byte would overflow", MaxPartitions+1)
+	schema := pubsub.NewSchema()
+	slices := make([]scheme.Slice, MaxPartitions+1)
+	for i := range slices {
+		slices[i] = newPlainSlice(t, simmem.NewPlainAccessor(simmem.DefaultCost()), schema)
+	}
+	if _, err := NewFromSlices(schema, slices); err == nil {
+		t.Fatalf("%d partitions accepted, ID top byte would overflow", len(slices))
+	}
+	if _, err := NewFromSlices(schema, slices[:MaxPartitions]); err != nil {
+		t.Fatalf("%d partitions refused: %v", MaxPartitions, err)
 	}
 }
 
 func TestHubEnclaveSlices(t *testing.T) {
 	// Enclave-backed slices: each partition gets its own enclave, as
-	// the replicated key-management deployment of §3.4 would.
+	// the replicated key-management deployment of §3.4 would, and the
+	// caller enters it around every hub call that touches the store.
 	schema := pubsub.NewSchema()
-	enclaves := make([]*testEnclave, 0, 2)
-	hub, err := New(2, schema,
-		func(i int, s *pubsub.Schema) (*core.Engine, error) {
-			e, err := newTestEnclave()
-			if err != nil {
-				return nil, err
-			}
-			enclaves = append(enclaves, e)
-			return core.NewEngine(e.mem, s, core.Options{})
-		},
-		func(i int, fn func() error) error { return enclaves[i].ecall(fn) })
+	enclaves := make([]*testEnclave, 2)
+	slices := make([]scheme.Slice, len(enclaves))
+	for i := range enclaves {
+		e, err := newTestEnclave()
+		if err != nil {
+			t.Fatal(err)
+		}
+		enclaves[i] = e
+		slices[i] = newPlainSlice(t, e.mem, schema)
+	}
+	hub, err := NewFromSlices(schema, slices)
 	if err != nil {
 		t.Fatal(err)
 	}
+	codec := plainCodec(t)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
-		if _, err := hub.Register(randomSpec(rng), uint32(i)); err != nil {
+		enc, err := codec.EncodeSubscription(randomSpec(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := hub.ShardForKey(enc, []byte{byte(i)})
+		target := hub.SliceForShard(shard)
+		err = enclaves[target].ecall(func() error {
+			_, err := hub.RegisterEncodedAt(shard, target, enc, uint32(i))
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, stats, err := hub.Match(randomEvent(t, rng, schema))
-	if err != nil {
-		t.Fatal(err)
+	ev := encodeEvent(t, randomEvent(rng))
+	var cycles uint64
+	for i, e := range enclaves {
+		before := e.mem.Meter().C.Cycles
+		out := make([][]core.MatchResult, 1)
+		if err := e.ecall(func() error { return hub.MatchEncodedBatchIn(i, [][]byte{ev}, out) }); err != nil {
+			t.Fatal(err)
+		}
+		cycles += e.mem.Meter().C.Cycles - before
 	}
-	_ = got
-	if stats.TotalCycles == 0 {
+	if cycles == 0 {
 		t.Fatal("enclave slices recorded no cycles")
 	}
 	// Both enclaves saw transitions.

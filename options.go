@@ -106,7 +106,7 @@ func (s settings) engineOptions() core.Options {
 func WithEPC(n uint64) Option { return func(s *settings) { s.epcBytes = n } }
 
 // WithPadding pads every engine record to at least n bytes, matching
-// the paper's ≈437 B/subscription footprint (see EngineOptions).
+// the paper's ≈437 B/subscription footprint.
 func WithPadding(n int) Option { return func(s *settings) { s.padRecordTo = n } }
 
 // WithPartitions shards the router's subscription database across k

@@ -141,42 +141,3 @@ func TestFederationOptions(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// TestDeprecatedRouterShim keeps the positional-config constructor
-// working for old callers.
-func TestDeprecatedRouterShim(t *testing.T) {
-	dev, err := scbr.NewDevice([]byte("shim-dev"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	quoter, err := scbr.NewQuoter(dev, "shim-platform")
-	if err != nil {
-		t.Fatal(err)
-	}
-	signer, err := scbr.NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := scbr.NewRouterFromConfig(dev, quoter, scbr.RouterConfig{
-		EnclaveImage:  []byte("shim image"),
-		EnclaveSigner: signer.Public(),
-		EPCBytes:      2 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	if got := router.Enclave().Config().EPCBytes; got != 2<<20 {
-		t.Fatalf("EPCBytes = %d", got)
-	}
-	// Equivalent option form measures identically (same image, same
-	// config → same MRENCLAVE).
-	twin, err := scbr.NewRouter(dev, quoter, []byte("shim image"), signer.Public(), scbr.WithEPC(2<<20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	if router.Identity().MRENCLAVE != twin.Identity().MRENCLAVE {
-		t.Fatal("option form and config form measure differently")
-	}
-}

@@ -9,8 +9,7 @@
 //   - constructors take positional identity arguments plus functional
 //     Options — NewRouter(dev, quoter, image, signer,
 //     WithSwitchless(), WithEPC(n), WithPadding(n)) — instead of
-//     positional config structs (thin deprecated shims remain for the
-//     old forms),
+//     positional config structs,
 //
 //   - every blocking or network-touching operation takes a
 //     context.Context — Router.Serve(ctx, l), Publisher.Publish(ctx,
@@ -179,11 +178,6 @@ type (
 	Device = sgx.Device
 	// Enclave is a launched enclave instance.
 	Enclave = sgx.Enclave
-	// EnclaveConfig parameterises enclave launch.
-	//
-	// Deprecated: pass WithEPC, WithISV, and WithDebugEnclave options
-	// to the v1 constructors instead.
-	EnclaveConfig = sgx.EnclaveConfig
 	// Quoter converts enclave reports into attestation quotes.
 	Quoter = attest.Quoter
 	// AttestationService verifies quotes (the IAS stand-in).
@@ -216,11 +210,6 @@ func NewAttestationService() *AttestationService { return attest.NewService() }
 type (
 	// Router hosts the filtering engine inside an enclave.
 	Router = broker.Router
-	// RouterConfig parameterises a router.
-	//
-	// Deprecated: pass Options to NewRouter instead; RouterConfig
-	// remains only for NewRouterFromConfig.
-	RouterConfig = broker.RouterConfig
 	// Publisher is the service provider: key owner, admission
 	// controller, and data source.
 	Publisher = broker.Publisher
@@ -291,14 +280,6 @@ func NewRouter(dev *Device, quoter *Quoter, image []byte, signer *rsa.PublicKey,
 	return broker.NewRouter(dev, quoter, resolve(opts).routerConfig(image, signer))
 }
 
-// NewRouterFromConfig launches a router from a positional config
-// struct.
-//
-// Deprecated: use NewRouter with Options.
-func NewRouterFromConfig(dev *Device, quoter *Quoter, cfg RouterConfig) (*Router, error) {
-	return broker.NewRouter(dev, quoter, cfg)
-}
-
 // NewPublisher creates a publisher that provisions secrets only into
 // enclaves matching id, as vouched for by svc. WithScheme selects the
 // matching scheme the publisher encodes under (default SchemePlain);
@@ -321,11 +302,6 @@ func NewClient(id string) (*Client, error) { return broker.NewClient(id) }
 type (
 	// Engine is the containment-based matching engine.
 	Engine = core.Engine
-	// EngineOptions configure an Engine.
-	//
-	// Deprecated: pass WithPadding, WithCacheAlign, and
-	// WithoutSharding options to the engine constructors instead.
-	EngineOptions = core.Options
 	// MatchResult identifies one matching subscription.
 	MatchResult = core.MatchResult
 )
@@ -386,45 +362,6 @@ func NewSplitEngine(dev *Device, cacheBytes uint64, opts ...Option) (*Engine, *E
 		return nil, nil, err
 	}
 	return engine, enclave, nil
-}
-
-// NewPlainEngineFromOptions builds a plain engine from a positional
-// options struct.
-//
-// Deprecated: use NewPlainEngine with Options.
-func NewPlainEngineFromOptions(o EngineOptions) (*Engine, error) {
-	acc := simmem.NewPlainAccessor(simmem.DefaultCost())
-	return core.NewEngine(acc, pubsub.NewSchema(), o)
-}
-
-// NewEnclaveEngineFromConfig builds an enclave engine from positional
-// config structs.
-//
-// Deprecated: use NewEnclaveEngine with Options.
-func NewEnclaveEngineFromConfig(dev *Device, cfg EnclaveConfig, o EngineOptions) (*Engine, *Enclave, error) {
-	return NewEnclaveEngine(dev, fromStructs(cfg, o)...)
-}
-
-// NewSplitEngineFromConfig builds a split-memory engine from
-// positional config structs.
-//
-// Deprecated: use NewSplitEngine with Options.
-func NewSplitEngineFromConfig(dev *Device, cfg EnclaveConfig, cacheBytes uint64, o EngineOptions) (*Engine, *Enclave, error) {
-	return NewSplitEngine(dev, cacheBytes, fromStructs(cfg, o)...)
-}
-
-// fromStructs lifts the legacy config structs onto the option form so
-// the deprecated shims stay one-liners over the v1 constructors.
-func fromStructs(cfg EnclaveConfig, o EngineOptions) []Option {
-	return []Option{func(s *settings) {
-		s.epcBytes = cfg.EPCBytes
-		s.isvProdID = cfg.ISVProdID
-		s.isvSVN = cfg.ISVSVN
-		s.debug = cfg.Debug
-		s.padRecordTo = o.PadRecordTo
-		s.disableSharding = o.DisableSharding
-		s.cacheAlign = o.CacheAlign
-	}}
 }
 
 // Keys.

@@ -175,7 +175,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestEmbeddedEngines covers the facade's option-based engine
-// constructors and the deprecated struct shims.
+// constructors.
 func TestEmbeddedEngines(t *testing.T) {
 	plain, err := scbr.NewPlainEngine()
 	if err != nil {
@@ -210,16 +210,6 @@ func TestEmbeddedEngines(t *testing.T) {
 	// A split cache larger than the EPC is rejected.
 	if _, _, err := scbr.NewSplitEngine(dev, 2<<20, scbr.WithEPC(1<<20)); err == nil {
 		t.Fatal("oversized split cache accepted")
-	}
-	// Deprecated struct shims still build the same engines.
-	if _, err := scbr.NewPlainEngineFromOptions(scbr.EngineOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := scbr.NewEnclaveEngineFromConfig(dev, scbr.EnclaveConfig{}, scbr.EngineOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := scbr.NewSplitEngineFromConfig(dev, scbr.EnclaveConfig{}, 1<<20, scbr.EngineOptions{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
