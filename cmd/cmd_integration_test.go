@@ -131,8 +131,12 @@ func TestCLIFederation(t *testing.T) {
 
 // TestCLIDeployment drives router + publisher + subscriber end to end
 // once per registered matching scheme — the CLI half of the paper's
-// plain-vs-ASPE comparison. Setting SCBR_SCHEME restricts the run to
-// one scheme (the CI matrix does).
+// plain-vs-ASPE comparison — and twice more at slice counts that do not
+// divide the EPC budget page-evenly (one at -epc 0, the default budget),
+// where the identity the router writes to its trust bundle before it
+// launches must still be the one its slices measure to, or no publisher
+// attests it. Setting SCBR_SCHEME restricts the run to one scheme (the
+// CI matrix does).
 func TestCLIDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs three binaries")
@@ -144,17 +148,25 @@ func TestCLIDeployment(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
 		}
 	}
-	for _, schemeName := range []string{"sgx-plain", "aspe"} {
-		if only := os.Getenv("SCBR_SCHEME"); only != "" && only != schemeName {
+	for _, leg := range []struct {
+		name, scheme string
+		routerArgs   []string
+	}{
+		{"sgx-plain", "sgx-plain", nil},
+		{"aspe", "aspe", nil},
+		{"partitions=5", "sgx-plain", []string{"-partitions", "5"}},
+		{"partitions=7,epc=0", "sgx-plain", []string{"-partitions", "7", "-epc", "0"}},
+	} {
+		if only := os.Getenv("SCBR_SCHEME"); only != "" && only != leg.scheme {
 			continue
 		}
-		t.Run(schemeName, func(t *testing.T) {
-			runCLIDeployment(t, bin, schemeName)
+		t.Run(leg.name, func(t *testing.T) {
+			runCLIDeployment(t, bin, leg.scheme, leg.routerArgs...)
 		})
 	}
 }
 
-func runCLIDeployment(t *testing.T, bin, schemeName string) {
+func runCLIDeployment(t *testing.T, bin, schemeName string, routerArgs ...string) {
 	work := t.TempDir()
 	trust := filepath.Join(work, "trust.json")
 	pubKey := filepath.Join(work, "pub.json")
@@ -176,8 +188,8 @@ func runCLIDeployment(t *testing.T, bin, schemeName string) {
 		return cmd
 	}
 
-	start("scbr-router", "-listen", routerAddr, "-trust", trust, "-scheme", schemeName,
-		"-platform", "cli-"+schemeName)
+	start("scbr-router", append([]string{"-listen", routerAddr, "-trust", trust, "-scheme", schemeName,
+		"-platform", "cli-" + schemeName}, routerArgs...)...)
 	waitFile(t, trust)
 	waitListening(t, routerAddr)
 

@@ -9,7 +9,7 @@
 //	scbr-bench -fig8 -fig8subs 500000 -epc 93
 //
 // Times are simulated microseconds from the calibrated cost model of
-// internal/simmem (see DESIGN.md §2 and EXPERIMENTS.md).
+// internal/simmem (CostModel notes each constant's provenance).
 package main
 
 import (
@@ -53,7 +53,7 @@ func run() error {
 		cliffMB  = flag.Int("cliffepc", 4, "EPC budget in MB for the -cliff sweep")
 		cliffN   = flag.Int("cliffsubs", 16_000, "total subscriptions for the -cliff sweep")
 		cliffW   = flag.Int("cliffstep", 500, "-cliff window size")
-		artifact = flag.String("artifact", "", "write the -cliff result as a benchdiff artifact (JSON) to this path")
+		artifact = flag.String("artifact", "", "write the -cliff result as a JSON artifact (the shape of the committed BENCH_pr9.json) to this path")
 		commit   = flag.String("commit", "local", "commit label stamped into -artifact output")
 		sizes    = flag.String("sizes", "", "comma-separated database sizes (default paper sizes)")
 		pubs     = flag.Int("pubs", 0, "publications per measurement (default 1000)")
@@ -180,8 +180,9 @@ func run() error {
 	return nil
 }
 
-// benchArtifact is the microbenchmark artifact shape scbr-benchdiff
-// consumes (the BENCH_pr*.json chain).
+// benchArtifact is the shape of BENCH_pr9.json, the committed cliff
+// sweep TestCliffGolden compares a fresh run against: go-bench-style
+// lines under a commit label.
 type benchArtifact struct {
 	Commit string   `json:"commit"`
 	Ref    string   `json:"ref"`

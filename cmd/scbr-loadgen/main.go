@@ -5,11 +5,12 @@
 // storms, a flash crowd, and reconnect churn at the measured
 // listeners, and writes a self-describing JSON artifact with
 // throughput, delivery-latency percentiles, gap counts, and a host
-// baseline.
+// baseline. The question it answers is whether the topology stands up
+// and accounts for every delivery; its rates are one run's smoke.
 //
 // Usage:
 //
-//	scbr-loadgen -scenario smoke -out BENCH_pr6.json [-commit <sha>]
+//	scbr-loadgen -scenario smoke -out loadgen_smoke.json [-commit <sha>]
 //	scbr-loadgen -spec scenario.json -out out.json
 //	scbr-loadgen -list
 //

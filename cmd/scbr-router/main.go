@@ -57,9 +57,9 @@ import (
 	"time"
 
 	"scbr"
+	"scbr/internal/broker"
 	"scbr/internal/deploy"
 	"scbr/internal/sgx"
-	"scbr/internal/simmem"
 )
 
 // enclaveImage is the measured router code; publishers pin its
@@ -169,6 +169,10 @@ func run() error {
 	}
 	defer router.Close()
 	launched := router.Identity()
+	if launched != identity {
+		return fmt.Errorf("launched enclave MRENCLAVE=%x… is not the MRENCLAVE=%x… already written to %s: no publisher could attest this router",
+			launched.MRENCLAVE[:8], identity.MRENCLAVE[:8], *trust)
+	}
 	log.Printf("enclave launched: MRENCLAVE=%x…", launched.MRENCLAVE[:8])
 
 	if *metricsAddr != "" {
@@ -199,16 +203,11 @@ func run() error {
 
 // measureIdentity launches a throwaway enclave with the router's
 // per-slice launch parameters to learn the fleet identity without
-// building the router yet.
+// building the router yet. The EPC share is hashed into MRENCLAVE, so
+// it is the router's own computation of it.
 func measureIdentity(dev *scbr.Device, signer *scbr.KeyPair, epcBytes uint64, partitions int) (scbr.Identity, error) {
-	if partitions < 1 {
-		partitions = 1
-	}
-	epcPer := epcBytes / uint64(partitions)
-	if epcPer < simmem.PageSize {
-		epcPer = simmem.PageSize
-	}
-	probe, err := dev.Launch(enclaveImage, signer.Public(), sgx.EnclaveConfig{EPCBytes: epcPer})
+	probe, err := dev.Launch(enclaveImage, signer.Public(),
+		sgx.EnclaveConfig{EPCBytes: broker.SliceEPCShare(epcBytes, partitions)})
 	if err != nil {
 		return scbr.Identity{}, err
 	}

@@ -124,6 +124,6 @@ func run() error {
 		}
 		fmt.Printf("%s engine: sample publication matches %d subscriptions\n", name, len(matches))
 	}
-	fmt.Println("\ndone: split memory turns the paging cliff into a slope (see EXPERIMENTS.md)")
+	fmt.Println("\ndone: split memory turns the paging cliff into a slope (`scbr-bench -split` sweeps it)")
 	return nil
 }

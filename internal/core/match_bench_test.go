@@ -13,9 +13,9 @@ import (
 // of the load harnesses — symbol equality, a price band (a root of the
 // general shard), symbol plus a volume band — over 1,000 symbols, and
 // returns a stream of events over the same attributes.
-func quoteEngine(tb testing.TB, acc simmem.Accessor, n int) (*Engine, []*pubsub.Event) {
+func quoteEngine(tb testing.TB, acc simmem.Accessor, n int, opts Options) (*Engine, []*pubsub.Event) {
 	tb.Helper()
-	e, err := NewEngine(acc, pubsub.NewSchema(), Options{})
+	e, err := NewEngine(acc, pubsub.NewSchema(), opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -51,6 +51,40 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int) (*Engine, []*pubsub.
 	return e, evs
 }
 
+// benchMatch times MatchAppendBatch calls of n events each and reports
+// per event: ns/op, metered line lookups, simulated µs and, if any, EPC
+// faults.
+func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
+	out := make([][]MatchResult, n)
+	batch := func(i int) {
+		for j := range out {
+			out[j] = out[j][:0]
+		}
+		if err := e.MatchAppendBatch(evs[i*n%len(evs):][:n], out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < len(evs)/n; i++ {
+		batch(i) // grow the slots and the walk stack, fill the LLC model
+	}
+	meter := e.Accessor().Meter()
+	before := meter.C
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += n {
+		batch(i / n)
+	}
+	b.StopTimer()
+	events := float64((b.N + n - 1) / n * n)
+	d := meter.C.Sub(before)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
+	b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/events, "accesses/event")
+	b.ReportMetric(meter.Cost.Micros(d.Cycles)/events, "simus/event")
+	if d.PageFaults > 0 {
+		b.ReportMetric(float64(d.PageFaults)/events, "faults/event")
+	}
+}
+
 // BenchmarkMatchForest is the slice-match layer of the per-layer set:
 // events through a 10,000-subscription forest whose general shard
 // holds a third of them as roots, every access metered, one
@@ -61,44 +95,30 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int) (*Engine, []*pubsub.
 // the walk in an enclave whose EPC holds half the store: faults/event
 // is the paper's Fig. 8 cost, paid once per page per chunk.
 func BenchmarkMatchForest(b *testing.B) {
-	run := func(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
-		out := make([][]MatchResult, n)
-		batch := func(i int) {
-			for j := range out {
-				out[j] = out[j][:0]
-			}
-			if err := e.MatchAppendBatch(evs[i*n%len(evs):][:n], out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < len(evs)/n; i++ {
-			batch(i) // grow the slots and the walk stack, fill the LLC model
-		}
-		meter := e.Accessor().Meter()
-		before := meter.C
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += n {
-			batch(i / n)
-		}
-		b.StopTimer()
-		events := float64((b.N + n - 1) / n * n)
-		d := meter.C.Sub(before)
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
-		b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/events, "accesses/event")
-		b.ReportMetric(meter.Cost.Micros(d.Cycles)/events, "simus/event")
-		if d.PageFaults > 0 {
-			b.ReportMetric(float64(d.PageFaults)/events, "faults/event")
-		}
-	}
-	e, evs := quoteEngine(b, newPlainAcc(), 10_000)
+	e, evs := quoteEngine(b, newPlainAcc(), 10_000, Options{})
 	for _, n := range []int{1, 8, 32, 64} {
-		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { run(b, e, evs, n) })
+		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { benchMatch(b, e, evs, n) })
 	}
 	epc := e.Stats().Bytes / 2 &^ (simmem.PageSize - 1)
-	paged, evs := quoteEngine(b, launchTestEnclave(b, newTestDevice(b), epc).Memory(), 10_000)
+	paged, evs := quoteEngine(b, launchTestEnclave(b, newTestDevice(b), epc).Memory(), 10_000, Options{})
 	for _, n := range []int{1, 32} {
-		b.Run(fmt.Sprintf("epc=store÷2/batch=%d", n), func(b *testing.B) { run(b, paged, evs, n) })
+		b.Run(fmt.Sprintf("epc=store÷2/batch=%d", n), func(b *testing.B) { benchMatch(b, paged, evs, n) })
+	}
+}
+
+// BenchmarkAblationSharding prices the one place the index departs from
+// the paper's (internal/exp's package comment): the forest sharded by
+// equality value against a single root-scanned forest, one event per
+// call over the same 10,000 subscriptions.
+func BenchmarkAblationSharding(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"sharded", Options{}}, {"single-forest", Options{DisableSharding: true}}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e, evs := quoteEngine(b, newPlainAcc(), 10_000, tc.opts)
+			benchMatch(b, e, evs, 1)
+		})
 	}
 }
 
@@ -109,7 +129,7 @@ func BenchmarkMatchForest(b *testing.B) {
 // a string per string-equality node visited; the walk's stack and
 // masks are engine scratch and locals).
 func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
-	e, evs := quoteEngine(t, newPlainAcc(), 2_000)
+	e, evs := quoteEngine(t, newPlainAcc(), 2_000, Options{})
 	out := make([]MatchResult, 0, 4096)
 	i := 0
 	match := func() {

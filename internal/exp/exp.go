@@ -12,12 +12,12 @@
 // producer and decrypt them in the filter; plain configurations feed
 // pre-decoded events.
 //
-// Deviation note (also in EXPERIMENTS.md): this engine shards its
-// containment forests by equality value, so equality-heavy workloads
-// match substantially faster in absolute terms than the paper's
-// root-scanning engine. Relative orderings, cache/EPC knees, in/out
-// ratios, and the ASPE gap — the shapes the paper argues from — are
-// preserved.
+// Deviation note: this engine shards its containment forests by
+// equality value, so equality-heavy workloads match substantially
+// faster in absolute terms than the paper's root-scanning engine
+// (internal/core's BenchmarkAblationSharding prices the difference).
+// Relative orderings, cache/EPC knees, in/out ratios, and the ASPE gap
+// — the shapes the paper argues from — are preserved.
 package exp
 
 import (

@@ -82,8 +82,7 @@ type CellResult struct {
 	// not one the deployment is known to have sustained. DrainSecs adds
 	// the wait for the last delivery (or reported gap), and
 	// DrainedEventsPerSec is total events over publish + drain: the
-	// rate with every event accounted for inside the clock. (Artifacts
-	// from before the split carry the offered rate as events_per_sec.)
+	// rate with every event accounted for inside the clock.
 	PublishSecs         float64 `json:"publish_secs"`
 	OfferedEventsPerSec float64 `json:"offered_events_per_sec"`
 	DrainSecs           float64 `json:"drain_secs"`
@@ -124,7 +123,7 @@ type CellResult struct {
 	Counters broker.DeliveryCounters `json:"counters"`
 }
 
-// Result is the self-describing run artifact (BENCH_prN.json).
+// Result is the self-describing run artifact.
 type Result struct {
 	Harness   string       `json:"harness"`
 	Version   int          `json:"version"`

@@ -187,6 +187,35 @@ func TestRSAHybridRejectsCorruptWrap(t *testing.T) {
 	}
 }
 
+// BenchmarkRSAHybrid prices the client→publisher subscription leg: one
+// RSA key wrap plus the envelope, per 200-byte subscription. No other
+// harness times it (benchmark/ registers through RegisterBulk).
+func BenchmarkRSAHybrid(b *testing.B) {
+	kp, err := NewKeyPair(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := make([]byte, 200)
+	ct, err := EncryptPK(kp.Public(), sub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encrypt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := EncryptPK(kp.Public(), sub); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decrypt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := DecryptPK(kp, ct); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestSignVerify(t *testing.T) {
 	kp, err := NewKeyPair(nil)
 	if err != nil {

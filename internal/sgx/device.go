@@ -17,9 +17,9 @@
 //     (internal/attest turns these into quotes).
 //
 // SGX hardware is unavailable in this environment, so this package is
-// the substitution documented in DESIGN.md §2: every protection
-// mechanism is implemented as real, testable code; only latencies come
-// from the calibrated cost model.
+// the substitution: every protection mechanism is implemented as real,
+// testable code; only latencies come from the calibrated cost model
+// (internal/simmem, whose CostModel notes each constant's provenance).
 package sgx
 
 import (

@@ -8,8 +8,7 @@
 // unavailable, so this package generates a synthetic quote corpus with
 // the same shape — per-symbol price levels spanning cents to hundreds
 // of dollars, daily random walks over five years — and derives the
-// subscription datasets exactly as Table 1 specifies. DESIGN.md §2
-// records this substitution.
+// subscription datasets exactly as Table 1 specifies.
 package workload
 
 import (

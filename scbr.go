@@ -55,8 +55,8 @@
 //     (the service provider owning the keys and admission), and Client
 //     (a consumer),
 //   - the simulated SGX platform (Device, Quoter, attestation Service)
-//     that stands in for real hardware — see DESIGN.md for the
-//     substitution,
+//     that stands in for real hardware — internal/sgx's package
+//     comment describes the substitution,
 //   - the embedded matching engine (Engine) for applications that want
 //     content-based filtering without the distributed protocol,
 //   - the Table 1 workload generators used by the evaluation.
@@ -339,8 +339,8 @@ func NewEnclaveEngine(dev *Device, opts ...Option) (*Engine, *Enclave, error) {
 // the enclave and seals colder pages to untrusted memory itself,
 // instead of relying on hardware EPC paging. Use it for subscription
 // databases expected to outgrow the EPC — past that point it degrades
-// several times more gracefully than the default layout (see the
-// split ablation in EXPERIMENTS.md).
+// several times more gracefully than the default layout
+// (exp.AblationSplit; `scbr-bench -split` prints the sweep).
 func NewSplitEngine(dev *Device, cacheBytes uint64, opts ...Option) (*Engine, *Enclave, error) {
 	s := resolve(opts)
 	signer, err := scrypto.NewKeyPair(nil)
