@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"scbr/internal/pubsub"
 )
@@ -24,16 +25,16 @@ func (b *Bloom) add(id pubsub.AttrID, v float64) {
 	b[(h2/64)%bloomWords] |= 1 << (h2 % 64)
 }
 
-// subsetOf reports whether all bits of b are present in p — the
-// candidate test: false means the publication cannot satisfy the
-// subscription's equality constraints (no false negatives).
-func (b *Bloom) subsetOf(p *Bloom) bool {
-	for i := range b {
-		if b[i]&^p[i] != 0 {
-			return false
+// setBits yields the positions of the filter's set bits in ascending
+// order (a range-over-func iterator).
+func (b *Bloom) setBits(yield func(int) bool) {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			if !yield(w*64 + bits.TrailingZeros64(word)) {
+				return
+			}
 		}
 	}
-	return true
 }
 
 func bloomHashes(id pubsub.AttrID, v float64) (uint32, uint32) {

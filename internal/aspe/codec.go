@@ -155,17 +155,8 @@ func AppendPublication(buf []byte, ep *EncodedPublication) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodePublication parses AppendPublication output.
-func DecodePublication(raw []byte) (*EncodedPublication, error) {
-	var ep EncodedPublication
-	if err := DecodePublicationInto(raw, &ep); err != nil {
-		return nil, err
-	}
-	return &ep, nil
-}
-
-// DecodePublicationInto is DecodePublication reusing ep's point
-// storage — the batch matching path decodes whole publish-batches per
+// DecodePublicationInto parses AppendPublication output, reusing ep's
+// point storage: the matching path decodes a whole publish-batch per
 // scan and would otherwise allocate a point per item per slice.
 func DecodePublicationInto(raw []byte, ep *EncodedPublication) error {
 	hdr := 2 + 2 + 8*bloomWords

@@ -52,11 +52,11 @@ func FuzzDecodePublication(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{pubMagic, codecVer, 1, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dec, err := DecodePublication(raw)
-		if err != nil {
+		var dec EncodedPublication
+		if err := DecodePublicationInto(raw, &dec); err != nil {
 			return
 		}
-		out, err := AppendPublication(nil, dec)
+		out, err := AppendPublication(nil, &dec)
 		if err != nil {
 			t.Fatalf("accepted blob does not re-encode: %v", err)
 		}

@@ -160,15 +160,12 @@ func (c *aspeCodec) EncodeEvent(spec pubsub.EventSpec) ([]byte, error) {
 // The broker serialises all entries per partition, so the scratch
 // buffers and keyID need no locking.
 type aspeSlice struct {
-	store   *aspe.Store
-	keyID   string
-	scratch []aspe.Match
+	store *aspe.Store
+	keyID string
 
-	// Batch scratch, reused across MatchEncodedBatch calls: decoded
-	// publications (their point storage is recycled), the nil-able view
-	// handed to the store, and per-item match slots.
+	// Match scratch, reused across calls: decoded publications (their
+	// point storage is recycled) and per-item match slots.
 	eps      []*aspe.EncodedPublication
-	epView   []*aspe.EncodedPublication
 	batchOut [][]aspe.Match
 }
 
@@ -210,63 +207,63 @@ func (s *aspeSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id uin
 func (s *aspeSlice) Unregister(id uint64) error { return s.store.Unregister(id) }
 
 func (s *aspeSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
-	ep, err := aspe.DecodePublication(enc)
+	s.growScratch(1)
+	if err := aspe.DecodePublicationInto(enc, s.eps[0]); err != nil {
+		return nil, err
+	}
+	res, err := s.store.MatchEncoded(s.eps[0], s.batchOut[0][:0])
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.store.MatchEncoded(ep, s.scratch[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.scratch = res
-	for _, r := range res {
-		out = append(out, core.MatchResult{SubID: r.SubID, ClientRef: r.ClientRef})
-	}
-	return out, nil
+	s.batchOut[0] = res
+	return appendResults(out, res), nil
 }
 
 // MatchEncodedBatch decodes the whole batch into reused scratch and
-// hands it to the store's single-walk batch scan, which amortises
-// point norms, prefilter setup, and ciphertext-vector reads across
-// the items.
+// hands it to the store's chunked scan: one walk of the database per 64
+// items, every ciphertext vector read once per walk however many items
+// are still live on its subscription, with point norms, tolerances and
+// the transposed Bloom prefilter set up once per walk.
 func (s *aspeSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error {
 	if len(out) < len(encs) {
 		return fmt.Errorf("scheme: %s batch result slots %d < items %d", ASPE, len(out), len(encs))
 	}
-	for len(s.eps) < len(encs) {
-		s.eps = append(s.eps, new(aspe.EncodedPublication))
-	}
-	if cap(s.epView) < len(encs) {
-		s.epView = make([]*aspe.EncodedPublication, len(encs))
-	}
-	view := s.epView[:len(encs)]
+	s.growScratch(len(encs))
+	eps, slots := s.eps[:len(encs)], s.batchOut[:len(encs)]
 	for i, enc := range encs {
-		if err := aspe.DecodePublicationInto(enc, s.eps[i]); err != nil {
-			view[i] = nil // dropped, like the per-item decode error
-			continue
+		if err := aspe.DecodePublicationInto(enc, eps[i]); err != nil {
+			// Dropped, like the per-item decode error: no store has
+			// dimension 0, so the scan skips the item.
+			eps[i].Dim = 0
 		}
-		view[i] = s.eps[i]
-	}
-	if cap(s.batchOut) < len(encs) {
-		grown := make([][]aspe.Match, len(encs))
-		copy(grown, s.batchOut[:cap(s.batchOut)])
-		s.batchOut = grown
-	}
-	slots := s.batchOut[:len(encs)]
-	for i := range slots {
 		slots[i] = slots[i][:0]
 	}
-	if err := s.store.MatchEncodedBatch(view, slots); err != nil {
+	if err := s.store.MatchEncodedBatch(eps, slots); err != nil {
 		return err
 	}
-	for i := range slots {
-		for _, r := range slots[i] {
-			out[i] = append(out[i], core.MatchResult{SubID: r.SubID, ClientRef: r.ClientRef})
-		}
+	for i, res := range slots {
+		out[i] = appendResults(out[i], res)
 	}
 	return nil
 }
 
+// growScratch makes room for n decoded publications and match slots.
+func (s *aspeSlice) growScratch(n int) {
+	for len(s.eps) < n {
+		s.eps = append(s.eps, new(aspe.EncodedPublication))
+		s.batchOut = append(s.batchOut, nil)
+	}
+}
+
+func appendResults(out []core.MatchResult, res []aspe.Match) []core.MatchResult {
+	for _, r := range res {
+		out = append(out, core.MatchResult{SubID: r.SubID, ClientRef: r.ClientRef})
+	}
+	return out
+}
+
+// Stats reports the arena footprint as Bytes: the peak live set of
+// vectors, since the store reuses unregistered slots.
 func (s *aspeSlice) Stats() SliceStats {
 	return SliceStats{Subscriptions: s.store.Len(), Bytes: s.store.Bytes()}
 }

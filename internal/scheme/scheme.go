@@ -114,12 +114,13 @@ type Slice interface {
 	// MatchEncoded results, in the same per-item order. The error
 	// return is reserved for whole-store failures (an unconfigured
 	// store), where every per-item call would have failed identically.
-	// Both schemes pass over the store once per batch rather than once
-	// per item: ASPE reads each ciphertext vector once (point norms,
-	// tolerance and prefilter set up once), sgx-plain walks each
-	// containment forest once per 64 items with the set of items still
-	// live on the path. A stored line is therefore metered once per
-	// pass, while per-item compute is still charged per item.
+	// Both schemes pass over the store once per chunk of 64 items rather
+	// than once per item, the items still live on the path one bit each
+	// of a mask: ASPE scans its subscriptions, the Bloom prefilter and
+	// then each sign test clearing bits, and reads a ciphertext vector
+	// once while any item is live on it; sgx-plain walks each
+	// containment forest once. A stored line is therefore metered once
+	// per pass, while per-item compute is still charged per item.
 	MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error
 	// Stats summarises the store.
 	Stats() SliceStats
