@@ -44,8 +44,7 @@ var exempt = map[string]bool{
 
 // hubMethods are streamhub.Hub's direct per-slice store touches.
 var hubMethods = map[string]bool{
-	"MatchEncodedBatchIn": true, "RegisterEncodedAt": true,
-	"RegisterEncodedAssigned": true, "ImportAssigned": true,
+	"MatchEncodedBatchIn": true, "RegisterEncodedAt": true, "RegisterEncodedAssigned": true,
 	"UnregisterIn": true, "DropCopy": true,
 }
 

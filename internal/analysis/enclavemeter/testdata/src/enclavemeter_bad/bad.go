@@ -19,6 +19,13 @@ func nakedSliceTouch(s scheme.Slice, enc []byte) {
 	s.RegisterEncoded(enc, 1) // want `RegisterEncoded touches the matcher store outside the metered enclave boundary`
 }
 
+// nakedInsertByID replays or migrates a subscription under its issued
+// ID — the hub's one insert-by-ID — without entering the slice's
+// enclave.
+func nakedInsertByID(h *streamhub.Hub, enc []byte) {
+	h.RegisterEncodedAssigned(0, enc, 1, 7) // want `RegisterEncodedAssigned touches the matcher store outside the metered enclave boundary`
+}
+
 // escapedGoroutine spawns a goroutine from inside the Ecall body: the
 // literal outlives the enclave entry, so its store touch is unmetered.
 func escapedGoroutine(e *sgx.Enclave, h *streamhub.Hub) {

@@ -24,6 +24,14 @@ func sliceInsideEcall(e *sgx.Enclave, s scheme.Slice, enc []byte) error {
 	})
 }
 
+// insertByIDInsideEcall is restore's and migration's shape: the hub's
+// one insert under an issued ID, inside the target slice's entry.
+func insertByIDInsideEcall(e *sgx.Enclave, h *streamhub.Hub, enc []byte) error {
+	return e.Ecall(func() error {
+		return h.RegisterEncodedAssigned(0, enc, 1, 7)
+	})
+}
+
 // residentWorker declares itself a charged boundary: its enclave entry
 // is paid once via ChargeTransition by the ring dispatcher, so per-call
 // Ecall wrapping would double-charge.

@@ -362,16 +362,22 @@ func TestForgedRegistrationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Even with a well-formed body, the signature check must fail.
-	if err := Send(conn, &Message{Type: TypeRegister, ClientID: "mallory", Blob: raw, Sig: []byte("forged")}); err != nil {
-		t.Fatal(err)
+	// Even with a well-formed body, a foreign signature and a missing
+	// one must both fail the check, and register nothing.
+	for _, sig := range [][]byte{[]byte("forged"), nil} {
+		if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: raw}}, Sig: sig}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := Recv(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Type != TypeError || !strings.Contains(reply.Err, "signature") {
+			t.Fatalf("forged registration (sig %q) reply = %+v", sig, reply)
+		}
 	}
-	reply, err := Recv(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != TypeError || !strings.Contains(reply.Err, "signature") {
-		t.Fatalf("forged registration reply = %+v", reply)
+	if got := sys.router.DataPlaneStats().Subscriptions; got != 0 {
+		t.Fatalf("forged registrations left %d subscriptions", got)
 	}
 }
 
@@ -413,7 +419,7 @@ func TestPublishBeforeProvisioningFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := Send(conn, &Message{Type: TypeRegister, ClientID: "x", Blob: []byte("b"), Sig: []byte("s")}); err != nil {
+	if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "x", Items: []BatchItem{{Blob: []byte("b")}}, Sig: []byte("s")}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := Recv(conn)

@@ -234,21 +234,13 @@ func dedupMatches(merged []core.MatchResult) []core.MatchResult {
 	return out
 }
 
-// equipPartition gives one partition its job queue (its resident
-// worker is launched separately, once the partition is in r.parts).
-func equipPartition(p *partition) {
-	p.jobs = make(chan *matchJob, pipelineDepth)
-	p.workerDone = make(chan struct{})
-}
-
 // startPipeline brings up the per-slice workers and the merger. Called
-// once from NewRouter; slices added later by Repartition are equipped
-// and started individually.
+// once from NewRouter; the workers of slices added later by
+// Repartition are started individually.
 func (r *Router) startPipeline() {
 	r.merge = make(chan *matchJob, pipelineDepth)
 	r.mergerDone = make(chan struct{})
 	for _, p := range r.parts {
-		equipPartition(p)
 		go r.sliceWorker(p)
 	}
 	go r.deliveryMerger()

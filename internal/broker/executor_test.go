@@ -134,12 +134,7 @@ func buildCorpus(t *testing.T, pub *Publisher, batch int) *corpus {
 			}})
 		}
 		for _, spec := range specs {
-			blob := seal(pubsub.EncodeSubscriptionSpec(spec))
-			sig, err := scrypto.Sign(pubKeys(pub), signedRegistration(blob, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.registers = append(c.registers, &Message{Type: TypeRegister, ClientID: name, Blob: blob, Sig: sig})
+			c.registers = append(c.registers, registerFrame(t, pub, name, seal(pubsub.EncodeSubscriptionSpec(spec))))
 		}
 	}
 	quote := func(symbol string, price float64) []byte {
@@ -206,7 +201,7 @@ func replayCorpus(t *testing.T, r *Router, pub *Publisher, c *corpus, k2 int) co
 		if err := Send(script, m); err != nil {
 			t.Fatal(err)
 		}
-		if err := expect(mustRecv(t, script), TypeRegisterOK); err != nil {
+		if err := expect(mustRecv(t, script), TypeRegisterBatchOK); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,13 @@
 //	⑤ router (enclave):    decrypt header, match against the index
 //	⑥ router → clients:    forward the still-encrypted payload
 //
+// Steps ② and ③ have one form: a register-batch frame of n ≥ 1
+// subscriptions for one client under one signature, whether it carries
+// a client's single Subscribe or a bulk-loaded population. The
+// signature is checked where outside input arrives; a registration
+// replayed from sealed state or moved between slices is authenticated
+// by the enclave seal it travelled under and is not re-verified.
+//
 // Before any of this, the publisher remote-attests the router's
 // enclave and provisions SK (internal/attest). Payload group keys
 // rotate on revocation so departed clients cannot read new messages.
@@ -46,12 +53,10 @@ const (
 	TypeProvisionReq MsgType = "provision-req"
 	TypeProvisionKey MsgType = "provision-key"
 	TypeProvisionOK  MsgType = "provision-ok"
-	TypeRegister     MsgType = "register"
-	TypeRegisterOK   MsgType = "register-ok"
-	// TypeRegisterBatch carries many registrations for one client in a
-	// single frame, authenticated by one publisher signature over a
-	// digest of the whole batch (see signedRegistrationBatch) instead of
-	// one RSA signature per subscription — the bulk-load path that makes
+	// TypeRegisterBatch is the registration frame: n ≥ 1 registrations
+	// for one client, authenticated by one publisher signature over a
+	// digest of the whole frame (see signedRegistrationBatch) — one RSA
+	// signature however many subscriptions, which is what makes
 	// million-subscription populations affordable. Items carry the
 	// scheme-encoded (and, for sealed-exchange schemes, SK-sealed)
 	// subscription blobs; Payload stays empty. The ack echoes the

@@ -45,10 +45,7 @@ import (
 	"fmt"
 	"time"
 
-	"scbr/internal/core"
 	"scbr/internal/placement"
-	"scbr/internal/scheme"
-	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
 	"scbr/internal/streamhub"
 )
@@ -189,10 +186,10 @@ func groupMoves(moves []placement.Move) []moveGroup {
 	return groups
 }
 
-// growSlices launches slices cur..k-1 from the same enclave image with
-// the same per-slice EPC share, re-applies the provisioned scheme
-// parameters, and splices them into the data plane under the state and
-// plane fences.
+// growSlices launches slices cur..k-1 (launchSlice: the same enclave
+// image, the same per-slice EPC share), re-applies the provisioned
+// scheme parameters, and splices them into the data plane under the
+// state and plane fences.
 func (r *Router) growSlices(cur, k int) error {
 	r.keyMu.RLock()
 	params := append([]byte(nil), r.schemeParams...)
@@ -206,32 +203,18 @@ func (r *Router) growSlices(cur, k int) error {
 		}
 	}
 	for i := cur; i < k; i++ {
-		enclave, err := r.dev.Launch(r.cfg.EnclaveImage, r.cfg.EnclaveSigner,
-			sgx.EnclaveConfig{EPCBytes: r.epcPer})
+		p, err := r.launchSlice(i)
 		if err != nil {
 			undo()
-			return fmt.Errorf("broker: launching slice enclave: %w", err)
+			return err
 		}
-		p := &partition{idx: i, enclave: enclave}
-		slice, err := r.backend.NewSlice(enclave.Memory(), r.schema, core.Options{PadRecordTo: r.cfg.PadRecordTo})
-		if err != nil {
-			enclave.Terminate()
-			undo()
-			return fmt.Errorf("broker: building slice store: %w", err)
-		}
-		p.slice = slice
-		if ps, isPlain := slice.(*scheme.PlainSlice); isPlain {
-			p.engine = ps.Engine()
-		}
+		fresh = append(fresh, p)
 		if provisioned {
-			if err := enclave.Ecall(func() error { return slice.Configure(params) }); err != nil {
-				enclave.Terminate()
+			if err := p.enclave.Ecall(func() error { return p.slice.Configure(params) }); err != nil {
 				undo()
 				return fmt.Errorf("broker: configuring scheme parameters on new slice %d: %w", i, err)
 			}
 		}
-		equipPartition(p)
-		fresh = append(fresh, p)
 	}
 
 	r.stateMu.Lock()
@@ -379,19 +362,13 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 		entries = export.Entries
 	}
 
-	// 3–4. Two-copy window: arm delivery dedup, then import each entry
-	// into the destination under its original ID. Per-entry
+	// 3–4. Two-copy window: arm delivery dedup, then ingest each entry
+	// into the destination under its original ID — the registration
+	// path's own ingest; the seal authenticated the entries. Per-entry
 	// serialisation against removals (migEntryMu) keeps a remove from
-	// being resurrected; the AEAD seal already authenticated the
-	// entries, so the per-item signature check is skipped exactly as
-	// the batch-replay path does.
-	sk, _ := r.keys()
+	// being resurrected.
 	var imported []uint64
 	if len(entries) > 0 {
-		if sk == nil {
-			commit()
-			return 0, 0, ErrNotProvisioned
-		}
 		r.dedupActive.Store(true)
 		var failed int
 		var firstErr error
@@ -401,31 +378,17 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 				r.migEntryMu.Unlock()
 				continue
 			}
-			dst.mu.Lock()
-			ierr := dst.enclave.Ecall(func() error {
-				enc := ent.Blob
-				if r.backend.Caps.SealedExchange {
-					plain, openErr := scrypto.Open(sk, ent.Blob)
-					if openErr != nil {
-						return fmt.Errorf("decrypting subscription %d: %w", ent.SubID, openErr)
-					}
-					dst.slice.Accessor().Meter().ChargeAES(len(ent.Blob))
-					enc = plain
-				}
-				return r.hub.ImportAssigned(g.to, enc, r.refFor(ent.ClientID), ent.SubID)
-			})
-			dst.mu.Unlock()
+			_, _, _, ierr := r.ingestRegistration(streamhub.ShardOf(ent.SubID), g.to, ent.ClientID, ent.Blob, ent.SubID)
 			r.migEntryMu.Unlock()
 			if ierr != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = ierr
+				if failed++; firstErr == nil {
+					firstErr = fmt.Errorf("subscription %d: %w", ent.SubID, ierr)
 				}
 				continue
 			}
 			imported = append(imported, ent.SubID)
-			subsMoved++
 		}
+		subsMoved = uint64(len(imported))
 		if failed > 0 {
 			err = fmt.Errorf("%d of %d entries failed to import (left on the source slice): %w", failed, len(entries), firstErr)
 		}

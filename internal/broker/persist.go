@@ -18,13 +18,18 @@ import (
 // serving a stale (rolled-back) snapshot.
 //
 // The router seals (a) the provisioned secrets and (b) its
-// registration log — the signed, SK-encrypted subscriptions exactly as
-// the publisher submitted them. Restore replays the log through the
-// same validation path as live registrations, reproducing the
-// subscription IDs clients hold: each ID carries its partition index,
-// so every subscription lands back on the slice that issued it. The
-// log is unordered (removal back-fills), which is fine — replay
-// assigns explicit IDs, so log order is immaterial.
+// registration log — the scheme-encoded (SK-sealed, for sealed-exchange
+// schemes) subscriptions exactly as the publisher submitted them.
+// Restore replays the log through the ingest function live
+// registrations take, reproducing the subscription IDs clients hold:
+// each ID carries its shard, so every subscription lands back on the
+// slice the sealed placement table gives that shard. The publisher's
+// signature is not kept: it was checked when the frame arrived, and a
+// replayed entry is authenticated by the seal — MRENCLAVE-bound and
+// counter-bound, so the untrusted host can neither alter nor inject
+// nor roll back an entry without failing the unseal. The log is
+// unordered (removal back-fills), which is fine — replay assigns
+// explicit IDs, so log order is immaterial.
 //
 // Sealing happens in the attestation slice (partition 0); all slices
 // share one measured identity, so the blob binds to the fleet's code.
@@ -41,14 +46,6 @@ type logEntry struct {
 	SubID    uint64 `json:"sub_id"`
 	ClientID string `json:"client_id"`
 	Blob     []byte `json:"blob"` // {s}SK
-	Sig      []byte `json:"sig,omitempty"`
-	// Batch marks an entry accepted through a register-batch frame: it
-	// carries no per-item signature — the batch signature verified at
-	// ingest covered it. Replay skips the per-item check for these;
-	// the sealed state blob is AEAD-authenticated under the enclave
-	// seal key, so the untrusted host cannot alter or inject entries
-	// without failing the unseal.
-	Batch bool `json:"batch,omitempty"`
 }
 
 // routerState is the sealed snapshot.
@@ -68,11 +65,7 @@ type routerState struct {
 	// Shards/Slices/Placement snapshot the movable placement map (the
 	// committed shard→slice table) at seal time, so a restored router
 	// replays each subscription onto the slice its shard lived on —
-	// including placements produced by online repartitioning. Absent
-	// in pre-placement blobs; those replay into the restoring router's
-	// own placement (shard indices were partition indices then, and
-	// every lookup goes through the ownership index, so clients' held
-	// IDs stay valid either way).
+	// including placements produced by online repartitioning.
 	Shards    int   `json:"shards,omitempty"`
 	Slices    int   `json:"slices,omitempty"`
 	Placement []int `json:"placement,omitempty"`
@@ -142,20 +135,21 @@ func (r *Router) SealState() ([]byte, error) {
 
 // RestoreState rehydrates a router from a sealed snapshot: secrets are
 // unsealed inside the enclave, the counter binding is checked against
-// the platform counter, and the registration log is replayed through
-// full signature verification and decryption onto the partitions the
-// logged IDs name. The router must be freshly constructed (no
-// provisioning, no registrations) and must have been built with the
-// partition count that sealed the snapshot — and with the same
-// per-slice EPC share, since the share enters the measured identity
-// the blob is sealed to (restoring a fleet resized by Repartition
-// means scaling EPCBytes with the partition count).
+// the platform counter, and the registration log is replayed —
+// decrypted and indexed, trusting the seal for authenticity — onto the
+// slices the sealed placement table gives the logged IDs' shards. The
+// router must be freshly constructed (no provisioning, no
+// registrations) and must have been built with the shard and partition
+// counts that sealed the snapshot — and with the same per-slice EPC
+// share, since the share enters the measured identity the blob is
+// sealed to (restoring a fleet resized by Repartition means scaling
+// EPCBytes with the partition count).
 func (r *Router) RestoreState(blob []byte) error {
 	r.keyMu.RLock()
 	provisioned := r.sk != nil
 	r.keyMu.RUnlock()
 	r.ctlMu.RLock()
-	populated := len(r.subOwner) > 0
+	populated := len(r.regLog) > 0
 	r.ctlMu.RUnlock()
 	if provisioned || populated {
 		return errors.New("broker: restore requires a fresh router")
@@ -197,19 +191,17 @@ func (r *Router) RestoreState(blob []byte) error {
 	if err := r.configureSlices(state.SchemeParams); err != nil {
 		return fmt.Errorf("broker: restoring scheme parameters: %w", err)
 	}
-	if state.Shards != 0 {
-		// Reinstate the sealed shard→slice table before replaying, so
-		// every subscription lands on the slice its shard occupied at
-		// seal time — including placements shaped by online resizes.
-		if state.Shards != r.pm.Shards() {
-			return fmt.Errorf("broker: sealed state uses %d placement shards, router has %d (restore with the sealing shard count)", state.Shards, r.pm.Shards())
-		}
-		if state.Slices != len(r.parts) {
-			return fmt.Errorf("broker: sealed placement covers %d slices, router has %d (restore with the sealing partition count)", state.Slices, len(r.parts))
-		}
-		if err := r.pm.Install(state.Placement, state.Slices); err != nil {
-			return fmt.Errorf("broker: %w", err)
-		}
+	// Reinstate the sealed shard→slice table before replaying, so every
+	// subscription lands on the slice its shard occupied at seal time —
+	// including placements shaped by online resizes.
+	if state.Shards != r.pm.Shards() {
+		return fmt.Errorf("broker: sealed state uses %d placement shards, router has %d (restore with the sealing shard count)", state.Shards, r.pm.Shards())
+	}
+	if state.Slices != len(r.parts) {
+		return fmt.Errorf("broker: sealed placement covers %d slices, router has %d (restore with the sealing partition count)", state.Slices, len(r.parts))
+	}
+	if err := r.pm.Install(state.Placement, state.Slices); err != nil {
+		return fmt.Errorf("broker: %w", err)
 	}
 	r.keyMu.Lock()
 	r.sk = sk
@@ -232,27 +224,21 @@ func (r *Router) RestoreState(blob []byte) error {
 	return nil
 }
 
-// replayRegistration re-validates and re-indexes one logged
-// registration under its original ID, on the slice the placement map
-// assigns its shard, through the same scheme-dispatched ingest path
-// live registrations take.
+// replayRegistration re-indexes one logged registration under its
+// original ID, on the slice the placement map assigns its shard,
+// through the ingest function live registrations take.
 func (r *Router) replayRegistration(ent logEntry) error {
 	shard := streamhub.ShardOf(ent.SubID)
 	if shard >= r.pm.Shards() {
 		return fmt.Errorf("subscription names shard %d, but the placement map has %d (restore with the sealing shard count)", shard, r.pm.Shards())
 	}
 	target := r.hub.SliceForShard(shard)
-	if target >= len(r.parts) {
-		return fmt.Errorf("shard %d places on slice %d, but the router has %d (restore with the sealing partition count)", shard, target, len(r.parts))
-	}
-	_, spec, haveSpec, err := r.ingestRegistration(shard, target, ent.ClientID, ent.Blob, ent.Sig, ent.SubID, ent.Batch)
+	_, spec, haveSpec, err := r.ingestRegistration(shard, target, ent.ClientID, ent.Blob, ent.SubID)
 	if err != nil {
 		return err
 	}
 	r.ctlMu.Lock()
-	r.subOwner[ent.SubID] = ent.ClientID
-	r.regPos[ent.SubID] = len(r.regLog)
-	r.regLog = append(r.regLog, ent)
+	r.logRegistration(ent)
 	r.ctlMu.Unlock()
 	if haveSpec {
 		r.fedAddLocal(ent.SubID, spec)

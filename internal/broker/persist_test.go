@@ -90,20 +90,32 @@ func (f *restartFixture) populate(r *Router, n int) (*Publisher, []uint64) {
 		if err != nil {
 			f.t.Fatal(err)
 		}
-		sig, err := scrypto.Sign(pubKeys(pub), signedRegistration(encSK, "alice"))
+		reply, err := pub.routerRequest("", registerFrame(f.t, pub, "alice", encSK))
 		if err != nil {
 			f.t.Fatal(err)
 		}
-		reply, err := pub.routerRequest("", &Message{Type: TypeRegister, ClientID: "alice", Blob: encSK, Sig: sig})
-		if err != nil {
+		if err := expect(reply, TypeRegisterBatchOK); err != nil {
 			f.t.Fatal(err)
 		}
-		if err := expect(reply, TypeRegisterOK); err != nil {
-			f.t.Fatal(err)
-		}
-		ids = append(ids, reply.SubID)
+		ids = append(ids, reply.SubIDs...)
 	}
 	return pub, ids
+}
+
+// registerFrame builds the registration frame the publisher would send
+// for clientID's already-encoded blobs: one signature over the digest
+// of them all.
+func registerFrame(t testing.TB, pub *Publisher, clientID string, blobs ...[]byte) *Message {
+	t.Helper()
+	items := make([]BatchItem, len(blobs))
+	for i, blob := range blobs {
+		items[i] = BatchItem{Blob: blob}
+	}
+	sig, err := scrypto.Sign(pubKeys(pub), signedRegistrationBatch(items, clientID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Message{Type: TypeRegisterBatch, ClientID: clientID, Scheme: pub.Scheme(), Items: items, Sig: sig}
 }
 
 func TestSealRestoreRoundTrip(t *testing.T) {

@@ -238,9 +238,8 @@ func (p *Publisher) ServeClient(ctx context.Context, conn net.Conn) {
 }
 
 // handleSubscribe implements steps ① and ②: decrypt {s}PK, run
-// admission control, encode the subscription under the matching
-// scheme (validating it), seal under SK for sealed-exchange schemes,
-// sign, and forward to the router.
+// admission control, and register the subscription with the router as
+// a one-item frame.
 func (p *Publisher) handleSubscribe(conn net.Conn, m *Message) error {
 	rec, err := p.admit(m)
 	if err != nil {
@@ -254,43 +253,75 @@ func (p *Publisher) handleSubscribe(conn net.Conn, m *Message) error {
 	if err != nil {
 		return fmt.Errorf("invalid subscription: %w", err)
 	}
-	// The codec validates before encoding: the publisher must not
-	// relay junk to the router (and for encrypting schemes this is
-	// where plaintext stops — the router only ever sees the scheme
-	// ciphertext produced here).
-	enc, err := p.codec.EncodeSubscription(spec)
-	if err != nil {
-		return fmt.Errorf("invalid subscription: %w", err)
-	}
-	if p.codec.Capabilities().SealedExchange {
-		if enc, err = p.skSealer.Seal(enc); err != nil {
-			return fmt.Errorf("re-encrypting subscription: %w", err)
-		}
-	}
-	sig, err := scrypto.Sign(p.keys, signedRegistration(enc, m.ClientID))
-	if err != nil {
-		return fmt.Errorf("signing registration: %w", err)
-	}
 	// Register on the client's home router (m.Router; the default
 	// route when unset), so in a federated overlay the subscription
 	// lives where the client listens.
-	reply, err := p.routerRequest(m.Router, &Message{Type: TypeRegister, ClientID: m.ClientID, Scheme: p.Scheme(), Blob: enc, Sig: sig})
+	ids, err := p.register(m.Router, m.ClientID, []pubsub.SubscriptionSpec{spec})
 	if err != nil {
 		return err
 	}
-	if err := expect(reply, TypeRegisterOK); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.subOwner[subKey(m.Router, reply.SubID)] = m.ClientID
-	p.mu.Unlock()
 	// Hand the client the payload group key alongside the ack, plus
 	// the deployment's scheme ID so the client can tag its listens.
 	keyBlob, epoch, err := p.groupKeyFor(rec)
 	if err != nil {
 		return err
 	}
-	return Send(conn, &Message{Type: TypeSubscribeOK, SubID: reply.SubID, Scheme: p.Scheme(), Blob: keyBlob, Epoch: epoch})
+	return Send(conn, &Message{Type: TypeSubscribeOK, SubID: ids[0], Scheme: p.Scheme(), Blob: keyBlob, Epoch: epoch})
+}
+
+// register is step ② for n ≥ 1 subscriptions of one admitted client:
+// encode each under the matching scheme (which validates it — the
+// publisher must not relay junk, and for encrypting schemes this is
+// where plaintext stops), seal under SK for sealed-exchange schemes,
+// split into frames, sign each frame over a digest binding every blob
+// to the client identity (signedRegistrationBatch), and send it to the
+// client's home router, which verifies the one signature inside its
+// enclave and ingests the items. Ownership is recorded as each frame is
+// acknowledged, so when a later frame fails the IDs already issued —
+// returned with the error, in spec order — can still be unsubscribed.
+func (p *Publisher) register(router, clientID string, specs []pubsub.SubscriptionSpec) ([]uint64, error) {
+	sealed := p.codec.Capabilities().SealedExchange
+	items := make([]BatchItem, len(specs))
+	for i := range specs {
+		enc, err := p.codec.EncodeSubscription(specs[i])
+		if err != nil {
+			return nil, fmt.Errorf("broker: subscription %d invalid: %w", i, err)
+		}
+		if sealed {
+			if enc, err = p.skSealer.Seal(enc); err != nil {
+				return nil, fmt.Errorf("broker: re-encrypting subscription %d: %w", i, err)
+			}
+		}
+		items[i] = BatchItem{Blob: enc}
+	}
+	ids := make([]uint64, 0, len(specs))
+	for rest := items; len(rest) > 0; {
+		var frame []BatchItem
+		frame, rest = nextFrame(rest, batchFrameBudget)
+		sig, err := scrypto.Sign(p.keys, signedRegistrationBatch(frame, clientID))
+		if err != nil {
+			return ids, fmt.Errorf("broker: signing registration: %w", err)
+		}
+		reply, err := p.routerRequest(router, &Message{
+			Type: TypeRegisterBatch, ClientID: clientID, Scheme: p.Scheme(), Items: frame, Sig: sig,
+		})
+		if err != nil {
+			return ids, err
+		}
+		if err := expect(reply, TypeRegisterBatchOK); err != nil {
+			return ids, err
+		}
+		p.mu.Lock()
+		for _, id := range reply.SubIDs {
+			p.subOwner[subKey(router, id)] = clientID
+		}
+		p.mu.Unlock()
+		ids = append(ids, reply.SubIDs...)
+		if len(reply.SubIDs) != len(frame) {
+			return ids, fmt.Errorf("broker: registration ack names %d subscriptions, sent %d", len(reply.SubIDs), len(frame))
+		}
+	}
+	return ids, nil
 }
 
 // handleGroupKey re-issues the current payload key to an active
@@ -470,35 +501,41 @@ func (p *Publisher) PublishBatch(ctx context.Context, events []Event) error {
 	}
 	release := deadlineGuard(ctx, p.routerConn)
 	defer release()
-	for start := 0; start < len(items); {
-		end, size := start, 0
-		for end < len(items) {
-			size += len(items[end].Blob) + len(items[end].Payload)
-			if end > start && size > batchFrameBudget {
-				break
-			}
-			end++
-		}
-		if err := ctxErr(ctx, Send(p.routerConn, &Message{Type: TypePublishBatch, Scheme: p.Scheme(), Items: items[start:end], Epoch: epoch})); err != nil {
+	for rest := items; len(rest) > 0; {
+		var frame []BatchItem
+		frame, rest = nextFrame(rest, batchFrameBudget)
+		if err := ctxErr(ctx, Send(p.routerConn, &Message{Type: TypePublishBatch, Scheme: p.Scheme(), Items: frame, Epoch: epoch})); err != nil {
 			return err
 		}
-		start = end
 	}
 	return nil
 }
 
-// RegisterBulk is the service provider's bulk-load path: it encodes,
-// seals, and registers a whole subscription population on behalf of an
-// admitted client with one RSA signature per wire frame instead of one
-// per subscription — what makes ⑥-figure populations affordable (the
-// per-subscription Subscribe path costs a PK decrypt plus an RSA sign,
-// ≈2 ms each). Each frame carries up to batchFrameBudget bytes of
-// sealed blobs and is signed over a digest binding every blob to the
-// client identity (signedRegistrationBatch); the router verifies the
-// one signature inside its enclave and ingests the items. Returns the
-// assigned subscription IDs in spec order. router names the federated
-// home router ("" = the default route). The client must already be
-// admitted (Registry().Admit or a prior Subscribe).
+// nextFrame cuts the longest prefix of items whose ciphertext (Blob
+// plus Payload) fits budget bytes — at least one item, so an oversized
+// item travels alone — and returns it with the remainder.
+func nextFrame(items []BatchItem, budget int) (frame, rest []BatchItem) {
+	end, size := 0, 0
+	for end < len(items) {
+		size += len(items[end].Blob) + len(items[end].Payload)
+		if end > 0 && size > budget {
+			break
+		}
+		end++
+	}
+	return items[:end], items[end:]
+}
+
+// RegisterBulk is the service provider's bulk-load path: it registers
+// a whole subscription population on behalf of an admitted client the
+// way Subscribe registers one (register), with one RSA signature per
+// wire frame of up to batchFrameBudget bytes of blobs instead of a PK
+// decrypt plus a signature per subscription (≈2 ms each) — what makes
+// ⑥-figure populations affordable. Returns the assigned subscription
+// IDs in spec order; on an error, those of the frames the router had
+// already acknowledged. router names the federated home router ("" =
+// the default route). The client must already be admitted
+// (Registry().Admit or a prior Subscribe).
 func (p *Publisher) RegisterBulk(ctx context.Context, clientID, router string, specs []pubsub.SubscriptionSpec) ([]uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -506,56 +543,7 @@ func (p *Publisher) RegisterBulk(ctx context.Context, clientID, router string, s
 	if _, err := p.registry.Authorize(clientID); err != nil {
 		return nil, err
 	}
-	sealed := p.codec.Capabilities().SealedExchange
-	items := make([]BatchItem, len(specs))
-	for i := range specs {
-		enc, err := p.codec.EncodeSubscription(specs[i])
-		if err != nil {
-			return nil, fmt.Errorf("broker: bulk subscription %d invalid: %w", i, err)
-		}
-		if sealed {
-			if enc, err = p.skSealer.Seal(enc); err != nil {
-				return nil, fmt.Errorf("broker: re-encrypting bulk subscription %d: %w", i, err)
-			}
-		}
-		items[i] = BatchItem{Blob: enc}
-	}
-	ids := make([]uint64, 0, len(specs))
-	for start := 0; start < len(items); {
-		end, size := start, 0
-		for end < len(items) {
-			size += len(items[end].Blob)
-			if end > start && size > batchFrameBudget {
-				break
-			}
-			end++
-		}
-		frame := items[start:end]
-		sig, err := scrypto.Sign(p.keys, signedRegistrationBatch(frame, clientID))
-		if err != nil {
-			return nil, fmt.Errorf("broker: signing registration batch: %w", err)
-		}
-		reply, err := p.routerRequest(router, &Message{
-			Type: TypeRegisterBatch, ClientID: clientID, Scheme: p.Scheme(), Items: frame, Sig: sig,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := expect(reply, TypeRegisterBatchOK); err != nil {
-			return nil, err
-		}
-		if len(reply.SubIDs) != len(frame) {
-			return nil, fmt.Errorf("broker: batch ack names %d subscriptions, sent %d", len(reply.SubIDs), len(frame))
-		}
-		ids = append(ids, reply.SubIDs...)
-		start = end
-	}
-	p.mu.Lock()
-	for _, id := range ids {
-		p.subOwner[subKey(router, id)] = clientID
-	}
-	p.mu.Unlock()
-	return ids, nil
+	return p.register(router, clientID, specs)
 }
 
 // Revoke excludes a client: admission is withdrawn and the payload

@@ -113,13 +113,13 @@ func TestRegisterBatchBadSignature(t *testing.T) {
 	}
 }
 
-// Batch-logged entries (no per-item signature) survive seal/restore:
-// the sealed blob's AEAD authenticates them, and replay skips the
-// per-item check exactly for entries marked Batch.
+// Logged entries carry no signature of their own and survive
+// seal/restore: the sealed blob's AEAD authenticates them, whether they
+// arrived one to a frame or twenty.
 func TestRegisterBulkSealRestore(t *testing.T) {
 	f := newRestartFixture(t)
 	r1 := f.newRouter()
-	pub, _ := f.populate(r1, 2) // two singly-signed registrations too
+	pub, _ := f.populate(r1, 2) // two one-item frames too
 	admitTestClient(t, pub, "bulk")
 	const n = 20
 	if _, err := pub.RegisterBulk(bg, "bulk", "", makeBulkSpecs(n)); err != nil {

@@ -150,8 +150,8 @@ type RouterConfig struct {
 // one lock:
 //
 //   - keyMu (read-mostly): the provisioned SK and verify key,
-//   - ctlMu: the control plane — client refs, subscription ownership,
-//     and the registration log,
+//   - ctlMu: the control plane — client refs and the registration log
+//     (which names each subscription's owner),
 //   - connMu: the accept loop's connection set,
 //   - one lock per partition: that slice's enclave entries and meter,
 //   - the delivery table's own lock: per-client outbound queues.
@@ -183,7 +183,6 @@ type Router struct {
 	ctlMu     sync.RWMutex
 	clientRef map[string]uint32
 	refName   []string
-	subOwner  map[uint64]string
 	regLog    []logEntry
 	regPos    map[uint64]int // SubID → regLog index (O(1) removal)
 
@@ -295,7 +294,6 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 		pm:         pm,
 		epcPer:     epcPer,
 		clientRef:  make(map[string]uint32),
-		subOwner:   make(map[uint64]string),
 		regPos:     make(map[uint64]int),
 		migShards:  make(map[int]bool),
 		migRemoved: make(map[uint64]bool),
@@ -311,29 +309,18 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 			}
 		}
 	}()
-	schema := pubsub.NewSchema()
-	r.schema = schema
+	r.schema = pubsub.NewSchema()
 	slices := make([]scheme.Slice, 0, cfg.Partitions)
 	for i := 0; i < cfg.Partitions; i++ {
-		enclave, launchErr := dev.Launch(cfg.EnclaveImage, cfg.EnclaveSigner,
-			sgx.EnclaveConfig{EPCBytes: epcPer})
-		if launchErr != nil {
-			return nil, fmt.Errorf("broker: launching slice enclave: %w", launchErr)
+		p, err := r.launchSlice(i)
+		if err != nil {
+			return nil, err
 		}
-		p := &partition{idx: i, enclave: enclave}
 		r.parts = append(r.parts, p)
-		slice, sliceErr := backend.NewSlice(enclave.Memory(), schema, core.Options{PadRecordTo: cfg.PadRecordTo})
-		if sliceErr != nil {
-			return nil, fmt.Errorf("broker: building slice store: %w", sliceErr)
-		}
-		p.slice = slice
-		if ps, isPlain := slice.(*scheme.PlainSlice); isPlain {
-			p.engine = ps.Engine()
-		}
-		slices = append(slices, slice)
+		slices = append(slices, p.slice)
 	}
 	r.p0 = r.parts[0]
-	hub, err := streamhub.NewFromSlicesPlaced(schema, slices, pm)
+	hub, err := streamhub.NewFromSlicesPlaced(r.schema, slices, pm)
 	if err != nil {
 		return nil, fmt.Errorf("broker: %w", err)
 	}
@@ -350,6 +337,34 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 	}
 	ok = true
 	return r, nil
+}
+
+// launchSlice launches slice idx's enclave — the router's image, the
+// per-slice EPC share — and builds the scheme store and the job queue
+// of its partition. Construction and Repartition's growth both come
+// through here, which is what keeps every slice of a fleet at one
+// measured identity. The caller adds the partition to r.parts and
+// starts its worker.
+func (r *Router) launchSlice(idx int) (*partition, error) {
+	enclave, err := r.dev.Launch(r.cfg.EnclaveImage, r.cfg.EnclaveSigner,
+		sgx.EnclaveConfig{EPCBytes: r.epcPer})
+	if err != nil {
+		return nil, fmt.Errorf("broker: launching slice enclave: %w", err)
+	}
+	slice, err := r.backend.NewSlice(enclave.Memory(), r.schema, core.Options{PadRecordTo: r.cfg.PadRecordTo})
+	if err != nil {
+		enclave.Terminate()
+		return nil, fmt.Errorf("broker: building slice store: %w", err)
+	}
+	p := &partition{
+		idx: idx, enclave: enclave, slice: slice,
+		jobs:       make(chan *matchJob, pipelineDepth),
+		workerDone: make(chan struct{}),
+	}
+	if ps, isPlain := slice.(*scheme.PlainSlice); isPlain {
+		p.engine = ps.Engine()
+	}
+	return p, nil
 }
 
 // Enclave exposes the router's attestation enclave — partition 0, the
@@ -616,8 +631,6 @@ func (r *Router) handleConn(raw net.Conn) {
 		switch m.Type {
 		case TypeProvision:
 			err = r.handleProvision(conn, m)
-		case TypeRegister:
-			err = r.handleRegister(conn, m)
 		case TypeRegisterBatch:
 			err = r.handleRegisterBatch(conn, m)
 		case TypeRemove:
@@ -739,60 +752,21 @@ func (r *Router) configureSlices(params []byte) error {
 	return nil
 }
 
-// handleRegister is step ③: hash the registration to a virtual shard,
-// resolve the shard's slice through the placement map, then validate
-// the publisher's signature and ingest the subscription inside that
-// slice's enclave — opening the SK envelope first for sealed-exchange
-// schemes, storing the scheme ciphertext as-is otherwise. Only the
-// target partition serialises — registrations on other slices, and all
-// matching not on this slice, proceed concurrently. Resolution happens
-// under the shared state lock, so the registration either precedes a
-// migration divert (and is captured in the migrated snapshot) or
-// follows it (and lands on the destination slice directly).
-func (r *Router) handleRegister(conn net.Conn, m *Message) error {
-	if m.ClientID == "" {
-		return errors.New("registration without client identity")
-	}
-	if err := r.checkScheme(m.Scheme); err != nil {
-		return err
-	}
-	r.stateMu.RLock()
-	shard := r.hub.ShardForKey([]byte(m.ClientID), m.Blob)
-	target := r.hub.SliceForShard(shard)
-	subID, spec, haveSpec, err := r.ingestRegistration(shard, target, m.ClientID, m.Blob, m.Sig, 0, false)
-	if err != nil {
-		r.stateMu.RUnlock()
-		return err
-	}
-	r.ctlMu.Lock()
-	r.subOwner[subID] = m.ClientID
-	r.regPos[subID] = len(r.regLog)
-	r.regLog = append(r.regLog, logEntry{
-		SubID:    subID,
-		ClientID: m.ClientID,
-		Blob:     append([]byte(nil), m.Blob...),
-		Sig:      append([]byte(nil), m.Sig...),
-	})
-	r.ctlMu.Unlock()
-	r.stateMu.RUnlock()
-	if haveSpec {
-		r.fedAddLocal(subID, spec)
-	}
-	return Send(conn, &Message{Type: TypeRegisterOK, SubID: subID})
-}
-
-// handleRegisterBatch is step ③ for a whole batch: one signature —
-// over a digest binding every blob to the client identity — is
-// verified inside the attestation slice's enclave, then each item is
-// ingested on its hash-placed partition with the per-item signature
-// check skipped (the batch signature already authenticated the exact
-// bytes being ingested). Items are logged with Batch set so restore
-// replays them the same way; the sealed state blob is AEAD-
-// authenticated by the enclave seal, so skipping per-item signatures
-// at replay gives the untrusted host no forgery window. A bad item
-// aborts the frame with an error; items ingested before it remain
-// registered (the publisher encodes every blob itself, so a mid-batch
-// failure indicates publisher-side corruption, not client input).
+// handleRegisterBatch is step ③, the one way a subscription enters the
+// router: a frame of n ≥ 1 registrations for one client under one
+// publisher signature — over a digest binding every blob to the client
+// identity — which is verified inside the attestation slice's enclave.
+// Each item is then hashed to a virtual shard, resolved to the shard's
+// slice through the placement map, and ingested inside that slice's
+// enclave. Only the item's partition serialises — registrations on
+// other slices, and all matching not on this slice, proceed
+// concurrently. Resolution happens under the shared state lock, so an
+// item either precedes a migration divert (and is captured in the
+// migrated snapshot) or follows it (and lands on the destination slice
+// directly). A frame is all or nothing: a bad item unregisters the
+// items ingested before it, still under the state lock, so nothing is
+// ever matched, sealed or migrated that the registration log does not
+// name.
 func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	if m.ClientID == "" {
 		return errors.New("batch registration without client identity")
@@ -822,33 +796,29 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	subIDs := make([]uint64, 0, len(m.Items))
 	specs := make([]pubsub.SubscriptionSpec, 0, len(m.Items))
 	specIDs := make([]uint64, 0, len(m.Items))
-	entries := make([]logEntry, 0, len(m.Items))
 	r.stateMu.RLock()
 	for i, it := range m.Items {
 		shard := r.hub.ShardForKey([]byte(m.ClientID), it.Blob)
 		target := r.hub.SliceForShard(shard)
-		subID, spec, haveSpec, err := r.ingestRegistration(shard, target, m.ClientID, it.Blob, nil, 0, true)
+		subID, spec, haveSpec, err := r.ingestRegistration(shard, target, m.ClientID, it.Blob, 0)
 		if err != nil {
+			for _, id := range subIDs {
+				// Issued a moment ago under the state lock still held:
+				// nothing can have moved or removed it, so this finds it.
+				_ = r.unregister(id)
+			}
 			r.stateMu.RUnlock()
 			return fmt.Errorf("batch item %d: %w", i, err)
 		}
 		subIDs = append(subIDs, subID)
-		entries = append(entries, logEntry{
-			SubID:    subID,
-			ClientID: m.ClientID,
-			Blob:     append([]byte(nil), it.Blob...),
-			Batch:    true,
-		})
 		if haveSpec {
 			specs = append(specs, spec)
 			specIDs = append(specIDs, subID)
 		}
 	}
 	r.ctlMu.Lock()
-	for i := range entries {
-		r.subOwner[entries[i].SubID] = m.ClientID
-		r.regPos[entries[i].SubID] = len(r.regLog)
-		r.regLog = append(r.regLog, entries[i])
+	for i, id := range subIDs {
+		r.logRegistration(logEntry{SubID: id, ClientID: m.ClientID, Blob: append([]byte(nil), m.Items[i].Blob...)})
 	}
 	r.ctlMu.Unlock()
 	r.stateMu.RUnlock()
@@ -858,38 +828,38 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	return Send(conn, &Message{Type: TypeRegisterBatchOK, SubIDs: subIDs})
 }
 
-// ingestRegistration validates one signed registration and indexes it
-// in the slice's enclave: on partition target (shard's current slice)
-// under a fresh shard-packed ID, or — when assignID is non-zero (the
-// state-restore path) — under that ID on its shard's current slice.
-// For digest-capable schemes with federation enabled it also returns
-// the decoded subscription spec for the overlay. Callers hold stateMu
-// (shared on the live path), which keeps the shard→slice resolution
-// they did stable across the insert.
-//
-// preVerified skips the per-item signature check for blobs whose
-// authenticity is already established by an enclosing proof: a batch
-// signature verified over the whole frame (handleRegisterBatch), or
-// the AEAD seal of a restored state blob for batch-logged entries.
-func (r *Router) ingestRegistration(shard, target int, clientID string, blob, sig []byte, assignID uint64, preVerified bool) (uint64, pubsub.SubscriptionSpec, bool, error) {
-	sk, verifyKey := r.keys()
+// logRegistration appends one ingested registration to the log that
+// SealState captures, migration snapshots and removal consults for the
+// owner. Callers hold ctlMu.
+func (r *Router) logRegistration(ent logEntry) {
+	r.regPos[ent.SubID] = len(r.regLog)
+	r.regLog = append(r.regLog, ent)
+}
+
+// ingestRegistration is the one way a registration blob enters a slice
+// store, inside the slice's enclave: on partition target (shard's
+// current slice) under a fresh shard-packed ID, or — when assignID is
+// non-zero (state restore, and the migration copy into a shard's new
+// slice) — under that ID. It opens the SK envelope first for
+// sealed-exchange schemes and stores the scheme ciphertext as it is
+// otherwise. Whoever calls has authenticated the blob already: the
+// live path by the publisher's signature over its frame, restore and
+// migration by the enclave seal the logged entry travelled under. For
+// digest-capable schemes with federation enabled it also returns the
+// decoded subscription spec for the overlay. Callers hold stateMu
+// (shared on the live path) or the migration's shard fence, which keeps
+// the shard→slice resolution they did stable across the insert.
+func (r *Router) ingestRegistration(shard, target int, clientID string, blob []byte, assignID uint64) (uint64, pubsub.SubscriptionSpec, bool, error) {
+	sk, _ := r.keys()
 	if sk == nil {
 		return 0, pubsub.SubscriptionSpec{}, false, ErrNotProvisioned
 	}
 	p := r.parts[target]
-	var subID uint64
+	subID := assignID
 	var spec pubsub.SubscriptionSpec
 	haveSpec := false
 	p.mu.Lock()
 	err := p.enclave.Ecall(func() error {
-		// The signature covers the encoded subscription and the
-		// client binding, so the infrastructure cannot re-route
-		// subscriptions between clients.
-		if !preVerified {
-			if err := scrypto.Verify(verifyKey, signedRegistration(blob, clientID), sig); err != nil {
-				return fmt.Errorf("registration signature invalid: %w", err)
-			}
-		}
 		enc := blob
 		if r.backend.Caps.SealedExchange {
 			plain, err := scrypto.Open(sk, blob)
@@ -906,12 +876,11 @@ func (r *Router) ingestRegistration(shard, target int, clientID string, blob, si
 			}
 			spec, haveSpec = s, true
 		}
-		// Intern the client identity only now that the registration
-		// authenticated: rejected traffic must leave no state behind.
+		// Intern the client identity only now that the blob opened:
+		// rejected traffic must leave no state behind.
 		ref := r.refFor(clientID)
 		if assignID != 0 {
-			subID = assignID
-			return r.hub.RegisterEncodedAssigned(enc, ref, assignID)
+			return r.hub.RegisterEncodedAssigned(target, enc, ref, assignID)
 		}
 		var err error
 		subID, err = r.hub.RegisterEncodedAt(shard, target, enc, ref)
@@ -924,9 +893,23 @@ func (r *Router) ingestRegistration(shard, target int, clientID string, blob, si
 	return subID, spec, haveSpec, nil
 }
 
+// unregister drops a subscription from the slice that owns it, inside
+// that slice's enclave. Callers hold stateMu.
+func (r *Router) unregister(subID uint64) error {
+	target, live := r.hub.OwnerSlice(subID)
+	if !live {
+		return fmt.Errorf("%w: %d", ErrUnknownSubscription, subID)
+	}
+	p := r.parts[target]
+	p.mu.Lock()
+	err := p.enclave.Ecall(func() error { return r.hub.UnregisterIn(subID) })
+	p.mu.Unlock()
+	return err
+}
+
 // handleRemove unregisters a subscription on the owner's behalf. The
-// registration log is indexed by SubID, so removal under churn is
-// constant-time (the vacated slot is back-filled with the last entry;
+// registration log names the owner and is indexed by SubID, so removal
+// under churn is constant-time (the vacated slot is back-filled with the last entry;
 // restore replays by assigned ID, so log order is immaterial). The
 // slice holding the subscription comes from the hub's ownership index,
 // not the ID — a migrated subscription keeps its ID but lives
@@ -935,12 +918,13 @@ func (r *Router) ingestRegistration(shard, target int, clientID string, blob, si
 // itself, so a later import cannot resurrect what a client removed.
 func (r *Router) handleRemove(conn net.Conn, m *Message) error {
 	r.ctlMu.RLock()
-	owner, ok := r.subOwner[m.SubID]
+	pos, ok := r.regPos[m.SubID]
+	owned := ok && r.regLog[pos].ClientID == m.ClientID
 	r.ctlMu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSubscription, m.SubID)
 	}
-	if owner != m.ClientID {
+	if !owned {
 		return fmt.Errorf("%w: subscription %d, client %s", ErrNotOwner, m.SubID, m.ClientID)
 	}
 	r.stateMu.RLock()
@@ -948,16 +932,7 @@ func (r *Router) handleRemove(conn net.Conn, m *Message) error {
 	if moving {
 		r.migEntryMu.Lock()
 	}
-	target, live := r.hub.OwnerSlice(m.SubID)
-	var err error
-	if !live {
-		err = fmt.Errorf("%w: %d", ErrUnknownSubscription, m.SubID)
-	} else {
-		p := r.parts[target]
-		p.mu.Lock()
-		err = p.enclave.Ecall(func() error { return r.hub.UnregisterIn(m.SubID) })
-		p.mu.Unlock()
-	}
+	err := r.unregister(m.SubID)
 	if moving {
 		if err == nil {
 			r.migRemoved[m.SubID] = true
@@ -969,7 +944,6 @@ func (r *Router) handleRemove(conn net.Conn, m *Message) error {
 		return err
 	}
 	r.ctlMu.Lock()
-	delete(r.subOwner, m.SubID)
 	if pos, found := r.regPos[m.SubID]; found {
 		last := len(r.regLog) - 1
 		if pos != last {
@@ -1029,22 +1003,12 @@ func (r *Router) refFor(clientID string) uint32 {
 	return ref
 }
 
-// signedRegistration is the byte string the publisher signs for step
-// ②: the ciphertext bound to the client identity.
-func signedRegistration(blob []byte, clientID string) []byte {
-	out := make([]byte, 0, len(blob)+len(clientID)+1)
-	out = append(out, blob...)
-	out = append(out, 0)
-	return append(out, clientID...)
-}
-
-// signedRegistrationBatch is the byte string one batch signature
-// covers: a domain-separated digest over the client identity and
+// signedRegistrationBatch is the byte string the publisher signs for
+// step ②: a domain-separated digest over the client identity and
 // every item blob, length-prefixed so blob boundaries are unambiguous.
 // Signing the digest instead of the concatenation keeps the RSA input
-// small however large the batch is, and binding the client identity
-// preserves the step-② property that the infrastructure cannot
-// re-route subscriptions between clients.
+// small however large the batch is; binding the client identity means
+// the infrastructure cannot re-route subscriptions between clients.
 func signedRegistrationBatch(items []BatchItem, clientID string) []byte {
 	h := sha256.New()
 	h.Write([]byte("scbr-register-batch\x00"))

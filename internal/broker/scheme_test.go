@@ -233,11 +233,11 @@ func TestSchemeMismatchFrames(t *testing.T) {
 		}
 		return errOf(reply)
 	}
-	if err := exchange(&Message{Type: TypeRegister, ClientID: "mallory", Scheme: scheme.Plain, Blob: []byte("x"), Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
+	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Scheme: scheme.Plain, Items: []BatchItem{{Blob: []byte("x")}}, Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
 		t.Fatalf("plain-tagged register on aspe router: err = %v, want ErrSchemeMismatch", err)
 	}
 	// The empty tag means the default scheme — also a mismatch here.
-	if err := exchange(&Message{Type: TypeRegister, ClientID: "mallory", Blob: []byte("x"), Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
+	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: []byte("x")}}, Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
 		t.Fatalf("untagged register on aspe router: err = %v, want ErrSchemeMismatch", err)
 	}
 	if err := exchange(&Message{Type: TypeListen, ClientID: "mallory", Scheme: scheme.Plain}); !errors.Is(err, ErrSchemeMismatch) {

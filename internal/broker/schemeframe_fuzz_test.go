@@ -17,7 +17,7 @@ import (
 // the mismatch check and the registration signature both depend on it.
 func FuzzSchemeTaggedFrame(f *testing.F) {
 	f.Add(string(TypeProvision), "sgx-plain", "", []byte(nil), []byte(nil), uint64(0))
-	f.Add(string(TypeRegister), "aspe", "alice", []byte{0xA5, 1, 2}, []byte("sig"), uint64(0))
+	f.Add(string(TypeRegisterBatch), "aspe", "alice", []byte{0xA5, 1, 2}, []byte("sig"), uint64(0))
 	f.Add(string(TypePublish), "aspe", "", bytes.Repeat([]byte{7}, 64), []byte(nil), uint64(3))
 	f.Add(string(TypeListen), "", "carol", []byte(nil), []byte(nil), uint64(9))
 	f.Fuzz(func(t *testing.T, typ, schemeTag, clientID string, blob, sig []byte, epoch uint64) {

@@ -92,7 +92,7 @@ func TestDataFramesMatchJSONReference(t *testing.T) {
 		}
 	}
 	// Control frames still are JSON, byte-identical to json.Marshal.
-	ctl := &Message{Type: TypeRegister, ClientID: "alice", Scheme: "aspe", Blob: []byte{1, 2, 3}, Sig: []byte("sig")}
+	ctl := &Message{Type: TypeRegisterBatch, ClientID: "alice", Scheme: "aspe", Items: []BatchItem{{Blob: []byte{1, 2, 3}}}, Sig: []byte("sig")}
 	var wire bytes.Buffer
 	if err := Send(&wire, ctl); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@
 // subscription ID), and a movable placement.Map assigns shards to
 // slices. Slices can be added and removed at runtime (AddSlice,
 // RemoveSlicesFrom) and whole shards relocated between them
-// (ImportAssigned, DropCopy) while matching continues — the broker's
-// migration engine drives those moves.
+// (RegisterEncodedAssigned, DropCopy) while matching continues — the
+// broker's migration engine drives those moves.
 package streamhub
 
 import (
@@ -61,11 +61,10 @@ type Hub struct {
 	pm     *placement.Map
 	owner  map[uint64]ownerRec // subscription ID → owning slice + footprint bytes
 	// shardSeq is the per-shard ID sequence (next = shardSeq+1);
-	// shardSubs counts live subscriptions per shard; shardBytes carries
-	// each shard's estimated store footprint in bytes. The byte figures
-	// are accounting only (SliceLoads): placement is by hash.
+	// shardBytes carries each shard's estimated store footprint in
+	// bytes. The byte figures are accounting only (SliceLoads):
+	// placement is by hash.
 	shardSeq   []uint64
-	shardSubs  []int
 	shardBytes []uint64
 	// entryCost estimates one subscription's store footprint from its
 	// encoding length. Nil charges a flat 1, which reduces the byte
@@ -146,7 +145,6 @@ func NewFromSlicesPlaced(schema *pubsub.Schema, slices []scheme.Slice, pm *place
 	h := &Hub{
 		schema: schema, pm: pm, owner: make(map[uint64]ownerRec),
 		shardSeq:   make([]uint64, pm.Shards()),
-		shardSubs:  make([]int, pm.Shards()),
 		shardBytes: make([]uint64, pm.Shards()),
 	}
 	for _, s := range slices {
@@ -198,18 +196,16 @@ func (h *Hub) reserveID(shard int) uint64 {
 }
 
 // adopt records a successfully stored subscription with its estimated
-// store footprint. countShard=false (the migration copy path) flips
-// ownership without touching the shard's totals — the subscription
-// already exists on the source slice, and its bytes stay charged to
-// the same shard either way.
-func (h *Hub) adopt(id uint64, slice int, countShard bool, bytes uint64) {
+// store footprint. An ID the hub already owns is a migration copy:
+// ownership flips to the new slice and the shard's load account stays
+// as it is — the subscription still exists on the source slice, and
+// its bytes are charged to the same shard either way.
+func (h *Hub) adopt(id uint64, slice int, bytes uint64) {
 	h.mu.Lock()
-	h.owner[id] = ownerRec{slice: slice, bytes: bytes}
-	if countShard {
-		shard := ShardOf(id)
-		h.shardSubs[shard]++
-		h.shardBytes[shard] += bytes
+	if _, copied := h.owner[id]; !copied {
+		h.shardBytes[ShardOf(id)] += bytes
 	}
+	h.owner[id] = ownerRec{slice: slice, bytes: bytes}
 	h.mu.Unlock()
 }
 
@@ -233,7 +229,6 @@ func (h *Hub) dropOwner(hubID uint64) (int, bool) {
 	}
 	delete(h.owner, hubID)
 	shard := ShardOf(hubID)
-	h.shardSubs[shard]--
 	if h.shardBytes[shard] >= rec.bytes {
 		h.shardBytes[shard] -= rec.bytes
 	} else {
@@ -270,33 +265,20 @@ func (h *Hub) RegisterEncodedAt(shard, target int, enc []byte, clientRef uint32)
 	if err := slice.RegisterEncodedAssigned(enc, clientRef, id); err != nil {
 		return 0, err
 	}
-	h.adopt(id, target, true, h.entryBytes(len(enc)))
+	h.adopt(id, target, h.entryBytes(len(enc)))
 	return id, nil
 }
 
-// RegisterEncodedAssigned re-ingests a wire-encoded subscription under
-// a previously issued hub ID — the state-restore path; the target
-// slice is resolved through the placement map from the shard packed
-// into the ID.
-func (h *Hub) RegisterEncodedAssigned(enc []byte, clientRef uint32, hubID uint64) error {
-	shard := ShardOf(hubID)
-	if shard >= h.pm.Shards() {
+// RegisterEncodedAssigned inserts a wire-encoded subscription into
+// slice target under a hub ID issued earlier. It serves state restore
+// (first sight of the ID: the shard's load account is charged) and the
+// migration copy alike (the hub already owns the ID on another slice:
+// ownership flips to target and the account is unchanged). The caller
+// resolves target as for RegisterEncodedAt.
+func (h *Hub) RegisterEncodedAssigned(target int, enc []byte, clientRef uint32, hubID uint64) error {
+	if shard := ShardOf(hubID); shard >= h.pm.Shards() {
 		return fmt.Errorf("streamhub: hub ID %d names shard %d, but the hub has %d", hubID, shard, h.pm.Shards())
 	}
-	target := h.pm.SliceOf(shard)
-	if err := h.parts[target].RegisterEncodedAssigned(enc, clientRef, hubID); err != nil {
-		return err
-	}
-	h.bumpSeq(hubID)
-	h.adopt(hubID, target, true, h.entryBytes(len(enc)))
-	return nil
-}
-
-// ImportAssigned inserts a wire-encoded subscription under its
-// existing hub ID into an explicit slice and flips ownership to it —
-// the migration copy path. The shard's live-subscription count is
-// unchanged: the subscription already exists on the source slice.
-func (h *Hub) ImportAssigned(target int, enc []byte, clientRef uint32, hubID uint64) error {
 	if target < 0 || target >= len(h.parts) {
 		return fmt.Errorf("streamhub: partition %d of %d", target, len(h.parts))
 	}
@@ -304,7 +286,7 @@ func (h *Hub) ImportAssigned(target int, enc []byte, clientRef uint32, hubID uin
 		return err
 	}
 	h.bumpSeq(hubID)
-	h.adopt(hubID, target, false, h.entryBytes(len(enc)))
+	h.adopt(hubID, target, h.entryBytes(len(enc)))
 	return nil
 }
 

@@ -373,7 +373,7 @@ func TestHubDirectSliceAPI(t *testing.T) {
 	}
 	// Restore lands the subscription back on the slice its shard
 	// occupies under the placement map.
-	if err := hub.RegisterEncodedAssigned(enc, 7, id); err != nil {
+	if err := hub.RegisterEncodedAssigned(target, enc, 7, id); err != nil {
 		t.Fatal(err)
 	}
 	if got = matchIn(t, hub, target, ev); len(got) != 1 || got[0].SubID != id {
@@ -383,8 +383,11 @@ func TestHubDirectSliceAPI(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	bad := composeID(hub.Placement().Shards(), 1)
-	if err := hub.RegisterEncodedAssigned(enc, 7, bad); err == nil {
+	if err := hub.RegisterEncodedAssigned(target, enc, 7, bad); err == nil {
 		t.Fatal("RegisterEncodedAssigned accepted an out-of-range shard")
+	}
+	if err := hub.RegisterEncodedAssigned(hub.Partitions(), enc, 7, composeID(shard, 99)); err == nil {
+		t.Fatal("RegisterEncodedAssigned accepted an out-of-range slice")
 	}
 	if _, err := hub.RegisterEncodedAt(hub.Placement().Shards(), target, enc, 7); err == nil {
 		t.Fatal("RegisterEncodedAt accepted an out-of-range shard")
@@ -399,7 +402,7 @@ func TestHubDirectSliceAPI(t *testing.T) {
 
 func TestHubElasticResize(t *testing.T) {
 	// The resize surface the broker's migration engine drives: AddSlice
-	// grows the hub, ImportAssigned relocates a subscription under its
+	// grows the hub, RegisterEncodedAssigned relocates a subscription under its
 	// existing ID, DropCopy sweeps the stale copy, RemoveSlicesFrom
 	// refuses while a removed slice still owns subscriptions and
 	// succeeds after migration back.
@@ -422,8 +425,14 @@ func TestHubElasticResize(t *testing.T) {
 		t.Fatalf("partitions = %d after AddSlice, want 3", hub.Partitions())
 	}
 	// Migrate the subscription to the new slice under its existing ID.
-	if err := hub.ImportAssigned(2, enc, 9, id); err != nil {
+	before := hub.SliceLoads()[src]
+	if err := hub.RegisterEncodedAssigned(2, enc, 9, id); err != nil {
 		t.Fatal(err)
+	}
+	// The hub already owned the ID, so this was a copy: the shard's load
+	// is charged once, to the slice the placement map still names.
+	if loads := hub.SliceLoads(); loads[src] != before || loads[2] != 0 {
+		t.Fatalf("loads = %v after a migration copy, want slice %d unchanged at %d", loads, src, before)
 	}
 	if owner, ok := hub.OwnerSlice(id); !ok || owner != 2 {
 		t.Fatalf("OwnerSlice(%d) = %d,%v after import, want 2", id, owner, ok)
@@ -448,7 +457,7 @@ func TestHubElasticResize(t *testing.T) {
 		t.Fatal("RemoveSlicesFrom dropped a populated slice")
 	}
 	// Migrate back, sweep, then shrink succeeds.
-	if err := hub.ImportAssigned(src, enc, 9, id); err != nil {
+	if err := hub.RegisterEncodedAssigned(src, enc, 9, id); err != nil {
 		t.Fatal(err)
 	}
 	hub.DropCopy(2, id)

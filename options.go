@@ -32,8 +32,6 @@ type settings struct {
 	replayRingLen    int
 	resumeWindow     time.Duration
 	drainTimeout     time.Duration
-	cacheAlign       bool
-	disableSharding  bool
 	isvProdID        uint16
 	isvSVN           uint16
 	debug            bool
@@ -93,11 +91,7 @@ func (s settings) enclaveConfig() sgx.EnclaveConfig {
 
 // engineOptions lowers the resolved options onto the matching engine.
 func (s settings) engineOptions() core.Options {
-	return core.Options{
-		PadRecordTo:     s.padRecordTo,
-		DisableSharding: s.disableSharding,
-		CacheAlign:      s.cacheAlign,
-	}
+	return core.Options{PadRecordTo: s.padRecordTo}
 }
 
 // WithEPC bounds the enclave page cache to n bytes (default: the
@@ -176,16 +170,6 @@ func WithReplayRing(n int) Option { return func(s *settings) { s.replayRingLen =
 func WithResumeWindow(d time.Duration) Option {
 	return func(s *settings) { s.resumeWindow = d }
 }
-
-// WithCacheAlign rounds engine record allocations to 64-byte cache
-// lines — the paper's §6 "appropriately fitting [the containment
-// trees] into cache lines".
-func WithCacheAlign() Option { return func(s *settings) { s.cacheAlign = true } }
-
-// WithoutSharding keeps every subscription in a single containment
-// forest, as the paper's engine does. Much slower on large
-// equality-heavy databases; used by the sharding ablation.
-func WithoutSharding() Option { return func(s *settings) { s.disableSharding = true } }
 
 // WithDrainTimeout bounds the graceful half of Router.Close: the
 // per-client delivery writers get up to d to flush already-matched
@@ -266,12 +250,6 @@ func WithSchemeSeed(seed int64) SchemeOption { return scheme.WithSeed(seed) }
 // magnitudes).
 func WithSchemeScale(name string, scale float64) SchemeOption {
 	return scheme.WithScale(name, scale)
-}
-
-// WithSchemeCalibration calibrates per-attribute scales from sample
-// events (largest observed magnitude per numeric attribute).
-func WithSchemeCalibration(sample ...EventSpec) SchemeOption {
-	return scheme.WithCalibration(sample...)
 }
 
 // WithISV sets the enclave's product ID and security version, both
