@@ -103,9 +103,8 @@ type Engine struct {
 	nodesLive int // live non-sentinel nodes
 
 	// Scratch buffers (guarded by mu).
-	csNode []pubsub.Constraint
-	stack  []walkEntry
-	moved  []uint64
+	stack []walkEntry
+	moved []uint64
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -220,61 +219,53 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 	return off, nil
 }
 
-// insert descends from the sentinel to the deepest covering node,
-// dedups onto an equal node when one is found, and otherwise creates a
-// new node there, re-parenting any now-covered siblings beneath it.
+// insert descends from the sentinel to the deepest covering node in
+// one pass per level: each child of the current node is read once and
+// both covering directions are decided on its stored bytes. A child
+// that covers the newcomer ends the level and is descended into (an
+// equal one is shared); when none does, the children the newcomer
+// covers have been collected on the way, and they move beneath the new
+// node attached there — keeping containment paths deep, the property
+// the paper's workload discussion relies on.
 func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
 	cur := sentinel
+level:
 	for {
-		curH := e.readHeader(cur)
-		var coverer uint64 = nilOff
-		child := curH.child
-		for child != nilOff {
+		e.moved = e.moved[:0]
+		for child := e.readHeader(cur).child; child != nilOff; {
 			ch := e.readHeader(child)
-			cs, err := e.constraintsOf(child, ch, &e.csNode)
-			if err != nil {
-				return 0, err
-			}
-			childSub := pubsub.Subscription{Constraints: cs}
-			e.chargeCompare(len(cs))
-			if childSub.Covers(sub) {
-				if sub.Covers(&childSub) {
-					// Identical constraints: share the node.
-					return child, nil
+			// A node stored without constraints covers everything.
+			childCovers, subCovers, n := true, len(sub.Constraints) == 0, 0
+			if ch.predLen != 0 {
+				var err error
+				childCovers, subCovers, n, err = pubsub.CoverEncoded(e.acc.Read(child+nodeHeaderSize, int(ch.predLen)), sub)
+				if err != nil {
+					return 0, fmt.Errorf("core: corrupt node at %d: %w", child, err)
 				}
-				coverer = child
-				break
+			}
+			// Predicate cycles per covering test run: child ⊒ new at
+			// every child, new ⊒ child where the first fails.
+			e.chargeCompare(n)
+			if childCovers {
+				if subCovers {
+					return child, nil // identical constraints: share the node
+				}
+				cur = child
+				continue level
+			}
+			e.chargeCompare(len(sub.Constraints))
+			if subCovers {
+				e.moved = append(e.moved, child)
 			}
 			child = ch.sibling
 		}
-		if coverer == nilOff {
-			break
-		}
-		cur = coverer
+		break
 	}
 
 	// Attach a new node under cur.
 	nodeOff, err := e.newNode(cur, sub.Constraints)
 	if err != nil {
 		return 0, err
-	}
-	// Collect cur's children that the new subscription covers; they
-	// move beneath it to keep containment paths deep (the property the
-	// paper's workload discussion relies on).
-	e.moved = e.moved[:0]
-	curH := e.readHeader(cur)
-	child := curH.child
-	for child != nilOff {
-		ch := e.readHeader(child)
-		cs, err := e.constraintsOf(child, ch, &e.csNode)
-		if err != nil {
-			return 0, err
-		}
-		e.chargeCompare(len(sub.Constraints))
-		if sub.Covers(&pubsub.Subscription{Constraints: cs}) {
-			e.moved = append(e.moved, child)
-		}
-		child = ch.sibling
 	}
 	for _, m := range e.moved {
 		if err := e.unlinkChild(cur, m); err != nil {

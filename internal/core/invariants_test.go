@@ -30,7 +30,6 @@ func checkInvariants(t *testing.T, e *Engine) {
 	subsSeen := make(map[uint64]uint64) // subID → node offset
 	liveNodes := 0
 
-	var scratchParent, scratchChild []pubsub.Constraint
 	var walk func(off uint64, parentCs []pubsub.Constraint)
 	walk = func(off uint64, parentCs []pubsub.Constraint) {
 		if visited[off] {
@@ -38,12 +37,10 @@ func checkInvariants(t *testing.T, e *Engine) {
 		}
 		visited[off] = true
 		h := e.readHeader(off)
-		cs, err := e.constraintsOf(off, h, &scratchChild)
+		mine, err := e.decodeNode(off, h)
 		if err != nil {
 			t.Fatalf("node %d: %v", off, err)
 		}
-		// Copy: scratch is reused during recursion.
-		mine := append([]pubsub.Constraint(nil), cs...)
 		if parentCs != nil {
 			p := pubsub.Subscription{Constraints: parentCs}
 			c := pubsub.Subscription{Constraints: mine}
@@ -78,7 +75,6 @@ func checkInvariants(t *testing.T, e *Engine) {
 	for _, s := range sentinels {
 		walk(s, nil)
 	}
-	_ = scratchParent
 
 	if len(subsSeen) != len(e.subIndex) {
 		t.Fatalf("walk found %d subscriptions, index holds %d", len(subsSeen), len(e.subIndex))

@@ -20,27 +20,15 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int, opts Options) (*Engi
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	symbol := func() pubsub.Value { return pubsub.Str(fmt.Sprintf("S%d", rng.Intn(1000))) }
 	for i := 0; i < n; i++ {
-		var sp pubsub.SubscriptionSpec
-		switch i % 3 {
-		case 0:
-			sp = spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpEq, Value: symbol()})
-		case 1:
-			lo := rng.Float64() * 90
-			sp = spec(between("price", lo, lo+10))
-		default:
-			sp = spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpEq, Value: symbol()},
-				between("volume", float64(rng.Intn(500_000)), 1_000_000))
-		}
-		if _, err := e.Register(sp, uint32(i)); err != nil {
+		if _, err := e.Register(quoteSpec(rng, i), uint32(i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	evs := make([]*pubsub.Event, 256)
 	for i := range evs {
 		evs[i], err = pubsub.NewEvent(e.Schema(), map[string]pubsub.Value{
-			"symbol": symbol(),
+			"symbol": quoteSymbol(rng),
 			"price":  pubsub.Float(rng.Float64() * 100),
 			"volume": pubsub.Int(int64(rng.Intn(1_000_000))),
 		})
@@ -49,6 +37,22 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int, opts Options) (*Engi
 		}
 	}
 	return e, evs
+}
+
+func quoteSymbol(rng *rand.Rand) pubsub.Value { return pubsub.Str(fmt.Sprintf("S%d", rng.Intn(1000))) }
+
+// quoteSpec draws subscription i of the quote mix: shape i mod 3.
+func quoteSpec(rng *rand.Rand, i int) pubsub.SubscriptionSpec {
+	switch i % 3 {
+	case 0:
+		return spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpEq, Value: quoteSymbol(rng)})
+	case 1:
+		lo := rng.Float64() * 90
+		return spec(between("price", lo, lo+10))
+	default:
+		return spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpEq, Value: quoteSymbol(rng)},
+			between("volume", float64(rng.Intn(500_000)), 1_000_000))
+	}
 }
 
 // benchMatch times MatchAppendBatch calls of n events each and reports
@@ -118,6 +122,45 @@ func BenchmarkAblationSharding(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			e, evs := quoteEngine(b, newPlainAcc(), 10_000, tc.opts)
 			benchMatch(b, e, evs, 1)
+		})
+	}
+}
+
+// BenchmarkRegisterForest is the registration layer of the per-layer
+// set: one Engine.Register per op into a 5,000- or 10,000-subscription
+// forest of the quote mix, the three shapes in rotation, each removed
+// again outside the timer so the forest stays at its size. A price band
+// is inserted among the general shard's roots — a third of the forest —
+// so it prices the sibling pass. ns/op, accesses/op (metered line
+// lookups) and simus/op are per insert.
+func BenchmarkRegisterForest(b *testing.B) {
+	for _, n := range []int{5_000, 10_000} {
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			e, _ := quoteEngine(b, newPlainAcc(), n, Options{})
+			rng := rand.New(rand.NewSource(2))
+			specs := make([]pubsub.SubscriptionSpec, 300)
+			for i := range specs {
+				specs[i] = quoteSpec(rng, i)
+			}
+			meter := e.Accessor().Meter()
+			var d simmem.Counters
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := meter.C
+				id, err := e.Register(specs[i%len(specs)], uint32(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				d = d.Add(meter.C.Sub(before))
+				b.StopTimer()
+				if err := e.Unregister(id); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/float64(b.N), "accesses/op")
+			b.ReportMetric(meter.Cost.Micros(d.Cycles)/float64(b.N), "simus/op")
 		})
 	}
 }

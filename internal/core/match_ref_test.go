@@ -103,7 +103,7 @@ func (e *Engine) matchDecoded(ev *pubsub.Event) ([]MatchResult, error) {
 			if nh.sibling != nilOff {
 				stack = append(stack, nh.sibling)
 			}
-			cs, err := e.constraintsOf(off, nh, &e.csNode)
+			cs, err := e.decodeNode(off, nh)
 			if err != nil {
 				return nil, err
 			}

@@ -26,6 +26,16 @@
 // attribute value); it only limits which covering edges are
 // materialised.
 //
+// Insertion makes one pass per level of its shard: starting at the
+// sentinel, each child of the current node is read once — header and
+// constraint blob — and pubsub.CoverEncoded decides on the stored bytes
+// both whether the child covers the newcomer and whether the newcomer
+// covers the child. A covering child ends the level and is descended
+// into (an equal one gains a subscriber instead of a node); when no
+// child covers, the children the newcomer covers, collected on the way,
+// move beneath the new node attached at that level. Predicate cycles
+// are charged per covering test run.
+//
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
 // a publish-batch visits each node once — header, constraint blob and
@@ -172,21 +182,6 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 	}
 	e.nodesLive++
 	return off, nil
-}
-
-// constraintsOf decodes the node's constraint blob into scratch. The
-// result is only valid until the next use of the same scratch.
-func (e *Engine) constraintsOf(off uint64, h nodeHeader, scratch *[]pubsub.Constraint) ([]pubsub.Constraint, error) {
-	if h.predLen == 0 {
-		return nil, nil
-	}
-	raw := e.acc.Read(off+nodeHeaderSize, int(h.predLen))
-	cs, _, err := pubsub.DecodeConstraintsInto(*scratch, raw)
-	if err != nil {
-		return nil, fmt.Errorf("core: corrupt node at %d: %w", off, err)
-	}
-	*scratch = cs
-	return cs, nil
 }
 
 // linkChild prepends child to parent's child list.

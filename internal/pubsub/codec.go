@@ -297,22 +297,12 @@ func AppendConstraints(buf []byte, cs []Constraint) ([]byte, error) {
 // DecodeConstraints parses AppendConstraints output and returns the
 // constraints plus the number of bytes consumed.
 func DecodeConstraints(raw []byte) ([]Constraint, int, error) {
-	return DecodeConstraintsInto(nil, raw)
-}
-
-// DecodeConstraintsInto is DecodeConstraints reusing dst's backing
-// array; the matching engine calls it on every node visit, so avoiding
-// the per-visit allocation matters.
-func DecodeConstraintsInto(dst []Constraint, raw []byte) ([]Constraint, int, error) {
 	r := reader{buf: raw}
 	n, err := r.uint16()
 	if err != nil {
 		return nil, 0, err
 	}
-	cs := dst[:0]
-	if cap(cs) < int(n) {
-		cs = make([]Constraint, 0, n)
-	}
+	cs := make([]Constraint, 0, n)
 	for i := 0; i < int(n); i++ {
 		id, err := r.uint16()
 		if err != nil {
@@ -434,6 +424,122 @@ func MatchEncoded(ev *Event, raw []byte) (matched bool, evaluated int, err error
 		}
 	}
 	return true, n, nil
+}
+
+// CoverEncoded decides both covering directions between an
+// AppendConstraints blob and a normalised subscription in place:
+// blobCovers and subCovers are what Subscription.Covers says of the
+// decoded blob over sub and of sub over the decoded blob, and n is the
+// blob's constraint count (for cycle charging). Like MatchEncoded it
+// builds no []Constraint and no string — the engine's insert runs it on
+// every sibling it visits — but it parses the whole blob, every byte
+// bounds-checked, so it fails exactly where DecodeConstraints does.
+func CoverEncoded(raw []byte, sub *Subscription) (blobCovers, subCovers bool, n int, err error) {
+	if len(raw) < 2 {
+		return false, false, 0, errShort(2, 0, len(raw))
+	}
+	n = int(binary.LittleEndian.Uint16(raw))
+	pos := 2
+	ts := sub.Constraints
+	blobCovers, subCovers = true, true
+	// The two merge joins of Covers, run side by side over the blob: ja
+	// is the constraint of sub the blob's current one is held against,
+	// ib the first constraint of sub not yet found in the blob.
+	ja, ib := 0, 0
+	for k := 0; k < n; k++ {
+		if len(raw)-pos < 3 {
+			return false, false, 0, errShort(3, pos, len(raw))
+		}
+		flags := raw[pos+2]
+		d := Constraint{
+			ID:     AttrID(binary.LittleEndian.Uint16(raw[pos:])),
+			Str:    flags&cfStr != 0,
+			Prefix: flags&cfPrefix != 0,
+			HasLo:  flags&cfHasLo != 0,
+			HasHi:  flags&cfHasHi != 0,
+			LoIncl: flags&cfLoIncl != 0,
+			HiIncl: flags&cfHiIncl != 0,
+		}
+		pos += 3
+		// A string constraint's value stays in the blob: s, not d.EqS.
+		var s []byte
+		if d.Str {
+			if len(raw)-pos < 2 {
+				return false, false, 0, errShort(2, pos, len(raw))
+			}
+			sl := int(binary.LittleEndian.Uint16(raw[pos:]))
+			pos += 2
+			if len(raw)-pos < sl {
+				return false, false, 0, errShort(sl, pos, len(raw))
+			}
+			s = raw[pos : pos+sl]
+			pos += sl
+		} else {
+			width := 0
+			if d.HasLo {
+				width += 8
+			}
+			if d.HasHi {
+				width += 8
+			}
+			if len(raw)-pos < width {
+				return false, false, 0, errShort(width, pos, len(raw))
+			}
+			if d.HasLo {
+				d.Lo = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+				pos += 8
+			}
+			if d.HasHi {
+				d.Hi = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+				pos += 8
+			}
+		}
+		if blobCovers {
+			for ja < len(ts) && ts[ja].ID < d.ID {
+				ja++
+			}
+			blobCovers = ja < len(ts) && ts[ja].ID == d.ID && encodedCovers(d, s, &ts[ja])
+		}
+		for subCovers && ib < len(ts) && ts[ib].ID <= d.ID {
+			subCovers = ts[ib].ID == d.ID && coversEncoded(&ts[ib], d, s)
+			ib++
+		}
+	}
+	return blobCovers, subCovers && ib == len(ts), n, nil
+}
+
+// encodedCovers is Constraint.Covers for d (string value s) over c.
+func encodedCovers(d Constraint, s []byte, c *Constraint) bool {
+	if !d.Str && !c.Str {
+		return d.Covers(*c)
+	}
+	switch {
+	case !d.Str || !c.Str:
+		return false
+	case d.Prefix:
+		return len(c.EqS) >= len(s) && c.EqS[:len(s)] == string(s)
+	case c.Prefix:
+		return false
+	default:
+		return c.EqS == string(s)
+	}
+}
+
+// coversEncoded is Constraint.Covers for c over d (string value s).
+func coversEncoded(c *Constraint, d Constraint, s []byte) bool {
+	if !c.Str && !d.Str {
+		return c.Covers(d)
+	}
+	switch {
+	case !c.Str || !d.Str:
+		return false
+	case c.Prefix:
+		return len(s) >= len(c.EqS) && string(s[:len(c.EqS)]) == c.EqS
+	case d.Prefix:
+		return false
+	default:
+		return string(s) == c.EqS
+	}
 }
 
 // value kind tags on the wire.

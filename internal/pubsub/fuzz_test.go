@@ -331,6 +331,107 @@ func FuzzMatchEncoded(f *testing.F) {
 	})
 }
 
+// subNear draws a normalised subscription (sorted, one constraint per
+// attribute) aimed at the covering decisions against cs: each of its
+// constraints is missing, repeated, or moved — a string made equal to,
+// a prefix of, an extension of or unrelated to the blob's, a bound
+// tightened, loosened, opened, closed or dropped — and unconstrained
+// attributes from extra are sometimes added.
+func subNear(rng *rand.Rand, cs []Constraint, extra []AttrID) *Subscription {
+	byID := make(map[AttrID]Constraint)
+	for _, c := range cs {
+		if _, taken := byID[c.ID]; taken || rng.Intn(5) == 0 {
+			continue
+		}
+		switch pick := rng.Intn(6); {
+		case pick < 2: // repeated
+		case c.Str:
+			c.EqS = []string{c.EqS, c.EqS + "x", c.EqS[:len(c.EqS)/2], "zz"}[rng.Intn(4)]
+			c.Prefix = rng.Intn(2) == 0
+		case pick == 2:
+			c = Constraint{ID: c.ID, Str: true, EqS: "s"}
+		default:
+			nudge := func(f float64) float64 { return f + []float64{-1, 0, 0, 1, math.Inf(1), math.Inf(-1)}[rng.Intn(6)] }
+			c.Lo, c.Hi = nudge(c.Lo), nudge(c.Hi)
+			c.LoIncl, c.HiIncl = rng.Intn(2) == 0, rng.Intn(2) == 0
+			c.HasLo, c.HasHi = c.HasLo != (rng.Intn(4) == 0), c.HasHi != (rng.Intn(4) == 0)
+			c.Prefix = false
+		}
+		byID[c.ID] = c
+	}
+	for _, id := range extra {
+		if _, taken := byID[id]; !taken && rng.Intn(3) == 0 {
+			byID[id] = Constraint{ID: id, HasLo: true, Lo: float64(rng.Intn(5))}
+		}
+	}
+	sub := &Subscription{}
+	for _, c := range byID {
+		sub.Constraints = append(sub.Constraints, c)
+	}
+	sort.Slice(sub.Constraints, func(i, j int) bool { return sub.Constraints[i].ID < sub.Constraints[j].ID })
+	return sub
+}
+
+// coverEncodedSeeds adds to matchEncodedSeeds the shapes only a
+// covering test distinguishes: an empty string, a prefix of another
+// prefix, bounds at ±Inf, and one blob holding both string kinds.
+func coverEncodedSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	blobs := matchEncodedSeeds(tb)
+	for _, cs := range [][]Constraint{
+		{{ID: 0, Str: true, Prefix: true, EqS: ""}, {ID: 1, Str: true, EqS: "HALO"}},
+		{{ID: 1, HasLo: true, HasHi: true, Lo: math.Inf(-1), Hi: math.Inf(1)}, {ID: 2, HasLo: true, LoIncl: true, Lo: math.Inf(1)}},
+		{{ID: 3, HasHi: true, HiIncl: true, Hi: math.Inf(-1)}, {ID: 4, Str: true, Prefix: true, EqS: "HAL"}},
+	} {
+		blob, err := AppendConstraints(nil, cs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// FuzzCoverEncoded holds the in-place covering test to the decoder: on
+// every blob DecodeConstraints accepts, and any normalised subscription,
+// both directions and the count equal those of Subscription.Covers on
+// the decoded blob; on every blob it rejects — each truncation of a
+// seed among them — CoverEncoded fails too, with an ErrCodec.
+func FuzzCoverEncoded(f *testing.F) {
+	for i, blob := range coverEncodedSeeds(f) {
+		for _, cut := range []int{len(blob), len(blob) - 1, len(blob) - 8, 4, 3, 1} {
+			if cut >= 0 && cut <= len(blob) {
+				f.Add(blob[:cut], int64(i))
+			}
+		}
+	}
+	f.Add([]byte{0, 0}, int64(0))
+	f.Add([]byte{2, 0, 5, 0, 0, 3, 0, 0}, int64(1)) // IDs out of order
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
+		cs, _, decodeErr := DecodeConstraints(raw)
+		rng := rand.New(rand.NewSource(seed))
+		extra := []AttrID{0, 1, 2, 3, 5}
+		for trial := 0; trial < 16; trial++ {
+			sub := subNear(rng, cs, extra)
+			blobCovers, subCovers, n, err := CoverEncoded(raw, sub)
+			if decodeErr != nil {
+				if !errors.Is(err, ErrCodec) {
+					t.Fatalf("DecodeConstraints fails (%v) but CoverEncoded err = %v", decodeErr, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("blob decodes but CoverEncoded fails: %v", err)
+			}
+			decoded := &Subscription{Constraints: cs}
+			if want := [3]any{decoded.Covers(sub), sub.Covers(decoded), len(cs)}; [3]any{blobCovers, subCovers, n} != want {
+				t.Fatalf("%v against %v: CoverEncoded (blob ⊒ sub, sub ⊒ blob, n) = %v %v %d, decoded says %v",
+					cs, sub.Constraints, blobCovers, subCovers, n, want)
+			}
+		}
+	})
+}
+
 // TestMatchEncodedTruncated cuts each seed blob short under an event
 // that satisfies it, so every byte is read: each cut must surface as an
 // ErrCodec, never as a verdict or a panic.
