@@ -15,6 +15,8 @@
 package attest
 
 import (
+	"crypto/ecdh"
+	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
@@ -139,29 +141,35 @@ type Identity struct {
 }
 
 // ProvisioningRequest is what an enclave sends to a service provider
-// to obtain secrets: its quote plus an ephemeral public key generated
-// inside the enclave. The quote's report data binds the key hash, so
-// the infrastructure cannot substitute its own key.
+// to obtain secrets: its quote plus an ephemeral X25519 public key
+// generated inside the enclave — the key exchange SGX remote
+// attestation runs. The quote's report data binds the key hash, so the
+// infrastructure cannot substitute its own key.
 type ProvisioningRequest struct {
 	Quote  *Quote
-	PubKey []byte // PKIX-encoded RSA public key
+	PubKey []byte // PKIX-encoded X25519 public key
 }
 
+// provisionKeyLabel names the AES-GCM key both ends derive from the
+// ECDH shared secret.
+const provisionKeyLabel = "scbr/attest/provision-key/v1"
+
+// x25519KeySize is the length of a raw X25519 public key.
+const x25519KeySize = 32
+
 // NewProvisioningRequest runs inside the enclave: it generates an
-// ephemeral key pair, binds its hash into a report addressed to the
-// quoting enclave, and has the quoter produce the quote.
-func NewProvisioningRequest(e *sgx.Enclave, quoter *Quoter) (*ProvisioningRequest, *scrypto.KeyPair, error) {
-	var (
-		kp  *scrypto.KeyPair
-		err error
-	)
-	if ecallErr := e.Ecall(func() error {
-		kp, err = scrypto.NewKeyPair(nil)
+// ephemeral X25519 key, binds the hash of its PKIX encoding into a
+// report addressed to the quoting enclave, and has the quoter produce
+// the quote.
+func NewProvisioningRequest(e *sgx.Enclave, quoter *Quoter) (*ProvisioningRequest, *ecdh.PrivateKey, error) {
+	var priv *ecdh.PrivateKey
+	if err := e.Ecall(func() (err error) {
+		priv, err = ecdh.X25519().GenerateKey(rand.Reader)
 		return err
-	}); ecallErr != nil {
-		return nil, nil, fmt.Errorf("attest: generating provisioning key: %w", ecallErr)
+	}); err != nil {
+		return nil, nil, fmt.Errorf("attest: generating provisioning key: %w", err)
 	}
-	pubDER, err := x509.MarshalPKIXPublicKey(kp.Public())
+	pubDER, err := x509.MarshalPKIXPublicKey(priv.PublicKey())
 	if err != nil {
 		return nil, nil, fmt.Errorf("attest: encoding provisioning key: %w", err)
 	}
@@ -176,13 +184,13 @@ func NewProvisioningRequest(e *sgx.Enclave, quoter *Quoter) (*ProvisioningReques
 	if err != nil {
 		return nil, nil, err
 	}
-	return &ProvisioningRequest{Quote: quote, PubKey: pubDER}, kp, nil
+	return &ProvisioningRequest{Quote: quote, PubKey: pubDER}, priv, nil
 }
 
 // ProvisionSecret runs at the service provider: it validates the quote
 // against the verification service and the pinned identity, checks the
 // channel binding, and returns the secret encrypted for the enclave's
-// ephemeral key.
+// quote-bound ephemeral key (sealSecret).
 func ProvisionSecret(svc *Service, id Identity, req *ProvisioningRequest, secret []byte) ([]byte, error) {
 	if req == nil || req.Quote == nil {
 		return nil, ErrBadQuote
@@ -208,29 +216,69 @@ func ProvisionSecret(svc *Service, id Identity, req *ProvisioningRequest, secret
 	if err != nil {
 		return nil, fmt.Errorf("attest: parsing provisioning key: %w", err)
 	}
-	pub, ok := parsed.(*rsa.PublicKey)
+	pub, ok := parsed.(*ecdh.PublicKey)
 	if !ok {
-		return nil, fmt.Errorf("attest: provisioning key is %T, want RSA", parsed)
+		return nil, fmt.Errorf("attest: provisioning key is %T, want X25519", parsed)
 	}
-	blob, err := scrypto.EncryptPK(pub, secret)
+	return sealSecret(pub, secret)
+}
+
+// sealSecret encrypts secret for the holder of peer's private half: the
+// sender's own ephemeral X25519 public key, then the secret under
+// AES-GCM keyed by the labelled derivation of the ECDH shared secret,
+// with peer's raw 32-byte key as associated data.
+func sealSecret(peer *ecdh.PublicKey, secret []byte) ([]byte, error) {
+	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("attest: generating exchange key: %w", err)
+	}
+	key, err := exchangeKey(eph, peer)
+	if err != nil {
+		return nil, err
+	}
+	sealed, err := scrypto.SealGCM(key, secret, peer.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("attest: encrypting secret: %w", err)
 	}
-	return blob, nil
+	return append(eph.PublicKey().Bytes(), sealed...), nil
 }
 
-// ReceiveSecret runs inside the enclave: it decrypts a provisioned
-// secret with the ephemeral private key.
-func ReceiveSecret(e *sgx.Enclave, kp *scrypto.KeyPair, blob []byte) ([]byte, error) {
-	var (
-		secret []byte
-		err    error
-	)
-	if ecallErr := e.Ecall(func() error {
-		secret, err = scrypto.DecryptPK(kp, blob)
+// ReceiveSecret runs inside the enclave: it opens a provisioned secret
+// with the ephemeral private key.
+func ReceiveSecret(e *sgx.Enclave, priv *ecdh.PrivateKey, blob []byte) ([]byte, error) {
+	var secret []byte
+	if err := e.Ecall(func() (err error) {
+		secret, err = openSecret(priv, blob)
 		return err
-	}); ecallErr != nil {
-		return nil, fmt.Errorf("attest: decrypting secret: %w", ecallErr)
+	}); err != nil {
+		return nil, fmt.Errorf("attest: decrypting secret: %w", err)
 	}
 	return secret, nil
+}
+
+// openSecret reverses sealSecret: it completes the key exchange with
+// the sender's public key at the front of blob and opens the rest.
+func openSecret(priv *ecdh.PrivateKey, blob []byte) ([]byte, error) {
+	if len(blob) < x25519KeySize {
+		return nil, scrypto.ErrMalformed
+	}
+	peer, err := ecdh.X25519().NewPublicKey(blob[:x25519KeySize])
+	if err != nil {
+		return nil, fmt.Errorf("attest: parsing exchange key: %w", err)
+	}
+	key, err := exchangeKey(priv, peer)
+	if err != nil {
+		return nil, err
+	}
+	return scrypto.OpenGCM(key, blob[x25519KeySize:], priv.PublicKey().Bytes())
+}
+
+// exchangeKey derives the AES-256-GCM key both ends of a provisioning
+// compute, each from its own private key and the other's public key.
+func exchangeKey(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) ([]byte, error) {
+	shared, err := priv.ECDH(peer)
+	if err != nil {
+		return nil, fmt.Errorf("attest: key exchange: %w", err)
+	}
+	return scrypto.DeriveKey(shared, provisionKeyLabel, 32), nil
 }

@@ -76,6 +76,46 @@ func TestProvisioningHappyPath(t *testing.T) {
 	}
 }
 
+// TestProvisionedSecretBoundToRequestKey: a provisioning blob opens only
+// under the ephemeral key of the request it answers, and an altered or
+// truncated blob fails inside the enclave.
+func TestProvisionedSecretBoundToRequestKey(t *testing.T) {
+	f := newFixture(t)
+	req, priv, err := NewProvisioningRequest(f.enclave, f.quoter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, other, err := NewProvisioningRequest(f.enclave, f.quoter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := ProvisionSecret(f.svc, f.id, req, []byte("SK"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReceiveSecret(f.enclave, other, blob); err == nil {
+		t.Fatal("blob opened under another request's key")
+	}
+	flip := func(at int) []byte {
+		b := append([]byte(nil), blob...)
+		b[at] ^= 1
+		return b
+	}
+	for name, bad := range map[string][]byte{
+		"empty":             nil,
+		"exchange key only": blob[:x25519KeySize],
+		"exchange key":      flip(0),
+		"ciphertext":        flip(len(blob) - 1),
+	} {
+		if _, err := ReceiveSecret(f.enclave, priv, bad); err == nil {
+			t.Fatalf("%s: altered blob opened", name)
+		}
+	}
+	if got, err := ReceiveSecret(f.enclave, priv, blob); err != nil || string(got) != "SK" {
+		t.Fatalf("ReceiveSecret = %q, %v", got, err)
+	}
+}
+
 func TestWrongMeasurementRejected(t *testing.T) {
 	f := newFixture(t)
 	// A different (possibly malicious) enclave on the same platform.

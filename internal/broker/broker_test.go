@@ -352,7 +352,7 @@ func TestClientCannotRemoveOthersSubscription(t *testing.T) {
 func TestForgedRegistrationRejected(t *testing.T) {
 	sys := newTestSystem(t)
 	// The infrastructure (or any peer) tries to register a
-	// subscription without the publisher's signature.
+	// subscription without the publisher's registration tag.
 	conn, err := net.Dial("tcp", sys.routerLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -362,18 +362,18 @@ func TestForgedRegistrationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Even with a well-formed body, a foreign signature and a missing
-	// one must both fail the check, and register nothing.
-	for _, sig := range [][]byte{[]byte("forged"), nil} {
-		if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: raw}}, Sig: sig}); err != nil {
+	// Even with a well-formed body, a forged tag and a missing one must
+	// both fail the check, and register nothing.
+	for _, tag := range [][]byte{[]byte("forged"), nil} {
+		if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: raw}}, Tag: tag}); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := Recv(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reply.Type != TypeError || !strings.Contains(reply.Err, "signature") {
-			t.Fatalf("forged registration (sig %q) reply = %+v", sig, reply)
+		if reply.Type != TypeError || !strings.Contains(reply.Err, "tag") {
+			t.Fatalf("forged registration (tag %q) reply = %+v", tag, reply)
 		}
 	}
 	if got := sys.router.DataPlaneStats().Subscriptions; got != 0 {
@@ -419,7 +419,7 @@ func TestPublishBeforeProvisioningFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "x", Items: []BatchItem{{Blob: []byte("b")}}, Sig: []byte("s")}); err != nil {
+	if err := Send(conn, &Message{Type: TypeRegisterBatch, ClientID: "x", Items: []BatchItem{{Blob: []byte("b")}}, Tag: []byte("s")}); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := Recv(conn)

@@ -325,7 +325,7 @@ func (r *Router) sliceWorker(p *partition) {
 	defer close(p.workerDone)
 	entered := false
 	for job := range p.jobs {
-		sk, _ := r.keys()
+		sk := r.keys()
 		p.mu.Lock()
 		switch {
 		case r.cfg.Switchless:

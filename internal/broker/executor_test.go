@@ -93,7 +93,7 @@ const corpusPhaseEvents = 48
 var corpusClients = []string{"alice", "bob", "carol"}
 
 // corpus is a scripted session — registrations, then two phases of
-// publications — sealed and signed once, so that it can be replayed
+// publications — sealed and tagged once, so that it can be replayed
 // into any router the same publisher provisioned, byte for byte. The
 // bytes matter: a registration's slice is chosen by a hash of its
 // sealed blob, whose nonce is random, so only a replay puts the same
@@ -134,7 +134,7 @@ func buildCorpus(t *testing.T, pub *Publisher, batch int) *corpus {
 			}})
 		}
 		for _, spec := range specs {
-			c.registers = append(c.registers, registerFrame(t, pub, name, seal(pubsub.EncodeSubscriptionSpec(spec))))
+			c.registers = append(c.registers, registerFrame(pub, name, seal(pubsub.EncodeSubscriptionSpec(spec))))
 		}
 	}
 	quote := func(symbol string, price float64) []byte {

@@ -322,7 +322,7 @@ func (r *Router) forwardPublication(m *Message) {
 		// (and its lock) just to decide "forward nowhere".
 		return
 	}
-	sk, _ := r.keys()
+	sk := r.keys()
 	if sk == nil {
 		return
 	}
@@ -352,7 +352,7 @@ func (r *Router) forwardPublication(m *Message) {
 // sighting into the local matching pipeline so its deliveries flow
 // through the ordinary per-client queues.
 func (r *Router) handleFwdPub(link *peerLink, m *Message) {
-	sk, _ := r.keys()
+	sk := r.keys()
 	p0 := r.p0
 	var (
 		fwd  *federation.ForwardedPublication

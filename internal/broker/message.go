@@ -4,16 +4,16 @@
 // connections:
 //
 //	① client  → publisher: {s}PK (subscription under the publisher key)
-//	② publisher → router:  {s}SK, signed, after admission control
+//	② publisher → router:  {s}SK, MAC-tagged, after admission control
 //	③ router (enclave):    validate, decrypt, index the subscription
 //	④ publisher → router:  {header}SK + {payload}GK publications
 //	⑤ router (enclave):    decrypt header, match against the index
 //	⑥ router → clients:    forward the still-encrypted payload
 //
 // Steps ② and ③ have one form: a register-batch frame of n ≥ 1
-// subscriptions for one client under one signature, whether it carries
-// a client's single Subscribe or a bulk-loaded population. The
-// signature is checked where outside input arrives; a registration
+// subscriptions for one client under one MAC tag, whether it carries a
+// client's single Subscribe or a bulk-loaded population. The tag is
+// checked where outside input arrives; a registration
 // replayed from sealed state or moved between slices is authenticated
 // by the enclave seal it travelled under and is not re-verified.
 //
@@ -54,9 +54,9 @@ const (
 	TypeProvisionKey MsgType = "provision-key"
 	TypeProvisionOK  MsgType = "provision-ok"
 	// TypeRegisterBatch is the registration frame: n ≥ 1 registrations
-	// for one client, authenticated by one publisher signature over a
-	// digest of the whole frame (see signedRegistrationBatch) — one RSA
-	// signature however many subscriptions, which is what makes
+	// for one client, authenticated by one MAC tag over the whole frame
+	// under a key derived from SK (see registrationTag) — one tag
+	// however many subscriptions, which is what makes
 	// million-subscription populations affordable. Items carry the
 	// scheme-encoded (and, for sealed-exchange schemes, SK-sealed)
 	// subscription blobs; Payload stays empty. The ack echoes the
@@ -126,8 +126,8 @@ type Message struct {
 	Blob    []byte        `json:"blob,omitempty"`    // encrypted subscription / header / key material
 	Payload []byte        `json:"payload,omitempty"` // encrypted publication payload
 	Items   []BatchItem   `json:"items,omitempty"`   // publish-batch publications
-	Sig     []byte        `json:"sig,omitempty"`
-	PubKey  []byte        `json:"pub_key,omitempty"` // PKIX-encoded RSA key
+	Tag     []byte        `json:"tag,omitempty"`     // register-batch: registrationTag
+	PubKey  []byte        `json:"pub_key,omitempty"` // PKIX-encoded public key
 	Quote   *attest.Quote `json:"quote,omitempty"`
 	Err     string        `json:"err,omitempty"`
 	Code    string        `json:"code,omitempty"` // machine-readable error class

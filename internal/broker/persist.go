@@ -23,11 +23,11 @@ import (
 // Restore replays the log through the ingest function live
 // registrations take, reproducing the subscription IDs clients hold:
 // each ID carries its shard, so every subscription lands back on the
-// slice the sealed placement table gives that shard. The publisher's
-// signature is not kept: it was checked when the frame arrived, and a
-// replayed entry is authenticated by the seal — MRENCLAVE-bound and
-// counter-bound, so the untrusted host can neither alter nor inject
-// nor roll back an entry without failing the unseal. The log is
+// slice the sealed placement table gives that shard. The frame's
+// registration tag is not kept: it was checked when the frame arrived,
+// and a replayed entry is authenticated by the seal — MRENCLAVE-bound
+// and counter-bound, so the untrusted host can neither alter nor
+// inject nor roll back an entry without failing the unseal. The log is
 // unordered (removal back-fills), which is fine — replay assigns
 // explicit IDs, so log order is immaterial.
 //
@@ -48,10 +48,11 @@ type logEntry struct {
 	Blob     []byte `json:"blob"` // {s}SK
 }
 
-// routerState is the sealed snapshot.
+// routerState is the sealed snapshot. Snapshots sealed before
+// registration frames were tagged also carry a "verify_key" field,
+// which decoding ignores.
 type routerState struct {
-	SK        []byte `json:"sk"`
-	VerifyKey []byte `json:"verify_key"`
+	SK []byte `json:"sk"`
 	// Scheme is the matching scheme the logged registrations are
 	// encoded under, with its provisioned public parameters. Restore
 	// fails fast with ErrSchemeMismatch when the restoring router runs
@@ -83,14 +84,10 @@ type routerState struct {
 // untrusted disk; only the latest blob will restore.
 func (r *Router) SealState() ([]byte, error) {
 	r.keyMu.RLock()
-	sk, verifyKey, schemeParams := r.sk, r.verifyKey, r.schemeParams
+	sk, schemeParams := r.sk, r.schemeParams
 	r.keyMu.RUnlock()
 	if sk == nil {
 		return nil, fmt.Errorf("%w: nothing to seal", ErrNotProvisioned)
-	}
-	verifyDER, err := marshalVerifyKey(verifyKey)
-	if err != nil {
-		return nil, err
 	}
 	// stateMu excludes in-flight register/remove two-steps, so the
 	// snapshot never captures an engine/log divergence; the seal ecall
@@ -100,7 +97,6 @@ func (r *Router) SealState() ([]byte, error) {
 	pmSnap := r.pm.Snapshot()
 	state := routerState{
 		SK:           sk.Bytes(),
-		VerifyKey:    verifyDER,
 		Scheme:       r.backend.Name,
 		SchemeParams: append([]byte(nil), schemeParams...),
 		NextRef:      uint32(len(r.refName)),
@@ -184,10 +180,6 @@ func (r *Router) RestoreState(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("broker: decoding sealed SK: %w", err)
 	}
-	verifyKey, err := unmarshalVerifyKey(state.VerifyKey)
-	if err != nil {
-		return err
-	}
 	if err := r.configureSlices(state.SchemeParams); err != nil {
 		return fmt.Errorf("broker: restoring scheme parameters: %w", err)
 	}
@@ -205,7 +197,6 @@ func (r *Router) RestoreState(blob []byte) error {
 	}
 	r.keyMu.Lock()
 	r.sk = sk
-	r.verifyKey = verifyKey
 	r.schemeParams = append([]byte(nil), state.SchemeParams...)
 	r.keyMu.Unlock()
 	r.ctlMu.Lock()

@@ -90,7 +90,7 @@ func (f *restartFixture) populate(r *Router, n int) (*Publisher, []uint64) {
 		if err != nil {
 			f.t.Fatal(err)
 		}
-		reply, err := pub.routerRequest("", registerFrame(f.t, pub, "alice", encSK))
+		reply, err := pub.routerRequest("", registerFrame(pub, "alice", encSK))
 		if err != nil {
 			f.t.Fatal(err)
 		}
@@ -103,19 +103,14 @@ func (f *restartFixture) populate(r *Router, n int) (*Publisher, []uint64) {
 }
 
 // registerFrame builds the registration frame the publisher would send
-// for clientID's already-encoded blobs: one signature over the digest
-// of them all.
-func registerFrame(t testing.TB, pub *Publisher, clientID string, blobs ...[]byte) *Message {
-	t.Helper()
+// for clientID's already-encoded blobs: one tag over them all.
+func registerFrame(pub *Publisher, clientID string, blobs ...[]byte) *Message {
 	items := make([]BatchItem, len(blobs))
 	for i, blob := range blobs {
 		items[i] = BatchItem{Blob: blob}
 	}
-	sig, err := scrypto.Sign(pubKeys(pub), signedRegistrationBatch(items, clientID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Message{Type: TypeRegisterBatch, ClientID: clientID, Scheme: pub.Scheme(), Items: items, Sig: sig}
+	return &Message{Type: TypeRegisterBatch, ClientID: clientID, Scheme: pub.Scheme(), Items: items,
+		Tag: registrationTag(pubSK(pub), clientID, items)}
 }
 
 func TestSealRestoreRoundTrip(t *testing.T) {
@@ -230,7 +225,6 @@ func TestSealRequiresProvisioning(t *testing.T) {
 // Helpers bridging test access to publisher internals.
 
 func pubSK(p *Publisher) *scrypto.SymmetricKey { return p.sk }
-func pubKeys(p *Publisher) *scrypto.KeyPair    { return p.keys }
 
 func encodeSpec(t *testing.T, spec pubsub.SubscriptionSpec) []byte {
 	t.Helper()

@@ -16,7 +16,7 @@ import (
 	"scbr/internal/sgx"
 )
 
-// The registration path has one form — a signed frame of n ≥ 1 items,
+// The registration path has one form — a tagged frame of n ≥ 1 items,
 // ingested through Router.ingestRegistration — and these tests hold it
 // to that: the two public ways in (Client.Subscribe, RegisterBulk) are
 // the same path, a frame is all or nothing, and what the publisher was
@@ -264,7 +264,7 @@ func runRegSide(t *testing.T, schemeName string, k int, bulk bool) regSide {
 // routers, are indistinguishable afterwards — the same store, the same
 // deliveries for a publication batch, before and after a seal →
 // restore and a 3 → 2 resize. The one difference is the declared
-// simulated one: a frame costs one enclave entry for its signature
+// simulated one: a frame costs one enclave entry for its tag
 // (attestation slice) plus one per item, so a Subscribe — a one-item
 // frame — costs 2 where the per-item register frame this path replaced
 // paid 1, and a bulk frame of n costs n + 1 as it always did.
@@ -300,7 +300,7 @@ func TestRegisterOnePathDifferential(t *testing.T) {
 	}
 }
 
-// TestRegisterFrameAllOrNothing: a validly signed frame whose second
+// TestRegisterFrameAllOrNothing: a validly tagged frame whose second
 // item does not ingest registers nothing. The first item was already in
 // a slice store when the second failed; it must be gone again before
 // the error reply — not matching, not counted, not sealed — because no
@@ -324,7 +324,7 @@ func TestRegisterFrameAllOrNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			reply, err := b.pub.routerRequest("", registerFrame(t, b.pub, c.ID, good, []byte("garbage")))
+			reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, good, []byte("garbage")))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,7 +476,7 @@ func TestRegisterFrameSplit(t *testing.T) {
 
 // TestRestoreRejectsTamperedBlob: one flipped bit anywhere in the
 // sealed blob fails the unseal — which is what lets replay trust every
-// entry without a signature of its own.
+// entry without a tag of its own.
 func TestRestoreRejectsTamperedBlob(t *testing.T) {
 	f := newRestartFixture(t)
 	r1 := f.newRouter()
@@ -506,12 +506,8 @@ func TestRestoreRequiresPlacementTable(t *testing.T) {
 	f := newRestartFixture(t)
 	r1 := f.newRouter()
 	pub, _ := f.populate(r1, 1)
-	verifyDER, err := marshalVerifyKey(pubKeys(pub).Public())
-	if err != nil {
-		t.Fatal(err)
-	}
 	r1.ctlMu.RLock()
-	state := routerState{SK: pubSK(pub).Bytes(), VerifyKey: verifyDER, Log: append([]logEntry(nil), r1.regLog...)}
+	state := routerState{SK: pubSK(pub).Bytes(), Log: append([]logEntry(nil), r1.regLog...)}
 	r1.ctlMu.RUnlock()
 	raw, err := json.Marshal(&state)
 	if err != nil {

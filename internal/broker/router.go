@@ -2,9 +2,9 @@ package broker
 
 import (
 	"context"
+	"crypto/hmac"
 	"crypto/rsa"
 	"crypto/sha256"
-	"crypto/x509"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -27,18 +27,17 @@ import (
 )
 
 // provisionPayload is the secret bundle the publisher provisions into
-// the enclave after attestation: the symmetric key SK, the publisher's
-// signature-verification key, and the matching scheme the publisher
-// encodes under — its ID plus whatever public parameters the router's
-// slices need. Carrying the scheme inside the attested bundle makes
-// the negotiation tamper-evident: the untrusted infrastructure cannot
-// downgrade a deployment to a different scheme without failing the
-// provisioning MAC.
+// the enclave after attestation: the symmetric key SK — which also keys
+// the registration tags (registrationTag) — and the matching scheme the
+// publisher encodes under: its ID plus whatever public parameters the
+// router's slices need. Carrying the scheme inside the attested bundle
+// makes the negotiation tamper-evident: the untrusted infrastructure
+// cannot downgrade a deployment to a different scheme without failing
+// the provisioning MAC.
 type provisionPayload struct {
-	SK        []byte `json:"sk"`
-	VerifyKey []byte `json:"verify_key"` // PKIX RSA
-	Scheme    string `json:"scheme,omitempty"`
-	Params    []byte `json:"scheme_params,omitempty"`
+	SK     []byte `json:"sk"`
+	Scheme string `json:"scheme,omitempty"`
+	Params []byte `json:"scheme_params,omitempty"`
 }
 
 // RouterConfig configures a Router.
@@ -149,7 +148,7 @@ type RouterConfig struct {
 // concern so registrations, matching, and delivery never serialise on
 // one lock:
 //
-//   - keyMu (read-mostly): the provisioned SK and verify key,
+//   - keyMu (read-mostly): the provisioned SK and scheme parameters,
 //   - ctlMu: the control plane — client refs and the registration log
 //     (which names each subscription's owner),
 //   - connMu: the accept loop's connection set,
@@ -177,7 +176,6 @@ type Router struct {
 
 	keyMu        sync.RWMutex
 	sk           *scrypto.SymmetricKey
-	verifyKey    *rsa.PublicKey
 	schemeParams []byte // provisioned public scheme parameters
 
 	ctlMu     sync.RWMutex
@@ -481,11 +479,11 @@ func (r *Router) DeliveryLatencySnapshot() DeliveryLatency {
 	return r.delivery.latencySnapshot()
 }
 
-// keys returns the provisioned secrets (nil SK before provisioning).
-func (r *Router) keys() (*scrypto.SymmetricKey, *rsa.PublicKey) {
+// keys returns the provisioned SK (nil before provisioning).
+func (r *Router) keys() *scrypto.SymmetricKey {
 	r.keyMu.RLock()
 	defer r.keyMu.RUnlock()
-	return r.sk, r.verifyKey
+	return r.sk
 }
 
 // Identity returns the enclave identity a publisher should pin.
@@ -714,14 +712,6 @@ func (r *Router) handleProvision(conn net.Conn, m *Message) error {
 	if err != nil {
 		return fmt.Errorf("decoding SK: %w", err)
 	}
-	parsed, err := x509.ParsePKIXPublicKey(payload.VerifyKey)
-	if err != nil {
-		return fmt.Errorf("decoding verify key: %w", err)
-	}
-	verifyKey, ok := parsed.(*rsa.PublicKey)
-	if !ok {
-		return fmt.Errorf("verify key is %T, want RSA", parsed)
-	}
 	if err := r.checkScheme(payload.Scheme); err != nil {
 		return err
 	}
@@ -730,7 +720,6 @@ func (r *Router) handleProvision(conn net.Conn, m *Message) error {
 	}
 	r.keyMu.Lock()
 	r.sk = sk
-	r.verifyKey = verifyKey
 	r.schemeParams = append([]byte(nil), payload.Params...)
 	r.keyMu.Unlock()
 	return Send(conn, &Message{Type: TypeProvisionOK, Scheme: r.backend.Name})
@@ -754,8 +743,8 @@ func (r *Router) configureSlices(params []byte) error {
 
 // handleRegisterBatch is step ③, the one way a subscription enters the
 // router: a frame of n ≥ 1 registrations for one client under one
-// publisher signature — over a digest binding every blob to the client
-// identity — which is verified inside the attestation slice's enclave.
+// registration tag — binding every blob to the client identity — which
+// is recomputed and compared inside the attestation slice's enclave.
 // Each item is then hashed to a virtual shard, resolved to the shard's
 // slice through the placement map, and ingested inside that slice's
 // enclave. Only the item's partition serialises — registrations on
@@ -777,15 +766,15 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	if len(m.Items) == 0 {
 		return Send(conn, &Message{Type: TypeRegisterBatchOK})
 	}
-	_, verifyKey := r.keys()
-	if verifyKey == nil {
+	sk := r.keys()
+	if sk == nil {
 		return ErrNotProvisioned
 	}
 	p0 := r.p0
 	p0.mu.Lock()
 	err := p0.enclave.Ecall(func() error {
-		if err := scrypto.Verify(verifyKey, signedRegistrationBatch(m.Items, m.ClientID), m.Sig); err != nil {
-			return fmt.Errorf("batch registration signature invalid: %w", err)
+		if !hmac.Equal(registrationTag(sk, m.ClientID, m.Items), m.Tag) {
+			return fmt.Errorf("batch registration tag invalid: %w", scrypto.ErrAuthentication)
 		}
 		return nil
 	})
@@ -843,14 +832,14 @@ func (r *Router) logRegistration(ent logEntry) {
 // slice) — under that ID. It opens the SK envelope first for
 // sealed-exchange schemes and stores the scheme ciphertext as it is
 // otherwise. Whoever calls has authenticated the blob already: the
-// live path by the publisher's signature over its frame, restore and
+// live path by the registration tag over its frame, restore and
 // migration by the enclave seal the logged entry travelled under. For
 // digest-capable schemes with federation enabled it also returns the
 // decoded subscription spec for the overlay. Callers hold stateMu
 // (shared on the live path) or the migration's shard fence, which keeps
 // the shard→slice resolution they did stable across the insert.
 func (r *Router) ingestRegistration(shard, target int, clientID string, blob []byte, assignID uint64) (uint64, pubsub.SubscriptionSpec, bool, error) {
-	sk, _ := r.keys()
+	sk := r.keys()
 	if sk == nil {
 		return 0, pubsub.SubscriptionSpec{}, false, ErrNotProvisioned
 	}
@@ -1003,43 +992,32 @@ func (r *Router) refFor(clientID string) uint32 {
 	return ref
 }
 
-// signedRegistrationBatch is the byte string the publisher signs for
-// step ②: a domain-separated digest over the client identity and
-// every item blob, length-prefixed so blob boundaries are unambiguous.
-// Signing the digest instead of the concatenation keeps the RSA input
-// small however large the batch is; binding the client identity means
-// the infrastructure cannot re-route subscriptions between clients.
-func signedRegistrationBatch(items []BatchItem, clientID string) []byte {
-	h := sha256.New()
-	h.Write([]byte("scbr-register-batch\x00"))
-	h.Write([]byte(clientID))
+// registrationLabel names the registration-tag key K_reg in the KDF
+// and opens the tagged bytes. K_reg is derived from SK's MAC key, so it
+// is held by exactly the parties SK is, seals and rotates with it, and
+// is independent of the envelope MAC key it is derived from.
+const registrationLabel = "scbr-register-batch"
+
+// registrationTag is step ②'s authenticator: HMAC-SHA256 under K_reg
+// over the client identity and every item blob of one frame, streamed
+// in one pass. Every variable-length field is length-prefixed, and so
+// is the item count, so no two distinct frames share tagged bytes and
+// the infrastructure can neither re-route subscriptions between clients
+// nor re-cut a frame's boundaries.
+func registrationTag(sk *scrypto.SymmetricKey, clientID string, items []BatchItem) []byte {
+	mac := hmac.New(sha256.New, scrypto.DeriveKey(sk.MAC[:], registrationLabel, sha256.Size))
 	var n [8]byte
+	length := func(v int) {
+		binary.LittleEndian.PutUint64(n[:], uint64(v))
+		mac.Write(n[:])
+	}
+	mac.Write([]byte(registrationLabel + "\x00"))
+	length(len(clientID))
+	mac.Write([]byte(clientID))
+	length(len(items))
 	for _, it := range items {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(it.Blob)))
-		h.Write(n[:])
-		h.Write(it.Blob)
+		length(len(it.Blob))
+		mac.Write(it.Blob)
 	}
-	return h.Sum(nil)
-}
-
-// marshalVerifyKey and unmarshalVerifyKey move the publisher's
-// signature key through sealed state.
-func marshalVerifyKey(pk *rsa.PublicKey) ([]byte, error) {
-	der, err := x509.MarshalPKIXPublicKey(pk)
-	if err != nil {
-		return nil, fmt.Errorf("broker: encoding verify key: %w", err)
-	}
-	return der, nil
-}
-
-func unmarshalVerifyKey(der []byte) (*rsa.PublicKey, error) {
-	parsed, err := x509.ParsePKIXPublicKey(der)
-	if err != nil {
-		return nil, fmt.Errorf("broker: decoding sealed verify key: %w", err)
-	}
-	pk, ok := parsed.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("broker: sealed verify key is %T, want RSA", parsed)
-	}
-	return pk, nil
+	return mac.Sum(nil)
 }

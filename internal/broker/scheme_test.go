@@ -233,11 +233,11 @@ func TestSchemeMismatchFrames(t *testing.T) {
 		}
 		return errOf(reply)
 	}
-	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Scheme: scheme.Plain, Items: []BatchItem{{Blob: []byte("x")}}, Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
+	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Scheme: scheme.Plain, Items: []BatchItem{{Blob: []byte("x")}}, Tag: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
 		t.Fatalf("plain-tagged register on aspe router: err = %v, want ErrSchemeMismatch", err)
 	}
 	// The empty tag means the default scheme — also a mismatch here.
-	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: []byte("x")}}, Sig: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
+	if err := exchange(&Message{Type: TypeRegisterBatch, ClientID: "mallory", Items: []BatchItem{{Blob: []byte("x")}}, Tag: []byte("y")}); !errors.Is(err, ErrSchemeMismatch) {
 		t.Fatalf("untagged register on aspe router: err = %v, want ErrSchemeMismatch", err)
 	}
 	if err := exchange(&Message{Type: TypeListen, ClientID: "mallory", Scheme: scheme.Plain}); !errors.Is(err, ErrSchemeMismatch) {
@@ -430,7 +430,7 @@ func TestRestoreSchemeMismatch(t *testing.T) {
 		t.Fatalf("restoring aspe state into plain router: err = %v, want ErrSchemeMismatch", err)
 	}
 	// The fail-fast must leave the router unprovisioned and empty.
-	if sk, _ := r2.keys(); sk != nil {
+	if sk := r2.keys(); sk != nil {
 		t.Fatal("failed restore installed secrets anyway")
 	}
 	if st := r2.DataPlaneStats(); st.Subscriptions != 0 {

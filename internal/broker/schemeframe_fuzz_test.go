@@ -13,20 +13,21 @@ import (
 // whose Scheme field the router's mismatch checks read — through the
 // full Send/Recv path (a JSON body for control types, the binary
 // data-frame codec for publish, inside length-prefixed wire frames).
-// The scheme tag, blobs, and identities must survive byte-identically:
-// the mismatch check and the registration signature both depend on it.
+// The scheme tag, blobs, identities and registration tag must survive
+// byte-identically: the mismatch check and the registration tag check
+// both depend on it.
 func FuzzSchemeTaggedFrame(f *testing.F) {
 	f.Add(string(TypeProvision), "sgx-plain", "", []byte(nil), []byte(nil), uint64(0))
-	f.Add(string(TypeRegisterBatch), "aspe", "alice", []byte{0xA5, 1, 2}, []byte("sig"), uint64(0))
+	f.Add(string(TypeRegisterBatch), "aspe", "alice", []byte{0xA5, 1, 2}, bytes.Repeat([]byte{0x5A}, 32), uint64(0))
 	f.Add(string(TypePublish), "aspe", "", bytes.Repeat([]byte{7}, 64), []byte(nil), uint64(3))
 	f.Add(string(TypeListen), "", "carol", []byte(nil), []byte(nil), uint64(9))
-	f.Fuzz(func(t *testing.T, typ, schemeTag, clientID string, blob, sig []byte, epoch uint64) {
+	f.Fuzz(func(t *testing.T, typ, schemeTag, clientID string, blob, tag []byte, epoch uint64) {
 		in := &Message{
 			Type:     MsgType(typ),
 			Scheme:   schemeTag,
 			ClientID: clientID,
 			Blob:     blob,
-			Sig:      sig,
+			Tag:      tag,
 			Epoch:    epoch,
 		}
 		var buf bytes.Buffer
@@ -47,7 +48,7 @@ func FuzzSchemeTaggedFrame(f *testing.F) {
 			if out.Type != in.Type || out.Scheme != in.Scheme || !bytes.Equal(out.Blob, in.Blob) || out.Epoch != in.Epoch {
 				t.Fatalf("data frame diverged: %+v vs %+v", out, in)
 			}
-			if out.ClientID != "" || out.Sig != nil {
+			if out.ClientID != "" || out.Tag != nil {
 				t.Fatalf("fields outside the layout travelled: %+v", out)
 			}
 			return
@@ -65,11 +66,11 @@ func FuzzSchemeTaggedFrame(f *testing.F) {
 		if out.Type != norm.Type || out.Scheme != norm.Scheme || out.ClientID != norm.ClientID {
 			t.Fatalf("tagged fields diverged: %+v vs %+v", out, norm)
 		}
-		if !bytes.Equal(out.Blob, in.Blob) || !bytes.Equal(out.Sig, in.Sig) || out.Epoch != in.Epoch {
+		if !bytes.Equal(out.Blob, in.Blob) || !bytes.Equal(out.Tag, in.Tag) || out.Epoch != in.Epoch {
 			t.Fatalf("payload fields diverged: %+v vs %+v", out, in)
 		}
 		// Blobs must be byte-stable regardless of string coercion: the
-		// registration signature covers them.
+		// registration tag covers them.
 		if tag := scheme.Canonical(out.Scheme); schemeTag == "" && tag != scheme.Plain {
 			t.Fatalf("empty tag canonicalised to %q", tag)
 		}

@@ -35,7 +35,7 @@ func refJSONRoundTrip(t *testing.T, m *Message) *Message {
 func sameMessage(a, b *Message) bool {
 	if a.Type != b.Type || a.Scheme != b.Scheme || a.Epoch != b.Epoch || a.Cursor != b.Cursor ||
 		a.ClientID != b.ClientID || a.SubID != b.SubID || a.Resume != b.Resume || a.Gap != b.Gap ||
-		!bytes.Equal(a.Blob, b.Blob) || !bytes.Equal(a.Payload, b.Payload) || !bytes.Equal(a.Sig, b.Sig) ||
+		!bytes.Equal(a.Blob, b.Blob) || !bytes.Equal(a.Payload, b.Payload) || !bytes.Equal(a.Tag, b.Tag) ||
 		len(a.SubIDs) != len(b.SubIDs) || len(a.Items) != len(b.Items) {
 		return false
 	}
@@ -92,7 +92,7 @@ func TestDataFramesMatchJSONReference(t *testing.T) {
 		}
 	}
 	// Control frames still are JSON, byte-identical to json.Marshal.
-	ctl := &Message{Type: TypeRegisterBatch, ClientID: "alice", Scheme: "aspe", Items: []BatchItem{{Blob: []byte{1, 2, 3}}}, Sig: []byte("sig")}
+	ctl := &Message{Type: TypeRegisterBatch, ClientID: "alice", Scheme: "aspe", Items: []BatchItem{{Blob: []byte{1, 2, 3}}}, Tag: []byte("tag")}
 	var wire bytes.Buffer
 	if err := Send(&wire, ctl); err != nil {
 		t.Fatal(err)

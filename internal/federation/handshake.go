@@ -25,6 +25,7 @@
 package federation
 
 import (
+	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
@@ -45,7 +46,7 @@ const linkKeyLabel = "scbr/federation/link-key/v1"
 type Hello struct {
 	RouterID string        `json:"router_id"`
 	Quote    *attest.Quote `json:"quote"`
-	PubKey   []byte        `json:"pub_key"` // PKIX RSA, hash-bound into the quote
+	PubKey   []byte        `json:"pub_key"` // PKIX X25519, hash-bound into the quote
 }
 
 // Welcome is the acceptor's half (PEER_WELCOME payload).
@@ -57,8 +58,8 @@ type Welcome struct {
 
 // NewHello runs on the dialing router: generate the quote-bound
 // ephemeral key inside the enclave and assemble the hello. The
-// returned key pair must be kept for CompleteHandshake.
-func NewHello(routerID string, e *sgx.Enclave, quoter *attest.Quoter) (*Hello, *scrypto.KeyPair, error) {
+// returned private key must be kept for CompleteHandshake.
+func NewHello(routerID string, e *sgx.Enclave, quoter *attest.Quoter) (*Hello, *ecdh.PrivateKey, error) {
 	req, ephemeral, err := attest.NewProvisioningRequest(e, quoter)
 	if err != nil {
 		return nil, nil, fmt.Errorf("federation: building hello: %w", err)
@@ -122,7 +123,7 @@ func AcceptHello(h *Hello, svc *attest.Service, identities []attest.Identity,
 // acceptor's quote and its binding to the encrypted secret, decrypt
 // the secret inside the enclave, and derive the link key.
 func CompleteHandshake(w *Welcome, svc *attest.Service, identities []attest.Identity,
-	e *sgx.Enclave, ephemeral *scrypto.KeyPair) (*scrypto.SymmetricKey, error) {
+	e *sgx.Enclave, ephemeral *ecdh.PrivateKey) (*scrypto.SymmetricKey, error) {
 	if w == nil || w.Quote == nil {
 		return nil, fmt.Errorf("%w: empty welcome", ErrPeerRejected)
 	}
