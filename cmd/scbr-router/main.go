@@ -41,8 +41,6 @@ package main
 
 import (
 	"context"
-	"crypto/rsa"
-	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -232,18 +230,11 @@ func federationOptions(ctx context.Context, quoter *scbr.Quoter, routerID string
 		if err != nil {
 			return nil, err
 		}
-		key, err := x509.ParsePKIXPublicKey(bundle.AttestationKey)
+		key, id, err := bundle.Platform()
 		if err != nil {
-			return nil, fmt.Errorf("peer trust %s: parsing attestation key: %w", path, err)
+			return nil, fmt.Errorf("peer trust %s: %w", path, err)
 		}
-		rsaKey, ok := key.(*rsa.PublicKey)
-		if !ok {
-			return nil, fmt.Errorf("peer trust %s: attestation key is %T, want RSA", path, key)
-		}
-		svc.RegisterPlatform(bundle.PlatformID, rsaKey)
-		var id scbr.Identity
-		copy(id.MRENCLAVE[:], bundle.MRENCLAVE)
-		copy(id.MRSIGNER[:], bundle.MRSIGNER)
+		svc.RegisterPlatform(bundle.PlatformID, key)
 		ids = append(ids, id)
 	}
 	opts := []scbr.Option{

@@ -11,13 +11,15 @@
 // platform attestation key; a verification service (Intel's IAS in
 // production) vouches for platform keys; and the service provider
 // checks the quoted measurement before releasing secrets over a
-// channel bound to the quote.
+// channel bound to the quote. The quoting enclave signs with an ECDSA
+// P-256 attestation key, as the DCAP quoting enclave does.
 package attest
 
 import (
 	"crypto/ecdh"
+	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
 	"errors"
@@ -45,11 +47,12 @@ type Quote struct {
 }
 
 // Quoter plays the role of the platform quoting enclave: it holds the
-// device's attestation key and converts local reports into quotes.
+// device's ECDSA P-256 attestation key and converts local reports into
+// quotes.
 type Quoter struct {
 	dev        *sgx.Device
 	platformID string
-	key        *scrypto.KeyPair
+	key        *ecdsa.PrivateKey
 }
 
 // NewQuoter provisions a quoting identity for a device.
@@ -57,7 +60,7 @@ func NewQuoter(dev *sgx.Device, platformID string) (*Quoter, error) {
 	if platformID == "" {
 		return nil, errors.New("attest: empty platform ID")
 	}
-	key, err := scrypto.NewKeyPair(nil)
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("attest: generating platform key: %w", err)
 	}
@@ -69,16 +72,18 @@ func (q *Quoter) PlatformID() string { return q.platformID }
 
 // AttestationKey returns the public half registered with the
 // verification service.
-func (q *Quoter) AttestationKey() *rsa.PublicKey { return q.key.Public() }
+func (q *Quoter) AttestationKey() *ecdsa.PublicKey { return &q.key.PublicKey }
 
 // Quote verifies a local report addressed to the quoting enclave and
-// signs its body. Reports from other devices fail the MAC check.
+// signs the SHA-256 digest of its body (ASN.1 ECDSA). Reports from
+// other devices fail the MAC check.
 func (q *Quoter) Quote(r *sgx.Report) (*Quote, error) {
 	if !q.dev.VerifyQuotableReport(r) {
 		return nil, fmt.Errorf("%w: report MAC invalid for this platform", ErrBadQuote)
 	}
 	body := r.Body.Marshal()
-	sig, err := scrypto.Sign(q.key, body)
+	digest := sha256.Sum256(body)
+	sig, err := ecdsa.SignASN1(rand.Reader, q.key, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("attest: signing quote: %w", err)
 	}
@@ -90,18 +95,18 @@ func (q *Quoter) Quote(r *sgx.Report) (*Quote, error) {
 // quotes. Safe for concurrent use.
 type Service struct {
 	mu        sync.RWMutex
-	platforms map[string]*rsa.PublicKey
+	platforms map[string]*ecdsa.PublicKey
 	// AllowDebug admits debug-mode enclaves (never in production).
 	AllowDebug bool
 }
 
 // NewService returns an empty verification service.
 func NewService() *Service {
-	return &Service{platforms: make(map[string]*rsa.PublicKey)}
+	return &Service{platforms: make(map[string]*ecdsa.PublicKey)}
 }
 
 // RegisterPlatform records a genuine platform's attestation key.
-func (s *Service) RegisterPlatform(id string, key *rsa.PublicKey) {
+func (s *Service) RegisterPlatform(id string, key *ecdsa.PublicKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.platforms[id] = key
@@ -119,7 +124,8 @@ func (s *Service) Verify(q *Quote) (*sgx.ReportBody, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlatform, q.PlatformID)
 	}
-	if err := scrypto.Verify(key, q.Body, q.Sig); err != nil {
+	digest := sha256.Sum256(q.Body)
+	if !ecdsa.VerifyASN1(key, digest[:], q.Sig) {
 		return nil, ErrBadQuote
 	}
 	body, err := sgx.UnmarshalReportBody(q.Body)

@@ -195,31 +195,59 @@ func TestSubstitutedKeyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The untrusted infrastructure swaps in its own key.
-	mallory, err := scrypto.NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The untrusted infrastructure swaps in a key of its choosing.
 	swapped, _, err := NewProvisioningRequest(f.enclave, f.quoter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = mallory
 	swapped.PubKey = req.PubKey // key from another session
 	if _, err := ProvisionSecret(f.svc, f.id, swapped, []byte("SK")); !errors.Is(err, ErrChannelBinding) {
 		t.Fatalf("substituted key accepted: %v", err)
 	}
 }
 
+// TestForgedQuoteRejected: a quote whose body or ECDSA signature was
+// altered, or whose signature is empty, fails verification.
 func TestForgedQuoteRejected(t *testing.T) {
 	f := newFixture(t)
 	req, _, err := NewProvisioningRequest(f.enclave, f.quoter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Quote.Body[0] ^= 1
+	if _, err := f.svc.Verify(req.Quote); err != nil {
+		t.Fatalf("genuine quote rejected: %v", err)
+	}
+	for name, forge := range map[string]func(q *Quote){
+		"body":      func(q *Quote) { q.Body[0] ^= 1 },
+		"signature": func(q *Quote) { q.Sig[len(q.Sig)-1] ^= 1 },
+		"no sig":    func(q *Quote) { q.Sig = nil },
+	} {
+		q := *req.Quote
+		q.Body, q.Sig = bytes.Clone(q.Body), bytes.Clone(q.Sig)
+		forge(&q)
+		if _, err := f.svc.Verify(&q); !errors.Is(err, ErrBadQuote) {
+			t.Fatalf("%s: tampered quote verified: %v", name, err)
+		}
+	}
+}
+
+// TestWrongAttestationKeyRejected: a quote signed by one platform's key
+// fails at a service that holds another key under that platform's ID.
+func TestWrongAttestationKeyRejected(t *testing.T) {
+	f := newFixture(t)
+	impostor, err := NewQuoter(f.dev, f.quoter.PlatformID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _, err := NewProvisioningRequest(f.enclave, impostor)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := f.svc.Verify(req.Quote); !errors.Is(err, ErrBadQuote) {
-		t.Fatalf("tampered quote verified: %v", err)
+		t.Fatalf("quote under another platform key verified: %v", err)
+	}
+	if _, err := ProvisionSecret(f.svc, f.id, req, []byte("SK")); !errors.Is(err, ErrBadQuote) {
+		t.Fatalf("provisioned against a quote under another platform key: %v", err)
 	}
 }
 

@@ -386,18 +386,21 @@ func (t *deliveryTable) attach(name string, conn net.Conn, hello *Message, lastS
 	return nil
 }
 
-// enqueue stamps one delivery with name's next cursor, retains it in
+// client returns name's delivery state, nil when the client has never
+// listened here: it has nothing to resume onto, so nothing is built or
+// enqueued for it.
+func (t *deliveryTable) client(name string) *clientState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.clients[name]
+}
+
+// enqueueTo stamps one delivery with st's next cursor, retains it in
 // the replay ring, and offers it to the live queue. It never blocks
 // on a socket; whether it may wait for queue space at all is the
 // overflow policy. m must be owned by the caller (deliver builds one
 // Message per target client) — the cursor stamp mutates it.
-func (t *deliveryTable) enqueue(name string, m *Message) {
-	t.mu.Lock()
-	st := t.clients[name]
-	t.mu.Unlock()
-	if st == nil {
-		return // client has never listened here: nothing to resume onto
-	}
+func (t *deliveryTable) enqueueTo(st *clientState, m *Message) {
 	st.sendMu.Lock()
 	defer st.sendMu.Unlock()
 	m.enqueuedAt = time.Now()
@@ -727,8 +730,9 @@ type fanout struct {
 type clientGroup struct {
 	ref    uint32
 	name   string
-	n      int      // how many of the client's subscriptions matched
-	subIDs []uint64 // the delivery's own allocation, exactly n long
+	st     *clientState // nil: never listened here, so nothing is built
+	n      int          // how many of the client's subscriptions matched
+	subIDs []uint64     // the delivery's own allocation, exactly n long
 }
 
 // deliver is step ⑥: hand the still-encrypted payload once to every
@@ -736,9 +740,10 @@ type clientGroup struct {
 // subscriptions matched. The delivery names every matched subscription
 // of that client, so client-side Subscription handles can route it
 // without decrypting twice; each frame is stamped with the client's
-// delivery cursor by enqueue. Forwarded publications arriving over
-// federation links take this same path, so cross-router deliveries
-// ride local cursors like any other.
+// delivery cursor by enqueueTo. A client that has never listened here
+// has no delivery state, and nothing is built for it. Forwarded
+// publications arriving over federation links take this same path, so
+// cross-router deliveries ride local cursors like any other.
 func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte, epoch uint64) {
 	if len(matches) == 0 {
 		return
@@ -758,14 +763,18 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 	if single {
 		// Every match names the same client — the common case under
 		// selective subscriptions — so skip the grouping entirely.
+		r.ctlMu.RLock()
+		name := r.refName[matches[0].ClientRef]
+		r.ctlMu.RUnlock()
+		st := r.delivery.client(name)
+		if st == nil {
+			return
+		}
 		subIDs := make([]uint64, len(matches))
 		for i, match := range matches {
 			subIDs[i] = match.SubID
 		}
-		r.ctlMu.RLock()
-		name := r.refName[matches[0].ClientRef]
-		r.ctlMu.RUnlock()
-		r.delivery.enqueue(name, &Message{
+		r.delivery.enqueueTo(st, &Message{
 			Type:    TypeDeliver,
 			Payload: payload,
 			Epoch:   epoch,
@@ -794,15 +803,24 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 		groups[g].name = r.refName[groups[g].ref]
 	}
 	r.ctlMu.RUnlock()
+	for g := range groups {
+		groups[g].st = r.delivery.client(groups[g].name)
+	}
 	for _, match := range matches {
 		g := &groups[fan.slot[match.ClientRef]]
+		if g.st == nil {
+			continue
+		}
 		if g.subIDs == nil {
 			g.subIDs = make([]uint64, 0, g.n)
 		}
 		g.subIDs = append(g.subIDs, match.SubID)
 	}
 	for g := range groups {
-		r.delivery.enqueue(groups[g].name, &Message{
+		if groups[g].st == nil {
+			continue
+		}
+		r.delivery.enqueueTo(groups[g].st, &Message{
 			Type:    TypeDeliver,
 			Payload: payload,
 			Epoch:   epoch,
@@ -810,6 +828,6 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 		})
 	}
 	clear(fan.slot)
-	clear(groups) // drop the name and SubIDs references
+	clear(groups) // drop the name, state and SubIDs references
 	fan.groups = groups
 }

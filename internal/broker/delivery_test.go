@@ -7,11 +7,69 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"scbr/internal/core"
 )
+
+// enqueue is enqueueTo for the client named name, if it has state —
+// what deliver does for each matched client.
+func (t *deliveryTable) enqueue(name string, m *Message) {
+	if st := t.client(name); st != nil {
+		t.enqueueTo(st, m)
+	}
+}
 
 // deliverMsg builds one numbered test delivery.
 func deliverMsg(i int) *Message {
 	return &Message{Type: TypeDeliver, Payload: []byte{byte(i)}}
+}
+
+// TestDeliverBuildsNothingForClientThatNeverListened: matches for a
+// client that has never listened here build no delivery — nothing
+// allocated and nothing counted, whether it is the only client matched
+// or shares the event with another — and once it listens it receives
+// every publication that follows, with every matched subscription named.
+func TestDeliverBuildsNothingForClientThatNeverListened(t *testing.T) {
+	table := newDeliveryTable(64, 64, OverflowDropOldest, -1)
+	defer table.close(time.Second)
+	r := &Router{delivery: table, refName: []string{"quiet", "other"}}
+	var fan fanout
+	payload := []byte("sealed payload")
+	alone := []core.MatchResult{{SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}
+	shared := []core.MatchResult{{SubID: 3, ClientRef: 1}, {SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}
+	publish := func() {
+		r.deliver(&fan, alone, payload, 7)
+		r.deliver(&fan, shared, payload, 7)
+	}
+	if allocs := testing.AllocsPerRun(100, publish); allocs != 0 {
+		t.Fatalf("deliveries to clients that never listened allocate %.1f times per publication pair, want 0", allocs)
+	}
+	if got := table.snapshot().Enqueued; got != 0 {
+		t.Fatalf("%d deliveries enqueued for clients that never listened", got)
+	}
+
+	server, client := net.Pipe()
+	defer client.Close()
+	if err := table.attach("quiet", server, &Message{Type: TypeListenOK}, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if m := mustRecv(t, client); m.Type != TypeListenOK || m.Cursor != 0 {
+		t.Fatalf("hello = %+v", m)
+	}
+	const rounds = 5
+	for i := 0; i < rounds; i++ {
+		publish()
+	}
+	for i := 1; i <= 2*rounds; i++ {
+		m := mustRecv(t, client)
+		if m.Type != TypeDeliver || m.Cursor != uint64(i) || m.Epoch != 7 || !bytes.Equal(m.Payload, payload) ||
+			len(m.SubIDs) != 2 || m.SubIDs[0] != 1 || m.SubIDs[1] != 2 {
+			t.Fatalf("delivery %d = %+v", i, m)
+		}
+	}
+	if got := table.snapshot().Enqueued; got != 2*rounds {
+		t.Fatalf("Enqueued = %d, want %d (the client that never listened counts nothing)", got, 2*rounds)
+	}
 }
 
 // expectClosedConn asserts the peer observes the connection closed

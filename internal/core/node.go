@@ -39,13 +39,17 @@
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
 // a publish-batch visits each node once — header, constraint blob and
-// subscriber records read and metered once — and evaluates the blob
-// against every live event, charging predicate cycles per event. A
-// sibling inherits its node's mask, a child the events that passed, and
-// a subtree no event reaches is pruned. Events that carry the same
-// (attribute, value) share the walk of that shard. Each event's results
-// are those of matching it alone, in the same order; a single event is
-// the batch of one, with the simulated counts the per-event walk had.
+// subscriber records read and metered once. The chunk is transposed by
+// attribute before the walk (pubsub.Columns), and each visited node's
+// blob is evaluated once per visit against every live event: each
+// constraint is read once and tested against the column of its
+// attribute, charging predicate cycles per event as if each had been
+// evaluated alone (pubsub.MatchEncoded). A sibling inherits its node's
+// mask, a child the events that passed, and a subtree no event reaches
+// is pruned. Events that carry the same (attribute, value) share the
+// walk of that shard. Each event's results are those of matching it
+// alone, in the same order; a single event is the batch of one, with
+// the simulated counts the per-event walk had.
 package core
 
 import (

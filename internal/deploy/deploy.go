@@ -6,6 +6,8 @@
 package deploy
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
 	"crypto/rsa"
 	"crypto/x509"
 	"encoding/json"
@@ -38,8 +40,11 @@ func NewTrustBundle(quoter *attest.Quoter, id attest.Identity) (*TrustBundle, er
 	}, nil
 }
 
-// Service materialises the verification service and pinned identity.
-func (b *TrustBundle) Service() (*attest.Service, attest.Identity, error) {
+// Platform parses the bundle: the platform's attestation key — PKIX
+// DER, and an ECDSA P-256 key or an error — and the pinned enclave
+// identity. Service and scbr-router's peer bundles both read a bundle
+// through it.
+func (b *TrustBundle) Platform() (*ecdsa.PublicKey, attest.Identity, error) {
 	var id attest.Identity
 	if len(b.MRENCLAVE) != 32 || len(b.MRSIGNER) != 32 {
 		return nil, id, fmt.Errorf("deploy: trust bundle has malformed measurements")
@@ -48,14 +53,26 @@ func (b *TrustBundle) Service() (*attest.Service, attest.Identity, error) {
 	if err != nil {
 		return nil, id, fmt.Errorf("deploy: parsing attestation key: %w", err)
 	}
-	key, ok := parsed.(*rsa.PublicKey)
+	key, ok := parsed.(*ecdsa.PublicKey)
 	if !ok {
-		return nil, id, fmt.Errorf("deploy: attestation key is %T, want RSA", parsed)
+		return nil, id, fmt.Errorf("deploy: attestation key is %T, want ECDSA P-256", parsed)
+	}
+	if key.Curve != elliptic.P256() {
+		return nil, id, fmt.Errorf("deploy: attestation key is on %s, want P-256", key.Curve.Params().Name)
+	}
+	copy(id.MRENCLAVE[:], b.MRENCLAVE)
+	copy(id.MRSIGNER[:], b.MRSIGNER)
+	return key, id, nil
+}
+
+// Service materialises the verification service and pinned identity.
+func (b *TrustBundle) Service() (*attest.Service, attest.Identity, error) {
+	key, id, err := b.Platform()
+	if err != nil {
+		return nil, id, err
 	}
 	svc := attest.NewService()
 	svc.RegisterPlatform(b.PlatformID, key)
-	copy(id.MRENCLAVE[:], b.MRENCLAVE)
-	copy(id.MRSIGNER[:], b.MRSIGNER)
 	return svc, id, nil
 }
 

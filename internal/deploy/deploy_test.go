@@ -1,7 +1,12 @@
 package deploy
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/x509"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"scbr/internal/attest"
@@ -70,6 +75,36 @@ func TestTrustBundleValidation(t *testing.T) {
 	}
 	if _, err := LoadTrustBundle(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestTrustBundleRejectsNonP256Key: the bundle's attestation key must be
+// the ECDSA P-256 key quotes are signed with; an RSA key, or an ECDSA
+// key on another curve, is refused by name.
+func TestTrustBundleRejectsNonP256Key(t *testing.T) {
+	rsaKey, err := scrypto.NewKeyPair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p384, err := ecdsa.GenerateKey(elliptic.P384(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  any
+		want string
+	}{
+		{rsaKey.Public(), "*rsa.PublicKey, want ECDSA P-256"},
+		{&p384.PublicKey, "on P-384, want P-256"},
+	} {
+		der, err := x509.MarshalPKIXPublicKey(tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &TrustBundle{PlatformID: "x", AttestationKey: der, MRENCLAVE: make([]byte, 32), MRSIGNER: make([]byte, 32)}
+		if _, _, err := b.Service(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("bundle with a %T attestation key: err = %v, want %q", tc.key, err, tc.want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"scbr/internal/attest"
@@ -101,6 +102,12 @@ type Topology struct {
 	listeners []net.Listener
 }
 
+// fleetSigner is the key every topology's enclave image is signed with,
+// generated once per process. MRSIGNER names the ISV that signs the
+// image, not a deployment, and a topology only ever uses the public
+// half.
+var fleetSigner = sync.OnceValues(func() (*scrypto.KeyPair, error) { return scrypto.NewKeyPair(nil) })
+
 // NewTopology launches the overlay and serves every router. Callers
 // must Close it.
 func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
@@ -127,7 +134,7 @@ func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
 	if len(image) == 0 {
 		image = []byte("scbr federated router image v1")
 	}
-	signer, err := scrypto.NewKeyPair(nil)
+	signer, err := fleetSigner()
 	if err != nil {
 		return nil, fmt.Errorf("deploy: generating fleet signer: %w", err)
 	}
@@ -205,8 +212,18 @@ func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
 	}
 	t.Identity = t.Routers[0].Identity()
 	ok = true
+	layoutPad()
 	return t, nil
 }
+
+// layoutPad does nothing. NewTopology calls it so that its 32 bytes are
+// linked between the benchmark's ASPE scan and its reference kernel,
+// keeping the kernel in the class the parent commit linked it at
+// (docs/benchmarks.md, "One column pass per node"). It goes with the
+// other layout spellings once the benchmark records its own layout.
+//
+//go:noinline
+func layoutPad() {}
 
 // NewPublisher creates the overlay's service provider: it attests and
 // provisions every router (the overlay shares one SK) and routes its

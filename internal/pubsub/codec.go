@@ -346,10 +346,11 @@ func DecodeConstraints(raw []byte) ([]Constraint, int, error) {
 // the verdict and the number of constraints tested (for cycle charging)
 // are those of decoding the blob and testing its constraints in order,
 // stopping at the first the event fails, but with no []Constraint and
-// no string built per call — the matching engine runs it on every node
-// it visits. Only the bytes up to that first failure are read, and
-// every one of them is bounds-checked: a blob truncated inside the part
-// read is an ErrCodec.
+// no string built per call. Only the bytes up to that first failure are
+// read, and every one of them is bounds-checked: a blob truncated
+// inside the part read is an ErrCodec. It is the per-event reference
+// that Columns.Match, the matching engine's evaluator, is held to event
+// by event.
 func MatchEncoded(ev *Event, raw []byte) (matched bool, evaluated int, err error) {
 	if len(raw) < 2 {
 		return false, 0, errShort(2, 0, len(raw))

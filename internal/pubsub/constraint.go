@@ -206,8 +206,9 @@ func (c Constraint) SatisfiedBy(v Value) bool {
 }
 
 // belowLo reports whether f violates the lower bound lo, closed when
-// incl. SatisfiedBy and the in-place evaluator (MatchEncoded) share it
-// and aboveHi, so the two cannot disagree on a bound.
+// incl. SatisfiedBy and the in-place evaluators (MatchEncoded,
+// Columns.Match) share it and aboveHi, so they cannot disagree on a
+// bound.
 func belowLo(f, lo float64, incl bool) bool {
 	if incl {
 		return f < lo

@@ -31,7 +31,7 @@ const (
 )
 
 var (
-	// ErrAuthentication indicates a MAC or signature verification failure.
+	// ErrAuthentication indicates a MAC, AEAD tag or RSA key unwrap that did not verify.
 	ErrAuthentication = errors.New("scrypto: authentication failed")
 	// ErrMalformed indicates a ciphertext too short or structurally invalid.
 	ErrMalformed = errors.New("scrypto: malformed ciphertext")

@@ -1,7 +1,6 @@
 package scrypto
 
 import (
-	"crypto"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -14,7 +13,7 @@ import (
 
 // The client→publisher leg ({s}PK in the paper) uses hybrid encryption:
 // RSA-OAEP wraps a fresh AES key which encrypts the body with CTR, so
-// subscriptions of any size fit. Signatures are RSA-PSS over SHA-256.
+// subscriptions of any size fit.
 
 // EncryptPK encrypts plaintext for the holder of the private half of pk.
 // Layout: len(wrapped)(2) || wrapped || nonce(16) || ciphertext.
@@ -64,23 +63,4 @@ func DecryptPK(kp *KeyPair, ciphertext []byte) ([]byte, error) {
 	plaintext := make([]byte, len(body))
 	cipher.NewCTR(block, nonce).XORKeyStream(plaintext, body)
 	return plaintext, nil
-}
-
-// Sign produces an RSA-PSS signature over SHA-256(message).
-func Sign(kp *KeyPair, message []byte) ([]byte, error) {
-	digest := sha256.Sum256(message)
-	sig, err := rsa.SignPSS(rand.Reader, kp.Private, crypto.SHA256, digest[:], nil)
-	if err != nil {
-		return nil, fmt.Errorf("scrypto: signing: %w", err)
-	}
-	return sig, nil
-}
-
-// Verify checks an RSA-PSS signature produced by Sign.
-func Verify(pk *rsa.PublicKey, message, sig []byte) error {
-	digest := sha256.Sum256(message)
-	if err := rsa.VerifyPSS(pk, crypto.SHA256, digest[:], sig, nil); err != nil {
-		return ErrAuthentication
-	}
-	return nil
 }

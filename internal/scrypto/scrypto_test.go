@@ -216,60 +216,6 @@ func BenchmarkRSAHybrid(b *testing.B) {
 	})
 }
 
-func TestSignVerify(t *testing.T) {
-	kp, err := NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("encrypted subscription blob")
-	sig, err := Sign(kp, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(kp.Public(), msg, sig); err != nil {
-		t.Fatalf("valid signature rejected: %v", err)
-	}
-	if err := Verify(kp.Public(), append([]byte("x"), msg...), sig); !errors.Is(err, ErrAuthentication) {
-		t.Fatalf("signature over different message accepted: %v", err)
-	}
-	other, err := NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(other.Public(), msg, sig); !errors.Is(err, ErrAuthentication) {
-		t.Fatalf("signature verified under wrong key: %v", err)
-	}
-}
-
-// BenchmarkSignVerify prices one RSA-PSS-2048 signature and its
-// verification over a SHA-256-sized message — what quotes still pay,
-// and what each registration frame paid before it carried a MAC tag.
-func BenchmarkSignVerify(b *testing.B) {
-	kp, err := NewKeyPair(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]byte, 32)
-	sig, err := Sign(kp, msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sign", func(b *testing.B) {
-		for b.Loop() {
-			if _, err := Sign(kp, msg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("verify", func(b *testing.B) {
-		for b.Loop() {
-			if err := Verify(kp.Public(), msg, sig); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func TestDeriveKeyProperties(t *testing.T) {
 	a := DeriveKey([]byte("root"), "label-a", 48)
 	a2 := DeriveKey([]byte("root"), "label-a", 48)
