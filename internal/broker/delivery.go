@@ -722,7 +722,11 @@ func (t *deliveryTable) close(drainTimeout time.Duration) {
 // client. Only the merger goroutine touches it, so it is reused across
 // events without a lock; nothing in it outlives a deliver call.
 type fanout struct {
-	slot   map[uint32]int // client ref → index into groups
+	// slot[ref] is 1 + the index into groups of client ref's group, 0
+	// for a client with none. Client refs are dense indices into
+	// Router.refName, so it grows to the largest ref seen; deliver
+	// resets only the entries it set.
+	slot   []int32
 	groups []clientGroup
 }
 
@@ -785,18 +789,17 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 	// One delivery per client however many of its subscriptions
 	// matched, clients in order of first sight: count each client's
 	// matches, then fill one SubIDs slice of exactly that size each.
-	if fan.slot == nil {
-		fan.slot = make(map[uint32]int)
-	}
 	groups := fan.groups[:0]
 	for _, match := range matches {
-		g, seen := fan.slot[match.ClientRef]
-		if !seen {
-			g = len(groups)
-			fan.slot[match.ClientRef] = g
-			groups = append(groups, clientGroup{ref: match.ClientRef})
+		ref := match.ClientRef
+		if n := int(ref) + 1; n > len(fan.slot) {
+			fan.slot = append(fan.slot, make([]int32, n-len(fan.slot))...)
 		}
-		groups[g].n++
+		if fan.slot[ref] == 0 {
+			groups = append(groups, clientGroup{ref: ref})
+			fan.slot[ref] = int32(len(groups))
+		}
+		groups[fan.slot[ref]-1].n++
 	}
 	r.ctlMu.RLock()
 	for g := range groups {
@@ -807,7 +810,7 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 		groups[g].st = r.delivery.client(groups[g].name)
 	}
 	for _, match := range matches {
-		g := &groups[fan.slot[match.ClientRef]]
+		g := &groups[fan.slot[match.ClientRef]-1]
 		if g.st == nil {
 			continue
 		}
@@ -817,6 +820,7 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 		g.subIDs = append(g.subIDs, match.SubID)
 	}
 	for g := range groups {
+		fan.slot[groups[g].ref] = 0
 		if groups[g].st == nil {
 			continue
 		}
@@ -827,7 +831,6 @@ func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte
 			SubIDs:  groups[g].subIDs,
 		})
 	}
-	clear(fan.slot)
 	clear(groups) // drop the name, state and SubIDs references
 	fan.groups = groups
 }

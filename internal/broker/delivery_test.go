@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -69,6 +70,56 @@ func TestDeliverBuildsNothingForClientThatNeverListened(t *testing.T) {
 	}
 	if got := table.snapshot().Enqueued; got != 2*rounds {
 		t.Fatalf("Enqueued = %d, want %d (the client that never listened counts nothing)", got, 2*rounds)
+	}
+}
+
+// TestDeliverGroupsInterleavedRefs: matches whose client refs
+// interleave — A B A C B, where B never listened — give one delivery
+// each to A and C, their SubIDs in match order, and build nothing for
+// B. The grouping scratch is left all zero for the next event, and in
+// steady state the only allocations are the two deliveries: a Message
+// and a SubIDs slice each.
+func TestDeliverGroupsInterleavedRefs(t *testing.T) {
+	table := newDeliveryTable(4, 8, OverflowDropOldest, -1)
+	defer table.close(time.Second)
+	// A and C have delivery state but no connection: every delivery
+	// lands in their replay rings, where the test reads it back.
+	for _, name := range []string{"a", "c"} {
+		table.clients[name] = &clientState{name: name}
+	}
+	const a, b, c = 3, 0, 5 // refs need not be in order or contiguous
+	r := &Router{delivery: table, refName: []string{"b", "", "", "a", "", "c"}}
+	matches := []core.MatchResult{{SubID: 1, ClientRef: a}, {SubID: 2, ClientRef: b}, {SubID: 3, ClientRef: a}, {SubID: 4, ClientRef: c}, {SubID: 5, ClientRef: b}}
+	payload := []byte("sealed payload")
+	var fan fanout
+	newest := func(name string) *Message {
+		st := table.clients[name]
+		return st.ring[(st.head+len(st.ring)-1)%len(st.ring)]
+	}
+	for round := 1; round <= 10; round++ {
+		r.deliver(&fan, matches, payload, uint64(round))
+		for _, want := range []struct {
+			name   string
+			subIDs []uint64
+		}{{"a", []uint64{1, 3}}, {"c", []uint64{4}}} {
+			m := newest(want.name)
+			if m.Type != TypeDeliver || m.Cursor != uint64(round) || m.Epoch != uint64(round) || !bytes.Equal(m.Payload, payload) || !slices.Equal(m.SubIDs, want.subIDs) {
+				t.Fatalf("round %d: delivery to %s = %+v, want SubIDs %v at cursor %d", round, want.name, m, want.subIDs, round)
+			}
+		}
+		if got := table.snapshot().Enqueued; got != uint64(2*round) {
+			t.Fatalf("round %d: %d deliveries enqueued, want %d", round, got, 2*round)
+		}
+		if _, built := table.clients["b"]; built {
+			t.Fatalf("round %d: delivery state built for a client that never listened", round)
+		}
+		if slices.ContainsFunc(fan.slot, func(s int32) bool { return s != 0 }) {
+			t.Fatalf("round %d: grouping scratch left at %v", round, fan.slot)
+		}
+	}
+	// The rings are full, so they overwrite in place from here on.
+	if allocs := testing.AllocsPerRun(100, func() { r.deliver(&fan, matches, payload, 1) }); allocs != 4 {
+		t.Fatalf("grouping an event for two clients allocates %.1f times, want 4 (two deliveries)", allocs)
 	}
 }
 

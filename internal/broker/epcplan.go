@@ -44,7 +44,9 @@ type SliceFootprint struct {
 	Partition int `json:"partition"`
 	// Subscriptions is the slice store's live subscription count.
 	Subscriptions int `json:"subscriptions"`
-	// StoreBytes is the slice store's arena footprint.
+	// StoreBytes is the slice store's arena footprint: its peak live
+	// set, for both schemes, since each reuses the records it unlinks
+	// before its arena grows.
 	StoreBytes uint64 `json:"store_bytes"`
 	// AccountedBytes is the hub's estimated byte load for the slice
 	// (entry-cost charges over the shards it owns) — a figure to hold

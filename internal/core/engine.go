@@ -68,9 +68,9 @@ type Stats struct {
 	Nodes int
 	// Shards is the number of containment forests.
 	Shards int
-	// Bytes is the arena footprint, including garbage from unlinked
-	// records (the arena is a bump allocator, as is typical for
-	// enclave heaps; Fig. 8 grows monotonically anyway).
+	// Bytes is the arena footprint: the peak live set, since the
+	// records Unregister unlinks are reused before the arena grows (the
+	// arena itself is a bump allocator, as is typical for enclave heaps).
 	Bytes uint64
 }
 
@@ -107,6 +107,11 @@ type Engine struct {
 	moved []uint64
 	// cols holds the chunk being matched, transposed by attribute.
 	cols pubsub.Columns
+
+	// free holds the records Unregister released, by arena size; alloc
+	// takes from it before the arena grows.
+	free    map[int][]uint64
+	shardOf map[uint64]shardKey // equality shard per sentinel
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -118,7 +123,9 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		opts:       opts,
 		predCycles: acc.Meter().Cost.PredicateCycles,
 		shards:     make(map[shardKey]uint64),
+		shardOf:    make(map[uint64]shardKey),
 		subIndex:   make(map[uint64]uint64),
+		free:       make(map[int][]uint64),
 		// Slices match in parallel, each pushing onto its engine's walk
 		// stack at every node. Sized to whole cache lines up front, two
 		// engines' stacks are never small neighbours in one line that
@@ -135,7 +142,6 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 	}
 	e.general = general
 	e.nodesLive-- // sentinels are not counted
-	layoutPad()
 	return e, nil
 }
 
@@ -218,6 +224,7 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 		return 0, err
 	}
 	e.nodesLive-- // sentinel
+	e.shardOf[off] = key
 	e.shards[key] = off
 	return off, nil
 }
@@ -282,7 +289,9 @@ level:
 
 // Unregister removes a subscription. When its node has no subscribers
 // left, the node is spliced out of the forest (children re-attach to
-// the grandparent, which still covers them transitively).
+// the grandparent, which still covers them transitively), and an
+// equality shard left with no node is dropped. Every record unlinked
+// here is released for reuse.
 func (e *Engine) Unregister(subID uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -311,6 +320,14 @@ func (e *Engine) Unregister(subID uint64) error {
 		child = next
 	}
 	e.nodesLive--
+	e.release(nodeOff, e.nodeSize(int(h.predLen)))
+	// A root removed with no children may have been its equality
+	// shard's last node: drop the shard and release its sentinel.
+	if key, ok := e.shardOf[h.parent]; ok && h.child == nilOff && e.readHeader(h.parent).child == nilOff {
+		delete(e.shards, key)
+		delete(e.shardOf, h.parent)
+		e.release(h.parent, e.nodeSize(0))
+	}
 	return nil
 }
 
@@ -518,15 +535,6 @@ func (e *Engine) walkForest(sentinel, mask uint64, out [][]MatchResult) (failed 
 	e.stack = stack
 	return failed, err
 }
-
-// layoutPad does nothing. NewEngine calls it so that it is linked here,
-// after walkForest, where its 32 bytes keep the benchmark's
-// alignment-sensitive kernels in the classes the parent commit linked
-// them at (docs/benchmarks.md, "One column pass per node"). It goes with
-// the other layout spellings once the benchmark records its own layout.
-//
-//go:noinline
-func layoutPad() {}
 
 // chargeCompare charges the CPU cost of one covering test over n
 // constraints.

@@ -50,6 +50,18 @@
 // walk of that shard. Each event's results are those of matching it
 // alone, in the same order; a single event is the batch of one, with
 // the simulated counts the per-event walk had.
+//
+// The arena only grows, but the engine reuses what it unlinks.
+// Unregister releases the subscriber record it removes, the node record
+// once its last subscriber leaves, and an equality shard's sentinel once
+// its forest is empty (the shard is dropped with it). A released record
+// goes on a free list keyed by its exact arena size, after PadRecordTo
+// and CacheAlign, and the next record of that size takes it before the
+// arena grows; a reused record is rewritten whole — header, reserved
+// bytes included, then blob; or the subscriber record — before anything
+// reads it, and nothing links to a released one. A store that never
+// unregisters allocates exactly as it would without the lists, and one
+// under churn holds its peak live set (Stats.Bytes).
 package core
 
 import (
@@ -148,6 +160,30 @@ func (e *Engine) setField(nodeOff uint64, field int, value uint64) {
 	e.acc.Write(nodeOff+uint64(field), buf[:])
 }
 
+// nodeSize is the arena size of a node record whose constraint blob is
+// n bytes long: the header and blob, padded to PadRecordTo, rounded by
+// CacheAlign.
+func (e *Engine) nodeSize(n int) int {
+	return e.alignSize(max(nodeHeaderSize+n, e.opts.PadRecordTo))
+}
+
+// alloc returns a record of exactly size arena bytes: the one released
+// last at that size if there is one, else fresh arena space. The caller
+// rewrites the whole record before anything reads it.
+func (e *Engine) alloc(size int) (uint64, error) {
+	if offs := e.free[size]; len(offs) > 0 {
+		e.free[size] = offs[:len(offs)-1]
+		return offs[len(offs)-1], nil
+	}
+	return e.acc.Alloc(size)
+}
+
+// release hands a record nothing links to any more to the next alloc of
+// its size.
+func (e *Engine) release(off uint64, size int) {
+	e.free[size] = append(e.free[size], off)
+}
+
 // newNode serialises a record (nil constraints for shard sentinels)
 // and returns its offset.
 func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) {
@@ -159,15 +195,11 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 			return 0, fmt.Errorf("core: encoding constraints: %w", err)
 		}
 	}
-	size := nodeHeaderSize + len(blob)
-	if pad := e.opts.PadRecordTo; size < pad {
-		size = pad
-	}
-	size = e.alignSize(size)
+	size := e.nodeSize(len(blob))
 	if size > simmem.PageSize {
 		return 0, fmt.Errorf("core: subscription record of %d bytes exceeds page size", size)
 	}
-	off, err := e.acc.Alloc(size)
+	off, err := e.alloc(size)
 	if err != nil {
 		return 0, fmt.Errorf("core: allocating node: %w", err)
 	}
@@ -220,7 +252,7 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 // addSubscriber prepends a subscriber record to the node's list and
 // returns the record offset.
 func (e *Engine) addSubscriber(nodeOff uint64, subID uint64, clientRef uint32) (uint64, error) {
-	recOff, err := e.acc.Alloc(e.alignSize(subRecordSize))
+	recOff, err := e.alloc(e.alignSize(subRecordSize))
 	if err != nil {
 		return 0, fmt.Errorf("core: allocating subscriber record: %w", err)
 	}
@@ -234,8 +266,8 @@ func (e *Engine) addSubscriber(nodeOff uint64, subID uint64, clientRef uint32) (
 	return recOff, nil
 }
 
-// removeSubscriber unlinks subID's record from the node's list and
-// reports how many subscribers remain.
+// removeSubscriber unlinks subID's record from the node's list, releases
+// it, and reports how many subscribers remain.
 func (e *Engine) removeSubscriber(nodeOff uint64, subID uint64) (remaining int, err error) {
 	var prev uint64 = nilOff
 	cur := e.readHeader(nodeOff).firstSub
@@ -251,6 +283,7 @@ func (e *Engine) removeSubscriber(nodeOff uint64, subID uint64) (remaining int, 
 			} else {
 				e.setField(prev, 0, next)
 			}
+			e.release(cur, e.alignSize(subRecordSize))
 		} else {
 			remaining++
 			prev = cur

@@ -12,7 +12,11 @@ const PageSize = 4096
 // unit of residency and lets Bytes return a single contiguous view.
 //
 // Arenas only grow; SCBR's subscription store is append-mostly and the
-// paper's registration experiment (Fig. 8) populates monotonically.
+// paper's registration experiment (Fig. 8) populates monotonically. The
+// stores built on an arena reuse what they unlink instead: the
+// containment forest (core.Engine) keeps released records on free lists
+// by exact size and the ASPE store keeps freed vector slots, so an arena
+// under churn stays at its peak live set.
 type Arena struct {
 	pages [][]byte
 	next  uint64 // next free offset
