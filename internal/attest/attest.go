@@ -156,12 +156,8 @@ type ProvisioningRequest struct {
 	PubKey []byte // PKIX-encoded X25519 public key
 }
 
-// provisionKeyLabel names the AES-GCM key both ends derive from the
-// ECDH shared secret.
+// provisionKeyLabel is the sealed-box label of provisioning blobs.
 const provisionKeyLabel = "scbr/attest/provision-key/v1"
-
-// x25519KeySize is the length of a raw X25519 public key.
-const x25519KeySize = 32
 
 // NewProvisioningRequest runs inside the enclave: it generates an
 // ephemeral X25519 key, binds the hash of its PKIX encoding into a
@@ -195,8 +191,8 @@ func NewProvisioningRequest(e *sgx.Enclave, quoter *Quoter) (*ProvisioningReques
 
 // ProvisionSecret runs at the service provider: it validates the quote
 // against the verification service and the pinned identity, checks the
-// channel binding, and returns the secret encrypted for the enclave's
-// quote-bound ephemeral key (sealSecret).
+// channel binding, and returns the secret sealed to the enclave's
+// quote-bound ephemeral key (scrypto.SealTo).
 func ProvisionSecret(svc *Service, id Identity, req *ProvisioningRequest, secret []byte) ([]byte, error) {
 	if req == nil || req.Quote == nil {
 		return nil, ErrBadQuote
@@ -218,35 +214,11 @@ func ProvisionSecret(svc *Service, id Identity, req *ProvisioningRequest, secret
 	if bound != digest {
 		return nil, ErrChannelBinding
 	}
-	parsed, err := x509.ParsePKIXPublicKey(req.PubKey)
+	pub, err := scrypto.ParsePublicKey(req.PubKey)
 	if err != nil {
-		return nil, fmt.Errorf("attest: parsing provisioning key: %w", err)
+		return nil, fmt.Errorf("attest: provisioning key: %w", err)
 	}
-	pub, ok := parsed.(*ecdh.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("attest: provisioning key is %T, want X25519", parsed)
-	}
-	return sealSecret(pub, secret)
-}
-
-// sealSecret encrypts secret for the holder of peer's private half: the
-// sender's own ephemeral X25519 public key, then the secret under
-// AES-GCM keyed by the labelled derivation of the ECDH shared secret,
-// with peer's raw 32-byte key as associated data.
-func sealSecret(peer *ecdh.PublicKey, secret []byte) ([]byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("attest: generating exchange key: %w", err)
-	}
-	key, err := exchangeKey(eph, peer)
-	if err != nil {
-		return nil, err
-	}
-	sealed, err := scrypto.SealGCM(key, secret, peer.Bytes())
-	if err != nil {
-		return nil, fmt.Errorf("attest: encrypting secret: %w", err)
-	}
-	return append(eph.PublicKey().Bytes(), sealed...), nil
+	return scrypto.SealTo(pub, provisionKeyLabel, secret)
 }
 
 // ReceiveSecret runs inside the enclave: it opens a provisioned secret
@@ -254,37 +226,10 @@ func sealSecret(peer *ecdh.PublicKey, secret []byte) ([]byte, error) {
 func ReceiveSecret(e *sgx.Enclave, priv *ecdh.PrivateKey, blob []byte) ([]byte, error) {
 	var secret []byte
 	if err := e.Ecall(func() (err error) {
-		secret, err = openSecret(priv, blob)
+		secret, err = scrypto.OpenSealed(priv, provisionKeyLabel, blob)
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("attest: decrypting secret: %w", err)
 	}
 	return secret, nil
-}
-
-// openSecret reverses sealSecret: it completes the key exchange with
-// the sender's public key at the front of blob and opens the rest.
-func openSecret(priv *ecdh.PrivateKey, blob []byte) ([]byte, error) {
-	if len(blob) < x25519KeySize {
-		return nil, scrypto.ErrMalformed
-	}
-	peer, err := ecdh.X25519().NewPublicKey(blob[:x25519KeySize])
-	if err != nil {
-		return nil, fmt.Errorf("attest: parsing exchange key: %w", err)
-	}
-	key, err := exchangeKey(priv, peer)
-	if err != nil {
-		return nil, err
-	}
-	return scrypto.OpenGCM(key, blob[x25519KeySize:], priv.PublicKey().Bytes())
-}
-
-// exchangeKey derives the AES-256-GCM key both ends of a provisioning
-// compute, each from its own private key and the other's public key.
-func exchangeKey(priv *ecdh.PrivateKey, peer *ecdh.PublicKey) ([]byte, error) {
-	shared, err := priv.ECDH(peer)
-	if err != nil {
-		return nil, fmt.Errorf("attest: key exchange: %w", err)
-	}
-	return scrypto.DeriveKey(shared, provisionKeyLabel, 32), nil
 }

@@ -103,7 +103,7 @@ func TestProvisionedSecretBoundToRequestKey(t *testing.T) {
 	}
 	for name, bad := range map[string][]byte{
 		"empty":             nil,
-		"exchange key only": blob[:x25519KeySize],
+		"exchange key only": blob[:32],
 		"exchange key":      flip(0),
 		"ciphertext":        flip(len(blob) - 1),
 	} {

@@ -2,7 +2,7 @@ package broker
 
 import (
 	"context"
-	"crypto/rsa"
+	"crypto/ecdh"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -46,7 +46,7 @@ type Client struct {
 	mu          sync.Mutex
 	homeRouter  string // federation: the overlay name of the router this client listens on
 	scheme      string // the deployment's matching scheme, learned from the subscribe ack
-	publisherPK *rsa.PublicKey
+	publisherPK *ecdh.PublicKey
 	pubConn     net.Conn
 	routerConn  net.Conn
 	groupOpener *scrypto.Opener // opens payloads under the current group key; nil before the first key
@@ -91,7 +91,7 @@ func (c *Client) closedErr() error {
 // reconnecting after a publisher restart) closes the previous
 // connection — it belongs to this client, and leaving it open would
 // leak it and wedge the old publisher's serving loop.
-func (c *Client) ConnectPublisher(conn net.Conn, pk *rsa.PublicKey) {
+func (c *Client) ConnectPublisher(conn net.Conn, pk *ecdh.PublicKey) {
 	c.mu.Lock()
 	old := c.pubConn
 	c.pubConn = conn
@@ -135,7 +135,7 @@ func (c *Client) Subscribe(ctx context.Context, spec pubsub.SubscriptionSpec) (*
 	if c.pubConn == nil || c.publisherPK == nil {
 		return nil, fmt.Errorf("%w: client %s has no publisher", ErrNotConnected, c.ID)
 	}
-	blob, err := scrypto.EncryptPK(c.publisherPK, raw)
+	blob, err := scrypto.SealTo(c.publisherPK, subscriptionLabel, raw)
 	if err != nil {
 		return nil, fmt.Errorf("broker: encrypting subscription: %w", err)
 	}
@@ -241,7 +241,7 @@ func (c *Client) refreshGroupKeyLocked() error {
 }
 
 func (c *Client) installGroupKeyLocked(blob []byte, epoch uint64) error {
-	raw, err := scrypto.DecryptPK(c.keys, blob)
+	raw, err := scrypto.OpenSealed(c.keys.Private, groupKeyLabel, blob)
 	if err != nil {
 		return fmt.Errorf("broker: unwrapping group key: %w", err)
 	}

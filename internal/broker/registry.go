@@ -1,7 +1,7 @@
 package broker
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,7 +27,7 @@ const (
 // ClientRecord is the publisher's view of one client.
 type ClientRecord struct {
 	ID     string
-	PubKey *rsa.PublicKey
+	PubKey *ecdh.PublicKey
 	Status ClientStatus
 }
 
@@ -44,7 +44,7 @@ func NewClientRegistry() *ClientRegistry {
 }
 
 // Admit records (or re-activates) a client and its response key.
-func (r *ClientRegistry) Admit(id string, pubKey *rsa.PublicKey) error {
+func (r *ClientRegistry) Admit(id string, pubKey *ecdh.PublicKey) error {
 	if id == "" {
 		return errors.New("broker: empty client ID")
 	}

@@ -2,8 +2,8 @@ package broker
 
 import (
 	"context"
+	"crypto/ecdh"
 	"crypto/hmac"
-	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -46,7 +46,7 @@ type RouterConfig struct {
 	// measurement during attestation.
 	EnclaveImage []byte
 	// EnclaveSigner signs the image (MRSIGNER).
-	EnclaveSigner *rsa.PublicKey
+	EnclaveSigner *ecdh.PublicKey
 	// Scheme names the matching scheme this router's slices store and
 	// match under (internal/scheme; empty = the default "sgx-plain").
 	// Provisioning, registration, publication, and scheme-aware listen

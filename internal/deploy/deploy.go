@@ -6,15 +6,16 @@
 package deploy
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rsa"
 	"crypto/x509"
 	"encoding/json"
 	"fmt"
 	"os"
 
 	"scbr/internal/attest"
+	"scbr/internal/scrypto"
 )
 
 // TrustBundle is written by scbr-router at startup and consumed by
@@ -96,7 +97,7 @@ type PublisherKey struct {
 }
 
 // SavePublisherKey writes pk for distribution to clients.
-func SavePublisherKey(path string, pk *rsa.PublicKey) error {
+func SavePublisherKey(path string, pk *ecdh.PublicKey) error {
 	der, err := x509.MarshalPKIXPublicKey(pk)
 	if err != nil {
 		return fmt.Errorf("deploy: encoding publisher key: %w", err)
@@ -104,19 +105,17 @@ func SavePublisherKey(path string, pk *rsa.PublicKey) error {
 	return writeJSON(path, &PublisherKey{PubKey: der})
 }
 
-// LoadPublisherKey reads a key written by SavePublisherKey.
-func LoadPublisherKey(path string) (*rsa.PublicKey, error) {
+// LoadPublisherKey reads a key written by SavePublisherKey. It refuses
+// any key that is not X25519, such as the RSA key of a file written
+// before PK became X25519.
+func LoadPublisherKey(path string) (*ecdh.PublicKey, error) {
 	var k PublisherKey
 	if err := readJSON(path, &k); err != nil {
 		return nil, err
 	}
-	parsed, err := x509.ParsePKIXPublicKey(k.PubKey)
+	pk, err := scrypto.ParsePublicKey(k.PubKey)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: parsing publisher key: %w", err)
-	}
-	pk, ok := parsed.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("deploy: publisher key is %T, want RSA", parsed)
+		return nil, fmt.Errorf("deploy: publisher key in %s: %w", path, err)
 	}
 	return pk, nil
 }

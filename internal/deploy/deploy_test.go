@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
+	"crypto/rsa"
 	"crypto/x509"
 	"path/filepath"
 	"strings"
@@ -82,7 +83,7 @@ func TestTrustBundleValidation(t *testing.T) {
 // the ECDSA P-256 key quotes are signed with; an RSA key, or an ECDSA
 // key on another curve, is refused by name.
 func TestTrustBundleRejectsNonP256Key(t *testing.T) {
-	rsaKey, err := scrypto.NewKeyPair(nil)
+	rsaKey, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTrustBundleRejectsNonP256Key(t *testing.T) {
 		key  any
 		want string
 	}{
-		{rsaKey.Public(), "*rsa.PublicKey, want ECDSA P-256"},
+		{&rsaKey.PublicKey, "*rsa.PublicKey, want ECDSA P-256"},
 		{&p384.PublicKey, "on P-384, want P-256"},
 	} {
 		der, err := x509.MarshalPKIXPublicKey(tc.key)
@@ -121,10 +122,43 @@ func TestPublisherKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N.Cmp(kp.Public().N) != 0 || got.E != kp.Public().E {
+	if !got.Equal(kp.Public()) {
 		t.Fatal("key round trip mismatch")
 	}
 	if _, err := LoadPublisherKey(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing key file accepted")
+	}
+}
+
+// TestPublisherKeyRejectsNonX25519: a key file holding any other key —
+// the RSA key of a file written before PK became X25519, or a P-256
+// key — fails to load, naming the type it found.
+func TestPublisherKeyRejectsNonX25519(t *testing.T) {
+	rsaKey, err := rsa.GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p256, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  any
+		want string
+	}{
+		{&rsaKey.PublicKey, "is *rsa.PublicKey, want X25519"},
+		{&p256.PublicKey, "is *ecdsa.PublicKey, want X25519"},
+	} {
+		der, err := x509.MarshalPKIXPublicKey(tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "pub.json")
+		if err := writeJSON(path, &PublisherKey{PubKey: der}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPublisherKey(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("key file with a %T: err = %v, want %q", tc.key, err, tc.want)
+		}
 	}
 }

@@ -212,18 +212,8 @@ func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
 	}
 	t.Identity = t.Routers[0].Identity()
 	ok = true
-	layoutPad()
 	return t, nil
 }
-
-// layoutPad does nothing. NewTopology calls it so that its 32 bytes are
-// linked between the benchmark's ASPE scan and its reference kernel,
-// keeping the kernel in the class the parent commit linked it at
-// (docs/benchmarks.md, "One column pass per node"). It goes with the
-// other layout spellings once the benchmark records its own layout.
-//
-//go:noinline
-func layoutPad() {}
 
 // NewPublisher creates the overlay's service provider: it attests and
 // provisions every router (the overlay shares one SK) and routes its

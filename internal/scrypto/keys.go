@@ -1,18 +1,21 @@
 // Package scrypto provides the cryptographic substrate used throughout
 // SCBR: symmetric AES-CTR message envelopes authenticated with
 // HMAC-SHA256, AES-GCM sealing for enclave page eviction and state
-// persistence, RSA-OAEP/PSS for the client→publisher subscription path,
-// and simple key-derivation helpers.
+// persistence, X25519 key pairs with one sealed box (SealTo /
+// OpenSealed) for every public-key encryption — attested provisioning,
+// the client→publisher subscription and the group-key wrap — and simple
+// key-derivation helpers.
 //
 // The paper uses Crypto++ AES-CTR and RSA outside the enclave and the
-// Intel SDK AES-CTR implementation inside; this package provides the
-// same algorithms on top of the Go standard library.
+// Intel SDK AES-CTR implementation inside; this package keeps the
+// symmetric algorithms and replaces RSA with X25519 and an
+// authenticated sealed box, on top of the Go standard library.
 package scrypto
 
 import (
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -26,12 +29,10 @@ const (
 	SymmetricKeySize = 16
 	// MACKeySize is the HMAC-SHA256 key size appended to envelopes.
 	MACKeySize = 32
-	// RSABits is the modulus size for publisher key pairs.
-	RSABits = 2048
 )
 
 var (
-	// ErrAuthentication indicates a MAC, AEAD tag or RSA key unwrap that did not verify.
+	// ErrAuthentication indicates a MAC, AEAD tag or sealed box that did not verify.
 	ErrAuthentication = errors.New("scrypto: authentication failed")
 	// ErrMalformed indicates a ciphertext too short or structurally invalid.
 	ErrMalformed = errors.New("scrypto: malformed ciphertext")
@@ -89,25 +90,26 @@ func (k *SymmetricKey) Equal(other *SymmetricKey) bool {
 	return hmac.Equal(k.Bytes(), other.Bytes())
 }
 
-// KeyPair is a publisher's RSA key pair (PK / PK⁻¹ in the paper).
+// KeyPair is an X25519 key pair: a publisher's PK / PK⁻¹ in the paper,
+// a client's response key, or an enclave image signer.
 type KeyPair struct {
-	Private *rsa.PrivateKey
+	Private *ecdh.PrivateKey
 }
 
-// NewKeyPair generates a fresh RSA key pair for a publisher.
+// NewKeyPair generates a fresh X25519 key pair.
 func NewKeyPair(src io.Reader) (*KeyPair, error) {
 	if src == nil {
 		src = rand.Reader
 	}
-	priv, err := rsa.GenerateKey(src, RSABits)
+	priv, err := ecdh.X25519().GenerateKey(src)
 	if err != nil {
-		return nil, fmt.Errorf("scrypto: generating RSA key: %w", err)
+		return nil, fmt.Errorf("scrypto: generating X25519 key: %w", err)
 	}
 	return &KeyPair{Private: priv}, nil
 }
 
-// Public returns the public half distributed to clients.
-func (kp *KeyPair) Public() *rsa.PublicKey { return &kp.Private.PublicKey }
+// Public returns the public half: what SealTo encrypts to.
+func (kp *KeyPair) Public() *ecdh.PublicKey { return kp.Private.PublicKey() }
 
 // DeriveKey derives a labelled sub-key from root material using
 // HMAC-SHA256 as an HKDF-expand-style PRF. It is used for group-key

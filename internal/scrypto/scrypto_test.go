@@ -2,6 +2,7 @@ package scrypto
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"errors"
 	"math/rand"
 	"testing"
@@ -147,69 +148,145 @@ func TestGCMRoundTripAndAAD(t *testing.T) {
 	}
 }
 
-func TestRSAHybridRoundTrip(t *testing.T) {
+// TestSealedBox: SealTo/OpenSealed round-trips at every size, and
+// OpenSealed refuses a wrong label, a wrong recipient, a flipped byte
+// anywhere in the blob (ErrAuthentication) and a truncated blob
+// (ErrMalformed). A low-order key is refused as a recipient and as a
+// blob's ephemeral key.
+func TestSealedBox(t *testing.T) {
 	kp, err := NewKeyPair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := NewKeyPair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const label = "scbr/test/sealed-box"
 	for _, size := range []int{0, 1, 100, 5000} {
-		plaintext := make([]byte, size)
-		rand.New(rand.NewSource(int64(size))).Read(plaintext)
-		ct, err := EncryptPK(kp.Public(), plaintext)
+		msg := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(msg)
+		blob, err := SealTo(kp.Public(), label, msg)
 		if err != nil {
-			t.Fatalf("EncryptPK(%d): %v", size, err)
+			t.Fatalf("SealTo(%d B): %v", size, err)
 		}
-		got, err := DecryptPK(kp, ct)
-		if err != nil {
-			t.Fatalf("DecryptPK(%d): %v", size, err)
+		if len(blob) != size+sealedOverhead {
+			t.Fatalf("SealTo(%d B) = %d B, want %d", size, len(blob), size+sealedOverhead)
 		}
-		if !bytes.Equal(got, plaintext) {
-			t.Fatalf("RSA hybrid round trip mismatch at size %d", size)
+		got, err := OpenSealed(kp.Private, label, blob)
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("OpenSealed(%d B): round trip mismatch, err %v", size, err)
 		}
+		if size == 0 {
+			continue
+		}
+		for _, tc := range []struct {
+			name string
+			priv *KeyPair
+			lbl  string
+			blob []byte
+			want error
+		}{
+			{"wrong label", kp, label + "x", blob, ErrAuthentication},
+			{"wrong recipient", other, label, blob, ErrAuthentication},
+			{"truncated to the overhead", kp, label, blob[:sealedOverhead-1], ErrMalformed},
+			{"empty", kp, label, nil, ErrMalformed},
+		} {
+			if _, err := OpenSealed(tc.priv.Private, tc.lbl, tc.blob); !errors.Is(err, tc.want) {
+				t.Fatalf("%d B, %s: err = %v, want %v", size, tc.name, err, tc.want)
+			}
+		}
+		for i := range blob {
+			for _, bit := range []byte{0x01, 0x80} {
+				mutated := bytes.Clone(blob)
+				mutated[i] ^= bit
+				if _, err := OpenSealed(kp.Private, label, mutated); !errors.Is(err, ErrAuthentication) {
+					t.Fatalf("%d B: bit %#x of byte %d flipped: err = %v, want ErrAuthentication", size, bit, i, err)
+				}
+			}
+		}
+	}
+
+	// The all-zero u-coordinate is a low-order point: its shared secret
+	// is all zeros whatever the private key.
+	lowOrder, err := ecdh.X25519().NewPublicKey(make([]byte, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SealTo(lowOrder, label, []byte("s")); err == nil {
+		t.Fatal("SealTo a low-order key succeeded")
+	}
+	forged := append(lowOrder.Bytes(), make([]byte, sealedOverhead)...)
+	if _, err := OpenSealed(kp.Private, label, forged); !errors.Is(err, ErrAuthentication) {
+		t.Fatalf("blob with a low-order ephemeral key: err = %v, want ErrAuthentication", err)
 	}
 }
 
-func TestRSAHybridRejectsCorruptWrap(t *testing.T) {
+// FuzzOpenSealed: OpenSealed never panics, and accepts a blob only if
+// it is byte for byte the one SealTo produced. The fuzzer mutates the
+// blob (xor mask, truncation, appended bytes) of a seeded message.
+func FuzzOpenSealed(f *testing.F) {
 	kp, err := NewKeyPair(nil)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	ct, err := EncryptPK(kp.Public(), []byte("subscription"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct[5] ^= 0xFF // inside the wrapped session key
-	if _, err := DecryptPK(kp, ct); !errors.Is(err, ErrAuthentication) {
-		t.Fatalf("corrupt key wrap accepted: %v", err)
-	}
-	if _, err := DecryptPK(kp, []byte{0}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("truncated hybrid ciphertext: got %v, want ErrMalformed", err)
-	}
+	const label = "scbr/test/fuzz"
+	f.Add([]byte("subscription"), []byte{}, 0, []byte{})
+	f.Add([]byte{}, []byte{0x80}, 31, []byte{})
+	f.Add([]byte("group key"), []byte{1, 2, 3}, 40, []byte{0})
+	f.Fuzz(func(t *testing.T, msg, mask []byte, cut int, tail []byte) {
+		blob, err := SealTo(kp.Public(), label, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutated := bytes.Clone(blob)
+		for i, m := range mask {
+			mutated[i%len(mutated)] ^= m
+		}
+		if cut > 0 && cut < len(mutated) {
+			mutated = mutated[:cut]
+		}
+		mutated = append(mutated, tail...)
+		got, err := OpenSealed(kp.Private, label, mutated)
+		if bytes.Equal(mutated, blob) {
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("unaltered blob: %q, %v", got, err)
+			}
+			return
+		}
+		if err == nil {
+			t.Fatalf("altered blob opened: %x", mutated)
+		}
+		if !errors.Is(err, ErrAuthentication) && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("altered blob: err = %v, want ErrAuthentication or ErrMalformed", err)
+		}
+	})
 }
 
-// BenchmarkRSAHybrid prices the client→publisher subscription leg: one
-// RSA key wrap plus the envelope, per 200-byte subscription. No other
+// BenchmarkSealedBox prices the client→publisher subscription leg: one
+// X25519 exchange plus AES-GCM, per 200-byte subscription. No other
 // harness times it (benchmark/ registers through RegisterBulk).
-func BenchmarkRSAHybrid(b *testing.B) {
+func BenchmarkSealedBox(b *testing.B) {
 	kp, err := NewKeyPair(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	const label = "scbr/bench/sealed-box"
 	sub := make([]byte, 200)
-	ct, err := EncryptPK(kp.Public(), sub)
+	blob, err := SealTo(kp.Public(), label, sub)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("encrypt", func(b *testing.B) {
+	b.Run("seal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := EncryptPK(kp.Public(), sub); err != nil {
+			if _, err := SealTo(kp.Public(), label, sub); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("decrypt", func(b *testing.B) {
+	b.Run("open", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecryptPK(kp, ct); err != nil {
+			if _, err := OpenSealed(kp.Private, label, blob); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,7 @@
 package sgx
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -66,8 +66,10 @@ type measurement struct {
 // Launch builds, measures, and initialises an enclave from the given
 // code image signed by signer. It mirrors the SDK flow: ECREATE sizes
 // the enclave, each code page is EADDed and EEXTENDed into the
-// measurement, and EINIT freezes MRENCLAVE and records MRSIGNER.
-func (d *Device) Launch(code []byte, signer *rsa.PublicKey, cfg EnclaveConfig) (*Enclave, error) {
+// measurement, and EINIT freezes MRENCLAVE and records MRSIGNER. The
+// simulator verifies no SIGSTRUCT: MRSIGNER is the SHA-256 of the
+// signer's raw public key.
+func (d *Device) Launch(code []byte, signer *ecdh.PublicKey, cfg EnclaveConfig) (*Enclave, error) {
 	if len(code) == 0 {
 		return nil, errors.New("sgx: empty enclave image")
 	}
@@ -115,7 +117,7 @@ func (d *Device) Launch(code []byte, signer *rsa.PublicKey, cfg EnclaveConfig) (
 
 	// EINIT: freeze the identity.
 	copy(e.mrenclave[:], h.Sum(nil))
-	e.mrsigner = sha256.Sum256(signer.N.Bytes())
+	e.mrsigner = sha256.Sum256(signer.Bytes())
 	e.inited = true
 
 	// Bring up the EPC-backed heap. The paging key is bound to this

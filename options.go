@@ -1,7 +1,7 @@
 package scbr
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 	"time"
 
 	"scbr/internal/attest"
@@ -55,7 +55,7 @@ func resolve(opts []Option) settings {
 }
 
 // routerConfig lowers the resolved options onto the broker's config.
-func (s settings) routerConfig(image []byte, signer *rsa.PublicKey) broker.RouterConfig {
+func (s settings) routerConfig(image []byte, signer *ecdh.PublicKey) broker.RouterConfig {
 	return broker.RouterConfig{
 		EnclaveImage:     image,
 		EnclaveSigner:    signer,

@@ -74,7 +74,7 @@
 package scbr
 
 import (
-	"crypto/rsa"
+	"crypto/ecdh"
 	"io"
 
 	"scbr/internal/attest"
@@ -276,7 +276,7 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 //
 //	router, err := scbr.NewRouter(dev, quoter, image, signer.Public(),
 //	    scbr.WithSwitchless(), scbr.WithEPC(32<<20), scbr.WithPadding(400))
-func NewRouter(dev *Device, quoter *Quoter, image []byte, signer *rsa.PublicKey, opts ...Option) (*Router, error) {
+func NewRouter(dev *Device, quoter *Quoter, image []byte, signer *ecdh.PublicKey, opts ...Option) (*Router, error) {
 	return broker.NewRouter(dev, quoter, resolve(opts).routerConfig(image, signer))
 }
 
@@ -366,13 +366,13 @@ func NewSplitEngine(dev *Device, cacheBytes uint64, opts ...Option) (*Engine, *E
 
 // Keys.
 type (
-	// KeyPair is an RSA key pair (the publisher's PK/PK⁻¹ or an
-	// enclave signing key).
+	// KeyPair is an X25519 key pair (the publisher's PK/PK⁻¹, a
+	// client's response key, or an enclave signing key).
 	KeyPair = scrypto.KeyPair
 )
 
-// NewKeyPair generates an RSA key pair; src defaults to crypto/rand
-// when nil.
+// NewKeyPair generates an X25519 key pair; src defaults to
+// crypto/rand when nil.
 func NewKeyPair(src io.Reader) (*KeyPair, error) { return scrypto.NewKeyPair(src) }
 
 // Simulated-machine utilities: every engine meters its memory traffic
