@@ -148,17 +148,14 @@ func TestGCMRoundTripAndAAD(t *testing.T) {
 	}
 }
 
-// TestSealedBox: SealTo/OpenSealed round-trips at every size, and
-// OpenSealed refuses a wrong label, a wrong recipient, a flipped byte
-// anywhere in the blob (ErrAuthentication) and a truncated blob
-// (ErrMalformed). A low-order key is refused as a recipient and as a
-// blob's ephemeral key.
-func TestSealedBox(t *testing.T) {
+// The two sealed-box tests keep the names of the RSA-OAEP hybrid
+// (EncryptPK/DecryptPK) that SealTo/OpenSealed replaced: they guard the
+// same public-key leg.
+
+// TestRSAHybridRoundTrip: SealTo/OpenSealed round-trips at every size,
+// and a blob is exactly sealedOverhead longer than its message.
+func TestRSAHybridRoundTrip(t *testing.T) {
 	kp, err := NewKeyPair(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewKeyPair(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +174,29 @@ func TestSealedBox(t *testing.T) {
 		if err != nil || !bytes.Equal(got, msg) {
 			t.Fatalf("OpenSealed(%d B): round trip mismatch, err %v", size, err)
 		}
-		if size == 0 {
-			continue
+	}
+}
+
+// TestRSAHybridRejectsCorruptWrap: OpenSealed refuses a wrong label, a
+// wrong recipient, a flipped bit anywhere in the blob (ErrAuthentication)
+// and a truncated blob (ErrMalformed). A low-order key is refused as a
+// recipient and as a blob's ephemeral key.
+func TestRSAHybridRejectsCorruptWrap(t *testing.T) {
+	kp, err := NewKeyPair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := NewKeyPair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const label = "scbr/test/sealed-box"
+	for _, size := range []int{1, 100, 5000} {
+		msg := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(msg)
+		blob, err := SealTo(kp.Public(), label, msg)
+		if err != nil {
+			t.Fatalf("SealTo(%d B): %v", size, err)
 		}
 		for _, tc := range []struct {
 			name string
