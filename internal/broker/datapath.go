@@ -48,7 +48,7 @@ const pipelineDepth = 128
 // encoding), and the slice's job queue and resident worker. The
 // partition lock serialises enclave entries and meter access for this
 // slice only; other slices, the control plane, and delivery never wait
-// on it.
+// on it. Its open is the broker's one SK-envelope open.
 type partition struct {
 	idx     int
 	enclave *sgx.Enclave
@@ -58,11 +58,12 @@ type partition struct {
 	mu sync.Mutex // serialises this slice's enclave entries and meter
 
 	// Sealed-exchange scratch, guarded by mu: the per-key envelope
-	// opener (AES schedule + HMAC pads built once per provisioned key)
-	// and the per-item plaintext-header buffers reused across batches.
+	// opener (AES schedule + HMAC pads built once per provisioned key),
+	// the per-item header buffers of a batch, and one-item opens' buffer.
 	opener    *scrypto.Opener
 	openerKey *scrypto.SymmetricKey
 	enc       [][]byte
+	plain     []byte
 
 	// jobs feeds the slice's resident worker, in dispatch order;
 	// workerDone closes when the worker has drained it and exited.
@@ -365,25 +366,16 @@ func (r *Router) sliceWorker(p *partition) {
 func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.SymmetricKey) {
 	encs := job.blobs
 	if r.backend.Caps.SealedExchange {
-		if p.openerKey != sk {
-			opener, err := scrypto.NewOpener(sk)
-			if err != nil {
-				return
-			}
-			p.opener, p.openerKey = opener, sk
-		}
-		meter := p.slice.Accessor().Meter()
 		for cap(p.enc) < len(job.blobs) {
 			p.enc = append(p.enc[:cap(p.enc)], nil)
 		}
 		p.enc = p.enc[:len(job.blobs)]
 		for i, blob := range job.blobs {
-			plain, err := p.opener.OpenAppend(blob, p.enc[i][:0])
+			plain, err := p.open(sk, blob, p.enc[i][:0])
 			if err != nil {
 				p.enc[i] = p.enc[i][:0] // authentication failure: the decoder drops the empty item
 				continue
 			}
-			meter.ChargeAES(len(blob))
 			p.enc[i] = plain
 		}
 		encs = p.enc
@@ -391,6 +383,26 @@ func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.Symmet
 	// A store-level error (an unconfigured store) contributes nothing
 	// for any item, exactly as every per-item call would have failed.
 	_ = r.hub.MatchEncodedBatchIn(p.idx, encs, job.perPart[p.idx])
+}
+
+// open authenticates blob under sk with the partition's opener, rebuilt
+// when sk changes, appends the plaintext to buf and charges the AES pass
+// to the slice's meter. The caller holds p.mu, inside p's enclave: the
+// plaintext never leaves it.
+func (p *partition) open(sk *scrypto.SymmetricKey, blob, buf []byte) ([]byte, error) {
+	if p.openerKey != sk {
+		opener, err := scrypto.NewOpener(sk)
+		if err != nil {
+			return nil, err
+		}
+		p.opener, p.openerKey = opener, sk
+	}
+	plain, err := p.opener.OpenAppend(blob, buf)
+	if err != nil {
+		return nil, err
+	}
+	p.slice.Accessor().Meter().ChargeAES(len(blob))
+	return plain, nil
 }
 
 // deliveryMerger joins the per-slice match results in publication

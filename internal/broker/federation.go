@@ -297,13 +297,13 @@ func (r *Router) runPeer(conn net.Conn, name string, key *scrypto.SymmetricKey) 
 // openHeaderLocked is the federation layer's trusted header
 // decryption: recover and intern the publication header for digest
 // evaluation. The caller holds the partition lock and is inside its
-// enclave, exactly like matchSlice.
+// enclave, exactly like matchSliceBatch.
 func (r *Router) openHeaderLocked(p *partition, blob []byte, sk *scrypto.SymmetricKey) (*pubsub.Event, error) {
-	plain, err := scrypto.Open(sk, blob)
+	plain, err := p.open(sk, blob, p.plain[:0])
 	if err != nil {
 		return nil, fmt.Errorf("decrypting header: %w", err)
 	}
-	p.slice.Accessor().Meter().ChargeAES(len(blob))
+	p.plain = plain
 	spec, err := pubsub.DecodeEventSpec(plain)
 	if err != nil {
 		return nil, fmt.Errorf("decoding header: %w", err)
@@ -393,16 +393,28 @@ func (r *Router) fedSend(outs []federation.Outbound) {
 	}
 }
 
-// fedAddLocal folds an accepted registration into the digest state,
-// inside the attestation slice's enclave (subscription plaintext never
-// leaves enclaves).
-func (r *Router) fedAddLocal(subID uint64, spec pubsub.SubscriptionSpec) {
-	if r.fed == nil {
+// fedAddLocal folds accepted registrations into the digest state in one
+// entry into slice 0's enclave, which opens and decodes each logged blob
+// itself: subscription plaintext never leaves it. Federation requires
+// FederationDigests, so every blob is an SK envelope.
+func (r *Router) fedAddLocal(ents []logEntry) {
+	if r.fed == nil || len(ents) == 0 {
 		return
 	}
-	p0 := r.p0
+	sk, p0 := r.keys(), r.p0
 	p0.mu.Lock()
-	_ = p0.enclave.Ecall(func() error { return r.fed.AddLocal(subID, spec) })
+	_ = p0.enclave.Ecall(func() error {
+		for _, ent := range ents {
+			// A blob the current key cannot open was re-provisioned away.
+			if plain, err := p0.open(sk, ent.Blob, p0.plain[:0]); err == nil {
+				p0.plain = plain
+				if spec, err := pubsub.DecodeSubscriptionSpec(plain); err == nil {
+					_ = r.fed.AddLocal(ent.SubID, spec)
+				}
+			}
+		}
+		return nil
+	})
 	p0.mu.Unlock()
 }
 

@@ -378,7 +378,7 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 				r.migEntryMu.Unlock()
 				continue
 			}
-			_, _, _, ierr := r.ingestRegistration(streamhub.ShardOf(ent.SubID), g.to, ent.ClientID, ent.Blob, ent.SubID)
+			_, ierr := r.ingestRegistration(streamhub.ShardOf(ent.SubID), g.to, ent.ClientID, ent.Blob, ent.SubID)
 			r.migEntryMu.Unlock()
 			if ierr != nil {
 				if failed++; firstErr == nil {

@@ -212,6 +212,7 @@ func (r *Router) RestoreState(blob []byte) error {
 			return fmt.Errorf("broker: replaying subscription %d: %w", ent.SubID, err)
 		}
 	}
+	r.fedAddLocal(state.Log)
 	return nil
 }
 
@@ -224,16 +225,12 @@ func (r *Router) replayRegistration(ent logEntry) error {
 		return fmt.Errorf("subscription names shard %d, but the placement map has %d (restore with the sealing shard count)", shard, r.pm.Shards())
 	}
 	target := r.hub.SliceForShard(shard)
-	_, spec, haveSpec, err := r.ingestRegistration(shard, target, ent.ClientID, ent.Blob, ent.SubID)
-	if err != nil {
+	if _, err := r.ingestRegistration(shard, target, ent.ClientID, ent.Blob, ent.SubID); err != nil {
 		return err
 	}
 	r.ctlMu.Lock()
 	r.logRegistration(ent)
 	r.ctlMu.Unlock()
-	if haveSpec {
-		r.fedAddLocal(ent.SubID, spec)
-	}
 	return nil
 }
 

@@ -257,7 +257,8 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 	if err != nil {
 		return nil, fmt.Errorf("broker: %w", err)
 	}
-	if (cfg.RouterID != "" || len(cfg.Peers) > 0) && !backend.Caps.FederationDigests {
+	federated := cfg.RouterID != "" || len(cfg.Peers) > 0
+	if federated && !backend.Caps.FederationDigests {
 		// The explicit capability gate: federation needs §3.2 containment
 		// digests over subscription plaintext, which this scheme never
 		// reveals to the router.
@@ -327,7 +328,7 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 		hub.SetEntryCost(fp.EntryBytes)
 	}
 	r.startPipeline()
-	if cfg.RouterID != "" || len(cfg.Peers) > 0 {
+	if federated {
 		if err := r.startFederation(); err != nil {
 			r.stopPipeline()
 			return nil, err
@@ -783,13 +784,11 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 		return err
 	}
 	subIDs := make([]uint64, 0, len(m.Items))
-	specs := make([]pubsub.SubscriptionSpec, 0, len(m.Items))
-	specIDs := make([]uint64, 0, len(m.Items))
 	r.stateMu.RLock()
 	for i, it := range m.Items {
 		shard := r.hub.ShardForKey([]byte(m.ClientID), it.Blob)
 		target := r.hub.SliceForShard(shard)
-		subID, spec, haveSpec, err := r.ingestRegistration(shard, target, m.ClientID, it.Blob, 0)
+		subID, err := r.ingestRegistration(shard, target, m.ClientID, it.Blob, 0)
 		if err != nil {
 			for _, id := range subIDs {
 				// Issued a moment ago under the state lock still held:
@@ -800,20 +799,16 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 			return fmt.Errorf("batch item %d: %w", i, err)
 		}
 		subIDs = append(subIDs, subID)
-		if haveSpec {
-			specs = append(specs, spec)
-			specIDs = append(specIDs, subID)
-		}
 	}
+	ents := make([]logEntry, len(subIDs))
 	r.ctlMu.Lock()
 	for i, id := range subIDs {
-		r.logRegistration(logEntry{SubID: id, ClientID: m.ClientID, Blob: append([]byte(nil), m.Items[i].Blob...)})
+		ents[i] = logEntry{SubID: id, ClientID: m.ClientID, Blob: append([]byte(nil), m.Items[i].Blob...)}
+		r.logRegistration(ents[i])
 	}
 	r.ctlMu.Unlock()
 	r.stateMu.RUnlock()
-	for i := range specs {
-		r.fedAddLocal(specIDs[i], specs[i])
-	}
+	r.fedAddLocal(ents)
 	return Send(conn, &Message{Type: TypeRegisterBatchOK, SubIDs: subIDs})
 }
 
@@ -829,41 +824,30 @@ func (r *Router) logRegistration(ent logEntry) {
 // store, inside the slice's enclave: on partition target (shard's
 // current slice) under a fresh shard-packed ID, or — when assignID is
 // non-zero (state restore, and the migration copy into a shard's new
-// slice) — under that ID. It opens the SK envelope first for
-// sealed-exchange schemes and stores the scheme ciphertext as it is
-// otherwise. Whoever calls has authenticated the blob already: the
-// live path by the registration tag over its frame, restore and
-// migration by the enclave seal the logged entry travelled under. For
-// digest-capable schemes with federation enabled it also returns the
-// decoded subscription spec for the overlay. Callers hold stateMu
+// slice) — under that ID. An SK envelope is opened into the partition's
+// scratch, which the store decodes into its arena; scheme ciphertext is
+// stored as it is. Nothing decoded leaves the enclave (fedAddLocal feeds
+// the digest on its own). Whoever calls has authenticated the blob: the
+// live path by the frame's registration tag, restore and migration by
+// the enclave seal the logged entry travelled under. Callers hold stateMu
 // (shared on the live path) or the migration's shard fence, which keeps
 // the shard→slice resolution they did stable across the insert.
-func (r *Router) ingestRegistration(shard, target int, clientID string, blob []byte, assignID uint64) (uint64, pubsub.SubscriptionSpec, bool, error) {
+func (r *Router) ingestRegistration(shard, target int, clientID string, blob []byte, assignID uint64) (uint64, error) {
 	sk := r.keys()
 	if sk == nil {
-		return 0, pubsub.SubscriptionSpec{}, false, ErrNotProvisioned
+		return 0, ErrNotProvisioned
 	}
 	p := r.parts[target]
 	subID := assignID
-	var spec pubsub.SubscriptionSpec
-	haveSpec := false
 	p.mu.Lock()
 	err := p.enclave.Ecall(func() error {
 		enc := blob
 		if r.backend.Caps.SealedExchange {
-			plain, err := scrypto.Open(sk, blob)
+			plain, err := p.open(sk, blob, p.plain[:0])
 			if err != nil {
 				return fmt.Errorf("decrypting subscription: %w", err)
 			}
-			p.slice.Accessor().Meter().ChargeAES(len(blob))
-			enc = plain
-		}
-		if r.fed != nil && r.backend.Caps.FederationDigests {
-			s, err := pubsub.DecodeSubscriptionSpec(enc)
-			if err != nil {
-				return fmt.Errorf("decoding subscription: %w", err)
-			}
-			spec, haveSpec = s, true
+			p.plain, enc = plain, plain
 		}
 		// Intern the client identity only now that the blob opened:
 		// rejected traffic must leave no state behind.
@@ -876,10 +860,7 @@ func (r *Router) ingestRegistration(shard, target int, clientID string, blob []b
 		return err
 	})
 	p.mu.Unlock()
-	if err != nil {
-		return 0, pubsub.SubscriptionSpec{}, false, err
-	}
-	return subID, spec, haveSpec, nil
+	return subID, err
 }
 
 // unregister drops a subscription from the slice that owns it, inside

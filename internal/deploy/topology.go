@@ -25,14 +25,15 @@ import (
 	"scbr/internal/simmem"
 )
 
-// TopologySpec describes a federated overlay to stand up.
+// TopologySpec describes the routers to stand up and their overlay links.
 type TopologySpec struct {
 	// Routers is the number of routers (≥ 1). Router i is named
 	// "router-i" in the overlay.
 	Routers int `json:"routers"`
 	// Links lists directed dial edges {dialer, acceptor} by router
 	// index. Each link is one bidirectional attested connection; a
-	// chain of three routers is {{0,1},{1,2}}, a cycle adds {2,0}.
+	// chain of three routers is {{0,1},{1,2}}, a cycle adds {2,0}. A
+	// topology without links launches no overlay, whatever the scheme.
 	Links [][2]int `json:"links,omitempty"`
 	// Image is the measured enclave image every router launches
 	// (default: a fixed topology image). All routers must share it —
@@ -52,10 +53,8 @@ type TopologySpec struct {
 	// placement byte-for-byte.
 	PlacementSeed int64 `json:"placement_seed,omitempty"`
 	// Scheme selects the matching scheme every router runs (empty =
-	// the default sgx-plain). Schemes without federation-digest
-	// support only stand up single-router, link-free topologies: the
-	// routers are launched without overlay state, and a spec with
-	// Links is rejected.
+	// the default sgx-plain). Links need federation-digest support; a
+	// topology without links launches no overlay, whatever the scheme.
 	Scheme string `json:"scheme,omitempty"`
 	// SchemeOptions parameterise the publishers NewPublisher builds
 	// (e.g. the ASPE attribute universe).
@@ -126,8 +125,8 @@ func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deploy: %w", err)
 	}
-	federated := backend.Caps.FederationDigests
-	if !federated && len(spec.Links) > 0 {
+	federated := len(spec.Links) > 0
+	if federated && !backend.Caps.FederationDigests {
 		return nil, fmt.Errorf("deploy: scheme %q cannot form overlay links (no federation-digest support)", backend.Name)
 	}
 	image := spec.Image
@@ -191,17 +190,15 @@ func NewTopology(ctx context.Context, spec TopologySpec) (*Topology, error) {
 		if spec.PlacementSeed != 0 {
 			cfg.PlacementSeed = spec.PlacementSeed
 		}
+		// No PeerIdentities: a federated router pins the fleet's own.
+		cfg.RouterID, cfg.Peers, cfg.PeerVerifier, cfg.PeerIdentities = "", nil, nil, nil
 		if federated {
-			cfg.RouterID = t.IDs[i]
-			cfg.PeerVerifier = t.Service
-			cfg.PeerIdentities = nil // pin the fleet's own identity
+			cfg.RouterID, cfg.PeerVerifier = t.IDs[i], t.Service
 			for _, l := range spec.Links {
 				if l[0] == i {
 					cfg.Peers = append(cfg.Peers, t.Addrs[l[1]])
 				}
 			}
-		} else {
-			cfg.RouterID, cfg.Peers, cfg.PeerVerifier, cfg.PeerIdentities = "", nil, nil, nil
 		}
 		router, err := broker.NewRouter(dev, quoter, cfg)
 		if err != nil {

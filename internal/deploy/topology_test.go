@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -451,5 +452,69 @@ func TestFederationRepartitionDelivery(t *testing.T) {
 	// the remote entry is still the one carol registered.
 	if got := topo.Routers[0].FederationSnapshot().RemoteEntries; got != 1 {
 		t.Fatalf("router 0 sees %d remote entries after the resizes, want 1", got)
+	}
+}
+
+// TestFederationOnlyWithLinks: whether a topology federates is decided
+// by its links alone. A one-router sgx-plain topology — a scheme with
+// federation digests — keeps no digest for its registrations and
+// refuses a peer hello, while two linked routers still attach to each
+// other.
+func TestFederationOnlyWithLinks(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	solo, err := NewTopology(ctx, TopologySpec{Routers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	pub, err := solo.NewPublisher(ctx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"alice", "bob"} {
+		c, err := broker.NewClient(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := solo.ConnectClient(ctx, pub, c, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Subscribe(ctx, halSpec(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := solo.Routers[0].DataPlaneStats().Subscriptions; got != 2 {
+		t.Fatalf("router holds %d subscriptions, want 2", got)
+	}
+	if got := solo.Routers[0].FederationSnapshot(); got != (federation.Counters{}) {
+		t.Fatalf("a router without links keeps overlay state: %+v", got)
+	}
+	conn, err := solo.DialRouter(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := broker.Send(conn, &broker.Message{Type: broker.TypePeerHello, Blob: []byte("{}")}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := broker.Recv(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != broker.TypeError || !strings.Contains(reply.Err, "federation disabled") {
+		t.Fatalf("peer hello to a router without links: reply %+v, want the federation-disabled refusal", reply)
+	}
+
+	pair, err := NewTopology(ctx, TopologySpec{Routers: 2, Links: [][2]int{{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair.Close()
+	for i := range pair.Routers {
+		if err := pair.WaitFederation(i, fedWait, func(c federation.Counters) bool { return c.Peers == 1 }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
