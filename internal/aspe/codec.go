@@ -94,7 +94,9 @@ func AppendSubscription(buf []byte, es *EncodedSubscription) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeSubscription parses AppendSubscription output.
+// DecodeSubscription parses AppendSubscription output. It refuses a
+// blob without vectors and any non-finite component, as
+// DecodePublicationInto does.
 func DecodeSubscription(raw []byte) (*EncodedSubscription, error) {
 	hdr := 2 + 2 + 2 + 1 + 8 + 8*bloomWords
 	if len(raw) < hdr {
@@ -105,7 +107,8 @@ func DecodeSubscription(raw []byte) (*EncodedSubscription, error) {
 	}
 	dim := int(binary.LittleEndian.Uint16(raw[2:]))
 	nvec := int(binary.LittleEndian.Uint16(raw[4:]))
-	if dim == 0 || dim > MaxDim || nvec > MaxVectors {
+	// A subscription with no vector would match every event.
+	if dim == 0 || dim > MaxDim || nvec == 0 || nvec > MaxVectors {
 		return nil, fmt.Errorf("%w: dim %d / %d vectors", ErrCodec, dim, nvec)
 	}
 	if raw[6]&^subFlagHasEq != 0 {
@@ -128,7 +131,11 @@ func DecodeSubscription(raw []byte) (*EncodedSubscription, error) {
 	for i := range es.Vectors {
 		v := make([]float64, dim)
 		for j := range v {
-			v[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+			x := math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("%w: vector %d component %d is %g", ErrCodec, i, j, x)
+			}
+			v[j] = x
 			pos += 8
 		}
 		es.Vectors[i] = v
@@ -157,7 +164,10 @@ func AppendPublication(buf []byte, ep *EncodedPublication) ([]byte, error) {
 
 // DecodePublicationInto parses AppendPublication output, reusing ep's
 // point storage: the matching path decodes a whole publish-batch per
-// scan and would otherwise allocate a point per item per slice.
+// scan and would otherwise allocate a point per item per slice. It
+// refuses a non-finite component: no sign test fails on a NaN product,
+// so such a point would match every subscription the prefilter lets
+// through.
 func DecodePublicationInto(raw []byte, ep *EncodedPublication) error {
 	hdr := 2 + 2 + 8*bloomWords
 	if len(raw) < hdr {
@@ -184,7 +194,11 @@ func DecodePublicationInto(raw []byte, ep *EncodedPublication) error {
 	}
 	ep.Point = ep.Point[:dim]
 	for i := range ep.Point {
-		ep.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+		x := math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: point component %d is %g", ErrCodec, i, x)
+		}
+		ep.Point[i] = x
 		pos += 8
 	}
 	return nil

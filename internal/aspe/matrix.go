@@ -8,10 +8,13 @@
 // invertible matrix M, points are encrypted as M^T·p̂ and query vectors
 // as M⁻¹·q̂, so dot products — and therefore the sign tests — are
 // preserved exactly while both sides remain encrypted. Matching cost
-// per subscription is Θ(#bounds × dimensions), which grows quadratically
-// with the attribute count — the behaviour that makes ASPE fall an
-// order of magnitude behind SCBR in Figure 7 and degrade fastest on
-// the ×2/×4-attribute workloads.
+// per subscription is Θ(#bounds × dimensions) in vector reads, which
+// grows quadratically with the attribute count — the behaviour that
+// makes ASPE fall an order of magnitude behind SCBR in Figure 7 and
+// degrade fastest on the ×2/×4-attribute workloads. A subscription
+// stores its bound tests first and its presence tests last, so a
+// presence test is read only for the events still live after every
+// bound.
 //
 // Semantics are the scheme's, not SCBR's: bounds are closed (ASPE
 // cannot express strict inequalities — one of the "degraded forms of

@@ -24,12 +24,20 @@ import (
 //
 // A constraint l ≤ v_i ≤ u becomes up to three sign tests:
 //
-//	presence:  b_i − 1        ≥ 0
 //	lower:     v_i − l        ≥ 0   (if a lower bound exists)
 //	upper:     u  − v_i       ≥ 0   (if an upper bound exists)
+//	presence:  b_i − 1        ≥ 0
 //
 // each expressed as a query vector q̂ with E(q) = M⁻¹·(r·q̂), r > 0
 // random per vector, matched against E(p) = Mᵀ·p̂ via Dot ≥ −tolerance.
+// A subscription stores every constraint's bound tests first and every
+// presence test after them, both in constraint order. The tests are
+// ANDed, so the order decides no match, only cost: the store stops
+// reading a subscription's vectors once no event is still live on it,
+// and a presence test refuses only events that lack the attribute,
+// while a bound test refuses every event outside its range. An event
+// that lacks an attribute whose bound admits 0 (volume ≤ 50) passes
+// the bounds and is refused by the presence test.
 type Scheme struct {
 	schema *pubsub.Schema
 	index  map[pubsub.AttrID]int
@@ -207,71 +215,80 @@ func (s *Scheme) EncryptPoint(ev *pubsub.Event) ([]float64, error) {
 }
 
 // QueryVectors builds the encrypted sign-test vectors for one
-// normalised subscription. The returned norm is the largest ciphertext
-// vector norm; the matcher scales its sign-test tolerance with it (and
-// with the point norm) to absorb the floating-point noise of M·M⁻¹ on
-// boundary (exact-equality) products.
+// normalised subscription: every bound test in constraint order, then
+// every presence test in constraint order (see Scheme). The returned
+// norm is the largest ciphertext vector norm; the matcher scales its
+// sign-test tolerance with it (and with the point norm) to absorb the
+// floating-point noise of M·M⁻¹ on boundary (exact-equality) products.
 func (s *Scheme) QueryVectors(sub *pubsub.Subscription) ([][]float64, float64, error) {
 	s.frozen = true
-	d := len(s.attrs)
-	var plain [][]float64
+	nvec := 0
 	for _, c := range sub.Constraints {
-		i, ok := s.index[c.ID]
-		if !ok {
+		if _, ok := s.index[c.ID]; !ok {
 			return nil, 0, fmt.Errorf("aspe: attribute %d outside scheme universe", c.ID)
 		}
-		// Presence test: b_i − 1 ≥ 0.
-		q := make([]float64, s.n)
-		q[d+i] = 1
-		q[2*d] = -1
-		plain = append(plain, q)
-		if c.Str {
-			if c.Prefix {
-				// Prefix matching needs prefix-preserving encryption (Li
-				// et al.), which plain ASPE does not provide — one of the
-				// expressiveness gaps the paper holds against software-
-				// only schemes.
-				return nil, 0, fmt.Errorf("aspe: prefix constraints are not expressible (attribute %d)", c.ID)
+		switch {
+		case c.Str && c.Prefix:
+			// Prefix matching needs prefix-preserving encryption (Li
+			// et al.), which plain ASPE does not provide — one of the
+			// expressiveness gaps the paper holds against software-
+			// only schemes.
+			return nil, 0, fmt.Errorf("aspe: prefix constraints are not expressible (attribute %d)", c.ID)
+		case c.Str:
+			nvec += 3
+		default:
+			nvec++
+			if c.HasLo {
+				nvec++
 			}
-			// Equality via [h, h].
-			h := valueScalar(pubsub.Str(c.EqS))
-			lo := make([]float64, s.n)
-			lo[i] = 1
-			lo[2*d] = -h
-			hi := make([]float64, s.n)
-			hi[i] = -1
-			hi[2*d] = h
-			plain = append(plain, lo, hi)
-			continue
-		}
-		if c.HasLo {
-			// v_i − l ≥ 0 (closed; ASPE cannot express strictness).
-			q := make([]float64, s.n)
-			q[i] = 1
-			q[2*d] = -c.Lo / s.scales[i]
-			plain = append(plain, q)
-		}
-		if c.HasHi {
-			// u − v_i ≥ 0.
-			q := make([]float64, s.n)
-			q[i] = -1
-			q[2*d] = c.Hi / s.scales[i]
-			plain = append(plain, q)
+			if c.HasHi {
+				nvec++
+			}
 		}
 	}
-	out := make([][]float64, len(plain))
+	d := len(s.attrs)
+	out := make([][]float64, 0, nvec)
 	maxNorm := 0.0
-	for k, q := range plain {
+	q := make([]float64, s.n)
+	// seal encrypts the plaintext test in q, appends it to out and
+	// clears q for the next one.
+	seal := func() {
 		r := 0.5 + s.rng.Float64() // positive random scale
 		for j := range q {
 			q[j] *= r
 		}
 		enc := make([]float64, s.n)
 		s.mInv.MulVec(enc, q)
-		out[k] = enc
-		if nrm := norm2(enc); nrm > maxNorm {
-			maxNorm = nrm
+		out = append(out, enc)
+		maxNorm = max(maxNorm, norm2(enc))
+		clear(q)
+	}
+	for _, c := range sub.Constraints {
+		i := s.index[c.ID]
+		if c.Str {
+			// Equality via [h, h].
+			h := valueScalar(pubsub.Str(c.EqS))
+			q[i], q[2*d] = 1, -h
+			seal()
+			q[i], q[2*d] = -1, h
+			seal()
+			continue
 		}
+		if c.HasLo {
+			// v_i − l ≥ 0 (closed; ASPE cannot express strictness).
+			q[i], q[2*d] = 1, -c.Lo/s.scales[i]
+			seal()
+		}
+		if c.HasHi {
+			// u − v_i ≥ 0.
+			q[i], q[2*d] = -1, c.Hi/s.scales[i]
+			seal()
+		}
+	}
+	for _, c := range sub.Constraints {
+		// Presence test: b_i − 1 ≥ 0.
+		q[d+s.index[c.ID]], q[2*d] = 1, -1
+		seal()
 	}
 	return out, maxNorm, nil
 }
