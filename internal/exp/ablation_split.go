@@ -133,7 +133,7 @@ func AblationSplit(cfg Config) ([]SplitRow, error) {
 // split-memory accessor with the in-enclave plaintext budget set to
 // the configured EPC size, so the hardware-paged and split runs spill
 // at the same database size.
-func newSplitEngine(cfg Config) (*core.Engine, *sgx.SplitAccessor, error) {
+func newSplitEngine(cfg Config) (*core.Engine, *sgx.Accessor, error) {
 	dev, err := sgx.NewDevice([]byte("exp-split-device"), cfg.Cost)
 	if err != nil {
 		return nil, nil, err

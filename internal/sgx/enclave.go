@@ -126,9 +126,9 @@ func (d *Device) Launch(code []byte, signer *ecdh.PublicKey, cfg EnclaveConfig) 
 	pagingKey := d.deriveKey("epc-paging", e.mrenclave[:])[:16]
 	meter := simmem.NewMeter(d.cost)
 	meter.SetEnclave(true)
-	epc := newEPC(cfg.EPCBytes, pagingKey, d.cost, &meter.C)
-	meter.SetPager(epc)
-	e.acc = &Accessor{arena: epc.arena, meter: meter, epc: epc}
+	pager := &epc{newPages(cfg.EPCBytes, pagingKey, d.cost, &meter.C)}
+	meter.SetPager(pager)
+	e.acc = &Accessor{arena: pager.arena, meter: meter, pages: &pager.pages}
 	return e, nil
 }
 
@@ -225,7 +225,7 @@ func (e *Enclave) Device() *Device { return e.dev }
 func (e *Enclave) Terminate() {
 	e.inited = false
 	if e.acc != nil {
-		e.acc.epc = nil
+		e.acc.pages = nil
 	}
 	e.acc = nil
 }

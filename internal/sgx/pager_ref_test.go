@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,9 +14,11 @@ import (
 )
 
 // The pagers kept their residency table as a map from page number to a
-// heap-allocated entry before it became a page-indexed slice. refEPC
-// and refSplitCache are those originals, kept as the reference models
-// the differential tests below hold the slice-backed pagers to.
+// heap-allocated entry before it became a page-indexed slice, and each
+// kept its own copy of CLOCK and sealing before both policies shared
+// one core. refEPC and refSplitCache are those originals, kept as the
+// reference models the differential tests below hold the shared core
+// and its two policies to.
 
 type refEntry struct {
 	ref   bool
@@ -282,18 +285,21 @@ func TestEPCMatchesMapBackedReference(t *testing.T) {
 			key := bytes.Repeat([]byte{0x42}, 16)
 			cost := simmem.DefaultCost()
 			var gotC, refC simmem.Counters
-			got := newEPC(uint64(capacityPages)*simmem.PageSize, key, cost, &gotC)
+			got := &epc{newPages(uint64(capacityPages)*simmem.PageSize, key, cost, &gotC)}
 			ref := newRefEPC(uint64(capacityPages)*simmem.PageSize, key, cost, &refC)
 			pagerTrace(t, int64(capacityPages), capacityPages, got, ref, got.arena, ref.arena, func(i int, page uint64) {
 				if gotC != refC {
 					t.Fatalf("touch %d: counters %+v, reference %+v", i, gotC, refC)
 				}
-				if got.Faults() != ref.faults || got.ResidentPages() != len(ref.resident) || got.peakResident != ref.peakResident {
+				if gotC.PageFaults != ref.faults || len(got.clock) != len(ref.resident) || got.peak != ref.peakResident {
 					t.Fatalf("touch %d: faults/resident/peak %d/%d/%d, reference %d/%d/%d", i,
-						got.Faults(), got.ResidentPages(), got.peakResident, ref.faults, len(ref.resident), ref.peakResident)
+						gotC.PageFaults, len(got.clock), got.peak, ref.faults, len(ref.resident), ref.peakResident)
 				}
-				if g, r := sortedPages(got.evicted), sortedPages(ref.evicted); fmt.Sprint(g) != fmt.Sprint(r) {
+				if g, r := sortedPages(got.images), sortedPages(ref.evicted); fmt.Sprint(g) != fmt.Sprint(r) {
 					t.Fatalf("touch %d: evicted pages %v, reference %v", i, g, r)
+				}
+				if !maps.Equal(got.versions, ref.versions) {
+					t.Fatalf("touch %d: versions %v, reference %v", i, got.versions, ref.versions)
 				}
 			})
 		})
@@ -306,22 +312,22 @@ func TestSplitCacheMatchesMapBackedReference(t *testing.T) {
 			key := bytes.Repeat([]byte{0x24}, 16)
 			cost := simmem.DefaultCost()
 			var gotC, refC simmem.Counters
-			got := newSplitCache(uint64(capacityPages)*simmem.PageSize, key, cost, &gotC)
+			got := &split{newPages(uint64(capacityPages)*simmem.PageSize, key, cost, &gotC)}
 			ref := newRefSplitCache(uint64(capacityPages)*simmem.PageSize, key, cost, &refC)
 			pagerTrace(t, int64(capacityPages), capacityPages, got, ref, got.arena, ref.arena, func(i int, page uint64) {
 				if gotC != refC {
 					t.Fatalf("touch %d: counters %+v, reference %+v", i, gotC, refC)
 				}
 				gotResident, gotPeak := got.ResidentBytes()
-				if got.faults != ref.faults || got.writebacks != ref.writebacks ||
+				if gotC.UserFaults != ref.faults || gotC.UserWritebacks != ref.writebacks ||
 					gotResident != uint64(len(ref.resident))*simmem.PageSize || gotPeak != uint64(ref.peakResident)*simmem.PageSize {
 					t.Fatalf("touch %d: faults/writebacks/resident/peak %d/%d/%d/%d, reference %d/%d/%d/%d", i,
-						got.faults, got.writebacks, gotResident/simmem.PageSize, gotPeak/simmem.PageSize,
+						gotC.UserFaults, gotC.UserWritebacks, gotResident/simmem.PageSize, gotPeak/simmem.PageSize,
 						ref.faults, ref.writebacks, len(ref.resident), ref.peakResident)
 				}
 				// A split cache keeps the sealed image of a reloaded page, so
 				// the externalised set is the sealed pages not resident.
-				if g, r := sortedPages(got.sealed), sortedPages(ref.sealed); fmt.Sprint(g) != fmt.Sprint(r) {
+				if g, r := sortedPages(got.images), sortedPages(ref.sealed); fmt.Sprint(g) != fmt.Sprint(r) {
 					t.Fatalf("touch %d: sealed pages %v, reference %v", i, g, r)
 				}
 				for p := range ref.sealed {
@@ -329,6 +335,9 @@ func TestSplitCacheMatchesMapBackedReference(t *testing.T) {
 					if gotIn := got.resident[p].slot != 0; gotIn != refIn {
 						t.Fatalf("touch %d: sealed page %d resident=%v, reference %v", i, p, gotIn, refIn)
 					}
+				}
+				if !maps.Equal(got.versions, ref.versions) {
+					t.Fatalf("touch %d: versions %v, reference %v", i, got.versions, ref.versions)
 				}
 			})
 		})

@@ -14,26 +14,22 @@ import (
 func TestResidencyHighWaterMarks(t *testing.T) {
 	const budget = 8 * simmem.PageSize
 
-	t.Run("epc", func(t *testing.T) {
-		e := launch(t, testDevice(t), []byte("resident"), EnclaveConfig{EPCBytes: budget})
-		acc := e.Memory()
-		checkResidency(t, acc, acc.Meter(), budget)
-		if acc.PeakResidentPages() != 8 {
-			t.Errorf("peak resident pages: got %d, want the full budget 8", acc.PeakResidentPages())
-		}
-	})
-
-	t.Run("split", func(t *testing.T) {
-		e := launch(t, testDevice(t), []byte("resident"), EnclaveConfig{EPCBytes: budget})
-		acc, err := e.SplitMemory(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkResidency(t, acc, acc.Meter(), budget)
-		if acc.PeakResidentPages() != 8 {
-			t.Errorf("peak resident pages: got %d, want the full budget 8", acc.PeakResidentPages())
-		}
-	})
+	for _, pager := range []string{"epc", "split"} {
+		t.Run(pager, func(t *testing.T) {
+			e := launch(t, testDevice(t), []byte("resident"), EnclaveConfig{EPCBytes: budget})
+			acc := e.Memory()
+			if pager == "split" {
+				var err error
+				if acc, err = e.SplitMemory(budget); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkResidency(t, acc, acc.Meter(), budget)
+			if acc.PeakResidentPages() != 8 {
+				t.Errorf("peak resident pages: got %d, want the full budget 8", acc.PeakResidentPages())
+			}
+		})
+	}
 
 	t.Run("plain", func(t *testing.T) {
 		acc := simmem.NewPlainAccessor(simmem.DefaultCost())

@@ -186,15 +186,10 @@ func TestEPCDetectsTamperedPage(t *testing.T) {
 	mem := e.Memory()
 	offs := fillPages(t, mem, 4)
 	page0 := simmem.PageOf(offs[0])
-	if !mem.CorruptEvictedPage(page0) {
+	if !mem.CorruptPageImage(page0) {
 		t.Fatal("page 0 unexpectedly resident")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("tampered page reloaded without integrity failure")
-		}
-	}()
-	mem.Read(offs[0], 8)
+	expectIntegrityPanic(t, page0, func() { mem.Read(offs[0], 8) })
 }
 
 func TestEPCDetectsReplayedPage(t *testing.T) {
@@ -202,7 +197,7 @@ func TestEPCDetectsReplayedPage(t *testing.T) {
 	mem := e.Memory()
 	offs := fillPages(t, mem, 4)
 	page0 := simmem.PageOf(offs[0])
-	oldImage, ok := mem.EvictedPageImage(page0)
+	oldImage, ok := mem.PageImage(page0)
 	if !ok {
 		t.Fatal("page 0 unexpectedly resident")
 	}
@@ -211,15 +206,35 @@ func TestEPCDetectsReplayedPage(t *testing.T) {
 	buf := make([]byte, simmem.PageSize)
 	mem.Write(offs[0], buf)
 	fillPages(t, mem, 3) // push page 0 out with a newer version
-	if !mem.ReplayEvictedPage(page0, oldImage) {
-		t.Skip("page 0 not evicted by pressure; CLOCK kept it resident")
+	if !mem.ReplayPageImage(page0, oldImage) {
+		t.Fatal("page 0 not evicted by pressure; CLOCK kept it resident")
 	}
+	expectIntegrityPanic(t, page0, func() { mem.Read(offs[0], 8) })
+}
+
+// expectIntegrityPanic runs reload and fails the test unless it panics
+// with an *IntegrityError that names page and wraps an authentication
+// failure — any other panic on the reload path is a bug, not a
+// detected attack.
+func expectIntegrityPanic(t *testing.T, page uint64, reload func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatal("replayed stale page accepted")
+		r := recover()
+		if r == nil {
+			t.Fatal("tampered or replayed page reloaded without integrity failure")
+		}
+		ie, ok := r.(*IntegrityError)
+		if !ok {
+			t.Fatalf("panic value %v (%T), want *IntegrityError", r, r)
+		}
+		if ie.Page != page {
+			t.Fatalf("integrity error names page %d, want %d", ie.Page, page)
+		}
+		if !errors.Is(ie, scrypto.ErrAuthentication) {
+			t.Fatalf("integrity error %v does not wrap scrypto.ErrAuthentication", ie)
 		}
 	}()
-	mem.Read(offs[0], 8)
+	reload()
 }
 
 func TestSealUnsealPolicies(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 	"scbr/internal/simmem"
 )
 
-func splitMem(t *testing.T, cachePages int) *SplitAccessor {
+func splitMem(t *testing.T, cachePages int) *Accessor {
 	t.Helper()
 	e := launch(t, testDevice(t), []byte("split code"), EnclaveConfig{})
 	mem, err := e.SplitMemory(uint64(cachePages) * simmem.PageSize)
@@ -37,29 +37,9 @@ func TestSplitMemoryValidation(t *testing.T) {
 	}
 }
 
-// fillSplitPages allocates n pages through the split accessor with a
-// recognisable pattern, mirroring fillPages for the EPC accessor.
-func fillSplitPages(t *testing.T, mem *SplitAccessor, n int) []uint64 {
-	t.Helper()
-	offs := make([]uint64, n)
-	buf := make([]byte, simmem.PageSize)
-	for i := range offs {
-		off, err := mem.Alloc(simmem.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range buf {
-			buf[j] = byte(i + j)
-		}
-		mem.Write(off, buf)
-		offs[i] = off
-	}
-	return offs
-}
-
 func TestSplitEvictionAndReload(t *testing.T) {
 	mem := splitMem(t, 4)
-	offs := fillSplitPages(t, mem, 10)
+	offs := fillPages(t, mem, 10)
 	if mem.ResidentPages() > 4 {
 		t.Fatalf("ResidentPages = %d exceeds cache budget", mem.ResidentPages())
 	}
@@ -84,7 +64,7 @@ func TestSplitEvictionAndReload(t *testing.T) {
 
 func TestSplitCleanEvictionSkipsReseal(t *testing.T) {
 	mem := splitMem(t, 2)
-	offs := fillSplitPages(t, mem, 4)
+	offs := fillPages(t, mem, 4)
 	// Every page has been sealed once (dirty on first eviction). Now
 	// cycle through all pages read-only, twice: the second pass evicts
 	// only clean pages, so the writeback count must not grow.
@@ -106,7 +86,7 @@ func TestSplitCleanEvictionSkipsReseal(t *testing.T) {
 func TestSplitFaultCheaperThanEPCFault(t *testing.T) {
 	cost := simmem.DefaultCost()
 	mem := splitMem(t, 2)
-	offs := fillSplitPages(t, mem, 4)
+	offs := fillPages(t, mem, 4)
 	// Make the target page clean-resident elsewhere: page of offs[0] is
 	// currently sealed. A read faults it in (one unseal; victim may be
 	// dirty → at most one seal).
@@ -126,33 +106,19 @@ func TestSplitFaultCheaperThanEPCFault(t *testing.T) {
 
 func TestSplitDetectsTamperedPage(t *testing.T) {
 	mem := splitMem(t, 2)
-	offs := fillSplitPages(t, mem, 4)
+	offs := fillPages(t, mem, 4)
 	page0 := simmem.PageOf(offs[0])
-	if !mem.CorruptSealedPage(page0) {
+	if !mem.CorruptPageImage(page0) {
 		t.Fatal("page 0 unexpectedly has no sealed image")
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("tampered sealed page reloaded without integrity failure")
-		}
-		var ie *SplitIntegrityError
-		err, ok := r.(error)
-		if !ok || !errors.As(err, &ie) {
-			t.Fatalf("panic value %v is not a SplitIntegrityError", r)
-		}
-		if ie.Page != page0 {
-			t.Fatalf("integrity error names page %d, want %d", ie.Page, page0)
-		}
-	}()
-	mem.Read(offs[0], 8)
+	expectIntegrityPanic(t, page0, func() { mem.Read(offs[0], 8) })
 }
 
 func TestSplitDetectsReplayedPage(t *testing.T) {
 	mem := splitMem(t, 2)
-	offs := fillSplitPages(t, mem, 4)
+	offs := fillPages(t, mem, 4)
 	page0 := simmem.PageOf(offs[0])
-	oldImage, ok := mem.SealedPageImage(page0)
+	oldImage, ok := mem.PageImage(page0)
 	if !ok {
 		t.Fatal("page 0 unexpectedly has no sealed image")
 	}
@@ -160,16 +126,11 @@ func TestSplitDetectsReplayedPage(t *testing.T) {
 	// seal), push it out, then replay the stale image.
 	buf := make([]byte, simmem.PageSize)
 	mem.Write(offs[0], buf)
-	fillSplitPages(t, mem, 3)
-	if !mem.ReplaySealedPage(page0, oldImage) {
-		t.Skip("page 0 not externalised by pressure; CLOCK kept it resident")
+	fillPages(t, mem, 3)
+	if !mem.ReplayPageImage(page0, oldImage) {
+		t.Fatal("page 0 not externalised by pressure; CLOCK kept it resident")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("replayed stale sealed page accepted")
-		}
-	}()
-	mem.Read(offs[0], 8)
+	expectIntegrityPanic(t, page0, func() { mem.Read(offs[0], 8) })
 }
 
 // TestSplitMatchesPlainSemantics drives identical random access
@@ -262,7 +223,7 @@ func TestSplitWriteReadProperty(t *testing.T) {
 
 func TestSplitAccountsWritebacksAndFaultsSeparately(t *testing.T) {
 	mem := splitMem(t, 2)
-	fillSplitPages(t, mem, 5)
+	fillPages(t, mem, 5)
 	c := mem.Meter().C
 	if c.UserFaults != mem.UserFaults() {
 		t.Fatalf("counter UserFaults %d != accessor %d", c.UserFaults, mem.UserFaults())
