@@ -13,13 +13,18 @@ import (
 
 // TestRegisterDigestEntries: the federation digest is fed inside slice
 // 0 and nowhere else — one enclave entry per register frame and one per
-// restore, whatever the item count. An n-item frame costs n + 1 entries
-// (tag check, one ingest per item) on a router with no RouterID and
-// n + 2 on a federated one; the digest follows registrations, canonical
-// duplicates and removals, and a seal → restore rebuilds it.
+// restore, whatever the item count. On two slices, an n-item frame
+// costs 1 + slices touched entries (tag check, one ingest per slice the
+// frame's items land on) on a router with no RouterID and 2 + slices
+// touched on a federated one; a restore costs its unseal, one
+// configuration per slice, one ingest per slice the log lands on, and
+// one more for the digest when federated. The digest follows
+// registrations, canonical duplicates and removals, and a seal →
+// restore rebuilds it.
 func TestRegisterDigestEntries(t *testing.T) {
 	const n = 8
 	f := newRestartFixture(t)
+	f.cfg.Partitions = 2
 	plainCfg := f.cfg
 	fedCfg := f.cfg
 	fedCfg.RouterID, fedCfg.PeerVerifier = "digest-router", attest.NewService()
@@ -48,8 +53,9 @@ func TestRegisterDigestEntries(t *testing.T) {
 	plain := launch(plainCfg)
 	plainPub, _ := f.populate(plain, 0)
 	admitTestClient(t, plainPub, "bulk")
-	if _, cost := register(plain, plainPub, makeBulkSpecs(n)); cost != n+1 {
-		t.Errorf("a %d-item frame cost %d enclave entries without a RouterID, want n + 1", n, cost)
+	plainIDs, cost := register(plain, plainPub, makeBulkSpecs(n))
+	if touched := slicesHolding(plain, plainIDs); cost != 1+touched {
+		t.Errorf("a %d-item frame on %d slices cost %d enclave entries without a RouterID, want 1 + slices touched", n, touched, cost)
 	}
 	localEntries(plain, 0, "registering on a router with no overlay")
 
@@ -57,8 +63,8 @@ func TestRegisterDigestEntries(t *testing.T) {
 	pub, _ := f.populate(fed, 0)
 	admitTestClient(t, pub, "bulk")
 	ids, cost := register(fed, pub, makeBulkSpecs(n))
-	if cost != n+2 {
-		t.Errorf("a %d-item frame cost %d enclave entries on a federated router, want n + 2", n, cost)
+	if touched := slicesHolding(fed, ids); cost != 2+touched {
+		t.Errorf("a %d-item frame on %d slices cost %d enclave entries on a federated router, want 2 + slices touched", n, touched, cost)
 	}
 	localEntries(fed, n, "a frame of distinct subscriptions")
 	dup, cost := register(fed, pub, makeBulkSpecs(1))
@@ -101,6 +107,27 @@ func TestRegisterDigestEntries(t *testing.T) {
 	if fedCost != plainCost+1 {
 		t.Errorf("restoring %d entries cost %d enclave entries federated and %d not, want one more for the digest", n-1, fedCost, plainCost)
 	}
+	var touched uint64
+	for _, subs := range restoredPlain.DataPlaneStats().PerPartition {
+		if subs > 0 {
+			touched++
+		}
+	}
+	if want := 1 + uint64(plainCfg.Partitions) + touched; plainCost != want {
+		t.Errorf("restoring %d entries onto %d slices cost %d enclave entries, want 1 (unseal) + %d (configure) + %d (slices touched)",
+			n-1, touched, plainCost, plainCfg.Partitions, touched)
+	}
+}
+
+// slicesHolding counts the slices that hold ids.
+func slicesHolding(r *Router, ids []uint64) uint64 {
+	held := make(map[int]bool)
+	for _, id := range ids {
+		if s, ok := r.hub.OwnerSlice(id); ok {
+			held[s] = true
+		}
+	}
+	return uint64(len(held))
 }
 
 // TestRegisterUnderCurrentKey: the partition's opener follows the
@@ -160,7 +187,7 @@ func TestRegisterUnderCurrentKey(t *testing.T) {
 		t.Fatalf("blob under the previous SK: reply %+v, want the envelope's authentication refusal", reply)
 	}
 	r.stateMu.RLock()
-	_, err = r.ingestRegistration(0, 0, "alice", stale, 0)
+	_, err = r.ingestGroup(0, r.keys(), []regItem{{logEntry: logEntry{ClientID: "alice", Blob: stale}}}, []int{0})
 	r.stateMu.RUnlock()
 	if !errors.Is(err, scrypto.ErrAuthentication) {
 		t.Fatalf("ingesting a blob under the previous SK: %v, want ErrAuthentication", err)

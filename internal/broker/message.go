@@ -59,8 +59,8 @@ const (
 	// however many subscriptions, which is what makes
 	// million-subscription populations affordable. Items carry the
 	// scheme-encoded (and, for sealed-exchange schemes, SK-sealed)
-	// subscription blobs; Payload stays empty. The ack echoes the
-	// assigned IDs in item order.
+	// subscription blobs; their Payload does not travel. The ack echoes
+	// the assigned IDs in item order.
 	TypeRegisterBatch   MsgType = "register-batch"
 	TypeRegisterBatchOK MsgType = "register-batch-ok"
 	TypeRemove          MsgType = "remove"
@@ -94,12 +94,13 @@ type BatchItem = wire.Item
 
 // Message is the single wire envelope; unused fields stay empty.
 // Control messages travel as JSON, []byte fields as Base64 text —
-// the paper's serialisation. The four data messages (publish,
-// publish-batch, deliver, fwd-pub) travel in internal/wire's binary
-// data-frame codec, which carries exactly the fields of each type's
-// layout: Scheme/Epoch/Blob/Payload, Scheme/Epoch/Items,
-// Epoch/Cursor/SubIDs/Payload, and Blob. A field set outside its
-// type's layout does not travel.
+// the paper's serialisation. The six data messages (publish,
+// publish-batch, deliver, fwd-pub, register-batch and its ack) travel
+// in internal/wire's binary data-frame codec, which carries exactly
+// the fields of each type's layout: Scheme/Epoch/Blob/Payload,
+// Scheme/Epoch/Items, Epoch/Cursor/SubIDs/Payload, Blob,
+// ClientID/Scheme/Tag/Items' blobs, and SubIDs. A field set outside
+// its type's layout does not travel.
 type Message struct {
 	Type     MsgType `json:"type"`
 	ClientID string  `json:"client_id,omitempty"`
@@ -112,7 +113,7 @@ type Message struct {
 	// with default-scheme routers unchanged.
 	Scheme string   `json:"scheme,omitempty"`
 	SubID  uint64   `json:"sub_id,omitempty"`
-	SubIDs []uint64 `json:"sub_ids,omitempty"` // deliver: which subscriptions matched
+	SubIDs []uint64 `json:"sub_ids,omitempty"` // deliver: which subscriptions matched; register-batch-ok: the issued IDs
 	Epoch  uint64   `json:"epoch,omitempty"`
 	// Cursor is the per-client delivery sequence: stamped on every
 	// deliver frame, presented by a resuming listen (last seen), and
@@ -125,7 +126,7 @@ type Message struct {
 	Gap     uint64        `json:"gap,omitempty"`
 	Blob    []byte        `json:"blob,omitempty"`    // encrypted subscription / header / key material
 	Payload []byte        `json:"payload,omitempty"` // encrypted publication payload
-	Items   []BatchItem   `json:"items,omitempty"`   // publish-batch publications
+	Items   []BatchItem   `json:"items,omitempty"`   // publish-batch publications, register-batch subscriptions
 	Tag     []byte        `json:"tag,omitempty"`     // register-batch: registrationTag
 	PubKey  []byte        `json:"pub_key,omitempty"` // PKIX-encoded public key
 	Quote   *attest.Quote `json:"quote,omitempty"`
@@ -140,7 +141,7 @@ type Message struct {
 	enqueuedAt time.Time
 }
 
-// dataTag maps the four data message types onto their wire tag; every
+// dataTag maps the six data message types onto their wire tag; every
 // other type is a JSON control frame.
 func dataTag(t MsgType) (byte, bool) {
 	switch t {
@@ -152,6 +153,10 @@ func dataTag(t MsgType) (byte, bool) {
 		return wire.TagDeliver, true
 	case TypeFwdPub:
 		return wire.TagFwdPub, true
+	case TypeRegisterBatch:
+		return wire.TagRegister, true
+	case TypeRegisterBatchOK:
+		return wire.TagRegisterOK, true
 	}
 	return 0, false
 }
@@ -162,19 +167,23 @@ var dataTypes = [...]MsgType{
 	wire.TagPublishBatch: TypePublishBatch,
 	wire.TagDeliver:      TypeDeliver,
 	wire.TagFwdPub:       TypeFwdPub,
+	wire.TagRegister:     TypeRegisterBatch,
+	wire.TagRegisterOK:   TypeRegisterBatchOK,
 }
 
 // dataFrame is a data message's wire form under tag.
 func (m *Message) dataFrame(tag byte) wire.DataFrame {
 	return wire.DataFrame{
-		Tag:     tag,
-		Scheme:  m.Scheme,
-		Epoch:   m.Epoch,
-		Cursor:  m.Cursor,
-		SubIDs:  m.SubIDs,
-		Blob:    m.Blob,
-		Payload: m.Payload,
-		Items:   m.Items,
+		Tag:      tag,
+		ClientID: m.ClientID,
+		Scheme:   m.Scheme,
+		Epoch:    m.Epoch,
+		Cursor:   m.Cursor,
+		SubIDs:   m.SubIDs,
+		Blob:     m.Blob,
+		Payload:  m.Payload,
+		MAC:      m.Tag,
+		Items:    m.Items,
 	}
 }
 
@@ -307,14 +316,16 @@ func Recv(r io.Reader) (*Message, error) {
 		return nil, fmt.Errorf("broker: decoding message: %w", err)
 	}
 	return &Message{
-		Type:    dataTypes[f.Tag],
-		Scheme:  f.Scheme,
-		Epoch:   f.Epoch,
-		Cursor:  f.Cursor,
-		SubIDs:  f.SubIDs,
-		Blob:    f.Blob,
-		Payload: f.Payload,
-		Items:   f.Items,
+		Type:     dataTypes[f.Tag],
+		ClientID: f.ClientID,
+		Scheme:   f.Scheme,
+		Epoch:    f.Epoch,
+		Cursor:   f.Cursor,
+		SubIDs:   f.SubIDs,
+		Blob:     f.Blob,
+		Payload:  f.Payload,
+		Tag:      f.MAC,
+		Items:    f.Items,
 	}, nil
 }
 

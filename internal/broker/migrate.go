@@ -372,13 +372,15 @@ func (r *Router) migrateGroup(g moveGroup) (subsMoved uint64, pause int64, err e
 		r.dedupActive.Store(true)
 		var failed int
 		var firstErr error
+		item, only := make([]regItem, 1), []int{0}
 		for _, ent := range entries {
 			r.migEntryMu.Lock()
 			if r.migRemoved[ent.SubID] {
 				r.migEntryMu.Unlock()
 				continue
 			}
-			_, ierr := r.ingestRegistration(streamhub.ShardOf(ent.SubID), g.to, ent.ClientID, ent.Blob, ent.SubID)
+			item[0] = regItem{logEntry: ent} // the ID names its shard
+			_, ierr := r.ingestGroup(g.to, r.keys(), item, only)
 			r.migEntryMu.Unlock()
 			if ierr != nil {
 				if failed++; firstErr == nil {

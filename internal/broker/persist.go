@@ -20,8 +20,8 @@ import (
 // The router seals (a) the provisioned secrets and (b) its
 // registration log — the scheme-encoded (SK-sealed, for sealed-exchange
 // schemes) subscriptions exactly as the publisher submitted them.
-// Restore replays the log through the ingest function live
-// registrations take, reproducing the subscription IDs clients hold:
+// Restore replays the log through the ingest live registrations
+// take, reproducing the subscription IDs clients hold:
 // each ID carries its shard, so every subscription lands back on the
 // slice the sealed placement table gives that shard. The frame's
 // registration tag is not kept: it was checked when the frame arrived,
@@ -207,29 +207,33 @@ func (r *Router) RestoreState(blob []byte) error {
 	r.ctlMu.Unlock()
 	r.delivery.seed(state.Cursors)
 
-	for _, ent := range state.Log {
-		if err := r.replayRegistration(ent); err != nil {
-			return fmt.Errorf("broker: replaying subscription %d: %w", ent.SubID, err)
-		}
+	if err := r.replayLog(sk, state.Log); err != nil {
+		return err
 	}
 	r.fedAddLocal(state.Log)
 	return nil
 }
 
-// replayRegistration re-indexes one logged registration under its
-// original ID, on the slice the placement map assigns its shard,
-// through the ingest function live registrations take.
-func (r *Router) replayRegistration(ent logEntry) error {
-	shard := streamhub.ShardOf(ent.SubID)
-	if shard >= r.pm.Shards() {
-		return fmt.Errorf("subscription names shard %d, but the placement map has %d (restore with the sealing shard count)", shard, r.pm.Shards())
+// replayLog re-indexes the logged registrations under their original
+// IDs, on the slices the placement map assigns their shards, through
+// the ingest live registrations take: one enclave entry per slice, the
+// slices beside each other, all or nothing.
+func (r *Router) replayLog(sk *scrypto.SymmetricKey, log []logEntry) error {
+	items := make([]regItem, len(log))
+	for i, ent := range log {
+		shard := streamhub.ShardOf(ent.SubID)
+		if shard >= r.pm.Shards() {
+			return fmt.Errorf("broker: replaying subscription %d: subscription names shard %d, but the placement map has %d (restore with the sealing shard count)", ent.SubID, shard, r.pm.Shards())
+		}
+		items[i] = regItem{logEntry: ent, shard: shard}
 	}
-	target := r.hub.SliceForShard(shard)
-	if _, err := r.ingestRegistration(shard, target, ent.ClientID, ent.Blob, ent.SubID); err != nil {
-		return err
+	if failed, err := r.ingest(sk, items); err != nil {
+		return fmt.Errorf("broker: replaying subscription %d: %w", items[failed].SubID, err)
 	}
 	r.ctlMu.Lock()
-	r.logRegistration(ent)
+	for _, ent := range log {
+		r.logRegistration(ent)
+	}
 	r.ctlMu.Unlock()
 	return nil
 }

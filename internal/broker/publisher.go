@@ -452,10 +452,10 @@ func (p *Publisher) encodeHeader(header pubsub.EventSpec) ([]byte, error) {
 }
 
 // batchFrameBudget bounds the ciphertext bytes of one publish-batch or
-// register-batch frame. A register-batch is a JSON control frame,
-// which Base64-inflates []byte fields by 4/3 plus field overhead, so
-// staying under this keeps either frame safely below wire.MaxFrame
-// (16 MB) with room to spare.
+// register-batch frame. Both are binary data frames that add only a
+// few length bytes per item, so a frame of this much ciphertext stays
+// far below wire.MaxFrame (16 MB); the value keeps the margin it had
+// when a register-batch still travelled as Base64 inside JSON.
 const batchFrameBudget = 8 << 20
 
 // PublishBatch is step ④ for a whole batch: every header is encrypted

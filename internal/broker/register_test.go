@@ -14,10 +14,11 @@ import (
 	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
 	"scbr/internal/sgx"
+	"scbr/internal/streamhub"
 )
 
 // The registration path has one form — a tagged frame of n ≥ 1 items,
-// ingested through Router.ingestRegistration — and these tests hold it
+// ingested through Router.ingestGroup — and these tests hold it
 // to that: the two public ways in (Client.Subscribe, RegisterBulk) are
 // the same path, a frame is all or nothing, and what the publisher was
 // acknowledged it remembers.
@@ -190,6 +191,7 @@ type regSide struct {
 	// the same population lands differently from run to run.
 	bytes                   uint64
 	transitions             uint64 // the registrations' enclave entries, all slices
+	touched                 uint64 // the slices the registrations landed on
 	live, restored, resized []string
 }
 
@@ -222,6 +224,7 @@ func runRegSide(t *testing.T, schemeName string, k int, bulk bool) regSide {
 		subscriptions: st.Subscriptions,
 		partitions:    st.Partitions,
 		transitions:   b.router.MeterSnapshot().Transitions - before,
+		touched:       slicesHolding(b.router, ids),
 		live:          b.observeQuotes(b.tap(c), ids),
 	}
 	if k == 1 {
@@ -265,9 +268,9 @@ func runRegSide(t *testing.T, schemeName string, k int, bulk bool) regSide {
 // deliveries for a publication batch, before and after a seal →
 // restore and a 3 → 2 resize. The one difference is the declared
 // simulated one: a frame costs one enclave entry for its tag
-// (attestation slice) plus one per item, so a Subscribe — a one-item
-// frame — costs 2 where the per-item register frame this path replaced
-// paid 1, and a bulk frame of n costs n + 1 as it always did.
+// (attestation slice) plus one per slice its items land on, so a
+// Subscribe — a one-item frame — costs 2, and a bulk frame costs
+// 1 + slices touched however many items it carries.
 func TestRegisterOnePathDifferential(t *testing.T) {
 	for _, schemeName := range regSchemes {
 		for _, k := range []int{1, 3} {
@@ -279,10 +282,11 @@ func TestRegisterOnePathDifferential(t *testing.T) {
 				if single.transitions != 2*n {
 					t.Errorf("%d one-item frames cost %d enclave entries, want 2 each", n, single.transitions)
 				}
-				if bulk.transitions != n+1 {
-					t.Errorf("one %d-item frame cost %d enclave entries, want n + 1", n, bulk.transitions)
+				if bulk.transitions != 1+bulk.touched {
+					t.Errorf("one %d-item frame on %d slices cost %d enclave entries, want 1 + slices touched", n, bulk.touched, bulk.transitions)
 				}
 				single.transitions, bulk.transitions = 0, 0
+				single.touched, bulk.touched = 0, 0
 				if !reflect.DeepEqual(single, bulk) {
 					t.Fatalf("the two ways in differ:\n subscribe %+v\n bulk      %+v", single, bulk)
 				}
@@ -315,16 +319,7 @@ func TestRegisterFrameAllOrNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			good, err := b.pub.codec.EncodeSubscription(halSpec(90))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.pub.codec.Capabilities().SealedExchange {
-				if good, err = b.pub.skSealer.Seal(good); err != nil {
-					t.Fatal(err)
-				}
-			}
-			reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, good, []byte("garbage")))
+			reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, b.blob(halSpec(90)), []byte("garbage")))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,6 +353,186 @@ func TestRegisterFrameAllOrNothing(t *testing.T) {
 			b.restart()
 			if st := b.router.DataPlaneStats(); st.Subscriptions != 0 {
 				t.Fatalf("restored router holds %d subscriptions, want 0", st.Subscriptions)
+			}
+		})
+	}
+}
+
+// blob encodes spec as the bed's publisher puts it in a register frame.
+func (b *regBed) blob(spec pubsub.SubscriptionSpec) []byte {
+	b.t.Helper()
+	enc, err := b.pub.codec.EncodeSubscription(spec)
+	if err != nil {
+		b.t.Fatal(err)
+	}
+	if b.pub.codec.Capabilities().SealedExchange {
+		if enc, err = b.pub.skSealer.Seal(enc); err != nil {
+			b.t.Fatal(err)
+		}
+	}
+	return enc
+}
+
+// sliceOf is the slice the bed's router places a blob of client's on.
+func (b *regBed) sliceOf(client string, blob []byte) int {
+	return b.router.hub.SliceForShard(b.router.hub.ShardForKey([]byte(client), blob))
+}
+
+// TestRegisterFrameAllOrNothingAcrossSlices: the slices a frame touches
+// ingest side by side, and a bad item on one of them undoes the good
+// items on the others. The frame carries two good items on each of two
+// slices and, between them, a bad one on the third; afterwards no slice
+// holds any of it — not the stores, not the hub's owner index and load
+// accounts, not the registration log — and a quote only the good items
+// match delivers nothing.
+func TestRegisterFrameAllOrNothingAcrossSlices(t *testing.T) {
+	for _, schemeName := range regSchemes {
+		t.Run(schemeName, func(t *testing.T) {
+			b := newRegBed(t, schemeName, 3)
+			c := b.client("alice")
+			kept, err := b.pub.RegisterBulk(bg, c.ID, "", []pubsub.SubscriptionSpec{halSpec(10)})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Two good blobs on each of two slices; a bad one on the third.
+			bySlice := make(map[int][][]byte)
+			var goodSlices []int
+			for len(goodSlices) < 2 {
+				blob := b.blob(halSpec(90))
+				s := b.sliceOf(c.ID, blob)
+				if bySlice[s] = append(bySlice[s], blob); len(bySlice[s]) == 2 {
+					goodSlices = append(goodSlices, s)
+				}
+			}
+			badSlice := 3 - goodSlices[0] - goodSlices[1]
+			var bad []byte
+			for i := 0; bad == nil; i++ {
+				if cand := []byte(fmt.Sprintf("garbage %d", i)); b.sliceOf(c.ID, cand) == badSlice {
+					bad = cand
+				}
+			}
+			good := append(bySlice[goodSlices[0]][:2:2], bySlice[goodSlices[1]][:2]...)
+			frame := [][]byte{good[0], good[2], bad, good[1], good[3]}
+
+			loads := b.router.hub.SliceLoads()
+			reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, frame...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Type != TypeError || !strings.Contains(reply.Err, "batch item 2") {
+				t.Fatalf("frame with a bad item on slice %d: reply %+v, want the refusal of item 2", badSlice, reply)
+			}
+			if st := b.router.DataPlaneStats(); st.Subscriptions != 1 {
+				t.Fatalf("data plane holds %d subscriptions (%v per slice) after the rejected frame, want the 1 from before", st.Subscriptions, st.PerPartition)
+			}
+			if got := b.router.hub.SliceLoads(); !reflect.DeepEqual(got, loads) {
+				t.Fatalf("slice load accounts %v after the rejected frame, want %v", got, loads)
+			}
+			b.router.ctlMu.RLock()
+			logged := len(b.router.regLog)
+			b.router.ctlMu.RUnlock()
+			if logged != 1 {
+				t.Fatalf("registration log holds %d entries, want the 1 from before", logged)
+			}
+
+			// The same good items alone are issued each shard's next IDs;
+			// the ones the failed frame had issued just before them must
+			// be owned by no slice.
+			reply, err = b.pub.routerRequest("", registerFrame(b.pub, c.ID, good...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := expect(reply, TypeRegisterBatchOK); err != nil {
+				t.Fatal(err)
+			}
+			perShard := make(map[int]uint64)
+			for _, id := range reply.SubIDs {
+				perShard[streamhub.ShardOf(id)]++
+			}
+			for _, id := range reply.SubIDs {
+				if s, live := b.router.hub.OwnerSlice(id - perShard[streamhub.ShardOf(id)]); live {
+					t.Fatalf("rolled-back ID %d is still owned by slice %d", id-perShard[streamhub.ShardOf(id)], s)
+				}
+			}
+			for _, id := range reply.SubIDs {
+				remove := &Message{Type: TypeRemove, ClientID: c.ID, SubID: id}
+				if reply, err := b.pub.routerRequest("", remove); err != nil || expect(reply, TypeRemoveOK) != nil {
+					t.Fatalf("removing %d: %v %+v", id, err, reply)
+				}
+			}
+
+			deliveries := b.tap(c)
+			if err := b.pub.PublishBatch(bg, []Event{
+				{Header: halQuote(80), Payload: []byte("rolled back only")},
+				{Header: halQuote(5), Payload: []byte("kept")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if d := recvDelivery(t, deliveries); d.Err != nil || string(d.Payload) != "kept" || !reflect.DeepEqual(d.SubIDs, kept) {
+				t.Fatalf("first delivery = %q for %v, want \"kept\" for %v", d.Payload, d.SubIDs, kept)
+			}
+		})
+	}
+}
+
+// TestRegisterFrameIDsMatchOneItemFrames: ingesting a frame's slices
+// side by side issues the IDs one-item frames would. The same blobs go
+// to twin routers (one placement seed) once as one frame and once as
+// one frame per blob; both acknowledge the same IDs in item order and
+// deliver the same matches for a publication batch.
+func TestRegisterFrameIDsMatchOneItemFrames(t *testing.T) {
+	for _, schemeName := range regSchemes {
+		t.Run(schemeName, func(t *testing.T) {
+			b := newRegBed(t, schemeName, 3)
+			c := b.client("alice")
+			// Blobs place by a hash over their random nonce: draw until
+			// the frame spans more than one slice and puts two items on
+			// one shard, whose order alone then decides their IDs.
+			var blobs [][]byte
+			for spans, shares := false, false; !spans || !shares; {
+				blobs = blobs[:0]
+				spans, shares = false, false
+				shards := make(map[int]bool)
+				for _, spec := range regSpecs() {
+					blob := b.blob(spec)
+					blobs = append(blobs, blob)
+					spans = spans || b.sliceOf(c.ID, blob) != b.sliceOf(c.ID, blobs[0])
+					shard := b.router.hub.ShardForKey([]byte(c.ID), blob)
+					shares = shares || shards[shard]
+					shards[shard] = true
+				}
+			}
+			register := func(frames ...[][]byte) []uint64 {
+				t.Helper()
+				var ids []uint64
+				for _, frame := range frames {
+					reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, frame...))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := expect(reply, TypeRegisterBatchOK); err != nil {
+						t.Fatal(err)
+					}
+					ids = append(ids, reply.SubIDs...)
+				}
+				return ids
+			}
+
+			frameIDs := register(blobs)
+			frameSeen := b.observeQuotes(b.tap(c), frameIDs)
+
+			b.serve(b.newRouter()) // the twin: same configuration, same SK
+			perItem := make([][][]byte, len(blobs))
+			for i, blob := range blobs {
+				perItem[i] = [][]byte{blob}
+			}
+			itemIDs := register(perItem...)
+			if !reflect.DeepEqual(frameIDs, itemIDs) {
+				t.Fatalf("one frame was issued %v, one-item frames %v", frameIDs, itemIDs)
+			}
+			if itemSeen := b.observeQuotes(b.tap(c), itemIDs); !reflect.DeepEqual(frameSeen, itemSeen) {
+				t.Fatalf("deliveries differ:\n one frame        %v\n one-item frames  %v", frameSeen, itemSeen)
 			}
 		})
 	}

@@ -616,7 +616,9 @@ func (r *Router) Close() {
 // therefore outlive the handler: header blobs ride the match jobs
 // past this loop and payloads live on in the
 // per-client replay rings, each pinning the frame it arrived in until
-// the ring lets go. Nothing is reused across frames, so nothing here
+// the ring lets go. A register-batch frame's item blobs are views too;
+// the registration log keeps a copy of each, so the frame is garbage
+// once acknowledged. Nothing is reused across frames, so nothing here
 // needs copying before the next read. Control messages are decoded by
 // encoding/json into fresh fields and their frames are garbage once
 // decoded.
@@ -746,17 +748,19 @@ func (r *Router) configureSlices(params []byte) error {
 // router: a frame of n ≥ 1 registrations for one client under one
 // registration tag — binding every blob to the client identity — which
 // is recomputed and compared inside the attestation slice's enclave.
-// Each item is then hashed to a virtual shard, resolved to the shard's
-// slice through the placement map, and ingested inside that slice's
-// enclave. Only the item's partition serialises — registrations on
-// other slices, and all matching not on this slice, proceed
+// Each item is then hashed to a virtual shard and resolved to the
+// shard's slice through the placement map, and every slice the frame
+// touches ingests its items in one enclave entry, beside the others
+// (ingest). Only the touched partitions serialise — registrations on
+// other slices, and all matching not on these slices, proceed
 // concurrently. Resolution happens under the shared state lock, so an
 // item either precedes a migration divert (and is captured in the
 // migrated snapshot) or follows it (and lands on the destination slice
-// directly). A frame is all or nothing: a bad item unregisters the
-// items ingested before it, still under the state lock, so nothing is
+// directly). A frame is all or nothing: a bad item unregisters every
+// item ingested beside it, still under the state lock, so nothing is
 // ever matched, sealed or migrated that the registration log does not
-// name.
+// name. The items are checked and opened under one key, the one read
+// here.
 func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	if m.ClientID == "" {
 		return errors.New("batch registration without client identity")
@@ -783,27 +787,25 @@ func (r *Router) handleRegisterBatch(conn net.Conn, m *Message) error {
 	if err != nil {
 		return err
 	}
-	subIDs := make([]uint64, 0, len(m.Items))
+	items := make([]regItem, len(m.Items))
 	r.stateMu.RLock()
 	for i, it := range m.Items {
-		shard := r.hub.ShardForKey([]byte(m.ClientID), it.Blob)
-		target := r.hub.SliceForShard(shard)
-		subID, err := r.ingestRegistration(shard, target, m.ClientID, it.Blob, 0)
-		if err != nil {
-			for _, id := range subIDs {
-				// Issued a moment ago under the state lock still held:
-				// nothing can have moved or removed it, so this finds it.
-				_ = r.unregister(id)
-			}
-			r.stateMu.RUnlock()
-			return fmt.Errorf("batch item %d: %w", i, err)
+		items[i] = regItem{
+			logEntry: logEntry{ClientID: m.ClientID, Blob: it.Blob},
+			shard:    r.hub.ShardForKey([]byte(m.ClientID), it.Blob),
 		}
-		subIDs = append(subIDs, subID)
 	}
-	ents := make([]logEntry, len(subIDs))
+	if failed, err := r.ingest(sk, items); err != nil {
+		r.stateMu.RUnlock()
+		return fmt.Errorf("batch item %d: %w", failed, err)
+	}
+	subIDs := make([]uint64, len(items))
+	ents := make([]logEntry, len(items))
 	r.ctlMu.Lock()
-	for i, id := range subIDs {
-		ents[i] = logEntry{SubID: id, ClientID: m.ClientID, Blob: append([]byte(nil), m.Items[i].Blob...)}
+	for i, it := range items {
+		// The item's blob is a view of the frame; the log keeps a copy.
+		ents[i] = logEntry{SubID: it.SubID, ClientID: m.ClientID, Blob: append([]byte(nil), it.Blob...)}
+		subIDs[i] = it.SubID
 		r.logRegistration(ents[i])
 	}
 	r.ctlMu.Unlock()
@@ -820,47 +822,128 @@ func (r *Router) logRegistration(ent logEntry) {
 	r.regLog = append(r.regLog, ent)
 }
 
-// ingestRegistration is the one way a registration blob enters a slice
-// store, inside the slice's enclave: on partition target (shard's
-// current slice) under a fresh shard-packed ID, or — when assignID is
-// non-zero (state restore, and the migration copy into a shard's new
-// slice) — under that ID. An SK envelope is opened into the partition's
-// scratch, which the store decodes into its arena; scheme ciphertext is
-// stored as it is. Nothing decoded leaves the enclave (fedAddLocal feeds
-// the digest on its own). Whoever calls has authenticated the blob: the
-// live path by the frame's registration tag, restore and migration by
-// the enclave seal the logged entry travelled under. Callers hold stateMu
-// (shared on the live path) or the migration's shard fence, which keeps
-// the shard→slice resolution they did stable across the insert.
-func (r *Router) ingestRegistration(shard, target int, clientID string, blob []byte, assignID uint64) (uint64, error) {
-	sk := r.keys()
+// regItem is one registration on its way into a slice store: the log
+// entry it becomes — SubID 0 until the live path's ingest issues one,
+// the logged ID on restore and migration — and its shard, by which
+// ingest picks its slice.
+type regItem struct {
+	logEntry
+	shard int
+}
+
+// ingest enters items into their slices' stores: the items the
+// placement map sends to one slice go in, in item order, in one enclave
+// entry on it (ingestGroup), every blob opened under sk. A frame that
+// touches one slice ingests on the calling goroutine; with more, the
+// caller takes the first slice and each other slice's group runs beside
+// it on a goroutine of its own. A shard has one slice, so every shard's
+// items are issued their IDs in item order either way: the IDs one-item
+// frames would have been issued. It is all or nothing: if any group
+// fails, every item any group ingested is unregistered again before the
+// error returns with the index of the lowest failed item. Callers keep
+// placement stable across the call (stateMu, or a router not yet
+// serving).
+func (r *Router) ingest(sk *scrypto.SymmetricKey, items []regItem) (int, error) {
+	groups := make([][]int, len(r.parts))
+	for i := range items {
+		s := r.hub.SliceForShard(items[i].shard)
+		if groups[s] == nil {
+			groups[s] = make([]int, 0, len(items))
+		}
+		groups[s] = append(groups[s], i)
+	}
+	done := make([]int, len(groups))
+	errs := make([]error, len(groups))
+	run := func(s int) { done[s], errs[s] = r.ingestGroup(s, sk, items, groups[s]) }
+	var wg sync.WaitGroup
+	first := -1
+	for s, idx := range groups {
+		switch {
+		case len(idx) == 0:
+		case first < 0:
+			first = s
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(s)
+			}()
+		}
+	}
+	if first >= 0 {
+		run(first)
+	}
+	wg.Wait()
+	failed, failErr := len(items), error(nil)
+	for s, err := range errs {
+		if err != nil && groups[s][done[s]] < failed {
+			failed, failErr = groups[s][done[s]], err
+		}
+	}
+	if failErr == nil {
+		return 0, nil
+	}
+	for s, idx := range groups {
+		for _, i := range idx[:done[s]] {
+			// Issued a moment ago under the caller's placement fence:
+			// nothing can have moved or removed it, so this finds it.
+			_ = r.unregister(items[i].SubID)
+		}
+	}
+	return failed, failErr
+}
+
+// ingestGroup is the one way registration blobs enter a slice store:
+// items[i] for each i of idx, in that order, into partition target (the
+// slice their shards resolve to), all inside one enclave entry. An SK
+// envelope is opened under sk into the partition's scratch, which the
+// store decodes into its arena; scheme ciphertext is stored as it is.
+// An item with SubID 0 is issued a fresh shard-packed ID, which is
+// written back to it; any other is stored under its ID (state restore,
+// and the migration copy into a shard's new slice). Nothing decoded
+// leaves the enclave (fedAddLocal feeds the digest on its own). Whoever
+// calls has authenticated the blobs: the live path by the frame's
+// registration tag, restore and migration by the enclave seal the
+// logged entries travelled under. Callers hold stateMu (shared on the
+// live path) or the migration's shard fence, which keeps the
+// shard→slice resolution they did stable across the inserts. It
+// returns how many items of idx it ingested; on an error, idx[done] is
+// the item that failed.
+func (r *Router) ingestGroup(target int, sk *scrypto.SymmetricKey, items []regItem, idx []int) (done int, err error) {
 	if sk == nil {
 		return 0, ErrNotProvisioned
 	}
 	p := r.parts[target]
-	subID := assignID
 	p.mu.Lock()
-	err := p.enclave.Ecall(func() error {
-		enc := blob
-		if r.backend.Caps.SealedExchange {
-			plain, err := p.open(sk, blob, p.plain[:0])
-			if err != nil {
-				return fmt.Errorf("decrypting subscription: %w", err)
+	err = p.enclave.Ecall(func() error {
+		for _, i := range idx {
+			it := &items[i]
+			enc := it.Blob
+			if r.backend.Caps.SealedExchange {
+				plain, err := p.open(sk, it.Blob, p.plain[:0])
+				if err != nil {
+					return fmt.Errorf("decrypting subscription: %w", err)
+				}
+				p.plain, enc = plain, plain
 			}
-			p.plain, enc = plain, plain
+			// Intern the client identity only now that the blob opened:
+			// rejected traffic must leave no state behind.
+			ref := r.refFor(it.ClientID)
+			var err error
+			if it.SubID != 0 {
+				err = r.hub.RegisterEncodedAssigned(target, enc, ref, it.SubID)
+			} else {
+				it.SubID, err = r.hub.RegisterEncodedAt(it.shard, target, enc, ref)
+			}
+			if err != nil {
+				return err
+			}
+			done++
 		}
-		// Intern the client identity only now that the blob opened:
-		// rejected traffic must leave no state behind.
-		ref := r.refFor(clientID)
-		if assignID != 0 {
-			return r.hub.RegisterEncodedAssigned(target, enc, ref, assignID)
-		}
-		var err error
-		subID, err = r.hub.RegisterEncodedAt(shard, target, enc, ref)
-		return err
+		return nil
 	})
 	p.mu.Unlock()
-	return subID, err
+	return done, err
 }
 
 // unregister drops a subscription from the slice that owns it, inside

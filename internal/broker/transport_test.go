@@ -53,7 +53,7 @@ func sameMessage(a, b *Message) bool {
 }
 
 // TestDataFramesMatchJSONReference: for the same input, each of the
-// four data types decodes from the binary codec to a Message
+// six data types decodes from the binary codec to a Message
 // field-equal to its round trip through encoding/json.
 func TestDataFramesMatchJSONReference(t *testing.T) {
 	kib := bytes.Repeat([]byte{0xC3}, 1024)
@@ -75,6 +75,12 @@ func TestDataFramesMatchJSONReference(t *testing.T) {
 		"deliver/empty":        {Type: TypeDeliver},
 		"fwd-pub":              {Type: TypeFwdPub, Blob: kib},
 		"fwd-pub/empty":        {Type: TypeFwdPub},
+		"register": {Type: TypeRegisterBatch, ClientID: "alice", Scheme: "aspe", Tag: []byte("tag"), Items: []BatchItem{
+			{Blob: []byte{1, 2, 3}}, {}, {Blob: kib},
+		}},
+		"register/empty":       {Type: TypeRegisterBatch},
+		"register-ok":          {Type: TypeRegisterBatchOK, SubIDs: many},
+		"register-ok/no items": {Type: TypeRegisterBatchOK},
 	} {
 		var wire bytes.Buffer
 		if err := Send(&wire, m); err != nil {
@@ -92,7 +98,7 @@ func TestDataFramesMatchJSONReference(t *testing.T) {
 		}
 	}
 	// Control frames still are JSON, byte-identical to json.Marshal.
-	ctl := &Message{Type: TypeRegisterBatch, ClientID: "alice", Scheme: "aspe", Items: []BatchItem{{Blob: []byte{1, 2, 3}}}, Tag: []byte("tag")}
+	ctl := &Message{Type: TypeRemove, ClientID: "alice", SubID: 1 << 56}
 	var wire bytes.Buffer
 	if err := Send(&wire, ctl); err != nil {
 		t.Fatal(err)

@@ -17,6 +17,8 @@ import (
 //	publish-batch:  0x02 | uv epoch | str scheme | uv n | n × (bytes header | bytes payload)
 //	deliver:        0x03 | uv epoch | uv cursor | uv n | n × uv sub-id | bytes payload
 //	fwd-pub:        0x04 | bytes sealed-overlay-frame
+//	register-batch: 0x05 | str client | str scheme | bytes tag | uv n | n × bytes blob
+//	register-ok:    0x06 | uv n | n × uv sub-id
 //
 // A frame must be consumed exactly: trailing bytes are an error, as is
 // any length that runs past the frame's end.
@@ -25,31 +27,35 @@ const (
 	TagPublishBatch byte = 0x02
 	TagDeliver      byte = 0x03
 	TagFwdPub       byte = 0x04
+	TagRegister     byte = 0x05
+	TagRegisterOK   byte = 0x06
 )
 
 // ErrDataFrame is returned for a data frame that is truncated, carries
 // a length past its end, trailing bytes, or an unknown tag.
 var ErrDataFrame = errors.New("wire: malformed data frame")
 
-// Item is one publication of a publish-batch frame: the routable
-// header blob and the group-key payload. (The JSON tags serve the
-// register-batch control frame, which carries items as JSON.)
+// Item is one item of a batch frame: a publish-batch item's routable
+// header blob and group-key payload, or a register-batch item's
+// subscription blob (its Payload does not travel).
 type Item struct {
-	Blob    []byte `json:"blob"`
-	Payload []byte `json:"payload"`
+	Blob    []byte
+	Payload []byte
 }
 
-// DataFrame is the decoded form of the four data frames; Tag says
+// DataFrame is the decoded form of the six data frames; Tag says
 // which, and only the fields of that frame's layout travel.
 type DataFrame struct {
-	Tag     byte
-	Scheme  string   // publish, publish-batch: matching-scheme ID
-	Epoch   uint64   // publish, publish-batch, deliver: group-key epoch
-	Cursor  uint64   // deliver: per-client delivery sequence
-	SubIDs  []uint64 // deliver: the client's matched subscriptions
-	Blob    []byte   // publish: header; fwd-pub: the sealed overlay frame
-	Payload []byte   // publish, deliver
-	Items   []Item   // publish-batch
+	Tag      byte
+	ClientID string   // register-batch: the subscriptions' owner
+	Scheme   string   // publish, publish-batch, register-batch: matching-scheme ID
+	Epoch    uint64   // publish, publish-batch, deliver: group-key epoch
+	Cursor   uint64   // deliver: per-client delivery sequence
+	SubIDs   []uint64 // deliver: the client's matched subscriptions; register-ok: the issued IDs
+	Blob     []byte   // publish: header; fwd-pub: the sealed overlay frame
+	Payload  []byte   // publish, deliver
+	MAC      []byte   // register-batch: the registration tag over the frame
+	Items    []Item   // publish-batch, register-batch
 }
 
 // IsDataFrame reports whether a frame body is a data frame rather than
@@ -66,6 +72,14 @@ func appendBytes(dst, b []byte) []byte {
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+func appendSubIDs(dst []byte, ids []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, id)
+	}
+	return dst
 }
 
 // AppendDataFrame appends f's body encoding to dst.
@@ -88,13 +102,20 @@ func AppendDataFrame(dst []byte, f *DataFrame) ([]byte, error) {
 	case TagDeliver:
 		dst = binary.AppendUvarint(dst, f.Epoch)
 		dst = binary.AppendUvarint(dst, f.Cursor)
-		dst = binary.AppendUvarint(dst, uint64(len(f.SubIDs)))
-		for _, id := range f.SubIDs {
-			dst = binary.AppendUvarint(dst, id)
-		}
+		dst = appendSubIDs(dst, f.SubIDs)
 		dst = appendBytes(dst, f.Payload)
 	case TagFwdPub:
 		dst = appendBytes(dst, f.Blob)
+	case TagRegister:
+		dst = appendString(dst, f.ClientID)
+		dst = appendString(dst, f.Scheme)
+		dst = appendBytes(dst, f.MAC)
+		dst = binary.AppendUvarint(dst, uint64(len(f.Items)))
+		for i := range f.Items {
+			dst = appendBytes(dst, f.Items[i].Blob)
+		}
+	case TagRegisterOK:
+		dst = appendSubIDs(dst, f.SubIDs)
 	default:
 		return dst[:len(dst)-1], fmt.Errorf("%w: unknown tag %#x", ErrDataFrame, f.Tag)
 	}
@@ -135,6 +156,19 @@ func (r *reader) count(minBytes int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// subIDs reads a counted list of uvarint IDs (nil when empty).
+func (r *reader) subIDs() []uint64 {
+	n := r.count(1) // an ID is at least one byte
+	if n == 0 {
+		return nil
+	}
+	ids := make([]uint64, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		ids[i] = r.uvarint()
+	}
+	return ids
 }
 
 // bytes returns a view of the frame (nil when empty), capped so an
@@ -181,15 +215,22 @@ func DecodeDataFrame(body []byte, f *DataFrame) error {
 	case TagDeliver:
 		f.Epoch = r.uvarint()
 		f.Cursor = r.uvarint()
-		if n := r.count(1); n > 0 {
-			f.SubIDs = make([]uint64, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				f.SubIDs[i] = r.uvarint()
-			}
-		}
+		f.SubIDs = r.subIDs()
 		f.Payload = r.bytes()
 	case TagFwdPub:
 		f.Blob = r.bytes()
+	case TagRegister:
+		f.ClientID = string(r.bytes())
+		f.Scheme = string(r.bytes())
+		f.MAC = r.bytes()
+		if n := r.count(1); n > 0 { // an item is at least its length byte
+			f.Items = make([]Item, n)
+			for i := 0; i < n && r.err == nil; i++ {
+				f.Items[i].Blob = r.bytes()
+			}
+		}
+	case TagRegisterOK:
+		f.SubIDs = r.subIDs()
 	default:
 		r.fail(fmt.Sprintf("unknown tag %#x", f.Tag))
 	}

@@ -21,6 +21,10 @@ func sampleFrames() []DataFrame {
 		{Tag: TagDeliver, Cursor: 300, SubIDs: []uint64{0, 1, 1 << 56, math.MaxUint64}, Payload: []byte{}},
 		{Tag: TagFwdPub, Blob: []byte("sealed overlay frame")},
 		{Tag: TagFwdPub},
+		{Tag: TagRegister, ClientID: "alice", Scheme: "sgx-plain", MAC: bytes.Repeat([]byte{0x5A}, 32), Items: []Item{{Blob: []byte("sub0")}, {}, {Blob: bytes.Repeat([]byte{2}, 300)}}},
+		{Tag: TagRegister}, // no items, no identity: the router refuses it, the codec does not
+		{Tag: TagRegisterOK, SubIDs: []uint64{1 << 56, 1<<56 | 1, math.MaxUint64}},
+		{Tag: TagRegisterOK},
 	}
 }
 
@@ -35,6 +39,9 @@ func normalize(f DataFrame) DataFrame {
 	}
 	if len(f.SubIDs) == 0 {
 		f.SubIDs = nil
+	}
+	if len(f.MAC) == 0 {
+		f.MAC = nil
 	}
 	f.Items = append([]Item(nil), f.Items...) // the caller keeps its items
 	for i := range f.Items {
@@ -113,7 +120,7 @@ func TestDataFrameViews(t *testing.T) {
 func TestDataFrameRejectsMalformed(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"empty":                   {},
-		"unknown tag":             {0x05, 0},
+		"unknown tag":             {0x07, 0},
 		"control frame":           []byte(`{"type":"listen"}`),
 		"blob length past end":    {TagFwdPub, 5, 'a', 'b'},
 		"huge blob length":        {TagFwdPub, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
@@ -122,6 +129,12 @@ func TestDataFrameRejectsMalformed(t *testing.T) {
 		"huge item count":         {TagPublishBatch, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
 		"sub-id count past end":   {TagDeliver, 0, 0, 9, 1, 2, 0},
 		"missing deliver payload": {TagDeliver, 1, 1, 1, 7},
+		"huge register count":     {TagRegister, 1, 'a', 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 'x'},
+		"register count past end": {TagRegister, 1, 'a', 0, 0, 3, 1, 'x', 0},
+		"truncated register tag":  {TagRegister, 1, 'a', 0, 32, 0x5A, 0x5A, 0x5A},
+		"register trailing bytes": {TagRegister, 1, 'a', 0, 1, 0x5A, 1, 1, 'x', 0},
+		"huge register-ok count":  {TagRegisterOK, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 7},
+		"register-ok trailing":    {TagRegisterOK, 1, 7, 7},
 	} {
 		var f DataFrame
 		if err := DecodeDataFrame(body, &f); !errors.Is(err, ErrDataFrame) {
@@ -172,9 +185,11 @@ func FuzzDataFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(1), "sgx-plain", uint64(1), uint64(0), []byte{0xA5, 1, 2}, []byte("sig"), uint8(3))
 	f.Add(uint8(2), "", uint64(math.MaxUint64), uint64(math.MaxUint64), []byte(nil), bytes.Repeat([]byte{0xA5}, 1024), uint8(200))
 	f.Add(uint8(3), "", uint64(0), uint64(9), []byte{0}, []byte{}, uint8(1))
+	f.Add(uint8(4), "sgx-plain", uint64(0), uint64(0), bytes.Repeat([]byte{9}, 48), []byte("alice"), uint8(32))
+	f.Add(uint8(5), "", uint64(1)<<56, uint64(3), []byte(nil), []byte(nil), uint8(32))
 	f.Fuzz(func(t *testing.T, kind uint8, scheme string, epoch, cursor uint64, blob, payload []byte, n uint8) {
 		var in DataFrame
-		switch kind % 4 {
+		switch kind % 6 {
 		case 0:
 			in = DataFrame{Tag: TagPublish, Scheme: scheme, Epoch: epoch, Blob: blob, Payload: payload}
 		case 1:
@@ -196,6 +211,20 @@ func FuzzDataFrameRoundTrip(f *testing.F) {
 			}
 		case 3:
 			in = DataFrame{Tag: TagFwdPub, Blob: blob}
+		case 4:
+			in = DataFrame{Tag: TagRegister, ClientID: string(payload), Scheme: scheme, MAC: payload}
+			for i := 0; i < int(n); i++ {
+				item := Item{Blob: blob} // a register item's Payload does not travel
+				if i%2 == 1 {
+					item.Blob = nil
+				}
+				in.Items = append(in.Items, item)
+			}
+		case 5:
+			in = DataFrame{Tag: TagRegisterOK}
+			for i := 0; i < int(n); i++ {
+				in.SubIDs = append(in.SubIDs, epoch|cursor+uint64(i))
+			}
 		}
 		var stream bytes.Buffer
 		for i := 0; i < 2; i++ {

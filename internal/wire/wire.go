@@ -6,17 +6,17 @@
 // in tests) with 4-byte little-endian length prefixes. What follows
 // the prefix is one of two things, told apart by the first body byte:
 //
-//   - '{' — a control frame (attestation, provisioning, registration,
+//   - '{' — a control frame (attestation, provisioning, removal,
 //     listen, acks, errors, peer handshake, digests): a JSON object
 //     whose []byte fields are Base64 text, matching the paper's
 //     on-the-wire text encoding;
 //   - anything else — a data frame (publish, publish-batch, deliver,
-//     fwd-pub), the traffic that scales with the event rate: a tag
-//     byte and the frame type's fields in a fixed order, integers as
-//     uvarints, byte strings as uvarint length + raw bytes
-//     (dataframe.go). This is where the reproduction departs from the
-//     paper's text encoding: ciphertext travels as bytes, not as
-//     Base64 inside JSON.
+//     fwd-pub, register-batch and its ack), the traffic that carries
+//     ciphertext or scales with the event rate: a tag byte and the
+//     frame type's fields in a fixed order, integers as uvarints, byte
+//     strings as uvarint length + raw bytes (dataframe.go). This is
+//     where the reproduction departs from the paper's text encoding:
+//     ciphertext travels as bytes, not as Base64 inside JSON.
 package wire
 
 import (
