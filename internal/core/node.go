@@ -44,12 +44,17 @@
 // blob is evaluated once per visit against every live event: each
 // constraint is read once and tested against the column of its
 // attribute, charging predicate cycles per event as if each had been
-// evaluated alone (pubsub.MatchEncoded). A sibling inherits its node's
-// mask, a child the events that passed, and a subtree no event reaches
-// is pruned. Events that carry the same (attribute, value) share the
-// walk of that shard. Each event's results are those of matching it
-// alone, in the same order; a single event is the batch of one, with
-// the simulated counts the per-event walk had.
+// evaluated alone (pubsub.MatchEncoded). A numeric constraint that
+// reaches enough live events (a batch of 32 does; a single event does
+// not) is decided from its column's rank instead of one comparison per
+// event: the column's values are sorted once per chunk, and a bound
+// pair is two binary searches, whichever node asks. Verdicts and
+// charged cycles do not depend on which is used. A sibling inherits
+// its node's mask, a child the events that passed, and a subtree no
+// event reaches is pruned. Events that carry the same (attribute,
+// value) share the walk of that shard. Each event's results are those
+// of matching it alone, in the same order; a single event is the batch
+// of one, with the simulated counts the per-event walk had.
 //
 // The arena only grows, but the engine reuses what it unlinks.
 // Unregister releases the subscriber record it removes, the node record

@@ -673,6 +673,9 @@ func (r *reader) value() (Value, error) {
 		return Value{Kind: KindInt, I: int64(u)}, err
 	case wireFloat:
 		f, err := r.float64()
+		if err == nil && math.IsNaN(f) {
+			err = fmt.Errorf("%w: NaN value", ErrCodec)
+		}
 		return Value{Kind: KindFloat, F: f}, err
 	case wireString:
 		s, err := r.string16()

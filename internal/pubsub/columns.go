@@ -25,14 +25,89 @@ type Columns struct {
 	n    int
 }
 
+// rankMin is the fewest live events at which Match decides a numeric
+// constraint from the column's rank rather than one comparison per
+// event. BenchmarkColumnsMatch sweeps both against 1 to 64 live
+// events: they tie at 4, and the rank wins from 8 on.
+const rankMin = 8
+
 // column is one attribute across a chunk: the events that carry it,
 // which of those carry a number and which a string, and each one's
-// value (read only where its bit is set).
+// value (read only where its bit is set). The rank is built the first
+// time Match needs it and stays valid until the column is reloaded.
 type column struct {
 	id            AttrID
 	has, num, str uint64
 	f             [ColumnEvents]float64
 	s             [ColumnEvents]string
+
+	// ranked says sorted, prefix, n and nan describe this chunk: the
+	// n non-NaN numbers in ascending order, the mask of the events
+	// holding the k smallest in prefix[k], and the NaN ones apart.
+	ranked bool
+	n      int
+	nan    uint64
+	sorted [ColumnEvents]float64
+	prefix [ColumnEvents + 1]uint64
+}
+
+// rank sorts the column's non-NaN numbers (insertion sort: at most
+// ColumnEvents of them, and no allocation) and fills prefix.
+func (col *column) rank() {
+	var at [ColumnEvents]uint8
+	n := 0
+	col.nan = 0
+	for m := col.num; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		f := col.f[i&(ColumnEvents-1)]
+		if f != f {
+			col.nan |= uint64(1) << i
+			continue
+		}
+		j := n
+		for ; j > 0 && col.sorted[j-1] > f; j-- {
+			col.sorted[j], at[j] = col.sorted[j-1], at[j-1]
+		}
+		col.sorted[j], at[j] = f, uint8(i)
+		n++
+	}
+	for k := 0; k < n; k++ {
+		col.prefix[k+1] = col.prefix[k] | uint64(1)<<at[k]
+	}
+	col.n, col.ranked = n, true
+}
+
+// within returns the events of the column whose number lies within
+// the bounds: the NaN ones, which no bound rejects, and the sorted run
+// between the first value not belowLo and the first aboveHi. Both
+// predicates are monotone over sorted values, so each is one binary
+// search and the verdicts are the per-event ones.
+func (col *column) within(lo float64, loIncl bool, hi float64, hiIncl bool) uint64 {
+	if !col.ranked {
+		col.rank()
+	}
+	i, j := 0, col.n
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if belowLo(col.sorted[h&(ColumnEvents-1)], lo, loIncl) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	// The second search starts at klo: below it the run is empty
+	// whatever hi is.
+	klo := i
+	j = col.n
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if aboveHi(col.sorted[h&(ColumnEvents-1)], hi, hiIncl) {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return col.prefix[i]&^col.prefix[klo] | col.nan
 }
 
 // Load transposes evs (nil entries skipped) into c, replacing the
@@ -67,7 +142,7 @@ func (c *Columns) Load(evs []*Event) {
 				}
 				col = c.cols[c.n]
 				c.n++
-				col.id, col.has, col.num, col.str = a.ID, 0, 0, 0
+				col.id, col.has, col.num, col.str, col.ranked = a.ID, 0, 0, 0, false
 				c.slot[a.ID] = col
 			} else if col.has&bit != 0 {
 				continue
@@ -95,7 +170,19 @@ func (c *Columns) Load(evs []*Event) {
 // fail, of the constraints each tested before its first failure. A
 // constraint whose ID is below the previous one's fails every event
 // still live, as the merge join does.
+//
+// A numeric constraint tested against rankMin or more live events is
+// decided by two binary searches over its column's rank (built once
+// per column per chunk), not one comparison per event; fewer take the
+// per-event loop. The results, evaluated included, do not depend on
+// the path.
 func (c *Columns) Match(raw []byte, live uint64) (pass, failed uint64, evaluated int, err error) {
+	return c.match(raw, live, rankMin)
+}
+
+// match is Match with the crossover as a parameter, so tests and
+// benchmarks can hold each path to the other.
+func (c *Columns) match(raw []byte, live uint64, minRank int) (pass, failed uint64, evaluated int, err error) {
 	if live == 0 {
 		return 0, 0, 0, nil
 	}
@@ -168,12 +255,15 @@ func (c *Columns) Match(raw []byte, live uint64) (pass, failed uint64, evaluated
 				hi, hiIncl = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:])), flags&cfHiIncl != 0
 				pos += 8
 			}
-			live &= col.num
-			for m := live; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				f := col.f[i&(ColumnEvents-1)]
-				if belowLo(f, lo, loIncl) || aboveHi(f, hi, hiIncl) {
-					live &^= uint64(1) << i
+			if live &= col.num; bits.OnesCount64(live) >= minRank {
+				live &= col.within(lo, loIncl, hi, hiIncl)
+			} else {
+				for m := live; m != 0; m &= m - 1 {
+					i := bits.TrailingZeros64(m)
+					f := col.f[i&(ColumnEvents-1)]
+					if belowLo(f, lo, loIncl) || aboveHi(f, hi, hiIncl) {
+						live &^= uint64(1) << i
+					}
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package pubsub
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -56,7 +57,7 @@ func constraintsPrefix(raw []byte) []Constraint {
 // (a stable sort keeps a repeat's order). live is a random subset of
 // the non-nil events.
 func chunkNear(rng *rand.Rand, cs []Constraint, extra []AttrID) (evs []*Event, live uint64) {
-	odd := []Value{Str("s"), Str(""), Int(0), Int(-3), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), {}}
+	odd := []Value{Str("s"), Str(""), Int(0), Int(-3), Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.Copysign(0, -1)), {}}
 	evs = make([]*Event, 1+rng.Intn(ColumnEvents))
 	for i := range evs {
 		if rng.Intn(8) == 0 {
@@ -95,7 +96,9 @@ func chunkNear(rng *rand.Rand, cs []Constraint, extra []AttrID) (evs []*Event, l
 // checkColumns holds Columns.Match over the chunk loaded into c to
 // MatchEncoded run on each live event alone: the same passing events,
 // the same failed ones with the same error text, and the same evaluated
-// sum over the events that did not fail.
+// sum over the events that did not fail. It holds each way of testing a
+// numeric constraint there too, the column's rank for every live count
+// and the per-event loop for every one, whichever Match picked.
 func checkColumns(t *testing.T, c *Columns, evs []*Event, live uint64, raw []byte) {
 	t.Helper()
 	var wantPass, wantFailed uint64
@@ -117,26 +120,63 @@ func checkColumns(t *testing.T, c *Columns, evs []*Event, live uint64, raw []byt
 			wantEvaluated += evaluated
 		}
 	}
-	pass, failed, evaluated, err := c.Match(raw, live)
-	gotErr := ""
-	if err != nil {
-		if !errors.Is(err, ErrCodec) {
-			t.Fatalf("Columns.Match failed with %v, want an ErrCodec", err)
+	for _, path := range []struct {
+		name    string
+		minRank int
+	}{{"Match", rankMin}, {"rank", 0}, {"loop", ColumnEvents + 1}} {
+		pass, failed, evaluated, err := c.match(raw, live, path.minRank)
+		gotErr := ""
+		if err != nil {
+			if !errors.Is(err, ErrCodec) {
+				t.Fatalf("Columns.Match (%s) failed with %v, want an ErrCodec", path.name, err)
+			}
+			gotErr = err.Error()
 		}
-		gotErr = err.Error()
+		if pass != wantPass || failed != wantFailed || evaluated != wantEvaluated || gotErr != wantErr {
+			t.Fatalf("blob %v, live %#x: Columns.Match (%s) pass %#x failed %#x evaluated %d err %q; per event pass %#x failed %#x evaluated %d err %q",
+				raw, live, path.name, pass, failed, evaluated, gotErr, wantPass, wantFailed, wantEvaluated, wantErr)
+		}
 	}
-	if pass != wantPass || failed != wantFailed || evaluated != wantEvaluated || gotErr != wantErr {
-		t.Fatalf("blob %v, live %#x: Columns.Match pass %#x failed %#x evaluated %d err %q; per event pass %#x failed %#x evaluated %d err %q",
-			raw, live, pass, failed, evaluated, gotErr, wantPass, wantFailed, wantEvaluated, wantErr)
+}
+
+// rankSeeds are the numeric shapes whose verdicts the rank path must
+// reproduce from sorted values: exclusive and inclusive bounds, an
+// absent bound, NaN bounds (no value violates one), ±0 and ±Inf bounds,
+// a point interval, and bounds that cross.
+func rankSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	var blobs [][]byte
+	for _, cs := range [][]Constraint{
+		{{ID: 2, HasLo: true, HasHi: true, Lo: 0, Hi: 1}},
+		{{ID: 2, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: -1, Hi: 0}},
+		{{ID: 2, HasLo: true, Lo: nan}, {ID: 3, HasHi: true, HiIncl: true, Hi: nan}},
+		{{ID: 2, HasLo: true, HasHi: true, LoIncl: true, Lo: nan, Hi: 0.5}},
+		{{ID: 2, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: negZero, Hi: negZero}},
+		{{ID: 2, HasLo: true, Lo: negZero}, {ID: 3, HasHi: true, Hi: 0}},
+		{{ID: 2, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: -inf, Hi: inf}},
+		{{ID: 2, HasLo: true, HasHi: true, Lo: -inf, Hi: inf}},
+		{{ID: 2, HasLo: true, LoIncl: true, Lo: inf}, {ID: 3, HasHi: true, HiIncl: true, Hi: -inf}},
+		{{ID: 2, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: 3, Hi: -3}},
+		{{ID: 3, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: 1, Hi: 1}},
+	} {
+		blob, err := AppendConstraints(nil, cs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs = append(blobs, blob)
 	}
+	return blobs
 }
 
 // FuzzMatchColumns holds the column evaluator to the per-event one on
 // arbitrary blobs and chunks of up to 64 arbitrary events, each chunk
 // loaded over an unrelated earlier one so a stale column would show.
 // The corpus is FuzzMatchEncoded's, each seed blob also cut at every
-// byte, plus blobs whose constraint IDs repeat or go backwards. Every
-// failure names the input, so it replays from the printed seed.
+// byte, plus blobs whose constraint IDs repeat or go backwards, plus
+// rankSeeds. Each input is checked on both ways of testing a numeric
+// constraint (checkColumns). Every failure names the input, so it
+// replays from the printed seed.
 func FuzzMatchColumns(f *testing.F) {
 	blobs := matchEncodedSeeds(f)
 	for _, cs := range [][]Constraint{
@@ -156,6 +196,13 @@ func FuzzMatchColumns(f *testing.F) {
 	}
 	f.Add([]byte{0xFF, 0xFF, 1, 0, 1}, int64(1))
 	f.Add([]byte{2, 0, 5, 0, 0, 3, 0, 0}, int64(2)) // IDs out of order
+	// Rank-shaped blobs, each under several seeds, so their chunks fall
+	// on both sides of rankMin live events.
+	for _, blob := range rankSeeds(f) {
+		for seed := int64(100); seed < 108; seed++ {
+			f.Add(blob, seed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
 		cs := constraintsPrefix(raw)
 		rng := rand.New(rand.NewSource(seed))
@@ -173,7 +220,9 @@ func FuzzMatchColumns(f *testing.F) {
 
 // TestColumnsStaleColumn loads a chunk that carries attribute y, then
 // one that does not: a blob constraining y fails every event of the
-// second chunk, at y, whichever column y's values were left in.
+// second chunk, at y, whichever column y's values were left in. Then it
+// ranks y's column on one chunk and loads another with new values of
+// y: the second is matched on its own values, not the first's rank.
 func TestColumnsStaleColumn(t *testing.T) {
 	const x, y, z AttrID = 1, 2, 3
 	blob, err := AppendConstraints(nil, []Constraint{
@@ -212,5 +261,76 @@ func TestColumnsStaleColumn(t *testing.T) {
 				second, pass, failed, evaluated, err, wantEvaluated)
 		}
 		checkColumns(t, &c, evs, 0xFF, blob)
+	}
+
+	// The same column object holds y in both chunks below, ranked by
+	// the first: the second's new values must be ranked afresh.
+	values := func(yAt func(i int) float64) []*Event {
+		evs := make([]*Event, 16)
+		for i := range evs {
+			evs[i] = &Event{Attrs: []EventAttr{{ID: x, Value: Int(1)}, {ID: y, Value: Float(yAt(i))}}}
+		}
+		return evs
+	}
+	var c Columns
+	c.Load(values(func(i int) float64 { return float64(i) }))
+	if pass, _, _, err := c.Match(blob, 0xFFFF); pass != 0xFFFF || err != nil {
+		t.Fatalf("ranked chunk: pass %#x err %v, want every event", pass, err)
+	}
+	evs := values(func(i int) float64 { return 95 + 2*float64(i) - 20*float64(i%2) })
+	c.Load(evs)
+	if pass, _, _, err := c.Match(blob, 0xFFFF); pass != 0xAAF || err != nil {
+		t.Fatalf("chunk loaded after a ranked one: pass %#x err %v, want %#x", pass, err, 0xAAF)
+	}
+	checkColumns(t, &c, evs, 0xFFFF, blob)
+}
+
+// BenchmarkColumnsMatch times one Match of a one-band blob (a price
+// band of width 10 in [0, 100], as the match workload's general shard
+// holds: 4,096 of them, taken in turn, so no outcome repeats the way one
+// band's would) against 1 to 64 live events with prices drawn from
+// [0, 100), on each path: the per-event loop, the rank with its build
+// paid by an earlier call (a chunk's column is ranked once and searched
+// at every node after), and the rank built on the call. ns/op is per
+// Match call. rankMin is the smallest live count at which the warm
+// rank beats the loop.
+func BenchmarkColumnsMatch(b *testing.B) {
+	const price AttrID = 1
+	rng := rand.New(rand.NewSource(1))
+	blobs := make([][]byte, 4096)
+	for i := range blobs {
+		lo := 90 * rng.Float64()
+		blob, err := AppendConstraints(nil, []Constraint{{ID: price, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: lo, Hi: lo + 10}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs[i] = blob
+	}
+	for _, n := range []int{1, 4, 8, 16, 32, 64} {
+		evs := make([]*Event, n)
+		for i := range evs {
+			evs[i] = &Event{Attrs: []EventAttr{{ID: price, Value: Float(100 * rng.Float64())}}}
+		}
+		var c Columns
+		c.Load(evs)
+		live := ^uint64(0) >> (ColumnEvents - n)
+		for _, path := range []struct {
+			name    string
+			minRank int
+			cold    bool
+		}{{"loop", ColumnEvents + 1, false}, {"rank", 0, false}, {"rank+build", 0, true}} {
+			b.Run(fmt.Sprintf("live=%d/path=%s", n, path.name), func(b *testing.B) {
+				col := c.slot[price]
+				var passed int
+				for i := 0; i < b.N; i++ {
+					if path.cold {
+						col.ranked = false
+					}
+					pass, _, _, _ := c.match(blobs[i%len(blobs)], live, path.minRank)
+					passed += bits.OnesCount64(pass)
+				}
+				b.ReportMetric(float64(passed)/float64(b.N), "pass/op")
+			})
+		}
 	}
 }

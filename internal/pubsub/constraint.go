@@ -416,6 +416,9 @@ func NewEvent(schema *Schema, attrs map[string]Value) (*Event, error) {
 		if !v.Valid() {
 			return nil, fmt.Errorf("pubsub: invalid value for attribute %q", name)
 		}
+		if v.isNaN() {
+			return nil, fmt.Errorf("%w: NaN value for attribute %q", ErrCodec, name)
+		}
 		id, err := schema.Intern(name)
 		if err != nil {
 			return nil, err

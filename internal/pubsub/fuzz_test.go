@@ -41,6 +41,17 @@ func headerSeeds(tb testing.TB) [][]byte {
 		valid[:len(valid)-1],
 		encode(NamedValue{"", Int(7)}),
 		encode(),
+		encode(NamedValue{"price", Float(math.NaN())}, NamedValue{"symbol", Str("HAL")}),
+		encode(NamedValue{"price", Float(math.Inf(1))}, NamedValue{"volume", Float(math.Inf(-1))}),
+	}
+}
+
+// checkNoNaN fails the test if a decoded value is a NaN: the decoders
+// refuse one, since no bound would reject it.
+func checkNoNaN(t *testing.T, what string, v Value) {
+	t.Helper()
+	if v.isNaN() {
+		t.Fatalf("%s decoded to NaN", what)
 	}
 }
 
@@ -57,6 +68,9 @@ func FuzzDecodeEventSpec(f *testing.F) {
 		spec, err := DecodeEventSpec(raw)
 		if err != nil {
 			return
+		}
+		for _, a := range spec.Attrs {
+			checkNoNaN(t, a.Name, a.Value)
 		}
 		// Whatever decodes must re-encode.
 		if _, err := EncodeEventSpec(spec); err != nil {
@@ -94,6 +108,9 @@ func FuzzDecodeEventInto(f *testing.F) {
 					t.Fatalf("DecodeEventInto failed with %v, want an ErrCodec", err)
 				}
 				continue
+			}
+			for _, a := range got.Attrs {
+				checkNoNaN(t, "a header attribute", a.Value)
 			}
 			same := len(got.Attrs) == len(want.Attrs)
 			for i := 0; same && i < len(want.Attrs); i++ {
@@ -140,10 +157,25 @@ func FuzzDecodeSubscriptionSpec(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte{1, 0})
+	for _, p := range []Predicate{
+		{Attr: "price", Op: OpBetween, Value: Float(math.NaN()), Hi: Float(2)},
+		{Attr: "price", Op: OpBetween, Value: Float(math.Inf(-1)), Hi: Float(math.NaN())},
+		{Attr: "price", Op: OpGt, Value: Float(math.Inf(1))},
+	} {
+		raw, err := EncodeSubscriptionSpec(SubscriptionSpec{Predicates: []Predicate{p}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec, err := DecodeSubscriptionSpec(raw)
 		if err != nil {
 			return
+		}
+		for _, p := range spec.Predicates {
+			checkNoNaN(t, p.Attr, p.Value)
+			checkNoNaN(t, p.Attr+" (upper bound)", p.Hi)
 		}
 		// Normalising arbitrary decoded specs must never panic.
 		_, _ = Normalize(NewSchema(), spec)

@@ -93,6 +93,9 @@ func (p Predicate) validate() error {
 	if !p.Value.Valid() {
 		return fmt.Errorf("pubsub: predicate on %q has invalid value", p.Attr)
 	}
+	if p.Value.isNaN() || p.Op == OpBetween && p.Hi.isNaN() {
+		return fmt.Errorf("%w: NaN value in predicate on %q", ErrCodec, p.Attr)
+	}
 	switch p.Op {
 	case OpEq:
 		return nil

@@ -72,6 +72,14 @@ func (v Value) Valid() bool {
 	return v.Kind == KindInt || v.Kind == KindFloat || v.Kind == KindString
 }
 
+// isNaN reports whether the value is a float NaN. The header and
+// subscription decoders, Normalize and NewEvent refuse one with
+// ErrCodec: no bound rejects a NaN (belowLo and aboveHi are false for
+// it either side), so a NaN event would match every range on its
+// attribute and a NaN bound would bound nothing. ±Inf are ordinary
+// values.
+func (v Value) isNaN() bool { return v.Kind == KindFloat && v.F != v.F }
+
 // Equal reports deep equality (kind-sensitive: Int(1) ≠ Float(1)).
 func (v Value) Equal(o Value) bool {
 	if v.Kind != o.Kind {

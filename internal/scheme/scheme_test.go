@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"scbr/internal/core"
@@ -136,6 +137,112 @@ func roundTrip(t *testing.T, name string, opts ...Option) {
 }
 
 func TestPlainRoundTrip(t *testing.T) { roundTrip(t, Plain) }
+
+// plainSlice returns a fresh sgx-plain codec and slice.
+func plainSlice(t *testing.T) (Codec, Slice) {
+	t.Helper()
+	backend, err := Lookup(Plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := backend.NewCodec(Resolve(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice, err := backend.NewSlice(simmem.NewPlainAccessor(simmem.DefaultCost()), pubsub.NewSchema(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codec, slice
+}
+
+// TestNaNPublicationMatchesNothing: no bound rejects a NaN, so an
+// sgx-plain header carrying one is refused at decode, alone or in a
+// batch, rather than matching every range on its attribute. An
+// infinite price is an ordinary value.
+func TestNaNPublicationMatchesNothing(t *testing.T) {
+	codec, slice := plainSlice(t)
+	for _, spec := range []pubsub.SubscriptionSpec{
+		{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(20), Hi: pubsub.Float(30)}}},
+		{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(20)}}},
+		subSpec(50),
+	} {
+		enc, err := codec.EncodeSubscription(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := slice.RegisterEncoded(enc, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	header := func(price float64) []byte {
+		blob, err := codec.EncodeEvent(event(price))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	nan := header(math.NaN())
+	if got, err := slice.MatchEncoded(nan, nil); !errors.Is(err, pubsub.ErrCodec) || len(got) != 0 {
+		t.Fatalf("NaN price: matched %v, err %v; want nothing and an ErrCodec", got, err)
+	}
+	out := make([][]core.MatchResult, 3)
+	if err := slice.MatchEncodedBatch([][]byte{header(25), nan, header(math.Inf(1))}, out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out[0]) != 3 || len(out[1]) != 0 || len(out[2]) != 1 {
+		t.Fatalf("batch [25, NaN, +Inf] matched %d, %d, %d subscriptions; want 3, 0, 1", len(out[0]), len(out[1]), len(out[2]))
+	}
+	if _, err := pubsub.NewEvent(pubsub.NewSchema(), map[string]pubsub.Value{"price": pubsub.Float(math.NaN())}); !errors.Is(err, pubsub.ErrCodec) {
+		t.Fatalf("NewEvent with a NaN price: %v, want an ErrCodec", err)
+	}
+}
+
+// TestNaNBoundRefused: a subscription with a NaN bound would bound
+// nothing, so the sgx-plain codec refuses to encode one, and a slice
+// refuses one that reaches it encoded anyway, registering nothing.
+// Infinite bounds stay legal.
+func TestNaNBoundRefused(t *testing.T) {
+	codec, slice := plainSlice(t)
+	nan := pubsub.Float(math.NaN())
+	for _, p := range []pubsub.Predicate{
+		{Attr: "price", Op: pubsub.OpBetween, Value: nan, Hi: pubsub.Float(30)},
+		{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(20), Hi: nan},
+		{Attr: "price", Op: pubsub.OpGe, Value: nan},
+		{Attr: "price", Op: pubsub.OpLt, Value: nan},
+		{Attr: "price", Op: pubsub.OpEq, Value: nan},
+	} {
+		spec := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{{Attr: "symbol", Op: pubsub.OpEq, Value: pubsub.Str("HAL")}, p}}
+		if _, err := codec.EncodeSubscription(spec); !errors.Is(err, pubsub.ErrCodec) {
+			t.Fatalf("%v: EncodeSubscription err %v, want an ErrCodec", p, err)
+		}
+		if _, err := pubsub.Normalize(pubsub.NewSchema(), spec); !errors.Is(err, pubsub.ErrCodec) {
+			t.Fatalf("%v: Normalize err %v, want an ErrCodec", p, err)
+		}
+		raw, err := pubsub.EncodeSubscriptionSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := slice.RegisterEncoded(raw, 1); !errors.Is(err, pubsub.ErrCodec) {
+			t.Fatalf("%v: RegisterEncoded err %v, want an ErrCodec", p, err)
+		}
+		if err := slice.RegisterEncodedAssigned(raw, 1, 99); !errors.Is(err, pubsub.ErrCodec) {
+			t.Fatalf("%v: RegisterEncodedAssigned err %v, want an ErrCodec", p, err)
+		}
+	}
+	if st := slice.Stats(); st.Subscriptions != 0 {
+		t.Fatalf("%d subscriptions registered with a NaN bound", st.Subscriptions)
+	}
+	enc, err := codec.EncodeSubscription(pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
+		{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(math.Inf(-1)), Hi: pubsub.Float(30)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := slice.RegisterEncoded(enc, 1); err != nil {
+		t.Fatalf("a -Inf bound: %v", err)
+	}
+}
 
 func TestASPERoundTrip(t *testing.T) {
 	roundTrip(t, ASPE, WithAttrs("symbol", "price"), WithSeed(3), WithScale("price", 100))
