@@ -3,15 +3,20 @@
 // the enclave border"), and with batching on top.
 //
 // By default the router charges one EENTER/EEXIT round trip (~2 µs on
-// the paper's hardware) per publication message per slice. With
-// WithSwitchless each slice's resident worker is charged one entry for
-// its lifetime and then only a poll of its untrusted queue per message,
-// so a burst of quotes costs zero per-message transitions. PublishBatch
-// amortises further: a whole batch is one wire round trip and one
-// enclave crossing even at the per-ecall price. The pipeline is the
-// same in all three; this example runs one burst through each
-// and prints the enclave transition counts and simulated enclave time
-// per publication.
+// the paper's hardware) per enclave entry per slice, and a slice's
+// worker enters once for every message already queued when it wakes,
+// up to 64 events. A burst of single publishes therefore coalesces
+// under the per-ecall price: it costs one transition per drained
+// group, anywhere from one per publication (an idle router that keeps
+// up) to one per 64 (a worker that falls behind), as the scheduler
+// decides. With WithSwitchless each slice's resident worker is charged
+// one entry for its lifetime and then only a poll of its untrusted
+// queue per message, so a burst of quotes costs zero per-message
+// transitions. PublishBatch amortises by construction: a whole batch
+// is one wire round trip and at most one enclave crossing even at the
+// per-ecall price. The pipeline is the same in all three; this example
+// runs one burst through each and prints the enclave transition counts
+// and simulated enclave time per publication.
 //
 // Run with:
 //

@@ -10,7 +10,11 @@
 // matchJob handed to every slice — and the schemes match it through
 // their MatchEncodedBatch surface, so per-item work (enclave crossings,
 // database walks, allocations) is amortised across the batch. A single
-// publish is just a batch of one.
+// publish is just a batch of one. A slice batches across wire messages
+// too: its worker takes every job already queued behind the one it
+// woke for, up to one walk's width, and matches the group in one
+// enclave entry and one store pass, so under load the per-entry and
+// per-walk costs divide by the queue depth as well.
 //
 // There is one publication path. Every slice owns a resident worker
 // fed by a job queue; the publishing connection dispatches the decoded
@@ -18,9 +22,9 @@
 // socket, the workers match concurrently, and a single merger goroutine
 // joins the per-slice results in publication order, so per-client
 // delivery order is preserved. What RouterConfig.Switchless selects is
-// only the transition a worker charges its slice's meter per wire
-// message: the call gate's EENTER+EEXIT round trip, or — the paper's §6
-// "message exchanges at the enclave border" — one entry for the
+// only the transition a worker charges its slice's meter: the call
+// gate's EENTER+EEXIT round trip per drained group, or — the paper's
+// §6 "message exchanges at the enclave border" — one entry for the
 // worker's lifetime plus a poll of the untrusted queue per message.
 
 package broker
@@ -30,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"scbr/internal/core"
+	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
 	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
@@ -42,6 +47,14 @@ import (
 // backpressure — and 128 messages is deep enough that a worker never
 // idles behind a producer's scheduling hiccup.
 const pipelineDepth = 128
+
+// groupEvents is how many publication items a slice worker gathers
+// into one enclave entry before it stops draining its queue: one
+// walk's width, the events the forest walk and the ASPE scan serve per
+// pass. A group that reaches it closes; the job that crosses it stays
+// in the group, so a group holds fewer than groupEvents items plus one
+// message.
+const groupEvents = pubsub.ColumnEvents
 
 // partition is one matcher slice: an enclave, its scheme store (a
 // share of the subscription database in the matching scheme's
@@ -57,9 +70,11 @@ type partition struct {
 
 	mu sync.Mutex // serialises this slice's enclave entries and meter
 
-	// Sealed-exchange scratch, guarded by mu: the per-key envelope
-	// opener (AES schedule + HMAC pads built once per provisioned key),
-	// the per-item header buffers of a batch, and one-item opens' buffer.
+	// Match scratch, guarded by mu: the per-key envelope opener (AES
+	// schedule + HMAC pads built once per provisioned key), a drained
+	// group's headers as the store reads them — opened plaintexts whose
+	// buffers are reused under sealed exchange, the blobs themselves
+	// otherwise — and one-item opens' buffer.
 	opener    *scrypto.Opener
 	openerKey *scrypto.SymmetricKey
 	enc       [][]byte
@@ -69,6 +84,10 @@ type partition struct {
 	// workerDone closes when the worker has drained it and exited.
 	jobs       chan *matchJob
 	workerDone chan struct{}
+
+	// rows, guarded by mu, lines up a drained group's result rows with
+	// enc: the jobs' perPart[idx] rows, concatenated.
+	rows [][]core.MatchResult
 }
 
 // matchJob is one wire message — a whole publish-batch — in flight
@@ -310,24 +329,31 @@ func (r *Router) routeLocal(m *Message) {
 	r.merge <- job
 }
 
-// sliceWorker is one slice's resident matcher: it takes wire messages
-// off the slice's job queue and runs trusted step ⑤ on each, one store
-// pass per batch. How it accounts for being inside the enclave is the
-// router's transition policy: per message, the call gate's round trip
+// sliceWorker is one slice's resident matcher. It blocks for one job,
+// then, under the partition lock, drains every job already queued
+// behind it while the group holds fewer than groupEvents items — it
+// never waits for a job that has not arrived, so a lone publication
+// is a group of one — and runs trusted step ⑤ on the group in one
+// store pass. How it accounts for being inside the enclave is the
+// router's transition policy: the call gate's round trip per group
 // (Ecall); or, switchless, one entry for the worker's lifetime and a
-// poll of the untrusted queue per message. An unprovisioned router
-// drops the slice's contribution, as do per-item failures (tampered
-// ciphertext, malformed headers) — publish messages are
-// fire-and-forget.
+// poll of the untrusted queue per message. Each job then contributes,
+// in queue order. An unprovisioned router drops the slice's
+// contribution, as do per-item failures (tampered ciphertext,
+// malformed headers) — publish messages are fire-and-forget.
 //
 // All meter access happens under the partition lock: registration
-// ecalls on the same slice charge the same meter concurrently.
+// ecalls on the same slice charge the same meter concurrently. The
+// drain runs under it too, so it also gathers what queued while a
+// registration held the slice.
 func (r *Router) sliceWorker(p *partition) {
 	defer close(p.workerDone)
 	entered := false
+	var group []*matchJob
 	for job := range p.jobs {
-		sk := r.keys()
 		p.mu.Lock()
+		group = p.drain(append(group, job))
+		sk := r.keys()
 		switch {
 		case r.cfg.Switchless:
 			meter := p.slice.Accessor().Meter()
@@ -335,54 +361,99 @@ func (r *Router) sliceWorker(p *partition) {
 				meter.ChargeTransition() // the worker's one-time entry/exit round trip
 				entered = true
 			}
-			meter.Charge(meter.Cost.SwitchlessPollCycles)
+			for range group {
+				meter.Charge(meter.Cost.SwitchlessPollCycles)
+			}
 			if sk != nil {
-				r.matchSliceBatch(p, job, sk)
+				r.matchSliceBatch(p, group, sk)
 			}
 		case sk != nil:
 			_ = p.enclave.Ecall(func() error {
-				r.matchSliceBatch(p, job, sk)
+				r.matchSliceBatch(p, group, sk)
 				return nil
 			})
 		}
 		p.mu.Unlock()
-		job.contribute()
+		for _, job := range group {
+			job.contribute()
+		}
+		clear(group)
+		group = group[:0]
 	}
 }
 
-// matchSliceBatch is trusted step ⑤ on one slice for a whole batch:
-// authenticate each header and match the batch against the slice's
-// share of the index in one store pass. Sealed-exchange schemes
-// (sgx-plain) open every SK envelope first — each slice decrypts
-// independently, the replicated key management of the paper's
-// partitioning note — into per-item buffers the slice reuses across
-// batches; ciphertext schemes (aspe) hand the blobs to the store
-// as-is. An item whose envelope fails authentication is blanked, so
-// the scheme's decoder drops it exactly as the per-item path did. The
-// caller holds p.mu and has accounted the enclave entry. Results land
-// in job.perPart[p.idx] — this slice's own slot.
+// drain appends to group, without blocking, the jobs queued behind it
+// while the group holds fewer than groupEvents items. A closed queue
+// ends the drain; the worker's range loop then ends the worker. The
+// caller holds p.mu.
+func (p *partition) drain(group []*matchJob) []*matchJob {
+	n := len(group[0].blobs)
+	for n < groupEvents {
+		select {
+		case job, ok := <-p.jobs:
+			if !ok {
+				return group
+			}
+			group = append(group, job)
+			n += len(job.blobs)
+		default:
+			return group
+		}
+	}
+	return group
+}
+
+// matchSliceBatch is trusted step ⑤ on one slice for a drained group
+// of wire messages: authenticate each header and match every item of
+// every job against the slice's share of the index in one store pass.
+// A lone message is a group of one. Sealed-exchange schemes (sgx-plain)
+// open every SK envelope first — each slice decrypts independently,
+// the replicated key management of the paper's partitioning note —
+// into per-item buffers the slice reuses across groups; ciphertext
+// schemes (aspe) hand the blobs to the store as-is. An item whose
+// envelope fails authentication is blanked, so the scheme's decoder
+// drops it exactly as the per-item path did. The caller holds p.mu and
+// has accounted the enclave entry. Results land in each job's
+// perPart[p.idx] — this slice's own slot — through the group's
+// concatenated rows, whose grown buffers are written back.
 //
 // scbr:vet enclave-boundary: sliceWorker, the only caller, charges the entry under either transition policy — it wraps this in an Ecall body, or is the resident switchless worker whose one transition was charged when it entered
-func (r *Router) matchSliceBatch(p *partition, job *matchJob, sk *scrypto.SymmetricKey) {
-	encs := job.blobs
-	if r.backend.Caps.SealedExchange {
-		for cap(p.enc) < len(job.blobs) {
-			p.enc = append(p.enc[:cap(p.enc)], nil)
-		}
-		p.enc = p.enc[:len(job.blobs)]
-		for i, blob := range job.blobs {
-			plain, err := p.open(sk, blob, p.enc[i][:0])
-			if err != nil {
+func (r *Router) matchSliceBatch(p *partition, group []*matchJob, sk *scrypto.SymmetricKey) {
+	n := 0
+	for _, job := range group {
+		n += len(job.blobs)
+		p.rows = append(p.rows, job.perPart[p.idx]...)
+	}
+	for cap(p.enc) < n {
+		p.enc = append(p.enc[:cap(p.enc)], nil)
+	}
+	p.enc = p.enc[:n]
+	sealed := r.backend.Caps.SealedExchange
+	i := 0
+	for _, job := range group {
+		for _, blob := range job.blobs {
+			if !sealed {
+				p.enc[i] = blob
+			} else if plain, err := p.open(sk, blob, p.enc[i][:0]); err == nil {
+				p.enc[i] = plain
+			} else {
 				p.enc[i] = p.enc[i][:0] // authentication failure: the decoder drops the empty item
-				continue
 			}
-			p.enc[i] = plain
+			i++
 		}
-		encs = p.enc
 	}
 	// A store-level error (an unconfigured store) contributes nothing
 	// for any item, exactly as every per-item call would have failed.
-	_ = r.hub.MatchEncodedBatchIn(p.idx, encs, job.perPart[p.idx])
+	_ = r.hub.MatchEncodedBatchIn(p.idx, p.enc, p.rows)
+	i = 0
+	for _, job := range group {
+		i += copy(job.perPart[p.idx], p.rows[i:])
+	}
+	if !sealed {
+		clear(p.enc) // the blobs are frame bytes: pin none past the group
+	}
+	clear(p.rows)
+	p.rows = p.rows[:0]
 }
 
 // open authenticates blob under sk with the partition's opener, rebuilt

@@ -214,7 +214,7 @@ func TestRegisterUnderCurrentKey(t *testing.T) {
 		r.planeMu.RUnlock()
 		defer r.releaseJob(job)
 		p.mu.Lock()
-		r.matchSliceBatch(p, job, r.keys())
+		r.matchSliceBatch(p, []*matchJob{job}, r.keys())
 		p.mu.Unlock()
 		var got []uint64
 		for _, m := range job.perPart[0][0] {
