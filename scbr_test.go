@@ -2,6 +2,7 @@ package scbr_test
 
 import (
 	"context"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ type deployment struct {
 	quoter    *scbr.Quoter
 	router    *scbr.Router
 	publisher *scbr.Publisher
+	sent      *frameTap // the publisher's connection to the router
 	routerLn  net.Listener
 	pubLn     net.Listener
 	cancel    context.CancelFunc
@@ -67,7 +69,8 @@ func deploy(t *testing.T, seed string, opts ...scbr.Option) *deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.publisher.ConnectRouter(ctx, rc); err != nil {
+	d.sent = &frameTap{Conn: rc}
+	if err := d.publisher.ConnectRouter(ctx, d.sent); err != nil {
 		t.Fatalf("attestation failed: %v", err)
 	}
 
@@ -99,6 +102,51 @@ func deploy(t *testing.T, seed string, opts ...scbr.Option) *deployment {
 		d.wg.Wait()
 	})
 	return d
+}
+
+// frameTap counts the publish-batch frames written through a
+// connection. It follows the stream's frames — a 4-byte little-endian
+// length, then the body — and reads each body's first byte, which on a
+// data frame is its tag (0x02 for publish-batch).
+type frameTap struct {
+	net.Conn
+	mu      sync.Mutex
+	head    []byte // the prefix and tag byte of the frame being written
+	left    int    // bytes of the current frame's body still to come
+	batches int
+}
+
+func (f *frameTap) Write(b []byte) (int, error) {
+	f.mu.Lock()
+	for rest := b; len(rest) > 0; {
+		if f.left > 0 {
+			k := min(f.left, len(rest))
+			f.left -= k
+			rest = rest[k:]
+			continue
+		}
+		f.head = append(f.head, rest[0])
+		rest = rest[1:]
+		switch {
+		case len(f.head) == 4 && binary.LittleEndian.Uint32(f.head) == 0:
+			f.head = f.head[:0] // an empty body has no tag
+		case len(f.head) == 5:
+			if f.head[4] == 0x02 {
+				f.batches++
+			}
+			f.left = int(binary.LittleEndian.Uint32(f.head)) - 1
+			f.head = f.head[:0]
+		}
+	}
+	f.mu.Unlock()
+	return f.Conn.Write(b)
+}
+
+// publishBatches is how many publish-batch frames have been written.
+func (f *frameTap) publishBatches() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.batches
 }
 
 // attach creates a client wired to publisher and router through the
