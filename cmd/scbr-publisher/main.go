@@ -10,8 +10,8 @@
 //	    -feed e80a1 -count 1000 -interval 100ms [-batch 1] \
 //	    [-scheme sgx-plain|aspe] [-scheme-attrs a,b,c] [-scheme-seed 0]
 //
-// With -batch > 1 the feed pipelines that many quotes per router
-// round trip through PublishBatch.
+// With -batch > 1 the feed sends that many quotes per frame through
+// PublishBatch.
 //
 // -scheme selects the matching scheme (must match the router's
 // -scheme). The aspe scheme needs a fixed attribute universe:
@@ -54,7 +54,7 @@ func run() error {
 		feed       = flag.String("feed", "", "publish a synthetic feed from this Table 1 workload (e.g. e80a1)")
 		count      = flag.Int("count", 0, "number of feed publications (0 = unlimited)")
 		interval   = flag.Duration("interval", 200*time.Millisecond, "delay between feed rounds")
-		batch      = flag.Int("batch", 1, "publications per router round trip (PublishBatch when > 1)")
+		batch      = flag.Int("batch", 1, "publications per frame (PublishBatch when > 1)")
 		seed       = flag.Int64("seed", 1, "feed generator seed")
 		schemeName = flag.String("scheme", scbr.SchemePlain, "matching scheme to encode under (sgx-plain or aspe; must match the router's -scheme)")
 		schemeAttr = flag.String("scheme-attrs", "", "comma-separated attribute universe for schemes that need one (default: the -feed workload's quote attributes)")
@@ -174,8 +174,7 @@ func schemeOptions(schemeName, attrCSV, feed string, seed int64) ([]scbr.SchemeO
 }
 
 // runFeed publishes synthetic quotes until count is reached or ctx is
-// cancelled. With batch > 1 it pipelines that many quotes per router
-// round trip.
+// cancelled. With batch > 1 it sends that many quotes per frame.
 func runFeed(ctx context.Context, pub *scbr.Publisher, name string, count int, interval time.Duration, batch int, seed int64) error {
 	wl, err := scbr.WorkloadByName(name)
 	if err != nil {
@@ -233,6 +232,11 @@ func runFeed(ctx context.Context, pub *scbr.Publisher, name string, count int, i
 		if published%100 == 0 {
 			log.Printf("published %d quotes (group epoch %d)", published, pub.GroupEpoch())
 		}
+	}
+	// Publish returns once a frame is queued: write the last burst
+	// before the caller closes the connection under it.
+	if err := pub.Flush(ctx); err != nil && !errors.Is(err, context.Canceled) {
+		return fmt.Errorf("flushing the feed: %w", err)
 	}
 	log.Printf("feed complete: %d publications", published)
 	return nil

@@ -5,16 +5,18 @@
 // By default the router charges one EENTER/EEXIT round trip (~2 µs on
 // the paper's hardware) per enclave entry per slice, and a slice's
 // worker enters once for every message already queued when it wakes,
-// up to 64 events. A burst of single publishes therefore coalesces
-// under the per-ecall price: it costs one transition per drained
-// group, anywhere from one per publication (an idle router that keeps
-// up) to one per 64 (a worker that falls behind), as the scheduler
-// decides. With WithSwitchless each slice's resident worker is charged
-// one entry for its lifetime and then only a poll of its untrusted
-// queue per message, so a burst of quotes costs zero per-message
-// transitions. PublishBatch amortises by construction: a whole batch
-// is one wire round trip and at most one enclave crossing even at the
-// per-ecall price. The pipeline is the same in all three; this example
+// up to 64 events. The publisher queues each frame and returns, and
+// one flusher writes whatever is queued in one write, so a burst's
+// frames reach the router several to a read. A burst of single
+// publishes therefore coalesces under the per-ecall price: it costs
+// one transition per drained group, anywhere from one per publication
+// (an idle router that keeps up) to one per 64 (a worker that falls
+// behind), as the scheduler decides. With WithSwitchless each slice's
+// resident worker is charged one entry for its lifetime and then only
+// a poll of its untrusted queue per message, so a burst of quotes
+// costs zero per-message transitions. PublishBatch amortises by
+// construction: a whole batch is one frame and at most one enclave
+// crossing even at the per-ecall price. The pipeline is the same in all three; this example
 // runs one burst through each and prints the enclave transition counts
 // and simulated enclave time per publication.
 //

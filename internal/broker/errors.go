@@ -136,22 +136,6 @@ func ctxGuard(ctx context.Context, conn net.Conn) (release func()) {
 	}
 }
 
-// deadlineGuard is the goroutine-free sibling of ctxGuard for the
-// publish hot path: it maps a ctx deadline onto conn (bounding a
-// stalled send) and returns a restore func. A bare cancellation (no
-// deadline) does not interrupt an in-flight frame — callers check
-// ctx.Err() before each send, so cancellation takes effect on the
-// next call — which keeps fire-and-forget publishing free of per-call
-// watcher goroutines.
-func deadlineGuard(ctx context.Context, conn net.Conn) (release func()) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return func() {}
-	}
-	_ = conn.SetWriteDeadline(dl)
-	return func() { _ = conn.SetWriteDeadline(time.Time{}) }
-}
-
 // ctxErr folds a context cancellation into an operation error: when
 // the guard severed the connection, the I/O error that surfaced is the
 // uninteresting symptom and ctx.Err() is the cause.

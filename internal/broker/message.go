@@ -187,10 +187,12 @@ func (m *Message) dataFrame(tag byte) wire.DataFrame {
 	}
 }
 
-// sendBuffer is one pooled frame buffer: whole frames — prefix and
-// body — are encoded into it back to back and leave in one Write, so
-// the wire's hottest producers (delivery writers, publishers, peer
-// links) neither allocate per frame nor pay a syscall per frame.
+// sendBuffer is one frame buffer: whole frames — prefix and body — are
+// encoded into it back to back and leave in one Write, so the wire's
+// hottest producers (delivery writers, peer links, the publisher's
+// router connections) neither allocate per frame nor pay a syscall per
+// frame. Send and sendBurst take theirs from a pool; a router
+// connection keeps one as its write-behind queue (routerLink).
 type sendBuffer struct {
 	buf []byte
 	enc *json.Encoder // control frames: encodes into buf through Write
@@ -203,12 +205,14 @@ func (b *sendBuffer) Write(p []byte) (int, error) {
 }
 
 // sendBufMax caps the capacity a recycled buffer may retain; a
-// one-off jumbo batch frame must not pin megabytes in the pool.
+// one-off jumbo batch frame must not pin megabytes in the pool or in a
+// router connection's queue.
 const sendBufMax = 1 << 20
 
 // burstMax bounds how many bytes of already-queued frames a writer
 // gathers into one Write (sendBurst): past it the buffer is written
-// and a new burst begins.
+// and a new burst begins. A publisher call waits for queue space only
+// while this much is already queued on its router connection.
 const burstMax = 64 << 10
 
 var sendBufPool = sync.Pool{New: func() any {

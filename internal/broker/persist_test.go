@@ -368,7 +368,7 @@ func TestRestartEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub.mu.Lock()
-	pub.routerConn = conn2
+	pub.routerConn = newRouterLink(conn2)
 	pub.mu.Unlock()
 
 	// Alice re-binds her delivery channel on the new router.

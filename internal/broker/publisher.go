@@ -31,9 +31,9 @@ type Publisher struct {
 	codec    scheme.Codec
 
 	mu         sync.Mutex
-	routerConn net.Conn            // default route (ConnectRouter / SetDefaultRouter)
-	routers    map[string]net.Conn // named routes into a federated overlay
-	subOwner   map[string]string   // (router, subscription) → owning client
+	routerConn *routerLink            // default route (ConnectRouter / SetDefaultRouter)
+	routers    map[string]*routerLink // named routes into a federated overlay
+	subOwner   map[string]string      // (router, subscription) → owning client
 }
 
 // Sealed-box labels (scrypto.SealTo) of the subscription path: {s}PK,
@@ -95,7 +95,7 @@ func NewPublisherWithCodec(ias *attest.Service, routerID attest.Identity, codec 
 		ias:      ias,
 		routerID: routerID,
 		codec:    codec,
-		routers:  make(map[string]net.Conn),
+		routers:  make(map[string]*routerLink),
 		subOwner: make(map[string]string),
 	}, nil
 }
@@ -114,17 +114,21 @@ func (p *Publisher) Registry() *ClientRegistry { return p.registry }
 func (p *Publisher) GroupEpoch() uint64 { return p.group.Epoch() }
 
 // ConnectRouter attests the router enclave over conn and provisions SK
-// (which also keys registration tags). The connection is retained for
-// registrations and publications. Cancelling ctx severs the
-// connection; attestation failures wrap ErrAttestationFailed and keep
-// the underlying attest sentinel in the chain.
+// (which also keys registration tags). Cancelling ctx during that
+// exchange severs the connection; attestation failures wrap
+// ErrAttestationFailed and keep the underlying attest sentinel in the
+// chain. The connection is then retained for registrations and
+// publications, and its frames are written behind the caller: a call
+// returns once its frames are queued, frames leave in call order
+// whatever their type, and a failed write closes the connection and
+// is returned by every later call on it (Flush waits for the writes).
 func (p *Publisher) ConnectRouter(ctx context.Context, raw net.Conn) error {
 	conn := newBufferedConn(raw) // replies are read through it from here on
 	if err := p.provisionRouter(ctx, conn); err != nil {
 		return err
 	}
 	p.mu.Lock()
-	p.routerConn = conn
+	p.routerConn = newRouterLink(conn)
 	p.mu.Unlock()
 	return nil
 }
@@ -143,10 +147,11 @@ func (p *Publisher) ConnectRouterNamed(ctx context.Context, name string, raw net
 	if err := p.provisionRouter(ctx, conn); err != nil {
 		return err
 	}
+	link := newRouterLink(conn)
 	p.mu.Lock()
-	p.routers[name] = conn
+	p.routers[name] = link
 	if p.routerConn == nil {
-		p.routerConn = conn
+		p.routerConn = link
 	}
 	p.mu.Unlock()
 	return nil
@@ -157,11 +162,11 @@ func (p *Publisher) ConnectRouterNamed(ctx context.Context, name string, raw net
 func (p *Publisher) SetDefaultRouter(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	conn, ok := p.routers[name]
+	link, ok := p.routers[name]
 	if !ok {
 		return fmt.Errorf("%w: publisher knows no router %q", ErrNotConnected, name)
 	}
-	p.routerConn = conn
+	p.routerConn = link
 	return nil
 }
 
@@ -407,10 +412,13 @@ type Event struct {
 
 // Publish is step ④: encode the header under the matching scheme
 // (sealing it under SK for sealed-exchange schemes), encrypt the
-// payload under the group key, and send both to the router.
-// Cancellation is checked before the send and a ctx deadline bounds a
-// stalled send; an already-started frame is never abandoned (it would
-// corrupt the stream), so a bare cancel takes effect on the next call.
+// payload under the group key, and queue both to the router as one
+// frame. The call returns once the frame is queued; frames keep call
+// order, and one failed write closes the connection and is returned
+// by every later call. It waits, under ctx, only while a burst's worth
+// of frames is already queued, and returns ctx.Err() if ctx ends
+// first — a frame is queued whole or not at all, so the stream stays
+// intact. Flush waits for the queued frames to be written.
 func (p *Publisher) Publish(ctx context.Context, header pubsub.EventSpec, payload []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -429,9 +437,7 @@ func (p *Publisher) Publish(ctx context.Context, header pubsub.EventSpec, payloa
 	if p.routerConn == nil {
 		return fmt.Errorf("%w: publisher has no router", ErrNotConnected)
 	}
-	release := deadlineGuard(ctx, p.routerConn)
-	defer release()
-	return ctxErr(ctx, Send(p.routerConn, &Message{Type: TypePublish, Scheme: p.Scheme(), Blob: encHeader, Payload: encPayload, Epoch: epoch}))
+	return p.routerConn.send(ctx, &Message{Type: TypePublish, Scheme: p.Scheme(), Blob: encHeader, Payload: encPayload, Epoch: epoch})
 }
 
 // encodeHeader produces the routable header blob: the scheme encoding,
@@ -460,14 +466,19 @@ const batchFrameBudget = 8 << 20
 
 // PublishBatch is step ④ for a whole batch: every header is encrypted
 // under SK and every payload under the current group key, and the
-// batch travels to the router as one message — one wire round trip,
-// one enclave crossing per slice (one ecall, or one queue poll under
-// the switchless policy) however many events it carries. This is the
+// batch travels to the router as one message — one frame, one enclave
+// crossing per slice (one ecall, or one queue poll under the
+// switchless policy) however many events it carries. This is the
 // amortisation seed for high-throughput feeds: the per-publication
-// EENTER/EEXIT cost divides by the batch size. A batch whose ciphertext would overflow the wire's frame
-// limit is transparently split into the fewest frames that fit (each
-// still one enclave crossing); an empty batch is a no-op. Delivery
-// order within the batch is preserved either way.
+// EENTER/EEXIT cost divides by the batch size. A batch whose
+// ciphertext would overflow the wire's frame limit is transparently
+// split into the fewest frames that fit (each still one enclave
+// crossing); an empty batch is a no-op. Delivery order within the
+// batch is preserved either way. Frames are queued as Publish queues
+// its one: the call returns once they are queued, they keep call
+// order, a failed write is returned by every later call, and ctx
+// bounds only the wait for queue space — frames queued before it
+// ended stay queued and are written.
 func (p *Publisher) PublishBatch(ctx context.Context, events []Event) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -493,12 +504,10 @@ func (p *Publisher) PublishBatch(ctx context.Context, events []Event) error {
 	if p.routerConn == nil {
 		return fmt.Errorf("%w: publisher has no router", ErrNotConnected)
 	}
-	release := deadlineGuard(ctx, p.routerConn)
-	defer release()
 	for rest := items; len(rest) > 0; {
 		var frame []BatchItem
 		frame, rest = nextFrame(rest, batchFrameBudget)
-		if err := ctxErr(ctx, Send(p.routerConn, &Message{Type: TypePublishBatch, Scheme: p.Scheme(), Items: frame, Epoch: epoch})); err != nil {
+		if err := p.routerConn.send(ctx, &Message{Type: TypePublishBatch, Scheme: p.Scheme(), Items: frame, Epoch: epoch}); err != nil {
 			return err
 		}
 	}
@@ -552,24 +561,198 @@ func (p *Publisher) Revoke(clientID string) error {
 	return nil
 }
 
+// Flush returns once every frame queued on the publisher's router
+// connections before the call has been written, or with the first
+// write error of one of them, or with ctx.Err() if ctx ends first.
+// It is the barrier before closing a connection whose last frames
+// must not be lost.
+func (p *Publisher) Flush(ctx context.Context) error {
+	p.mu.Lock()
+	links := make([]*routerLink, 0, 1+len(p.routers))
+	if p.routerConn != nil {
+		links = append(links, p.routerConn)
+	}
+	for _, l := range p.routers {
+		if l != p.routerConn {
+			links = append(links, l)
+		}
+	}
+	p.mu.Unlock()
+	for _, l := range links {
+		if err := l.flushed(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // routerRequest performs one request/response exchange with the named
 // router (the default route when router is empty), serialised on the
-// publisher's shared connections.
+// publisher's shared connections: the request is queued behind every
+// frame before it, and the reply read under p.mu, so replies pair with
+// requests. A reply that cannot be read fails the link, as a write
+// does: the stream is no longer aligned.
 func (p *Publisher) routerRequest(router string, m *Message) (*Message, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	conn := p.routerConn
+	link := p.routerConn
 	if router != "" {
-		conn = p.routers[router]
-		if conn == nil {
+		link = p.routers[router]
+		if link == nil {
 			return nil, fmt.Errorf("%w: publisher knows no router %q", ErrNotConnected, router)
 		}
 	}
-	if conn == nil {
+	if link == nil {
 		return nil, fmt.Errorf("%w: publisher has no router", ErrNotConnected)
 	}
-	if err := Send(conn, m); err != nil {
+	if err := link.send(context.Background(), m); err != nil {
 		return nil, err
 	}
-	return Recv(conn)
+	reply, err := Recv(link.conn)
+	if err != nil {
+		return nil, link.fail(err)
+	}
+	return reply, nil
+}
+
+// routerLink is one of the publisher's router connections with its
+// write-behind queue. A caller appends its whole frame to the queue
+// and returns; the append that finds no flusher running starts one,
+// which takes everything queued, writes it in one Write, repeats until
+// the queue is empty and exits. So a lone frame leaves at once, N
+// frames queued behind a write in flight leave in one syscall, and no
+// goroutine outlives the frames it writes. Frames leave in the order
+// they were queued, whatever their type. A caller waits only while
+// burstMax bytes are already queued. The first failed write closes
+// the connection and is returned by every later call on the link.
+type routerLink struct {
+	conn  net.Conn // a bufferedConn: replies are read through it
+	flush func()   // l.drain, bound once so starting a flusher allocates nothing
+
+	mu       sync.Mutex
+	q        sendBuffer    // frames queued and not yet taken by the flusher
+	spare    []byte        // the buffer last written: the next queue's storage
+	flushing bool          // a flusher goroutine is running
+	queued   uint64        // bytes ever queued
+	written  uint64        // bytes ever taken and written
+	err      error         // the link's failure; nothing is written after it
+	progress chan struct{} // closed after the next write; made by a waiter
+}
+
+// newRouterLink gives conn, whose replies are read through a
+// bufferedConn, an empty write-behind queue.
+func newRouterLink(conn net.Conn) *routerLink {
+	l := &routerLink{conn: conn}
+	l.q.enc = json.NewEncoder(&l.q)
+	l.flush = l.drain
+	return l
+}
+
+// send queues m as one whole frame, first waiting under ctx while
+// burstMax bytes are already queued.
+func (l *routerLink) send(ctx context.Context, m *Message) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.err == nil && len(l.q.buf) >= burstMax {
+		if err := l.wait(ctx); err != nil {
+			return err
+		}
+	}
+	if l.err != nil {
+		return l.err
+	}
+	start := len(l.q.buf)
+	if err := l.q.appendFrame(m); err != nil {
+		return err
+	}
+	l.queued += uint64(len(l.q.buf) - start)
+	if !l.flushing {
+		l.flushing = true
+		go l.flush()
+	}
+	return nil
+}
+
+// drain is the flusher: it writes the queue until it is empty or a
+// write fails. A buffer that grew past sendBufMax is dropped once
+// written rather than kept as the next queue's storage.
+func (l *routerLink) drain() {
+	l.mu.Lock()
+	for l.err == nil && len(l.q.buf) > 0 {
+		out := l.q.buf
+		l.q.buf, l.spare = l.spare[:0], nil
+		l.mu.Unlock()
+		_, err := l.conn.Write(out)
+		l.mu.Lock()
+		l.written += uint64(len(out))
+		if cap(out) <= sendBufMax {
+			l.spare = out
+		}
+		if err != nil {
+			l.failLocked(fmt.Errorf("broker: writing frame: %w", err))
+		}
+		l.wake()
+	}
+	l.flushing = false
+	l.mu.Unlock()
+}
+
+// wake releases every waiter; each rechecks what it waits for.
+func (l *routerLink) wake() {
+	if l.progress != nil {
+		close(l.progress)
+		l.progress = nil
+	}
+}
+
+// wait releases l.mu until the flusher's next write completes, the
+// link fails, or ctx ends. The caller holds l.mu, and holds it again
+// on return.
+func (l *routerLink) wait(ctx context.Context) error {
+	if l.progress == nil {
+		l.progress = make(chan struct{})
+	}
+	progress := l.progress
+	l.mu.Unlock()
+	var err error
+	select {
+	case <-progress:
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	l.mu.Lock()
+	// scbr:vet ignore(lockorder): the caller holds l.mu on entry and on return; wait only lets go of it around the select, as its comment states
+	return err
+}
+
+// flushed waits under ctx until every frame queued before the call
+// has been written, and returns the link's failure if it has one.
+func (l *routerLink) flushed(ctx context.Context) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for mark := l.queued; l.err == nil && l.written < mark; {
+		if err := l.wait(ctx); err != nil {
+			return err
+		}
+	}
+	return l.err
+}
+
+// fail records err as the link's failure unless it already has one,
+// closes the connection, and returns the failure.
+func (l *routerLink) fail(err error) error {
+	l.mu.Lock()
+	l.failLocked(err)
+	err = l.err
+	l.mu.Unlock()
+	return err
+}
+
+func (l *routerLink) failLocked(err error) {
+	if l.err == nil {
+		l.err = err
+		l.q.buf = nil // queued frames will not be written
+		_ = l.conn.Close()
+		l.wake()
+	}
 }

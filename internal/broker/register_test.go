@@ -567,7 +567,7 @@ func TestRegisterBulkKeepsAckedFrames(t *testing.T) {
 	pubSide, routerSide := net.Pipe()
 	defer pubSide.Close()
 	defer routerSide.Close()
-	pub.routerConn = newBufferedConn(pubSide)
+	pub.routerConn = newRouterLink(newBufferedConn(pubSide))
 
 	// The router's part: acknowledge the first frame, refuse the second.
 	frames := make(chan int, 2)

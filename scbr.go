@@ -20,8 +20,10 @@
 //     Next(ctx)/Deliveries()/Consume iteration and
 //     Unsubscribe(ctx),
 //
-//   - Publisher.PublishBatch pipelines a batch of events through one
-//     router round trip and one enclave crossing per matcher slice,
+//   - Publisher.PublishBatch sends a batch of events as one frame and
+//     one enclave crossing per matcher slice; publications are queued
+//     and written behind the caller, and Publisher.Flush waits for
+//     them,
 //
 //   - WithPartitions(k) shards the router's data plane across k
 //     enclave matcher slices (§3.4 StreamHub partitioning): matching
