@@ -363,6 +363,31 @@ func TestInsertAllocFailureLeavesStoreAsItWas(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsMisshapenVector: a subscription whose vectors are
+// not all of the store's dimension is refused before a slot is taken —
+// a longer vector would overrun the encode buffer, a shorter one would
+// store the previous vector's tail.
+func TestInsertRejectsMisshapenVector(t *testing.T) {
+	bed := newScanBed(t, 4, 9)
+	store := bed.store(true)
+	if _, err := store.Register(bed.rotatingSub(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	bytes, slabWords, free := store.Bytes(), len(store.slab), len(store.free)
+	for _, delta := range []int{1, -1} {
+		es := bed.rotatingSub(1)
+		last := len(es.Vectors) - 1
+		es.Vectors[last] = slices.Grow(es.Vectors[last], 1)[:len(es.Vectors[last])+delta]
+		if _, err := store.Register(es, 0); err == nil {
+			t.Fatalf("a vector of %d components registered in a store of dimension %d", len(es.Vectors[last]), store.Dim())
+		}
+		if store.Len() != 1 || store.Bytes() != bytes || len(store.slab) != slabWords || len(store.free) != free {
+			t.Fatalf("after refusing a %+d vector: %d subscriptions, %d bytes (%d before), %d slab words (%d), %d free slots (%d)",
+				delta, store.Len(), store.Bytes(), bytes, len(store.slab), slabWords, len(store.free), free)
+		}
+	}
+}
+
 // workloadBed is the `aspe` benchmark workload's population: four
 // attributes, n subscriptions in the three rotating shapes, 1,000
 // symbols with zipf popularity on both sides, 256 events.
@@ -427,8 +452,12 @@ func TestScanSteadyStateAllocatesNothing(t *testing.T) {
 // 4,000 subscriptions, every access metered, one MatchEncoded (batch=1)
 // or one MatchEncodedBatch of n events per iteration. ns/op is per
 // event; reads/event (ciphertext vectors read through the accessor)
-// and simus/event are what the batch divides.
+// and simus/event are what the batch divides. The live=N sub-benchmarks
+// are the sign-test crossover: see benchLive.
 func BenchmarkStoreScan(b *testing.B) {
+	for _, live := range []int{1, 4, 8, 12, 16, 32, 64} {
+		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) { benchLive(b, live) })
+	}
 	store, eps := workloadBed(b, 4_000)
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
@@ -463,6 +492,54 @@ func BenchmarkStoreScan(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
 			b.ReportMetric(float64(d.BytesRead)/float64(store.vecBytes())/events, "reads/event")
 			b.ReportMetric(meter.Cost.Micros(d.Cycles)/events, "simus/event")
+		})
+	}
+}
+
+// benchLive scans n events against 1,000 subscriptions on which every
+// sign test has exactly n live events: each passes the two bounds of a
+// band wider than the domain, then fails the lower bound of a band
+// above it. It runs each path on every test — scalar (decode and
+// signTests) and, where the host has it, kernel (signKernel) — so ns/op
+// per event read side by side give the live count from which the kernel
+// pays, kernelLive.
+func benchLive(b *testing.B, n int) {
+	bed := newScanBed(b, 4, 1)
+	store := bed.store(true)
+	wide := pubsub.Predicate{Attr: bed.nums[0], Op: pubsub.OpBetween, Value: pubsub.Float(-1000), Hi: pubsub.Float(1000)}
+	above := pubsub.Predicate{Attr: bed.nums[1], Op: pubsub.OpBetween, Value: pubsub.Float(1000), Hi: pubsub.Float(2000)}
+	for i := 0; i < 1_000; i++ {
+		if _, err := store.Register(bed.encodeSub(wide, above), uint32(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eps := make([]*EncodedPublication, n)
+	for i := range eps {
+		eps[i] = bed.event()
+	}
+	out := make([][]Match, n)
+	for _, path := range []struct {
+		name string
+		from int
+	}{{"scalar", scanChunk + 1}, {"kernel", 1}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.from <= scanChunk && !haveKernel {
+				b.Skip("no sign kernel on this host")
+			}
+			store.scan(eps, out, path.from)
+			for j := range out {
+				if len(out[j]) != 0 {
+					b.Fatalf("event %d matched %d subscriptions, want none", j, len(out[j]))
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += n {
+				store.scan(eps, out, path.from)
+			}
+			b.StopTimer()
+			events := float64((b.N + n - 1) / n * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
 		})
 	}
 }

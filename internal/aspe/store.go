@@ -65,10 +65,14 @@ type Store struct {
 	free []uint64
 
 	// stage is insert's encode buffer and vec the scan's decode buffer
-	// for one ciphertext vector; pts holds a chunk's points back to back.
+	// for one ciphertext vector; pts holds a chunk's points back to back,
+	// rows the same points k-major for signKernel, and sums takes the
+	// kernel's sums, which only its tests read.
 	stage []byte
 	vec   []float64
 	pts   []float64
+	rows  []float64
+	sums  [scanChunk]float64
 }
 
 // NewStore builds an unconfigured store over the accessor.
@@ -151,6 +155,11 @@ func (s *Store) insert(es *EncodedSubscription, clientRef uint32, id uint64) err
 	}
 	if es.Dim != s.dim {
 		return fmt.Errorf("aspe: subscription has dimension %d, store expects %d", es.Dim, s.dim)
+	}
+	for _, v := range es.Vectors {
+		if len(v) != s.dim {
+			return fmt.Errorf("aspe: query vector has %d components, store expects %d", len(v), s.dim)
+		}
 	}
 	if cap(s.stage) < s.vecBytes() {
 		s.stage = make([]byte, s.vecBytes())
@@ -241,7 +250,7 @@ func (s *Store) MatchEncoded(ep *EncodedPublication, out []Match) ([]Match, erro
 		return nil, fmt.Errorf("aspe: point has dimension %d, store expects %d", ep.Dim, s.dim)
 	}
 	eps, outs := [1]*EncodedPublication{ep}, [1][]Match{out}
-	s.scan(eps[:], outs[:])
+	s.scan(eps[:], outs[:], kernelFrom())
 	return outs[0], nil
 }
 
@@ -264,11 +273,26 @@ func (s *Store) MatchEncodedBatch(eps []*EncodedPublication, out [][]Match) erro
 	if len(out) < len(eps) {
 		return fmt.Errorf("aspe: batch result slots %d < publications %d", len(out), len(eps))
 	}
+	from := kernelFrom()
 	for base := 0; base < len(eps); base += scanChunk {
 		end := min(base+scanChunk, len(eps))
-		s.scan(eps[base:end], out[base:end])
+		s.scan(eps[base:end], out[base:end], from)
 	}
 	return nil
+}
+
+// kernelLive is the fewest live events scan hands one sign test to
+// signKernel: one lane's worth. Below it signTests is as fast (see
+// scan).
+const kernelLive = 4
+
+// kernelFrom is the live count from which scan runs signKernel:
+// kernelLive on a host that has the kernel, never elsewhere.
+func kernelFrom() int {
+	if haveKernel {
+		return kernelLive
+	}
+	return scanChunk + 1
 }
 
 // scan walks the database once for up to scanChunk publications. An
@@ -281,7 +305,16 @@ func (s *Store) MatchEncodedBatch(eps []*EncodedPublication, out [][]Match) erro
 // Each vector is read through the accessor once, while an event is
 // still live on it; prefilter and multiply-add cycles are summed and
 // charged once — the totals of a per-event scan.
-func (s *Store) scan(eps []*EncodedPublication, out [][]Match) {
+//
+// A sign test on at least from live events runs signKernel, four events
+// to a lane, on the bytes Read returned and the points kept k-major in
+// rows (filled only when that many events are valid); a sparser one
+// decodes the vector and runs signTests. Both give Dot's sums, so the
+// path moves no match and no count. BenchmarkStoreScan's live=N sweep
+// puts the crossover between 1 and 4 live events: the two paths tie on
+// a lone event, and the kernel is ahead from 4 (docs/benchmarks.md,
+// "Four events to a lane"), hence kernelLive.
+func (s *Store) scan(eps []*EncodedPublication, out [][]Match, from int) {
 	dim := s.dim
 	if cap(s.vec) < dim {
 		s.vec = make([]float64, dim)
@@ -313,8 +346,22 @@ func (s *Store) scan(eps []*EncodedPublication, out [][]Match) {
 	if valid == 0 {
 		return
 	}
+	nValid := bits.OnesCount64(valid)
+	var rows []float64
+	if nValid >= from {
+		if cap(s.rows) < dim*scanChunk {
+			s.rows = make([]float64, dim*scanChunk)
+		}
+		rows = s.rows[:dim*scanChunk]
+		for m := valid; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			for k, x := range pts[i*dim:][:dim] {
+				rows[k*scanChunk+i] = x
+			}
+		}
+	}
 	// A Bloom subset test is a handful of word ops per event.
-	prefilterCycles := uint64(bloomWords) * 2 * uint64(bits.OnesCount64(valid))
+	prefilterCycles := uint64(bloomWords) * 2 * uint64(nValid)
 	mulAddCycles := uint64(float64(dim) * s.acc.Meter().Cost.MulAddCycles)
 	var cycles uint64
 	subs, slab, prefilter := s.subs, s.slab, s.opts.Prefilter
@@ -332,15 +379,20 @@ func (s *Store) scan(eps []*EncodedPublication, out [][]Match) {
 		}
 		for _, off := range ent.vectors(slab) {
 			raw := s.acc.Read(off, s.vecBytes())
-			for i := range vec {
-				if len(raw) < 8 { // never: Read returned dim × 8 bytes; it spares the loop its bounds checks
-					break
+			n := bits.OnesCount64(live)
+			cycles += mulAddCycles * uint64(n)
+			if n >= from {
+				live &^= signKernel(&raw[0], &rows[0], dim, live, &negTol, ent.qScale, &s.sums)
+			} else {
+				for i := range vec {
+					if len(raw) < 8 { // never: Read returned dim × 8 bytes; it spares the loop its bounds checks
+						break
+					}
+					vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+					raw = raw[8:]
 				}
-				vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-				raw = raw[8:]
+				live = signTests(vec, pts, &negTol, ent.qScale, live)
 			}
-			cycles += mulAddCycles * uint64(bits.OnesCount64(live))
-			live = signTests(vec, pts, &negTol, ent.qScale, live)
 			if live == 0 {
 				break
 			}
@@ -359,7 +411,8 @@ func (s *Store) scan(eps []*EncodedPublication, out [][]Match) {
 // flight instead of one; each sum still adds its products in index
 // order, which makes it Dot's to the bit. A last group of two or three
 // repeats its second event in the spare lanes; a last event alone is a
-// Dot.
+// Dot. It is scan's portable path, and its path for a sign test on
+// fewer than kernelLive live events.
 func signTests(vec, pts []float64, negTol *[scanChunk]float64, qScale float64, live uint64) uint64 {
 	pass := live
 	for m := live; m != 0; {
