@@ -21,9 +21,9 @@ type walkCorpus struct {
 	events []map[string]pubsub.Value
 }
 
-// build replays the corpus into a fresh engine over acc. Two builds
-// over identical memory give identical stores, subscription IDs
-// included.
+// build replays the corpus into a fresh engine over acc, holding the
+// root table to the root chain after every operation. Two builds over
+// identical memory give identical stores, subscription IDs included.
 func (c *walkCorpus) build(t *testing.T, acc simmem.Accessor) *Engine {
 	t.Helper()
 	e, err := NewEngine(acc, pubsub.NewSchema(), Options{})
@@ -37,11 +37,13 @@ func (c *walkCorpus) build(t *testing.T, acc simmem.Accessor) *Engine {
 				t.Fatal(err)
 			}
 		}
+		checkRootTable(t, e, accRead(e))
 		if j, ok := c.drop[i]; ok && ids[j] != 0 {
 			if err := e.Unregister(ids[j]); err != nil {
 				t.Fatal(err)
 			}
 			ids[j] = 0
+			checkRootTable(t, e, accRead(e))
 		}
 	}
 	return e

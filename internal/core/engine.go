@@ -112,11 +112,29 @@ type Engine struct {
 	// takes from it before the arena grows.
 	free    map[int][]uint64
 	shardOf map[uint64]shardKey // equality shard per sentinel
+
+	// The general shard's root table (roots.go): the arena pages its
+	// entries fill, in table order; the entries written, live and
+	// dropped; each live root's entry; and scratch for the table bytes
+	// being read or written.
+	rootPages []uint64
+	rootUsed  int
+	rootAt    map[uint64]int
+	rootBuf   []byte
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
 // page is reserved so that offset 0 never denotes a record.
 func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engine, error) {
+	if _, err := acc.Alloc(simmem.PageSize); err != nil {
+		return nil, fmt.Errorf("core: reserving guard page: %w", err)
+	}
+	// The root table's first page follows it: taken later, a page-sized
+	// allocation would skip the rest of the arena's current page.
+	root, err := acc.Alloc(simmem.PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("core: allocating the root table: %w", err)
+	}
 	e := &Engine{
 		acc:        acc,
 		schema:     schema,
@@ -131,10 +149,9 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		// engines' stacks are never small neighbours in one line that
 		// bounces between their cores (measured: 2–3× on a two-slice
 		// walk).
-		stack: make([]walkEntry, 0, 64),
-	}
-	if _, err := acc.Alloc(simmem.PageSize); err != nil {
-		return nil, fmt.Errorf("core: reserving guard page: %w", err)
+		stack:     make([]walkEntry, 0, 64),
+		rootPages: []uint64{root},
+		rootAt:    make(map[uint64]int),
 	}
 	general, err := e.newNode(nilOff, nil)
 	if err != nil {
@@ -236,55 +253,73 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 // equal one is shared); when none does, the children the newcomer
 // covers have been collected on the way, and they move beneath the new
 // node attached there — keeping containment paths deep, the property
-// the paper's workload discussion relies on.
+// the paper's workload discussion relies on. The general shard's roots
+// are scanned through its root table (scanRoots), every other level
+// along its child chain.
 func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
 	cur := sentinel
-level:
 	for {
-		e.moved = e.moved[:0]
-		for child := e.readHeader(cur).child; child != nilOff; {
-			ch := e.readHeader(child)
-			// A node stored without constraints covers everything.
-			childCovers, subCovers, n := true, len(sub.Constraints) == 0, 0
-			if ch.predLen != 0 {
-				var err error
-				childCovers, subCovers, n, err = pubsub.CoverEncoded(e.acc.Read(child+nodeHeaderSize, int(ch.predLen)), sub)
-				if err != nil {
-					return 0, fmt.Errorf("core: corrupt node at %d: %w", child, err)
-				}
-			}
-			// Predicate cycles per covering test run: child ⊒ new at
-			// every child, new ⊒ child where the first fails.
-			e.chargeCompare(n)
-			if childCovers {
-				if subCovers {
-					return child, nil // identical constraints: share the node
-				}
-				cur = child
-				continue level
-			}
-			e.chargeCompare(len(sub.Constraints))
-			if subCovers {
-				e.moved = append(e.moved, child)
-			}
-			child = ch.sibling
+		var next uint64
+		var equal bool
+		var err error
+		if cur == e.general {
+			next, equal, err = e.scanRoots(sub)
+		} else {
+			next, equal, err = e.scanChildren(cur, sub)
 		}
-		break
-	}
-
-	// Attach a new node under cur.
-	nodeOff, err := e.newNode(cur, sub.Constraints)
-	if err != nil {
-		return 0, err
-	}
-	for _, m := range e.moved {
-		if err := e.unlinkChild(cur, m); err != nil {
+		if err != nil {
 			return 0, err
 		}
-		e.linkChild(nodeOff, m)
+		if equal {
+			return next, nil // identical constraints: share the node
+		}
+		if next == nilOff {
+			return e.attach(cur, sub)
+		}
+		cur = next
 	}
-	e.linkChild(cur, nodeOff)
-	return nodeOff, nil
+}
+
+// scanChildren is one level of insert along cur's child chain: it
+// returns the first child that covers sub (equal when sub covers it
+// too), or nilOff with e.moved holding the children sub covers.
+func (e *Engine) scanChildren(cur uint64, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
+	e.moved = e.moved[:0]
+	for child := e.readHeader(cur).child; child != nilOff; {
+		ch, childCovers, subCovers, err := e.coverTest(child, sub)
+		if err != nil {
+			return nilOff, false, err
+		}
+		if childCovers {
+			return child, subCovers, nil
+		}
+		if subCovers {
+			e.moved = append(e.moved, child)
+		}
+		child = ch.sibling
+	}
+	return nilOff, false, nil
+}
+
+// coverTest reads the node at off and decides both covering directions
+// between it and sub on its stored bytes, charging predicate cycles per
+// covering test run: node ⊒ sub always, sub ⊒ node where the first
+// fails. A node stored without constraints covers everything.
+func (e *Engine) coverTest(off uint64, sub *pubsub.Subscription) (h nodeHeader, nodeCovers, subCovers bool, err error) {
+	h = e.readHeader(off)
+	nodeCovers, subCovers = true, len(sub.Constraints) == 0
+	n := 0
+	if h.predLen != 0 {
+		nodeCovers, subCovers, n, err = pubsub.CoverEncoded(e.acc.Read(off+nodeHeaderSize, int(h.predLen)), sub)
+		if err != nil {
+			return h, false, false, fmt.Errorf("core: corrupt node at %d: %w", off, err)
+		}
+	}
+	e.chargeCompare(n)
+	if !nodeCovers {
+		e.chargeCompare(len(sub.Constraints))
+	}
+	return h, nodeCovers, subCovers, nil
 }
 
 // Unregister removes a subscription. When its node has no subscribers
@@ -313,11 +348,20 @@ func (e *Engine) Unregister(subID uint64) error {
 	if err := e.unlinkChild(h.parent, nodeOff); err != nil {
 		return err
 	}
+	root := h.parent == e.general
+	if root {
+		e.dropRoot(nodeOff)
+	}
 	child := h.child
 	for child != nilOff {
-		next := e.readHeader(child).sibling
+		ch := e.readHeader(child)
 		e.linkChild(h.parent, child)
-		child = next
+		if root {
+			if err := e.addRootFromBlob(child, ch); err != nil {
+				return err
+			}
+		}
+		child = ch.sibling
 	}
 	e.nodesLive--
 	e.release(nodeOff, e.nodeSize(int(h.predLen)))

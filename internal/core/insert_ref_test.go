@@ -27,10 +27,12 @@ func (e *Engine) decodeNode(off uint64, h nodeHeader) ([]pubsub.Constraint, erro
 
 // insertRef is the insert the engine made before one pass per level:
 // walk the children of each level decoding every blob until one covers
-// the newcomer, and at the last level attach the new node, then walk
-// the children a second time, decoding again, to collect the ones the
-// newcomer covers. It is the reference the one-pass insert is held to —
-// the same forest and the same arena bytes after every operation.
+// the newcomer, and at the last level walk the children a second time,
+// decoding again, to collect the ones the newcomer covers. It scans the
+// general shard's roots along their chain, not through the root table,
+// and then attaches as insert does — which keeps the table — so it is
+// the reference the one-pass, table-scanning insert is held to: the same
+// forest and the same arena bytes after every operation.
 func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
 	cur := sentinel
 	for {
@@ -61,10 +63,6 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 		cur = coverer
 	}
 
-	nodeOff, err := e.newNode(cur, sub.Constraints)
-	if err != nil {
-		return 0, err
-	}
 	e.moved = e.moved[:0]
 	curH := e.readHeader(cur)
 	child := curH.child
@@ -80,14 +78,7 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 		}
 		child = ch.sibling
 	}
-	for _, m := range e.moved {
-		if err := e.unlinkChild(cur, m); err != nil {
-			return 0, err
-		}
-		e.linkChild(nodeOff, m)
-	}
-	e.linkChild(cur, nodeOff)
-	return nodeOff, nil
+	return e.attach(cur, sub)
 }
 
 // registerRef is RegisterNormalized with insertRef in place of insert.
@@ -198,12 +189,14 @@ func insertSpec(rng *rand.Rand) pubsub.SubscriptionSpec {
 // TestInsertEqualsReference drives twin engines — one inserting with
 // insert, one with insertRef — through the same random register and
 // unregister sequence. After every operation they return the same IDs,
-// hold the same forest link for link, have byte-identical arenas, and
-// the one-pass insert has looked up no more cache lines than the
-// reference.
+// hold the same forest link for link, have byte-identical arenas and
+// root tables equal to their root chains, and the one-pass insert has
+// looked up no more cache lines than the reference. Both twins
+// normalise every spec, so their schemas intern the same names even
+// when a spec is unsatisfiable.
 func TestInsertEqualsReference(t *testing.T) {
 	for _, opts := range []Options{{}, {DisableSharding: true}, {CacheAlign: true}, {PadRecordTo: 300}} {
-		for _, seed := range []int64{1, 2, 3} {
+		for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8} {
 			t.Run(fmt.Sprintf("%+v/seed=%d", opts, seed), func(t *testing.T) {
 				newTwin := func() (*Engine, *shadowAcc) {
 					acc := &shadowAcc{Accessor: newPlainAcc()}
@@ -229,13 +222,15 @@ func TestInsertEqualsReference(t *testing.T) {
 					} else {
 						sp := insertSpec(rng)
 						op = fmt.Sprintf("register %+v", sp.Predicates)
-						subG, err := pubsub.Normalize(got.Schema(), sp)
-						if err != nil {
-							continue // unsatisfiable conjunction
+						// Both twins normalise, so both schemas intern the
+						// same names, whether or not the spec is satisfiable.
+						subG, errG := pubsub.Normalize(got.Schema(), sp)
+						subR, errR := pubsub.Normalize(ref.Schema(), sp)
+						if (errG == nil) != (errR == nil) || (errG != nil && errG.Error() != errR.Error()) {
+							t.Fatalf("seed %d step %d: %s: normalising gives %v / %v", seed, step, op, errG, errR)
 						}
-						subR, err := pubsub.Normalize(ref.Schema(), sp)
-						if err != nil {
-							t.Fatal(err)
+						if errG != nil {
+							continue // unsatisfiable conjunction
 						}
 						idG, errG := got.RegisterNormalized(subG, uint32(step))
 						idR, errR := ref.registerRef(subR, uint32(step))
@@ -256,6 +251,8 @@ func TestInsertEqualsReference(t *testing.T) {
 					if g, r := forestDump(got, gotMem.mem), forestDump(ref, refMem.mem); !slices.Equal(g, r) {
 						t.Fatalf("seed %d step %d: %s: forests differ:\n%v\nreference:\n%v", seed, step, op, g, r)
 					}
+					checkRootTable(t, got, memRead(gotMem.mem))
+					checkRootTable(t, ref, memRead(refMem.mem))
 				}
 				if g, r := lookups(got.acc.Meter().C), lookups(ref.acc.Meter().C); g >= r {
 					t.Fatalf("seed %d: the one-pass insert looked up %d lines, the reference %d", seed, g, r)
@@ -265,27 +262,43 @@ func TestInsertEqualsReference(t *testing.T) {
 	}
 }
 
-// TestInsertCorruptSibling: a sibling whose blob is truncated or
-// corrupt fails the insert that visits it with a corrupt-node error,
-// before anything is allocated.
+// TestInsertCorruptSibling: a root whose blob is truncated fails the
+// insert that must read it — one its table entry cannot rule out, here
+// a band it covers — with a corrupt-node error, before anything is
+// allocated. A root whose entry rules it out is not read: an unrelated
+// insert succeeds, and the match walk still reports the corrupt node.
 func TestInsertCorruptSibling(t *testing.T) {
 	for _, cut := range []int{1, 3, 4, 13, 20} { // the band's blob is 21 bytes
-		e := newTestEngine(t)
-		if _, err := e.Register(spec(between("price", 10, 20)), 1); err != nil {
-			t.Fatal(err)
+		cutRoot := func() *Engine {
+			e := newTestEngine(t)
+			if _, err := e.Register(spec(between("price", 10, 20)), 1); err != nil {
+				t.Fatal(err)
+			}
+			root := e.readHeader(e.general).child
+			h := e.readHeader(root)
+			// Shrink the stored length: the blob now ends mid-constraint.
+			h.predLen = uint16(cut)
+			e.writeHeader(root, h)
+			return e
 		}
-		root := e.readHeader(e.general).child
-		h := e.readHeader(root)
-		// Shrink the stored length: the blob now ends mid-constraint.
-		h.predLen = uint16(cut)
-		e.writeHeader(root, h)
+
+		e := cutRoot()
 		size := e.acc.Size()
-		_, err := e.Register(spec(between("price", 30, 40)), 2)
+		_, err := e.Register(spec(between("price", 12, 18)), 2)
 		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("core: corrupt node")) {
 			t.Fatalf("blob cut to %d bytes: insert err = %v, want a corrupt node", cut, err)
 		}
 		if e.acc.Size() != size {
 			t.Fatalf("blob cut to %d bytes: the failed insert allocated %d bytes", cut, e.acc.Size()-size)
+		}
+
+		e = cutRoot()
+		if _, err := e.Register(spec(between("price", 30, 40)), 2); err != nil {
+			t.Fatalf("blob cut to %d bytes: an unrelated insert failed: %v", cut, err)
+		}
+		ev := event(t, e, map[string]pubsub.Value{"price": pubsub.Float(15)})
+		if _, err := e.Match(ev); err == nil || !bytes.Contains([]byte(err.Error()), []byte("core: corrupt node")) {
+			t.Fatalf("blob cut to %d bytes: match err = %v, want a corrupt node", cut, err)
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 //  3. subscriber consistency — the engine's ID index points at nodes
 //     that actually list the subscription, and every listed
 //     subscription is in the index,
-//  4. accounting — the live-node counter matches the walk.
+//  4. accounting — the live-node counter matches the walk,
+//  5. the root table — it lists the general shard's roots, in chain
+//     order (checkRootTable).
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -85,6 +87,7 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if liveNodes != e.nodesLive {
 		t.Fatalf("walk found %d live nodes, counter says %d", liveNodes, e.nodesLive)
 	}
+	checkRootTable(t, e, accRead(e))
 }
 
 // TestInvariantsUnderChurn drives random register/unregister traffic

@@ -34,7 +34,11 @@
 // into (an equal one gains a subscriber instead of a node); when no
 // child covers, the children the newcomer covers, collected on the way,
 // move beneath the new node attached at that level. Predicate cycles
-// are charged per covering test run.
+// are charged per covering test run. The general shard's roots, which
+// rarely cover one another, are not read along their chain: a root table
+// in the arena lists them with a summary each (roots.go), and the insert
+// reads only the roots whose summary cannot rule out either covering
+// direction.
 //
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
@@ -66,7 +70,8 @@
 // bytes included, then blob; or the subscriber record — before anything
 // reads it, and nothing links to a released one. A store that never
 // unregisters allocates exactly as it would without the lists, and one
-// under churn holds its peak live set (Stats.Bytes).
+// under churn holds its peak live set (Stats.Bytes) — the root table's
+// pages included, since it compacts before it grows.
 package core
 
 import (
@@ -252,6 +257,32 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 		prev = prevH.sibling
 	}
 	return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
+}
+
+// attach links a new node for sub under cur and moves the children
+// e.moved lists beneath it; under the general sentinel it updates the
+// root table to match. The offset it returns is the new node's only
+// when the error is nil.
+func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
+	nodeOff, err := e.newNode(cur, sub.Constraints)
+	if err != nil {
+		return 0, err
+	}
+	for _, m := range e.moved {
+		if err := e.unlinkChild(cur, m); err != nil {
+			return 0, err
+		}
+		e.linkChild(nodeOff, m)
+		if cur == e.general {
+			e.dropRoot(m)
+		}
+	}
+	e.linkChild(cur, nodeOff)
+	if cur != e.general {
+		return nodeOff, nil
+	}
+	attrs, c, ok := sub.Outline()
+	return nodeOff, e.addRoot(nodeOff, attrs, &c, ok)
 }
 
 // addSubscriber prepends a subscriber record to the node's list and

@@ -509,6 +509,56 @@ func CoverEncoded(raw []byte, sub *Subscription) (blobCovers, subCovers bool, n 
 	return blobCovers, subCovers && ib == len(ts), n, nil
 }
 
+// OutlineEncoded is Subscription.Outline of an AppendConstraints blob,
+// parsed in place: it reads every byte DecodeConstraints reads,
+// bounds-checked, fails where it fails, and builds no string.
+func OutlineEncoded(raw []byte) (attrs AttrSet, first Constraint, ok bool, err error) {
+	r := reader{buf: raw}
+	n, err := r.uint16()
+	for k := 0; err == nil && k < int(n); k++ {
+		var id, sl uint16
+		var f byte
+		if id, err = r.uint16(); err != nil {
+			break
+		}
+		if f, err = r.byte(); err != nil {
+			break
+		}
+		attrs |= 1 << (AttrID(id) % 32)
+		if f&cfStr != 0 {
+			if sl, err = r.uint16(); err == nil {
+				_, err = r.bytes(int(sl))
+			}
+			continue
+		}
+		c := Constraint{
+			ID:     AttrID(id),
+			Prefix: f&cfPrefix != 0,
+			HasLo:  f&cfHasLo != 0,
+			HasHi:  f&cfHasHi != 0,
+			LoIncl: f&cfLoIncl != 0,
+			HiIncl: f&cfHiIncl != 0,
+		}
+		if c.HasLo {
+			if c.Lo, err = r.float64(); err != nil {
+				break
+			}
+		}
+		if c.HasHi {
+			if c.Hi, err = r.float64(); err != nil {
+				break
+			}
+		}
+		if !ok {
+			first, ok = c, true
+		}
+	}
+	if err != nil {
+		return 0, Constraint{}, false, err
+	}
+	return attrs, first, ok, nil
+}
+
 // encodedCovers is Constraint.Covers for d (string value s) over c.
 func encodedCovers(d Constraint, s []byte, c *Constraint) bool {
 	if !d.Str && !c.Str {

@@ -409,6 +409,25 @@ func (s *Subscription) NumEqualities() int {
 	return n
 }
 
+// AttrSet is a 32-bit signature of the attributes a subscription
+// constrains: bit ID mod 32 for each. Since s ⊒ t requires every
+// attribute of s to be constrained in t, it requires s's set to be a
+// subset of t's, bit for bit.
+type AttrSet uint32
+
+// Outline summarises the subscription for the engine's root table: its
+// attribute set and its first numeric constraint (ok is false when it
+// has none). OutlineEncoded gives the same of its stored blob.
+func (s *Subscription) Outline() (attrs AttrSet, first Constraint, ok bool) {
+	for _, c := range s.Constraints {
+		attrs |= 1 << (c.ID % 32)
+		if !ok && !c.Str {
+			first, ok = c, true
+		}
+	}
+	return attrs, first, ok
+}
+
 // NewEvent interns and sorts the given named values into an Event.
 func NewEvent(schema *Schema, attrs map[string]Value) (*Event, error) {
 	e := &Event{Attrs: make([]EventAttr, 0, len(attrs))}

@@ -60,6 +60,14 @@ func sameValue(a, b Value) bool {
 	return a.Kind == b.Kind && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
 }
 
+// sameConstraintBits is structural equality with the bounds compared
+// bit for bit, so a NaN bound equals itself.
+func sameConstraintBits(a, b Constraint) bool {
+	return a.ID == b.ID && a.Str == b.Str && a.Prefix == b.Prefix && a.EqS == b.EqS &&
+		a.HasLo == b.HasLo && a.HasHi == b.HasHi && a.LoIncl == b.LoIncl && a.HiIncl == b.HiIncl &&
+		math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+}
+
 func FuzzDecodeEventSpec(f *testing.F) {
 	for _, seed := range headerSeeds(f) {
 		f.Add(seed)
@@ -429,6 +437,9 @@ func coverEncodedSeeds(tb testing.TB) [][]byte {
 // both directions and the count equal those of Subscription.Covers on
 // the decoded blob; on every blob it rejects — each truncation of a
 // seed among them — CoverEncoded fails too, with an ErrCodec.
+// OutlineEncoded fails on exactly the same blobs, and on the others
+// gives the decoded constraints' Outline, bit for bit (the engine's root
+// table filters on it).
 func FuzzCoverEncoded(f *testing.F) {
 	for i, blob := range coverEncodedSeeds(f) {
 		for _, cut := range []int{len(blob), len(blob) - 1, len(blob) - 8, 4, 3, 1} {
@@ -441,6 +452,16 @@ func FuzzCoverEncoded(f *testing.F) {
 	f.Add([]byte{2, 0, 5, 0, 0, 3, 0, 0}, int64(1)) // IDs out of order
 	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
 		cs, _, decodeErr := DecodeConstraints(raw)
+		attrs, first, ok, outlineErr := OutlineEncoded(raw)
+		if (outlineErr == nil) != (decodeErr == nil) || outlineErr != nil && !errors.Is(outlineErr, ErrCodec) {
+			t.Fatalf("DecodeConstraints err = %v, OutlineEncoded err = %v", decodeErr, outlineErr)
+		}
+		if decodeErr == nil {
+			wantAttrs, wantFirst, wantOK := (&Subscription{Constraints: cs}).Outline()
+			if attrs != wantAttrs || ok != wantOK || !sameConstraintBits(first, wantFirst) {
+				t.Fatalf("%v: OutlineEncoded = %b, %+v, %v, Outline of the decoded constraints %b, %+v, %v", cs, attrs, first, ok, wantAttrs, wantFirst, wantOK)
+			}
+		}
 		rng := rand.New(rand.NewSource(seed))
 		extra := []AttrID{0, 1, 2, 3, 5}
 		for trial := 0; trial < 16; trial++ {
