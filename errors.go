@@ -43,6 +43,10 @@ var (
 	// ErrStateRollback reports a sealed router snapshot that is not
 	// the most recently sealed one (§2 rollback protection).
 	ErrStateRollback = broker.ErrStateRollback
+	// ErrStateVersion reports a sealed router snapshot written in an
+	// older state format, whose logged envelopes this router cannot
+	// open; it is refused before any registration is replayed.
+	ErrStateVersion = broker.ErrStateVersion
 	// ErrSchemeMismatch reports a matching-scheme disagreement: a
 	// publisher or client encoded under one scheme talking to a router
 	// running another (WithScheme), or a sealed snapshot restored into

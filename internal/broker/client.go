@@ -249,7 +249,7 @@ func (c *Client) installGroupKeyLocked(blob []byte, epoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("broker: parsing group key: %w", err)
 	}
-	// One opener per key epoch: the key setup (AES schedule, HMAC pads)
+	// One opener per key epoch: the key setup (AES schedule, GHASH key)
 	// is paid here, not once per delivery.
 	opener, err := scrypto.NewOpener(key)
 	if err != nil {

@@ -70,8 +70,8 @@ type partition struct {
 
 	mu sync.Mutex // serialises this slice's enclave entries and meter
 
-	// Match scratch, guarded by mu: the per-key envelope opener (AES
-	// schedule + HMAC pads built once per provisioned key), a drained
+	// Match scratch, guarded by mu: the per-key envelope opener (the
+	// AES-GCM key setup, built once per provisioned key), a drained
 	// group's headers as the store reads them — opened plaintexts whose
 	// buffers are reused under sealed exchange, the blobs themselves
 	// otherwise — and one-item opens' buffer.

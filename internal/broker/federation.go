@@ -247,7 +247,12 @@ func (r *Router) runPeer(conn net.Conn, name string, key *scrypto.SymmetricKey) 
 		out:  make(chan *Message, peerQueueLen),
 		quit: make(chan struct{}),
 	}
-	link.fp = r.fed.AttachPeer(name, key, link)
+	fp, err := r.fed.AttachPeer(name, key, link)
+	if err != nil {
+		link.stop()
+		return
+	}
+	link.fp = fp
 	r.fedMu.Lock()
 	select {
 	case <-r.closing:

@@ -41,6 +41,16 @@ const stateCounter = "scbr-router-state"
 // recently sealed one.
 var ErrStateRollback = errors.New("broker: sealed state is stale (rollback detected)")
 
+// ErrStateVersion indicates a snapshot sealed in another state format:
+// its logged {s}SK envelopes are in a layout this router cannot open.
+var ErrStateVersion = errors.New("broker: sealed state format is not this router's")
+
+// stateVersion is the sealed-state format. Version 1 logs AES-GCM
+// envelopes (nonce ‖ ciphertext ‖ 16-byte tag); snapshots without a
+// version logged AES-CTR + HMAC-SHA256 envelopes, which no longer
+// open, so Restore refuses them whole instead of failing per entry.
+const stateVersion = 1
+
 // logEntry is one accepted registration, stored ciphertext-at-rest.
 type logEntry struct {
 	SubID    uint64 `json:"sub_id"`
@@ -52,7 +62,8 @@ type logEntry struct {
 // registration frames were tagged also carry a "verify_key" field,
 // which decoding ignores.
 type routerState struct {
-	SK []byte `json:"sk"`
+	Version int    `json:"version"`
+	SK      []byte `json:"sk"`
 	// Scheme is the matching scheme the logged registrations are
 	// encoded under, with its provisioned public parameters. Restore
 	// fails fast with ErrSchemeMismatch when the restoring router runs
@@ -96,6 +107,7 @@ func (r *Router) SealState() ([]byte, error) {
 	r.ctlMu.RLock()
 	pmSnap := r.pm.Snapshot()
 	state := routerState{
+		Version:      stateVersion,
 		SK:           sk.Bytes(),
 		Scheme:       r.backend.Name,
 		SchemeParams: append([]byte(nil), schemeParams...),
@@ -168,6 +180,9 @@ func (r *Router) RestoreState(blob []byte) error {
 	var state routerState
 	if err := json.Unmarshal(raw, &state); err != nil {
 		return fmt.Errorf("broker: decoding state: %w", err)
+	}
+	if state.Version != stateVersion {
+		return fmt.Errorf("%w: sealed at version %d, router reads %d", ErrStateVersion, state.Version, stateVersion)
 	}
 	// Fail fast on a scheme disagreement before touching any slice:
 	// the sealed log's encodings are only meaningful to the scheme

@@ -1,6 +1,12 @@
 package broker
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -178,6 +184,81 @@ func TestRestoreRejectsRollback(t *testing.T) {
 	r3 := f.newRouter()
 	if err := r3.RestoreState(fresh); err != nil {
 		t.Fatalf("fresh snapshot rejected: %v", err)
+	}
+}
+
+// TestRestoreRefusesOldEnvelopeLayout: a snapshot sealed before the
+// state format carried a version logs its {s}SK blobs as AES-CTR +
+// HMAC-SHA256 envelopes (nonce(16) ‖ ciphertext ‖ tag(32)), which no
+// longer open. Restore refuses it whole with ErrStateVersion before
+// replaying anything: the router stays unprovisioned and empty.
+func TestRestoreRefusesOldEnvelopeLayout(t *testing.T) {
+	f := newRestartFixture(t)
+	r1 := f.newRouter()
+	pub, _ := f.populate(r1, 3)
+	sk := pubSK(pub)
+	blob, err := r1.SealState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := r1.Enclave().Unseal(blob, counterAAD(f.dev.ReadCounter(stateCounter)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state routerState
+	if err := json.Unmarshal(raw, &state); err != nil {
+		t.Fatal(err)
+	}
+	if state.Version != stateVersion || len(state.Log) != 3 {
+		t.Fatalf("sealed state: version %d with %d entries, want %d with 3", state.Version, len(state.Log), stateVersion)
+	}
+	// Rewrite the snapshot as the older format sealed it: no version,
+	// every logged blob in the CTR + HMAC layout.
+	block, err := aes.NewCipher(sk.Enc[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ent := range state.Log {
+		plain, err := scrypto.Open(sk, ent.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := make([]byte, aes.BlockSize+len(plain))
+		if _, err := rand.Read(env[:aes.BlockSize]); err != nil {
+			t.Fatal(err)
+		}
+		cipher.NewCTR(block, env[:aes.BlockSize]).XORKeyStream(env[aes.BlockSize:], plain)
+		mac := hmac.New(sha256.New, sk.MAC[:])
+		mac.Write(env)
+		state.Log[i].Blob = mac.Sum(env)
+	}
+	state.Version = 0
+	var fields map[string]json.RawMessage
+	if raw, err = json.Marshal(&state); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "version")
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	old, err := r1.Enclave().Seal(sgx.SealToMRENCLAVE, raw, counterAAD(f.dev.IncrementCounter(stateCounter)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Close()
+	r2 := f.newRouter()
+	t.Cleanup(r2.Close)
+	if err := r2.RestoreState(old); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("unversioned snapshot: err = %v, want ErrStateVersion", err)
+	}
+	if got := r2.DataPlaneStats().Subscriptions; got != 0 {
+		t.Fatalf("refused snapshot left %d subscriptions", got)
+	}
+	if _, err := r2.SealState(); !errors.Is(err, ErrNotProvisioned) {
+		t.Fatalf("refused snapshot provisioned the router: SealState err = %v", err)
 	}
 }
 

@@ -682,7 +682,7 @@ func TestRestoreRequiresPlacementTable(t *testing.T) {
 	r1 := f.newRouter()
 	pub, _ := f.populate(r1, 1)
 	r1.ctlMu.RLock()
-	state := routerState{SK: pubSK(pub).Bytes(), Log: append([]logEntry(nil), r1.regLog...)}
+	state := routerState{Version: stateVersion, SK: pubSK(pub).Bytes(), Log: append([]logEntry(nil), r1.regLog...)}
 	r1.ctlMu.RUnlock()
 	raw, err := json.Marshal(&state)
 	if err != nil {

@@ -55,6 +55,34 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
+// TestFigure5Repeats: Figure 5 is simulated, so two runs of one
+// configuration in one process read the same rows to the bit. It holds
+// only while every run interns its attribute names in one order.
+func TestFigure5Repeats(t *testing.T) {
+	first, err := Figure5(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Figure5(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != len(second) {
+		t.Fatalf("rows: %d then %d", len(first), len(second))
+	}
+	for i := range first {
+		a, b := first[i], second[i]
+		for _, col := range []struct {
+			name string
+			x, y float64
+		}{{"InAES", a.InAES, b.InAES}, {"InPlain", a.InPlain, b.InPlain}, {"OutAES", a.OutAES, b.OutAES}, {"OutPlain", a.OutPlain, b.OutPlain}} {
+			if a.Subs != b.Subs || math.Float64bits(col.x) != math.Float64bits(col.y) {
+				t.Errorf("%d subscriptions, %s: %v then %v", a.Subs, col.name, col.x, col.y)
+			}
+		}
+	}
+}
+
 func TestFigure6Shape(t *testing.T) {
 	rows, err := Figure6(smallConfig())
 	if err != nil {

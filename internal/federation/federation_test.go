@@ -269,8 +269,12 @@ func newOverlayPair(t *testing.T) *overlayPair {
 	})
 	t.Cleanup(pair.a.Close)
 	t.Cleanup(pair.b.Close)
-	pair.pa = pair.a.AttachPeer("B", key, nil)
-	pair.pb = pair.b.AttachPeer("A", key, nil)
+	if pair.pa, err = pair.a.AttachPeer("B", key, nil); err != nil {
+		t.Fatal(err)
+	}
+	if pair.pb, err = pair.b.AttachPeer("A", key, nil); err != nil {
+		t.Fatal(err)
+	}
 	close(ready)
 	return pair
 }

@@ -29,7 +29,12 @@ const announceCoalesce = 2 * time.Millisecond
 // handle in Tag.
 type Peer struct {
 	name string // remote router ID, as claimed in its hello/welcome
-	key  *scrypto.SymmetricKey
+	// sealer and opener hold the link key's AEAD, built once at attach.
+	// Both are read-only and safe for concurrent use, so the announcer
+	// (sealing under o.mu) and the link's read loop (opening outside
+	// it) share them without a lock of their own.
+	sealer *scrypto.Sealer
+	opener *scrypto.Opener
 
 	// learned is the digest the peer announced to us — the interests
 	// reachable through it. announced is what we last announced to it.
@@ -128,11 +133,21 @@ func (o *Overlay) Close() {
 }
 
 // AttachPeer registers a completed handshake: the peer enters the
-// digest fan-out and a full announcement is scheduled for it.
-func (o *Overlay) AttachPeer(name string, key *scrypto.SymmetricKey, tag any) *Peer {
+// digest fan-out and a full announcement is scheduled for it. It fails
+// only if the link key's cipher cannot be built.
+func (o *Overlay) AttachPeer(name string, key *scrypto.SymmetricKey, tag any) (*Peer, error) {
+	sealer, err := scrypto.NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	opener, err := scrypto.NewOpener(key)
+	if err != nil {
+		return nil, err
+	}
 	p := &Peer{
 		name:      name,
-		key:       key,
+		sealer:    sealer,
+		opener:    opener,
 		learned:   make(map[string]*entry),
 		announced: make(map[string]*entry),
 		Tag:       tag,
@@ -141,7 +156,7 @@ func (o *Overlay) AttachPeer(name string, key *scrypto.SymmetricKey, tag any) *P
 	o.peers[p] = true
 	o.mu.Unlock()
 	o.markDirty()
-	return p
+	return p, nil
 }
 
 // DetachPeer removes a severed link; interests learned from it stop
@@ -197,7 +212,7 @@ func (o *Overlay) RemoveLocal(subID uint64) {
 // schedules re-announcement to the other peers (their view of what is
 // reachable through us includes what is reachable through p).
 func (o *Overlay) HandleDigest(p *Peer, frame []byte) error {
-	plain, err := scrypto.Open(p.key, frame)
+	plain, err := p.opener.OpenAppend(frame, nil)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadUpdate, err)
 	}
@@ -256,7 +271,7 @@ func (o *Overlay) ForwardLocal(header, payload []byte, epoch uint64, ev *pubsub.
 // like every other header decryption.
 func (o *Overlay) HandleForward(from *Peer, frame []byte,
 	decode func(header []byte) (*pubsub.Event, error)) (*ForwardedPublication, []Outbound, error) {
-	plain, err := scrypto.Open(from.key, frame)
+	plain, err := from.opener.OpenAppend(frame, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadForward, err)
 	}
@@ -327,7 +342,7 @@ func (o *Overlay) fanOutLocked(fp forwardPub, ev *pubsub.Event, from *Peer) ([]O
 			o.withheld++
 			continue
 		}
-		frame, err := scrypto.Seal(p.key, raw)
+		frame, err := p.sealer.Seal(raw)
 		if err != nil {
 			return nil, fmt.Errorf("federation: sealing forward: %w", err)
 		}
@@ -459,7 +474,7 @@ func (o *Overlay) refreshAnnouncements() []Outbound {
 		if err != nil {
 			continue // cannot happen: update fields are plain data
 		}
-		frame, err := scrypto.Seal(p.key, raw)
+		frame, err := p.sealer.Seal(raw)
 		if err != nil {
 			continue
 		}

@@ -429,8 +429,12 @@ func (s *Subscription) Outline() (attrs AttrSet, first Constraint, ok bool) {
 }
 
 // NewEvent interns and sorts the given named values into an Event.
+// Names the schema has not seen are interned in sorted order, not in
+// the map's, so a run that meets its names through events assigns the
+// same attribute IDs every time.
 func NewEvent(schema *Schema, attrs map[string]Value) (*Event, error) {
 	e := &Event{Attrs: make([]EventAttr, 0, len(attrs))}
+	var fresh []string
 	for name, v := range attrs {
 		if !v.Valid() {
 			return nil, fmt.Errorf("pubsub: invalid value for attribute %q", name)
@@ -438,11 +442,19 @@ func NewEvent(schema *Schema, attrs map[string]Value) (*Event, error) {
 		if v.isNaN() {
 			return nil, fmt.Errorf("%w: NaN value for attribute %q", ErrCodec, name)
 		}
+		if id, ok := schema.Lookup(name); ok {
+			e.Attrs = append(e.Attrs, EventAttr{ID: id, Value: v})
+		} else {
+			fresh = append(fresh, name)
+		}
+	}
+	sort.Strings(fresh)
+	for _, name := range fresh {
 		id, err := schema.Intern(name)
 		if err != nil {
 			return nil, err
 		}
-		e.Attrs = append(e.Attrs, EventAttr{ID: id, Value: v})
+		e.Attrs = append(e.Attrs, EventAttr{ID: id, Value: attrs[name]})
 	}
 	sort.Slice(e.Attrs, func(i, j int) bool { return e.Attrs[i].ID < e.Attrs[j].ID })
 	return e, nil

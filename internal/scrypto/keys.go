@@ -1,15 +1,15 @@
 // Package scrypto provides the cryptographic substrate used throughout
-// SCBR: symmetric AES-CTR message envelopes authenticated with
-// HMAC-SHA256, AES-GCM sealing for enclave page eviction and state
-// persistence, X25519 key pairs with one sealed box (SealTo /
-// OpenSealed) for every public-key encryption — attested provisioning,
-// the client→publisher subscription and the group-key wrap — and simple
-// key-derivation helpers.
+// SCBR: one AES-GCM seal and open behind every message envelope (SK
+// headers, group-key payloads, federation frames), enclave page
+// eviction and state persistence, X25519 key pairs with one sealed box
+// (SealTo / OpenSealed) for every public-key encryption — attested
+// provisioning, the client→publisher subscription and the group-key
+// wrap — and an HMAC-SHA256 key-derivation helper.
 //
 // The paper uses Crypto++ AES-CTR and RSA outside the enclave and the
-// Intel SDK AES-CTR implementation inside; this package keeps the
-// symmetric algorithms and replaces RSA with X25519 and an
-// authenticated sealed box, on top of the Go standard library.
+// Intel SDK AES-CTR implementation inside; this package authenticates
+// the CTR stream with GCM's GHASH tag and replaces RSA with X25519 and
+// an authenticated sealed box, on top of the Go standard library.
 package scrypto
 
 import (
@@ -27,7 +27,9 @@ const (
 	// SymmetricKeySize is the AES-128 key size used for SK, matching the
 	// paper's AES-CTR configuration.
 	SymmetricKeySize = 16
-	// MACKeySize is the HMAC-SHA256 key size appended to envelopes.
+	// MACKeySize is the size of SK's HMAC-SHA256 sub-key. Envelopes do
+	// not use it (GCM authenticates under Enc); it feeds DeriveKey and,
+	// through it, the registration tag.
 	MACKeySize = 32
 )
 
@@ -39,7 +41,8 @@ var (
 )
 
 // SymmetricKey is the shared key SK between a publisher and the enclave.
-// It carries independent encryption and MAC sub-keys.
+// It carries independent encryption and MAC sub-keys: Enc keys the
+// envelopes, MAC the key derivations.
 type SymmetricKey struct {
 	Enc [SymmetricKeySize]byte
 	MAC [MACKeySize]byte

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -83,9 +85,136 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 
 func TestOpenRejectsTruncated(t *testing.T) {
 	k := testKey(t)
-	if _, err := Open(k, make([]byte, envelopeMinSize-1)); !errors.Is(err, ErrMalformed) {
+	if _, err := Open(k, make([]byte, envelopeOverhead-1)); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("short envelope: got %v, want ErrMalformed", err)
 	}
+}
+
+// TestEnvelopeOverhead: an envelope is its plaintext plus a 16-byte
+// nonce and a 16-byte tag, whatever the plaintext's length.
+func TestEnvelopeOverhead(t *testing.T) {
+	k := testKey(t)
+	s, err := NewSealer(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, 1, 64, 1024} {
+		p := make([]byte, size)
+		env, err := Seal(k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env) != size+32 {
+			t.Fatalf("Seal(%d B) = %d B, want %d", size, len(env), size+32)
+		}
+		if env, err = s.Seal(p); err != nil || len(env) != size+32 {
+			t.Fatalf("Sealer.Seal(%d B) = %d B (err %v), want %d", size, len(env), err, size+32)
+		}
+	}
+}
+
+// TestSealerConcurrent: one Sealer and one Opener shared by 8
+// goroutines round-trip every envelope (run it under -race).
+func TestSealerConcurrent(t *testing.T) {
+	k := testKey(t)
+	s, err := NewSealer(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOpener(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 200; i++ {
+				msg := []byte(fmt.Sprintf("goroutine %d message %d", g, i))
+				env, err := s.Seal(msg)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if buf, err = o.OpenAppend(env, buf[:0]); err != nil || !bytes.Equal(buf, msg) {
+					errs <- fmt.Errorf("goroutine %d message %d: %q, %v", g, i, buf, err)
+					return
+				}
+				if got, err := Open(k, env); err != nil || !bytes.Equal(got, msg) {
+					errs <- fmt.Errorf("goroutine %d message %d, one-shot Open: %q, %v", g, i, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// FuzzOpenEnvelope: Open never panics. An envelope opens to what was
+// sealed; one flipped bit anywhere in it, or any other alteration
+// (xor mask, truncation, appended bytes), fails with ErrAuthentication
+// or ErrMalformed; and the fuzzed message itself, read as an envelope,
+// fails the same way.
+func FuzzOpenEnvelope(f *testing.F) {
+	k, err := NewSymmetricKey(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := NewSealer(k)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Seeds at the layout's edges: an empty plaintext (the 32-byte
+	// minimum, cut one short), a bit in the nonce, the ciphertext and
+	// the tag, and raw messages of exactly the overhead.
+	f.Add([]byte{}, uint(0), []byte{}, 0, []byte{})
+	f.Add([]byte{}, uint(8*envelopeOverhead-1), []byte{}, envelopeOverhead-1, []byte{})
+	f.Add([]byte("header"), uint(8*nonceSize), []byte{0x80}, 0, []byte{0})
+	f.Add(bytes.Repeat([]byte{7}, envelopeOverhead), uint(8*(nonceSize+envelopeOverhead)), []byte{1, 2, 3}, 40, []byte{})
+	f.Add(bytes.Repeat([]byte{0}, 64), uint(3), []byte{}, envelopeOverhead, []byte{})
+	f.Fuzz(func(t *testing.T, msg []byte, flip uint, mask []byte, cut int, tail []byte) {
+		if _, err := Open(k, msg); !errors.Is(err, ErrAuthentication) && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("raw %d bytes: err = %v, want ErrAuthentication or ErrMalformed", len(msg), err)
+		}
+		env, err := s.Seal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Open(k, env); err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("unaltered envelope: %q, %v", got, err)
+		}
+		bit := flip % uint(8*len(env))
+		flipped := bytes.Clone(env)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		if _, err := Open(k, flipped); !errors.Is(err, ErrAuthentication) {
+			t.Fatalf("bit %d flipped: err = %v, want ErrAuthentication", bit, err)
+		}
+		mutated := bytes.Clone(env)
+		for i, m := range mask {
+			mutated[i%len(mutated)] ^= m
+		}
+		if cut > 0 && cut < len(mutated) {
+			mutated = mutated[:cut]
+		}
+		mutated = append(mutated, tail...)
+		got, err := Open(k, mutated)
+		if bytes.Equal(mutated, env) {
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("envelope unaltered by the mutation: %q, %v", got, err)
+			}
+			return
+		}
+		if !errors.Is(err, ErrAuthentication) && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("altered envelope: err = %v, want ErrAuthentication or ErrMalformed", err)
+		}
+	})
 }
 
 func TestSealOpenQuick(t *testing.T) {
@@ -309,6 +438,42 @@ func BenchmarkSealedBox(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEnvelope prices one envelope the way the publisher and the
+// router pay for it: Sealer.Seal then Opener.OpenAppend into a reused
+// buffer, each with its key setup done once, at a header-sized and a
+// payload-sized plaintext.
+func BenchmarkEnvelope(b *testing.B) {
+	k, err := NewSymmetricKey(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewSealer(k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, err := NewOpener(k)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			p := make([]byte, size)
+			var buf []byte
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				env, err := s.Seal(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if buf, err = o.OpenAppend(env, buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func TestDeriveKeyProperties(t *testing.T) {

@@ -22,7 +22,7 @@ const x25519KeySize = 32
 
 // sealedOverhead is the length of a sealed box around an empty
 // message: ephemeral key, GCM nonce and GCM tag.
-const sealedOverhead = x25519KeySize + 12 + 16
+const sealedOverhead = x25519KeySize + gcmNonceSize + tagSize
 
 // SealTo encrypts msg for the holder of peer's private half under the
 // given label. Only OpenSealed with the same label and that private key

@@ -51,7 +51,10 @@ type CostModel struct {
 	// behaviour).
 	EnclaveTransitionCycles uint64
 
-	// AESByteCycles is the per-byte cost of AES-CTR with AES-NI.
+	// AESByteCycles is the per-byte cost of AES-CTR with AES-NI, the
+	// cipher the paper measures. Envelopes are AES-GCM, CTR plus a
+	// GHASH tag; GHASH is deliberately unpriced so the simulated cost
+	// stays the paper's: only the envelope's length reaches the meter.
 	AESByteCycles float64
 
 	// AESFixedCycles is the fixed per-message cost of decryption,

@@ -186,6 +186,9 @@ func FuzzDataFrameRoundTrip(f *testing.F) {
 	f.Add(uint8(2), "", uint64(math.MaxUint64), uint64(math.MaxUint64), []byte(nil), bytes.Repeat([]byte{0xA5}, 1024), uint8(200))
 	f.Add(uint8(3), "", uint64(0), uint64(9), []byte{0}, []byte{}, uint8(1))
 	f.Add(uint8(4), "sgx-plain", uint64(0), uint64(0), bytes.Repeat([]byte{9}, 48), []byte("alice"), uint8(32))
+	// The smallest envelope, an empty plaintext's nonce and tag; the
+	// 48-byte seed above is the smallest of the older CTR+HMAC layout.
+	f.Add(uint8(4), "sgx-plain", uint64(0), uint64(0), bytes.Repeat([]byte{9}, 32), []byte("alice"), uint8(32))
 	f.Add(uint8(5), "", uint64(1)<<56, uint64(3), []byte(nil), []byte(nil), uint8(32))
 	f.Fuzz(func(t *testing.T, kind uint8, scheme string, epoch, cursor uint64, blob, payload []byte, n uint8) {
 		var in DataFrame
