@@ -44,7 +44,6 @@ func run() error {
 		fig7     = flag.String("fig7", "", "Figure 7 panel for the named workload, or 'all'")
 		fig8     = flag.Bool("fig8", false, "Figure 8: EPC exhaustion during registration")
 		table1   = flag.Bool("table1", false, "Table 1: realised workload characteristics")
-		ablation = flag.Bool("ablation", false, "ecall-batching ablation (paper §6 future work)")
 		split    = flag.Bool("split", false, "split-memory ablation: user-level paging vs hardware EPC paging (paper §6)")
 		swl      = flag.Bool("switchless", false, "enclave-border ablation: per-message ecalls vs batching vs switchless ring (paper §6)")
 		align    = flag.Bool("align", false, "cache-line-alignment ablation: 64B-aligned records vs natural layout (paper §6)")
@@ -133,12 +132,6 @@ func run() error {
 	if *fig8 || *all {
 		ran = true
 		if err := runFig8(cfg, *csvDir); err != nil {
-			return err
-		}
-	}
-	if *ablation || *all {
-		ran = true
-		if err := runAblation(cfg, *csvDir); err != nil {
 			return err
 		}
 	}
@@ -254,33 +247,6 @@ func runCliff(cfg exp.Config, maxSubs, step int, csvDir, artifactPath, commit st
 		return nil
 	}
 	return writeCSV(filepath.Join(csvDir, "cliff.csv"), rec)
-}
-
-func runAblation(cfg exp.Config, csvDir string) error {
-	fmt.Println("== Ablation: publications per ecall (paper §6: batching to amortise enclave transitions) ==")
-	rows, err := exp.AblationBatching(cfg, []int{1, 2, 5, 10, 50, 100})
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "batch\tµs/op\ttransition share\t")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.2f\t%.1f%%\t\n", r.BatchSize, r.Micros, r.TransitionShare*100)
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Println()
-	if csvDir == "" {
-		return nil
-	}
-	rec := [][]string{{"batch", "us_per_op", "transition_share"}}
-	for _, r := range rows {
-		rec = append(rec, []string{
-			strconv.Itoa(r.BatchSize), fmt.Sprintf("%.3f", r.Micros), fmt.Sprintf("%.4f", r.TransitionShare),
-		})
-	}
-	return writeCSV(filepath.Join(csvDir, "ablation_batching.csv"), rec)
 }
 
 func runHorizontal(cfg exp.Config, csvDir string) error {

@@ -169,7 +169,7 @@ func crossCheckStore(codec scheme.Codec, schemeName string, universe []string, s
 			return fmt.Errorf("encoding subscription under %s: %w", codec.Name(), err)
 		}
 		// scbr:vet ignore(enclavemeter): same plain-accessor cross-check; byte counts are the measurement, not enclave cost
-		if _, err := slice.RegisterEncoded(enc, uint32(i)); err != nil {
+		if err := slice.RegisterEncodedAssigned(enc, uint32(i), uint64(i)+1); err != nil {
 			return fmt.Errorf("registering subscription under %s: %w", codec.Name(), err)
 		}
 	}

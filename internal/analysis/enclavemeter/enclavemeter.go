@@ -50,8 +50,8 @@ var hubMethods = map[string]bool{
 
 // sliceMethods are the scheme.Slice store surface.
 var sliceMethods = map[string]bool{
-	"Configure": true, "RegisterEncoded": true, "RegisterEncodedAssigned": true,
-	"Unregister": true, "MatchEncoded": true, "MatchEncodedBatch": true,
+	"Configure": true, "RegisterEncodedAssigned": true, "Unregister": true,
+	"MatchEncodedBatch": true,
 }
 
 // boundaryRE matches the resident-worker marker in a doc comment.

@@ -16,7 +16,7 @@ func nakedHubTouch(h *streamhub.Hub, encs [][]byte) {
 
 // nakedSliceTouch drives the scheme.Slice surface directly.
 func nakedSliceTouch(s scheme.Slice, enc []byte) {
-	s.RegisterEncoded(enc, 1) // want `RegisterEncoded touches the matcher store outside the metered enclave boundary`
+	s.RegisterEncodedAssigned(enc, 1, 7) // want `RegisterEncodedAssigned touches the matcher store outside the metered enclave boundary`
 }
 
 // nakedInsertByID replays or migrates a subscription under its issued
@@ -41,7 +41,7 @@ func escapedGoroutine(e *sgx.Enclave, h *streamhub.Hub) {
 // lexically outside its body.
 func afterTheCall(e *sgx.Enclave, s scheme.Slice, enc []byte) {
 	_ = e.Ecall(func() error { return nil })
-	s.MatchEncoded(enc, nil) // want `MatchEncoded touches the matcher store outside the metered enclave boundary`
+	s.MatchEncodedBatch([][]byte{enc}, nil) // want `MatchEncodedBatch touches the matcher store outside the metered enclave boundary`
 }
 
 // unjustifiedMarker carries the boundary marker with no reason — the

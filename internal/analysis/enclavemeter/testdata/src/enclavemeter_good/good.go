@@ -19,8 +19,7 @@ func insideEcall(e *sgx.Enclave, h *streamhub.Hub, encs [][]byte) error {
 // sliceInsideEcall drives the scheme surface from within the entry.
 func sliceInsideEcall(e *sgx.Enclave, s scheme.Slice, enc []byte) error {
 	return e.Ecall(func() error {
-		_, err := s.RegisterEncoded(enc, 1)
-		return err
+		return s.RegisterEncodedAssigned(enc, 1, 7)
 	})
 }
 

@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"scbr/internal/workload"
-)
+import "scbr/internal/workload"
 
 // AlignRow is one configuration of the cache-alignment ablation: the
 // paper's §6 proposal of "appropriately fitting [the containment
@@ -55,36 +51,37 @@ func AblationCacheAlign(cfg Config) ([]AlignRow, error) {
 		pubs := pubGen.Publications(cfg.PubBatch)
 		subs := subGen.Subscriptions(size)
 
-		outRun, err := newEngineRun(runCfg, outPlain, cfg.Seed+9)
+		outRun, err := plainRunner(runCfg, untrusted, false)
 		if err != nil {
 			return nil, err
 		}
-		inRun, err := newEngineRun(runCfg, inPlain, cfg.Seed+10)
+		inRun, err := plainRunner(runCfg, epcMemory, false)
 		if err != nil {
 			return nil, err
 		}
-		row := AlignRow{Aligned: aligned}
-		for _, r := range []*engineRun{outRun, inRun} {
-			if err := r.preparePublications(pubs); err != nil {
+		for _, r := range []*runner{outRun, inRun} {
+			if err := r.prepare(pubs); err != nil {
 				return nil, err
 			}
-			if err := r.register(subs); err != nil {
-				return nil, fmt.Errorf("exp: cache-align registration: %w", err)
+			if _, err := r.register(subs, 1); err != nil {
+				return nil, err
 			}
 		}
-		outMicros, outCounters, err := outRun.matchBatch()
+		outMicros, outCounters, err := outRun.matchAll()
 		if err != nil {
 			return nil, err
 		}
-		inMicros, _, err := inRun.matchBatch()
+		inMicros, _, err := inRun.matchAll()
 		if err != nil {
 			return nil, err
 		}
-		row.OutMicros = outMicros
-		row.InMicros = inMicros
-		row.OutMissRate = outCounters.MissRate()
-		row.FootprintMB = float64(outRun.engine.Accessor().Size()) / (1 << 20)
-		rows = append(rows, row)
+		rows = append(rows, AlignRow{
+			Aligned:     aligned,
+			OutMicros:   outMicros,
+			InMicros:    inMicros,
+			OutMissRate: outCounters.MissRate(),
+			FootprintMB: outRun.mb(),
+		})
 	}
 	return rows, nil
 }

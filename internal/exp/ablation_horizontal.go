@@ -3,12 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"scbr/internal/core"
 	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
-	"scbr/internal/scrypto"
-	"scbr/internal/sgx"
-	"scbr/internal/simmem"
 	"scbr/internal/workload"
 )
 
@@ -49,10 +45,6 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend, err := scheme.Lookup(scheme.Plain)
-	if err != nil {
-		return nil, err
-	}
 	codec, err := scheme.NewCodec(scheme.Plain)
 	if err != nil {
 		return nil, err
@@ -71,59 +63,30 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 		if err != nil {
 			return nil, err
 		}
-
-		dev, err := sgx.NewDevice([]byte(fmt.Sprintf("exp-horizontal-%d", k)), cfg.Cost)
-		if err != nil {
-			return nil, err
-		}
-		signer, err := scrypto.NewKeyPair(nil)
-		if err != nil {
-			return nil, err
-		}
-		// One enclave per slice, each with its own EPC: the replicated
-		// deployment of §3.4.
-		enclaves := make([]*sgx.Enclave, k)
-		slices := make([]scheme.Slice, k)
+		// One enclave per slice, each with its own EPC, over the
+		// router's one schema: the replicated deployment of §3.4.
 		schema := pubsub.NewSchema()
-		for i := range slices {
-			e, err := dev.Launch([]byte(fmt.Sprintf("scbr slice image %d", i)), signer.Public(),
-				sgx.EnclaveConfig{EPCBytes: cfg.EPCBytes})
-			if err != nil {
-				return nil, err
-			}
-			enclaves[i] = e
-			if slices[i], err = backend.NewSlice(e.Memory(), schema, core.Options{PadRecordTo: cfg.PadRecordTo}); err != nil {
+		runs := make([]*runner, k)
+		for i := range runs {
+			if runs[i], err = newRunner(cfg, epcMemory, false, codec, schema); err != nil {
 				return nil, err
 			}
 		}
 
 		// Registration phase: the stream is dealt round-robin across
 		// slices, one ecall per subscription.
-		before := make([]simmem.Counters, k)
-		for i, e := range enclaves {
-			before[i] = e.Memory().Meter().C
-		}
-		for i, s := range subGen.Subscriptions(cfg.Fig8Subs) {
-			enc, err := codec.EncodeSubscription(s)
-			if err != nil {
-				return nil, fmt.Errorf("exp: horizontal k=%d sub %d: %w", k, i, err)
-			}
-			slice := slices[i%k]
-			err = enclaves[i%k].Ecall(func() error {
-				_, err := slice.RegisterEncoded(enc, uint32(i))
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("exp: horizontal k=%d sub %d: %w", k, i, err)
-			}
-		}
 		row := HorizontalRow{Partitions: k}
 		var regCycles uint64
-		for i, e := range enclaves {
-			delta := e.Memory().Meter().C.Sub(before[i])
+		for i, s := range subGen.Subscriptions(cfg.Fig8Subs) {
+			delta, err := runs[i%k].register([]pubsub.SubscriptionSpec{s}, 1)
+			if err != nil {
+				return nil, fmt.Errorf("exp: horizontal k=%d sub %d: %w", k, i, err)
+			}
 			regCycles += delta.Cycles
 			row.PageFaults += delta.PageFaults
-			row.DBMB += float64(e.Memory().Size()) / (1 << 20)
+		}
+		for _, r := range runs {
+			row.DBMB += r.mb()
 		}
 		row.MicrosPerSub = cfg.Cost.Micros(regCycles) / float64(cfg.Fig8Subs)
 
@@ -131,33 +94,25 @@ func AblationHorizontal(cfg Config, parts []int) ([]HorizontalRow, error) {
 		// slices of a deployment run side by side, so a publication
 		// costs what its slowest slice charged. Simulated cycles need no
 		// real parallelism to say that.
-		var makespan uint64
-		var scratch []core.MatchResult
-		nPubs := cfg.PubBatch
-		for _, p := range pubGen.Publications(nPubs) {
-			enc, err := codec.EncodeEvent(p)
-			if err != nil {
+		pubs := pubGen.Publications(cfg.PubBatch)
+		for _, r := range runs {
+			if err := r.prepare(pubs); err != nil {
 				return nil, err
 			}
+		}
+		var makespan uint64
+		for j := range pubs {
 			var slowest uint64
-			for i, slice := range slices {
-				meter := enclaves[i].Memory().Meter()
-				start := meter.C.Cycles
-				err := enclaves[i].Ecall(func() error {
-					var err error
-					scratch, err = slice.MatchEncoded(enc, scratch[:0])
-					return err
-				})
+			for i, r := range runs {
+				delta, err := r.match(r.headers[j:j+1], 1)
 				if err != nil {
 					return nil, fmt.Errorf("exp: horizontal k=%d slice %d: %w", k, i, err)
 				}
-				if c := meter.C.Cycles - start; c > slowest {
-					slowest = c
-				}
+				slowest = max(slowest, delta.Cycles)
 			}
 			makespan += slowest
 		}
-		row.MatchMicros = cfg.Cost.Micros(makespan) / float64(nPubs)
+		row.MatchMicros = cfg.Cost.Micros(makespan) / float64(len(pubs))
 		rows = append(rows, row)
 	}
 	return rows, nil

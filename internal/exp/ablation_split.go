@@ -1,12 +1,7 @@
 package exp
 
 import (
-	"fmt"
-
-	"scbr/internal/core"
-	"scbr/internal/pubsub"
-	"scbr/internal/scrypto"
-	"scbr/internal/sgx"
+	"scbr/internal/simmem"
 	"scbr/internal/workload"
 )
 
@@ -47,113 +42,40 @@ func AblationSplit(cfg Config) ([]SplitRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Fig8Subs <= 0 || cfg.Fig8Step <= 0 || cfg.Fig8Step > cfg.Fig8Subs {
-		return nil, fmt.Errorf("exp: invalid split-ablation parameters %d/%d", cfg.Fig8Subs, cfg.Fig8Step)
-	}
 	spec, err := workload.SpecByName("e80a1")
 	if err != nil {
 		return nil, err
 	}
-	genOut, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+900)
+	gen, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+900)
 	if err != nil {
 		return nil, err
 	}
-	genEPC, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+900)
-	if err != nil {
-		return nil, err
-	}
-	genSplit, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+900)
-	if err != nil {
-		return nil, err
-	}
-
-	outRun, err := newEngineRun(cfg, outPlain, cfg.Seed+6)
-	if err != nil {
-		return nil, err
-	}
-	epcRun, err := newEngineRun(cfg, inPlain, cfg.Seed+7)
-	if err != nil {
-		return nil, err
-	}
-	splitEngine, splitAcc, err := newSplitEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]SplitRow, 0, cfg.Fig8Subs/cfg.Fig8Step)
-	for done := 0; done < cfg.Fig8Subs; done += cfg.Fig8Step {
-		outBatch := genOut.Subscriptions(cfg.Fig8Step)
-		epcBatch := genEPC.Subscriptions(cfg.Fig8Step)
-		splitBatch := genSplit.Subscriptions(cfg.Fig8Step)
-
-		outMeter := outRun.engine.Accessor().Meter()
-		outBefore := outMeter.C
-		if err := outRun.registerBulk(outBatch); err != nil {
+	// The split runner's plaintext budget is the EPC size, so the
+	// hardware-paged and split runs spill at the same database size.
+	runs := make([]*runner, 0, 3)
+	for _, mem := range []memory{untrusted, epcMemory, splitMemory} {
+		r, err := plainRunner(cfg, mem, false)
+		if err != nil {
 			return nil, err
 		}
-		outDelta := outMeter.C.Sub(outBefore)
-
-		epcMeter := epcRun.engine.Accessor().Meter()
-		epcBefore := epcMeter.C
-		if err := epcRun.registerBulk(epcBatch); err != nil {
-			return nil, err
-		}
-		epcDelta := epcMeter.C.Sub(epcBefore)
-
-		splitMeter := splitAcc.Meter()
-		splitBefore := splitMeter.C
-		// One ecall delivers the whole window, as registerBulk does for
-		// the hardware-paged run.
-		splitMeter.ChargeTransition()
-		for i, s := range splitBatch {
-			if _, err := splitEngine.Register(s, uint32(i)); err != nil {
-				return nil, fmt.Errorf("exp: split registration: %w", err)
-			}
-		}
-		splitDelta := splitMeter.C.Sub(splitBefore)
-
+		runs = append(runs, r)
+	}
+	out, epc, split := runs[0], runs[1], runs[2]
+	var rows []SplitRow
+	err = sweep(gen, cfg.Fig8Subs, cfg.Fig8Step, runs, func(subs int, d []simmem.Counters) {
 		row := SplitRow{
-			Subs:            done + cfg.Fig8Step,
-			DBMB:            float64(splitEngine.Accessor().Size()) / (1 << 20),
-			OutMicros:       cfg.Cost.Micros(outDelta.Cycles) / float64(cfg.Fig8Step),
-			EPCMicros:       cfg.Cost.Micros(epcDelta.Cycles) / float64(cfg.Fig8Step),
-			SplitMicros:     cfg.Cost.Micros(splitDelta.Cycles) / float64(cfg.Fig8Step),
-			EPCFaults:       epcDelta.PageFaults,
-			SplitFaults:     splitDelta.UserFaults,
-			SplitWritebacks: splitDelta.UserWritebacks,
+			Subs:            subs,
+			DBMB:            split.mb(),
+			OutMicros:       out.perOp(d[0], cfg.Fig8Step),
+			EPCMicros:       epc.perOp(d[1], cfg.Fig8Step),
+			SplitMicros:     split.perOp(d[2], cfg.Fig8Step),
+			EPCFaults:       d[1].PageFaults,
+			SplitFaults:     d[2].UserFaults,
+			SplitWritebacks: d[2].UserWritebacks,
 		}
 		row.EPCRatio = row.EPCMicros / row.OutMicros
 		row.SplitRatio = row.SplitMicros / row.OutMicros
 		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// newSplitEngine launches an enclave and builds an engine over its
-// split-memory accessor with the in-enclave plaintext budget set to
-// the configured EPC size, so the hardware-paged and split runs spill
-// at the same database size.
-func newSplitEngine(cfg Config) (*core.Engine, *sgx.Accessor, error) {
-	dev, err := sgx.NewDevice([]byte("exp-split-device"), cfg.Cost)
-	if err != nil {
-		return nil, nil, err
-	}
-	signer, err := scrypto.NewKeyPair(nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	enclave, err := dev.Launch([]byte("scbr split-memory engine"), signer.Public(),
-		sgx.EnclaveConfig{EPCBytes: cfg.EPCBytes})
-	if err != nil {
-		return nil, nil, err
-	}
-	acc, err := enclave.SplitMemory(cfg.EPCBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	engine, err := core.NewEngine(acc, pubsub.NewSchema(), core.Options{PadRecordTo: cfg.PadRecordTo})
-	if err != nil {
-		return nil, nil, err
-	}
-	return engine, acc, nil
+	})
+	return rows, err
 }

@@ -3,9 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"scbr/internal/pubsub"
-	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
+	"scbr/internal/simmem"
 	"scbr/internal/workload"
 )
 
@@ -13,10 +12,10 @@ import (
 // how publications reach the in-enclave matcher. The paper's §6 lists
 // both remedies for transition overhead — "message batching" and
 // "implementing message exchanges at the enclave border" — and this
-// ablation measures them side by side on the same engine.
+// ablation measures them side by side on one registered database.
 type SwitchlessRow struct {
-	// Mode is "ecall/1", "ecall/10", "ecall/100" (publications per
-	// enclave transition) or "switchless" (untrusted-memory ring, one
+	// Mode is "ecall/N" (N publications per enclave transition, N = 1,
+	// 2, 5, 10, 50, 100) or "switchless" (untrusted-memory ring, one
 	// transition total).
 	Mode string
 	// Micros is the simulated matching time per publication including
@@ -31,7 +30,8 @@ type SwitchlessRow struct {
 
 // AblationSwitchless measures in-enclave AES matching on e100a1 at the
 // largest configured size, delivering the publication batch through
-// per-message ecalls, batched ecalls, and the switchless ring.
+// ecalls of 1 to 100 publications each and through the switchless
+// ring.
 func AblationSwitchless(cfg Config) ([]SwitchlessRow, error) {
 	rt, err := newRuntime(cfg)
 	if err != nil {
@@ -49,75 +49,32 @@ func AblationSwitchless(cfg Config) ([]SwitchlessRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := cfg.Sizes[len(cfg.Sizes)-1]
-	pubs := pubGen.Publications(cfg.PubBatch)
-
-	run, err := newEngineRun(cfg, inAES, cfg.Seed+8)
+	run, err := plainRunner(cfg, epcMemory, true)
 	if err != nil {
 		return nil, err
 	}
-	if err := run.register(subGen.Subscriptions(size)); err != nil {
+	if _, err := run.register(subGen.Subscriptions(cfg.Sizes[len(cfg.Sizes)-1]), 1); err != nil {
 		return nil, err
 	}
-	headers := make([][]byte, 0, len(pubs))
-	for _, p := range pubs {
-		raw, err := pubsub.EncodeEventSpec(p)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := scrypto.Seal(run.sk, raw)
-		if err != nil {
-			return nil, err
-		}
-		headers = append(headers, enc)
+	if err := run.prepare(pubGen.Publications(cfg.PubBatch)); err != nil {
+		return nil, err
 	}
-
-	// handle decrypts and matches one header inside the enclave — the
-	// identical work item in every delivery mode.
-	meter := run.engine.Accessor().Meter()
-	handle := func(header []byte) error {
-		meter.ChargeAES(len(header))
-		raw, err := scrypto.Open(run.sk, header)
-		if err != nil {
-			return err
+	row := func(mode string, delta simmem.Counters) SwitchlessRow {
+		return SwitchlessRow{
+			Mode:            mode,
+			Micros:          run.perOp(delta, len(run.headers)),
+			TransitionShare: float64(delta.Transitions*cfg.Cost.EnclaveTransitionCycles) / float64(delta.Cycles),
+			Transitions:     delta.Transitions,
 		}
-		hspec, err := pubsub.DecodeEventSpec(raw)
-		if err != nil {
-			return err
-		}
-		ev, err := hspec.Intern(run.engine.Schema())
-		if err != nil {
-			return err
-		}
-		run.scratch, err = run.engine.MatchAppend(ev, run.scratch[:0])
-		return err
 	}
 
 	var rows []SwitchlessRow
-	for _, batch := range []int{1, 10, 100} {
-		before := meter.C
-		for start := 0; start < len(headers); start += batch {
-			end := min(start+batch, len(headers))
-			chunk := headers[start:end]
-			err := run.enclave.Ecall(func() error {
-				for _, h := range chunk {
-					if err := handle(h); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
+	for _, batch := range []int{1, 2, 5, 10, 50, 100} {
+		delta, err := run.match(run.headers, batch)
+		if err != nil {
+			return nil, err
 		}
-		delta := meter.C.Sub(before)
-		rows = append(rows, SwitchlessRow{
-			Mode:            fmt.Sprintf("ecall/%d", batch),
-			Micros:          cfg.Cost.Micros(delta.Cycles) / float64(len(headers)),
-			TransitionShare: float64(delta.Transitions*cfg.Cost.EnclaveTransitionCycles) / float64(delta.Cycles),
-			Transitions:     delta.Transitions,
-		})
+		rows = append(rows, row(fmt.Sprintf("ecall/%d", batch), delta))
 	}
 
 	// Switchless: the host pushes ciphertext into the ring; the worker
@@ -129,7 +86,7 @@ func AblationSwitchless(cfg Config) ([]SwitchlessRow, error) {
 	pushErr := make(chan error, 1)
 	go func() {
 		defer ring.Close()
-		for _, h := range headers {
+		for _, h := range run.headers {
 			if err := ring.Push(h); err != nil {
 				pushErr <- err
 				return
@@ -137,19 +94,12 @@ func AblationSwitchless(cfg Config) ([]SwitchlessRow, error) {
 		}
 		pushErr <- nil
 	}()
-	before := meter.C
-	if err := run.enclave.ServeRing(ring, handle); err != nil {
+	before := run.meter.C
+	if err := run.enclave.ServeRing(ring, run.matchOne); err != nil {
 		return nil, err
 	}
 	if err := <-pushErr; err != nil {
 		return nil, err
 	}
-	delta := meter.C.Sub(before)
-	rows = append(rows, SwitchlessRow{
-		Mode:            "switchless",
-		Micros:          cfg.Cost.Micros(delta.Cycles) / float64(len(headers)),
-		TransitionShare: float64(delta.Transitions*cfg.Cost.EnclaveTransitionCycles) / float64(delta.Cycles),
-		Transitions:     delta.Transitions,
-	})
-	return rows, nil
+	return append(rows, row("switchless", run.meter.C.Sub(before))), nil
 }

@@ -7,8 +7,8 @@ func TestAblationSwitchlessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	if len(rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(rows))
 	}
 	byMode := make(map[string]SwitchlessRow, len(rows))
 	for _, r := range rows {
@@ -16,6 +16,21 @@ func TestAblationSwitchlessShape(t *testing.T) {
 			t.Fatalf("non-positive timing: %+v", r)
 		}
 		byMode[r.Mode] = r
+	}
+	// Larger batches amortise the transition cost: per-op time and the
+	// transition share both fall with every entry saved (at this scale
+	// ecall/50 already delivers the 50 publications in one).
+	for i := 1; i < len(rows)-1; i++ {
+		prev, cur := rows[i-1], rows[i]
+		if cur.Transitions == prev.Transitions {
+			continue
+		}
+		if cur.Micros >= prev.Micros {
+			t.Errorf("%s not cheaper than %s: %f vs %f", cur.Mode, prev.Mode, cur.Micros, prev.Micros)
+		}
+		if cur.TransitionShare >= prev.TransitionShare {
+			t.Errorf("transition share did not fall from %s to %s: %+v", prev.Mode, cur.Mode, rows)
+		}
 	}
 	one, ten, switchless := byMode["ecall/1"], byMode["ecall/10"], byMode["switchless"]
 	// Transition accounting: per-message ecalls pay one transition per

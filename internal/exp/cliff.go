@@ -3,11 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"scbr/internal/core"
 	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
-	"scbr/internal/scrypto"
-	"scbr/internal/sgx"
+	"scbr/internal/simmem"
 	"scbr/internal/workload"
 )
 
@@ -61,9 +59,6 @@ type CliffResult struct {
 // deterministic: the same Config yields byte-identical results, so
 // cliff positions can be committed and gated in CI.
 func PagingCliff(cfg Config, schemeName string, maxSubs, step int) (*CliffResult, error) {
-	if maxSubs <= 0 || step <= 0 || step > maxSubs {
-		return nil, fmt.Errorf("exp: invalid cliff parameters %d/%d", maxSubs, step)
-	}
 	qs, err := workload.NewQuoteSet(cfg.Seed, cfg.NumSymbols, cfg.PerSymbol)
 	if err != nil {
 		return nil, err
@@ -76,84 +71,40 @@ func PagingCliff(cfg Config, schemeName string, maxSubs, step int) (*CliffResult
 	if err != nil {
 		return nil, err
 	}
-	backend, err := scheme.Lookup(schemeName)
+	codec, err := scheme.NewCodec(schemeName, scheme.WithAttrs(workload.QuoteAttrs(spec.AttrFactor)...), scheme.WithSeed(cfg.Seed+11))
 	if err != nil {
 		return nil, err
 	}
-	universe := workload.QuoteAttrs(spec.AttrFactor)
-	codec, err := scheme.NewCodec(schemeName, scheme.WithAttrs(universe...), scheme.WithSeed(cfg.Seed+11))
-	if err != nil {
-		return nil, err
-	}
-	params, err := codec.Params()
+	r, err := newRunner(cfg, splitMemory, false, codec, pubsub.NewSchema())
 	if err != nil {
 		return nil, err
 	}
 
-	dev, err := sgx.NewDevice([]byte("exp-cliff-device-"+backend.Name), cfg.Cost)
-	if err != nil {
-		return nil, err
-	}
-	signer, err := scrypto.NewKeyPair(nil)
-	if err != nil {
-		return nil, err
-	}
-	enclave, err := dev.Launch([]byte("scbr paging-cliff slice"), signer.Public(),
-		sgx.EnclaveConfig{EPCBytes: cfg.EPCBytes})
-	if err != nil {
-		return nil, err
-	}
-	acc, err := enclave.SplitMemory(cfg.EPCBytes)
-	if err != nil {
-		return nil, err
-	}
-	slice, err := backend.NewSlice(acc, pubsub.NewSchema(), core.Options{PadRecordTo: cfg.PadRecordTo})
-	if err != nil {
-		return nil, err
-	}
-	// scbr:vet ignore(enclavemeter): cliff harness drives the slice directly and models ecall cost itself — setup happens before the measured windows
-	if err := slice.Configure(params); err != nil {
-		return nil, err
-	}
-
-	res := &CliffResult{Scheme: backend.Name, EPCBytes: cfg.EPCBytes}
-	meter := acc.Meter()
+	res := &CliffResult{Scheme: codec.Name(), EPCBytes: cfg.EPCBytes}
 	cliffIdx := -1
-	for done := 0; done < maxSubs; done += step {
-		before := meter.C
-		// One ecall delivers the whole window, as registerBulk does for
-		// the hardware-paged Figure 8 run.
-		meter.ChargeTransition()
-		for i, sub := range gen.Subscriptions(step) {
-			enc, err := codec.EncodeSubscription(sub)
-			if err != nil {
-				return nil, fmt.Errorf("exp: encoding cliff subscription %d: %w", done+i, err)
-			}
-			// scbr:vet ignore(enclavemeter): the window charges one bulk transition via meter.ChargeTransition above, mirroring registerBulk's single ecall; wrapping each call would double-charge
-			if _, err := slice.RegisterEncoded(enc, uint32(done+i)); err != nil {
-				return nil, fmt.Errorf("exp: registering cliff subscription %d: %w", done+i, err)
-			}
-		}
-		delta := meter.C.Sub(before)
+	err = sweep(gen, maxSubs, step, []*runner{r}, func(subs int, d []simmem.Counters) {
 		w := CliffWindow{
-			Subs:         done + step,
-			DBMB:         float64(slice.Stats().Bytes) / (1 << 20),
-			MicrosPerSub: cfg.Cost.Micros(delta.Cycles) / float64(step),
-			Faults:       delta.UserFaults,
-			Writebacks:   delta.UserWritebacks,
+			Subs:         subs,
+			DBMB:         r.mb(),
+			MicrosPerSub: r.perOp(d[0], step),
+			Faults:       d[0].UserFaults,
+			Writebacks:   d[0].UserWritebacks,
 		}
 		if cliffIdx < 0 && w.Faults+w.Writebacks > 0 {
 			cliffIdx = len(res.Windows)
 		}
 		res.Windows = append(res.Windows, w)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cliffIdx < 0 {
 		return nil, fmt.Errorf("exp: %s never outgrew its %d-byte budget within %d subscriptions — raise the sweep ceiling or shrink the budget",
-			backend.Name, cfg.EPCBytes, maxSubs)
+			res.Scheme, cfg.EPCBytes, maxSubs)
 	}
 	if cliffIdx == 0 {
 		return nil, fmt.Errorf("exp: %s paged in the first window — budget %d is too small for window size %d",
-			backend.Name, cfg.EPCBytes, step)
+			res.Scheme, cfg.EPCBytes, step)
 	}
 	res.CliffSubs = res.Windows[cliffIdx].Subs
 	res.CliffDBMB = res.Windows[cliffIdx].DBMB

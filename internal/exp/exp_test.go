@@ -2,6 +2,7 @@ package exp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"scbr/internal/core"
@@ -55,31 +56,83 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
-// TestFigure5Repeats: Figure 5 is simulated, so two runs of one
+// TestFiguresRepeat: every figure is simulated, so two runs of one
 // configuration in one process read the same rows to the bit. It holds
-// only while every run interns its attribute names in one order.
-func TestFigure5Repeats(t *testing.T) {
-	first, err := Figure5(smallConfig())
-	if err != nil {
-		t.Fatal(err)
+// only while every run interns its attribute names in one order and no
+// map iteration or wall clock reaches a simulated count.
+func TestFiguresRepeat(t *testing.T) {
+	cfg := smallConfig()
+	for _, tc := range []struct {
+		name string
+		run  func() (any, error)
+	}{
+		{"Figure5", func() (any, error) { return Figure5(cfg) }},
+		{"Figure6", func() (any, error) { return Figure6(cfg) }},
+		{"Figure7", func() (any, error) { return Figure7All(cfg) }},
+		{"Figure8", func() (any, error) { return Figure8(cfg) }},
+		{"Table1", func() (any, error) { return Table1Stats(cfg, 2000) }},
+		{"AblationSwitchless", func() (any, error) { return AblationSwitchless(cfg) }},
+		{"AblationSplit", func() (any, error) { return AblationSplit(cfg) }},
+		{"AblationCacheAlign", func() (any, error) { return AblationCacheAlign(cfg) }},
+		{"AblationHorizontal", func() (any, error) { return AblationHorizontal(cfg, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			first, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(reflect.ValueOf(first), reflect.ValueOf(second)) {
+				t.Errorf("two runs differ:\n%+v\n%+v", first, second)
+			}
+		})
 	}
-	second, err := Figure5(smallConfig())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// sameBits reports whether a and b hold the same values, every float
+// compared by its bits.
+func sameBits(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() {
+		return false
 	}
-	if len(first) != len(second) {
-		t.Fatalf("rows: %d then %d", len(first), len(second))
-	}
-	for i := range first {
-		a, b := first[i], second[i]
-		for _, col := range []struct {
-			name string
-			x, y float64
-		}{{"InAES", a.InAES, b.InAES}, {"InPlain", a.InPlain, b.InPlain}, {"OutAES", a.OutAES, b.OutAES}, {"OutPlain", a.OutPlain, b.OutPlain}} {
-			if a.Subs != b.Subs || math.Float64bits(col.x) != math.Float64bits(col.y) {
-				t.Errorf("%d subscriptions, %s: %v then %v", a.Subs, col.name, col.x, col.y)
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
 			}
 		}
+		return true
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if v := b.MapIndex(k); !v.IsValid() || !sameBits(a.MapIndex(k), v) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
 	}
 }
 
@@ -211,34 +264,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Fig8Step = 0
 	if _, err := Figure8(cfg); err == nil {
 		t.Fatal("zero step accepted")
-	}
-}
-
-func TestAblationBatching(t *testing.T) {
-	cfg := smallConfig()
-	rows, err := AblationBatching(cfg, []int{1, 10, 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	// Larger batches amortise the transition cost: per-op time and the
-	// transition share both fall monotonically.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Micros >= rows[i-1].Micros {
-			t.Errorf("batch %d not cheaper than %d: %f vs %f",
-				rows[i].BatchSize, rows[i-1].BatchSize, rows[i].Micros, rows[i-1].Micros)
-		}
-		if rows[i].TransitionShare >= rows[i-1].TransitionShare {
-			t.Errorf("transition share did not fall: %+v", rows)
-		}
-	}
-	if _, err := AblationBatching(cfg, nil); err == nil {
-		t.Fatal("empty batch sizes accepted")
-	}
-	if _, err := AblationBatching(cfg, []int{0}); err == nil {
-		t.Fatal("zero batch size accepted")
 	}
 }
 

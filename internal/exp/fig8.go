@@ -1,8 +1,7 @@
 package exp
 
 import (
-	"fmt"
-
+	"scbr/internal/simmem"
 	"scbr/internal/workload"
 )
 
@@ -36,65 +35,35 @@ func Figure8(cfg Config) ([]Fig8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Fig8Subs <= 0 || cfg.Fig8Step <= 0 || cfg.Fig8Step > cfg.Fig8Subs {
-		return nil, fmt.Errorf("exp: invalid figure 8 parameters %d/%d", cfg.Fig8Subs, cfg.Fig8Step)
-	}
 	spec, err := workload.SpecByName("e80a1")
 	if err != nil {
 		return nil, err
 	}
-	// Both runs must insert the identical subscription stream.
-	genIn, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+800)
+	gen, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+800)
 	if err != nil {
 		return nil, err
 	}
-	genOut, err := workload.NewGenerator(spec, rt.qs, cfg.Seed+800)
+	in, err := plainRunner(cfg, epcMemory, false)
 	if err != nil {
 		return nil, err
 	}
-	inRun, err := newEngineRun(cfg, inPlain, cfg.Seed+3)
+	out, err := plainRunner(cfg, untrusted, false)
 	if err != nil {
 		return nil, err
 	}
-	outRun, err := newEngineRun(cfg, outPlain, cfg.Seed+4)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := make([]Fig8Row, 0, cfg.Fig8Subs/cfg.Fig8Step)
-	for done := 0; done < cfg.Fig8Subs; done += cfg.Fig8Step {
-		batchIn := genIn.Subscriptions(cfg.Fig8Step)
-		batchOut := genOut.Subscriptions(cfg.Fig8Step)
-
-		inMeter := inRun.engine.Accessor().Meter()
-		inBefore := inMeter.C
-		if err := inRun.registerBulk(batchIn); err != nil {
-			return nil, err
-		}
-		inDelta := inMeter.C.Sub(inBefore)
-
-		outMeter := outRun.engine.Accessor().Meter()
-		outBefore := outMeter.C
-		if err := outRun.registerBulk(batchOut); err != nil {
-			return nil, err
-		}
-		outDelta := outMeter.C.Sub(outBefore)
-
-		outFaults := outDelta.MinorFaults
-		if outFaults == 0 {
-			outFaults = 1
-		}
+	var rows []Fig8Row
+	err = sweep(gen, cfg.Fig8Subs, cfg.Fig8Step, []*runner{in, out}, func(subs int, d []simmem.Counters) {
 		row := Fig8Row{
-			Subs:       done + cfg.Fig8Step,
-			DBMB:       float64(inRun.engine.Accessor().Size()) / (1 << 20),
-			InMicros:   cfg.Cost.Micros(inDelta.Cycles) / float64(cfg.Fig8Step),
-			OutMicros:  cfg.Cost.Micros(outDelta.Cycles) / float64(cfg.Fig8Step),
-			FaultRatio: float64(inDelta.PageFaults) / float64(outFaults),
+			Subs:       subs,
+			DBMB:       in.mb(),
+			InMicros:   in.perOp(d[0], cfg.Fig8Step),
+			OutMicros:  out.perOp(d[1], cfg.Fig8Step),
+			FaultRatio: float64(d[0].PageFaults) / float64(max(d[1].MinorFaults, 1)),
 		}
 		row.TimeRatio = row.InMicros / row.OutMicros
 		rows = append(rows, row)
-	}
-	return rows, nil
+	})
+	return rows, err
 }
 
 // Table1Row reports the realised characteristics of one generated

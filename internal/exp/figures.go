@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"scbr/internal/core"
 	"scbr/internal/pubsub"
 	"scbr/internal/scheme"
 	"scbr/internal/simmem"
@@ -40,17 +39,20 @@ func Figure5(cfg Config) ([]Fig5Row, error) {
 	}
 	pubs := pubGen.Publications(cfg.PubBatch)
 
-	kinds := []engineKind{inAES, inPlain, outAES, outPlain}
-	runs := make(map[engineKind]*engineRun, len(kinds))
-	for _, k := range kinds {
-		run, err := newEngineRun(cfg, k, cfg.Seed)
+	// The four configurations, in Fig5Row's column order.
+	runs := make([]*runner, 0, 4)
+	for _, c := range []struct {
+		mem    memory
+		sealed bool
+	}{{epcMemory, true}, {epcMemory, false}, {untrusted, true}, {untrusted, false}} {
+		r, err := plainRunner(cfg, c.mem, c.sealed)
 		if err != nil {
 			return nil, err
 		}
-		if err := run.preparePublications(pubs); err != nil {
+		if err := r.prepare(pubs); err != nil {
 			return nil, err
 		}
-		runs[k] = run
+		runs = append(runs, r)
 	}
 
 	rows := make([]Fig5Row, 0, len(cfg.Sizes))
@@ -58,27 +60,16 @@ func Figure5(cfg Config) ([]Fig5Row, error) {
 	for _, size := range cfg.Sizes {
 		batch := subGen.Subscriptions(size - registered)
 		registered = size
-		row := Fig5Row{Subs: size}
-		for _, k := range kinds {
-			if err := runs[k].register(batch); err != nil {
+		var micros [4]float64
+		for i, r := range runs {
+			if _, err := r.register(batch, 1); err != nil {
 				return nil, err
 			}
-			micros, _, err := runs[k].matchBatch()
-			if err != nil {
+			if micros[i], _, err = r.matchAll(); err != nil {
 				return nil, err
-			}
-			switch k {
-			case inAES:
-				row.InAES = micros
-			case inPlain:
-				row.InPlain = micros
-			case outAES:
-				row.OutAES = micros
-			case outPlain:
-				row.OutPlain = micros
 			}
 		}
-		rows = append(rows, row)
+		rows = append(rows, Fig5Row{Subs: size, InAES: micros[0], InPlain: micros[1], OutAES: micros[2], OutPlain: micros[3]})
 	}
 	return rows, nil
 }
@@ -100,7 +91,7 @@ func Figure6(cfg Config) ([]Fig6Row, error) {
 	type wl struct {
 		name string
 		gen  *workload.Generator
-		run  *engineRun
+		run  *runner
 	}
 	var wls []wl
 	for i, spec := range workload.Table1() {
@@ -112,11 +103,11 @@ func Figure6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := newEngineRun(cfg, outPlain, cfg.Seed+int64(i))
+		run, err := plainRunner(cfg, untrusted, false)
 		if err != nil {
 			return nil, err
 		}
-		if err := run.preparePublications(pubGen.Publications(cfg.PubBatch)); err != nil {
+		if err := run.prepare(pubGen.Publications(cfg.PubBatch)); err != nil {
 			return nil, err
 		}
 		wls = append(wls, wl{name: spec.Name, gen: subGen, run: run})
@@ -126,10 +117,10 @@ func Figure6(cfg Config) ([]Fig6Row, error) {
 	for _, size := range cfg.Sizes {
 		row := Fig6Row{Subs: size, Micros: make(map[string]float64, len(wls))}
 		for _, w := range wls {
-			if err := w.run.register(w.gen.Subscriptions(size - registered)); err != nil {
+			if _, err := w.run.register(w.gen.Subscriptions(size-registered), 1); err != nil {
 				return nil, err
 			}
-			micros, _, err := w.run.matchBatch()
+			micros, _, err := w.run.matchAll()
 			if err != nil {
 				return nil, err
 			}
@@ -171,59 +162,67 @@ func Figure7(cfg Config, name string) ([]Fig7Row, error) {
 	}
 	pubs := pubGen.Publications(cfg.PubBatch)
 
-	inRun, err := newEngineRun(cfg, inAES, cfg.Seed+1)
+	inRun, err := plainRunner(cfg, epcMemory, true)
 	if err != nil {
 		return nil, err
 	}
-	outRun, err := newEngineRun(cfg, outAES, cfg.Seed+2)
+	outRun, err := plainRunner(cfg, untrusted, true)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range []*engineRun{inRun, outRun} {
-		if err := r.preparePublications(pubs); err != nil {
+	// ASPE matches ciphertext in untrusted memory — the scheme's selling
+	// point — over a fixed attribute universe (the workload's merged
+	// arity), scales calibrated from a publication sample.
+	sample := pubs[:min(len(pubs), 200)]
+	codec, err := scheme.NewCodec(scheme.ASPE,
+		scheme.WithAttrs(workload.QuoteAttrs(spec.AttrFactor)...),
+		scheme.WithSeed(cfg.Seed+500),
+		scheme.WithCalibration(sample...))
+	if err != nil {
+		return nil, err
+	}
+	aspeRun, err := newRunner(cfg, untrusted, false, codec, pubsub.NewSchema())
+	if err != nil {
+		return nil, err
+	}
+	runs := []*runner{inRun, outRun, aspeRun}
+	for _, r := range runs {
+		if err := r.prepare(pubs); err != nil {
 			return nil, err
 		}
-	}
-
-	// ASPE setup: fixed attribute universe over the workload's merged
-	// arity, scales calibrated from a publication sample.
-	aspeMatcher, aspeEvents, err := buildASPE(cfg, spec, rt, pubs)
-	if err != nil {
-		return nil, err
-	}
-	subSpecs := func(n int) ([]pubsub.SubscriptionSpec, error) {
-		return subGen.Subscriptions(n), nil
 	}
 
 	rows := make([]Fig7Row, 0, len(cfg.Sizes))
 	registered := 0
 	for _, size := range cfg.Sizes {
-		batch, err := subSpecs(size - registered)
-		if err != nil {
-			return nil, err
-		}
+		batch := subGen.Subscriptions(size - registered)
 		registered = size
-		if err := inRun.register(batch); err != nil {
-			return nil, err
-		}
-		if err := outRun.register(batch); err != nil {
-			return nil, err
-		}
-		if err := aspeMatcher.register(batch); err != nil {
-			return nil, err
+		for _, r := range runs {
+			if _, err := r.register(batch, 1); err != nil {
+				return nil, err
+			}
 		}
 		row := Fig7Row{Subs: size}
-		if row.InAES, _, err = inRun.matchBatch(); err != nil {
+		if row.InAES, _, err = inRun.matchAll(); err != nil {
 			return nil, err
 		}
 		var delta simmem.Counters
-		if row.OutAES, delta, err = outRun.matchBatch(); err != nil {
+		if row.OutAES, delta, err = outRun.matchAll(); err != nil {
 			return nil, err
 		}
 		row.MissRate = delta.MissRate()
-		if row.OutASPE, err = aspeMatcher.matchBatch(cfg, size, aspeEvents); err != nil {
+		// Only the matching step is measured, points pre-encrypted, as
+		// in the paper: "we measured only the matching step, and not the
+		// encryption or decryption of ASPE messages".
+		nPubs := cfg.PubBatch
+		if budget := cfg.ASPEPubBudget / max(size, 1); budget < nPubs {
+			nPubs = max(5, budget)
+		}
+		nPubs = min(nPubs, len(aspeRun.headers))
+		if delta, err = aspeRun.match(aspeRun.headers[:nPubs], 1); err != nil {
 			return nil, err
 		}
+		row.OutASPE = aspeRun.perOp(delta, nPubs)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -240,95 +239,4 @@ func Figure7All(cfg Config) (map[string][]Fig7Row, error) {
 		out[spec.Name] = rows
 	}
 	return out, nil
-}
-
-// aspeRun drives the ASPE baseline through the pluggable scheme API —
-// the publisher-side codec encodes, the router-side slice stores and
-// matches, exactly the two halves the live broker deploys.
-type aspeRun struct {
-	codec scheme.Codec
-	slice scheme.Slice
-
-	scratch []core.MatchResult
-}
-
-// buildASPE builds the scheme backend over the union of attribute
-// names the workload can produce and pre-encrypts the publication
-// batch into its wire blobs.
-func buildASPE(cfg Config, spec workload.Spec, rt *runtime, pubs []pubsub.EventSpec) (*aspeRun, [][]byte, error) {
-	names := workload.QuoteAttrs(spec.AttrFactor)
-	sample := pubs
-	if len(sample) > 200 {
-		sample = sample[:200]
-	}
-	codec, err := scheme.NewCodec(scheme.ASPE,
-		scheme.WithAttrs(names...),
-		scheme.WithSeed(cfg.Seed+500),
-		scheme.WithCalibration(sample...))
-	if err != nil {
-		return nil, nil, err
-	}
-	backend, err := scheme.Lookup(scheme.ASPE)
-	if err != nil {
-		return nil, nil, err
-	}
-	slice, err := backend.NewSlice(simmem.NewPlainAccessor(cfg.Cost), pubsub.NewSchema(), core.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	params, err := codec.Params()
-	if err != nil {
-		return nil, nil, err
-	}
-	// scbr:vet ignore(enclavemeter): ASPE comparison slice lives in plain untrusted memory — matching on ciphertext outside the enclave is the scheme's selling point, there is no boundary to meter
-	if err := slice.Configure(params); err != nil {
-		return nil, nil, err
-	}
-	blobs := make([][]byte, 0, len(pubs))
-	for _, p := range pubs {
-		blob, encErr := codec.EncodeEvent(p)
-		if encErr != nil {
-			return nil, nil, encErr
-		}
-		blobs = append(blobs, blob)
-	}
-	return &aspeRun{codec: codec, slice: slice}, blobs, nil
-}
-
-func (a *aspeRun) register(specs []pubsub.SubscriptionSpec) error {
-	for _, s := range specs {
-		enc, err := a.codec.EncodeSubscription(s)
-		if err != nil {
-			return err
-		}
-		// scbr:vet ignore(enclavemeter): same plain-memory ASPE slice; registrations happen outside any enclave by design
-		if _, err := a.slice.RegisterEncoded(enc, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// matchBatch measures only the matching step (points pre-encrypted,
-// as in the paper: "we measured only the matching step, and not the
-// encryption or decryption of ASPE messages").
-func (a *aspeRun) matchBatch(cfg Config, size int, blobs [][]byte) (float64, error) {
-	nPubs := cfg.PubBatch
-	if budget := cfg.ASPEPubBudget / max(size, 1); budget < nPubs {
-		nPubs = max(5, budget)
-	}
-	if nPubs > len(blobs) {
-		nPubs = len(blobs)
-	}
-	meter := a.slice.Accessor().Meter()
-	before := meter.C
-	for _, blob := range blobs[:nPubs] {
-		var err error
-		// scbr:vet ignore(enclavemeter): the measured quantity IS the unmetered plain-memory match cost (paper: "only the matching step")
-		if a.scratch, err = a.slice.MatchEncoded(blob, a.scratch[:0]); err != nil {
-			return 0, err
-		}
-	}
-	delta := meter.C.Sub(before)
-	return cfg.Cost.Micros(delta.Cycles) / float64(nPubs), nil
 }

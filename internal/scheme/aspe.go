@@ -188,14 +188,6 @@ func (s *aspeSlice) Configure(params []byte) error {
 	return nil
 }
 
-func (s *aspeSlice) RegisterEncoded(enc []byte, clientRef uint32) (uint64, error) {
-	es, err := aspe.DecodeSubscription(enc)
-	if err != nil {
-		return 0, err
-	}
-	return s.store.Register(es, clientRef)
-}
-
 func (s *aspeSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id uint64) error {
 	es, err := aspe.DecodeSubscription(enc)
 	if err != nil {
@@ -205,19 +197,6 @@ func (s *aspeSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id uin
 }
 
 func (s *aspeSlice) Unregister(id uint64) error { return s.store.Unregister(id) }
-
-func (s *aspeSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
-	s.growScratch(1)
-	if err := aspe.DecodePublicationInto(enc, s.eps[0]); err != nil {
-		return nil, err
-	}
-	res, err := s.store.MatchEncoded(s.eps[0], s.batchOut[0][:0])
-	if err != nil {
-		return nil, err
-	}
-	s.batchOut[0] = res
-	return appendResults(out, res), nil
-}
 
 // MatchEncodedBatch decodes the whole batch into reused scratch and
 // hands it to the store's chunked scan: one walk of the database per 64
@@ -232,8 +211,8 @@ func (s *aspeSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) e
 	eps, slots := s.eps[:len(encs)], s.batchOut[:len(encs)]
 	for i, enc := range encs {
 		if err := aspe.DecodePublicationInto(enc, eps[i]); err != nil {
-			// Dropped, like the per-item decode error: no store has
-			// dimension 0, so the scan skips the item.
+			// Dropped: no store has dimension 0, so the scan skips
+			// the item.
 			eps[i].Dim = 0
 		}
 		slots[i] = slots[i][:0]

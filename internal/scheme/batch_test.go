@@ -34,11 +34,21 @@ func buildSlice(t *testing.T, name string, opts ...Option) (Codec, Slice) {
 	return codec, slice
 }
 
+// matchOne matches one header as a batch of one.
+func matchOne(t *testing.T, slice Slice, enc []byte) []core.MatchResult {
+	t.Helper()
+	out := make([][]core.MatchResult, 1)
+	if err := slice.MatchEncodedBatch([][]byte{enc}, out); err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
+}
+
 // matchBatchEquivalence is the batch-matching correctness property:
-// MatchEncodedBatch appends, for every item, exactly what a per-item
-// MatchEncoded call appends — same IDs, same order — with per-item
-// decode failures contributing nothing, and it respects pre-existing
-// content in the result rows.
+// MatchEncodedBatch appends, for every item, exactly what a batch of
+// that item alone appends — same IDs, same order — with undecodable
+// items contributing nothing, and it respects pre-existing content in
+// the result rows.
 func matchBatchEquivalence(t *testing.T, name string, opts ...Option) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -59,7 +69,7 @@ func matchBatchEquivalence(t *testing.T, name string, opts ...Option) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := slice.RegisterEncoded(enc, uint32(100+i)); err != nil {
+		if err := slice.RegisterEncodedAssigned(enc, uint32(100+i), uint64(i)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,17 +86,12 @@ func matchBatchEquivalence(t *testing.T, name string, opts ...Option) {
 		}
 		encs = append(encs, blob)
 	}
-	// Undecodable items must contribute nothing, exactly as the
-	// per-item calls error out and the caller drops them.
+	// Undecodable items must contribute nothing, alone or in a batch.
 	encs = append(encs, []byte{}, []byte("garbage"), nil)
 
 	want := make([][]core.MatchResult, len(encs))
 	for i, enc := range encs {
-		res, err := slice.MatchEncoded(enc, nil)
-		if err != nil {
-			res = nil
-		}
-		want[i] = res
+		want[i] = matchOne(t, slice, enc)
 	}
 
 	// Rows carry pre-existing sentinel content the batch must append
@@ -105,11 +110,11 @@ func matchBatchEquivalence(t *testing.T, name string, opts ...Option) {
 		}
 		got := out[i][1:]
 		if len(got) != len(want[i]) {
-			t.Fatalf("item %d: batch matched %d, per-item matched %d (%v vs %v)", i, len(got), len(want[i]), got, want[i])
+			t.Fatalf("item %d: batch matched %d, alone %d (%v vs %v)", i, len(got), len(want[i]), got, want[i])
 		}
 		for j := range got {
 			if got[j] != want[i][j] {
-				t.Fatalf("item %d result %d: batch %v, per-item %v", i, j, got[j], want[i][j])
+				t.Fatalf("item %d result %d: batch %v, alone %v", i, j, got[j], want[i][j])
 			}
 		}
 	}
@@ -123,7 +128,7 @@ func TestASPEMatchBatchEquivalence(t *testing.T) {
 
 // TestMatchBatchErrors pins the whole-store failure contract: the
 // batch call errors (rather than silently matching nothing) exactly
-// when every per-item call would fail identically.
+// when every item would fail identically.
 func TestMatchBatchErrors(t *testing.T) {
 	codec, slice := buildSlice(t, ASPE, WithAttrs("symbol", "price"), WithSeed(13))
 	blob, err := codec.EncodeEvent(pubsub.EventSpec{Attrs: []pubsub.NamedValue{

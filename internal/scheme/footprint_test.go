@@ -49,7 +49,7 @@ func measureStore(t *testing.T, name string, spec workload.Spec, n, warm int) (w
 			t.Fatalf("encode sub %d: %v", i, err)
 		}
 		encTotal += len(enc)
-		if _, err := slice.RegisterEncoded(enc, uint32(i)); err != nil {
+		if err := slice.RegisterEncodedAssigned(enc, uint32(i), uint64(i)+1); err != nil {
 			t.Fatalf("register sub %d: %v", i, err)
 		}
 		if i+1 == warm {

@@ -98,14 +98,6 @@ func (s *PlainSlice) decode(enc []byte) (*pubsub.Subscription, error) {
 	return pubsub.Normalize(s.schema, spec)
 }
 
-func (s *PlainSlice) RegisterEncoded(enc []byte, clientRef uint32) (uint64, error) {
-	sub, err := s.decode(enc)
-	if err != nil {
-		return 0, err
-	}
-	return s.engine.RegisterNormalized(sub, clientRef)
-}
-
 func (s *PlainSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id uint64) error {
 	sub, err := s.decode(enc)
 	if err != nil {
@@ -130,14 +122,6 @@ func (s *PlainSlice) header(i int, enc []byte) (*pubsub.Event, error) {
 	return ev, nil
 }
 
-func (s *PlainSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error) {
-	ev, err := s.header(0, enc)
-	if err != nil {
-		return nil, err
-	}
-	return s.engine.MatchAppend(ev, out)
-}
-
 // MatchEncodedBatch parses every header into reused scratch, then
 // crosses into the engine once: one lock acquisition and one walk of
 // each forest per 64 items, every stored record read once per walk
@@ -146,7 +130,7 @@ func (s *PlainSlice) MatchEncoded(enc []byte, out []core.MatchResult) ([]core.Ma
 func (s *PlainSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error {
 	s.evs = s.evs[:0]
 	for i, enc := range encs {
-		ev, _ := s.header(i, enc) // nil: dropped, like the per-item error
+		ev, _ := s.header(i, enc) // nil: an undecodable item is dropped
 		s.evs = append(s.evs, ev)
 	}
 	return s.engine.MatchAppendBatch(s.evs, out)

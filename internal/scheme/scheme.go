@@ -94,26 +94,22 @@ type Slice interface {
 	// (from provisioning, or from a sealed snapshot during restore).
 	// Idempotent for identical parameters.
 	Configure(params []byte) error
-	// RegisterEncoded ingests one subscription in the scheme's
-	// registration encoding and returns its slice-local ID.
-	RegisterEncoded(enc []byte, clientRef uint32) (uint64, error)
-	// RegisterEncodedAssigned re-ingests a subscription under a
-	// previously issued ID — the state-restore path.
+	// RegisterEncodedAssigned ingests one subscription in the scheme's
+	// registration encoding under an ID the caller issues (the hub, or
+	// state restore replaying the IDs clients already hold). The ID
+	// must be non-zero and unused.
 	RegisterEncodedAssigned(enc []byte, clientRef uint32, id uint64) error
 	// Unregister removes a subscription by slice-local ID.
 	Unregister(id uint64) error
-	// MatchEncoded matches one publication header in the scheme's
-	// encoding, appending to out.
-	MatchEncoded(enc []byte, out []core.MatchResult) ([]core.MatchResult, error)
-	// MatchEncodedBatch matches a batch of publication headers in one
-	// store pass, appending encs[i]'s matches to out[i] (len(out) must
-	// be at least len(encs)). An item that fails to decode or validate
-	// contributes nothing to its slot — the same items the per-item
-	// path drops with an error under the wire's fire-and-forget publish
-	// semantics — so the appended results are exactly the per-item
-	// MatchEncoded results, in the same per-item order. The error
-	// return is reserved for whole-store failures (an unconfigured
-	// store), where every per-item call would have failed identically.
+	// MatchEncodedBatch matches a batch of publication headers in the
+	// scheme's encoding in one store pass, appending encs[i]'s matches
+	// to out[i] (len(out) must be at least len(encs)). An item that
+	// fails to decode or validate contributes nothing to its slot, under
+	// the wire's fire-and-forget publish semantics, and does not affect
+	// the other items: each item's results are exactly what a batch of
+	// that item alone appends, in the same order. The error return is
+	// reserved for whole-store failures (an unconfigured store), where
+	// every item would have failed identically.
 	// Both schemes pass over the store once per chunk of 64 items rather
 	// than once per item, the items still live on the path one bit each
 	// of a mask: ASPE scans its subscriptions, the Bloom prefilter and

@@ -97,8 +97,8 @@ func roundTrip(t *testing.T, name string, opts ...Option) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := slice.RegisterEncoded(enc, 7)
-	if err != nil {
+	const id = 1
+	if err := slice.RegisterEncodedAssigned(enc, 7, id); err != nil {
 		t.Fatal(err)
 	}
 	if st := slice.Stats(); st.Subscriptions != 1 {
@@ -109,14 +109,13 @@ func roundTrip(t *testing.T, name string, opts ...Option) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := slice.MatchEncoded(blob, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return matchOne(t, slice, blob)
 	}
 	if got := match(42); len(got) != 1 || got[0].SubID != id || got[0].ClientRef != 7 {
 		t.Fatalf("matching event → %v, want [{%d 7}]", got, id)
+	}
+	if err := slice.RegisterEncodedAssigned(enc, 8, id); err == nil {
+		t.Fatal("a second registration under a live ID accepted")
 	}
 	if got := match(60); len(got) != 0 {
 		t.Fatalf("non-matching event → %v", got)
@@ -162,7 +161,7 @@ func plainSlice(t *testing.T) (Codec, Slice) {
 // infinite price is an ordinary value.
 func TestNaNPublicationMatchesNothing(t *testing.T) {
 	codec, slice := plainSlice(t)
-	for _, spec := range []pubsub.SubscriptionSpec{
+	for i, spec := range []pubsub.SubscriptionSpec{
 		{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(20), Hi: pubsub.Float(30)}}},
 		{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpGt, Value: pubsub.Float(20)}}},
 		subSpec(50),
@@ -171,7 +170,7 @@ func TestNaNPublicationMatchesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := slice.RegisterEncoded(enc, 1); err != nil {
+		if err := slice.RegisterEncodedAssigned(enc, 1, uint64(i)+1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,8 +182,13 @@ func TestNaNPublicationMatchesNothing(t *testing.T) {
 		return blob
 	}
 	nan := header(math.NaN())
-	if got, err := slice.MatchEncoded(nan, nil); !errors.Is(err, pubsub.ErrCodec) || len(got) != 0 {
-		t.Fatalf("NaN price: matched %v, err %v; want nothing and an ErrCodec", got, err)
+	if err := pubsub.DecodeEventInto(pubsub.NewSchema(), nan, new(pubsub.Event)); !errors.Is(err, pubsub.ErrCodec) {
+		t.Fatalf("decoding a NaN price: %v, want an ErrCodec", err)
+	}
+	// Alone, the NaN item contributes nothing; beside valid items it
+	// still contributes nothing, and they match as they would alone.
+	if got := matchOne(t, slice, nan); len(got) != 0 {
+		t.Fatalf("NaN price alone matched %v; want nothing", got)
 	}
 	out := make([][]core.MatchResult, 3)
 	if err := slice.MatchEncodedBatch([][]byte{header(25), nan, header(math.Inf(1))}, out); err != nil {
@@ -223,9 +227,6 @@ func TestNaNBoundRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := slice.RegisterEncoded(raw, 1); !errors.Is(err, pubsub.ErrCodec) {
-			t.Fatalf("%v: RegisterEncoded err %v, want an ErrCodec", p, err)
-		}
 		if err := slice.RegisterEncodedAssigned(raw, 1, 99); !errors.Is(err, pubsub.ErrCodec) {
 			t.Fatalf("%v: RegisterEncodedAssigned err %v, want an ErrCodec", p, err)
 		}
@@ -239,7 +240,7 @@ func TestNaNBoundRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slice.RegisterEncoded(enc, 1); err != nil {
+	if err := slice.RegisterEncodedAssigned(enc, 1, 99); err != nil {
 		t.Fatalf("a -Inf bound: %v", err)
 	}
 }
@@ -301,7 +302,7 @@ func TestASPESliceReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slice.RegisterEncoded(enc, 1); err == nil {
+	if err := slice.RegisterEncodedAssigned(enc, 1, 1); err == nil {
 		t.Fatal("unconfigured slice accepted a registration")
 	}
 	if err := slice.Configure(params); err != nil {
@@ -310,7 +311,7 @@ func TestASPESliceReconfigure(t *testing.T) {
 	if err := slice.Configure(params); err != nil {
 		t.Fatalf("idempotent re-configure failed: %v", err)
 	}
-	if _, err := slice.RegisterEncoded(enc, 1); err != nil {
+	if err := slice.RegisterEncodedAssigned(enc, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Re-dimensioning a populated store must fail: its stored vectors

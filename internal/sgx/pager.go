@@ -2,6 +2,9 @@ package sgx
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,6 +47,11 @@ type pages struct {
 	// this enclave has actually needed at once, the actual to validate
 	// deployment-plan footprints against.
 	peak int
+
+	// aead is AES-GCM under key, which is fixed for the enclave's life:
+	// its key schedule and GHASH tables are built on the first seal or
+	// unseal, not per page.
+	aead cipher.AEAD
 }
 
 type pageEntry struct {
@@ -209,27 +217,33 @@ func (p *pages) drop(page uint64) {
 	p.resident[page] = pageEntry{}
 }
 
-// seal writes a resident page's image out under its next version.
+// seal writes a resident page's image out under its next version:
+// nonce(12) ‖ ciphertext ‖ tag(16), scrypto.SealGCM's layout.
 func (p *pages) seal(page uint64) {
 	p.versions[page]++
-	ct, err := scrypto.SealGCM(p.key, p.arena.Page(page), p.aad(page))
-	if err != nil {
+	p.initAEAD()
+	n := p.aead.NonceSize()
+	img := make([]byte, n, n+simmem.PageSize+p.aead.Overhead())
+	if _, err := rand.Read(img); err != nil {
 		panic(err)
 	}
-	p.images[page] = ct
+	p.images[page] = p.aead.Seal(img, img, p.arena.Page(page), p.aad(page))
 }
 
-// unseal decrypts and verifies a page's image into its frame. A
-// failure means the untrusted side fed the enclave a tampered or
+// unseal decrypts and verifies a page's image straight into its frame.
+// A failure means the untrusted side fed the enclave a tampered or
 // replayed image. Real SGX locks the memory controller and forces a
 // reboot; a deterministic simulator can only stop the machine the same
 // way, so unseal panics with an *IntegrityError.
 func (p *pages) unseal(page uint64) {
-	pt, err := scrypto.OpenGCM(p.key, p.images[page], p.aad(page))
-	if err != nil {
-		panic(&IntegrityError{Page: page, Err: err})
+	p.initAEAD()
+	img, n := p.images[page], p.aead.NonceSize()
+	if len(img) < n+p.aead.Overhead() {
+		panic(&IntegrityError{Page: page, Err: scrypto.ErrMalformed})
 	}
-	copy(p.arena.Page(page), pt)
+	if _, err := p.aead.Open(p.arena.Page(page)[:0], img[:n], img[n:], p.aad(page)); err != nil {
+		panic(&IntegrityError{Page: page, Err: scrypto.ErrAuthentication})
+	}
 }
 
 func (p *pages) aad(page uint64) []byte {
@@ -237,6 +251,22 @@ func (p *pages) aad(page uint64) []byte {
 	binary.LittleEndian.PutUint64(aad[:8], page)
 	binary.LittleEndian.PutUint64(aad[8:], p.versions[page])
 	return aad[:]
+}
+
+// initAEAD builds the pager's AES-GCM on first use, with
+// scrypto.SealGCM's 12-byte nonce. Neither call fails for the 16-byte
+// paging keys.
+func (p *pages) initAEAD() {
+	if p.aead != nil {
+		return
+	}
+	block, err := aes.NewCipher(p.key)
+	if err != nil {
+		panic(err)
+	}
+	if p.aead, err = cipher.NewGCMWithNonceSize(block, 12); err != nil {
+		panic(err)
+	}
 }
 
 // ResidentBytes implements simmem.Residency.
