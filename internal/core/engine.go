@@ -444,7 +444,9 @@ func keyOf(id pubsub.AttrID, v *pubsub.Value) shardKey {
 
 // matchChunk matches up to walkChunk events (nil = skipped) in one
 // pass: it transposes them by attribute into the engine's columns, then
-// walks the general shard with every event live, then the equality
+// walks the general shard with every event live — from its root table
+// when at most rootWalkMax events are (walkRoots), along its root chain
+// otherwise — then the equality
 // shards attribute position by attribute position, the events that
 // carry the same (attribute, value) at a position sharing one walk.
 // Each event therefore sees the general shard first and its own shards
@@ -470,7 +472,13 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 		return nil
 	}
 	e.cols.Load(evs)
-	failed, firstErr := e.walkForest(e.general, live, out)
+	var failed uint64
+	var firstErr error
+	if bits.OnesCount64(live) <= rootWalkMax {
+		failed, firstErr = e.walkRoots(live, out)
+	} else {
+		failed, firstErr = e.walkForest(e.readHeader(e.general).child, live, true, out)
+	}
 	live &^= failed
 	for pos := 0; pos < maxAttrs && live != 0; pos++ {
 		var pending uint64
@@ -494,7 +502,7 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 				}
 			}
 			pending &^= group
-			f, err := e.walkForest(s, group, out)
+			f, err := e.walkForest(e.readHeader(s).child, group, true, out)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -517,23 +525,24 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 	return firstErr
 }
 
-// walkForest walks one shard's forest depth-first for the events in
-// mask, visiting each node at most once: its constraint blob is
-// evaluated once per visit against every live event (Columns.Match over
-// the chunk matchChunk loaded), a sibling inherits the mask its node
-// was entered with, a child the events that passed the node, and a
-// subtree no event reaches is pruned. It appends each event's matches
-// to its slot in the order a walk for that event alone would, and
-// returns the events that hit a corrupt node (with the first error);
-// those stop being evaluated from that node on. The walk stack is a
-// local for the duration, and only its backing array goes back into the
-// engine, so the loop stores nothing into the Engine struct.
-func (e *Engine) walkForest(sentinel, mask uint64, out [][]MatchResult) (failed uint64, err error) {
-	h := e.readHeader(sentinel)
-	if h.child == nilOff {
+// walkForest walks a forest depth-first from start for the events in
+// mask — a shard's whole forest from its first root when siblings is
+// set, or the one subtree under start when not — visiting each node at
+// most once: its constraint blob is evaluated once per visit against
+// every live event (Columns.Match over the chunk matchChunk loaded), a
+// sibling inherits the mask its node was entered with, a child the
+// events that passed the node, and a subtree no event reaches is
+// pruned. It appends each event's matches to its slot in the order a
+// walk for that event alone would, and returns the events that hit a
+// corrupt node (with the first error); those stop being evaluated from
+// that node on. The walk stack is a local for the duration, and only
+// its backing array goes back into the engine, so the loop stores
+// nothing into the Engine struct.
+func (e *Engine) walkForest(start, mask uint64, siblings bool, out [][]MatchResult) (failed uint64, err error) {
+	if start == nilOff {
 		return 0, nil
 	}
-	stack := append(e.stack[:0], walkEntry{off: h.child, live: mask})
+	stack := append(e.stack[:0], walkEntry{off: start, live: mask})
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -542,9 +551,10 @@ func (e *Engine) walkForest(sentinel, mask uint64, out [][]MatchResult) (failed 
 			continue
 		}
 		nh := e.readHeader(top.off)
-		if nh.sibling != nilOff {
+		if nh.sibling != nilOff && siblings {
 			stack = append(stack, walkEntry{off: nh.sibling, live: live})
 		}
+		siblings = true // below start, every node's siblings are walked
 		// A node stored without constraints has no blob and matches
 		// every event with nothing evaluated.
 		pass := live

@@ -100,7 +100,7 @@ func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
 // is the paper's Fig. 8 cost, paid once per page per chunk.
 func BenchmarkMatchForest(b *testing.B) {
 	e, evs := quoteEngine(b, newPlainAcc(), 10_000, Options{})
-	for _, n := range []int{1, 8, 32, 64} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { benchMatch(b, e, evs, n) })
 	}
 	epc := e.Stats().Bytes / 2 &^ (simmem.PageSize - 1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,12 +14,22 @@ import (
 
 // matchPerEvent is the walk MatchAppend made before one walk carried a
 // whole chunk of events: the general shard, then the shard of each
-// event attribute in order, each forest walked for this one event. It
-// is the reference the batch walk is held to — per event the same
-// results in the same order, and at batch size 1 the same simulated
-// counts.
-func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
-	out, err := e.matchForestPerEvent(e.general, ev, out)
+// event attribute in order, each forest walked for this one event. The
+// general shard is walked the way a chunk of this event's size walks it:
+// from the root table when table is set (rootsPerEvent), as a lone event
+// does, along the root chain when not. It is the reference the batch
+// walk is held to — per event the same results in the same order, and
+// at batch size 1 (table set) the same simulated counts.
+func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult, table bool) ([]MatchResult, error) {
+	var err error
+	if table {
+		err = e.rootsPerEvent(ev, func(root uint64) error {
+			out, err = e.matchTreePerEvent(root, false, ev, out)
+			return err
+		})
+	} else {
+		out, err = e.matchTreePerEvent(e.readHeader(e.general).child, true, ev, out)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -27,24 +38,25 @@ func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult) ([]MatchResu
 		if !ok {
 			continue
 		}
-		if out, err = e.matchForestPerEvent(sentinel, ev, out); err != nil {
+		if out, err = e.matchTreePerEvent(e.readHeader(sentinel).child, true, ev, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (e *Engine) matchForestPerEvent(sentinel uint64, ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
-	h := e.readHeader(sentinel)
-	if h.child == nilOff {
+// matchTreePerEvent walks the subtree under start for ev alone, and
+// when siblings is set the subtrees of start's later siblings too.
+func (e *Engine) matchTreePerEvent(start uint64, siblings bool, ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
+	if start == nilOff {
 		return out, nil
 	}
-	stack := []uint64{h.child}
+	stack := []uint64{start}
 	for len(stack) > 0 {
 		off := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		nh := e.readHeader(off)
-		if nh.sibling != nilOff {
+		if nh.sibling != nilOff && (siblings || off != start) {
 			stack = append(stack, nh.sibling)
 		}
 		matched, evaluated := true, 0
@@ -71,41 +83,83 @@ func (e *Engine) matchForestPerEvent(sentinel uint64, ev *pubsub.Event, out []Ma
 	return out, nil
 }
 
-// matchDecoded is the walk Match made before it evaluated constraint
-// blobs in place: decode every visited node's constraints into a
-// []Constraint, test them in order, charge for the ones tested. It is
-// the reference the property below holds Match to — same results, same
-// simulated counts.
-func (e *Engine) matchDecoded(ev *pubsub.Event) ([]MatchResult, error) {
-	sentinels := []uint64{e.general}
-	for _, attr := range ev.Attrs {
-		key := shardKey{id: attr.ID}
-		if attr.Value.Kind == pubsub.KindString {
-			key.str, key.s = true, attr.Value.S
-		} else {
-			key.f = math.Float64bits(attr.Value.AsFloat())
+// rootsPerEvent is the general shard's table walk for ev alone, the
+// reference walkRoots is held to at one event: every live entry, newest
+// first, costs one predicate's cycles, and a root whose entry admits ev
+// (entryAdmits) has its subtree walked by subtree, which stops the walk
+// with the first error. The other roots are passed over, unread.
+func (e *Engine) rootsPerEvent(ev *pubsub.Event, subtree func(root uint64) error) error {
+	tests := uint64(0)
+	var err error
+	runs := e.rootRuns()
+	for run := runs.next(); run != nil; run = runs.next() {
+		for i := len(run) - rootEntrySize; i >= 0 && err == nil; i -= rootEntrySize {
+			ent := run[i : i+rootEntrySize]
+			if root := leUint64(ent); root != nilOff {
+				if tests++; entryAdmits(ent, ev) {
+					err = subtree(root)
+				}
+			}
 		}
-		if s, ok := e.shards[key]; ok {
-			sentinels = append(sentinels, s)
+		if err != nil {
+			break
 		}
 	}
-	var out []MatchResult
-	for _, sentinel := range sentinels {
-		h := e.readHeader(sentinel)
-		if h.child == nilOff {
-			continue
+	e.acc.Charge(tests * e.predCycles)
+	return err
+}
+
+// entryAdmits decides from ev's attributes whether the root of table
+// entry ent may match it: ev carries an attribute in every class (ID
+// mod 32) of the entry's set and, where the entry has a summary, the
+// first value ev gives the summary's attribute is a number not outside
+// the entry's bounds.
+func entryAdmits(ent []byte, ev *pubsub.Event) bool {
+	var carried pubsub.AttrSet
+	for _, a := range ev.Attrs {
+		carried |= 1 << (a.ID % 32)
+	}
+	if pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offRootAttrs:]))&^carried != 0 {
+		return false
+	}
+	if ent[offRootFlags]&rootSummary == 0 {
+		return true
+	}
+	id := pubsub.AttrID(binary.LittleEndian.Uint16(ent[offRootAttr:]))
+	for _, a := range ev.Attrs {
+		if a.ID == id {
+			if !a.Value.Numeric() {
+				return false
+			}
+			f := a.Value.AsFloat()
+			lo := math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootLo:]))
+			hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootHi:]))
+			return !(f < lo || f > hi) // a NaN value or bound rules nothing out
 		}
-		stack := []uint64{h.child}
+	}
+	return false
+}
+
+// matchDecoded is the walk Match made before it evaluated constraint
+// blobs in place: decode every visited node's constraints into a
+// []Constraint, test them in order, charge for the ones tested. The
+// general shard is walked from the root table, as a lone event walks
+// it (rootsPerEvent). It is the reference the property below holds
+// Match to — same results, same simulated counts.
+func (e *Engine) matchDecoded(ev *pubsub.Event) ([]MatchResult, error) {
+	var out []MatchResult
+	walk := func(start uint64, siblings bool) error {
+		stack := []uint64{start}
 		for len(stack) > 0 {
 			off := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			nh := e.readHeader(off)
-			if nh.sibling != nilOff {
+			if nh.sibling != nilOff && (siblings || off != start) {
 				stack = append(stack, nh.sibling)
 			}
 			cs, err := e.decodeNode(off, nh)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			matched, evaluated := true, len(cs)
 			for n := 1; n <= len(cs); n++ {
@@ -125,6 +179,29 @@ func (e *Engine) matchDecoded(ev *pubsub.Event) ([]MatchResult, error) {
 			}
 			if nh.child != nilOff {
 				stack = append(stack, nh.child)
+			}
+		}
+		return nil
+	}
+	if err := e.rootsPerEvent(ev, func(root uint64) error { return walk(root, false) }); err != nil {
+		return nil, err
+	}
+	var sentinels []uint64
+	for _, attr := range ev.Attrs {
+		key := shardKey{id: attr.ID}
+		if attr.Value.Kind == pubsub.KindString {
+			key.str, key.s = true, attr.Value.S
+		} else {
+			key.f = math.Float64bits(attr.Value.AsFloat())
+		}
+		if s, ok := e.shards[key]; ok {
+			sentinels = append(sentinels, s)
+		}
+	}
+	for _, sentinel := range sentinels {
+		if h := e.readHeader(sentinel); h.child != nilOff {
+			if err := walk(h.child, true); err != nil {
+				return nil, err
 			}
 		}
 	}

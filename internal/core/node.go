@@ -55,8 +55,13 @@
 // pair is two binary searches, whichever node asks. Verdicts and
 // charged cycles do not depend on which is used. A sibling inherits
 // its node's mask, a child the events that passed, and a subtree no
-// event reaches is pruned. Events that carry the same (attribute,
-// value) share the walk of that shard. Each event's results are those
+// event reaches is pruned. A chunk of a few events (up to
+// rootWalkMax) walks the general shard from its root table instead of
+// its root chain: a root whose entry rules out every event of the chunk
+// — an attribute none carries, or an interval none of their values lies
+// in — is passed over with its subtree, header and blob unread, and the
+// others' subtrees are walked in chain order. Events that carry the same
+// (attribute, value) share the walk of that shard. Each event's results are those
 // of matching it alone, in the same order; a single event is the batch
 // of one, with the simulated counts the per-event walk had.
 //

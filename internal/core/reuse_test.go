@@ -167,7 +167,7 @@ func TestUnregisterReusesRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, ev := range probes {
-					ref, err := e.matchPerEvent(ev, nil)
+					ref, err := e.matchPerEvent(ev, nil, true)
 					if err != nil {
 						t.Fatal(err)
 					}

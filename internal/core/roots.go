@@ -25,9 +25,15 @@ import (
 // newcomer's on that attribute, and the newcomer covers the root only
 // the other way round. The summary is a necessary-condition filter and
 // pubsub.CoverEncoded still decides, so the insert finds the coverer and
-// the covered roots the chain scan would, in the same order. The match
-// walk, the equality shards and the levels below a root do not use the
-// table.
+// the covered roots the chain scan would, in the same order.
+//
+// A match of a few events (walkRoots) walks the general shard from the
+// table too: an event can pass a root only if it carries every
+// attribute of the entry's set and, on the summary's attribute, a
+// number within its bounds or NaN (pubsub.Columns.Admit), so a root
+// that admits no event of the chunk is passed over with its subtree.
+// Larger chunks, the equality shards and the levels below a root do not
+// use the table.
 //
 // Entry layout:
 //
@@ -211,6 +217,41 @@ func (e *Engine) compactRoots() {
 	e.rootUsed = w
 }
 
+// rootRuns reads the table for scanRoots and walkRoots: next returns
+// its entries in line-aligned runs, newest run first, that double from
+// one line to a page, so a scan that stops at a recent root has read about twice the
+// lines it passed, not the page. A run's newest entry is its last: read
+// backwards, entry by entry, the runs give the root chain's order. Each
+// run is a copy, since callers read roots between its entries and the
+// bytes a Read returns are valid only until the next access (a paged
+// enclave scrubs an evicted page's frame).
+type rootRuns struct {
+	e *Engine
+	// hi is the number of entries not yet returned, the oldest ones; n
+	// is the length of the next run.
+	hi, n int
+}
+
+// rootRuns starts a read of the table at its newest entry.
+func (e *Engine) rootRuns() rootRuns {
+	return rootRuns{e: e, hi: e.rootUsed, n: 64 / rootEntrySize}
+}
+
+// next returns the next run of entries, or nil after the oldest. A run
+// never crosses a page: runs are aligned to their length, which
+// divides rootsPerPage.
+func (r *rootRuns) next() []byte {
+	if r.hi == 0 {
+		return nil
+	}
+	e := r.e
+	lo := (r.hi - 1) &^ (r.n - 1)
+	run := append(e.rootBuf[:0], e.acc.Read(e.rootEntry(lo), (r.hi-lo)*rootEntrySize)...)
+	e.rootBuf = run
+	r.hi, r.n = lo, min(2*r.n, rootsPerPage)
+	return run
+}
+
 // scanRoots is one level of insert at the general shard, over the table:
 // newest entry first, each live entry is tested for one predicate's
 // cycles, a root whose summary rules out both covering directions is
@@ -218,45 +259,84 @@ func (e *Engine) compactRoots() {
 // would. It returns the first root that covers sub (equal when sub
 // covers it too), or nilOff with e.moved holding the roots sub covers,
 // in chain order.
-//
-// The table is read backwards in line-aligned runs that double from one
-// line to a page, so a scan that stops at a recent root has read about
-// twice the lines it passed, not the page.
 func (e *Engine) scanRoots(sub *pubsub.Subscription) (next uint64, equal bool, err error) {
 	e.moved = e.moved[:0]
 	attrs, _, _ := sub.Outline()
 	tests := uint64(0) // entries tested, charged on the way out
-	run := 64 / rootEntrySize
-	for p := len(e.rootPages) - 1; p >= 0; p-- {
-		for hi := min(e.rootUsed-p*rootsPerPage, rootsPerPage); hi > 0; {
-			lo := (hi - 1) &^ (run - 1)
-			// The bytes a Read returns are valid only until the next
-			// access (a paged enclave scrubs an evicted page's frame),
-			// and a candidate's header is read before the run is done:
-			// copy them.
-			seg := append(e.rootBuf[:0], e.acc.Read(e.rootEntry(p*rootsPerPage+lo), (hi-lo)*rootEntrySize)...)
-			e.rootBuf = seg
-			for i := hi - lo - 1; i >= 0; i-- {
-				ent := seg[i*rootEntrySize : (i+1)*rootEntrySize]
-				off := leUint64(ent)
-				if off == nilOff {
-					continue
-				}
-				if tests++; ruledOut(ent, attrs, sub) {
-					continue
-				}
-				_, rootCovers, subCovers, err := e.coverTest(off, sub)
-				if err != nil || rootCovers {
-					e.acc.Charge(tests * e.predCycles)
-					return off, subCovers, err
-				}
-				if subCovers {
-					e.moved = append(e.moved, off)
-				}
+	runs := e.rootRuns()
+	for run := runs.next(); run != nil; run = runs.next() {
+		for i := len(run) - rootEntrySize; i >= 0; i -= rootEntrySize {
+			ent := run[i : i+rootEntrySize]
+			off := leUint64(ent)
+			if off == nilOff {
+				continue
 			}
-			hi, run = lo, min(2*run, rootsPerPage)
+			if tests++; ruledOut(ent, attrs, sub) {
+				continue
+			}
+			_, rootCovers, subCovers, err := e.coverTest(off, sub)
+			if err != nil || rootCovers {
+				e.acc.Charge(tests * e.predCycles)
+				return off, subCovers, err
+			}
+			if subCovers {
+				e.moved = append(e.moved, off)
+			}
 		}
 	}
 	e.acc.Charge(tests * e.predCycles)
 	return nilOff, false, nil
+}
+
+// rootWalkMax is the most live events a chunk may hold for matchChunk
+// to walk the general shard from its root table (walkRoots) rather than
+// along its root chain. BenchmarkMatchForest's batch=1 to 32 rows, run
+// with each walk for every chunk, are the sweep: in ns per event the
+// table walk is 3.3× faster at 1 event and 10–30 % at 8, ties or loses
+// at 16 and loses by a third at 32, where most roots admit some event
+// and their headers are read on top of the table.
+const rootWalkMax = 8
+
+// walkRoots is the general shard's walk for a chunk of at most
+// rootWalkMax live events (mask), over the table: newest entry first,
+// each live entry is tested for one predicate's cycles and narrows the
+// chunk's events to those its summary admits (Columns.Admit); a root
+// that admits none is passed over with its subtree, header and blob
+// unread, and every other root's subtree is walked for the events it
+// admits, whole, before the next entry. Entries are in chain order, so
+// each event's results come out as the chain walk gives them. It
+// returns what walkForest does; an event that failed is not carried to
+// later roots.
+func (e *Engine) walkRoots(mask uint64, out [][]MatchResult) (failed uint64, err error) {
+	tests := uint64(0) // entries tested, charged on the way out
+	runs := e.rootRuns()
+table:
+	for run := runs.next(); run != nil; run = runs.next() {
+		for i := len(run) - rootEntrySize; i >= 0; i -= rootEntrySize {
+			ent := run[i : i+rootEntrySize]
+			off := leUint64(ent)
+			if off == nilOff {
+				continue
+			}
+			tests++
+			live := e.cols.Admit(mask&^failed,
+				pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offRootAttrs:])),
+				pubsub.AttrID(binary.LittleEndian.Uint16(ent[offRootAttr:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootLo:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootHi:])),
+				ent[offRootFlags]&rootSummary != 0)
+			if live == 0 {
+				continue
+			}
+			f, werr := e.walkForest(off, live, false, out)
+			if err == nil {
+				err = werr
+			}
+			if failed |= f; failed == mask {
+				break table // every event failed: nothing is left to walk
+			}
+		}
+	}
+	e.acc.Charge(tests * e.predCycles)
+	return failed, err
 }

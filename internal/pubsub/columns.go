@@ -23,6 +23,9 @@ type Columns struct {
 	slot []*column
 	cols []*column
 	n    int
+	// carries[b] holds the events that carry an attribute whose ID is b
+	// mod 32: one mask per AttrSet bit.
+	carries [32]uint64
 }
 
 // rankMin is the fewest live events at which Match decides a numeric
@@ -121,6 +124,7 @@ func (c *Columns) Load(evs []*Event) {
 	}
 	for _, col := range c.cols[:c.n] {
 		c.slot[col.id] = nil
+		c.carries[col.id%32] = 0
 	}
 	c.n = 0
 	for i, ev := range evs {
@@ -158,6 +162,9 @@ func (c *Columns) Load(evs []*Event) {
 			}
 		}
 	}
+	for _, col := range c.cols[:c.n] {
+		c.carries[col.id%32] |= col.has
+	}
 }
 
 // Match evaluates an AppendConstraints blob against the loaded events
@@ -178,6 +185,34 @@ func (c *Columns) Load(evs []*Event) {
 // the path.
 func (c *Columns) Match(raw []byte, live uint64) (pass, failed uint64, evaluated int, err error) {
 	return c.match(raw, live, rankMin)
+}
+
+// Admit narrows live to the events a blob outlined by attrs — and, when
+// bounded, by a numeric constraint on id within [lo, hi] (OutlineEncoded,
+// either side of the interval taken as closed) — can pass: each must
+// carry an attribute for every bit of attrs, and a number on id that is
+// neither below lo nor above hi. A NaN value or bound excludes nothing,
+// as Match rejects nothing on one. Every event Match passes on such a
+// blob survives.
+func (c *Columns) Admit(live uint64, attrs AttrSet, id AttrID, lo, hi float64, bounded bool) uint64 {
+	for m := uint32(attrs); m != 0 && live != 0; m &= m - 1 {
+		live &= c.carries[bits.TrailingZeros32(m)]
+	}
+	if !bounded || live == 0 {
+		return live
+	}
+	if int(id) >= len(c.slot) || c.slot[id] == nil {
+		return 0
+	}
+	col := c.slot[id]
+	live &= col.num
+	for m := live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if f := col.f[i&(ColumnEvents-1)]; f < lo || f > hi {
+			live &^= uint64(1) << i
+		}
+	}
+	return live
 }
 
 // match is Match with the crossover as a parameter, so tests and

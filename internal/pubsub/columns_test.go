@@ -139,6 +139,83 @@ func checkColumns(t *testing.T, c *Columns, evs []*Event, live uint64, raw []byt
 	}
 }
 
+// checkAdmit holds Columns.Admit over the chunk loaded into c to Match
+// and to its own definition. Under the blob's outline (OutlineEncoded:
+// its attribute set and first numeric constraint, an absent side at
+// ∓Inf) — or, for a blob that has none, under the outline the engine
+// gives a corrupt root, every attribute class and no interval — every
+// live event Match passes survives, and the survivors are exactly the
+// live events that carry an attribute in every class of the set and,
+// where there is an interval, whose first value on its attribute is a
+// number not below its lower end nor above its upper one: a NaN value
+// or a NaN end excludes nothing.
+func checkAdmit(t *testing.T, c *Columns, evs []*Event, live uint64, raw []byte) {
+	t.Helper()
+	attrs, first, bounded, err := OutlineEncoded(raw)
+	if err != nil {
+		attrs, bounded = ^AttrSet(0), false
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	if first.HasLo {
+		lo = first.Lo
+	}
+	if first.HasHi {
+		hi = first.Hi
+	}
+	kept := c.Admit(live, attrs, first.ID, lo, hi, bounded)
+	if pass, _, _, _ := c.Match(raw, live); pass&^kept != 0 {
+		t.Fatalf("blob %v, live %#x: Match passes %#x, Admit under %b [%v, %v] (%v) keeps only %#x", raw, live, pass, attrs, lo, hi, bounded, kept)
+	}
+	var want uint64
+	for m := live; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		var carried AttrSet
+		admits := !bounded
+		seen := false
+		for _, a := range evs[i].Attrs {
+			carried |= 1 << (a.ID % 32)
+			if bounded && a.ID == first.ID && !seen {
+				seen = true
+				f := a.Value.AsFloat()
+				admits = a.Value.Numeric() && !(f < lo || f > hi) // NaN, either side, passes
+			}
+		}
+		if attrs&^carried == 0 && admits {
+			want |= uint64(1) << i
+		}
+	}
+	if kept != want {
+		t.Fatalf("blob %v, live %#x: Admit under %b [%v, %v] (%v) keeps %#x, per event %#x", raw, live, attrs, lo, hi, bounded, kept, want)
+	}
+}
+
+// outlineSeeds are the shapes Admit must not narrow wrongly: attribute
+// IDs of 32 and over, whose AttrSet bits are those of the IDs 32 below
+// (the events carry IDs 1 and 2 beside them), IDs in the upper half of
+// the set, a summary on an aliased ID and one after a string
+// constraint, and open and closed bounds at and beyond ±Inf.
+func outlineSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	inf := math.Inf(1)
+	var blobs [][]byte
+	for _, cs := range [][]Constraint{
+		{{ID: 1, HasLo: true, HasHi: true, Lo: 0, Hi: 10}, {ID: 33, Str: true, EqS: "HAL"}},
+		{{ID: 2, Str: true, EqS: "s"}, {ID: 34, HasLo: true, LoIncl: true, Lo: -inf}},
+		{{ID: 33, HasLo: true, HasHi: true, LoIncl: true, HiIncl: true, Lo: -1, Hi: 1}, {ID: 65, HasHi: true, Hi: inf}},
+		{{ID: 32, HasLo: true, Lo: inf}},
+		{{ID: 2, HasHi: true, HiIncl: true, Hi: -inf}, {ID: 3, HasLo: true, HasHi: true, Lo: -inf, Hi: inf}},
+		{{ID: 66, HasLo: true, HasHi: true, LoIncl: true, Lo: 0, Hi: 0.5}},
+		{{ID: 20, HasLo: true, HasHi: true, Lo: -1, Hi: 1}, {ID: 52, Str: true, Prefix: true, EqS: "s"}},
+	} {
+		blob, err := AppendConstraints(nil, cs)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
 // rankSeeds are the numeric shapes whose verdicts the rank path must
 // reproduce from sorted values: exclusive and inclusive bounds, an
 // absent bound, NaN bounds (no value violates one), ±0 and ±Inf bounds,
@@ -174,9 +251,11 @@ func rankSeeds(tb testing.TB) [][]byte {
 // loaded over an unrelated earlier one so a stale column would show.
 // The corpus is FuzzMatchEncoded's, each seed blob also cut at every
 // byte, plus blobs whose constraint IDs repeat or go backwards, plus
-// rankSeeds. Each input is checked on both ways of testing a numeric
-// constraint (checkColumns). Every failure names the input, so it
-// replays from the printed seed.
+// rankSeeds and outlineSeeds. Each input is checked on both ways of
+// testing a numeric constraint (checkColumns), and the narrowing by a
+// root's outline that the engine's root-table walk makes before it reads
+// the root is held to Match (checkAdmit). Every failure names the input,
+// so it replays from the printed seed.
 func FuzzMatchColumns(f *testing.F) {
 	blobs := matchEncodedSeeds(f)
 	for _, cs := range [][]Constraint{
@@ -203,17 +282,23 @@ func FuzzMatchColumns(f *testing.F) {
 			f.Add(blob, seed)
 		}
 	}
+	for _, blob := range outlineSeeds(f) {
+		for seed := int64(200); seed < 208; seed++ {
+			f.Add(blob, seed)
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
 		cs := constraintsPrefix(raw)
 		rng := rand.New(rand.NewSource(seed))
 		extra := []AttrID{0, 1, 2, 3, 9}
 		var c Columns
 		for trial := 0; trial < 4; trial++ {
-			stale, _ := chunkNear(rng, nil, []AttrID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+			stale, _ := chunkNear(rng, nil, []AttrID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 33})
 			c.Load(stale)
 			evs, live := chunkNear(rng, cs, extra)
 			c.Load(evs)
 			checkColumns(t, &c, evs, live, raw)
+			checkAdmit(t, &c, evs, live, raw)
 		}
 	})
 }
