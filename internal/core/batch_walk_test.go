@@ -22,7 +22,7 @@ type walkCorpus struct {
 }
 
 // build replays the corpus into a fresh engine over acc, holding the
-// root table to the root chain after every operation. Two builds over
+// tables to their child chains after every operation. Two builds over
 // identical memory give identical stores, subscription IDs included.
 func (c *walkCorpus) build(t *testing.T, acc simmem.Accessor) *Engine {
 	t.Helper()
@@ -37,24 +37,25 @@ func (c *walkCorpus) build(t *testing.T, acc simmem.Accessor) *Engine {
 				t.Fatal(err)
 			}
 		}
-		checkRootTable(t, e, accRead(e))
+		checkTables(t, e, accRead(e))
 		if j, ok := c.drop[i]; ok && ids[j] != 0 {
 			if err := e.Unregister(ids[j]); err != nil {
 				t.Fatal(err)
 			}
 			ids[j] = 0
-			checkRootTable(t, e, accRead(e))
+			checkTables(t, e, accRead(e))
 		}
 	}
 	return e
 }
 
 // walkCorpora returns the PR 7 batch-equivalence and PR 8
-// repartition-equivalence corpora and a random one drawn from seed:
+// repartition-equivalence corpora, a random one drawn from seed —
 // string equalities and prefixes, numeric equalities and bands,
 // subscriptions registered twice (sharing a node), chains of bands
 // each covering the next, and removals interleaved with the
-// registrations — some of covering nodes, whose children re-attach.
+// registrations, some of covering nodes, whose children re-attach —
+// and wideCorpus.
 func walkCorpora(seed int64) []walkCorpus {
 	quote := func(symbol string, price float64, volume int64) map[string]pubsub.Value {
 		return map[string]pubsub.Value{"symbol": pubsub.Str(symbol), "price": pubsub.Float(price), "volume": pubsub.Int(volume)}
@@ -132,7 +133,55 @@ func walkCorpora(seed int64) []walkCorpus {
 		}
 		random.events = append(random.events, attrs)
 	}
-	return append(corpora, random)
+	return append(corpora, random, wideCorpus())
+}
+
+// wideCorpus is a store of tabled nodes: a broad band over 150
+// narrower ones (some with a volume band too), an equality shard whose
+// 80 roots a later band covers and takes beneath it, prefixes beside
+// them, removals below the broad band, then the broad band spliced out
+// and a broader one taking its children back; and lone and batched
+// events on both sides of every band.
+func wideCorpus() walkCorpus {
+	c := walkCorpus{name: "wide", drop: make(map[int]int)}
+	add := func(sp pubsub.SubscriptionSpec) int {
+		c.specs = append(c.specs, sp)
+		return len(c.specs) - 1
+	}
+	broad := add(spec(between("price", 10, 60)))
+	for k := 0; k < 150; k++ {
+		lo := 10 + float64(k)*0.3
+		sp := spec(between("price", lo, lo+0.2))
+		if k%4 == 0 {
+			sp.Predicates = append(sp.Predicates, gt("volume", float64(k)))
+		}
+		if i := add(sp); k%9 == 8 {
+			c.drop[i] = i - 5
+		}
+	}
+	for k := 0; k < 80; k++ {
+		lo := float64(k) * 0.9
+		add(spec(eq("symbol", "HAL"), between("price", lo, lo+0.5)))
+		if k%10 == 0 {
+			add(spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpPrefix, Value: pubsub.Str("HA")}, between("price", lo, lo+3)))
+		}
+	}
+	add(spec(eq("symbol", "HAL"), between("price", 0, 80)))
+	c.drop[add(spec(lt("volume", 50)))] = broad
+	add(spec(between("price", 5, 70)))
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 120; i++ {
+		attrs := map[string]pubsub.Value{
+			"symbol": pubsub.Str([]string{"HAL", "IBM", "HALO"}[rng.Intn(3)]),
+			"price":  pubsub.Float(float64(rng.Intn(1000)) / 10),
+			"volume": pubsub.Int(int64(rng.Intn(200))),
+		}
+		if rng.Intn(6) == 0 {
+			delete(attrs, "price")
+		}
+		c.events = append(c.events, attrs)
+	}
+	return c
 }
 
 // firstDiff describes where two result slices part, for failure
@@ -150,7 +199,7 @@ func lookups(c simmem.Counters) uint64 { return c.LLCHits + c.LLCMisses }
 
 // chunkEvents returns, for each item of a batch, the number of events
 // in the chunk of walkChunk items it falls in: a chunk of at most
-// rootWalkMax walks the general shard from the root table.
+// tableWalkMax takes tabled nodes' children from their tables.
 func chunkEvents(evs []*pubsub.Event) []int {
 	counts := make([]int, len(evs))
 	for lo := 0; lo < len(evs); lo += walkChunk {
@@ -171,9 +220,9 @@ func chunkEvents(evs []*pubsub.Event) []int {
 // TestBatchWalkEqualsPerEventWalk holds the one walk per chunk to the
 // walk per event it replaced (matchPerEvent), on two stores built
 // identically over identical memory. Each chunk is held to per-event
-// walks of its own kind: a chunk of at most rootWalkMax events to walks
-// of the general shard's root table, a larger one to walks of its root
-// chain.
+// walks of its own kind: a chunk of at most tableWalkMax events to
+// walks that take tabled nodes' children from their tables, a larger
+// one to walks of the chains.
 //
 //   - one event at a time, every result and every simulated counter is
 //     equal after every event;
@@ -215,6 +264,9 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 			for _, mem := range memories {
 				t.Run(fmt.Sprintf("%s/seed=%d/%s", c.name, seed, mem.name), func(t *testing.T) {
 					got, ref := c.build(t, mem.new(t)), c.build(t, mem.new(t))
+					if c.name == "wide" && len(got.tables) < 3 {
+						t.Fatalf("the wide corpus built %d tables", len(got.tables))
+					}
 					gotC, refC := &got.acc.Meter().C, &ref.acc.Meter().C
 					if *gotC != *refC {
 						t.Fatalf("seed %d: identical builds disagree before matching: %+v vs %+v", seed, *gotC, *refC)
@@ -271,17 +323,36 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 								out[i] = append(out[i], prefix...)
 							}
 						}
+						// The cycles of the table tests a chunk walked with
+						// tables makes once, not once per event, measured
+						// with memory free before the batch runs.
+						k, shared := chunkEvents(evs), uint64(0)
+						for lo := 0; lo < n && mem.name == "free-memory"; lo += walkChunk {
+							if k[lo] == 0 || k[lo] > tableWalkMax {
+								continue
+							}
+							// Each table a shard walk of the chunk reads is
+							// tested once, not once per event that reads it.
+							tests, opened := make(map[tableVisit]uint64), make(map[tableVisit]uint64)
+							for _, ev := range evs[lo:min(lo+walkChunk, n)] {
+								if ev == nil {
+									continue
+								}
+								mine := make(map[tableVisit]uint64)
+								if _, err := ref.matchPerEventTests(refOf[ev], mine); err != nil {
+									t.Fatal(err)
+								}
+								for v, n := range mine {
+									tests[v], opened[v] = n, opened[v]+1
+								}
+							}
+							for v, n := range tests {
+								shared += (opened[v] - 1) * n * ref.predCycles
+							}
+						}
 						before, refBefore := *gotC, *refC
 						if err := got.MatchAppendBatch(evs, out); err != nil {
 							t.Fatal(err)
-						}
-						// The cycles of the table tests each chunk walked
-						// from the table makes once, not once per event.
-						k, shared := chunkEvents(evs), uint64(0)
-						for i := 0; i < n; i += walkChunk {
-							if k[i] > 0 && k[i] <= rootWalkMax {
-								shared += uint64(k[i]-1) * uint64(len(ref.rootAt)) * ref.predCycles
-							}
 						}
 						for i, ev := range evs {
 							if ev == nil {
@@ -294,7 +365,7 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 							if prefixed[i] {
 								want = append(want, prefix...)
 							}
-							want, err := ref.matchPerEvent(refOf[ev], want, k[i] <= rootWalkMax)
+							want, err := ref.matchPerEvent(refOf[ev], want, k[i] <= tableWalkMax)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -326,7 +397,7 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 						for i := 0; i < n; i += walkChunk {
 							refBefore = *refC
 							var err error
-							if want, err = ref.matchPerEvent(refOf[ev], nil, k[i] <= rootWalkMax); err != nil {
+							if want, err = ref.matchPerEvent(refOf[ev], nil, k[i] <= tableWalkMax); err != nil {
 								t.Fatal(err)
 							}
 							one = one.Add(refC.Sub(refBefore))

@@ -113,14 +113,11 @@ type Engine struct {
 	free    map[int][]uint64
 	shardOf map[uint64]shardKey // equality shard per sentinel
 
-	// The general shard's root table (roots.go): the arena pages its
-	// entries fill, in table order; the entries written, live and
-	// dropped; each live root's entry; and scratch for the table bytes
-	// being read or written.
-	rootPages []uint64
-	rootUsed  int
-	rootAt    map[uint64]int
-	rootBuf   []byte
+	// The child tables (table.go), by the offset of their node — the
+	// general sentinel's always — and scratch for the table bytes being
+	// read or written.
+	tables   map[uint64]*table
+	tableBuf []byte
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -129,8 +126,9 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 	if _, err := acc.Alloc(simmem.PageSize); err != nil {
 		return nil, fmt.Errorf("core: reserving guard page: %w", err)
 	}
-	// The root table's first page follows it: taken later, a page-sized
-	// allocation would skip the rest of the arena's current page.
+	// The general sentinel's table's first page follows it: taken later,
+	// a page-sized allocation would skip the rest of the arena's current
+	// page.
 	root, err := acc.Alloc(simmem.PageSize)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocating the root table: %w", err)
@@ -149,15 +147,15 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		// engines' stacks are never small neighbours in one line that
 		// bounces between their cores (measured: 2–3× on a two-slice
 		// walk).
-		stack:     make([]walkEntry, 0, 64),
-		rootPages: []uint64{root},
-		rootAt:    make(map[uint64]int),
+		stack:  make([]walkEntry, 0, 64),
+		tables: make(map[uint64]*table),
 	}
-	general, err := e.newNode(nilOff, nil)
+	general, err := e.newNode(nilOff, nil, flagTable)
 	if err != nil {
 		return nil, err
 	}
 	e.general = general
+	e.tables[general] = &table{pages: []uint64{root}, at: make(map[uint64]int)}
 	e.nodesLive-- // sentinels are not counted
 	return e, nil
 }
@@ -236,7 +234,7 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 	if off, ok := e.shards[key]; ok {
 		return off, nil
 	}
-	off, err := e.newNode(nilOff, nil)
+	off, err := e.newNode(nilOff, nil, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -253,19 +251,20 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 // equal one is shared); when none does, the children the newcomer
 // covers have been collected on the way, and they move beneath the new
 // node attached there — keeping containment paths deep, the property
-// the paper's workload discussion relies on. The general shard's roots
-// are scanned through its root table (scanRoots), every other level
-// along its child chain.
+// the paper's workload discussion relies on. A tabled node's children
+// are scanned through its table (scanTable), every other level along
+// its child chain.
 func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
 	cur := sentinel
 	for {
 		var next uint64
 		var equal bool
 		var err error
-		if cur == e.general {
-			next, equal, err = e.scanRoots(sub)
+		width := 0
+		if t := e.tables[cur]; t != nil {
+			next, equal, err = e.scanTable(t, sub)
 		} else {
-			next, equal, err = e.scanChildren(cur, sub)
+			next, equal, width, err = e.scanChildren(cur, sub)
 		}
 		if err != nil {
 			return 0, err
@@ -274,7 +273,7 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 			return next, nil // identical constraints: share the node
 		}
 		if next == nilOff {
-			return e.attach(cur, sub)
+			return e.attach(cur, sub, width)
 		}
 		cur = next
 	}
@@ -282,23 +281,24 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 
 // scanChildren is one level of insert along cur's child chain: it
 // returns the first child that covers sub (equal when sub covers it
-// too), or nilOff with e.moved holding the children sub covers.
-func (e *Engine) scanChildren(cur uint64, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
+// too), or nilOff with e.moved holding the children sub covers and
+// width the number of cur's children.
+func (e *Engine) scanChildren(cur uint64, sub *pubsub.Subscription) (next uint64, equal bool, width int, err error) {
 	e.moved = e.moved[:0]
-	for child := e.readHeader(cur).child; child != nilOff; {
+	for child := e.readHeader(cur).child; child != nilOff; width++ {
 		ch, childCovers, subCovers, err := e.coverTest(child, sub)
 		if err != nil {
-			return nilOff, false, err
+			return nilOff, false, 0, err
 		}
 		if childCovers {
-			return child, subCovers, nil
+			return child, subCovers, 0, nil
 		}
 		if subCovers {
 			e.moved = append(e.moved, child)
 		}
 		child = ch.sibling
 	}
-	return nilOff, false, nil
+	return nilOff, false, width, nil
 }
 
 // coverTest reads the node at off and decides both covering directions
@@ -326,7 +326,9 @@ func (e *Engine) coverTest(off uint64, sub *pubsub.Subscription) (h nodeHeader, 
 // left, the node is spliced out of the forest (children re-attach to
 // the grandparent, which still covers them transitively), and an
 // equality shard left with no node is dropped. Every record unlinked
-// here is released for reuse.
+// here is released for reuse, a spliced node's table pages included; a
+// grandparent with no table that takes tableMin children or more builds
+// one.
 func (e *Engine) Unregister(subID uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -348,28 +350,35 @@ func (e *Engine) Unregister(subID uint64) error {
 	if err := e.unlinkChild(h.parent, nodeOff); err != nil {
 		return err
 	}
-	root := h.parent == e.general
-	if root {
-		e.dropRoot(nodeOff)
+	t := e.tables[h.parent]
+	if t != nil {
+		e.dropEntry(t, nodeOff)
 	}
-	child := h.child
-	for child != nilOff {
+	relinked := 0
+	for child := h.child; child != nilOff; relinked++ {
 		ch := e.readHeader(child)
 		e.linkChild(h.parent, child)
-		if root {
-			if err := e.addRootFromBlob(child, ch); err != nil {
+		if t != nil {
+			if err := e.addEntryFromBlob(t, child, ch); err != nil {
 				return err
 			}
 		}
 		child = ch.sibling
 	}
+	if t == nil && relinked >= tableMin {
+		if err := e.buildTable(h.parent); err != nil {
+			return err
+		}
+	}
 	e.nodesLive--
+	e.releaseTable(nodeOff)
 	e.release(nodeOff, e.nodeSize(int(h.predLen)))
 	// A root removed with no children may have been its equality
 	// shard's last node: drop the shard and release its sentinel.
 	if key, ok := e.shardOf[h.parent]; ok && h.child == nilOff && e.readHeader(h.parent).child == nilOff {
 		delete(e.shards, key)
 		delete(e.shardOf, h.parent)
+		e.releaseTable(h.parent)
 		e.release(h.parent, e.nodeSize(0))
 	}
 	return nil
@@ -427,11 +436,14 @@ func (e *Engine) MatchAppendBatch(evs []*pubsub.Event, out [][]MatchResult) erro
 // of a mask word each.
 const walkChunk = pubsub.ColumnEvents
 
-// walkEntry is one pending visit of the walk: a node and the events of
-// the chunk that are live on the path to it (bit i = evs[i]).
+// walkEntry is one pending visit of the walk: a node, the events of
+// the chunk that are live on the path to it (bit i = evs[i]), and
+// whether its siblings are left to others — set for a child taken from
+// a table, whose siblings are table entries of their own.
 type walkEntry struct {
-	off  uint64
-	live uint64
+	off   uint64
+	live  uint64
+	alone bool
 }
 
 // keyOf names the equality shard of one (attribute, value).
@@ -444,13 +456,13 @@ func keyOf(id pubsub.AttrID, v *pubsub.Value) shardKey {
 
 // matchChunk matches up to walkChunk events (nil = skipped) in one
 // pass: it transposes them by attribute into the engine's columns, then
-// walks the general shard with every event live — from its root table
-// when at most rootWalkMax events are (walkRoots), along its root chain
-// otherwise — then the equality
+// walks the general shard with every event live, then the equality
 // shards attribute position by attribute position, the events that
 // carry the same (attribute, value) at a position sharing one walk.
 // Each event therefore sees the general shard first and its own shards
-// in its attribute order, as if it had been matched alone. An event
+// in its attribute order, as if it had been matched alone. When at most
+// tableWalkMax events are live, every walk takes tabled nodes' children
+// from their tables. An event
 // that hits a corrupt node leaves every later walk and has its slot
 // truncated to where it started; the first such error is returned.
 func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
@@ -472,13 +484,8 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 		return nil
 	}
 	e.cols.Load(evs)
-	var failed uint64
-	var firstErr error
-	if bits.OnesCount64(live) <= rootWalkMax {
-		failed, firstErr = e.walkRoots(live, out)
-	} else {
-		failed, firstErr = e.walkForest(e.readHeader(e.general).child, live, true, out)
-	}
+	small := bits.OnesCount64(live) <= tableWalkMax
+	failed, firstErr := e.walkForest(e.general, live, small, out)
 	live &^= failed
 	for pos := 0; pos < maxAttrs && live != 0; pos++ {
 		var pending uint64
@@ -502,7 +509,7 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 				}
 			}
 			pending &^= group
-			f, err := e.walkForest(e.readHeader(s).child, group, true, out)
+			f, err := e.walkForest(s, group, small, out)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -525,24 +532,32 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 	return firstErr
 }
 
-// walkForest walks a forest depth-first from start for the events in
-// mask — a shard's whole forest from its first root when siblings is
-// set, or the one subtree under start when not — visiting each node at
-// most once: its constraint blob is evaluated once per visit against
-// every live event (Columns.Match over the chunk matchChunk loaded), a
-// sibling inherits the mask its node was entered with, a child the
-// events that passed the node, and a subtree no event reaches is
-// pruned. It appends each event's matches to its slot in the order a
-// walk for that event alone would, and returns the events that hit a
-// corrupt node (with the first error); those stop being evaluated from
-// that node on. The walk stack is a local for the duration, and only
-// its backing array goes back into the engine, so the loop stores
-// nothing into the Engine struct.
-func (e *Engine) walkForest(start, mask uint64, siblings bool, out [][]MatchResult) (failed uint64, err error) {
-	if start == nilOff {
-		return 0, nil
+// walkForest walks the forest under a shard's sentinel depth-first for
+// the events in mask, visiting each node at most once: its constraint
+// blob is evaluated once per visit against every live event
+// (Columns.Match over the chunk matchChunk loaded), a sibling inherits
+// the mask its node was entered with, a child the events that passed
+// the node, and a subtree no event reaches is pruned. When small is
+// set, a tabled node's children — the sentinel's included, its header
+// then unread — come from its table, narrowed to the events each
+// summary admits (pushTable); otherwise every node's children are
+// followed along their chain. It appends each event's matches to its
+// slot in the order a walk for that event alone would, and returns the
+// events that hit a corrupt node (with the first error); those stop
+// being evaluated from that node on. The walk stack is a local for the
+// duration, and only its backing array goes back into the engine, so
+// the loop stores nothing into the Engine struct.
+func (e *Engine) walkForest(sentinel, mask uint64, small bool, out [][]MatchResult) (failed uint64, err error) {
+	stack := e.stack[:0]
+	var t *table
+	if small {
+		t = e.tables[sentinel]
 	}
-	stack := append(e.stack[:0], walkEntry{off: start, live: mask})
+	if t != nil {
+		stack = e.pushTable(stack, t, mask)
+	} else if root := e.readHeader(sentinel).child; root != nilOff {
+		stack = append(stack, walkEntry{off: root, live: mask})
+	}
 	for len(stack) > 0 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -551,10 +566,9 @@ func (e *Engine) walkForest(start, mask uint64, siblings bool, out [][]MatchResu
 			continue
 		}
 		nh := e.readHeader(top.off)
-		if nh.sibling != nilOff && siblings {
+		if nh.sibling != nilOff && !top.alone {
 			stack = append(stack, walkEntry{off: nh.sibling, live: live})
 		}
-		siblings = true // below start, every node's siblings are walked
 		// A node stored without constraints has no blob and matches
 		// every event with nothing evaluated.
 		pass := live
@@ -582,7 +596,12 @@ func (e *Engine) walkForest(start, mask uint64, siblings bool, out [][]MatchResu
 				out[i] = append(out[i], res)
 			}
 		}
-		if nh.child != nilOff {
+		if nh.child == nilOff {
+			continue
+		}
+		if small && nh.flags&flagTable != 0 {
+			stack = e.pushTable(stack, e.tables[top.off], pass)
+		} else {
 			stack = append(stack, walkEntry{off: nh.child, live: pass})
 		}
 	}

@@ -16,8 +16,8 @@ import (
 //     that actually list the subscription, and every listed
 //     subscription is in the index,
 //  4. accounting — the live-node counter matches the walk,
-//  5. the root table — it lists the general shard's roots, in chain
-//     order (checkRootTable).
+//  5. the tables — each lists its node's children, in chain order, and
+//     only tabled nodes are flagged (checkTables).
 func checkInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -87,7 +87,7 @@ func checkInvariants(t *testing.T, e *Engine) {
 	if liveNodes != e.nodesLive {
 		t.Fatalf("walk found %d live nodes, counter says %d", liveNodes, e.nodesLive)
 	}
-	checkRootTable(t, e, accRead(e))
+	checkTables(t, e, accRead(e))
 }
 
 // TestInvariantsUnderChurn drives random register/unregister traffic

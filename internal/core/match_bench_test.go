@@ -25,18 +25,53 @@ func quoteEngine(tb testing.TB, acc simmem.Accessor, n int, opts Options) (*Engi
 			tb.Fatal(err)
 		}
 	}
+	return e, quoteEvents(tb, e, rng, func(float64) bool { return true })
+}
+
+// quoteEvents draws 256 events over the quote mix's attributes, with
+// prices uniform over [0, 100) that keep accepts.
+func quoteEvents(tb testing.TB, e *Engine, rng *rand.Rand, keep func(price float64) bool) []*pubsub.Event {
+	tb.Helper()
 	evs := make([]*pubsub.Event, 256)
 	for i := range evs {
+		symbol := quoteSymbol(rng)
+		price := rng.Float64() * 100
+		for !keep(price) {
+			price = rng.Float64() * 100
+		}
+		var err error
 		evs[i], err = pubsub.NewEvent(e.Schema(), map[string]pubsub.Value{
-			"symbol": quoteSymbol(rng),
-			"price":  pubsub.Float(rng.Float64() * 100),
+			"symbol": symbol,
+			"price":  pubsub.Float(price),
 			"volume": pubsub.Int(int64(rng.Intn(1_000_000))),
 		})
 		if err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return e, evs
+	return evs
+}
+
+// wideLo and wideHi bound the broad band wideEngine adds: the
+// benchmark listener's price probe.
+const wideLo, wideHi = 20, 60
+
+// wideEngine is quoteEngine with n subscriptions and then a broad
+// price band over [wideLo, wideHi], which takes the bands it covers —
+// about a third of the price bands — beneath it, as the benchmark's
+// listener probe does on the slice it is pinned to. It returns events
+// with prices inside the band and outside it.
+func wideEngine(tb testing.TB, n int) (e *Engine, in, out []*pubsub.Event) {
+	tb.Helper()
+	e, _ = quoteEngine(tb, newPlainAcc(), n, Options{})
+	if _, err := e.Register(spec(between("price", wideLo, wideHi)), 0); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	inside := func(p float64) bool { return p >= wideLo && p <= wideHi }
+	in = quoteEvents(tb, e, rng, inside)
+	out = quoteEvents(tb, e, rng, func(p float64) bool { return !inside(p) })
+	return e, in, out
 }
 
 func quoteSymbol(rng *rand.Rand) pubsub.Value { return pubsub.Str(fmt.Sprintf("S%d", rng.Intn(1000))) }
@@ -97,11 +132,19 @@ func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
 // matched one event per call; accesses/event (LLC lookups) and
 // simus/event are what the batch divides. The epc=store/2 runs repeat
 // the walk in an enclave whose EPC holds half the store: faults/event
-// is the paper's Fig. 8 cost, paid once per page per chunk.
+// is the paper's Fig. 8 cost, paid once per page per chunk. The wide
+// rows match events priced inside and outside a broad band over 5,900
+// subscriptions (wideEngine): a walk of a few events inside it takes
+// the band's children from its table.
 func BenchmarkMatchForest(b *testing.B) {
 	e, evs := quoteEngine(b, newPlainAcc(), 10_000, Options{})
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { benchMatch(b, e, evs, n) })
+	}
+	wide, in, out := wideEngine(b, 5_900)
+	for _, n := range []int{1, 2, 4, 8, 32} {
+		b.Run(fmt.Sprintf("wide/in/batch=%d", n), func(b *testing.B) { benchMatch(b, wide, in, n) })
+		b.Run(fmt.Sprintf("wide/out/batch=%d", n), func(b *testing.B) { benchMatch(b, wide, out, n) })
 	}
 	epc := e.Stats().Bytes / 2 &^ (simmem.PageSize - 1)
 	paged, evs := quoteEngine(b, launchTestEnclave(b, newTestDevice(b), epc).Memory(), 10_000, Options{})
@@ -127,12 +170,16 @@ func BenchmarkAblationSharding(b *testing.B) {
 }
 
 // BenchmarkRegisterForest is the registration layer of the per-layer
-// set: one Engine.Register per op into a 5,000- or 10,000-subscription
-// forest of the quote mix, the three shapes in rotation, each removed
-// again outside the timer so the forest stays at its size. A price band
-// is inserted among the general shard's roots — a third of the forest —
-// so it prices the sibling pass. ns/op, accesses/op (metered line
-// lookups) and simus/op are per insert.
+// set: Engine.Register into a 5,000- or 10,000-subscription forest of
+// the quote mix, the three shapes in rotation. A price band is
+// inserted among the general shard's roots — a third of the forest —
+// so it prices the table scan. The wide rows insert only price bands,
+// 10 wide, into wideEngine's 5,900 subscriptions and broad band:
+// wide/in bands inside the broad one, which scan its children, wide/out
+// bands outside it. Inserts are timed in blocks of registerBlock, each
+// block removed again outside the timer so the forest stays near its
+// size. ns/op, accesses/op (metered line lookups) and simus/op are per
+// insert.
 func BenchmarkRegisterForest(b *testing.B) {
 	for _, n := range []int{5_000, 10_000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
@@ -142,27 +189,64 @@ func BenchmarkRegisterForest(b *testing.B) {
 			for i := range specs {
 				specs[i] = quoteSpec(rng, i)
 			}
-			meter := e.Accessor().Meter()
-			var d simmem.Counters
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				before := meter.C
-				id, err := e.Register(specs[i%len(specs)], uint32(i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				d = d.Add(meter.C.Sub(before))
-				b.StopTimer()
-				if err := e.Unregister(id); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/float64(b.N), "accesses/op")
-			b.ReportMetric(meter.Cost.Micros(d.Cycles)/float64(b.N), "simus/op")
+			benchRegister(b, e, specs)
 		})
 	}
+	for _, where := range []string{"in", "out"} {
+		b.Run("wide/"+where, func(b *testing.B) {
+			e, _, _ := wideEngine(b, 5_900)
+			rng := rand.New(rand.NewSource(2))
+			specs := make([]pubsub.SubscriptionSpec, 300)
+			for i := range specs {
+				lo := wideLo + rng.Float64()*(wideHi-wideLo-10) // [lo, lo+10] inside the broad band
+				if where == "out" {
+					// [lo, lo+10] with lo in [0, 10) or (60, 90]: not inside it.
+					if lo = rng.Float64() * 40; lo >= wideLo-10 {
+						lo += wideHi - (wideLo - 10)
+					}
+				}
+				specs[i] = spec(between("price", lo, lo+10))
+			}
+			benchRegister(b, e, specs)
+		})
+	}
+}
+
+// registerBlock is the number of inserts BenchmarkRegisterForest times
+// between two stops of the timer: stopping it for every removal put
+// the runtime's memory statistics, read at each stop, at about a third
+// of the profile.
+const registerBlock = 100
+
+// benchRegister times Register of specs in rotation, in blocks of
+// registerBlock, removes each block untimed, and reports per insert.
+func benchRegister(b *testing.B, e *Engine, specs []pubsub.SubscriptionSpec) {
+	meter := e.Accessor().Meter()
+	var d simmem.Counters
+	ids := make([]uint64, 0, registerBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		before := meter.C
+		for ; i < b.N && len(ids) < registerBlock; i++ {
+			id, err := e.Register(specs[i%len(specs)], uint32(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		d = d.Add(meter.C.Sub(before))
+		b.StopTimer()
+		for _, id := range ids {
+			if err := e.Unregister(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ids = ids[:0]
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/float64(b.N), "accesses/op")
+	b.ReportMetric(meter.Cost.Micros(d.Cycles)/float64(b.N), "simus/op")
 }
 
 // TestMatchAppendSteadyStateAllocatesNothing guards the in-place
@@ -170,9 +254,16 @@ func BenchmarkRegisterForest(b *testing.B) {
 // database with string-equality nodes must not allocate, one event at
 // a time or a batch at a time (the decode the evaluator replaced built
 // a string per string-equality node visited; the walk's stack and
-// masks are engine scratch and locals).
+// masks are engine scratch and locals), with a broad band's table on
+// the lone events' path.
 func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
 	e, evs := quoteEngine(t, newPlainAcc(), 2_000, Options{})
+	if _, err := e.Register(spec(between("price", wideLo, wideHi)), 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.tables) < 2 {
+		t.Fatal("the broad band has no table")
+	}
 	out := make([]MatchResult, 0, 4096)
 	i := 0
 	match := func() {

@@ -15,101 +15,166 @@ import (
 // matchPerEvent is the walk MatchAppend made before one walk carried a
 // whole chunk of events: the general shard, then the shard of each
 // event attribute in order, each forest walked for this one event. The
-// general shard is walked the way a chunk of this event's size walks it:
-// from the root table when table is set (rootsPerEvent), as a lone event
-// does, along the root chain when not. It is the reference the batch
-// walk is held to — per event the same results in the same order, and
-// at batch size 1 (table set) the same simulated counts.
+// forests are walked the way a chunk of this event's size walks them:
+// a tabled node's children from its table when table is set, as a lone
+// event does, along the chains when not (refWalk). It is the reference
+// the batch walk is held to — per event the same results in the same
+// order, and at batch size 1 (table set) the same simulated counts.
 func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult, table bool) ([]MatchResult, error) {
-	var err error
-	if table {
-		err = e.rootsPerEvent(ev, func(root uint64) error {
-			out, err = e.matchTreePerEvent(root, false, ev, out)
-			return err
-		})
-	} else {
-		out, err = e.matchTreePerEvent(e.readHeader(e.general).child, true, ev, out)
-	}
-	if err != nil {
+	w := e.encodedWalk(ev, table)
+	w.out = out
+	if err := w.run(); err != nil {
 		return nil, err
 	}
-	for i := range ev.Attrs {
-		sentinel, ok := e.shards[keyOf(ev.Attrs[i].ID, &ev.Attrs[i].Value)]
+	return w.out, nil
+}
+
+// matchPerEventTests is matchPerEvent with tables, adding to tests the
+// entries tested at each table the walk reads.
+func (e *Engine) matchPerEventTests(ev *pubsub.Event, tests map[tableVisit]uint64) ([]MatchResult, error) {
+	w := e.encodedWalk(ev, true)
+	w.tests = tests
+	if err := w.run(); err != nil {
+		return nil, err
+	}
+	return w.out, nil
+}
+
+// encodedWalk is the walk for ev alone that evaluates each node's blob
+// in place, with pubsub.MatchEncoded.
+func (e *Engine) encodedWalk(ev *pubsub.Event, table bool) *refWalk {
+	return &refWalk{e: e, ev: ev, table: table, eval: func(off uint64, h nodeHeader) (bool, int, error) {
+		if h.predLen == 0 {
+			return true, 0, nil
+		}
+		matched, evaluated, err := pubsub.MatchEncoded(ev, e.acc.Read(off+nodeHeaderSize, int(h.predLen)))
+		if err != nil {
+			return false, 0, fmt.Errorf("core: corrupt node at %d: %w", off, err)
+		}
+		return matched, evaluated, nil
+	}}
+}
+
+// refWalk walks every forest an event consults — the general shard,
+// then the shard of each event attribute in order — for that event
+// alone, recursively: a visited node is evaluated by eval, charged for
+// the constraints it evaluated, and when it matches its subscribers are
+// appended to out and its children walked, each subtree whole before
+// the next. When table is set a tabled node's children come from its
+// table, read whole, oldest page first, one predicate's cycles per live
+// entry, and only the children whose entries admit the event
+// (entryAdmits) are visited, in chain order; a sentinel's header is
+// then not read. Every read is the one the engine's walk makes, in the
+// same order. tests, when not nil, counts the entries tested at each
+// table the walk read, by shard walk.
+type refWalk struct {
+	e     *Engine
+	ev    *pubsub.Event
+	table bool
+	eval  func(off uint64, h nodeHeader) (matched bool, evaluated int, err error)
+	out   []MatchResult
+	tests map[tableVisit]uint64
+	pos   int // the shard walk under way: -1 for the general shard, else the attribute position
+}
+
+// tableVisit names one table read by one shard walk: the general
+// shard's (pos -1) or the equality shard of the event's attribute at
+// pos.
+type tableVisit struct {
+	pos  int
+	node uint64
+}
+
+func (w *refWalk) run() error {
+	w.pos = -1
+	if err := w.children(w.e.general, nil); err != nil {
+		return err
+	}
+	for i := range w.ev.Attrs {
+		sentinel, ok := w.e.shards[keyOf(w.ev.Attrs[i].ID, &w.ev.Attrs[i].Value)]
 		if !ok {
 			continue
 		}
-		if out, err = e.matchTreePerEvent(e.readHeader(sentinel).child, true, ev, out); err != nil {
-			return nil, err
+		w.pos = i
+		if err := w.children(sentinel, nil); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// matchTreePerEvent walks the subtree under start for ev alone, and
-// when siblings is set the subtrees of start's later siblings too.
-func (e *Engine) matchTreePerEvent(start uint64, siblings bool, ev *pubsub.Event, out []MatchResult) ([]MatchResult, error) {
-	if start == nilOff {
-		return out, nil
-	}
-	stack := []uint64{start}
-	for len(stack) > 0 {
-		off := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nh := e.readHeader(off)
-		if nh.sibling != nilOff && (siblings || off != start) {
-			stack = append(stack, nh.sibling)
-		}
-		matched, evaluated := true, 0
-		if nh.predLen != 0 {
-			var err error
-			matched, evaluated, err = pubsub.MatchEncoded(ev, e.acc.Read(off+nodeHeaderSize, int(nh.predLen)))
-			if err != nil {
-				return nil, fmt.Errorf("core: corrupt node at %d: %w", off, err)
+// children walks the subtrees under parent, whose header is h, or nil
+// for a sentinel's, read only when the chain is followed.
+func (w *refWalk) children(parent uint64, h *nodeHeader) error {
+	e := w.e
+	if t := e.tables[parent]; w.table && t != nil {
+		var admitted []uint64
+		tests := uint64(0)
+		for p, page := range t.pages {
+			n := min(t.used-p*entriesPerPage, entriesPerPage)
+			if n <= 0 {
+				break
 			}
-		}
-		e.acc.Charge(uint64(evaluated) * e.predCycles)
-		if !matched {
-			continue
-		}
-		for sub := nh.firstSub; sub != nilOff; {
-			raw := e.acc.Read(sub, subRecordSize)
-			out = append(out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
-			sub = leUint64(raw[0:])
-		}
-		if nh.child != nilOff {
-			stack = append(stack, nh.child)
-		}
-	}
-	return out, nil
-}
-
-// rootsPerEvent is the general shard's table walk for ev alone, the
-// reference walkRoots is held to at one event: every live entry, newest
-// first, costs one predicate's cycles, and a root whose entry admits ev
-// (entryAdmits) has its subtree walked by subtree, which stops the walk
-// with the first error. The other roots are passed over, unread.
-func (e *Engine) rootsPerEvent(ev *pubsub.Event, subtree func(root uint64) error) error {
-	tests := uint64(0)
-	var err error
-	runs := e.rootRuns()
-	for run := runs.next(); run != nil; run = runs.next() {
-		for i := len(run) - rootEntrySize; i >= 0 && err == nil; i -= rootEntrySize {
-			ent := run[i : i+rootEntrySize]
-			if root := leUint64(ent); root != nilOff {
-				if tests++; entryAdmits(ent, ev) {
-					err = subtree(root)
+			raw := e.acc.Read(page, n*entrySize)
+			for i := 0; i < n; i++ {
+				ent := raw[i*entrySize : (i+1)*entrySize]
+				if off := leUint64(ent); off != nilOff {
+					if tests++; entryAdmits(ent, w.ev) {
+						admitted = append(admitted, off)
+					}
 				}
 			}
 		}
-		if err != nil {
-			break
+		e.acc.Charge(tests * e.predCycles)
+		if w.tests != nil {
+			w.tests[tableVisit{w.pos, parent}] += tests
 		}
+		for i := len(admitted) - 1; i >= 0; i-- {
+			if _, err := w.visit(admitted[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	e.acc.Charge(tests * e.predCycles)
-	return err
+	if h == nil {
+		ph := e.readHeader(parent)
+		h = &ph
+	}
+	for child := h.child; child != nilOff; {
+		ch, err := w.visit(child)
+		if err != nil {
+			return err
+		}
+		child = ch.sibling
+	}
+	return nil
 }
 
-// entryAdmits decides from ev's attributes whether the root of table
+// visit evaluates the node at off and, when it matches, appends its
+// subscribers and walks its children. It returns the node's header.
+func (w *refWalk) visit(off uint64) (nodeHeader, error) {
+	e := w.e
+	h := e.readHeader(off)
+	matched, evaluated, err := w.eval(off, h)
+	if err != nil {
+		return h, err
+	}
+	e.acc.Charge(uint64(evaluated) * e.predCycles)
+	if !matched {
+		return h, nil
+	}
+	for sub := h.firstSub; sub != nilOff; {
+		raw := e.acc.Read(sub, subRecordSize)
+		w.out = append(w.out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
+		sub = leUint64(raw[0:])
+	}
+	if h.child != nilOff {
+		return h, w.children(off, &h)
+	}
+	return h, nil
+}
+
+// entryAdmits decides from ev's attributes whether the child of table
 // entry ent may match it: ev carries an attribute in every class (ID
 // mod 32) of the entry's set and, where the entry has a summary, the
 // first value ev gives the summary's attribute is a number not outside
@@ -119,21 +184,21 @@ func entryAdmits(ent []byte, ev *pubsub.Event) bool {
 	for _, a := range ev.Attrs {
 		carried |= 1 << (a.ID % 32)
 	}
-	if pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offRootAttrs:]))&^carried != 0 {
+	if pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offEntryAttrs:]))&^carried != 0 {
 		return false
 	}
-	if ent[offRootFlags]&rootSummary == 0 {
+	if ent[offEntryFlags]&entrySummary == 0 {
 		return true
 	}
-	id := pubsub.AttrID(binary.LittleEndian.Uint16(ent[offRootAttr:]))
+	id := pubsub.AttrID(binary.LittleEndian.Uint16(ent[offEntryAttr:]))
 	for _, a := range ev.Attrs {
 		if a.ID == id {
 			if !a.Value.Numeric() {
 				return false
 			}
 			f := a.Value.AsFloat()
-			lo := math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootLo:]))
-			hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offRootHi:]))
+			lo := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryLo:]))
+			hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:]))
 			return !(f < lo || f > hi) // a NaN value or bound rules nothing out
 		}
 	}
@@ -142,70 +207,27 @@ func entryAdmits(ent []byte, ev *pubsub.Event) bool {
 
 // matchDecoded is the walk Match made before it evaluated constraint
 // blobs in place: decode every visited node's constraints into a
-// []Constraint, test them in order, charge for the ones tested. The
-// general shard is walked from the root table, as a lone event walks
-// it (rootsPerEvent). It is the reference the property below holds
-// Match to — same results, same simulated counts.
+// []Constraint, test them in order, charge for the ones tested. Tabled
+// nodes' children come from their tables, as a lone event's walk takes
+// them (refWalk). It is the reference the property below holds Match
+// to — same results, same simulated counts.
 func (e *Engine) matchDecoded(ev *pubsub.Event) ([]MatchResult, error) {
-	var out []MatchResult
-	walk := func(start uint64, siblings bool) error {
-		stack := []uint64{start}
-		for len(stack) > 0 {
-			off := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nh := e.readHeader(off)
-			if nh.sibling != nilOff && (siblings || off != start) {
-				stack = append(stack, nh.sibling)
-			}
-			cs, err := e.decodeNode(off, nh)
-			if err != nil {
-				return err
-			}
-			matched, evaluated := true, len(cs)
-			for n := 1; n <= len(cs); n++ {
-				if !(&pubsub.Subscription{Constraints: cs[:n]}).Matches(ev) {
-					matched, evaluated = false, n
-					break
-				}
-			}
-			e.acc.Charge(uint64(evaluated) * e.acc.Meter().Cost.PredicateCycles)
-			if !matched {
-				continue
-			}
-			for sub := nh.firstSub; sub != nilOff; {
-				raw := e.acc.Read(sub, subRecordSize)
-				out = append(out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
-				sub = leUint64(raw[0:])
-			}
-			if nh.child != nilOff {
-				stack = append(stack, nh.child)
+	w := refWalk{e: e, ev: ev, table: true, eval: func(off uint64, h nodeHeader) (bool, int, error) {
+		cs, err := e.decodeNode(off, h)
+		if err != nil {
+			return false, 0, err
+		}
+		for n := 1; n <= len(cs); n++ {
+			if !(&pubsub.Subscription{Constraints: cs[:n]}).Matches(ev) {
+				return false, n, nil
 			}
 		}
-		return nil
-	}
-	if err := e.rootsPerEvent(ev, func(root uint64) error { return walk(root, false) }); err != nil {
+		return true, len(cs), nil
+	}}
+	if err := w.run(); err != nil {
 		return nil, err
 	}
-	var sentinels []uint64
-	for _, attr := range ev.Attrs {
-		key := shardKey{id: attr.ID}
-		if attr.Value.Kind == pubsub.KindString {
-			key.str, key.s = true, attr.Value.S
-		} else {
-			key.f = math.Float64bits(attr.Value.AsFloat())
-		}
-		if s, ok := e.shards[key]; ok {
-			sentinels = append(sentinels, s)
-		}
-	}
-	for _, sentinel := range sentinels {
-		if h := e.readHeader(sentinel); h.child != nilOff {
-			if err := walk(h.child, true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	return w.out, nil
 }
 
 // TestMatchCountsEqualDecodedWalk builds each corpus twice over

@@ -34,10 +34,11 @@
 // into (an equal one gains a subscriber instead of a node); when no
 // child covers, the children the newcomer covers, collected on the way,
 // move beneath the new node attached at that level. Predicate cycles
-// are charged per covering test run. The general shard's roots, which
-// rarely cover one another, are not read along their chain: a root table
-// in the arena lists them with a summary each (roots.go), and the insert
-// reads only the roots whose summary cannot rule out either covering
+// are charged per covering test run. The children of a wide node — the
+// general shard's roots, which rarely cover one another, or the bands
+// under a broad one — are not read along their chain: a child table in
+// the arena lists them with a summary each (table.go), and the insert
+// reads only the children whose summary cannot rule out either covering
 // direction.
 //
 // There is one walk, and it carries up to 64 events: a walk-stack entry
@@ -56,14 +57,15 @@
 // charged cycles do not depend on which is used. A sibling inherits
 // its node's mask, a child the events that passed, and a subtree no
 // event reaches is pruned. A chunk of a few events (up to
-// rootWalkMax) walks the general shard from its root table instead of
-// its root chain: a root whose entry rules out every event of the chunk
-// — an attribute none carries, or an interval none of their values lies
-// in — is passed over with its subtree, header and blob unread, and the
-// others' subtrees are walked in chain order. Events that carry the same
-// (attribute, value) share the walk of that shard. Each event's results are those
-// of matching it alone, in the same order; a single event is the batch
-// of one, with the simulated counts the per-event walk had.
+// tableWalkMax) takes a tabled node's children from its table instead
+// of its chain: a child whose entry rules out every event that passed
+// the node — an attribute none carries, or an interval none of their
+// values lies in — is passed over with its subtree, header and blob
+// unread, and the others' subtrees are walked in chain order. Events
+// that carry the same (attribute, value) share the walk of that shard.
+// Each event's results are those of matching it alone, in the same
+// order; a single event is the batch of one, with the simulated counts
+// the per-event walk had.
 //
 // The arena only grows, but the engine reuses what it unlinks.
 // Unregister releases the subscriber record it removes, the node record
@@ -75,8 +77,9 @@
 // bytes included, then blob; or the subscriber record — before anything
 // reads it, and nothing links to a released one. A store that never
 // unregisters allocates exactly as it would without the lists, and one
-// under churn holds its peak live set (Stats.Bytes) — the root table's
-// pages included, since it compacts before it grows.
+// under churn holds its peak live set (Stats.Bytes) — the tables' pages
+// included, since a table compacts before it grows and its pages are
+// released with its node.
 package core
 
 import (
@@ -98,7 +101,7 @@ import (
 //	16     8    next sibling offset (nilOff at end of list)
 //	24     8    first subscriber record offset (nilOff when none)
 //	32     2    constraint blob length in bytes
-//	34     1    flags
+//	34     1    flags: flagTable when the node has a child table
 //	35     13   reserved
 //	48     -    constraint blob (pubsub.AppendConstraints format)
 //
@@ -200,8 +203,8 @@ func (e *Engine) release(off uint64, size int) {
 }
 
 // newNode serialises a record (nil constraints for shard sentinels)
-// and returns its offset.
-func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) {
+// with the given header flags and returns its offset.
+func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint, flags uint8) (uint64, error) {
 	var blob []byte
 	if len(cs) > 0 {
 		var err error
@@ -224,6 +227,7 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 		sibling:  nilOff,
 		firstSub: nilOff,
 		predLen:  uint16(len(blob)),
+		flags:    flags,
 	}
 	var hdr [nodeHeaderSize]byte
 	h.encode(hdr[:])
@@ -243,9 +247,22 @@ func (e *Engine) linkChild(parentOff, childOff uint64) {
 	e.setField(parentOff, offChild, childOff)
 }
 
-// unlinkChild removes child from parent's child list by scanning the
-// sibling chain.
+// unlinkChild removes child from parent's child list: a tabled parent
+// finds the child's chain predecessor in its table, any other scans the
+// sibling chain for it.
 func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
+	if t := e.tables[parentOff]; t != nil {
+		i, ok := t.at[childOff]
+		if !ok {
+			return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
+		}
+		prev, field := e.prevInTable(t, i), offSibling
+		if prev == nilOff {
+			prev, field = parentOff, offChild
+		}
+		e.setField(prev, field, e.readHeader(childOff).sibling)
+		return nil
+	}
 	ph := e.readHeader(parentOff)
 	ch := e.readHeader(childOff)
 	if ph.child == childOff {
@@ -264,30 +281,38 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 	return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
 }
 
-// attach links a new node for sub under cur and moves the children
-// e.moved lists beneath it; under the general sentinel it updates the
-// root table to match. The offset it returns is the new node's only
-// when the error is nil.
-func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
-	nodeOff, err := e.newNode(cur, sub.Constraints)
+// attach links a new node for sub under cur, which had width children
+// if it has no table, and moves the children e.moved lists beneath it,
+// keeping the tables: cur's loses the moved children and gains the new
+// node; an untabled cur left with tableMin children or more, and a new
+// node given that many, build theirs. The offset it returns is the new
+// node's only when the error is nil.
+func (e *Engine) attach(cur uint64, sub *pubsub.Subscription, width int) (uint64, error) {
+	nodeOff, err := e.newNode(cur, sub.Constraints, 0)
 	if err != nil {
 		return 0, err
 	}
+	t := e.tables[cur]
 	for _, m := range e.moved {
 		if err := e.unlinkChild(cur, m); err != nil {
 			return 0, err
 		}
 		e.linkChild(nodeOff, m)
-		if cur == e.general {
-			e.dropRoot(m)
+		if t != nil {
+			e.dropEntry(t, m)
 		}
 	}
 	e.linkChild(cur, nodeOff)
-	if cur != e.general {
-		return nodeOff, nil
+	if t != nil {
+		attrs, c, ok := sub.Outline()
+		err = e.addEntry(t, nodeOff, attrs, &c, ok)
+	} else if width-len(e.moved)+1 >= tableMin {
+		err = e.buildTable(cur)
 	}
-	attrs, c, ok := sub.Outline()
-	return nodeOff, e.addRoot(nodeOff, attrs, &c, ok)
+	if err == nil && len(e.moved) >= tableMin {
+		err = e.buildTable(nodeOff)
+	}
+	return nodeOff, err
 }
 
 // addSubscriber prepends a subscriber record to the node's list and

@@ -193,8 +193,9 @@ func scriptEvent(r *scriptReader) map[string]pubsub.Value {
 
 // FuzzBatchWalkEqualsPerEventWalk builds twin stores from a register /
 // unregister script the fuzz bytes choose (FuzzInsertEqualsReference's
-// shapes), on plain and EPC-paged memory, sharded and not, then draws
-// events and batches of 1 to rootWalkMax+2 items (some nil) from the
+// shapes, after widePrelude's broad band), on plain and EPC-paged
+// memory, sharded and not, then draws
+// events and batches of 1 to tableWalkMax+2 items (some nil) from the
 // rest of the script. Each event alone costs what the per-event table
 // walk costs, counter for counter; in a batch each event's slot is the
 // per-event walk's results of its chunk's kind, element for element; a
@@ -238,6 +239,13 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 					}
 					r := &scriptReader{b: script}
 					var live []uint64
+					for i, sp := range widePrelude(r) {
+						id, err := e.Register(sp, uint32(i))
+						if err != nil {
+							t.Fatal(err)
+						}
+						live = append(live, id)
+					}
 					for step := 0; step < steps && len(r.b) > 0; step++ {
 						if b := r.next(); b%4 == 0 && len(live) > 0 {
 							k := r.next() % len(live)
@@ -289,9 +297,9 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 					return
 				}
 
-				// Batches of 1 to rootWalkMax+2 items.
+				// Batches of 1 to tableWalkMax+2 items.
 				for len(r.b) > 0 {
-					n := 1 + r.next()%(rootWalkMax+2)
+					n := 1 + r.next()%(tableWalkMax+2)
 					evs := make([]*pubsub.Event, n)
 					for i := range evs {
 						if b := r.next(); b%7 != 6 {
@@ -308,7 +316,7 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 						if ev == nil {
 							continue
 						}
-						want, err := ref.matchPerEvent(refOf[ev], nil, k[i] <= rootWalkMax)
+						want, err := ref.matchPerEvent(refOf[ev], nil, k[i] <= tableWalkMax)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -23,46 +24,77 @@ func memRead(mem []byte) func(off uint64, n int) []byte {
 	return func(off uint64, n int) []byte { return mem[off : off+uint64(n)] }
 }
 
-// checkRootTable asserts that the general shard's root table is its
-// root chain: the live entries read newest-first are the chain's roots
-// in chain order, each live root has exactly one entry and e.rootAt
-// names it, and each entry summarises its root's stored blob
-// (pubsub.OutlineEncoded) byte for byte.
-func checkRootTable(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
+// checkTables asserts that every table is its node's child chain: the
+// live entries read newest-first are the node's children in chain
+// order, each live child has exactly one entry and the table's index
+// names it, and each entry summarises its child's stored blob
+// (pubsub.OutlineEncoded) byte for byte. The general sentinel has a
+// table, and a node's header carries flagTable exactly when the node
+// has one.
+func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	t.Helper()
-	var table []uint64
-	for i := 0; i < e.rootUsed; i++ {
-		ent := read(e.rootEntry(i), rootEntrySize)
-		off := leUint64(ent)
-		if off == nilOff {
-			continue
+	if e.tables[e.general] == nil {
+		t.Fatal("the general sentinel has no table")
+	}
+	// In offset order: on paged memory the reads must not depend on the
+	// map's.
+	nodes := slices.Sorted(maps.Keys(e.tables))
+	for _, node := range nodes {
+		tab := e.tables[node]
+		var entries []uint64
+		for i := 0; i < tab.used; i++ {
+			ent := read(tab.entry(i), entrySize)
+			off := leUint64(ent)
+			if off == nilOff {
+				continue
+			}
+			if j, ok := tab.at[off]; !ok || j != i {
+				t.Fatalf("node %d: child %d has an entry at %d, the table names %d (ok=%v)", node, off, i, j, ok)
+			}
+			h := decodeHeader(read(off, nodeHeaderSize))
+			attrs, c, ok, err := pubsub.OutlineEncoded(read(off+nodeHeaderSize, int(h.predLen)))
+			if err != nil {
+				t.Fatalf("node %d: child %d: %v", node, off, err)
+			}
+			lo, hi := bounds(&c)
+			want := make([]byte, entrySize)
+			encodeEntry(want, off, attrs, &c, ok)
+			if !bytes.Equal(ent, want) {
+				t.Fatalf("node %d: child %d: entry % x, its blob's attributes %b, first numeric constraint [%v, %v] (%v) give % x", node, off, ent, attrs, lo, hi, ok, want)
+			}
+			entries = append(entries, off)
 		}
-		if j, ok := e.rootAt[off]; !ok || j != i {
-			t.Fatalf("root %d has an entry at %d, the engine names %d (ok=%v)", off, i, j, ok)
+		if len(tab.at) != len(entries) {
+			t.Fatalf("node %d: %d live entries, the table names %d children", node, len(entries), len(tab.at))
 		}
+		var chain []uint64
+		for c := decodeHeader(read(node, nodeHeaderSize)).child; c != nilOff; c = decodeHeader(read(c, nodeHeaderSize)).sibling {
+			chain = append(chain, c)
+		}
+		slices.Reverse(entries)
+		if !slices.Equal(entries, chain) {
+			t.Fatalf("node %d: table, newest first:\n%v\nchild chain:\n%v", node, entries, chain)
+		}
+	}
+	// Every node reachable from a sentinel: flagged exactly when tabled.
+	stack := append([]uint64{e.general}, slices.Sorted(maps.Values(e.shards))...)
+	reached := 0
+	for len(stack) > 0 {
+		off := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		h := decodeHeader(read(off, nodeHeaderSize))
-		attrs, c, ok, err := pubsub.OutlineEncoded(read(off+nodeHeaderSize, int(h.predLen)))
-		if err != nil {
-			t.Fatalf("root %d: %v", off, err)
+		if flagged, tabled := h.flags&flagTable != 0, e.tables[off] != nil; flagged != tabled {
+			t.Fatalf("node %d: flagged %v, tabled %v", off, flagged, tabled)
 		}
-		lo, hi := bounds(&c)
-		want := make([]byte, rootEntrySize)
-		encodeRoot(want, off, attrs, &c, ok)
-		if !bytes.Equal(ent, want) {
-			t.Fatalf("root %d: entry % x, its blob's attributes %b, first numeric constraint [%v, %v] (%v) give % x", off, ent, attrs, lo, hi, ok, want)
+		if e.tables[off] != nil {
+			reached++
 		}
-		table = append(table, off)
+		for c := h.child; c != nilOff; c = decodeHeader(read(c, nodeHeaderSize)).sibling {
+			stack = append(stack, c)
+		}
 	}
-	if len(e.rootAt) != len(table) {
-		t.Fatalf("%d live entries, the engine names %d roots", len(table), len(e.rootAt))
-	}
-	var chain []uint64
-	for c := decodeHeader(read(e.general, nodeHeaderSize)).child; c != nilOff; c = decodeHeader(read(c, nodeHeaderSize)).sibling {
-		chain = append(chain, c)
-	}
-	slices.Reverse(table)
-	if !slices.Equal(table, chain) {
-		t.Fatalf("root table, newest first:\n%v\nroot chain:\n%v", table, chain)
+	if reached != len(e.tables) {
+		t.Fatalf("%d tables, %d on nodes in the forests", len(e.tables), reached)
 	}
 }
 
@@ -86,10 +118,141 @@ func TestRootTableCompacts(t *testing.T) {
 			}
 			ids = ids[1:]
 		}
-		checkRootTable(t, e, accRead(e))
+		checkTables(t, e, accRead(e))
 	}
-	if len(e.rootPages) != 1 {
-		t.Fatalf("%d table pages for at most 101 roots", len(e.rootPages))
+	if n := len(e.tables[e.general].pages); n != 1 {
+		t.Fatalf("%d table pages for at most 101 roots", n)
+	}
+}
+
+// TestWideNodeTable follows one broad band through the life of its
+// table: no table with tableMin-1 children, one built — flag and
+// entries — when an insert beneath it leaves tableMin; dropped entries
+// where children leave; compaction that keeps a table cycling through
+// many more children than it holds at one page; lone walks through it
+// equal to chain walks; and, when Unregister splices the band out, its
+// pages released (a second broad band that takes its children builds
+// its table in them, the arena not growing) and a parent that takes
+// tableMin children in the splice building its own.
+func TestWideNodeTable(t *testing.T) {
+	e := newTestEngine(t)
+	register := func(sp pubsub.SubscriptionSpec) uint64 {
+		t.Helper()
+		id, err := e.Register(sp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, e)
+		return id
+	}
+	narrow := func(k int) pubsub.SubscriptionSpec {
+		lo := 1 + float64(k%200)*0.4
+		return spec(between("price", lo, lo+0.3))
+	}
+	broad := register(spec(between("price", 0, 100)))
+	wide := e.subIndex[broad]
+	var kids []uint64
+	for k := 0; k < tableMin-1; k++ {
+		kids = append(kids, register(narrow(k)))
+	}
+	if e.tables[wide] != nil || e.readHeader(wide).flags != 0 {
+		t.Fatalf("a table at %d children", tableMin-1)
+	}
+	kids = append(kids, register(narrow(tableMin-1)))
+	tab := e.tables[wide]
+	if tab == nil || e.readHeader(wide).flags != flagTable {
+		t.Fatalf("no table at %d children", tableMin)
+	}
+	if tab.used != tableMin || len(tab.pages) != 1 {
+		t.Fatalf("a table of %d entries on %d pages, want %d on 1", tab.used, len(tab.pages), tableMin)
+	}
+
+	// Children that leave drop their entries; the table stays, below
+	// the threshold too.
+	for _, id := range kids[:10] {
+		if err := e.Unregister(id); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, e)
+	}
+	kids = kids[10:]
+	if tab.used != tableMin || len(tab.at) != tableMin-10 {
+		t.Fatalf("%d entries written, %d live; want %d and %d", tab.used, len(tab.at), tableMin, tableMin-10)
+	}
+
+	// Cycling through 600 more children, at most 100 at once: compacted,
+	// never a second page.
+	for k := tableMin; k < tableMin+600; k++ {
+		if kids = append(kids, register(narrow(k))); len(kids) > 100 {
+			if err := e.Unregister(kids[0]); err != nil {
+				t.Fatal(err)
+			}
+			kids = kids[1:]
+		}
+	}
+	checkInvariants(t, e)
+	if len(tab.pages) != 1 {
+		t.Fatalf("%d table pages for at most 100 children", len(tab.pages))
+	}
+	for len(kids) < 200 {
+		kids = append(kids, register(narrow(len(kids)+7)))
+	}
+	if len(tab.pages) != 2 {
+		t.Fatalf("%d table pages for 200 children", len(tab.pages))
+	}
+
+	// A lone event walks the band's children from its table.
+	for p := 0.5; p < 90; p += 3.7 {
+		ev := event(t, e, map[string]pubsub.Value{"price": pubsub.Float(p)})
+		got, err := e.MatchAppend(ev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.matchPerEvent(ev, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("price %v: table walk vs chain walk: %s", p, firstDiff(got, want))
+		}
+	}
+
+	// Spliced out: its children are roots again, its pages released.
+	pages := tab.pages
+	if err := e.Unregister(broad); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, e)
+	if e.tables[wide] != nil {
+		t.Fatal("a spliced node kept its table")
+	}
+	for _, page := range pages {
+		if !slices.Contains(e.free[simmem.PageSize], page) {
+			t.Fatalf("table page %d was not released", page)
+		}
+	}
+	size := e.acc.Size()
+	register(spec(between("price", 0, 100)))
+	if e.acc.Size() != size {
+		t.Fatalf("a second broad band grew the arena by %d bytes", e.acc.Size()-size)
+	}
+
+	// A node that takes tableMin children in a splice builds its table.
+	outer := register(spec(between("volume", 0, 100)))
+	inner := register(spec(between("volume", 0, 50)))
+	for k := 0; k < tableMin; k++ {
+		lo := float64(k) * 0.7
+		register(spec(between("volume", lo, lo+0.5)))
+	}
+	if h := e.readHeader(e.subIndex[inner]); h.parent != e.subIndex[outer] || e.tables[e.subIndex[inner]] == nil {
+		t.Fatal("the inner band is not a tabled child of the outer one")
+	}
+	if err := e.Unregister(inner); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, e)
+	if e.tables[e.subIndex[outer]] == nil {
+		t.Fatalf("a node given %d children in a splice has no table", tableMin)
 	}
 }
 
@@ -110,15 +273,15 @@ func TestInsertSkipsUnrelatedRoots(t *testing.T) {
 	}
 	m := e.acc.Meter()
 	before := m.C
-	if next, equal, err := e.scanRoots(sub); err != nil || next != nilOff || equal || len(e.moved) != 0 {
-		t.Fatalf("scanRoots = %d, %v, %v, moved %v", next, equal, err, e.moved)
+	if next, equal, err := e.scanTable(e.tables[e.general], sub); err != nil || next != nilOff || equal || len(e.moved) != 0 {
+		t.Fatalf("scanTable = %d, %v, %v, moved %v", next, equal, err, e.moved)
 	}
 	d := m.C.Sub(before)
-	if want := uint64(300 * rootEntrySize); d.BytesRead != want {
+	if want := uint64(300 * entrySize); d.BytesRead != want {
 		t.Fatalf("the scan read %d bytes, want the table's %d", d.BytesRead, want)
 	}
-	if lines := d.LLCHits + d.LLCMisses; lines != 300*rootEntrySize/64 {
-		t.Fatalf("the scan looked up %d lines, want %d", lines, 300*rootEntrySize/64)
+	if lines := d.LLCHits + d.LLCMisses; lines != 300*entrySize/64 {
+		t.Fatalf("the scan looked up %d lines, want %d", lines, 300*entrySize/64)
 	}
 	if memCycles := (d.LLCHits+d.LLCMisses)*m.Cost.LLCHitCycles + d.LLCMisses*m.Cost.DRAMCycles; d.Cycles-memCycles != 300*m.Cost.PredicateCycles {
 		t.Fatalf("the scan charged %d predicate cycles, want one predicate per root", d.Cycles-memCycles)
@@ -165,10 +328,26 @@ func TestRootScanOnPagedMemory(t *testing.T) {
 	if g, r := forestDump(got, gotMem.mem), forestDump(ref, refMem.mem); !slices.Equal(g, r) {
 		t.Fatalf("forests differ:\n%v\nreference:\n%v", g, r)
 	}
-	checkRootTable(t, got, memRead(gotMem.mem))
+	checkTables(t, got, memRead(gotMem.mem))
 	if got.acc.Meter().C.PageFaults == 0 {
 		t.Fatal("the store did not page")
 	}
+}
+
+// widePrelude is the start of every fuzzed store: a broad price band
+// over [10, 40] and, as the script's next byte picks, tableMin-1 to
+// tableMin+1 disjoint narrow bands beneath it — so a script's first
+// inserts and removals take the band across the threshold either way,
+// its bands cover some of the narrow ones and move them out of the
+// table or cover the broad band itself, and a removal of the first ID
+// splices the band out.
+func widePrelude(r *scriptReader) []pubsub.SubscriptionSpec {
+	specs := []pubsub.SubscriptionSpec{spec(between("price", 10, 40))}
+	for k := 0; k < tableMin-1+r.next()%3; k++ {
+		lo := 10 + float64(k)*0.4
+		specs = append(specs, spec(between("price", lo, lo+0.3)))
+	}
+	return specs
 }
 
 // scriptReader hands out a fuzz script's bytes, then zeros.
@@ -234,9 +413,10 @@ func scriptSpec(r *scriptReader) pubsub.SubscriptionSpec {
 // FuzzInsertEqualsReference runs a register / unregister script the
 // fuzz bytes choose on twin engines — one inserting with insert, one
 // with insertRef — on plain and EPC-paged memory under the four option
-// sets. After every step both return the same IDs and errors, hold the
-// same forest link for link in byte-identical arenas, and keep the root
-// table equal to the root chain.
+// sets, each store starting from widePrelude's broad band. After every
+// step both return the same IDs and errors, hold the same forest link
+// for link in byte-identical arenas, and keep every table equal to its
+// node's child chain.
 func FuzzInsertEqualsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 7, 1, 0, 4, 10, 1, 1, 8, 8, 0, 0})
 	f.Add([]byte{1, 2, 2, 14, 1, 2, 5, 11, 1, 2, 8, 8, 1, 3, 1, 4, 0, 1, 0, 0, 1, 5, 2, 3, 0})
@@ -274,6 +454,19 @@ func FuzzInsertEqualsReference(f *testing.F) {
 				ref, refMem := newTwin()
 				r := &scriptReader{b: script}
 				var live []uint64
+				for i, sp := range widePrelude(r) {
+					subG, errG := pubsub.Normalize(got.Schema(), sp)
+					subR, errR := pubsub.Normalize(ref.Schema(), sp)
+					if errG != nil || errR != nil {
+						t.Fatal(errG, errR)
+					}
+					idG, errG := got.RegisterNormalized(subG, uint32(i))
+					idR, errR := ref.registerRef(subR, uint32(i))
+					if errG != nil || errR != nil || idG != idR {
+						t.Fatalf("%s %+v prelude %d: IDs %d / %d, errors %v / %v", mem.name, opts, i, idG, idR, errG, errR)
+					}
+					live = append(live, idG)
+				}
 				for step := 0; len(r.b) > 0; step++ {
 					var op string
 					if b := r.next(); b%4 == 0 && len(live) > 0 {
@@ -310,8 +503,8 @@ func FuzzInsertEqualsReference(f *testing.F) {
 					if g, r := forestDump(got, gotMem.mem), forestDump(ref, refMem.mem); !slices.Equal(g, r) {
 						t.Fatalf("%s %+v step %d: %s: forests differ:\n%v\nreference:\n%v", mem.name, opts, step, op, g, r)
 					}
-					checkRootTable(t, got, memRead(gotMem.mem))
-					checkRootTable(t, ref, memRead(refMem.mem))
+					checkTables(t, got, memRead(gotMem.mem))
+					checkTables(t, ref, memRead(refMem.mem))
 				}
 			}
 		}

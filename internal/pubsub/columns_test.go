@@ -253,9 +253,10 @@ func rankSeeds(tb testing.TB) [][]byte {
 // byte, plus blobs whose constraint IDs repeat or go backwards, plus
 // rankSeeds and outlineSeeds. Each input is checked on both ways of
 // testing a numeric constraint (checkColumns), and the narrowing by a
-// root's outline that the engine's root-table walk makes before it reads
-// the root is held to Match (checkAdmit). Every failure names the input,
-// so it replays from the printed seed.
+// child's outline that the engine's table walk makes before it reads
+// the child is held to Match (checkAdmit), for the chunk and for each of
+// its events alone. Every failure names the input, so it replays from
+// the printed seed.
 func FuzzMatchColumns(f *testing.F) {
 	blobs := matchEncodedSeeds(f)
 	for _, cs := range [][]Constraint{
@@ -299,6 +300,9 @@ func FuzzMatchColumns(f *testing.F) {
 			c.Load(evs)
 			checkColumns(t, &c, evs, live, raw)
 			checkAdmit(t, &c, evs, live, raw)
+			for m := live; m != 0; m &= m - 1 {
+				checkAdmit(t, &c, evs, m&-m, raw) // each event alone: Admit's lone-event path
+			}
 		}
 	})
 }

@@ -415,7 +415,7 @@ func (s *Subscription) NumEqualities() int {
 // subset of t's, bit for bit.
 type AttrSet uint32
 
-// Outline summarises the subscription for the engine's root table: its
+// Outline summarises the subscription for the engine's child tables: its
 // attribute set and its first numeric constraint (ok is false when it
 // has none). OutlineEncoded gives the same of its stored blob.
 func (s *Subscription) Outline() (attrs AttrSet, first Constraint, ok bool) {

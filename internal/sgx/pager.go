@@ -39,9 +39,13 @@ type pages struct {
 
 	// images holds the encrypted image of each page sent out, as
 	// untrusted memory would; versions holds the version each is
-	// expected to carry.
+	// expected to carry. spare is the buffer of the image the last
+	// reload consumed, for the next seal to write into: under the epc
+	// policy a fault that evicts also reloads, so one spare is all a
+	// store paging steadily needs.
 	images   map[uint64][]byte
 	versions map[uint64]uint64
+	spare    []byte
 
 	// peak is the residency high-water mark in pages: how much EPC
 	// this enclave has actually needed at once, the actual to validate
@@ -50,8 +54,10 @@ type pages struct {
 
 	// aead is AES-GCM under key, which is fixed for the enclave's life:
 	// its key schedule and GHASH tables are built on the first seal or
-	// unseal, not per page.
-	aead cipher.AEAD
+	// unseal, not per page. aadBuf is the AAD of the page being sealed
+	// or unsealed.
+	aead   cipher.AEAD
+	aadBuf [16]byte
 }
 
 type pageEntry struct {
@@ -117,6 +123,7 @@ func (m *epc) Touch(page uint64, _ bool) uint64 {
 	}
 	if evicted {
 		m.unseal(page)
+		m.spare = m.images[page]
 		delete(m.images, page)
 	}
 	m.admit(page, false)
@@ -218,12 +225,22 @@ func (p *pages) drop(page uint64) {
 }
 
 // seal writes a resident page's image out under its next version:
-// nonce(12) ‖ ciphertext ‖ tag(16), scrypto.SealGCM's layout.
+// nonce(12) ‖ ciphertext ‖ tag(16), scrypto.SealGCM's layout. The image
+// goes into the buffer of the page's previous image if it has one
+// (split memory keeps an image across reloads), else into the spare
+// one, else into a new one.
 func (p *pages) seal(page uint64) {
 	p.versions[page]++
 	p.initAEAD()
 	n := p.aead.NonceSize()
-	img := make([]byte, n, n+simmem.PageSize+p.aead.Overhead())
+	img, ok := p.images[page]
+	if !ok {
+		img, p.spare = p.spare, nil
+	}
+	if size := n + simmem.PageSize + p.aead.Overhead(); cap(img) < size {
+		img = make([]byte, n, size)
+	}
+	img = img[:n]
 	if _, err := rand.Read(img); err != nil {
 		panic(err)
 	}
@@ -246,11 +263,12 @@ func (p *pages) unseal(page uint64) {
 	}
 }
 
+// aad is the AAD a page's image is sealed under: its number and
+// version. It is p's buffer, valid until the next call.
 func (p *pages) aad(page uint64) []byte {
-	var aad [16]byte
-	binary.LittleEndian.PutUint64(aad[:8], page)
-	binary.LittleEndian.PutUint64(aad[8:], p.versions[page])
-	return aad[:]
+	binary.LittleEndian.PutUint64(p.aadBuf[:8], page)
+	binary.LittleEndian.PutUint64(p.aadBuf[8:], p.versions[page])
+	return p.aadBuf[:]
 }
 
 // initAEAD builds the pager's AES-GCM on first use, with
