@@ -105,6 +105,7 @@ type Engine struct {
 	// Scratch buffers (guarded by mu).
 	stack []walkEntry
 	moved []uint64
+	width int // children of the node scanChildren last read, for attach
 	// cols holds the chunk being matched, transposed by attribute.
 	cols pubsub.Columns
 
@@ -150,7 +151,7 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		stack:  make([]walkEntry, 0, 64),
 		tables: make(map[uint64]*table),
 	}
-	general, err := e.newNode(nilOff, nil, flagTable)
+	general, err := e.newNode(nilOff, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,7 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 	if off, ok := e.shards[key]; ok {
 		return off, nil
 	}
-	off, err := e.newNode(nilOff, nil, 0)
+	off, err := e.newNode(nilOff, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -260,11 +261,10 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 		var next uint64
 		var equal bool
 		var err error
-		width := 0
 		if t := e.tables[cur]; t != nil {
 			next, equal, err = e.scanTable(t, sub)
 		} else {
-			next, equal, width, err = e.scanChildren(cur, sub)
+			next, equal, err = e.scanChildren(cur, sub)
 		}
 		if err != nil {
 			return 0, err
@@ -273,7 +273,7 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 			return next, nil // identical constraints: share the node
 		}
 		if next == nilOff {
-			return e.attach(cur, sub, width)
+			return e.attach(cur, sub)
 		}
 		cur = next
 	}
@@ -282,23 +282,21 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 // scanChildren is one level of insert along cur's child chain: it
 // returns the first child that covers sub (equal when sub covers it
 // too), or nilOff with e.moved holding the children sub covers and
-// width the number of cur's children.
-func (e *Engine) scanChildren(cur uint64, sub *pubsub.Subscription) (next uint64, equal bool, width int, err error) {
+// e.width the number of cur's children.
+func (e *Engine) scanChildren(cur uint64, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
 	e.moved = e.moved[:0]
-	for child := e.readHeader(cur).child; child != nilOff; width++ {
+	e.width = 0
+	for child := e.readHeader(cur).child; child != nilOff; e.width++ {
 		ch, childCovers, subCovers, err := e.coverTest(child, sub)
-		if err != nil {
-			return nilOff, false, 0, err
-		}
-		if childCovers {
-			return child, subCovers, 0, nil
+		if err != nil || childCovers {
+			return child, subCovers, err
 		}
 		if subCovers {
 			e.moved = append(e.moved, child)
 		}
 		child = ch.sibling
 	}
-	return nilOff, false, width, nil
+	return nilOff, false, nil
 }
 
 // coverTest reads the node at off and decides both covering directions
@@ -484,8 +482,11 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 		return nil
 	}
 	e.cols.Load(evs)
-	small := bits.OnesCount64(live) <= tableWalkMax
-	failed, firstErr := e.walkForest(e.general, live, small, out)
+	var tables map[uint64]*table // nil for a large chunk: no table is read
+	if bits.OnesCount64(live) <= tableWalkMax {
+		tables = e.tables
+	}
+	failed, firstErr := e.walkForest(e.general, live, tables, out)
 	live &^= failed
 	for pos := 0; pos < maxAttrs && live != 0; pos++ {
 		var pending uint64
@@ -509,21 +510,13 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 				}
 			}
 			pending &^= group
-			f, err := e.walkForest(s, group, small, out)
+			f, err := e.walkForest(s, group, tables, out)
 			if firstErr == nil {
 				firstErr = err
 			}
 			failed |= f
 			live &^= f
 		}
-	}
-	if firstErr == nil {
-		// Nothing failed, so the loop below would find nothing to take
-		// back. Redundant, and spelled out for the layout it gives: it
-		// keeps the benchmark's alignment-sensitive kernels where the
-		// parent commit linked them (docs/benchmarks.md, "One walk per
-		// batch").
-		return nil
 	}
 	for m := failed; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
@@ -537,23 +530,20 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 // blob is evaluated once per visit against every live event
 // (Columns.Match over the chunk matchChunk loaded), a sibling inherits
 // the mask its node was entered with, a child the events that passed
-// the node, and a subtree no event reaches is pruned. When small is
-// set, a tabled node's children — the sentinel's included, its header
-// then unread — come from its table, narrowed to the events each
-// summary admits (pushTable); otherwise every node's children are
-// followed along their chain. It appends each event's matches to its
+// the node, and a subtree no event reaches is pruned. A node tabled in
+// tables — the engine's for a chunk of at most tableWalkMax events, nil
+// for a larger one — has its children, the sentinel's included (its
+// header then unread), taken from its table, narrowed to the events
+// each summary admits (pushTable); any other node's children are
+// followed along its chain. It appends each event's matches to its
 // slot in the order a walk for that event alone would, and returns the
 // events that hit a corrupt node (with the first error); those stop
 // being evaluated from that node on. The walk stack is a local for the
 // duration, and only its backing array goes back into the engine, so
 // the loop stores nothing into the Engine struct.
-func (e *Engine) walkForest(sentinel, mask uint64, small bool, out [][]MatchResult) (failed uint64, err error) {
+func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, out [][]MatchResult) (failed uint64, err error) {
 	stack := e.stack[:0]
-	var t *table
-	if small {
-		t = e.tables[sentinel]
-	}
-	if t != nil {
+	if t := tables[sentinel]; t != nil {
 		stack = e.pushTable(stack, t, mask)
 	} else if root := e.readHeader(sentinel).child; root != nilOff {
 		stack = append(stack, walkEntry{off: root, live: mask})
@@ -599,8 +589,8 @@ func (e *Engine) walkForest(sentinel, mask uint64, small bool, out [][]MatchResu
 		if nh.child == nilOff {
 			continue
 		}
-		if small && nh.flags&flagTable != 0 {
-			stack = e.pushTable(stack, e.tables[top.off], pass)
+		if t := tables[top.off]; t != nil {
+			stack = e.pushTable(stack, t, pass)
 		} else {
 			stack = append(stack, walkEntry{off: nh.child, live: pass})
 		}

@@ -66,8 +66,7 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 	e.moved = e.moved[:0]
 	curH := e.readHeader(cur)
 	child := curH.child
-	width := 0
-	for ; child != nilOff; width++ {
+	for e.width = 0; child != nilOff; e.width++ {
 		ch := e.readHeader(child)
 		cs, err := e.decodeNode(child, ch)
 		if err != nil {
@@ -79,7 +78,7 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 		}
 		child = ch.sibling
 	}
-	return e.attach(cur, sub, width)
+	return e.attach(cur, sub)
 }
 
 // registerRef is RegisterNormalized with insertRef in place of insert.

@@ -110,14 +110,10 @@ func (w *refWalk) children(parent uint64, h *nodeHeader) error {
 	if t := e.tables[parent]; w.table && t != nil {
 		var admitted []uint64
 		tests := uint64(0)
-		for p, page := range t.pages {
-			n := min(t.used-p*entriesPerPage, entriesPerPage)
-			if n <= 0 {
-				break
-			}
-			raw := e.acc.Read(page, n*entrySize)
-			for i := 0; i < n; i++ {
-				ent := raw[i*entrySize : (i+1)*entrySize]
+		for p := range t.pages {
+			raw := e.tablePage(t, p)
+			for i := 0; i < len(raw); i += entrySize {
+				ent := raw[i : i+entrySize]
 				if off := leUint64(ent); off != nilOff {
 					if tests++; entryAdmits(ent, w.ev) {
 						admitted = append(admitted, off)

@@ -101,7 +101,7 @@ import (
 //	16     8    next sibling offset (nilOff at end of list)
 //	24     8    first subscriber record offset (nilOff when none)
 //	32     2    constraint blob length in bytes
-//	34     1    flags: flagTable when the node has a child table
+//	34     1    flags
 //	35     13   reserved
 //	48     -    constraint blob (pubsub.AppendConstraints format)
 //
@@ -203,8 +203,8 @@ func (e *Engine) release(off uint64, size int) {
 }
 
 // newNode serialises a record (nil constraints for shard sentinels)
-// with the given header flags and returns its offset.
-func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint, flags uint8) (uint64, error) {
+// and returns its offset.
+func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) {
 	var blob []byte
 	if len(cs) > 0 {
 		var err error
@@ -227,7 +227,6 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint, flags uint8) (ui
 		sibling:  nilOff,
 		firstSub: nilOff,
 		predLen:  uint16(len(blob)),
-		flags:    flags,
 	}
 	var hdr [nodeHeaderSize]byte
 	h.encode(hdr[:])
@@ -281,14 +280,14 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 	return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
 }
 
-// attach links a new node for sub under cur, which had width children
-// if it has no table, and moves the children e.moved lists beneath it,
-// keeping the tables: cur's loses the moved children and gains the new
-// node; an untabled cur left with tableMin children or more, and a new
-// node given that many, build theirs. The offset it returns is the new
+// attach links a new node for sub under cur, which had e.width
+// children if it has no table, and moves the children e.moved lists
+// beneath it, keeping the tables: cur's loses the moved children and
+// gains the new node; an untabled cur left with tableMin children or
+// more, and a new node given that many, build theirs. The offset it returns is the new
 // node's only when the error is nil.
-func (e *Engine) attach(cur uint64, sub *pubsub.Subscription, width int) (uint64, error) {
-	nodeOff, err := e.newNode(cur, sub.Constraints, 0)
+func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
+	nodeOff, err := e.newNode(cur, sub.Constraints)
 	if err != nil {
 		return 0, err
 	}
@@ -306,7 +305,7 @@ func (e *Engine) attach(cur uint64, sub *pubsub.Subscription, width int) (uint64
 	if t != nil {
 		attrs, c, ok := sub.Outline()
 		err = e.addEntry(t, nodeOff, attrs, &c, ok)
-	} else if width-len(e.moved)+1 >= tableMin {
+	} else if e.width-len(e.moved)+1 >= tableMin {
 		err = e.buildTable(cur)
 	}
 	if err == nil && len(e.moved) >= tableMin {

@@ -37,9 +37,10 @@ func arenaPages(e *Engine) uint64 {
 // checkReleased asserts that no released record is reachable — from a
 // sentinel, a header link, a subscriber list or the subscription index
 // or a table — that no record is released twice, and that every
-// reachable record was rewritten whole when it was allocated (reserved
-// bytes zero, and flags too but for a tabled node's flagTable). It then poisons every released record, so that a reuse which
-// leaves any byte unwritten is caught by the checks of the next step.
+// reachable record was rewritten whole when it was allocated (flags
+// and reserved bytes zero). It then poisons every released record, so
+// that a reuse which leaves any byte unwritten is caught by the checks
+// of the next step.
 func checkReleased(t *testing.T, e *Engine) {
 	t.Helper()
 	e.mu.Lock()
@@ -73,12 +74,8 @@ func checkReleased(t *testing.T, e *Engine) {
 		stack = stack[:len(stack)-1]
 		reachable("node", off)
 		raw := e.acc.Read(off, nodeHeaderSize)
-		want := make([]byte, nodeHeaderSize-offFlags)
-		if e.tables[off] != nil {
-			want[0] = flagTable
-		}
-		if !bytes.Equal(raw[offFlags:], want) {
-			t.Fatalf("node %d: flags and reserved bytes % x, want % x", off, raw[offFlags:], want)
+		if !bytes.Equal(raw[offFlags:], make([]byte, nodeHeaderSize-offFlags)) {
+			t.Fatalf("node %d: flags and reserved bytes % x, want zero", off, raw[offFlags:])
 		}
 		h := decodeHeader(raw)
 		for sub := h.firstSub; sub != nilOff; {

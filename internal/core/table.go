@@ -30,8 +30,8 @@ import (
 // children under the new node), or a splice that relinks tableMin
 // children or more under it. The table is built from the chain, read
 // once, and lives as long as its node: Unregister releases its pages
-// with the node's record. A tabled node carries flagTable in its
-// header's flags.
+// with the node's record. The host keeps the tables by node
+// (Engine.tables); nothing in the arena marks a tabled node.
 //
 // The insert scans a tabled node's table instead of its chain
 // (scanTable) and reads a child's header and blob only when the summary
@@ -96,9 +96,6 @@ const (
 // post-cliff registration reads 15.02 and 15.08 sim-µs.
 const tableMin = 64
 
-// flagTable marks, in a node header's flags, a node that has a table.
-const flagTable uint8 = 1
-
 // table is a tabled node's host-side bookkeeping: the arena pages its
 // entries fill, in table order; the entries written, live and dropped;
 // and each live child's entry.
@@ -145,15 +142,16 @@ const (
 	slotFree   uint8 = iota // no constraint in the class
 	slotNum                 // one attribute, constrained numerically
 	slotStr                 // one attribute, constrained by a string
-	slotShared              // two attributes share the class
+	slotShared              // two attributes share the class: nothing is ruled out
 )
 
 // newcomer is what ruledOut reads of the subscription being inserted,
 // read once per scan: its attribute set, and per class (attribute ID
 // mod 32) the first constraint of the class's attribute, its interval
-// taken out of the constraint.
+// taken out of the constraint. A class two of its attributes share —
+// IDs 32 apart, rare — rules nothing out, and the covering test
+// decides.
 type newcomer struct {
-	sub   *pubsub.Subscription
 	attrs pubsub.AttrSet
 	class [32]struct {
 		lo, hi float64
@@ -162,8 +160,8 @@ type newcomer struct {
 	}
 }
 
+// load reads sub into a zero newcomer.
 func (n *newcomer) load(sub *pubsub.Subscription) {
-	n.sub = sub
 	for i := range sub.Constraints {
 		d := &sub.Constraints[i]
 		n.attrs |= 1 << (d.ID % 32)
@@ -199,14 +197,7 @@ func (n *newcomer) ruledOut(ent []byte) bool {
 	dLo, dHi := s.lo, s.hi
 	switch {
 	case s.kind == slotShared:
-		d := n.first(id)
-		if d == nil {
-			return !subMay
-		}
-		if d.Str {
-			return true
-		}
-		dLo, dHi = bounds(d)
+		return false
 	case s.kind == slotFree || s.id != id:
 		return !subMay // the newcomer leaves the attribute free: the child cannot cover it
 	case s.kind == slotStr:
@@ -227,16 +218,6 @@ func bit(b bool) uint8 {
 		v = 1
 	}
 	return v
-}
-
-// first is the newcomer's first constraint on id, or nil.
-func (n *newcomer) first(id pubsub.AttrID) *pubsub.Constraint {
-	for i := range n.sub.Constraints {
-		if d := &n.sub.Constraints[i]; d.ID == id {
-			return d
-		}
-	}
-	return nil
 }
 
 // addEntry appends the entry of a node just linked under t's node,
@@ -281,6 +262,17 @@ func (e *Engine) dropEntry(t *table, off uint64) {
 	e.setField(t.entry(i), 0, nilOff)
 }
 
+// tablePage returns the entries written to page p of t, or nil for a
+// page past the last entry. The bytes are the arena's, valid until the
+// next access.
+func (e *Engine) tablePage(t *table, p int) []byte {
+	n := min(t.used-p*entriesPerPage, entriesPerPage)
+	if n <= 0 {
+		return nil
+	}
+	return e.acc.Read(t.pages[p], n*entrySize)
+}
+
 // compact squeezes the dropped entries out of t, keeping the live ones
 // in order. Each page is copied before any entry moves into it; a
 // destination page is written once, from its first moved entry on.
@@ -294,13 +286,9 @@ func (e *Engine) compact(t *table) {
 		}
 	}
 	for p := range t.pages {
-		n := min(t.used-p*entriesPerPage, entriesPerPage)
-		if n <= 0 {
-			break
-		}
-		src := append(e.tableBuf[:0], e.acc.Read(t.pages[p], n*entrySize)...)
+		src := append(e.tableBuf[:0], e.tablePage(t, p)...)
 		e.tableBuf = src
-		for i := 0; i < n; i++ {
+		for i := 0; i < len(src)/entrySize; i++ {
 			ent := src[i*entrySize : (i+1)*entrySize]
 			off := leUint64(ent)
 			if off == nilOff {
@@ -323,8 +311,7 @@ func (e *Engine) compact(t *table) {
 }
 
 // buildTable gives node a table of its children, read along its chain
-// once (header and blob each) and appended oldest first, and sets
-// flagTable in its header.
+// once (header and blob each) and appended oldest first.
 func (e *Engine) buildTable(node uint64) error {
 	var chain []uint64
 	var predLens []uint16
@@ -333,9 +320,8 @@ func (e *Engine) buildTable(node uint64) error {
 		chain, predLens = append(chain, c), append(predLens, ch.predLen)
 		c = ch.sibling
 	}
-	t := &table{at: make(map[uint64]int)}
+	t := &table{at: make(map[uint64]int, len(chain))}
 	e.tables[node] = t
-	e.acc.Write(node+offFlags, []byte{flagTable})
 	for i := len(chain) - 1; i >= 0; i-- {
 		if err := e.addEntryFromBlob(t, chain[i], nodeHeader{predLen: predLens[i]}); err != nil {
 			return err
@@ -448,7 +434,13 @@ func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equ
 // with each walk for every chunk, are the sweep: in ns per event the
 // general shard's table walk is 3.3× faster at 1 event and 10–30 % at
 // 8, ties or loses at 16 and loses by a third at 32, where most roots
-// admit some event and their headers are read on top of the table.
+// admit some event and their headers are read on top of the table. A
+// wide node's children overlap, and its crossover, measured on the
+// wide/in rows (every event inside a band over about 650 narrower
+// ones) in ten alternating pairs of the two walks at the band, is the
+// same: the table walk was faster in 10/10 pairs at 1 and 2 events and
+// 9/10 at 4 (19 % in the median), and tied at 8 (6/10, medians 26.2
+// and 26.1 µs per event) with 13 % fewer simulated µs.
 const tableWalkMax = 8
 
 // pushTable pushes onto the walk stack the children of a tabled node
@@ -461,12 +453,8 @@ const tableWalkMax = 8
 // Nothing is read between a page's entries, so they are not copied.
 func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry {
 	tests := uint64(0)
-	for p, page := range t.pages {
-		n := min(t.used-p*entriesPerPage, entriesPerPage)
-		if n <= 0 {
-			break
-		}
-		raw := e.acc.Read(page, n*entrySize)
+	for p := range t.pages {
+		raw := e.tablePage(t, p)
 		for i := 0; i < len(raw); i += entrySize {
 			ent := raw[i : i+entrySize]
 			off := leUint64(ent)

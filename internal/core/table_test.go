@@ -29,8 +29,7 @@ func memRead(mem []byte) func(off uint64, n int) []byte {
 // order, each live child has exactly one entry and the table's index
 // names it, and each entry summarises its child's stored blob
 // (pubsub.OutlineEncoded) byte for byte. The general sentinel has a
-// table, and a node's header carries flagTable exactly when the node
-// has one.
+// table, and every table's node is in a forest.
 func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	t.Helper()
 	if e.tables[e.general] == nil {
@@ -76,16 +75,13 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 			t.Fatalf("node %d: table, newest first:\n%v\nchild chain:\n%v", node, entries, chain)
 		}
 	}
-	// Every node reachable from a sentinel: flagged exactly when tabled.
+	// Every node reachable from a sentinel: count the tabled ones.
 	stack := append([]uint64{e.general}, slices.Sorted(maps.Values(e.shards))...)
 	reached := 0
 	for len(stack) > 0 {
 		off := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		h := decodeHeader(read(off, nodeHeaderSize))
-		if flagged, tabled := h.flags&flagTable != 0, e.tables[off] != nil; flagged != tabled {
-			t.Fatalf("node %d: flagged %v, tabled %v", off, flagged, tabled)
-		}
 		if e.tables[off] != nil {
 			reached++
 		}
@@ -155,12 +151,12 @@ func TestWideNodeTable(t *testing.T) {
 	for k := 0; k < tableMin-1; k++ {
 		kids = append(kids, register(narrow(k)))
 	}
-	if e.tables[wide] != nil || e.readHeader(wide).flags != 0 {
+	if e.tables[wide] != nil {
 		t.Fatalf("a table at %d children", tableMin-1)
 	}
 	kids = append(kids, register(narrow(tableMin-1)))
 	tab := e.tables[wide]
-	if tab == nil || e.readHeader(wide).flags != flagTable {
+	if tab == nil {
 		t.Fatalf("no table at %d children", tableMin)
 	}
 	if tab.used != tableMin || len(tab.pages) != 1 {

@@ -24,10 +24,8 @@ type Columns struct {
 	cols []*column
 	n    int
 	// carries[b] holds the events that carry an attribute whose ID is b
-	// mod 32: one mask per AttrSet bit. classes[i] is the same by event:
-	// the bits b whose mask holds event i.
+	// mod 32: one mask per AttrSet bit.
 	carries [32]uint64
-	classes [ColumnEvents]AttrSet
 }
 
 // rankMin is the fewest live events at which Match decides a numeric
@@ -134,10 +132,8 @@ func (c *Columns) Load(evs []*Event) {
 			continue
 		}
 		bit := uint64(1) << i
-		var classes AttrSet
 		for k := range ev.Attrs {
 			a := &ev.Attrs[k]
-			classes |= 1 << (a.ID % 32)
 			if int(a.ID) >= len(c.slot) {
 				grown := make([]*column, int(a.ID)+1)
 				copy(grown, c.slot)
@@ -165,7 +161,6 @@ func (c *Columns) Load(evs []*Event) {
 				col.f[i] = a.Value.AsFloat()
 			}
 		}
-		c.classes[i] = classes
 	}
 	for _, col := range c.cols[:c.n] {
 		c.carries[col.id%32] |= col.has
@@ -198,18 +193,10 @@ func (c *Columns) Match(raw []byte, live uint64) (pass, failed uint64, evaluated
 // carry an attribute for every bit of attrs, and a number on id that is
 // neither below lo nor above hi. A NaN value or bound excludes nothing,
 // as Match rejects nothing on one. Every event Match passes on such a
-// blob survives. A lone live event — a table walk's usual case — is
-// tested against its own class set, and no event's bound test branches
-// on its value.
+// blob survives.
 func (c *Columns) Admit(live uint64, attrs AttrSet, id AttrID, lo, hi float64, bounded bool) uint64 {
-	if live&(live-1) == 0 {
-		if live == 0 || attrs&^c.classes[bits.TrailingZeros64(live)&(ColumnEvents-1)] != 0 {
-			return 0
-		}
-	} else {
-		for m := uint32(attrs); m != 0 && live != 0; m &= m - 1 {
-			live &= c.carries[bits.TrailingZeros32(m)]
-		}
+	for m := uint32(attrs); m != 0 && live != 0; m &= m - 1 {
+		live &= c.carries[bits.TrailingZeros32(m)]
 	}
 	if !bounded || live == 0 {
 		return live
@@ -221,25 +208,20 @@ func (c *Columns) Admit(live uint64, attrs AttrSet, id AttrID, lo, hi float64, b
 	var kept uint64
 	for m := live & col.num; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		kept |= uint64(1) << i & inBounds(col.f[i&(ColumnEvents-1)], lo, hi)
+		f := col.f[i&(ColumnEvents-1)]
+		kept |= (one(!(f < lo)) & one(!(f > hi))) << i
 	}
 	return kept
 }
 
-// inBounds is every bit set when f is neither below lo nor above hi —
-// NaN on either side excludes nothing — else zero: a mask the compiler
-// builds from two comparisons without a branch.
-func inBounds(f, lo, hi float64) uint64 {
-	return allOnes(!(f < lo)) & allOnes(!(f > hi))
-}
-
-// allOnes is every bit set when b is, else zero.
-func allOnes(b bool) uint64 {
-	var m uint64
+// one is 1 when b is set, else 0: with it a bound test is two
+// comparisons and no branch.
+func one(b bool) uint64 {
+	var v uint64
 	if b {
-		m = ^uint64(0)
+		v = 1
 	}
-	return m
+	return v
 }
 
 // match is Match with the crossover as a parameter, so tests and

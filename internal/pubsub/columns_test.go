@@ -301,7 +301,7 @@ func FuzzMatchColumns(f *testing.F) {
 			checkColumns(t, &c, evs, live, raw)
 			checkAdmit(t, &c, evs, live, raw)
 			for m := live; m != 0; m &= m - 1 {
-				checkAdmit(t, &c, evs, m&-m, raw) // each event alone: Admit's lone-event path
+				checkAdmit(t, &c, evs, m&-m, raw) // each event alone: a lone event's table walk
 			}
 		}
 	})
