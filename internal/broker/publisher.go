@@ -33,7 +33,7 @@ type Publisher struct {
 	mu         sync.Mutex
 	routerConn *routerLink            // default route (ConnectRouter / SetDefaultRouter)
 	routers    map[string]*routerLink // named routes into a federated overlay
-	subOwner   map[string]string      // (router, subscription) → owning client
+	subOwner   map[ownedSub]string    // (router, subscription) → owning client
 }
 
 // Sealed-box labels (scrypto.SealTo) of the subscription path: {s}PK,
@@ -43,11 +43,15 @@ const (
 	groupKeyLabel     = "scbr/broker/group-key/v1"
 )
 
-// subKey keys the ownership table: subscription IDs are per-router,
+// ownedSub keys the ownership table: subscription IDs are per-router,
 // so two routers of a federation may issue the same ID.
-func subKey(router string, id uint64) string {
-	return fmt.Sprintf("%s\x00%d", router, id)
+type ownedSub struct {
+	router string
+	id     uint64
 }
+
+// subKey is the ownership table's key for router's subscription id.
+func subKey(router string, id uint64) ownedSub { return ownedSub{router, id} }
 
 // NewPublisher creates a publisher that will only provision SK into
 // enclaves matching routerID, as vouched for by ias. It encodes under
@@ -96,7 +100,7 @@ func NewPublisherWithCodec(ias *attest.Service, routerID attest.Identity, codec 
 		routerID: routerID,
 		codec:    codec,
 		routers:  make(map[string]*routerLink),
-		subOwner: make(map[string]string),
+		subOwner: make(map[ownedSub]string),
 	}, nil
 }
 

@@ -119,6 +119,13 @@ type Engine struct {
 	// read or written.
 	tables   map[uint64]*table
 	tableBuf []byte
+
+	// Scratch for the tables' indexes: directory entries and a leaf's
+	// entries being rewritten, the leaves an insert reads, and the
+	// children they leave it to test.
+	dirBuf, leafBuf []byte
+	leafReads       []leafSummary
+	cands           []tableCand
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -127,12 +134,16 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 	if _, err := acc.Alloc(simmem.PageSize); err != nil {
 		return nil, fmt.Errorf("core: reserving guard page: %w", err)
 	}
-	// The general sentinel's table's first page follows it: taken later,
-	// a page-sized allocation would skip the rest of the arena's current
-	// page.
-	root, err := acc.Alloc(simmem.PageSize)
-	if err != nil {
-		return nil, fmt.Errorf("core: allocating the root table: %w", err)
+	// The general sentinel's table's first page and its index's first
+	// directory page follow it: taken later, a page-sized allocation
+	// would skip the rest of the arena's current page.
+	root := &table{at: make(map[uint64]int)}
+	for _, pages := range []*[]uint64{&root.pages, &root.dir} {
+		page, err := acc.Alloc(simmem.PageSize)
+		if err != nil {
+			return nil, fmt.Errorf("core: allocating the root table: %w", err)
+		}
+		*pages = append(*pages, page)
 	}
 	e := &Engine{
 		acc:        acc,
@@ -156,7 +167,7 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		return nil, err
 	}
 	e.general = general
-	e.tables[general] = &table{pages: []uint64{root}, at: make(map[uint64]int)}
+	e.tables[general] = root
 	e.nodesLive-- // sentinels are not counted
 	return e, nil
 }
@@ -349,9 +360,6 @@ func (e *Engine) Unregister(subID uint64) error {
 		return err
 	}
 	t := e.tables[h.parent]
-	if t != nil {
-		e.dropEntry(t, nodeOff)
-	}
 	relinked := 0
 	for child := h.child; child != nilOff; relinked++ {
 		ch := e.readHeader(child)

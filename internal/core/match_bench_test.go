@@ -173,13 +173,16 @@ func BenchmarkAblationSharding(b *testing.B) {
 // set: Engine.Register into a 5,000- or 10,000-subscription forest of
 // the quote mix, the three shapes in rotation. A price band is
 // inserted among the general shard's roots — a third of the forest —
-// so it prices the table scan. The wide rows insert only price bands,
-// 10 wide, into wideEngine's 5,900 subscriptions and broad band:
-// wide/in bands inside the broad one, which scan its children, wide/out
-// bands outside it. Inserts are timed in blocks of registerBlock, each
-// block removed again outside the timer so the forest stays near its
-// size. ns/op, accesses/op (metered line lookups) and simus/op are per
-// insert.
+// so it prices the scan through the root table's index. The wide rows
+// insert only price bands, 10 wide, into wideEngine's 5,900
+// subscriptions and broad band: wide/in bands inside the broad one,
+// which scan its children, wide/out bands outside it. Inserts are timed
+// in blocks of registerBlock, each block removed again outside the
+// timer so the forest stays near its size. grow/10000 registers the
+// quote mix's first 10,000 subscriptions into an empty engine, as a
+// slice stands up (what the benchmark's match workload prices as
+// setup_s), one engine per iteration. ns/op, accesses/op (metered line
+// lookups) and simus/op are per insert.
 func BenchmarkRegisterForest(b *testing.B) {
 	for _, n := range []int{5_000, 10_000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
@@ -195,21 +198,37 @@ func BenchmarkRegisterForest(b *testing.B) {
 	for _, where := range []string{"in", "out"} {
 		b.Run("wide/"+where, func(b *testing.B) {
 			e, _, _ := wideEngine(b, 5_900)
-			rng := rand.New(rand.NewSource(2))
-			specs := make([]pubsub.SubscriptionSpec, 300)
-			for i := range specs {
-				lo := wideLo + rng.Float64()*(wideHi-wideLo-10) // [lo, lo+10] inside the broad band
-				if where == "out" {
-					// [lo, lo+10] with lo in [0, 10) or (60, 90]: not inside it.
-					if lo = rng.Float64() * 40; lo >= wideLo-10 {
-						lo += wideHi - (wideLo - 10)
-					}
-				}
-				specs[i] = spec(between("price", lo, lo+10))
-			}
-			benchRegister(b, e, specs)
+			benchRegister(b, e, wideBands(where))
 		})
 	}
+	b.Run("grow/10000", func(b *testing.B) {
+		const n = 10_000
+		specs := make([]pubsub.SubscriptionSpec, n)
+		rng := rand.New(rand.NewSource(1))
+		for i := range specs {
+			specs[i] = quoteSpec(rng, i)
+		}
+		var d simmem.Counters
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e, err := NewEngine(newPlainAcc(), pubsub.NewSchema(), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for j, sp := range specs {
+				if _, err := e.Register(sp, uint32(j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d = d.Add(e.Accessor().Meter().C)
+		}
+		inserts := float64(b.N * n)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/inserts, "ns/op")
+		b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/inserts, "accesses/op")
+		b.ReportMetric(simmem.DefaultCost().Micros(d.Cycles)/inserts, "simus/op")
+	})
 }
 
 // registerBlock is the number of inserts BenchmarkRegisterForest times

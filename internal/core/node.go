@@ -37,9 +37,11 @@
 // are charged per covering test run. The children of a wide node — the
 // general shard's roots, which rarely cover one another, or the bands
 // under a broad one — are not read along their chain: a child table in
-// the arena lists them with a summary each (table.go), and the insert
-// reads only the children whose summary cannot rule out either covering
-// direction.
+// the arena lists them with a summary each, an interval index beside it
+// sorts the summaries by attribute and lower bound (table.go), and the
+// insert reads only the index leaves that may hold a coverer or a
+// covered child, and only the children whose summary cannot rule out
+// either covering direction.
 //
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
@@ -247,8 +249,8 @@ func (e *Engine) linkChild(parentOff, childOff uint64) {
 }
 
 // unlinkChild removes child from parent's child list: a tabled parent
-// finds the child's chain predecessor in its table, any other scans the
-// sibling chain for it.
+// finds the child's chain predecessor in its table, and drops the
+// child's entry; any other scans the sibling chain for it.
 func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 	if t := e.tables[parentOff]; t != nil {
 		i, ok := t.at[childOff]
@@ -260,7 +262,7 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 			prev, field = parentOff, offChild
 		}
 		e.setField(prev, field, e.readHeader(childOff).sibling)
-		return nil
+		return e.dropEntry(t, childOff)
 	}
 	ph := e.readHeader(parentOff)
 	ch := e.readHeader(childOff)
@@ -291,18 +293,14 @@ func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := e.tables[cur]
 	for _, m := range e.moved {
 		if err := e.unlinkChild(cur, m); err != nil {
 			return 0, err
 		}
 		e.linkChild(nodeOff, m)
-		if t != nil {
-			e.dropEntry(t, m)
-		}
 	}
 	e.linkChild(cur, nodeOff)
-	if t != nil {
+	if t := e.tables[cur]; t != nil {
 		attrs, c, ok := sub.Outline()
 		err = e.addEntry(t, nodeOff, attrs, &c, ok)
 	} else if e.width-len(e.moved)+1 >= tableMin {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -36,7 +37,7 @@ func arenaPages(e *Engine) uint64 {
 
 // checkReleased asserts that no released record is reachable — from a
 // sentinel, a header link, a subscriber list or the subscription index
-// or a table — that no record is released twice, and that every
+// or a table and its index — that no record is released twice, and that every
 // reachable record was rewritten whole when it was allocated (flags
 // and reserved bytes zero). It then poisons every released record, so
 // that a reuse which leaves any byte unwritten is caught by the checks
@@ -90,9 +91,16 @@ func checkReleased(t *testing.T, e *Engine) {
 			stack = append(stack, c)
 		}
 	}
-	for node, tab := range e.tables {
+	for _, node := range slices.Sorted(maps.Keys(e.tables)) {
+		tab := e.tables[node]
 		for _, page := range tab.pages {
 			reachable(fmt.Sprintf("a page of node %d's table,", node), page)
+		}
+		for _, page := range tab.dir {
+			reachable(fmt.Sprintf("a directory page of node %d's index,", node), page)
+		}
+		for j := 0; j < tab.leaves; j++ {
+			reachable(fmt.Sprintf("a leaf of node %d's index,", node), e.readDir(tab, j).leaf)
 		}
 	}
 	for id, off := range e.subIndex {

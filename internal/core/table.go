@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"scbr/internal/pubsub"
 	"scbr/internal/simmem"
@@ -29,20 +32,23 @@ import (
 // beneath it (whose scan read its whole chain, or which moved that many
 // children under the new node), or a splice that relinks tableMin
 // children or more under it. The table is built from the chain, read
-// once, and lives as long as its node: Unregister releases its pages
-// with the node's record. The host keeps the tables by node
+// once, and lives as long as its node: Unregister releases its pages,
+// and its index's, with the node's record. The host keeps the tables by node
 // (Engine.tables); nothing in the arena marks a tabled node.
 //
-// The insert scans a tabled node's table instead of its chain
-// (scanTable) and reads a child's header and blob only when the summary
-// cannot rule out either covering direction: a child covers the
-// newcomer only if its attributes are among the newcomer's and its
-// interval contains the newcomer's on that attribute, and the newcomer
-// covers the child only the other way round. The summary is a
-// necessary-condition filter and pubsub.CoverEncoded still decides, so
-// the insert finds the coverer and the covered children the chain scan
-// would, in the same order. unlinkChild finds a tabled child's chain
-// predecessor in the table: the next newer live entry.
+// The insert does not read a tabled node's table: it reads the table's
+// interval index (below) and, through it, only the entries that may
+// name a child covering the newcomer or covered by it. Each of those
+// is tested against its summary (newcomer.ruledOut), and a child's
+// header and blob are read only when the summary cannot rule out
+// either covering direction: a child covers the newcomer only if its
+// attributes are among the newcomer's and its interval contains the
+// newcomer's on that attribute, and the newcomer covers the child only
+// the other way round. The summary is a necessary-condition filter and
+// pubsub.CoverEncoded still decides, in chain order, so the insert
+// finds the coverer and the covered children the chain scan would, in
+// the same order. unlinkChild finds a tabled child's chain predecessor
+// in the table: the next newer live entry.
 //
 // A walk of at most tableWalkMax events takes a tabled node's children
 // from the table (pushTable): an event can pass a child only if it
@@ -70,7 +76,8 @@ import (
 // overwritten, and a full last chunk is compacted — dropped entries
 // squeezed out, order kept — before a new page is taken. A table holds
 // ceil(peak children / 128) pages, at least one, and an arena under
-// churn still stays at its peak.
+// churn still stays at its peak. The index beside it changes with it,
+// through the same metered accessor.
 const (
 	entrySize      = 32
 	entriesPerPage = simmem.PageSize / entrySize
@@ -98,11 +105,15 @@ const tableMin = 64
 
 // table is a tabled node's host-side bookkeeping: the arena pages its
 // entries fill, in table order; the entries written, live and dropped;
-// and each live child's entry.
+// each live child's entry; and the pages of its index's directory and
+// the number of leaves it lists. Which leaf holds which child, and in
+// what order, is in the arena only.
 type table struct {
-	pages []uint64
-	used  int
-	at    map[uint64]int
+	pages  []uint64
+	used   int
+	at     map[uint64]int
+	dir    []uint64
+	leaves int
 }
 
 // entry is the arena offset of table entry i.
@@ -221,15 +232,26 @@ func bit(b bool) uint8 {
 }
 
 // addEntry appends the entry of a node just linked under t's node,
-// which constrains attrs and is summarised by c when ok.
+// which constrains attrs and is summarised by c when ok, and indexes it.
 func (e *Engine) addEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) error {
+	ent, err := e.appendEntry(t, off, attrs, c, ok)
+	if err != nil {
+		return err
+	}
+	return e.indexInsert(t, ent)
+}
+
+// appendEntry writes the entry of the child at off after t's last one,
+// compacting the table or taking a page when the last page is full, and
+// returns the entry's bytes (in tableBuf).
+func (e *Engine) appendEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) ([]byte, error) {
 	if t.used == len(t.pages)*entriesPerPage {
 		if len(t.at) < t.used {
 			e.compact(t)
 		} else {
 			page, err := e.alloc(simmem.PageSize)
 			if err != nil {
-				return fmt.Errorf("core: growing a child table: %w", err)
+				return nil, fmt.Errorf("core: growing a child table: %w", err)
 			}
 			t.pages = append(t.pages, page)
 		}
@@ -240,26 +262,26 @@ func (e *Engine) addEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.
 	e.acc.Write(t.entry(t.used), ent)
 	t.at[off] = t.used
 	t.used++
-	return nil
+	return ent, nil
 }
 
-// addEntryFromBlob appends the entry of a node linked under t's node,
-// summarised from its stored blob. A blob that does not parse gets an
-// entry that rules nothing out — every attribute, no bounds — so the
-// insert that reads it reports the corrupt node.
-func (e *Engine) addEntryFromBlob(t *table, off uint64, h nodeHeader) error {
+// outlineFromBlob summarises a node linked under a tabled node from its
+// stored blob. A blob that does not parse gets an entry that rules
+// nothing out — every attribute, no bounds — so the insert that reads it
+// reports the corrupt node.
+func (e *Engine) outlineFromBlob(off uint64, h nodeHeader) (pubsub.AttrSet, pubsub.Constraint, bool) {
 	attrs, c, ok, err := pubsub.OutlineEncoded(e.acc.Read(off+nodeHeaderSize, int(h.predLen)))
 	if err != nil {
 		attrs, ok = ^pubsub.AttrSet(0), false
 	}
-	return e.addEntry(t, off, attrs, &c, ok)
+	return attrs, c, ok
 }
 
-// dropEntry marks the entry of a node unlinked from t's node.
-func (e *Engine) dropEntry(t *table, off uint64) {
-	i := t.at[off]
-	delete(t.at, off)
-	e.setField(t.entry(i), 0, nilOff)
+// addEntryFromBlob appends and indexes the entry of a node linked under
+// t's node, summarised from its stored blob.
+func (e *Engine) addEntryFromBlob(t *table, off uint64, h nodeHeader) error {
+	attrs, c, ok := e.outlineFromBlob(off, h)
+	return e.addEntry(t, off, attrs, &c, ok)
 }
 
 // tablePage returns the entries written to page p of t, or nil for a
@@ -311,7 +333,8 @@ func (e *Engine) compact(t *table) {
 }
 
 // buildTable gives node a table of its children, read along its chain
-// once (header and blob each) and appended oldest first.
+// once (header and blob each) and appended oldest first, and bulk-loads
+// the table's index.
 func (e *Engine) buildTable(node uint64) error {
 	var chain []uint64
 	var predLens []uint16
@@ -322,22 +345,31 @@ func (e *Engine) buildTable(node uint64) error {
 	}
 	t := &table{at: make(map[uint64]int, len(chain))}
 	e.tables[node] = t
+	ents := make([]byte, 0, len(chain)*entrySize)
 	for i := len(chain) - 1; i >= 0; i-- {
-		if err := e.addEntryFromBlob(t, chain[i], nodeHeader{predLen: predLens[i]}); err != nil {
+		attrs, c, ok := e.outlineFromBlob(chain[i], nodeHeader{predLen: predLens[i]})
+		ent, err := e.appendEntry(t, chain[i], attrs, &c, ok)
+		if err != nil {
 			return err
 		}
+		ents = append(ents, ent...)
 	}
-	return nil
+	return e.loadIndex(t, ents)
 }
 
-// releaseTable hands the pages of a node's table, if it has one, to
-// the next allocations of a page, as Unregister releases the node.
+// releaseTable hands the pages of a node's table, if it has one, and
+// its index's leaves and directory pages to the next allocations of
+// their size, as Unregister releases the node.
 func (e *Engine) releaseTable(node uint64) {
 	t := e.tables[node]
 	if t == nil {
 		return
 	}
-	for _, page := range t.pages {
+	e.dirBuf = e.readDirs(t, 0, t.leaves, e.dirBuf[:0])
+	for j := 0; j < t.leaves; j++ {
+		e.release(decodeDir(e.dirBuf[j*dirEntrySize:]).leaf, leafSize)
+	}
+	for _, page := range append(t.pages, t.dir...) {
 		e.release(page, simmem.PageSize)
 	}
 	delete(e.tables, node)
@@ -355,77 +387,85 @@ func (e *Engine) prevInTable(t *table, i int) uint64 {
 	return nilOff
 }
 
-// tableRuns reads a table for scanTable: next returns its entries in
-// line-aligned runs, newest run first, that double from one line to a
-// page, so a scan that stops at a recent child has read about twice
-// the lines it passed, not the page. A run's newest entry is its last:
-// read backwards, entry by entry, the runs give the chain's order. Each
-// run is a copy, since the scan reads children between its entries and
-// the bytes a Read returns are valid only until the next access (a
-// paged enclave scrubs an evicted page's frame).
-type tableRuns struct {
-	e *Engine
-	t *table
-	// hi is the number of entries not yet returned, the oldest ones; n
-	// is the length of the next run.
-	hi, n int
-}
-
-// runs starts a read of t at its newest entry.
-func (e *Engine) runs(t *table) tableRuns {
-	return tableRuns{e: e, t: t, hi: t.used, n: 64 / entrySize}
-}
-
-// next returns the next run of entries, or nil after the oldest. A run
-// never crosses a page: runs are aligned to their length, which
-// divides entriesPerPage.
-func (r *tableRuns) next() []byte {
-	if r.hi == 0 {
-		return nil
-	}
-	e := r.e
-	lo := (r.hi - 1) &^ (r.n - 1)
-	run := append(e.tableBuf[:0], e.acc.Read(r.t.entry(lo), (r.hi-lo)*entrySize)...)
-	e.tableBuf = run
-	r.hi, r.n = lo, min(2*r.n, entriesPerPage)
-	return run
-}
-
-// scanTable is one level of insert at a tabled node, over its table:
-// newest entry first, each live entry is tested for one predicate's
-// cycles, a child whose summary rules out both covering directions is
-// passed over, and every other child is read and tested as the chain
-// scan would. It returns the first child that covers sub (equal when
-// sub covers it too), or nilOff with e.moved holding the children sub
-// covers, in chain order.
+// scanTable is one level of insert at a tabled node, through its index:
+// every directory entry is tested for one predicate's cycles, and the
+// leaves that may hold a coverer or a covered child (newcomer.mayHold)
+// are read; each of their entries is tested for one predicate's cycles,
+// and the children whose summaries do not rule out both covering
+// directions are read and tested, newest first, as the chain scan would.
+// It returns the first child that covers sub (equal when sub covers it
+// too), or nilOff with e.moved holding the children sub covers, in
+// chain order.
 func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
 	e.moved = e.moved[:0]
 	var nc newcomer
 	nc.load(sub)
 	tests := uint64(0) // entries tested, charged on the way out
-	runs := e.runs(t)
-	for run := runs.next(); run != nil; run = runs.next() {
-		for i := len(run) - entrySize; i >= 0; i -= entrySize {
-			ent := run[i : i+entrySize]
-			off := leUint64(ent)
-			if off == nilOff {
-				continue
+	reads := e.leafReads[:0]
+	// The directory is read dirRun entries at a time, so a scan that
+	// stops early has read little past the leaf it stopped at. A leaf is
+	// tested once the next one is read: its lower bounds end at the next
+	// one's first.
+	var prev leafSummary
+	lastRead := false
+	for j, runEnd := 0, 0; j < t.leaves; j++ {
+		if j == runEnd {
+			runEnd = min(t.leaves, j+dirRun)
+			e.dirBuf = e.readDirs(t, j, runEnd, e.dirBuf[:0])
+		}
+		d := decodeDir(e.dirBuf[len(e.dirBuf)-(runEnd-j)*dirEntrySize:])
+		tests++
+		if j > 0 && nc.mayHold(&prev, &d) {
+			reads = append(reads, prev)
+		}
+		prev = d
+		if j+1 == t.leaves {
+			if nc.mayHold(&d, nil) {
+				reads = append(reads, d)
 			}
-			if tests++; nc.ruledOut(ent) {
-				continue
+		} else if !lastRead && nc.beyond(&d) {
+			// Every later leaf starts further beyond; if they all hold
+			// d's attribute alone, none of them, d included, holds a
+			// child to test.
+			lastRead = true
+			if last := e.readDir(t, t.leaves-1); last.flags&(dirAlways|dirOneAttr) == dirOneAttr && last.firstAttr == d.firstAttr {
+				break
 			}
-			_, childCovers, subCovers, err := e.coverTest(off, sub)
-			if err != nil || childCovers {
-				e.acc.Charge(tests * e.predCycles)
-				return off, subCovers, err
+		}
+	}
+	e.leafReads = reads
+	cands := e.cands[:0]
+	for _, d := range reads {
+		raw := e.acc.Read(d.leaf, d.count*entrySize)
+		tests += uint64(d.count)
+		for i := 0; i < len(raw); i += entrySize {
+			if ent := raw[i : i+entrySize]; !nc.ruledOut(ent) {
+				off := leUint64(ent)
+				cands = append(cands, tableCand{pos: t.at[off], off: off})
 			}
-			if subCovers {
-				e.moved = append(e.moved, off)
-			}
+		}
+	}
+	slices.SortFunc(cands, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
+	e.cands = cands
+	for _, c := range cands {
+		_, childCovers, subCovers, err := e.coverTest(c.off, sub)
+		if err != nil || childCovers {
+			e.acc.Charge(tests * e.predCycles)
+			return c.off, subCovers, err
+		}
+		if subCovers {
+			e.moved = append(e.moved, c.off)
 		}
 	}
 	e.acc.Charge(tests * e.predCycles)
 	return nilOff, false, nil
+}
+
+// tableCand is a child the index could not rule out, with its entry's
+// position in the table: the newer the child, the higher.
+type tableCand struct {
+	pos int
+	off uint64
 }
 
 // tableWalkMax is the most live events a chunk may hold for its walk to
@@ -475,4 +515,499 @@ func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry
 	}
 	e.acc.Charge(tests * e.predCycles)
 	return stack
+}
+
+// The interval index. Beside its chain-ordered entries, every table
+// keeps the same 32-byte entries sorted by key — summary attribute,
+// then lower bound; the entries with no usable summary (no numeric
+// constraint, a NaN bound or one above the other, a corrupt blob) after
+// all others — in leaves of at most leafEntries entries, each leaf an
+// arena record of its own, and a directory that lists the leaves in key
+// order on pages of its own: per leaf its first key, the largest and
+// smallest upper bound of its summarised entries, the union and
+// intersection of its entries' attribute sets, its record and its entry
+// count. Every leaf is sorted and no key is below the one before it,
+// leaf to leaf, so a leaf's lower bounds run from its first key to the
+// next leaf's, and none is above its largest upper bound.
+//
+// The insert reads the directory and only the leaves that may hold a
+// child the newcomer's summary does not rule out (mayHold): a coverer
+// needs a lower bound at most the newcomer's and an upper bound at
+// least its own, a covered child the other way round, and a child that
+// constrains an attribute the newcomer leaves free can only be covered,
+// when it holds all the newcomer's attributes. A leaf that holds an
+// entry with no usable summary is always read. On an attribute the
+// newcomer constrains numerically, the directory is read no further
+// than the first leaf that starts above the newcomer's interval when
+// every later leaf holds that attribute alone (beyond). The entries of
+// the leaves read that ruledOut keeps are the ones the whole-table scan
+// kept, and the insert tests them in chain order, so it reads the same
+// children in the same order.
+//
+// The index changes only through the metered accessor, with the table:
+// an entry appended is inserted in the leaf whose range holds its key
+// (a full leaf splits in two, and the directory after it moves up one
+// entry), an entry dropped is found through the directory by its key
+// and taken out (a leaf left empty is released, one left under a
+// quarter full merges with a neighbour when the two fill at most half a
+// leaf), a table built from its chain is bulk-loaded three quarters
+// full, and a table's leaves and directory pages are released with it.
+// The host knows how many leaves a table has, never which child is
+// where: the order of the bounds stays in the enclave's memory.
+//
+// Directory entry layout:
+//
+//	offset size field
+//	0      8    lower bound of the first entry (float64 bits; 0 when it has no summary)
+//	8      4    largest upper bound, float32 bits rounded up (-Inf for none)
+//	12     4    smallest upper bound, float32 bits rounded down (+Inf for none)
+//	16     4    union of the entries' attribute sets
+//	20     4    intersection of the entries' attribute sets
+//	24     2    attribute of the first entry (0 when it has no summary)
+//	26     4    leaf record offset
+//	30     1    entry count
+//	31     1    flags: dirAlways, dirFirstAlways, dirOneAttr
+//
+// The upper bounds are kept in float32, rounded away from the leaf's
+// entries, so that a directory entry is half a cache line and a test
+// against them may read a leaf for nothing, never skip one it needs.
+const (
+	// leafEntries is the most entries a leaf holds. In the sweep, at 8,
+	// 16, 32 and 64, 32 looked up the fewest lines per insert on every
+	// row of BenchmarkRegisterForest but subs=10000, where 64 read 2 %
+	// more and 1 % fewer simulated µs (docs/benchmarks.md, "One index
+	// per table").
+	leafEntries  = 32
+	leafSize     = leafEntries * entrySize
+	dirEntrySize = 32
+	dirPerPage   = simmem.PageSize / dirEntrySize
+	// dirRun is the directory entries the insert reads at a time, two
+	// lines. On the wide rows of BenchmarkRegisterForest, runs doubling
+	// from a line to a page read 3–6 more lookups per insert, and runs
+	// of one line as many as two with twice the accessor calls.
+	dirRun = 128 / dirEntrySize
+
+	offDirFirstLo   = 0
+	offDirMaxHi     = 8
+	offDirMinHi     = 12
+	offDirUnion     = 16
+	offDirInter     = 20
+	offDirFirstAttr = 24
+	offDirLeaf      = 26
+	offDirCount     = 30
+	offDirFlags     = 31
+
+	dirAlways      uint8 = 1 // the leaf holds an entry with no usable summary
+	dirFirstAlways uint8 = 2 // its first entry is one
+	dirOneAttr     uint8 = 4 // its summarised entries all constrain the first entry's attribute
+)
+
+// leafSummary is a decoded directory entry.
+type leafSummary struct {
+	firstLo      float64
+	maxHi, minHi float32
+	union, inter pubsub.AttrSet
+	firstAttr    pubsub.AttrID
+	leaf         uint64
+	count        int
+	flags        uint8
+}
+
+func decodeDir(raw []byte) leafSummary {
+	return leafSummary{
+		firstLo:   math.Float64frombits(binary.LittleEndian.Uint64(raw[offDirFirstLo:])),
+		maxHi:     math.Float32frombits(binary.LittleEndian.Uint32(raw[offDirMaxHi:])),
+		minHi:     math.Float32frombits(binary.LittleEndian.Uint32(raw[offDirMinHi:])),
+		union:     pubsub.AttrSet(binary.LittleEndian.Uint32(raw[offDirUnion:])),
+		inter:     pubsub.AttrSet(binary.LittleEndian.Uint32(raw[offDirInter:])),
+		firstAttr: pubsub.AttrID(binary.LittleEndian.Uint16(raw[offDirFirstAttr:])),
+		leaf:      uint64(binary.LittleEndian.Uint32(raw[offDirLeaf:])),
+		count:     int(raw[offDirCount]),
+		flags:     raw[offDirFlags],
+	}
+}
+
+func (s *leafSummary) encode(dst []byte) {
+	binary.LittleEndian.PutUint64(dst[offDirFirstLo:], math.Float64bits(s.firstLo))
+	binary.LittleEndian.PutUint32(dst[offDirMaxHi:], math.Float32bits(s.maxHi))
+	binary.LittleEndian.PutUint32(dst[offDirMinHi:], math.Float32bits(s.minHi))
+	binary.LittleEndian.PutUint32(dst[offDirUnion:], uint32(s.union))
+	binary.LittleEndian.PutUint32(dst[offDirInter:], uint32(s.inter))
+	binary.LittleEndian.PutUint16(dst[offDirFirstAttr:], uint16(s.firstAttr))
+	binary.LittleEndian.PutUint32(dst[offDirLeaf:], uint32(s.leaf))
+	dst[offDirCount] = uint8(s.count)
+	dst[offDirFlags] = s.flags
+}
+
+// entryKey is an entry's place in the index: entries with no usable
+// summary after all others, in any order among themselves; the others
+// by attribute, then lower bound.
+type entryKey struct {
+	always bool
+	attr   pubsub.AttrID
+	lo     float64
+}
+
+// keyOfEntry is the key of a table entry.
+func keyOfEntry(ent []byte) entryKey {
+	lo := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryLo:]))
+	hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:]))
+	if ent[offEntryFlags]&entrySummary == 0 || !(lo <= hi) {
+		return entryKey{always: true}
+	}
+	return entryKey{attr: pubsub.AttrID(binary.LittleEndian.Uint16(ent[offEntryAttr:])), lo: lo}
+}
+
+// first is the key of the leaf's first entry.
+func (s *leafSummary) first() entryKey {
+	if s.flags&dirFirstAlways != 0 {
+		return entryKey{always: true}
+	}
+	return entryKey{attr: s.firstAttr, lo: s.firstLo}
+}
+
+func (k entryKey) compare(o entryKey) int {
+	switch {
+	case k.always || o.always:
+		return cmp.Compare(bit(k.always), bit(o.always))
+	case k.attr != o.attr:
+		return cmp.Compare(k.attr, o.attr)
+	}
+	return cmp.Compare(k.lo, o.lo)
+}
+
+// down32 is the greatest float32 not above v, up32 the least not below.
+func down32(v float64) float32 {
+	switch f := float32(v); {
+	case math.IsInf(v, 0):
+		return f
+	case v < -math.MaxFloat32:
+		return float32(math.Inf(-1))
+	case v > math.MaxFloat32:
+		return math.MaxFloat32
+	case float64(f) <= v:
+		return f
+	case f > 0:
+		return math.Float32frombits(math.Float32bits(f) - 1)
+	case f < 0:
+		return math.Float32frombits(math.Float32bits(f) + 1)
+	default: // a negative v too close to zero for a float32
+		return -math.SmallestNonzeroFloat32
+	}
+}
+
+func up32(v float64) float32 { return -down32(-v) }
+
+// summarize is the directory entry of the leaf at leaf holding ents, in
+// key order.
+func summarize(leaf uint64, ents []byte) leafSummary {
+	s := leafSummary{
+		maxHi: float32(math.Inf(-1)), minHi: float32(math.Inf(1)),
+		inter: ^pubsub.AttrSet(0), leaf: leaf, count: len(ents) / entrySize,
+		flags: dirOneAttr,
+	}
+	for i := 0; i < len(ents); i += entrySize {
+		ent := ents[i : i+entrySize]
+		attrs := pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offEntryAttrs:]))
+		s.union, s.inter = s.union|attrs, s.inter&attrs
+		k := keyOfEntry(ent)
+		switch {
+		case k.always:
+			s.flags |= dirAlways
+			if i == 0 {
+				s.flags |= dirFirstAlways
+			}
+			continue
+		case i == 0:
+			s.firstLo, s.firstAttr = k.lo, k.attr
+		case k.attr != s.firstAttr:
+			s.flags &^= dirOneAttr
+		}
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:]))
+		if up := up32(hi); up > s.maxHi {
+			s.maxHi = up
+		}
+		if down := down32(hi); down < s.minHi {
+			s.minHi = down
+		}
+	}
+	return s
+}
+
+// mayHold reports whether the leaf d lists may hold an entry ruledOut
+// keeps; next is the directory's next entry, or nil after the last. It
+// asks what ruledOut asks of each entry, of the leaf's bounds: a child
+// may cover the newcomer only where the intersection of the leaf's
+// attribute sets is among the newcomer's attributes, its first lower
+// bound is at most the newcomer's and its largest upper bound at least
+// the newcomer's; the newcomer may cover a child only where the union
+// holds every attribute of the newcomer and — on an attribute the
+// newcomer constrains numerically — some lower bound, up to the next
+// leaf's first and the leaf's largest upper bound, is at least the
+// newcomer's and the smallest upper bound at most the newcomer's. A
+// leaf of several attributes is read whenever either attribute test
+// passes. A NaN bound of the newcomer compares false and rules nothing
+// out, as in ruledOut.
+func (n *newcomer) mayHold(d, next *leafSummary) bool {
+	if d.flags&dirAlways != 0 {
+		return true
+	}
+	childMay, subMay := d.inter&^n.attrs == 0, n.attrs&^d.union == 0
+	if !childMay && !subMay || d.flags&dirOneAttr == 0 {
+		return childMay || subMay
+	}
+	id := d.firstAttr
+	s := &n.class[id%32]
+	switch {
+	case s.kind == slotShared:
+		return true
+	case s.kind == slotFree || s.id != id:
+		return subMay
+	case s.kind == slotStr:
+		return false
+	}
+	maxHi, minHi := float64(d.maxHi), float64(d.minHi)
+	lastLo := maxHi
+	if next != nil && next.flags&dirFirstAlways == 0 && next.firstAttr == id {
+		lastLo = min(lastLo, next.firstLo)
+	}
+	covers := childMay && !(s.lo < d.firstLo) && !(maxHi < s.hi)
+	covered := subMay && !(lastLo < s.lo) && !(minHi > s.hi)
+	return covers || covered
+}
+
+// beyond reports whether leaf d starts on an attribute the newcomer
+// constrains numerically, above both of its bounds: an entry there, or
+// in a later leaf on that attribute, neither covers the newcomer (its
+// lower bound is above the newcomer's) nor is covered by it (its upper
+// bound, not below its lower one, is above the newcomer's).
+func (n *newcomer) beyond(d *leafSummary) bool {
+	s := &n.class[d.firstAttr%32]
+	return d.flags&dirFirstAlways == 0 && s.kind == slotNum && s.id == d.firstAttr &&
+		d.firstLo > s.lo && d.firstLo > s.hi
+}
+
+// dirAt is the arena offset of directory entry j.
+func (t *table) dirAt(j int) uint64 {
+	return t.dir[j/dirPerPage] + uint64(j%dirPerPage*dirEntrySize)
+}
+
+// readDirs appends directory entries [a, b) to dst, a page at a time.
+func (e *Engine) readDirs(t *table, a, b int, dst []byte) []byte {
+	for a < b {
+		end := min(b, (a/dirPerPage+1)*dirPerPage)
+		dst = append(dst, e.acc.Read(t.dirAt(a), (end-a)*dirEntrySize)...)
+		a = end
+	}
+	return dst
+}
+
+// writeDirs writes the directory entries in src from entry a on, a page
+// at a time.
+func (e *Engine) writeDirs(t *table, a int, src []byte) {
+	for len(src) > 0 {
+		n := min(len(src)/dirEntrySize, (a/dirPerPage+1)*dirPerPage-a)
+		e.acc.Write(t.dirAt(a), src[:n*dirEntrySize])
+		src, a = src[n*dirEntrySize:], a+n
+	}
+}
+
+// readDir reads directory entry j.
+func (e *Engine) readDir(t *table, j int) leafSummary {
+	return decodeDir(e.acc.Read(t.dirAt(j), dirEntrySize))
+}
+
+// writeDir writes directory entry j.
+func (e *Engine) writeDir(t *table, j int, s leafSummary) {
+	var raw [dirEntrySize]byte
+	s.encode(raw[:])
+	e.writeDirs(t, j, raw[:])
+}
+
+// shiftDir moves directory entries [j, t.leaves) by delta (±1) and
+// records the new count; a directory that grows past its pages takes
+// another.
+func (e *Engine) shiftDir(t *table, j, delta int) error {
+	if t.leaves+delta > len(t.dir)*dirPerPage {
+		page, err := e.alloc(simmem.PageSize)
+		if err != nil {
+			return fmt.Errorf("core: growing a child table's index: %w", err)
+		}
+		t.dir = append(t.dir, page)
+	}
+	e.dirBuf = e.readDirs(t, j, t.leaves, e.dirBuf[:0])
+	e.writeDirs(t, j+delta, e.dirBuf)
+	t.leaves += delta
+	return nil
+}
+
+// findLeaf returns the last leaf whose first key is below k (strict) or
+// at most k, or 0 when there is none; t has a leaf.
+func (e *Engine) findLeaf(t *table, k entryKey, strict bool) int {
+	j := sort.Search(t.leaves, func(j int) bool {
+		d := e.readDir(t, j)
+		c := d.first().compare(k)
+		return c > 0 || strict && c == 0
+	})
+	return max(j-1, 0)
+}
+
+// readLeaf copies the entries of leaf d into leafBuf.
+func (e *Engine) readLeaf(d *leafSummary) []byte {
+	e.leafBuf = append(e.leafBuf[:0], e.acc.Read(d.leaf, d.count*entrySize)...)
+	return e.leafBuf
+}
+
+// dropEntry marks the entry of a node unlinked from t's node and takes
+// it out of the index.
+func (e *Engine) dropEntry(t *table, off uint64) error {
+	i := t.at[off]
+	delete(t.at, off)
+	var ent [entrySize]byte
+	copy(ent[:], e.acc.Read(t.entry(i), entrySize))
+	e.setField(t.entry(i), 0, nilOff)
+	return e.indexRemove(t, ent[:])
+}
+
+// indexInsert puts the table entry ent into t's index, after every
+// entry whose key is at most its own.
+func (e *Engine) indexInsert(t *table, ent []byte) error {
+	if t.leaves == 0 {
+		return e.addLeaf(t, 0, ent)
+	}
+	k := keyOfEntry(ent)
+	j := e.findLeaf(t, k, false)
+	d := e.readDir(t, j)
+	ents := e.readLeaf(&d)
+	at := len(ents)
+	for at > 0 && keyOfEntry(ents[at-entrySize:]).compare(k) > 0 {
+		at -= entrySize
+	}
+	ents = append(ents, ent...)
+	copy(ents[at+entrySize:], ents[at:])
+	copy(ents[at:], ent)
+	e.leafBuf = ents
+	if d.count < leafEntries {
+		e.acc.Write(d.leaf+uint64(at), ents[at:])
+		e.writeDir(t, j, summarize(d.leaf, ents))
+		return nil
+	}
+	// A full leaf splits: its first half stays, the rest moves to a new
+	// leaf listed after it.
+	half := (leafEntries + 1) / 2 * entrySize
+	if at < half {
+		e.acc.Write(d.leaf+uint64(at), ents[at:half])
+	}
+	e.writeDir(t, j, summarize(d.leaf, ents[:half]))
+	return e.addLeaf(t, j+1, ents[half:])
+}
+
+// addLeaf writes ents into a new leaf record and lists it as directory
+// entry j, the entries from j on moving up one.
+func (e *Engine) addLeaf(t *table, j int, ents []byte) error {
+	leaf, err := e.alloc(leafSize)
+	if err != nil {
+		return fmt.Errorf("core: allocating an index leaf: %w", err)
+	}
+	if leaf > math.MaxUint32 {
+		return fmt.Errorf("core: index leaf at offset %d, past the directory's 32-bit field", leaf)
+	}
+	e.acc.Write(leaf, ents)
+	if err := e.shiftDir(t, j, 1); err != nil {
+		return err
+	}
+	e.writeDir(t, j, summarize(leaf, ents))
+	return nil
+}
+
+// indexRemove takes the table entry ent out of t's index: it is in the
+// first leaf, from the last whose first key is below its own on, that
+// lists its child.
+func (e *Engine) indexRemove(t *table, ent []byte) error {
+	k, off := keyOfEntry(ent), leUint64(ent)
+	for j := e.findLeaf(t, k, true); j < t.leaves; j++ {
+		d := e.readDir(t, j)
+		if d.first().compare(k) > 0 {
+			break
+		}
+		ents := e.readLeaf(&d)
+		at := 0
+		for at < len(ents) && leUint64(ents[at:]) != off {
+			at += entrySize
+		}
+		if at == len(ents) {
+			continue
+		}
+		ents = ents[:copy(ents[at:], ents[at+entrySize:])+at]
+		if len(ents) == 0 {
+			e.release(d.leaf, leafSize)
+			return e.shiftDir(t, j+1, -1)
+		}
+		if at < len(ents) {
+			e.acc.Write(d.leaf+uint64(at), ents[at:])
+		}
+		e.writeDir(t, j, summarize(d.leaf, ents))
+		if d.count-1 < leafEntries/4 {
+			return e.mergeLeaf(t, j)
+		}
+		return nil
+	}
+	return fmt.Errorf("core: child %d is missing from its table's index", off)
+}
+
+// mergeLeaf merges leaf j, under a quarter full, into a neighbour — the
+// next one, else the one before — when the two hold at most half a
+// leaf: the right one's entries are appended to the left one's, and the
+// right leaf is released.
+func (e *Engine) mergeLeaf(t *table, j int) error {
+	if j+1 == t.leaves {
+		j-- // the last leaf merges into the one before it
+	}
+	if j < 0 {
+		return nil
+	}
+	left, right := e.readDir(t, j), e.readDir(t, j+1)
+	if left.count+right.count > leafEntries/2 {
+		return nil
+	}
+	ents := append(e.readLeaf(&left), e.acc.Read(right.leaf, right.count*entrySize)...)
+	e.leafBuf = ents
+	e.acc.Write(left.leaf+uint64(left.count*entrySize), ents[left.count*entrySize:])
+	e.writeDir(t, j, summarize(left.leaf, ents))
+	e.release(right.leaf, leafSize)
+	return e.shiftDir(t, j+2, -1)
+}
+
+// loadIndex bulk-loads the index of a table built from its chain: ents,
+// its entries in table order, sorted by key into leaves three quarters
+// full, listed in a directory whose pages are taken first.
+func (e *Engine) loadIndex(t *table, ents []byte) error {
+	n := len(ents) / entrySize
+	order := make([]tableCand, n)
+	for i := range order {
+		order[i] = tableCand{pos: i, off: leUint64(ents[i*entrySize:])}
+	}
+	slices.SortFunc(order, func(a, b tableCand) int {
+		return keyOfEntry(ents[a.pos*entrySize:]).compare(keyOfEntry(ents[b.pos*entrySize:]))
+	})
+	const fill = leafEntries * 3 / 4
+	leaves := (n + fill - 1) / fill
+	for len(t.dir)*dirPerPage < max(leaves, 1) {
+		page, err := e.alloc(simmem.PageSize)
+		if err != nil {
+			return fmt.Errorf("core: allocating a child table's index: %w", err)
+		}
+		t.dir = append(t.dir, page)
+	}
+	leaf := make([]byte, 0, fill*entrySize)
+	for j := 0; j < leaves; j++ {
+		leaf = leaf[:0]
+		for _, c := range order[j*fill : min(n, (j+1)*fill)] {
+			leaf = append(leaf, ents[c.pos*entrySize:(c.pos+1)*entrySize]...)
+		}
+		if err := e.addLeaf(t, j, leaf); err != nil {
+			return err
+		}
+	}
+	return nil
 }

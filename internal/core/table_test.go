@@ -26,9 +26,10 @@ func memRead(mem []byte) func(off uint64, n int) []byte {
 
 // checkTables asserts that every table is its node's child chain: the
 // live entries read newest-first are the node's children in chain
-// order, each live child has exactly one entry and the table's index
-// names it, and each entry summarises its child's stored blob
-// (pubsub.OutlineEncoded) byte for byte. The general sentinel has a
+// order, each live child has exactly one entry and the table's
+// bookkeeping names it, and each entry summarises its child's stored
+// blob (pubsub.OutlineEncoded) byte for byte; and that every table's
+// interval index lists it (checkIndex). The general sentinel has a
 // table, and every table's node is in a forest.
 func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	t.Helper()
@@ -74,6 +75,7 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 		if !slices.Equal(entries, chain) {
 			t.Fatalf("node %d: table, newest first:\n%v\nchild chain:\n%v", node, entries, chain)
 		}
+		checkIndex(t, node, tab, read)
 	}
 	// Every node reachable from a sentinel: count the tabled ones.
 	stack := append([]uint64{e.general}, slices.Sorted(maps.Values(e.shards))...)
@@ -253,8 +255,9 @@ func TestWideNodeTable(t *testing.T) {
 }
 
 // TestInsertSkipsUnrelatedRoots: among bands that neither cover nor are
-// covered by the newcomer, the insert reads only the table — no root
-// header or blob — and charges one predicate per root it passes over.
+// covered by the newcomer, the insert reads only the index's directory
+// — no leaf, no table entry, no root header or blob — and charges one
+// predicate per directory entry it tests.
 func TestInsertSkipsUnrelatedRoots(t *testing.T) {
 	e := newTestEngine(t)
 	for i := 0; i < 300; i++ {
@@ -267,20 +270,24 @@ func TestInsertSkipsUnrelatedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := e.tables[e.general]
+	if tab.leaves < 300/leafEntries {
+		t.Fatalf("%d leaves for 300 roots", tab.leaves)
+	}
 	m := e.acc.Meter()
 	before := m.C
-	if next, equal, err := e.scanTable(e.tables[e.general], sub); err != nil || next != nilOff || equal || len(e.moved) != 0 {
+	if next, equal, err := e.scanTable(tab, sub); err != nil || next != nilOff || equal || len(e.moved) != 0 {
 		t.Fatalf("scanTable = %d, %v, %v, moved %v", next, equal, err, e.moved)
 	}
 	d := m.C.Sub(before)
-	if want := uint64(300 * entrySize); d.BytesRead != want {
-		t.Fatalf("the scan read %d bytes, want the table's %d", d.BytesRead, want)
+	if want := uint64(tab.leaves * dirEntrySize); d.BytesRead != want {
+		t.Fatalf("the scan read %d bytes, want the directory's %d", d.BytesRead, want)
 	}
-	if lines := d.LLCHits + d.LLCMisses; lines != 300*entrySize/64 {
-		t.Fatalf("the scan looked up %d lines, want %d", lines, 300*entrySize/64)
+	if lines, want := d.LLCHits+d.LLCMisses, uint64((tab.leaves*dirEntrySize+63)/64); lines != want {
+		t.Fatalf("the scan looked up %d lines, want %d", lines, want)
 	}
-	if memCycles := (d.LLCHits+d.LLCMisses)*m.Cost.LLCHitCycles + d.LLCMisses*m.Cost.DRAMCycles; d.Cycles-memCycles != 300*m.Cost.PredicateCycles {
-		t.Fatalf("the scan charged %d predicate cycles, want one predicate per root", d.Cycles-memCycles)
+	if memCycles := (d.LLCHits+d.LLCMisses)*m.Cost.LLCHitCycles + d.LLCMisses*m.Cost.DRAMCycles; d.Cycles-memCycles != uint64(tab.leaves)*m.Cost.PredicateCycles {
+		t.Fatalf("the scan charged %d predicate cycles, want one predicate per directory entry", d.Cycles-memCycles)
 	}
 }
 
@@ -339,7 +346,7 @@ func TestRootScanOnPagedMemory(t *testing.T) {
 // splices the band out.
 func widePrelude(r *scriptReader) []pubsub.SubscriptionSpec {
 	specs := []pubsub.SubscriptionSpec{spec(between("price", 10, 40))}
-	for k := 0; k < tableMin-1+r.next()%3; k++ {
+	for k, n := 0, tableMin-1+r.next()%3; k < n; k++ {
 		lo := 10 + float64(k)*0.4
 		specs = append(specs, spec(between("price", lo, lo+0.3)))
 	}
@@ -411,8 +418,9 @@ func scriptSpec(r *scriptReader) pubsub.SubscriptionSpec {
 // with insertRef — on plain and EPC-paged memory under the four option
 // sets, each store starting from widePrelude's broad band. After every
 // step both return the same IDs and errors, hold the same forest link
-// for link in byte-identical arenas, and keep every table equal to its
-// node's child chain.
+// for link in byte-identical arenas, keep every table equal to its
+// node's child chain and its index, and the insert's scan through the
+// index finds at every table what the whole-table scan finds.
 func FuzzInsertEqualsReference(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 7, 1, 0, 4, 10, 1, 1, 8, 8, 0, 0})
 	f.Add([]byte{1, 2, 2, 14, 1, 2, 5, 11, 1, 2, 8, 8, 1, 3, 1, 4, 0, 1, 0, 0, 1, 5, 2, 3, 0})
@@ -463,6 +471,11 @@ func FuzzInsertEqualsReference(f *testing.F) {
 					}
 					live = append(live, idG)
 				}
+				// After every step the index's scan is held to the table's
+				// for the step's subscription, or the last one, and a band
+				// across the broad one.
+				probe := spec(between("price", 15, 35))
+				stepSpec := probe
 				for step := 0; len(r.b) > 0; step++ {
 					var op string
 					if b := r.next(); b%4 == 0 && len(live) > 0 {
@@ -474,6 +487,7 @@ func FuzzInsertEqualsReference(f *testing.F) {
 						live = append(live[:k], live[k+1:]...)
 					} else {
 						sp := scriptSpec(r)
+						stepSpec = sp
 						op = fmt.Sprintf("register %+v", sp.Predicates)
 						subG, errG := pubsub.Normalize(got.Schema(), sp)
 						subR, errR := pubsub.Normalize(ref.Schema(), sp)
@@ -501,6 +515,7 @@ func FuzzInsertEqualsReference(f *testing.F) {
 					}
 					checkTables(t, got, memRead(gotMem.mem))
 					checkTables(t, ref, memRead(refMem.mem))
+					checkIndexedScan(t, got, normalizeAll(t, got, []pubsub.SubscriptionSpec{probe, stepSpec}))
 				}
 			}
 		}

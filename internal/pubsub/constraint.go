@@ -1,8 +1,10 @@
 package pubsub
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,7 +42,7 @@ func Normalize(schema *Schema, spec SubscriptionSpec) (*Subscription, error) {
 	if len(spec.Predicates) == 0 {
 		return nil, ErrEmptySubscription
 	}
-	byID := make(map[AttrID]*Constraint, len(spec.Predicates))
+	cs := make([]Constraint, 0, len(spec.Predicates))
 	for _, p := range spec.Predicates {
 		if err := p.validate(); err != nil {
 			return nil, err
@@ -53,25 +55,19 @@ func Normalize(schema *Schema, spec SubscriptionSpec) (*Subscription, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur, ok := byID[id]
-		if !ok {
-			byID[id] = &next
+		i := slices.IndexFunc(cs, func(c Constraint) bool { return c.ID == id })
+		if i < 0 {
+			cs = append(cs, next)
 			continue
 		}
-		merged, err := intersect(*cur, next)
+		merged, err := intersect(cs[i], next)
 		if err != nil {
 			return nil, fmt.Errorf("%w: conflicting predicates on %q", err, p.Attr)
 		}
-		byID[id] = &merged
+		cs[i] = merged
 	}
-	sub := &Subscription{Constraints: make([]Constraint, 0, len(byID))}
-	for _, c := range byID {
-		sub.Constraints = append(sub.Constraints, *c)
-	}
-	sort.Slice(sub.Constraints, func(i, j int) bool {
-		return sub.Constraints[i].ID < sub.Constraints[j].ID
-	})
-	return sub, nil
+	slices.SortFunc(cs, func(a, b Constraint) int { return cmp.Compare(a.ID, b.ID) })
+	return &Subscription{Constraints: cs}, nil
 }
 
 func predicateConstraint(id AttrID, p Predicate) (Constraint, error) {
