@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -234,9 +235,9 @@ func chunkEvents(evs []*pubsub.Event) []int {
 //     chunk of 64;
 //   - with memory free (no cycles per hit, miss or fault), a batch costs
 //     exactly the per-event walks' cycles, less the table tests a chunk
-//     makes once for all its events (one predicate per live entry):
-//     predicate cycles are charged per event evaluated, never
-//     amortised.
+//     makes once for all its events (one predicate per directory entry,
+//     and per entry of each leaf some event's walk reads): predicate
+//     cycles are charged per event evaluated, never amortised.
 func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 	freeMemory := simmem.DefaultCost()
 	freeMemory.LLCHitCycles, freeMemory.DRAMCycles, freeMemory.MEECycles = 0, 0, 0
@@ -332,23 +333,29 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 								continue
 							}
 							// Each table a shard walk of the chunk reads is
-							// tested once, not once per event that reads it.
-							tests, opened := make(map[tableVisit]uint64), make(map[tableVisit]uint64)
+							// tested once — its directory, and each leaf some
+							// event's walk reads — not once per event.
+							chunk, alone := make(map[tableVisit]tableRead), uint64(0)
 							for _, ev := range evs[lo:min(lo+walkChunk, n)] {
 								if ev == nil {
 									continue
 								}
-								mine := make(map[tableVisit]uint64)
+								mine := make(map[tableVisit]tableRead)
 								if _, err := ref.matchPerEventTests(refOf[ev], mine); err != nil {
 									t.Fatal(err)
 								}
-								for v, n := range mine {
-									tests[v], opened[v] = n, opened[v]+1
+								for v, r := range mine {
+									alone += r.tests()
+									if chunk[v].leaves == nil {
+										chunk[v] = tableRead{dir: r.dir, leaves: make(map[uint64]uint64)}
+									}
+									maps.Copy(chunk[v].leaves, r.leaves)
 								}
 							}
-							for v, n := range tests {
-								shared += (opened[v] - 1) * n * ref.predCycles
+							for _, r := range chunk {
+								alone -= r.tests()
 							}
+							shared += alone * ref.predCycles
 						}
 						before, refBefore := *gotC, *refC
 						if err := got.MatchAppendBatch(evs, out); err != nil {

@@ -115,17 +115,20 @@ type Engine struct {
 	shardOf map[uint64]shardKey // equality shard per sentinel
 
 	// The child tables (table.go), by the offset of their node — the
-	// general sentinel's always — and scratch for the table bytes being
-	// read or written.
-	tables   map[uint64]*table
-	tableBuf []byte
+	// general sentinel's always.
+	tables map[uint64]*table
 
-	// Scratch for the tables' indexes: directory entries and a leaf's
-	// entries being rewritten, the leaves an insert reads, and the
-	// children they leave it to test.
+	// Scratch for the header word setField writes, and for the tables'
+	// indexes: an entry being written or looked up, directory entries
+	// and a leaf's entries being rewritten, the leaves an insert reads,
+	// and the children an insert or a walk takes from them, with their
+	// sort keys and in chain order.
+	fieldBuf        [8]byte
+	entBuf          [entrySize]byte
 	dirBuf, leafBuf []byte
 	leafReads       []leafSummary
-	cands           []tableCand
+	cands, sorted   []tableCand
+	candKeys        []uint64
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -134,16 +137,12 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 	if _, err := acc.Alloc(simmem.PageSize); err != nil {
 		return nil, fmt.Errorf("core: reserving guard page: %w", err)
 	}
-	// The general sentinel's table's first page and its index's first
-	// directory page follow it: taken later, a page-sized allocation
-	// would skip the rest of the arena's current page.
-	root := &table{at: make(map[uint64]int)}
-	for _, pages := range []*[]uint64{&root.pages, &root.dir} {
-		page, err := acc.Alloc(simmem.PageSize)
-		if err != nil {
-			return nil, fmt.Errorf("core: allocating the root table: %w", err)
-		}
-		*pages = append(*pages, page)
+	// The general sentinel's index's first directory page follows it:
+	// taken later, a page-sized allocation would skip the rest of the
+	// arena's current page.
+	dir, err := acc.Alloc(simmem.PageSize)
+	if err != nil {
+		return nil, fmt.Errorf("core: allocating the root table: %w", err)
 	}
 	e := &Engine{
 		acc:        acc,
@@ -167,7 +166,7 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		return nil, err
 	}
 	e.general = general
-	e.tables[general] = root
+	e.tables[general] = &table{at: make(map[uint64]int), dir: []uint64{dir}}
 	e.nodesLive-- // sentinels are not counted
 	return e, nil
 }
@@ -335,9 +334,9 @@ func (e *Engine) coverTest(off uint64, sub *pubsub.Subscription) (h nodeHeader, 
 // left, the node is spliced out of the forest (children re-attach to
 // the grandparent, which still covers them transitively), and an
 // equality shard left with no node is dropped. Every record unlinked
-// here is released for reuse, a spliced node's table pages included; a
-// grandparent with no table that takes tableMin children or more builds
-// one.
+// here is released for reuse, a spliced node's index leaves and
+// directory pages included; a grandparent with no table that takes
+// tableMin children or more builds one.
 func (e *Engine) Unregister(subID uint64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -541,8 +540,8 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 // the node, and a subtree no event reaches is pruned. A node tabled in
 // tables — the engine's for a chunk of at most tableWalkMax events, nil
 // for a larger one — has its children, the sentinel's included (its
-// header then unread), taken from its table, narrowed to the events
-// each summary admits (pushTable); any other node's children are
+// header then unread), taken from its table's index, narrowed to the
+// events each summary admits (pushTable); any other node's children are
 // followed along its chain. It appends each event's matches to its
 // slot in the order a walk for that event alone would, and returns the
 // events that hit a corrupt node (with the first error); those stop

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -13,19 +14,20 @@ import (
 	"scbr/internal/simmem"
 )
 
-// checkIndex asserts that tab's index lists its table: every live entry
-// sits in exactly one leaf, byte for byte as in the table; every leaf is
-// sorted by key and no key is below the one before it, leaf to leaf; and
+// checkIndex asserts that tab's index lists the entries of its node's
+// chain, by child: every child's entry sits in exactly one leaf, byte
+// for byte; every leaf is sorted by key and no key is below the one
+// before it, leaf to leaf; and
 // every directory entry is exact — the leaf's first key, the float32
 // rounding outward of its largest and smallest summarised upper bound,
 // the union and intersection of its attribute sets, its count and
 // flags. The directory has the pages its leaves need, one at least.
-func checkIndex(t testing.TB, node uint64, tab *table, read func(off uint64, n int) []byte) {
+func checkIndex(t testing.TB, node uint64, tab *table, entries map[uint64][]byte, read func(off uint64, n int) []byte) {
 	t.Helper()
 	if len(tab.dir) == 0 || len(tab.dir)*dirPerPage < tab.leaves {
 		t.Fatalf("node %d: %d leaves on %d directory pages", node, tab.leaves, len(tab.dir))
 	}
-	seen := make(map[uint64]bool, len(tab.at))
+	seen := make(map[uint64]bool, len(entries))
 	var prev entryKey
 	for j := 0; j < tab.leaves; j++ {
 		d := decodeDir(read(tab.dirAt(j), dirEntrySize))
@@ -38,13 +40,13 @@ func checkIndex(t testing.TB, node uint64, tab *table, read func(off uint64, n i
 		for i := 0; i < d.count; i++ {
 			ent := ents[i*entrySize : (i+1)*entrySize]
 			off := leUint64(ent)
-			pos, ok := tab.at[off]
+			outline, ok := entries[off]
 			if !ok || seen[off] {
-				t.Fatalf("node %d: leaf %d lists child %d, live in the table: %v, listed before: %v", node, j, off, ok, seen[off])
+				t.Fatalf("node %d: leaf %d lists child %d, in the chain: %v, listed before: %v", node, j, off, ok, seen[off])
 			}
 			seen[off] = true
-			if live := read(tab.entry(pos), entrySize); !bytes.Equal(ent, live) {
-				t.Fatalf("node %d: leaf %d lists child %d as % x, the table as % x", node, j, off, ent, live)
+			if !bytes.Equal(ent, outline) {
+				t.Fatalf("node %d: leaf %d lists child %d as % x, its blob outlines % x", node, j, off, ent, outline)
 			}
 			k := keyOfEntry(ent)
 			if (j > 0 || i > 0) && k.compare(prev) < 0 {
@@ -81,41 +83,35 @@ func checkIndex(t testing.TB, node uint64, tab *table, read func(off uint64, n i
 			t.Fatalf("node %d: directory entry %d is %+v, its leaf gives %+v", node, j, d, want)
 		}
 	}
-	if len(seen) != len(tab.at) {
-		t.Fatalf("node %d: the index lists %d children, the table %d", node, len(seen), len(tab.at))
+	if len(seen) != len(entries) {
+		t.Fatalf("node %d: the index lists %d children, the chain %d", node, len(seen), len(entries))
 	}
 }
 
-// scanTableRef is the table scan the insert made before the index:
-// every live entry of the table, newest first, is tested against its
-// summary, and the children it cannot rule out are read and tested in
-// that order. Each page is copied, since children are read between its
-// entries.
-func (e *Engine) scanTableRef(t *table, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
+// scanTableRef is the table scan the insert made before the index, its
+// entries derived from the chain: every child of the tabled node, in
+// chain order, is summarised from its stored blob and tested against
+// that summary, and the children it cannot rule out are read and tested
+// in that order.
+func (e *Engine) scanTableRef(node uint64, sub *pubsub.Subscription) (next uint64, equal bool, err error) {
 	e.moved = e.moved[:0]
 	var nc newcomer
 	nc.load(sub)
-	tests := uint64(0)
-	defer func() { e.acc.Charge(tests * e.predCycles) }()
-	for p := len(t.pages) - 1; p >= 0; p-- {
-		page := bytes.Clone(e.tablePage(t, p))
-		for i := len(page) - entrySize; i >= 0; i -= entrySize {
-			ent := page[i : i+entrySize]
-			off := leUint64(ent)
-			if off == nilOff {
-				continue
-			}
-			if tests++; nc.ruledOut(ent) {
-				continue
-			}
-			_, childCovers, subCovers, err := e.coverTest(off, sub)
+	for c := e.readHeader(node).child; c != nilOff; {
+		h := e.readHeader(c)
+		attrs, con, ok := e.outlineFromBlob(c, h)
+		ent := make([]byte, entrySize)
+		encodeEntry(ent, c, attrs, &con, ok)
+		if !nc.ruledOut(ent) {
+			_, childCovers, subCovers, err := e.coverTest(c, sub)
 			if err != nil || childCovers {
-				return off, subCovers, err
+				return c, subCovers, err
 			}
 			if subCovers {
-				e.moved = append(e.moved, off)
+				e.moved = append(e.moved, c)
 			}
 		}
+		c = h.sibling
 	}
 	return nilOff, false, nil
 }
@@ -130,7 +126,7 @@ func checkIndexedScan(t testing.TB, e *Engine, subs []*pubsub.Subscription) {
 		for _, sub := range subs {
 			next, equal, err := e.scanTable(tab, sub)
 			moved := slices.Clone(e.moved)
-			refNext, refEqual, refErr := e.scanTableRef(tab, sub)
+			refNext, refEqual, refErr := e.scanTableRef(node, sub)
 			if next != refNext || equal != refEqual || fmt.Sprint(err) != fmt.Sprint(refErr) || !slices.Equal(moved, e.moved) {
 				t.Fatalf("node %d, %+v: indexed scan %d, %v, %v, moved %v; table scan %d, %v, %v, moved %v",
 					node, sub.Constraints, next, equal, err, moved, refNext, refEqual, refErr, e.moved)
@@ -331,4 +327,27 @@ func TestIndexDirectoryGrows(t *testing.T) {
 	}
 	checkTables(t, e, accRead(e))
 	checkIndexedScan(t, e, normalizeAll(t, e, probes))
+}
+
+// TestChainOrder holds inChainOrder to a comparison sort of the
+// candidates by link sequence, latest first, for tables that have seen
+// few links, where it sorts integer keys, and so many that the keys
+// would overflow, where it takes the comparison.
+func TestChainOrder(t *testing.T) {
+	e := newTestEngine(t)
+	rng := rand.New(rand.NewSource(8))
+	for _, links := range []int{1000, 1 << 50, math.MaxInt} {
+		for _, n := range []int{0, 1, 2, 333, 1000} {
+			tab := &table{links: links}
+			cands := make([]tableCand, n)
+			for i, p := range rng.Perm(1000)[:n] {
+				cands[i] = tableCand{pos: links - 1 - p, off: uint64(p), live: rng.Uint64()}
+			}
+			want := slices.Clone(cands)
+			slices.SortFunc(want, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
+			if got := e.inChainOrder(tab, cands); !slices.Equal(got, want) {
+				t.Fatalf("%d links, %d candidates: %v, want %v", links, n, got, want)
+			}
+		}
+	}
 }

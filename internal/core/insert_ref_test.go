@@ -285,10 +285,8 @@ func TestInsertCorruptSibling(t *testing.T) {
 				t.Fatal(err)
 			}
 			root := e.readHeader(e.general).child
-			h := e.readHeader(root)
 			// Shrink the stored length: the blob now ends mid-constraint.
-			h.predLen = uint16(cut)
-			e.writeHeader(root, h)
+			e.acc.Write(root+offPredLen, []byte{byte(cut), 0})
 			return e
 		}
 

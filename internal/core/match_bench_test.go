@@ -142,7 +142,7 @@ func BenchmarkMatchForest(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) { benchMatch(b, e, evs, n) })
 	}
 	wide, in, out := wideEngine(b, 5_900)
-	for _, n := range []int{1, 2, 4, 8, 32} {
+	for _, n := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("wide/in/batch=%d", n), func(b *testing.B) { benchMatch(b, wide, in, n) })
 		b.Run(fmt.Sprintf("wide/out/batch=%d", n), func(b *testing.B) { benchMatch(b, wide, out, n) })
 	}
@@ -182,7 +182,10 @@ func BenchmarkAblationSharding(b *testing.B) {
 // quote mix's first 10,000 subscriptions into an empty engine, as a
 // slice stands up (what the benchmark's match workload prices as
 // setup_s), one engine per iteration. ns/op, accesses/op (metered line
-// lookups) and simus/op are per insert.
+// lookups) and simus/op are per insert. The unregister rows time the
+// other half of each block instead: Unregister of the block just
+// registered, untimed, into the subs=10000 forest, and of wide/in's
+// bands, children of the broad band's table.
 func BenchmarkRegisterForest(b *testing.B) {
 	for _, n := range []int{5_000, 10_000} {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
@@ -201,6 +204,19 @@ func BenchmarkRegisterForest(b *testing.B) {
 			benchRegister(b, e, wideBands(where))
 		})
 	}
+	b.Run("unregister/subs=10000", func(b *testing.B) {
+		e, _ := quoteEngine(b, newPlainAcc(), 10_000, Options{})
+		rng := rand.New(rand.NewSource(2))
+		specs := make([]pubsub.SubscriptionSpec, 300)
+		for i := range specs {
+			specs[i] = quoteSpec(rng, i)
+		}
+		benchUnregister(b, e, specs)
+	})
+	b.Run("unregister/wide", func(b *testing.B) {
+		e, _, _ := wideEngine(b, 5_900)
+		benchUnregister(b, e, wideBands("in"))
+	})
 	b.Run("grow/10000", func(b *testing.B) {
 		const n = 10_000
 		specs := make([]pubsub.SubscriptionSpec, n)
@@ -263,6 +279,38 @@ func benchRegister(b *testing.B, e *Engine, specs []pubsub.SubscriptionSpec) {
 		}
 		ids = ids[:0]
 		b.StartTimer()
+	}
+	b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/float64(b.N), "accesses/op")
+	b.ReportMetric(meter.Cost.Micros(d.Cycles)/float64(b.N), "simus/op")
+}
+
+// benchUnregister registers specs in rotation, in blocks of
+// registerBlock, untimed, times the Unregister of each block, and
+// reports per removal.
+func benchUnregister(b *testing.B, e *Engine, specs []pubsub.SubscriptionSpec) {
+	meter := e.Accessor().Meter()
+	var d simmem.Counters
+	ids := make([]uint64, 0, registerBlock)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		b.StopTimer()
+		for ; i < b.N && len(ids) < registerBlock; i++ {
+			id, err := e.Register(specs[i%len(specs)], uint32(i))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		b.StartTimer()
+		before := meter.C
+		for _, id := range ids {
+			if err := e.Unregister(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d = d.Add(meter.C.Sub(before))
+		ids = ids[:0]
 	}
 	b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/float64(b.N), "accesses/op")
 	b.ReportMetric(meter.Cost.Micros(d.Cycles)/float64(b.N), "simus/op")

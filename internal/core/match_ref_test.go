@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scbr/internal/pubsub"
@@ -29,9 +31,9 @@ func (e *Engine) matchPerEvent(ev *pubsub.Event, out []MatchResult, table bool) 
 	return w.out, nil
 }
 
-// matchPerEventTests is matchPerEvent with tables, adding to tests the
-// entries tested at each table the walk reads.
-func (e *Engine) matchPerEventTests(ev *pubsub.Event, tests map[tableVisit]uint64) ([]MatchResult, error) {
+// matchPerEventTests is matchPerEvent with tables, recording in tests
+// what the walk read of each table.
+func (e *Engine) matchPerEventTests(ev *pubsub.Event, tests map[tableVisit]tableRead) ([]MatchResult, error) {
 	w := e.encodedWalk(ev, true)
 	w.tests = tests
 	if err := w.run(); err != nil {
@@ -61,20 +63,38 @@ func (e *Engine) encodedWalk(ev *pubsub.Event, table bool) *refWalk {
 // the constraints it evaluated, and when it matches its subscribers are
 // appended to out and its children walked, each subtree whole before
 // the next. When table is set a tabled node's children come from its
-// table, read whole, oldest page first, one predicate's cycles per live
-// entry, and only the children whose entries admit the event
-// (entryAdmits) are visited, in chain order; a sentinel's header is
-// then not read. Every read is the one the engine's walk makes, in the
-// same order. tests, when not nil, counts the entries tested at each
-// table the walk read, by shard walk.
+// index: the directory is read whole, and the leaves whose directory
+// entries admit the event (leafAdmits), one predicate's cycles per
+// directory entry and per entry of a leaf read; only the children whose
+// entries admit the event (entryAdmits) are visited, in chain order,
+// the latest link first; a sentinel's header is then not read. Every
+// read is the one the engine's walk makes, in the same order. tests,
+// when not nil, records what the walk read of each table, by shard
+// walk.
 type refWalk struct {
 	e     *Engine
 	ev    *pubsub.Event
 	table bool
 	eval  func(off uint64, h nodeHeader) (matched bool, evaluated int, err error)
 	out   []MatchResult
-	tests map[tableVisit]uint64
+	tests map[tableVisit]tableRead
 	pos   int // the shard walk under way: -1 for the general shard, else the attribute position
+}
+
+// tableRead is what one walk read of one table: its directory's
+// entries, and the entry count of each leaf it read, by leaf.
+type tableRead struct {
+	dir    uint64
+	leaves map[uint64]uint64
+}
+
+// tests is the number of entries the read tested, directory and leaves.
+func (r tableRead) tests() uint64 {
+	n := r.dir
+	for _, c := range r.leaves {
+		n += c
+	}
+	return n
 }
 
 // tableVisit names one table read by one shard walk: the general
@@ -108,25 +128,30 @@ func (w *refWalk) run() error {
 func (w *refWalk) children(parent uint64, h *nodeHeader) error {
 	e := w.e
 	if t := e.tables[parent]; w.table && t != nil {
+		dir := e.readDirs(t, 0, t.leaves, nil)
+		read := tableRead{dir: uint64(t.leaves), leaves: make(map[uint64]uint64)}
 		var admitted []uint64
-		tests := uint64(0)
-		for p := range t.pages {
-			raw := e.tablePage(t, p)
+		for j := 0; j < t.leaves; j++ {
+			d := decodeDir(dir[j*dirEntrySize:])
+			if !leafAdmits(&d, w.ev) {
+				continue
+			}
+			raw := e.acc.Read(d.leaf, d.count*entrySize)
+			read.leaves[d.leaf] = uint64(d.count)
 			for i := 0; i < len(raw); i += entrySize {
-				ent := raw[i : i+entrySize]
-				if off := leUint64(ent); off != nilOff {
-					if tests++; entryAdmits(ent, w.ev) {
-						admitted = append(admitted, off)
-					}
+				if ent := raw[i : i+entrySize]; entryAdmits(ent, w.ev) {
+					admitted = append(admitted, leUint64(ent))
 				}
 			}
 		}
-		e.acc.Charge(tests * e.predCycles)
+		e.acc.Charge(read.tests() * e.predCycles)
 		if w.tests != nil {
-			w.tests[tableVisit{w.pos, parent}] += tests
+			w.tests[tableVisit{w.pos, parent}] = read
 		}
-		for i := len(admitted) - 1; i >= 0; i-- {
-			if _, err := w.visit(admitted[i]); err != nil {
+		// checkTables holds the link sequences to the chain's order.
+		slices.SortFunc(admitted, func(a, b uint64) int { return cmp.Compare(t.at[b], t.at[a]) })
+		for _, off := range admitted {
+			if _, err := w.visit(off); err != nil {
 				return err
 			}
 		}
@@ -176,26 +201,45 @@ func (w *refWalk) visit(off uint64) (nodeHeader, error) {
 // first value ev gives the summary's attribute is a number not outside
 // the entry's bounds.
 func entryAdmits(ent []byte, ev *pubsub.Event) bool {
+	return admits(ev, pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offEntryAttrs:])),
+		pubsub.AttrID(binary.LittleEndian.Uint16(ent[offEntryAttr:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryLo:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:])),
+		ent[offEntryFlags]&entrySummary != 0)
+}
+
+// leafAdmits decides from ev's attributes whether the leaf directory
+// entry d lists may name a child whose entry admits ev: ev carries an
+// attribute in every class of the intersection of the leaf's attribute
+// sets and, on a leaf whose entries all carry a summary on its first
+// entry's attribute, the first value ev gives it is a number neither
+// below the leaf's first lower bound nor above its largest upper bound.
+func leafAdmits(d *leafSummary, ev *pubsub.Event) bool {
+	return admits(ev, d.inter, d.firstAttr, d.firstLo, float64(d.maxHi), d.flags&(dirAlways|dirOneAttr) == dirOneAttr)
+}
+
+// admits is ev's verdict on an attribute set and, when bounded, an
+// interval on attribute id: ev carries an attribute in every class of
+// attrs, and its first value of id is a number not outside [lo, hi]. A
+// NaN value or bound rules nothing out.
+func admits(ev *pubsub.Event, attrs pubsub.AttrSet, id pubsub.AttrID, lo, hi float64, bounded bool) bool {
 	var carried pubsub.AttrSet
 	for _, a := range ev.Attrs {
 		carried |= 1 << (a.ID % 32)
 	}
-	if pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offEntryAttrs:]))&^carried != 0 {
+	if attrs&^carried != 0 {
 		return false
 	}
-	if ent[offEntryFlags]&entrySummary == 0 {
+	if !bounded {
 		return true
 	}
-	id := pubsub.AttrID(binary.LittleEndian.Uint16(ent[offEntryAttr:]))
 	for _, a := range ev.Attrs {
 		if a.ID == id {
 			if !a.Value.Numeric() {
 				return false
 			}
 			f := a.Value.AsFloat()
-			lo := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryLo:]))
-			hi := math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:]))
-			return !(f < lo || f > hi) // a NaN value or bound rules nothing out
+			return !(f < lo || f > hi)
 		}
 	}
 	return false

@@ -37,11 +37,10 @@
 // are charged per covering test run. The children of a wide node — the
 // general shard's roots, which rarely cover one another, or the bands
 // under a broad one — are not read along their chain: a child table in
-// the arena lists them with a summary each, an interval index beside it
-// sorts the summaries by attribute and lower bound (table.go), and the
-// insert reads only the index leaves that may hold a coverer or a
-// covered child, and only the children whose summary cannot rule out
-// either covering direction.
+// the arena, an interval index, lists them with a summary each, sorted
+// by attribute and lower bound (table.go), and the insert reads only the
+// index leaves that may hold a coverer or a covered child, and only the
+// children whose summary cannot rule out either covering direction.
 //
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
@@ -59,11 +58,12 @@
 // charged cycles do not depend on which is used. A sibling inherits
 // its node's mask, a child the events that passed, and a subtree no
 // event reaches is pruned. A chunk of a few events (up to
-// tableWalkMax) takes a tabled node's children from its table instead
-// of its chain: a child whose entry rules out every event that passed
-// the node — an attribute none carries, or an interval none of their
-// values lies in — is passed over with its subtree, header and blob
-// unread, and the others' subtrees are walked in chain order. Events
+// tableWalkMax) takes a tabled node's children from its table — the
+// index leaves whose span admits some event — instead of its chain: a
+// child whose entry rules out every event that passed the node — an
+// attribute none carries, or an interval none of their values lies in
+// — is passed over with its subtree, header and blob unread, and the
+// others' subtrees are walked in chain order. Events
 // that carry the same (attribute, value) share the walk of that shard.
 // Each event's results are those of matching it alone, in the same
 // order; a single event is the batch of one, with the simulated counts
@@ -79,9 +79,9 @@
 // bytes included, then blob; or the subscriber record — before anything
 // reads it, and nothing links to a released one. A store that never
 // unregisters allocates exactly as it would without the lists, and one
-// under churn holds its peak live set (Stats.Bytes) — the tables' pages
-// included, since a table compacts before it grows and its pages are
-// released with its node.
+// under churn holds its peak live set (Stats.Bytes) — the tables'
+// index leaves and directory pages included, since a leaf emptied is
+// released and the rest are released with their node.
 package core
 
 import (
@@ -93,7 +93,9 @@ import (
 )
 
 // Nodes use the left-child/right-sibling representation, so appends
-// are O(1) pointer writes and no auxiliary child arrays are needed.
+// are O(1) pointer writes and no auxiliary child arrays are needed. A
+// node also links back to its chain predecessor, so unlinking it is
+// O(1) too.
 //
 // Node record layout in the arena:
 //
@@ -104,7 +106,8 @@ import (
 //	24     8    first subscriber record offset (nilOff when none)
 //	32     2    constraint blob length in bytes
 //	34     1    flags
-//	35     13   reserved
+//	35     5    reserved
+//	40     8    previous sibling offset (nilOff for the first child)
 //	48     -    constraint blob (pubsub.AppendConstraints format)
 //
 // Subscriber records form a second linked list per node:
@@ -123,6 +126,7 @@ const (
 	offFirstSub = 24
 	offPredLen  = 32
 	offFlags    = 34
+	offPrev     = 40
 )
 
 // nilOff marks an absent offset. Offset 0 is valid arena space, so the
@@ -130,7 +134,8 @@ const (
 // never be allocated.
 const nilOff = ^uint64(0)
 
-// nodeHeader is the decoded fixed part of a record.
+// nodeHeader is the decoded fixed part of a record but the previous
+// sibling, which only unlinkChild reads.
 type nodeHeader struct {
 	parent   uint64
 	child    uint64
@@ -165,19 +170,13 @@ func (e *Engine) readHeader(off uint64) nodeHeader {
 	return decodeHeader(e.acc.Read(off, nodeHeaderSize))
 }
 
-// writeHeader stores a header through the accessor.
-func (e *Engine) writeHeader(off uint64, h nodeHeader) {
-	var buf [nodeHeaderSize]byte
-	h.encode(buf[:])
-	e.acc.Write(off, buf[:])
-}
-
 // setField updates one u64 field of a node header in place, paying for
-// a single-word access rather than a whole-header rewrite.
+// a single-word access rather than a whole-header rewrite. The word is
+// written from the engine's scratch: a local would go to the heap on
+// every call, the accessor being an interface.
 func (e *Engine) setField(nodeOff uint64, field int, value uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], value)
-	e.acc.Write(nodeOff+uint64(field), buf[:])
+	binary.LittleEndian.PutUint64(e.fieldBuf[:], value)
+	e.acc.Write(nodeOff+uint64(field), e.fieldBuf[:])
 }
 
 // nodeSize is the arena size of a node record whose constraint blob is
@@ -232,6 +231,7 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 	}
 	var hdr [nodeHeaderSize]byte
 	h.encode(hdr[:])
+	binary.LittleEndian.PutUint64(hdr[offPrev:], nilOff)
 	e.acc.Write(off, hdr[:])
 	if len(blob) > 0 {
 		e.acc.Write(off+nodeHeaderSize, blob)
@@ -242,44 +242,37 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 
 // linkChild prepends child to parent's child list.
 func (e *Engine) linkChild(parentOff, childOff uint64) {
-	ph := e.readHeader(parentOff)
-	e.setField(childOff, offSibling, ph.child)
+	first := e.readHeader(parentOff).child
+	e.setField(childOff, offSibling, first)
 	e.setField(childOff, offParent, parentOff)
+	e.setField(childOff, offPrev, nilOff)
+	if first != nilOff {
+		e.setField(first, offPrev, childOff)
+	}
 	e.setField(parentOff, offChild, childOff)
 }
 
-// unlinkChild removes child from parent's child list: a tabled parent
-// finds the child's chain predecessor in its table, and drops the
-// child's entry; any other scans the sibling chain for it.
+// unlinkChild removes child from parent's child list through its links
+// to its neighbours, and drops its entry from parent's table if parent
+// has one.
 func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
-	if t := e.tables[parentOff]; t != nil {
-		i, ok := t.at[childOff]
-		if !ok {
-			return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
-		}
-		prev, field := e.prevInTable(t, i), offSibling
-		if prev == nilOff {
-			prev, field = parentOff, offChild
-		}
-		e.setField(prev, field, e.readHeader(childOff).sibling)
-		return e.dropEntry(t, childOff)
+	raw := e.acc.Read(childOff, nodeHeaderSize)
+	ch, prev := decodeHeader(raw), leUint64(raw[offPrev:])
+	if ch.parent != parentOff {
+		return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
 	}
-	ph := e.readHeader(parentOff)
-	ch := e.readHeader(childOff)
-	if ph.child == childOff {
+	if prev == nilOff {
 		e.setField(parentOff, offChild, ch.sibling)
-		return nil
+	} else {
+		e.setField(prev, offSibling, ch.sibling)
 	}
-	prev := ph.child
-	for prev != nilOff {
-		prevH := e.readHeader(prev)
-		if prevH.sibling == childOff {
-			e.setField(prev, offSibling, ch.sibling)
-			return nil
-		}
-		prev = prevH.sibling
+	if ch.sibling != nilOff {
+		e.setField(ch.sibling, offPrev, prev)
 	}
-	return fmt.Errorf("core: node %d is not a child of %d", childOff, parentOff)
+	if t := e.tables[parentOff]; t != nil {
+		return e.dropEntry(t, childOff, ch)
+	}
+	return nil
 }
 
 // attach links a new node for sub under cur, which had e.width

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"scbr/internal/pubsub"
@@ -117,6 +119,95 @@ func TestLoneWalkSkipsRuledOutRoots(t *testing.T) {
 	if res, err := e.MatchAppend(inside, nil); err != nil || !reflect.DeepEqual(res, intact[inside]) {
 		t.Fatalf("repaired store: %v, %v; want %v", res, err, intact[inside])
 	}
+
+	// The stab's edges: the general shard's roots all in one leaf, an
+	// event at the leaf's first lower bound, at a largest upper bound the
+	// leaf keeps rounded up to a float32, just past it, NaN, and beside
+	// an always-check entry in a leaf of bands. Each event, alone and in
+	// a batch of all of them, gets the chain walk's results, and those
+	// the case names.
+	const hi = 30.3 // rounds down to a float32
+	if float64(float32(hi)) >= hi {
+		t.Fatalf("%v does not round down to a float32", hi)
+	}
+	for _, c := range []struct {
+		name  string
+		specs []pubsub.SubscriptionSpec
+		price float64
+		want  []int // the specs the event matches
+	}{
+		{"first lower bound", []pubsub.SubscriptionSpec{spec(between("price", 50, 60)), spec(between("price", 70, 80))}, 50, []int{0}},
+		{"largest upper bound", []pubsub.SubscriptionSpec{spec(between("price", 10, 20)), spec(between("price", 10, hi))}, hi, []int{1}},
+		{"rounded largest upper bound", []pubsub.SubscriptionSpec{spec(between("price", 10, 20)), spec(between("price", 10, hi))}, float64(up32(hi)), nil},
+		{"NaN", []pubsub.SubscriptionSpec{spec(between("price", 50, 60)), spec(between("price", 70, 80))}, math.NaN(), []int{1, 0}},
+		{"always-check entry", []pubsub.SubscriptionSpec{spec(between("price", 50, 60)), spec(pubsub.Predicate{Attr: "symbol", Op: pubsub.OpPrefix, Value: pubsub.Str("H")})}, 5, []int{1}},
+	} {
+		e := newTestEngine(t)
+		ids := make([]uint64, len(c.specs))
+		for i, sp := range c.specs {
+			if ids[i], err = e.Register(sp, uint32(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tab := e.tables[e.general]; tab.leaves != 1 {
+			t.Fatalf("%s: %d leaves", c.name, tab.leaves)
+		}
+		ev := rawEvent(t, e, map[string]pubsub.Value{"symbol": pubsub.Str("HAL"), "price": pubsub.Float(c.price)})
+		chain, err := e.matchPerEvent(ev, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, i := range c.want {
+			want = append(want, ids[i])
+		}
+		if got := resultIDs(chain); !slices.Equal(got, want) {
+			t.Fatalf("%s: the chain walk matches %v, want %v", c.name, got, want)
+		}
+		out := make([][]MatchResult, 3)
+		if err := e.MatchAppendBatch([]*pubsub.Event{ev, nil, ev}, out); err != nil {
+			t.Fatal(err)
+		}
+		if out[1], err = e.MatchAppend(ev, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range out {
+			if !slices.Equal(resultIDs(res), want) {
+				t.Fatalf("%s: walk %d matches %v, the chain walk %v", c.name, i, resultIDs(res), want)
+			}
+		}
+	}
+}
+
+// resultIDs lists the subscription IDs of results in order.
+func resultIDs(res []MatchResult) []uint64 {
+	var ids []uint64
+	for _, m := range res {
+		ids = append(ids, m.SubID)
+	}
+	return ids
+}
+
+// rawEvent is attrs' event in e's schema, NaN values included: NewEvent
+// refuses a NaN, so each is set after the fact, as a walk would see one
+// that a decoder let through.
+func rawEvent(t testing.TB, e *Engine, attrs map[string]pubsub.Value) *pubsub.Event {
+	t.Helper()
+	clean := maps.Clone(attrs)
+	for name, v := range attrs {
+		if v.Kind == pubsub.KindFloat && math.IsNaN(v.F) {
+			clean[name] = pubsub.Float(0)
+		}
+	}
+	ev, err := pubsub.NewEvent(e.Schema(), clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ev.Attrs {
+		name, _ := e.Schema().Name(ev.Attrs[i].ID)
+		ev.Attrs[i].Value = attrs[name]
+	}
+	return ev
 }
 
 // TestRootWalkOnPagedMemory: on an EPC far smaller than the store, the
@@ -166,9 +257,14 @@ func TestRootWalkOnPagedMemory(t *testing.T) {
 // script: each of symbol and venue present or not, and each of price
 // and volume absent, a float from a ladder that straddles scriptBand's
 // bounds (±Inf included), an int, or a string where subscriptions test
-// a number.
+// a number. The ladder ends with the edges of the index's stab on a
+// 64-band widePrelude, whose table is bulk-loaded into leaves of 24: NaN,
+// the second leaf's first lower bound, the first leaf's largest upper
+// bound, and that bound rounded up to a float32, as its directory keeps
+// it.
 func scriptEvent(r *scriptReader) map[string]pubsub.Value {
-	ladder := []float64{math.Inf(-1), -5, 0, 5, 10, 15, 20, 25, 30, 40, 50, 60, math.Inf(1)}
+	ladder := []float64{math.Inf(-1), -5, 0, 5, 10, 15, 20, 25, 30, 40, 50, 60, math.Inf(1),
+		math.NaN(), preludeLo(24), preludeHi(23), float64(up32(preludeHi(23)))}
 	strs := []string{"", "H", "HA", "HAL", "HALO", "IBM"}
 	attrs := make(map[string]pubsub.Value)
 	b := r.next()
@@ -197,13 +293,23 @@ func scriptEvent(r *scriptReader) map[string]pubsub.Value {
 // memory, sharded and not, then draws
 // events and batches of 1 to tableWalkMax+2 items (some nil) from the
 // rest of the script. Each event alone costs what the per-event table
-// walk costs, counter for counter; in a batch each event's slot is the
+// walk costs, counter for counter, and gets the chain walk's results;
+// in a batch each event's slot is the
 // per-event walk's results of its chunk's kind, element for element; a
 // batch reads no more bytes than those walks together, and a batch
 // holding one event reads exactly the bytes and lines of its walk.
 func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 	f.Add([]byte{12, 1, 0, 5, 7, 1, 0, 4, 10, 1, 1, 8, 8, 0, 0, 1, 2, 2, 14, 1, 2, 5, 11, 85, 3, 9, 21, 6, 7, 4, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(append([]byte{40}, bytes.Repeat([]byte{1, 1, 7, 19, 2, 1, 0, 13, 16, 0, 3, 21, 5, 9, 2}, 20)...))
+	// The stab's edges (scriptEvent's last four prices) on the 64-band
+	// prelude, alone and in batches.
+	stab := append([]byte{0, 1}, bytes.Repeat([]byte{4, 13, 4, 14, 4, 15, 4, 16}, 2)...)
+	f.Add(append(stab, 3, 0, 1, 2, 3, 9, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1))
+	// A prefix root, an always-check entry in the general shard's leaf of
+	// bands, and events that carry its symbol and a price below the
+	// leaf's first lower bound.
+	always := append([]byte{1, 1, 1, 4, 1}, bytes.Repeat([]byte{5, 3, 1, 5, 3, 14}, 4)...)
+	f.Add(append(always, 2, 0, 1, 2, 7, 1, 0, 2, 3, 4, 5, 6, 7))
 	seed := make([]byte, 600)
 	for i := range seed {
 		seed[i] = byte(i*131 + i/7)
@@ -276,10 +382,11 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 				refOf := make(map[*pubsub.Event]*pubsub.Event)
 				for len(events) < 8 && len(r.b) > 0 {
 					attrs := scriptEvent(r)
-					ev := event(t, got, attrs)
-					refOf[ev] = event(t, ref, attrs)
+					ev := rawEvent(t, got, attrs)
+					refOf[ev] = rawEvent(t, ref, attrs)
 					events = append(events, ev)
 				}
+				lone := make([][]MatchResult, len(events))
 				for i, ev := range events {
 					gotRes, gotErr := got.MatchAppend(ev, nil)
 					refRes, refErr := ref.matchPerEvent(refOf[ev], nil, true)
@@ -292,9 +399,23 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 					if *gotC != *refC {
 						t.Fatalf("%s event %d: counters %+v, after the per-event walk %+v", name, i, *gotC, *refC)
 					}
+					lone[i] = gotRes
 				}
 				if len(events) == 0 {
 					return
+				}
+				// The stab skips no child an event may pass: each event
+				// alone gets the chain walk's results too. (The batches
+				// below compare bytes and lookups, not cycles, so the
+				// chain walks do not disturb them.)
+				for i, ev := range events {
+					want, err := ref.matchPerEvent(refOf[ev], nil, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(lone[i])+len(want) > 0 && !reflect.DeepEqual(lone[i], want) {
+						t.Fatalf("%s event %d: walk vs chain walk: %s", name, i, firstDiff(lone[i], want))
+					}
 				}
 
 				// Batches of 1 to tableWalkMax+2 items.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -17,41 +18,43 @@ import (
 // subscription that covers hundreds of narrower ones — would be read
 // child by child along its sibling chain, header and blob, by every
 // insert that reaches it and every walk that passes it. Such a node
-// keeps a table of its children instead: one 32-byte entry per child, appended
-// in link order into page-sized chunks of the arena, so reading it
-// newest-first gives the child chain's order (linkChild only prepends).
-// The chain stays; the table is a summary beside it. An entry
+// keeps a table of its children instead: one 32-byte entry per child,
+// held in an interval index in the arena (below), the table's only
+// copy. The chain stays; the table is a summary beside it. An entry
 // summarises its child by its Subscription.Outline: the set of
 // attributes it constrains and one numeric constraint — the first, in
 // attribute order — or, for a child with no numeric constraint, no
 // bounds ("always check" on them).
 //
-// The general sentinel has a table from the start, its first page taken
-// with the engine. Any other node builds one when a link leaves it with
-// tableMin children or more and the engine knows the count: an attach
-// beneath it (whose scan read its whole chain, or which moved that many
-// children under the new node), or a splice that relinks tableMin
-// children or more under it. The table is built from the chain, read
-// once, and lives as long as its node: Unregister releases its pages,
-// and its index's, with the node's record. The host keeps the tables by node
-// (Engine.tables); nothing in the arena marks a tabled node.
+// The general sentinel has a table from the start, its index's first
+// directory page taken with the engine. Any other node builds one when
+// a link leaves it with tableMin children or more and the engine knows
+// the count: an attach beneath it (whose scan read its whole chain, or
+// which moved that many children under the new node), or a splice that
+// relinks tableMin children or more under it. The table is built from
+// the chain, read once, and lives as long as its node: Unregister
+// releases its index's leaves and directory pages with the node's
+// record. The host keeps the tables by node (Engine.tables) and, per
+// table, each live child's link sequence: a count of the links made
+// under the node, so that the later a child was linked, the higher its
+// sequence and the nearer the head of the chain (linkChild only
+// prepends). No bound and no key leaves the enclave, and nothing in the
+// arena marks a tabled node.
 //
-// The insert does not read a tabled node's table: it reads the table's
-// interval index (below) and, through it, only the entries that may
-// name a child covering the newcomer or covered by it. Each of those
-// is tested against its summary (newcomer.ruledOut), and a child's
-// header and blob are read only when the summary cannot rule out
-// either covering direction: a child covers the newcomer only if its
-// attributes are among the newcomer's and its interval contains the
-// newcomer's on that attribute, and the newcomer covers the child only
-// the other way round. The summary is a necessary-condition filter and
-// pubsub.CoverEncoded still decides, in chain order, so the insert
+// The insert reads a tabled node's index and, through it, only the
+// entries that may name a child covering the newcomer or covered by it.
+// Each of those is tested against its summary (newcomer.ruledOut), and
+// a child's header and blob are read only when the summary cannot rule
+// out either covering direction: a child covers the newcomer only if
+// its attributes are among the newcomer's and its interval contains
+// the newcomer's on that attribute, and the newcomer covers the child
+// only the other way round. The summary is a necessary-condition filter
+// and pubsub.CoverEncoded still decides, in chain order, so the insert
 // finds the coverer and the covered children the chain scan would, in
-// the same order. unlinkChild finds a tabled child's chain predecessor
-// in the table: the next newer live entry.
+// the same order.
 //
 // A walk of at most tableWalkMax events takes a tabled node's children
-// from the table (pushTable): an event can pass a child only if it
+// from its index (pushTable): an event can pass a child only if it
 // carries every attribute of the entry's set and, on the summary's
 // attribute, a number within its bounds or NaN (pubsub.Columns.Admit),
 // so a child that admits no event of the walk is passed over with its
@@ -60,7 +63,7 @@ import (
 // Entry layout:
 //
 //	offset size field
-//	0      8    child node offset (nilOff once the child left the chain)
+//	0      8    child node offset
 //	8      8    lower bound (float64 bits; -Inf when the side is open-ended)
 //	16     8    upper bound (+Inf when open-ended)
 //	24     2    attribute ID
@@ -71,16 +74,13 @@ import (
 // The filter compares bounds only — not which side is closed — so it
 // may keep a child the covering test then rejects, never the reverse.
 //
-// Every change to a tabled node's children is a metered write: a new
-// child is appended, a child that leaves the chain has its offset
-// overwritten, and a full last chunk is compacted — dropped entries
-// squeezed out, order kept — before a new page is taken. A table holds
-// ceil(peak children / 128) pages, at least one, and an arena under
-// churn still stays at its peak. The index beside it changes with it,
-// through the same metered accessor.
+// Every change to a tabled node's children is a metered change to its
+// index: a new child's entry is inserted, and a child that leaves the
+// chain has its entry, keyed by what its stored blob outlines, taken
+// out. Leaving the chain needs no table: a node's header links it to
+// its chain predecessor (node.go).
 const (
-	entrySize      = 32
-	entriesPerPage = simmem.PageSize / entrySize
+	entrySize = 32
 
 	offEntryLo    = 8
 	offEntryHi    = 16
@@ -91,34 +91,27 @@ const (
 	entrySummary uint8 = 1
 )
 
-// tableMin is the fewest children at which a node builds its table,
-// half a table page. The sweep, at 16, 32, 64 and 128 and with no
-// tables but the general sentinel's: the wide rows of
-// BenchmarkRegisterForest and BenchmarkMatchForest (a broad band over
-// about 650 narrower ones) read the same counts at every threshold, and
-// 3–8× the lookups without the band's table; scbr-bench -cliff's
-// sgx-plain store (4 MB of EPC) holds 4.40 MB at 8,000 subscriptions at
-// 16, so its cliff comes 1,000 subscriptions early, 4.19 MB at 9,000 at
-// 32, and 4.16 MB — the footprint without tables — at 64 and 128, where
-// post-cliff registration reads 15.02 and 15.08 sim-µs.
+// tableMin is the fewest children at which a node builds its table.
+// The sweep, at 16, 32, 64 and 128 and with no tables but the general
+// sentinel's: the wide rows of BenchmarkRegisterForest and
+// BenchmarkMatchForest (a broad band over about 650 narrower ones) read
+// the same counts at every threshold, and 3–8× the lookups without the
+// band's table; scbr-bench -cliff's sgx-plain store (4 MB of EPC) holds
+// 4.40 MB at 8,000 subscriptions at 16, so its cliff comes 1,000
+// subscriptions early, 4.19 MB at 9,000 at 32, and 4.16 MB — the
+// footprint without tables — at 64 and 128, where post-cliff
+// registration reads 15.02 and 15.08 sim-µs.
 const tableMin = 64
 
-// table is a tabled node's host-side bookkeeping: the arena pages its
-// entries fill, in table order; the entries written, live and dropped;
-// each live child's entry; and the pages of its index's directory and
-// the number of leaves it lists. Which leaf holds which child, and in
-// what order, is in the arena only.
+// table is a tabled node's host-side bookkeeping: each live child's
+// link sequence, the sequence the next link takes, and the pages of its
+// index's directory and the number of leaves it lists. Which leaf holds
+// which child, and in what order, is in the arena only.
 type table struct {
-	pages  []uint64
-	used   int
 	at     map[uint64]int
+	links  int
 	dir    []uint64
 	leaves int
-}
-
-// entry is the arena offset of table entry i.
-func (t *table) entry(i int) uint64 {
-	return t.pages[i/entriesPerPage] + uint64(i%entriesPerPage*entrySize)
 }
 
 // bounds is a numeric constraint's interval, an absent side at ∓Inf.
@@ -231,38 +224,22 @@ func bit(b bool) uint8 {
 	return v
 }
 
-// addEntry appends the entry of a node just linked under t's node,
-// which constrains attrs and is summarised by c when ok, and indexes it.
+// addEntry gives the node just linked under t's node at off, which
+// constrains attrs and is summarised by c when ok, the next link
+// sequence and indexes its entry.
 func (e *Engine) addEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) error {
-	ent, err := e.appendEntry(t, off, attrs, c, ok)
-	if err != nil {
-		return err
-	}
-	return e.indexInsert(t, ent)
+	t.at[off] = t.links
+	t.links++
+	return e.indexInsert(t, e.entry(off, attrs, c, ok))
 }
 
-// appendEntry writes the entry of the child at off after t's last one,
-// compacting the table or taking a page when the last page is full, and
-// returns the entry's bytes (in tableBuf).
-func (e *Engine) appendEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) ([]byte, error) {
-	if t.used == len(t.pages)*entriesPerPage {
-		if len(t.at) < t.used {
-			e.compact(t)
-		} else {
-			page, err := e.alloc(simmem.PageSize)
-			if err != nil {
-				return nil, fmt.Errorf("core: growing a child table: %w", err)
-			}
-			t.pages = append(t.pages, page)
-		}
-	}
-	ent := append(e.tableBuf[:0], make([]byte, entrySize)...)
-	e.tableBuf = ent
+// entry encodes the entry of the child at off into the engine's
+// scratch, valid until the next call.
+func (e *Engine) entry(off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) []byte {
+	ent := e.entBuf[:]
+	clear(ent)
 	encodeEntry(ent, off, attrs, c, ok)
-	e.acc.Write(t.entry(t.used), ent)
-	t.at[off] = t.used
-	t.used++
-	return ent, nil
+	return ent
 }
 
 // outlineFromBlob summarises a node linked under a tabled node from its
@@ -277,63 +254,24 @@ func (e *Engine) outlineFromBlob(off uint64, h nodeHeader) (pubsub.AttrSet, pubs
 	return attrs, c, ok
 }
 
-// addEntryFromBlob appends and indexes the entry of a node linked under
-// t's node, summarised from its stored blob.
+// addEntryFromBlob indexes the entry of a node linked under t's node,
+// summarised from its stored blob.
 func (e *Engine) addEntryFromBlob(t *table, off uint64, h nodeHeader) error {
 	attrs, c, ok := e.outlineFromBlob(off, h)
 	return e.addEntry(t, off, attrs, &c, ok)
 }
 
-// tablePage returns the entries written to page p of t, or nil for a
-// page past the last entry. The bytes are the arena's, valid until the
-// next access.
-func (e *Engine) tablePage(t *table, p int) []byte {
-	n := min(t.used-p*entriesPerPage, entriesPerPage)
-	if n <= 0 {
-		return nil
-	}
-	return e.acc.Read(t.pages[p], n*entrySize)
-}
-
-// compact squeezes the dropped entries out of t, keeping the live ones
-// in order. Each page is copied before any entry moves into it; a
-// destination page is written once, from its first moved entry on.
-func (e *Engine) compact(t *table) {
-	var out [simmem.PageSize]byte
-	w, from := 0, -1 // from: out's first rewritten entry, -1 for none
-	flush := func(page int, to int) {
-		if from >= 0 {
-			e.acc.Write(t.pages[page]+uint64(from*entrySize), out[from*entrySize:to*entrySize])
-			from = -1
-		}
-	}
-	for p := range t.pages {
-		src := append(e.tableBuf[:0], e.tablePage(t, p)...)
-		e.tableBuf = src
-		for i := 0; i < len(src)/entrySize; i++ {
-			ent := src[i*entrySize : (i+1)*entrySize]
-			off := leUint64(ent)
-			if off == nilOff {
-				continue
-			}
-			if slot := w % entriesPerPage; w != p*entriesPerPage+i {
-				if from < 0 {
-					from = slot
-				}
-				copy(out[slot*entrySize:], ent)
-				t.at[off] = w
-			}
-			if w++; w%entriesPerPage == 0 {
-				flush(w/entriesPerPage-1, entriesPerPage)
-			}
-		}
-	}
-	flush(w/entriesPerPage, w%entriesPerPage)
-	t.used = w
+// dropEntry takes the entry of a node unlinked from t's node, whose
+// header is h, out of the index: its key is what its stored blob
+// outlines, as when it was linked.
+func (e *Engine) dropEntry(t *table, off uint64, h nodeHeader) error {
+	delete(t.at, off)
+	attrs, c, ok := e.outlineFromBlob(off, h)
+	return e.indexRemove(t, e.entry(off, attrs, &c, ok))
 }
 
 // buildTable gives node a table of its children, read along its chain
-// once (header and blob each) and appended oldest first, and bulk-loads
+// once (header and blob each), sequenced oldest first, and bulk-loads
 // the table's index.
 func (e *Engine) buildTable(node uint64) error {
 	var chain []uint64
@@ -348,18 +286,16 @@ func (e *Engine) buildTable(node uint64) error {
 	ents := make([]byte, 0, len(chain)*entrySize)
 	for i := len(chain) - 1; i >= 0; i-- {
 		attrs, c, ok := e.outlineFromBlob(chain[i], nodeHeader{predLen: predLens[i]})
-		ent, err := e.appendEntry(t, chain[i], attrs, &c, ok)
-		if err != nil {
-			return err
-		}
-		ents = append(ents, ent...)
+		ents = append(ents, e.entry(chain[i], attrs, &c, ok)...)
+		t.at[chain[i]] = t.links
+		t.links++
 	}
 	return e.loadIndex(t, ents)
 }
 
-// releaseTable hands the pages of a node's table, if it has one, and
-// its index's leaves and directory pages to the next allocations of
-// their size, as Unregister releases the node.
+// releaseTable hands the leaves and directory pages of a node's table,
+// if it has one, to the next allocations of their size, as Unregister
+// releases the node.
 func (e *Engine) releaseTable(node uint64) {
 	t := e.tables[node]
 	if t == nil {
@@ -369,22 +305,10 @@ func (e *Engine) releaseTable(node uint64) {
 	for j := 0; j < t.leaves; j++ {
 		e.release(decodeDir(e.dirBuf[j*dirEntrySize:]).leaf, leafSize)
 	}
-	for _, page := range append(t.pages, t.dir...) {
+	for _, page := range t.dir {
 		e.release(page, simmem.PageSize)
 	}
 	delete(e.tables, node)
-}
-
-// prevInTable returns the chain predecessor of the live child of t's
-// entry i: the next newer live entry's child, or nilOff when the child
-// is the first in the chain.
-func (e *Engine) prevInTable(t *table, i int) uint64 {
-	for j := i + 1; j < t.used; j++ {
-		if prev := leUint64(e.acc.Read(t.entry(j), 8)); prev != nilOff {
-			return prev
-		}
-	}
-	return nilOff
 }
 
 // scanTable is one level of insert at a tabled node, through its index:
@@ -445,9 +369,8 @@ func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equ
 			}
 		}
 	}
-	slices.SortFunc(cands, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
 	e.cands = cands
-	for _, c := range cands {
+	for _, c := range e.inChainOrder(t, cands) {
 		_, childCovers, subCovers, err := e.coverTest(c.off, sub)
 		if err != nil || childCovers {
 			e.acc.Charge(tests * e.predCycles)
@@ -461,47 +384,83 @@ func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equ
 	return nilOff, false, nil
 }
 
-// tableCand is a child the index could not rule out, with its entry's
-// position in the table: the newer the child, the higher.
+// tableCand is a child a table's index could not rule out: its link
+// sequence (table.at), its offset and, for a walk, the events its entry
+// admits.
 type tableCand struct {
-	pos int
-	off uint64
+	pos  int
+	off  uint64
+	live uint64
+}
+
+// inChainOrder returns the candidates taken from t's index as t's
+// node's child chain runs, the latest link first, in the engine's
+// scratch. It sorts one integer per candidate, its link sequence above
+// its index in cands, which an ordered sort does in a third of the time
+// a comparison function on the candidates takes; a table that has seen
+// too many links for that integer takes the comparison function.
+func (e *Engine) inChainOrder(t *table, cands []tableCand) []tableCand {
+	shift := bits.Len(uint(len(cands)))
+	if t.links>>(64-shift) != 0 {
+		slices.SortFunc(cands, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
+		return cands
+	}
+	keys := e.candKeys[:0]
+	for i, c := range cands {
+		keys = append(keys, uint64(c.pos)<<shift|uint64(i))
+	}
+	slices.Sort(keys)
+	sorted := e.sorted[:0]
+	for i := len(keys) - 1; i >= 0; i-- {
+		sorted = append(sorted, cands[keys[i]&(1<<shift-1)])
+	}
+	e.candKeys, e.sorted = keys, sorted
+	return sorted
 }
 
 // tableWalkMax is the most live events a chunk may hold for its walk to
-// take tabled nodes' children from their tables (pushTable) rather than
-// along their chains. BenchmarkMatchForest's batch=1 to 32 rows, run
-// with each walk for every chunk, are the sweep: in ns per event the
-// general shard's table walk is 3.3× faster at 1 event and 10–30 % at
-// 8, ties or loses at 16 and loses by a third at 32, where most roots
-// admit some event and their headers are read on top of the table. A
-// wide node's children overlap, and its crossover, measured on the
-// wide/in rows (every event inside a band over about 650 narrower
-// ones) in ten alternating pairs of the two walks at the band, is the
-// same: the table walk was faster in 10/10 pairs at 1 and 2 events and
-// 9/10 at 4 (19 % in the median), and tied at 8 (6/10, medians 26.2
-// and 26.1 µs per event) with 13 % fewer simulated µs.
+// take tabled nodes' children from their indexes (pushTable) rather than
+// along their chains. The sweep, with the walk reading the index: 8, 16
+// and 32 in ten alternating rounds of BenchmarkMatchForest's batch=16
+// and batch=32 rows, plain and wide/in (every event inside a band over
+// about 650 narrower ones). In simulated µs the index walk wins at both
+// sizes — about half the chain walk's, since it tests each entry once
+// for the whole chunk — but in ns per event it lost every pair on the
+// general shard, by 40 % in the median at 16 and 95 % at 32, where
+// most of its roots admit some event and are sorted into chain order
+// and read on top of the index; on wide/in it tied at 16 (5/10) and
+// lost at 32 (9/10, 33 %). So 8 stays (docs/benchmarks.md, "One copy
+// of each entry").
 const tableWalkMax = 8
 
 // pushTable pushes onto the walk stack the children of a tabled node
-// that the events in mask may pass: the whole table is read, oldest
-// page first, each live entry is tested for one predicate's cycles and
-// narrows mask to the events its summary admits (Columns.Admit), and a
-// child that admits some event is pushed with them, marked not to
-// follow its siblings. The newest child ends on top, so the walk takes
-// the children in chain order, each subtree whole before the next.
-// Nothing is read between a page's entries, so they are not copied.
+// that the events in mask may pass, through its index. The directory is
+// read whole, each of its entries is tested for one predicate's cycles,
+// and a leaf is read only when its directory entry admits some event
+// (Columns.Admit): every entry's attribute set holds the intersection,
+// and on a leaf of one attribute with no always-check entry every
+// lower bound is at least the first and every upper bound at most the
+// largest, rounded outward, so a leaf may be read for nothing but is
+// never skipped while it names a child some event may pass. Each entry
+// of a leaf read is tested for one predicate's cycles and narrows mask
+// to the events its summary admits, and the children that admit some
+// event are pushed with them, marked not to follow their siblings, in
+// chain order with the latest link on top: the walk takes them as the
+// chain runs, each subtree whole before the next. Nothing is read
+// between a leaf's entries, so they are not copied.
 func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry {
-	tests := uint64(0)
-	for p := range t.pages {
-		raw := e.tablePage(t, p)
+	e.dirBuf = e.readDirs(t, 0, t.leaves, e.dirBuf[:0])
+	tests := uint64(t.leaves)
+	cands := e.cands[:0]
+	for j := 0; j < t.leaves; j++ {
+		d := decodeDir(e.dirBuf[j*dirEntrySize:])
+		if e.cols.Admit(mask, d.inter, d.firstAttr, d.firstLo, float64(d.maxHi), d.flags&(dirAlways|dirOneAttr) == dirOneAttr) == 0 {
+			continue
+		}
+		raw := e.acc.Read(d.leaf, d.count*entrySize)
+		tests += uint64(d.count)
 		for i := 0; i < len(raw); i += entrySize {
 			ent := raw[i : i+entrySize]
-			off := leUint64(ent)
-			if off == nilOff {
-				continue
-			}
-			tests++
 			live := e.cols.Admit(mask,
 				pubsub.AttrSet(binary.LittleEndian.Uint32(ent[offEntryAttrs:])),
 				pubsub.AttrID(binary.LittleEndian.Uint16(ent[offEntryAttr:])),
@@ -509,16 +468,22 @@ func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry
 				math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:])),
 				ent[offEntryFlags]&entrySummary != 0)
 			if live != 0 {
-				stack = append(stack, walkEntry{off: off, live: live, alone: true})
+				off := leUint64(ent)
+				cands = append(cands, tableCand{pos: t.at[off], off: off, live: live})
 			}
 		}
+	}
+	e.cands = cands
+	sorted := e.inChainOrder(t, cands)
+	for i := len(sorted) - 1; i >= 0; i-- {
+		stack = append(stack, walkEntry{off: sorted[i].off, live: sorted[i].live, alone: true})
 	}
 	e.acc.Charge(tests * e.predCycles)
 	return stack
 }
 
-// The interval index. Beside its chain-ordered entries, every table
-// keeps the same 32-byte entries sorted by key — summary attribute,
+// The interval index. Every table keeps its 32-byte entries sorted by
+// key — summary attribute,
 // then lower bound; the entries with no usable summary (no numeric
 // constraint, a NaN bound or one above the other, a corrupt blob) after
 // all others — in leaves of at most leafEntries entries, each leaf an
@@ -540,14 +505,16 @@ func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry
 // newcomer constrains numerically, the directory is read no further
 // than the first leaf that starts above the newcomer's interval when
 // every later leaf holds that attribute alone (beyond). The entries of
-// the leaves read that ruledOut keeps are the ones the whole-table scan
-// kept, and the insert tests them in chain order, so it reads the same
-// children in the same order.
+// the leaves read that ruledOut keeps are the ones a scan of every
+// entry would keep, and the insert tests them in chain order, so it
+// reads the children the chain scan reads, in the same order. A walk
+// reads the whole directory and the leaves whose span admits an event
+// (pushTable).
 //
-// The index changes only through the metered accessor, with the table:
-// an entry appended is inserted in the leaf whose range holds its key
+// The index changes only through the metered accessor: a new child's
+// entry is inserted in the leaf whose range holds its key
 // (a full leaf splits in two, and the directory after it moves up one
-// entry), an entry dropped is found through the directory by its key
+// entry), a child's entry is found through the directory by its key
 // and taken out (a leaf left empty is released, one left under a
 // quarter full merges with a neighbour when the two fill at most half a
 // leaf), a table built from its chain is bulk-loaded three quarters
@@ -858,17 +825,6 @@ func (e *Engine) readLeaf(d *leafSummary) []byte {
 	return e.leafBuf
 }
 
-// dropEntry marks the entry of a node unlinked from t's node and takes
-// it out of the index.
-func (e *Engine) dropEntry(t *table, off uint64) error {
-	i := t.at[off]
-	delete(t.at, off)
-	var ent [entrySize]byte
-	copy(ent[:], e.acc.Read(t.entry(i), entrySize))
-	e.setField(t.entry(i), 0, nilOff)
-	return e.indexRemove(t, ent[:])
-}
-
 // indexInsert puts the table entry ent into t's index, after every
 // entry whose key is at most its own.
 func (e *Engine) indexInsert(t *table, ent []byte) error {
@@ -979,7 +935,7 @@ func (e *Engine) mergeLeaf(t *table, j int) error {
 }
 
 // loadIndex bulk-loads the index of a table built from its chain: ents,
-// its entries in table order, sorted by key into leaves three quarters
+// its entries oldest link first, sorted by key into leaves three quarters
 // full, listed in a directory whose pages are taken first.
 func (e *Engine) loadIndex(t *table, ents []byte) error {
 	n := len(ents) / entrySize

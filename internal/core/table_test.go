@@ -25,12 +25,13 @@ func memRead(mem []byte) func(off uint64, n int) []byte {
 }
 
 // checkTables asserts that every table is its node's child chain: the
-// live entries read newest-first are the node's children in chain
-// order, each live child has exactly one entry and the table's
-// bookkeeping names it, and each entry summarises its child's stored
-// blob (pubsub.OutlineEncoded) byte for byte; and that every table's
-// interval index lists it (checkIndex). The general sentinel has a
-// table, and every table's node is in a forest.
+// live children the table names are the chain's, their link sequences
+// fall along it, and its interval index lists each with the entry its
+// stored blob outlines (pubsub.OutlineEncoded), byte for byte
+// (checkIndex). The general sentinel has a table, and every table's
+// node is in a forest. In every forest, tabled or not, each child's
+// parent link names its node and its previous-sibling link its chain
+// predecessor.
 func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	t.Helper()
 	if e.tables[e.general] == nil {
@@ -41,43 +42,30 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	nodes := slices.Sorted(maps.Keys(e.tables))
 	for _, node := range nodes {
 		tab := e.tables[node]
-		var entries []uint64
-		for i := 0; i < tab.used; i++ {
-			ent := read(tab.entry(i), entrySize)
-			off := leUint64(ent)
-			if off == nilOff {
-				continue
+		entries := make(map[uint64][]byte)
+		last := tab.links
+		for c := decodeHeader(read(node, nodeHeaderSize)).child; c != nilOff; {
+			seq, ok := tab.at[c]
+			if !ok || seq >= last {
+				t.Fatalf("node %d: child %d has link sequence %d (named: %v), the one before it in the chain %d", node, c, seq, ok, last)
 			}
-			if j, ok := tab.at[off]; !ok || j != i {
-				t.Fatalf("node %d: child %d has an entry at %d, the table names %d (ok=%v)", node, off, i, j, ok)
-			}
-			h := decodeHeader(read(off, nodeHeaderSize))
-			attrs, c, ok, err := pubsub.OutlineEncoded(read(off+nodeHeaderSize, int(h.predLen)))
+			last = seq
+			h := decodeHeader(read(c, nodeHeaderSize))
+			attrs, con, ok, err := pubsub.OutlineEncoded(read(c+nodeHeaderSize, int(h.predLen)))
 			if err != nil {
-				t.Fatalf("node %d: child %d: %v", node, off, err)
+				t.Fatalf("node %d: child %d: %v", node, c, err)
 			}
-			lo, hi := bounds(&c)
-			want := make([]byte, entrySize)
-			encodeEntry(want, off, attrs, &c, ok)
-			if !bytes.Equal(ent, want) {
-				t.Fatalf("node %d: child %d: entry % x, its blob's attributes %b, first numeric constraint [%v, %v] (%v) give % x", node, off, ent, attrs, lo, hi, ok, want)
-			}
-			entries = append(entries, off)
+			entries[c] = make([]byte, entrySize)
+			encodeEntry(entries[c], c, attrs, &con, ok)
+			c = h.sibling
 		}
 		if len(tab.at) != len(entries) {
-			t.Fatalf("node %d: %d live entries, the table names %d children", node, len(entries), len(tab.at))
+			t.Fatalf("node %d: %d children in the chain, the table names %d", node, len(entries), len(tab.at))
 		}
-		var chain []uint64
-		for c := decodeHeader(read(node, nodeHeaderSize)).child; c != nilOff; c = decodeHeader(read(c, nodeHeaderSize)).sibling {
-			chain = append(chain, c)
-		}
-		slices.Reverse(entries)
-		if !slices.Equal(entries, chain) {
-			t.Fatalf("node %d: table, newest first:\n%v\nchild chain:\n%v", node, entries, chain)
-		}
-		checkIndex(t, node, tab, read)
+		checkIndex(t, node, tab, entries, read)
 	}
-	// Every node reachable from a sentinel: count the tabled ones.
+	// Every node reachable from a sentinel: count the tabled ones, and
+	// hold each chain's links.
 	stack := append([]uint64{e.general}, slices.Sorted(maps.Values(e.shards))...)
 	reached := 0
 	for len(stack) > 0 {
@@ -87,8 +75,15 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 		if e.tables[off] != nil {
 			reached++
 		}
-		for c := h.child; c != nilOff; c = decodeHeader(read(c, nodeHeaderSize)).sibling {
+		prev := nilOff
+		for c := h.child; c != nilOff; {
+			raw := read(c, nodeHeaderSize)
+			ch := decodeHeader(raw)
+			if ch.parent != off || leUint64(raw[offPrev:]) != prev {
+				t.Fatalf("node %d: child %d links parent %d and previous sibling %d, want %d and %d", off, c, ch.parent, leUint64(raw[offPrev:]), off, prev)
+			}
 			stack = append(stack, c)
+			prev, c = c, ch.sibling
 		}
 	}
 	if reached != len(e.tables) {
@@ -96,15 +91,18 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	}
 }
 
-// TestRootTableCompacts: roots that leave the chain leave dropped
-// entries behind, and a full last page is compacted before another is
-// taken, so a general shard that cycles through many more roots than it
-// ever holds at once keeps one table page and the table equal to the
-// chain.
+// TestRootTableCompacts: a general shard that cycles through many more
+// roots than it ever holds at once keeps its table equal to the chain,
+// and the arena holds its peak: the leaves its index empties are
+// reused, so the second thousand steps grow the arena by nothing.
 func TestRootTableCompacts(t *testing.T) {
 	e := newTestEngine(t)
 	var ids []uint64
+	var size uint64
 	for i := 0; i < 2_000; i++ {
+		if i == 1_000 {
+			size = e.acc.Size()
+		}
 		lo := float64(i % 500)
 		id, err := e.Register(spec(between("price", lo, lo+0.5)), uint32(i))
 		if err != nil {
@@ -118,20 +116,20 @@ func TestRootTableCompacts(t *testing.T) {
 		}
 		checkTables(t, e, accRead(e))
 	}
-	if n := len(e.tables[e.general].pages); n != 1 {
-		t.Fatalf("%d table pages for at most 101 roots", n)
+	if e.acc.Size() != size {
+		t.Fatalf("the second thousand steps grew the arena from %d to %d bytes", size, e.acc.Size())
 	}
 }
 
 // TestWideNodeTable follows one broad band through the life of its
-// table: no table with tableMin-1 children, one built — flag and
-// entries — when an insert beneath it leaves tableMin; dropped entries
-// where children leave; compaction that keeps a table cycling through
-// many more children than it holds at one page; lone walks through it
-// equal to chain walks; and, when Unregister splices the band out, its
-// pages released (a second broad band that takes its children builds
-// its table in them, the arena not growing) and a parent that takes
-// tableMin children in the splice building its own.
+// table: no table with tableMin-1 children, one built when an insert
+// beneath it leaves tableMin; entries dropped where children leave; a
+// table cycling through many more children than it holds at once; lone
+// walks through it equal to chain walks; and, when Unregister splices
+// the band out, its leaves and directory pages released (a second broad
+// band that takes its children builds its table in them, the arena not
+// growing) and a parent that takes tableMin children in the splice
+// building its own.
 func TestWideNodeTable(t *testing.T) {
 	e := newTestEngine(t)
 	register := func(sp pubsub.SubscriptionSpec) uint64 {
@@ -161,8 +159,8 @@ func TestWideNodeTable(t *testing.T) {
 	if tab == nil {
 		t.Fatalf("no table at %d children", tableMin)
 	}
-	if tab.used != tableMin || len(tab.pages) != 1 {
-		t.Fatalf("a table of %d entries on %d pages, want %d on 1", tab.used, len(tab.pages), tableMin)
+	if len(tab.at) != tableMin {
+		t.Fatalf("a table of %d children, want %d", len(tab.at), tableMin)
 	}
 
 	// Children that leave drop their entries; the table stays, below
@@ -174,12 +172,11 @@ func TestWideNodeTable(t *testing.T) {
 		checkInvariants(t, e)
 	}
 	kids = kids[10:]
-	if tab.used != tableMin || len(tab.at) != tableMin-10 {
-		t.Fatalf("%d entries written, %d live; want %d and %d", tab.used, len(tab.at), tableMin, tableMin-10)
+	if len(tab.at) != tableMin-10 {
+		t.Fatalf("%d children in the table, want %d", len(tab.at), tableMin-10)
 	}
 
-	// Cycling through 600 more children, at most 100 at once: compacted,
-	// never a second page.
+	// Cycling through 600 more children, at most 100 at once.
 	for k := tableMin; k < tableMin+600; k++ {
 		if kids = append(kids, register(narrow(k))); len(kids) > 100 {
 			if err := e.Unregister(kids[0]); err != nil {
@@ -189,14 +186,8 @@ func TestWideNodeTable(t *testing.T) {
 		}
 	}
 	checkInvariants(t, e)
-	if len(tab.pages) != 1 {
-		t.Fatalf("%d table pages for at most 100 children", len(tab.pages))
-	}
 	for len(kids) < 200 {
 		kids = append(kids, register(narrow(len(kids)+7)))
-	}
-	if len(tab.pages) != 2 {
-		t.Fatalf("%d table pages for 200 children", len(tab.pages))
 	}
 
 	// A lone event walks the band's children from its table.
@@ -215,8 +206,13 @@ func TestWideNodeTable(t *testing.T) {
 		}
 	}
 
-	// Spliced out: its children are roots again, its pages released.
-	pages := tab.pages
+	// Spliced out: its children are roots again, its leaves and
+	// directory pages released.
+	var leaves []uint64
+	for j := 0; j < tab.leaves; j++ {
+		leaves = append(leaves, e.readDir(tab, j).leaf)
+	}
+	pages := tab.dir
 	if err := e.Unregister(broad); err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +220,14 @@ func TestWideNodeTable(t *testing.T) {
 	if e.tables[wide] != nil {
 		t.Fatal("a spliced node kept its table")
 	}
+	for _, leaf := range leaves {
+		if !slices.Contains(e.free[leafSize], leaf) {
+			t.Fatalf("index leaf %d was not released", leaf)
+		}
+	}
 	for _, page := range pages {
 		if !slices.Contains(e.free[simmem.PageSize], page) {
-			t.Fatalf("table page %d was not released", page)
+			t.Fatalf("directory page %d was not released", page)
 		}
 	}
 	size := e.acc.Size()
@@ -347,11 +348,16 @@ func TestRootScanOnPagedMemory(t *testing.T) {
 func widePrelude(r *scriptReader) []pubsub.SubscriptionSpec {
 	specs := []pubsub.SubscriptionSpec{spec(between("price", 10, 40))}
 	for k, n := 0, tableMin-1+r.next()%3; k < n; k++ {
-		lo := 10 + float64(k)*0.4
-		specs = append(specs, spec(between("price", lo, lo+0.3)))
+		specs = append(specs, spec(between("price", preludeLo(k), preludeHi(k))))
 	}
 	return specs
 }
+
+// preludeLo and preludeHi bound widePrelude's narrow band k. Neither is
+// a float32 but the lower bound of k = 0, so a leaf of them keeps its
+// largest upper bound rounded up.
+func preludeLo(k int) float64 { return 10 + float64(k)*0.4 }
+func preludeHi(k int) float64 { return preludeLo(k) + 0.3 }
 
 // scriptReader hands out a fuzz script's bytes, then zeros.
 type scriptReader struct{ b []byte }
