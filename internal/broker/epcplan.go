@@ -36,9 +36,11 @@ func SliceEPCShare(totalBytes uint64, k int) uint64 {
 }
 
 // SliceFootprint reports one matcher slice's memory position: what its
-// store holds, what the hub's load accounting charged it, and how much
-// EPC it has actually needed (residency high-water mark) against its
-// budget — the actuals a deployment plan is validated against.
+// store holds, measured, and how much EPC it has actually needed
+// (residency high-water mark) against its budget — the actuals a
+// deployment plan is validated against, and how close the slice is to
+// its paging cliff. It is the router's one account of what a slice
+// stores; DataPlaneStats and RecommendPartitions are built from it.
 type SliceFootprint struct {
 	// Partition is the slice index.
 	Partition int `json:"partition"`
@@ -48,11 +50,6 @@ type SliceFootprint struct {
 	// set, for both schemes, since each reuses the records it unlinks
 	// before its arena grows.
 	StoreBytes uint64 `json:"store_bytes"`
-	// AccountedBytes is the hub's estimated byte load for the slice
-	// (entry-cost charges over the shards it owns) — a figure to hold
-	// against StoreBytes, not a placement input: shards are
-	// hash-placed.
-	AccountedBytes uint64 `json:"accounted_bytes"`
 	// EPCBudget is the slice's launch-time EPC share.
 	EPCBudget uint64 `json:"epc_budget"`
 	// ResidentBytes and PeakResidentBytes are the enclave pager's
@@ -70,7 +67,6 @@ type SliceFootprint struct {
 func (r *Router) SliceFootprints() []SliceFootprint {
 	r.planeMu.RLock()
 	defer r.planeMu.RUnlock()
-	accounted := r.hub.SliceLoads()
 	out := make([]SliceFootprint, len(r.parts))
 	for i, p := range r.parts {
 		p.mu.Lock()
@@ -81,7 +77,6 @@ func (r *Router) SliceFootprints() []SliceFootprint {
 			Partition:         i,
 			Subscriptions:     st.Subscriptions,
 			StoreBytes:        st.Bytes,
-			AccountedBytes:    accounted[i],
 			EPCBudget:         r.epcPer,
 			ResidentBytes:     resident,
 			PeakResidentBytes: peak,
@@ -105,25 +100,10 @@ const (
 // change after construction (it is part of the measured identity), so
 // the recommendation divides the CURRENT total store bytes by the
 // usable fraction of one share, clamped to [1, min(MaxPartitions,
-// shards)]. Repartition(ctx, 0) resizes to this value.
+// shards)]. The store bytes are SliceFootprints', each read under its
+// partition lock. Repartition(ctx, 0) resizes to this value.
 func (r *Router) RecommendPartitions() int {
-	r.planeMu.RLock()
-	st := r.hub.Stats()
-	r.planeMu.RUnlock()
-	usable := r.epcPer * recommendHeadroomNum / recommendHeadroomDen
-	if usable == 0 {
-		usable = 1
-	}
-	k := int((st.Bytes + usable - 1) / usable)
-	if k < 1 {
-		k = 1
-	}
-	max := streamhub.MaxPartitions
-	if shards := r.pm.Shards(); shards < max {
-		max = shards
-	}
-	if k > max {
-		k = max
-	}
-	return k
+	usable := max(r.epcPer*recommendHeadroomNum/recommendHeadroomDen, 1)
+	k := int((r.DataPlaneStats().Bytes + usable - 1) / usable)
+	return min(max(k, 1), streamhub.MaxPartitions, r.pm.Shards())
 }

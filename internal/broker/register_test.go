@@ -378,13 +378,92 @@ func (b *regBed) sliceOf(client string, blob []byte) int {
 	return b.router.hub.SliceForShard(b.router.hub.ShardForKey([]byte(client), blob))
 }
 
+// TestRouterStatsUnderRegistration: the router's store figures —
+// DataPlaneStats, RecommendPartitions and SliceFootprints — read each
+// slice under its partition lock, so they may run while registrations
+// and removals write the stores (the race detector holds them to it),
+// and once the writers stop they count exactly what is registered.
+func TestRouterStatsUnderRegistration(t *testing.T) {
+	for _, schemeName := range regSchemes {
+		t.Run(schemeName, func(t *testing.T) {
+			b := newRegBed(t, schemeName, 2)
+			c := b.client("alice")
+			done := make(chan struct{})
+			read := make(chan error, 1)
+			go func() {
+				for {
+					select {
+					case <-done:
+						read <- nil
+						return
+					default:
+					}
+					st := b.router.DataPlaneStats()
+					if k := b.router.RecommendPartitions(); k < 1 {
+						read <- fmt.Errorf("RecommendPartitions = %d", k)
+						return
+					}
+					if fps := b.router.SliceFootprints(); len(fps) != 2 || st.Partitions != 2 {
+						read <- fmt.Errorf("%d footprints, %d partitions, want 2", len(fps), st.Partitions)
+						return
+					}
+				}
+			}()
+			var live []uint64
+			for round := 0; round < 4; round++ {
+				ids, err := b.pub.RegisterBulk(bg, c.ID, "", regSpecs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, ids...)
+				for _, id := range live[:len(ids)/2] {
+					reply, err := b.pub.routerRequest("", &Message{Type: TypeRemove, ClientID: c.ID, SubID: id})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := expect(reply, TypeRemoveOK); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = live[len(ids)/2:]
+			}
+			close(done)
+			if err := <-read; err != nil {
+				t.Fatal(err)
+			}
+			st := b.router.DataPlaneStats()
+			want := make([]int, 2)
+			for _, id := range live {
+				s, ok := b.router.hub.OwnerSlice(id)
+				if !ok {
+					t.Fatalf("registered ID %d is owned by no slice", id)
+				}
+				want[s]++
+			}
+			if st.Subscriptions != len(live) || !reflect.DeepEqual(st.PerPartition, want) {
+				t.Fatalf("data plane counts %d (%v per slice), want %d (%v)", st.Subscriptions, st.PerPartition, len(live), want)
+			}
+			var storeBytes uint64
+			for i, fp := range b.router.SliceFootprints() {
+				if fp.Subscriptions != want[i] {
+					t.Fatalf("slice %d footprint counts %d subscriptions, want %d", i, fp.Subscriptions, want[i])
+				}
+				storeBytes += fp.StoreBytes
+			}
+			if storeBytes != st.Bytes {
+				t.Fatalf("footprints sum to %d store bytes, DataPlaneStats reports %d", storeBytes, st.Bytes)
+			}
+		})
+	}
+}
+
 // TestRegisterFrameAllOrNothingAcrossSlices: the slices a frame touches
 // ingest side by side, and a bad item on one of them undoes the good
 // items on the others. The frame carries two good items on each of two
 // slices and, between them, a bad one on the third; afterwards no slice
-// holds any of it — not the stores, not the hub's owner index and load
-// accounts, not the registration log — and a quote only the good items
-// match delivers nothing.
+// holds any of it — not the stores (each slice's count as before), not
+// the hub's owner index, not the registration log — and a quote only
+// the good items match delivers nothing.
 func TestRegisterFrameAllOrNothingAcrossSlices(t *testing.T) {
 	for _, schemeName := range regSchemes {
 		t.Run(schemeName, func(t *testing.T) {
@@ -415,7 +494,7 @@ func TestRegisterFrameAllOrNothingAcrossSlices(t *testing.T) {
 			good := append(bySlice[goodSlices[0]][:2:2], bySlice[goodSlices[1]][:2]...)
 			frame := [][]byte{good[0], good[2], bad, good[1], good[3]}
 
-			loads := b.router.hub.SliceLoads()
+			perSlice := b.router.DataPlaneStats().PerPartition
 			reply, err := b.pub.routerRequest("", registerFrame(b.pub, c.ID, frame...))
 			if err != nil {
 				t.Fatal(err)
@@ -423,11 +502,8 @@ func TestRegisterFrameAllOrNothingAcrossSlices(t *testing.T) {
 			if reply.Type != TypeError || !strings.Contains(reply.Err, "batch item 2") {
 				t.Fatalf("frame with a bad item on slice %d: reply %+v, want the refusal of item 2", badSlice, reply)
 			}
-			if st := b.router.DataPlaneStats(); st.Subscriptions != 1 {
-				t.Fatalf("data plane holds %d subscriptions (%v per slice) after the rejected frame, want the 1 from before", st.Subscriptions, st.PerPartition)
-			}
-			if got := b.router.hub.SliceLoads(); !reflect.DeepEqual(got, loads) {
-				t.Fatalf("slice load accounts %v after the rejected frame, want %v", got, loads)
+			if st := b.router.DataPlaneStats(); st.Subscriptions != 1 || !reflect.DeepEqual(st.PerPartition, perSlice) {
+				t.Fatalf("data plane holds %d subscriptions (%v per slice) after the rejected frame, want the 1 from before (%v)", st.Subscriptions, st.PerPartition, perSlice)
 			}
 			b.router.ctlMu.RLock()
 			logged := len(b.router.regLog)

@@ -324,9 +324,6 @@ func NewRouter(dev *sgx.Device, quoter *attest.Quoter, cfg RouterConfig) (*Route
 		return nil, fmt.Errorf("broker: %w", err)
 	}
 	r.hub = hub
-	if fp := backend.Footprint; !fp.Zero() {
-		hub.SetEntryCost(fp.EntryBytes)
-	}
 	r.startPipeline()
 	if federated {
 		if err := r.startFederation(); err != nil {
@@ -413,17 +410,17 @@ type DataPlaneStats struct {
 	Bytes uint64
 }
 
-// DataPlaneStats aggregates the partition engines.
+// DataPlaneStats aggregates the slices' stores from SliceFootprints:
+// each slice is read under its partition lock, one slice at a time.
 func (r *Router) DataPlaneStats() DataPlaneStats {
-	r.planeMu.RLock()
-	st := r.hub.Stats()
-	r.planeMu.RUnlock()
-	return DataPlaneStats{
-		Partitions:    st.Partitions,
-		Subscriptions: st.Subscriptions,
-		PerPartition:  st.PerPartition,
-		Bytes:         st.Bytes,
+	var st DataPlaneStats
+	for _, fp := range r.SliceFootprints() {
+		st.Partitions++
+		st.Subscriptions += fp.Subscriptions
+		st.PerPartition = append(st.PerPartition, fp.Subscriptions)
+		st.Bytes += fp.StoreBytes
 	}
+	return st
 }
 
 // MeterSnapshot aggregates the slices' enclave meters into one view.

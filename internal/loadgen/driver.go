@@ -76,8 +76,8 @@ func Run(ctx context.Context, s *Scenario, logf Logf, commit string) (*Result, e
 			return nil, fmt.Errorf("loadgen: cell [p=%d %s routers=%d]: %w", c.Partitions, c.Scheme, c.Routers, err)
 		}
 		res.Cells = append(res.Cells, cr)
-		logf("  done: %.0f ev/s offered, %.0f ev/s through drain, e2e p50=%s p99=%s, delivered=%d gaps=%d unaccounted=%d",
-			cr.OfferedEventsPerSec, cr.DrainedEventsPerSec, time.Duration(cr.EndToEnd.P50), time.Duration(cr.EndToEnd.P99),
+		logf("  done: publish %.3fs, drain %.3fs, e2e p50=%s p99=%s, delivered=%d gaps=%d unaccounted=%d",
+			cr.PublishSecs, cr.DrainSecs, time.Duration(cr.EndToEnd.P50), time.Duration(cr.EndToEnd.P99),
 			cr.Delivered, cr.Gaps, cr.Unaccounted)
 	}
 	res.WallSecs = time.Since(start).Seconds()
@@ -326,14 +326,11 @@ func runCell(ctx context.Context, s *Scenario, c Cell, logf Logf) (CellResult, e
 		}
 	}
 	cr.PublishSecs = time.Since(pubStart).Seconds()
-	cr.OfferedEventsPerSec = float64(d.total) / cr.PublishSecs
 
 	// Phase 7 — drain: every expected event must be delivered or
 	// gap-reported; whatever is left is unaccounted (silent loss).
 	d.drain(cctx)
-	throughDrain := time.Since(pubStart).Seconds()
-	cr.DrainSecs = throughDrain - cr.PublishSecs
-	cr.DrainedEventsPerSec = float64(d.total) / throughDrain
+	cr.DrainSecs = time.Since(pubStart).Seconds() - cr.PublishSecs
 	cancel()
 	consumers.Wait()
 

@@ -80,8 +80,8 @@ func TestRunTinyScenario(t *testing.T) {
 		if c.Resumes < s.Measured {
 			t.Fatalf("cell %s/r%d: %d resumes, want at least one per listener", c.Scheme, c.Routers, c.Resumes)
 		}
-		if c.OfferedEventsPerSec <= 0 || c.RegisterPerSec <= 0 || c.DrainedEventsPerSec <= 0 || c.DrainedEventsPerSec > c.OfferedEventsPerSec {
-			t.Fatalf("cell %s/r%d: missing throughput: %+v", c.Scheme, c.Routers, c)
+		if c.RegisterPerSec <= 0 || c.PublishSecs <= 0 || c.DrainSecs < 0 {
+			t.Fatalf("cell %s/r%d: missing phase timings: %+v", c.Scheme, c.Routers, c)
 		}
 	}
 	if ran != 3 || skipped != 1 {

@@ -6,8 +6,9 @@ import "fmt"
 // scheme's subscription database occupies — the quantity the Fig. 8
 // paging cliff is measured against. The planner (internal/deploy) uses
 // it to size partition counts so every slice's working set stays under
-// its EPC share, and the hub prices each slice's byte load with it
-// (streamhub.Hub.SliceLoads) so a plan can be held against actuals.
+// its EPC share. It is a prediction only: the actuals a plan is held
+// against are each slice's measured store bytes
+// (broker.Router.SliceFootprints).
 //
 // The model is linear in the subscription count and, where the scheme's
 // encoding scales with the attribute universe (ASPE: vector
@@ -34,10 +35,6 @@ type FootprintModel struct {
 	// size depends only on the subscription itself (sgx-plain stores
 	// the predicates that arrive, not the universe).
 	SubAttrBytes uint64
-	// EntryOverheadBytes is the store cost of one entry beyond its
-	// registration-encoding length — used when a live encoded length is
-	// at hand and beats the model average (placement accounting).
-	EntryOverheadBytes uint64
 }
 
 // Measured footprint constants for the built-in schemes. Derived from
@@ -54,10 +51,9 @@ var (
 	// overhead); the paper's ≈437 B/subscription figure corresponds to
 	// PadRecordTo≈400 deployments, which this model does not assume.
 	PlainFootprint = FootprintModel{
-		BaseBytes:          8192,
-		SubBytes:           133,
-		SubAttrBytes:       0,
-		EntryOverheadBytes: 48,
+		BaseBytes:    8192,
+		SubBytes:     133,
+		SubAttrBytes: 0,
 	}
 	// ASPEFootprint: every subscription stores ciphertext query
 	// vectors of dimension 2·attrs+2 at 8 bytes per coordinate, so the
@@ -67,10 +63,9 @@ var (
 	// wire ciphertext essentially as-is, so the per-attribute slope
 	// carries the whole cost (the fitted intercept is ≈0).
 	ASPEFootprint = FootprintModel{
-		BaseBytes:          16384,
-		SubBytes:           0,
-		SubAttrBytes:       196,
-		EntryOverheadBytes: 128,
+		BaseBytes:    16384,
+		SubBytes:     0,
+		SubAttrBytes: 196,
 	}
 )
 
@@ -95,17 +90,6 @@ func (m FootprintModel) Footprint(subs, attrs int) uint64 {
 		subs = 0
 	}
 	return m.BaseBytes + uint64(subs)*m.PerSubscription(attrs)
-}
-
-// EntryBytes estimates the store bytes of one entry from its
-// registration-encoding length. For encodings that carry the stored
-// payload (ASPE ciphertext vectors travel as they are stored) this
-// tracks the store more closely than the universe-width average.
-func (m FootprintModel) EntryBytes(encLen int) uint64 {
-	if encLen < 0 {
-		encLen = 0
-	}
-	return m.EntryOverheadBytes + uint64(encLen)
 }
 
 // Footprint resolves a scheme and evaluates its footprint model.

@@ -108,7 +108,7 @@ func TestFootprintModelMatchesStores(t *testing.T) {
 // TestFootprintModelShape covers the model arithmetic and the
 // package-level resolver.
 func TestFootprintModelShape(t *testing.T) {
-	m := FootprintModel{BaseBytes: 100, SubBytes: 10, SubAttrBytes: 2, EntryOverheadBytes: 5}
+	m := FootprintModel{BaseBytes: 100, SubBytes: 10, SubAttrBytes: 2}
 	if got := m.Footprint(0, 11); got != 100 {
 		t.Errorf("empty store: got %d, want 100", got)
 	}
@@ -117,9 +117,6 @@ func TestFootprintModelShape(t *testing.T) {
 	}
 	if got := m.Footprint(-1, -1); got != 100 {
 		t.Errorf("negative inputs: got %d, want 100", got)
-	}
-	if got := m.EntryBytes(20); got != 25 {
-		t.Errorf("entry bytes: got %d, want 25", got)
 	}
 	if !(FootprintModel{}).Zero() || m.Zero() {
 		t.Error("Zero() misreports")

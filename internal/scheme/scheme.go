@@ -86,9 +86,10 @@ type SliceStats struct {
 
 // Slice is one partition's scheme-owned subscription store and
 // matcher — the storage half the partitioned engine delegates to. The
-// broker serialises entries per partition (under the partition lock
-// and, where the deployment demands it, inside the slice's enclave);
-// implementations need not be concurrency-safe.
+// broker makes every call on a slice in its data plane, Stats included,
+// under that slice's partition lock (and, where the deployment demands
+// it, inside the slice's enclave); implementations need not be
+// concurrency-safe.
 type Slice interface {
 	// Configure applies the scheme's wire-negotiated public parameters
 	// (from provisioning, or from a sealed snapshot during restore).

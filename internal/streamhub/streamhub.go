@@ -11,11 +11,13 @@
 // (Fig. 8): each slice only holds 1/k of the database, so a database
 // that would page on one enclave fits k enclaves' EPCs.
 //
-// The hub owns ID packing, placement and load accounting; storage and
-// matching belong to each partition's scheme.Slice, and the caller owns
-// the fan-out and the enclave transitions (the broker's resident
+// The hub owns ID packing, placement and the ID → slice ownership
+// record; storage, matching and what a slice stores belong to each
+// partition's scheme.Slice, and the caller owns the fan-out, the
+// enclave transitions and the partition locks (the broker's resident
 // per-slice workers are already inside the slice's enclave when they
-// consult the hub).
+// consult the hub). The hub reads no slice's statistics: a slice is
+// read only under its partition lock, which the caller holds.
 //
 // Placement is by hash and elastic: registration keys hash onto fixed
 // virtual shards (ShardForKey; the shard is the top byte of every hub
@@ -49,7 +51,7 @@ import (
 // results need no rewriting, and a subscription keeps its ID when its
 // shard migrates to another slice.
 //
-// Locking: h.mu guards the owner/sequence/load bookkeeping. The
+// Locking: h.mu guards the owner and sequence bookkeeping. The
 // partition list itself is only mutated by AddSlice and
 // RemoveSlicesFrom; callers that resize concurrently with matching
 // must externally fence those calls against in-flight match fan-outs
@@ -59,24 +61,9 @@ type Hub struct {
 	schema *pubsub.Schema
 	parts  []scheme.Slice
 	pm     *placement.Map
-	owner  map[uint64]ownerRec // subscription ID → owning slice + footprint bytes
-	// shardSeq is the per-shard ID sequence (next = shardSeq+1);
-	// shardBytes carries each shard's estimated store footprint in
-	// bytes. The byte figures are accounting only (SliceLoads):
-	// placement is by hash.
-	shardSeq   []uint64
-	shardBytes []uint64
-	// entryCost estimates one subscription's store footprint from its
-	// encoding length. Nil charges a flat 1, which reduces the byte
-	// loads to subscription counts.
-	entryCost func(encLen int) uint64
-}
-
-// ownerRec remembers where a subscription lives and what it weighs, so
-// removal can return its bytes to the shard's load account.
-type ownerRec struct {
-	slice int
-	bytes uint64
+	owner  map[uint64]int // subscription ID → owning slice
+	// shardSeq is the per-shard ID sequence (next = shardSeq+1).
+	shardSeq []uint64
 }
 
 // Hub subscription IDs pack the virtual shard index into the top byte
@@ -97,24 +84,6 @@ func composeID(shard int, seq uint64) uint64 {
 
 // ShardOf returns the virtual shard index packed into a hub ID.
 func ShardOf(hubID uint64) int { return int(hubID >> idShift) }
-
-// SetEntryCost installs the per-subscription footprint estimator
-// behind SliceLoads — typically a scheme footprint model's EntryBytes.
-// It prices what is stored and has no say in where: routers hash-place
-// with ShardForKey. Must be set before the hub is used concurrently.
-func (h *Hub) SetEntryCost(f func(encLen int) uint64) { h.entryCost = f }
-
-// entryBytes prices one stored subscription from its wire encoding
-// length. Without an estimator every subscription weighs 1.
-func (h *Hub) entryBytes(encLen int) uint64 {
-	if h.entryCost == nil {
-		return 1
-	}
-	if b := h.entryCost(encLen); b > 0 {
-		return b
-	}
-	return 1
-}
 
 // NewFromSlices builds a hub over pre-built scheme slices with a
 // default placement map (placement.DefaultShards virtual shards,
@@ -143,9 +112,8 @@ func NewFromSlicesPlaced(schema *pubsub.Schema, slices []scheme.Slice, pm *place
 		return nil, fmt.Errorf("streamhub: placement map covers %d slices, hub has %d", pm.Slices(), len(slices))
 	}
 	h := &Hub{
-		schema: schema, pm: pm, owner: make(map[uint64]ownerRec),
-		shardSeq:   make([]uint64, pm.Shards()),
-		shardBytes: make([]uint64, pm.Shards()),
+		schema: schema, pm: pm, owner: make(map[uint64]int),
+		shardSeq: make([]uint64, pm.Shards()),
 	}
 	for _, s := range slices {
 		if s == nil {
@@ -195,17 +163,12 @@ func (h *Hub) reserveID(shard int) uint64 {
 	return id
 }
 
-// adopt records a successfully stored subscription with its estimated
-// store footprint. An ID the hub already owns is a migration copy:
-// ownership flips to the new slice and the shard's load account stays
-// as it is — the subscription still exists on the source slice, and
-// its bytes are charged to the same shard either way.
-func (h *Hub) adopt(id uint64, slice int, bytes uint64) {
+// adopt records the slice that holds a successfully stored
+// subscription. An ID the hub already owns is a migration copy:
+// ownership flips to the new slice.
+func (h *Hub) adopt(id uint64, slice int) {
 	h.mu.Lock()
-	if _, copied := h.owner[id]; !copied {
-		h.shardBytes[ShardOf(id)] += bytes
-	}
-	h.owner[id] = ownerRec{slice: slice, bytes: bytes}
+	h.owner[id] = slice
 	h.mu.Unlock()
 }
 
@@ -223,30 +186,21 @@ func (h *Hub) bumpSeq(id uint64) {
 func (h *Hub) dropOwner(hubID uint64) (int, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rec, ok := h.owner[hubID]
-	if !ok {
-		return 0, false
-	}
+	slice, ok := h.owner[hubID]
 	delete(h.owner, hubID)
-	shard := ShardOf(hubID)
-	if h.shardBytes[shard] >= rec.bytes {
-		h.shardBytes[shard] -= rec.bytes
-	} else {
-		h.shardBytes[shard] = 0
-	}
-	return rec.slice, true
+	return slice, ok
 }
 
-// Slice returns partition i's scheme store — the broker configures
-// scheme parameters through it under its own partition locks.
+// Slice returns partition i's scheme store. The hub holds no partition
+// lock: a caller that shares the slice reads it under its own.
 func (h *Hub) Slice(i int) scheme.Slice { return h.parts[i] }
 
 // OwnerSlice reports which slice currently holds a subscription.
 func (h *Hub) OwnerSlice(hubID uint64) (int, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	rec, ok := h.owner[hubID]
-	return rec.slice, ok
+	slice, ok := h.owner[hubID]
+	return slice, ok
 }
 
 // RegisterEncodedAt ingests one wire-encoded subscription for shard
@@ -265,15 +219,14 @@ func (h *Hub) RegisterEncodedAt(shard, target int, enc []byte, clientRef uint32)
 	if err := slice.RegisterEncodedAssigned(enc, clientRef, id); err != nil {
 		return 0, err
 	}
-	h.adopt(id, target, h.entryBytes(len(enc)))
+	h.adopt(id, target)
 	return id, nil
 }
 
 // RegisterEncodedAssigned inserts a wire-encoded subscription into
 // slice target under a hub ID issued earlier. It serves state restore
-// (first sight of the ID: the shard's load account is charged) and the
-// migration copy alike (the hub already owns the ID on another slice:
-// ownership flips to target and the account is unchanged). The caller
+// (first sight of the ID) and the migration copy alike (the hub already
+// owns the ID on another slice: ownership flips to target). The caller
 // resolves target as for RegisterEncodedAt.
 func (h *Hub) RegisterEncodedAssigned(target int, enc []byte, clientRef uint32, hubID uint64) error {
 	if shard := ShardOf(hubID); shard >= h.pm.Shards() {
@@ -286,7 +239,7 @@ func (h *Hub) RegisterEncodedAssigned(target int, enc []byte, clientRef uint32, 
 		return err
 	}
 	h.bumpSeq(hubID)
-	h.adopt(hubID, target, h.entryBytes(len(enc)))
+	h.adopt(hubID, target)
 	return nil
 }
 
@@ -296,9 +249,9 @@ func (h *Hub) RegisterEncodedAssigned(target int, enc []byte, clientRef uint32, 
 // already gone.
 func (h *Hub) DropCopy(slice int, hubID uint64) {
 	h.mu.Lock()
-	rec, ok := h.owner[hubID]
+	owner, ok := h.owner[hubID]
 	h.mu.Unlock()
-	if ok && rec.slice == slice {
+	if ok && owner == slice {
 		return
 	}
 	_ = h.parts[slice].Unregister(hubID)
@@ -339,10 +292,10 @@ func (h *Hub) RemoveSlicesFrom(k int) error {
 		return fmt.Errorf("streamhub: cannot truncate %d slices to %d", len(h.parts), k)
 	}
 	h.mu.Lock()
-	for id, rec := range h.owner {
-		if rec.slice >= k {
+	for id, slice := range h.owner {
+		if slice >= k {
 			h.mu.Unlock()
-			return fmt.Errorf("streamhub: subscription %d still owned by removed slice %d", id, rec.slice)
+			return fmt.Errorf("streamhub: subscription %d still owned by removed slice %d", id, slice)
 		}
 	}
 	h.mu.Unlock()
@@ -360,40 +313,4 @@ func (h *Hub) UnregisterIn(hubID uint64) error {
 		return fmt.Errorf("streamhub: %w: %d", core.ErrUnknownSubscription, hubID)
 	}
 	return h.parts[target].Unregister(hubID)
-}
-
-// Stats aggregates the slices.
-type Stats struct {
-	Partitions    int
-	Subscriptions int
-	// PerPartition lists each slice's live subscription count.
-	PerPartition []int
-	// Bytes sums the slices' arena footprints.
-	Bytes uint64
-}
-
-// SliceLoads returns each slice's estimated store byte load: the sum
-// of entry-cost charges over the shards it owns. Accounting only —
-// exposed for metrics and for validating deployment plans against
-// actuals; nothing places by it.
-func (h *Hub) SliceLoads() []uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	bytes := make([]uint64, len(h.parts))
-	for s := 0; s < h.pm.Shards(); s++ {
-		bytes[h.pm.SliceOf(s)] += h.shardBytes[s]
-	}
-	return bytes
-}
-
-// Stats returns hub statistics.
-func (h *Hub) Stats() Stats {
-	st := Stats{Partitions: len(h.parts)}
-	for _, p := range h.parts {
-		es := p.Stats()
-		st.Subscriptions += es.Subscriptions
-		st.PerPartition = append(st.PerPartition, es.Subscriptions)
-		st.Bytes += es.Bytes
-	}
-	return st
 }

@@ -3,6 +3,7 @@ package streamhub
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -68,6 +69,17 @@ func register(t testing.TB, hub *Hub, spec pubsub.SubscriptionSpec, clientRef ui
 		t.Fatal(err)
 	}
 	return id, target, enc
+}
+
+// sliceCounts reads each slice's live subscription count and their sum.
+// The hub reads no slice itself; these tests own every slice.
+func sliceCounts(hub *Hub) (per []int, total int) {
+	for i := 0; i < hub.Partitions(); i++ {
+		n := hub.Slice(i).Stats().Subscriptions
+		per = append(per, n)
+		total += n
+	}
+	return per, total
 }
 
 func encodeEvent(t testing.TB, ev pubsub.EventSpec) []byte {
@@ -178,60 +190,51 @@ func TestHubEquivalentToSingleEngine(t *testing.T) {
 }
 
 func TestHubBalancesPartitions(t *testing.T) {
-	// Hash placement spreads registrations over every slice, and the
-	// hub's byte account for a slice is exactly the entry-cost sum of
-	// what was placed there — through registration and removal.
+	// Hash placement spreads registrations over every slice, and every
+	// placed ID is owned by the slice it was placed on — through
+	// registration and removal.
 	hub := newPlainHub(t, 4)
-	cost := func(encLen int) uint64 { return 100 + uint64(encLen) }
-	hub.SetEntryCost(cost)
 	const n = 1000
 	type placed struct {
 		id     uint64
 		target int
-		bytes  uint64
 	}
 	var subs []placed
-	want := make([]uint64, hub.Partitions())
+	want := make([]int, hub.Partitions())
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < n; i++ {
-		id, target, enc := register(t, hub, randomSpec(rng), uint32(i))
-		subs = append(subs, placed{id, target, cost(len(enc))})
-		want[target] += cost(len(enc))
+		id, target, _ := register(t, hub, randomSpec(rng), uint32(i))
+		subs = append(subs, placed{id, target})
+		want[target]++
 	}
-	checkLoads := func(when string) {
+	checkOwners := func(when string, live []placed) {
 		t.Helper()
-		for i, b := range hub.SliceLoads() {
-			if b != want[i] {
-				t.Fatalf("%s: slice %d load %d, want %d", when, i, b, want[i])
+		for _, s := range live {
+			if owner, ok := hub.OwnerSlice(s.id); !ok || owner != s.target {
+				t.Fatalf("%s: OwnerSlice(%d) = %d,%v, want %d", when, s.id, owner, ok, s.target)
 			}
 		}
-	}
-	st := hub.Stats()
-	if st.Subscriptions != n || st.Partitions != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	sum := 0
-	for i, c := range st.PerPartition {
-		if c == 0 {
-			t.Fatalf("slice %d holds nothing after %d hash-placed registrations (%v)", i, n, st.PerPartition)
+		if per, total := sliceCounts(hub); total != len(live) || !slices.Equal(per, want) {
+			t.Fatalf("%s: per-slice counts %v (sum %d), want %v (sum %d)", when, per, total, want, len(live))
 		}
-		sum += c
 	}
-	if sum != n {
-		t.Fatalf("per-partition counts %v sum to %d, want %d", st.PerPartition, sum, n)
+	for i, c := range want {
+		if c == 0 {
+			t.Fatalf("slice %d holds nothing after %d hash-placed registrations (%v)", i, n, want)
+		}
 	}
-	checkLoads("after registration")
+	checkOwners("after registration", subs)
 
 	for _, s := range subs[:n/4] {
 		if err := hub.UnregisterIn(s.id); err != nil {
 			t.Fatal(err)
 		}
-		want[s.target] -= s.bytes
+		if _, ok := hub.OwnerSlice(s.id); ok {
+			t.Fatalf("OwnerSlice(%d) still set after UnregisterIn", s.id)
+		}
+		want[s.target]--
 	}
-	if st := hub.Stats(); st.Subscriptions != n-n/4 {
-		t.Fatalf("stats after unregister = %+v", st)
-	}
-	checkLoads("after unregister")
+	checkOwners("after unregister", subs[n/4:])
 }
 
 func TestHubParallelSpeedup(t *testing.T) {
@@ -285,8 +288,8 @@ func TestHubUnregister(t *testing.T) {
 	if err := hub.UnregisterIn(id); err == nil {
 		t.Fatal("double unregister succeeded")
 	}
-	if st := hub.Stats(); st.Subscriptions != 0 {
-		t.Fatalf("stats = %+v", st)
+	if per, total := sliceCounts(hub); total != 0 {
+		t.Fatalf("per-slice counts = %v", per)
 	}
 }
 
@@ -300,7 +303,7 @@ func TestHubValidation(t *testing.T) {
 	}
 	hub := newPlainHub(t, 1)
 	// An empty subscription is refused by the slice, and a refused
-	// registration leaves no trace in the hub's accounts.
+	// registration leaves no trace in the slice or the hub.
 	enc, err := pubsub.EncodeSubscriptionSpec(pubsub.SubscriptionSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -310,11 +313,8 @@ func TestHubValidation(t *testing.T) {
 			t.Fatalf("encoding %q accepted", bad)
 		}
 	}
-	if st := hub.Stats(); st.Subscriptions != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if loads := hub.SliceLoads(); loads[0] != 0 {
-		t.Fatalf("refused registrations were charged: %v", loads)
+	if per, total := sliceCounts(hub); total != 0 {
+		t.Fatalf("per-slice counts = %v", per)
 	}
 }
 
@@ -379,8 +379,8 @@ func TestHubDirectSliceAPI(t *testing.T) {
 	if got = matchIn(t, hub, target, ev); len(got) != 1 || got[0].SubID != id {
 		t.Fatalf("after restore, slice %d matched %v, want %d", target, got, id)
 	}
-	if st := hub.Stats(); st.Subscriptions != 1 || st.PerPartition[target] != 1 {
-		t.Fatalf("stats = %+v", st)
+	if per, total := sliceCounts(hub); total != 1 || per[target] != 1 {
+		t.Fatalf("per-slice counts = %v, want 1 on slice %d", per, target)
 	}
 	bad := composeID(hub.Placement().Shards(), 1)
 	if err := hub.RegisterEncodedAssigned(target, enc, 7, bad); err == nil {
@@ -425,14 +425,8 @@ func TestHubElasticResize(t *testing.T) {
 		t.Fatalf("partitions = %d after AddSlice, want 3", hub.Partitions())
 	}
 	// Migrate the subscription to the new slice under its existing ID.
-	before := hub.SliceLoads()[src]
 	if err := hub.RegisterEncodedAssigned(2, enc, 9, id); err != nil {
 		t.Fatal(err)
-	}
-	// The hub already owned the ID, so this was a copy: the shard's load
-	// is charged once, to the slice the placement map still names.
-	if loads := hub.SliceLoads(); loads[src] != before || loads[2] != 0 {
-		t.Fatalf("loads = %v after a migration copy, want slice %d unchanged at %d", loads, src, before)
 	}
 	if owner, ok := hub.OwnerSlice(id); !ok || owner != 2 {
 		t.Fatalf("OwnerSlice(%d) = %d,%v after import, want 2", id, owner, ok)

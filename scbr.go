@@ -217,7 +217,9 @@ type (
 	Publisher = broker.Publisher
 	// Client is a data consumer.
 	Client = broker.Client
-	// DataPlaneStats summarises a router's partitioned index.
+	// DataPlaneStats summarises a router's partitioned index: the
+	// per-slice subscription counts and summed store bytes of
+	// Router.SliceFootprints, each slice read under its partition lock.
 	DataPlaneStats = broker.DataPlaneStats
 	// PlacementSnapshot is a router's shard→slice placement table and
 	// migration counters (Router.PlacementSnapshot); Router.Repartition
