@@ -66,7 +66,6 @@ type partition struct {
 	idx     int
 	enclave *sgx.Enclave
 	slice   scheme.Slice
-	engine  *core.Engine // the slice's engine for sgx-plain; nil otherwise
 
 	mu sync.Mutex // serialises this slice's enclave entries and meter
 
@@ -103,7 +102,7 @@ type matchJob struct {
 	epoch    uint64
 
 	perPart [][][]core.MatchResult // [slice][item] result slots
-	merged  []core.MatchResult     // per-item cross-slice merge scratch
+	merged  []core.MatchResult     // per-item cross-slice merge scratch, while deduplicating
 
 	// pending counts the slices yet to contribute; the last one hands
 	// the merger a token on done (capacity 1, so the job is reusable).
@@ -219,25 +218,35 @@ func (r *Router) releaseJob(job *matchJob) {
 	r.jobs.put(job)
 }
 
-// deliverJob merges each item's per-slice results in slice order and
-// hands it to the delivery layer, reusing the job's merge scratch.
-// While a migration's two-copy window is open (dedupActive) a
-// subscription can exist on both its source and destination slice and
-// match twice in one item; the merge collapses those to one delivery.
-// The flag is a single atomic load, so the steady-state path pays
-// nothing for the capability.
+// deliverJob hands the delivery layer each item's per-slice result
+// rows, in slice order, without copying a match. While a migration's
+// two-copy window is open (dedupActive) a subscription can exist on
+// both its source and destination slice and match twice in one item;
+// the rows are then concatenated into the job's merge scratch and the
+// repeats collapsed to one delivery. The flag is a single atomic load,
+// so the steady-state path pays nothing for the capability.
 func (r *Router) deliverJob(job *matchJob, fan *fanout) {
 	dedup := r.dedupActive.Load()
 	for i := range job.blobs {
-		job.merged = job.merged[:0]
-		for _, rows := range job.perPart {
-			job.merged = append(job.merged, rows[i]...)
+		rows := fan.rows[:0]
+		for _, part := range job.perPart {
+			rows = append(rows, part[i])
 		}
-		if dedup && len(job.merged) > 1 {
-			job.merged = dedupMatches(job.merged)
+		if dedup {
+			merged := job.merged[:0]
+			for _, row := range rows {
+				merged = append(merged, row...)
+			}
+			if len(merged) > 1 {
+				merged = dedupMatches(merged)
+			}
+			job.merged = merged
+			rows = append(rows[:0], merged)
 		}
-		r.deliver(fan, job.merged, job.payloads[i], job.epoch)
+		fan.rows = rows
+		r.deliver(fan, rows, job.payloads[i], job.epoch)
 	}
+	clear(fan.rows) // pin none of the job's rows past it
 }
 
 // dedupMatches drops repeated SubIDs in place, keeping first sight.

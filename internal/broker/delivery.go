@@ -720,117 +720,93 @@ func (t *deliveryTable) close(drainTimeout time.Duration) {
 
 // fanout is the merger's scratch for grouping one event's matches by
 // client. Only the merger goroutine touches it, so it is reused across
-// events without a lock; nothing in it outlives a deliver call.
+// events without a lock; nothing in it outlives a deliver call but the
+// grown buffers.
 type fanout struct {
-	// slot[ref] is 1 + the index into groups of client ref's group, 0
-	// for a client with none. Client refs are dense indices into
+	// slot[ref] is 1 + the index into groups of client ref's group, its
+	// negation for a client without delivery state, and 0 for a client
+	// the event has not named yet. Client refs are dense indices into
 	// Router.refName, so it grows to the largest ref seen; deliver
 	// resets only the entries it set.
 	slot   []int32
 	groups []clientGroup
+
+	// rows is deliverJob's: an item's per-slice rows.
+	rows [][]core.MatchResult
 }
 
 // clientGroup is one client's share of an event's matches.
 type clientGroup struct {
 	ref    uint32
-	name   string
 	st     *clientState // nil: never listened here, so nothing is built
-	n      int          // how many of the client's subscriptions matched
-	subIDs []uint64     // the delivery's own allocation, exactly n long
+	subIDs []uint64     // the matched SubIDs, scratch kept across events
 }
 
 // deliver is step ⑥: hand the still-encrypted payload once to every
 // matched client's outbound queue, whatever number of its
-// subscriptions matched. The delivery names every matched subscription
-// of that client, so client-side Subscription handles can route it
-// without decrypting twice; each frame is stamped with the client's
-// delivery cursor by enqueueTo. A client that has never listened here
-// has no delivery state, and nothing is built for it. Forwarded
-// publications arriving over federation links take this same path, so
-// cross-router deliveries ride local cursors like any other.
-func (r *Router) deliver(fan *fanout, matches []core.MatchResult, payload []byte, epoch uint64) {
-	if len(matches) == 0 {
-		return
-	}
-	// Deliver frames and their SubIDs are always freshly allocated:
-	// the replay ring retains them indefinitely, so nothing here may
-	// alias the merger's or a job's scratch. The payload is a view of
-	// the publish frame it arrived in — that frame's own, unshared
-	// allocation, which lives for as long as a ring references it.
-	single := true
-	for _, match := range matches[1:] {
-		if match.ClientRef != matches[0].ClientRef {
-			single = false
-			break
+// subscriptions matched. rows are the event's matches, one row per
+// slice, in slice order. The delivery names every matched subscription
+// of that client in match order, so client-side Subscription handles
+// can route it without decrypting twice; each frame is stamped with the
+// client's delivery cursor by enqueueTo. One pass over the rows groups
+// them: a client's delivery state is resolved the first time the event
+// names it, and a client that has never listened here has none, so
+// each of its matches costs one slot lookup and nothing is built for
+// it. Forwarded publications arriving over federation links take this
+// same path, so cross-router deliveries ride local cursors like any
+// other.
+func (r *Router) deliver(fan *fanout, rows [][]core.MatchResult, payload []byte, epoch uint64) {
+	groups := fan.groups[:0]
+	for _, row := range rows {
+		for _, match := range row {
+			ref := match.ClientRef
+			if n := int(ref) + 1; n > len(fan.slot) {
+				fan.slot = append(fan.slot, make([]int32, n-len(fan.slot))...)
+			}
+			s := fan.slot[ref]
+			if s == 0 {
+				r.ctlMu.RLock()
+				name := r.refName[ref]
+				r.ctlMu.RUnlock()
+				st := r.delivery.client(name)
+				if len(groups) < cap(groups) {
+					groups = groups[:len(groups)+1]
+				} else {
+					groups = append(groups, clientGroup{})
+				}
+				g := &groups[len(groups)-1]
+				g.ref, g.st, g.subIDs = ref, st, g.subIDs[:0]
+				if s = int32(len(groups)); st == nil {
+					s = -s
+				}
+				fan.slot[ref] = s
+			}
+			if s > 0 {
+				g := &groups[s-1]
+				g.subIDs = append(g.subIDs, match.SubID)
+			}
 		}
 	}
-	if single {
-		// Every match names the same client — the common case under
-		// selective subscriptions — so skip the grouping entirely.
-		r.ctlMu.RLock()
-		name := r.refName[matches[0].ClientRef]
-		r.ctlMu.RUnlock()
-		st := r.delivery.client(name)
+	for g := range groups {
+		fan.slot[groups[g].ref] = 0
+		st := groups[g].st
 		if st == nil {
-			return
+			continue
 		}
-		subIDs := make([]uint64, len(matches))
-		for i, match := range matches {
-			subIDs[i] = match.SubID
-		}
+		// Deliver frames and their SubIDs are always freshly allocated:
+		// the replay ring retains them indefinitely, so nothing here may
+		// alias the merger's or a job's scratch. The payload is a view of
+		// the publish frame it arrived in — that frame's own, unshared
+		// allocation, which lives for as long as a ring references it.
+		subIDs := make([]uint64, len(groups[g].subIDs))
+		copy(subIDs, groups[g].subIDs)
 		r.delivery.enqueueTo(st, &Message{
 			Type:    TypeDeliver,
 			Payload: payload,
 			Epoch:   epoch,
 			SubIDs:  subIDs,
 		})
-		return
+		groups[g].st = nil // pin no client state past the event
 	}
-	// One delivery per client however many of its subscriptions
-	// matched, clients in order of first sight: count each client's
-	// matches, then fill one SubIDs slice of exactly that size each.
-	groups := fan.groups[:0]
-	for _, match := range matches {
-		ref := match.ClientRef
-		if n := int(ref) + 1; n > len(fan.slot) {
-			fan.slot = append(fan.slot, make([]int32, n-len(fan.slot))...)
-		}
-		if fan.slot[ref] == 0 {
-			groups = append(groups, clientGroup{ref: ref})
-			fan.slot[ref] = int32(len(groups))
-		}
-		groups[fan.slot[ref]-1].n++
-	}
-	r.ctlMu.RLock()
-	for g := range groups {
-		groups[g].name = r.refName[groups[g].ref]
-	}
-	r.ctlMu.RUnlock()
-	for g := range groups {
-		groups[g].st = r.delivery.client(groups[g].name)
-	}
-	for _, match := range matches {
-		g := &groups[fan.slot[match.ClientRef]-1]
-		if g.st == nil {
-			continue
-		}
-		if g.subIDs == nil {
-			g.subIDs = make([]uint64, 0, g.n)
-		}
-		g.subIDs = append(g.subIDs, match.SubID)
-	}
-	for g := range groups {
-		fan.slot[groups[g].ref] = 0
-		if groups[g].st == nil {
-			continue
-		}
-		r.delivery.enqueueTo(groups[g].st, &Message{
-			Type:    TypeDeliver,
-			Payload: payload,
-			Epoch:   epoch,
-			SubIDs:  groups[g].subIDs,
-		})
-	}
-	clear(groups) // drop the name, state and SubIDs references
 	fan.groups = groups
 }

@@ -36,8 +36,8 @@ func TestDeliverBuildsNothingForClientThatNeverListened(t *testing.T) {
 	r := &Router{delivery: table, refName: []string{"quiet", "other"}}
 	var fan fanout
 	payload := []byte("sealed payload")
-	alone := []core.MatchResult{{SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}
-	shared := []core.MatchResult{{SubID: 3, ClientRef: 1}, {SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}
+	alone := [][]core.MatchResult{{{SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}}
+	shared := [][]core.MatchResult{{{SubID: 3, ClientRef: 1}, {SubID: 1, ClientRef: 0}}, {{SubID: 2, ClientRef: 0}}}
 	publish := func() {
 		r.deliver(&fan, alone, payload, 7)
 		r.deliver(&fan, shared, payload, 7)
@@ -89,7 +89,7 @@ func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 	}
 	const a, b, c = 3, 0, 5 // refs need not be in order or contiguous
 	r := &Router{delivery: table, refName: []string{"b", "", "", "a", "", "c"}}
-	matches := []core.MatchResult{{SubID: 1, ClientRef: a}, {SubID: 2, ClientRef: b}, {SubID: 3, ClientRef: a}, {SubID: 4, ClientRef: c}, {SubID: 5, ClientRef: b}}
+	matches := [][]core.MatchResult{{{SubID: 1, ClientRef: a}, {SubID: 2, ClientRef: b}, {SubID: 3, ClientRef: a}, {SubID: 4, ClientRef: c}, {SubID: 5, ClientRef: b}}}
 	payload := []byte("sealed payload")
 	var fan fanout
 	newest := func(name string) *Message {
@@ -120,6 +120,64 @@ func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 	// The rings are full, so they overwrite in place from here on.
 	if allocs := testing.AllocsPerRun(100, func() { r.deliver(&fan, matches, payload, 1) }); allocs != 4 {
 		t.Fatalf("grouping an event for two clients allocates %.1f times, want 4 (two deliveries)", allocs)
+	}
+}
+
+// TestDeliverAcrossSliceRows: an event's matches split over two
+// slices' rows, with client refs interleaved across and within them,
+// deliver exactly what the same matches merged into one row did — one
+// delivery per listening client, its SubIDs in slice order and then
+// match order, nothing for a client that never listened — and in
+// steady state the only allocations are the two deliveries.
+func TestDeliverAcrossSliceRows(t *testing.T) {
+	const a, b, c = 2, 0, 4
+	refName := []string{"b", "", "a", "", "c"}
+	split := [][]core.MatchResult{
+		{{SubID: 1, ClientRef: c}, {SubID: 2, ClientRef: a}, {SubID: 3, ClientRef: b}, {SubID: 4, ClientRef: c}},
+		{{SubID: 5, ClientRef: b}, {SubID: 6, ClientRef: a}, {SubID: 7, ClientRef: c}, {SubID: 8, ClientRef: a}},
+	}
+	merged := [][]core.MatchResult{append(slices.Clone(split[0]), split[1]...)}
+	newRouter := func() *Router {
+		table := newDeliveryTable(4, 8, OverflowDropOldest, -1)
+		t.Cleanup(func() { table.close(time.Second) })
+		for _, name := range []string{"a", "c"} {
+			table.clients[name] = &clientState{name: name}
+		}
+		return &Router{delivery: table, refName: refName}
+	}
+	newest := func(r *Router, name string) *Message {
+		st := r.delivery.clients[name]
+		return st.ring[(st.head+len(st.ring)-1)%len(st.ring)]
+	}
+	rows, ref := newRouter(), newRouter()
+	var fan, refFan fanout
+	payload := []byte("sealed payload")
+	for round := 1; round <= 10; round++ {
+		rows.deliver(&fan, split, payload, uint64(round))
+		ref.deliver(&refFan, merged, payload, uint64(round))
+		for _, want := range []struct {
+			name   string
+			subIDs []uint64
+		}{{"a", []uint64{2, 6, 8}}, {"c", []uint64{1, 4, 7}}} {
+			got, from := newest(rows, want.name), newest(ref, want.name)
+			if got.Type != TypeDeliver || got.Cursor != from.Cursor || got.Epoch != from.Epoch || !bytes.Equal(got.Payload, from.Payload) || !slices.Equal(got.SubIDs, from.SubIDs) ||
+				got.Cursor != uint64(round) || !slices.Equal(got.SubIDs, want.subIDs) {
+				t.Fatalf("round %d: delivery to %s = %+v from the slices' rows, %+v from the merged row; want SubIDs %v at cursor %d",
+					round, want.name, got, from, want.subIDs, round)
+			}
+		}
+		if got, want := rows.delivery.snapshot().Enqueued, ref.delivery.snapshot().Enqueued; got != want || got != uint64(2*round) {
+			t.Fatalf("round %d: %d deliveries enqueued from the rows, %d from the merged row, want %d", round, got, want, 2*round)
+		}
+		if _, built := rows.delivery.clients["b"]; built {
+			t.Fatalf("round %d: delivery state built for a client that never listened", round)
+		}
+		if slices.ContainsFunc(fan.slot, func(s int32) bool { return s != 0 }) {
+			t.Fatalf("round %d: grouping scratch left at %v", round, fan.slot)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rows.deliver(&fan, split, payload, 1) }); allocs != 4 {
+		t.Fatalf("grouping two slices' rows for two clients allocates %.1f times, want 4 (two deliveries)", allocs)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"scbr/internal/attest"
+	"scbr/internal/core"
 	"scbr/internal/pubsub"
+	"scbr/internal/scheme"
 	"scbr/internal/scrypto"
 	"scbr/internal/sgx"
 	"scbr/internal/simmem"
@@ -137,16 +139,11 @@ func TestSealRestoreRoundTrip(t *testing.T) {
 	if err := r2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	st := r2.Engine().Stats()
-	if st.Subscriptions != 5 {
-		t.Fatalf("restored %d subscriptions, want 5", st.Subscriptions)
+	if got := r2.DataPlaneStats().Subscriptions; got != 5 {
+		t.Fatalf("restored %d subscriptions, want 5", got)
 	}
 	// The restored router matches with the original subscription IDs.
-	ev := eventFromSpec(t, r2, halQuote(40.5))
-	matches, err := r2.Engine().Match(ev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	matches := matchOnSlice0(t, r2, halQuote(40.5))
 	if len(matches) == 0 {
 		t.Fatal("restored router matches nothing")
 	}
@@ -316,13 +313,27 @@ func encodeSpec(t *testing.T, spec pubsub.SubscriptionSpec) []byte {
 	return raw
 }
 
-func eventFromSpec(t *testing.T, r *Router, spec pubsub.EventSpec) *pubsub.Event {
+// matchOnSlice0 matches the event spec on slice 0's sgx-plain engine —
+// the whole index on a one-slice router — under the partition lock, as
+// the slice's worker does.
+func matchOnSlice0(t *testing.T, r *Router, spec pubsub.EventSpec) []core.MatchResult {
 	t.Helper()
-	ev, err := spec.Intern(r.Engine().Schema())
+	ev, err := spec.Intern(r.schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ev
+	p := r.p0
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	plain, ok := p.slice.(*scheme.PlainSlice)
+	if !ok {
+		t.Fatalf("slice 0 runs %T, not the containment engine", p.slice)
+	}
+	matches, err := plain.Engine().Match(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matches
 }
 
 // TestRestartEndToEnd exercises the full §2 restart story over live

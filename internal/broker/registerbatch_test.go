@@ -334,10 +334,7 @@ func TestRestoreIgnoresSealedVerifyKey(t *testing.T) {
 	r1 := f.newRouter()
 	pub, _ := f.populate(r1, 3)
 	matchIDs := func(r *Router) []uint64 {
-		matches, err := r.Engine().Match(eventFromSpec(t, r, halQuote(41.5)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		matches := matchOnSlice0(t, r, halQuote(41.5))
 		ids := make([]uint64, len(matches))
 		for i, m := range matches {
 			ids[i] = m.SubID

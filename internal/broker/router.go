@@ -357,9 +357,6 @@ func (r *Router) launchSlice(idx int) (*partition, error) {
 		jobs:       make(chan *matchJob, pipelineDepth),
 		workerDone: make(chan struct{}),
 	}
-	if ps, isPlain := slice.(*scheme.PlainSlice); isPlain {
-		p.engine = ps.Engine()
-	}
 	return p, nil
 }
 
@@ -368,12 +365,6 @@ func (r *Router) launchSlice(idx int) (*partition, error) {
 // image with the same per-slice EPC share, so they carry the same
 // measured identity.
 func (r *Router) Enclave() *sgx.Enclave { return r.p0.enclave }
-
-// Engine exposes partition 0's routing engine (experiments read its
-// stats; with the default single partition it is the whole index). Use
-// DataPlaneStats for the aggregate of a partitioned router. Nil when
-// the router's matching scheme is not engine-based (e.g. aspe).
-func (r *Router) Engine() *core.Engine { return r.p0.engine }
 
 // Scheme returns the canonical ID of the router's matching scheme.
 func (r *Router) Scheme() string { return r.backend.Name }

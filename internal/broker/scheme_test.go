@@ -120,8 +120,10 @@ func TestASPEEndToEnd(t *testing.T) {
 	if sys.router.Scheme() != scheme.ASPE {
 		t.Fatalf("router scheme = %q", sys.router.Scheme())
 	}
-	if sys.router.Engine() != nil {
-		t.Fatal("aspe router exposes a containment engine")
+	for _, p := range sys.router.parts {
+		if _, plain := p.slice.(*scheme.PlainSlice); plain {
+			t.Fatalf("aspe router's slice %d is a containment engine", p.idx)
+		}
 	}
 	c, deliveries := sys.attach("alice")
 	sub, err := c.Subscribe(bg, halSpec(50))

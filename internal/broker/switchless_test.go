@@ -112,8 +112,8 @@ func TestSwitchlessSealRestore(t *testing.T) {
 	if err := r2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if st := r2.Engine().Stats(); st.Subscriptions != len(ids) {
-		t.Fatalf("restored %d subscriptions, want %d", st.Subscriptions, len(ids))
+	if got := r2.DataPlaneStats().Subscriptions; got != len(ids) {
+		t.Fatalf("restored %d subscriptions, want %d", got, len(ids))
 	}
 }
 

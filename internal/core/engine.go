@@ -129,6 +129,11 @@ type Engine struct {
 	leafReads       []leafSummary
 	cands, sorted   []tableCand
 	candKeys        []uint64
+
+	// Scratch for a node header newNode writes and a subscriber record
+	// addSubscriber writes.
+	hdrBuf [nodeHeaderSize]byte
+	recBuf [subRecordSize]byte
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -161,13 +166,12 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		stack:  make([]walkEntry, 0, 64),
 		tables: make(map[uint64]*table),
 	}
-	general, err := e.newNode(nilOff, nil)
+	general, err := e.newNode(nilOff, nil, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	e.general = general
 	e.tables[general] = &table{at: make(map[uint64]int), dir: []uint64{dir}}
-	e.nodesLive-- // sentinels are not counted
 	return e, nil
 }
 
@@ -220,11 +224,8 @@ func (e *Engine) registerLocked(sub *pubsub.Subscription, clientRef uint32, id u
 	if err != nil {
 		return 0, err
 	}
-	nodeOff, err := e.insert(sentinel, sub)
+	nodeOff, err := e.insert(sentinel, sub, id, clientRef)
 	if err != nil {
-		return 0, err
-	}
-	if _, err := e.addSubscriber(nodeOff, id, clientRef); err != nil {
 		return 0, err
 	}
 	e.subIndex[id] = nodeOff
@@ -245,11 +246,10 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 	if off, ok := e.shards[key]; ok {
 		return off, nil
 	}
-	off, err := e.newNode(nilOff, nil)
+	off, err := e.newNode(nilOff, nil, 0, 0)
 	if err != nil {
 		return 0, err
 	}
-	e.nodesLive-- // sentinel
 	e.shardOf[off] = key
 	e.shards[key] = off
 	return off, nil
@@ -259,13 +259,15 @@ func (e *Engine) shardFor(sub *pubsub.Subscription) (uint64, error) {
 // one pass per level: each child of the current node is read once and
 // both covering directions are decided on its stored bytes. A child
 // that covers the newcomer ends the level and is descended into (an
-// equal one is shared); when none does, the children the newcomer
+// equal one is shared: subscription subID of clientRef joins its
+// subscriber list); when none does, the children the newcomer
 // covers have been collected on the way, and they move beneath the new
-// node attached there — keeping containment paths deep, the property
+// node attached there, with the subscriber in its header — keeping
+// containment paths deep, the property
 // the paper's workload discussion relies on. A tabled node's children
 // are scanned through its table (scanTable), every other level along
-// its child chain.
-func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
+// its child chain. It returns the node that holds the subscriber.
+func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription, subID uint64, clientRef uint32) (uint64, error) {
 	cur := sentinel
 	for {
 		var next uint64
@@ -280,10 +282,11 @@ func (e *Engine) insert(sentinel uint64, sub *pubsub.Subscription) (uint64, erro
 			return 0, err
 		}
 		if equal {
-			return next, nil // identical constraints: share the node
+			// Identical constraints: share the node.
+			return next, e.addSubscriber(next, subID, clientRef)
 		}
 		if next == nilOff {
-			return e.attach(cur, sub)
+			return e.attach(cur, sub, subID, clientRef)
 		}
 		cur = next
 	}
@@ -346,12 +349,9 @@ func (e *Engine) Unregister(subID uint64) error {
 		return fmt.Errorf("%w: %d", ErrUnknownSubscription, subID)
 	}
 	delete(e.subIndex, subID)
-	remaining, err := e.removeSubscriber(nodeOff, subID)
-	if err != nil {
+	left, err := e.removeSubscriber(nodeOff, subID)
+	if err != nil || left {
 		return err
-	}
-	if remaining > 0 {
-		return nil
 	}
 	// Splice the node out.
 	h := e.readHeader(nodeOff)
@@ -584,10 +584,18 @@ func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, out
 		if pass == 0 {
 			continue // prune: nothing below can match
 		}
-		for sub := nh.firstSub; sub != nilOff; {
-			raw := e.acc.Read(sub, subRecordSize)
-			res := MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])}
-			sub = leUint64(raw[0:])
+		// The node's later subscribers, newest first, each read from
+		// its record, then its own, read with the header.
+		own := nh.flags&flagOwnSub != 0
+		for sub := nh.firstSub; sub != nilOff || own; {
+			res := MatchResult{SubID: nh.ownID, ClientRef: nh.ownRef}
+			if sub != nilOff {
+				raw := e.acc.Read(sub, subRecordSize)
+				res = MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])}
+				sub = leUint64(raw[0:])
+			} else {
+				own = false
+			}
 			for m := pass; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
 				out[i] = append(out[i], res)

@@ -449,9 +449,17 @@ func TestPadRecordTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	grew := acc.Size() - before
-	// Node (≥400) + shard sentinel (≥400) + subscriber record.
-	if grew < 824 {
-		t.Fatalf("arena grew %d bytes, want ≥ 824 with padding", grew)
+	// Node (400, its subscriber in its header) + shard sentinel (400).
+	if grew != 800 {
+		t.Fatalf("arena grew %d bytes, want 800 with padding", grew)
+	}
+	// A second identical subscription adds a subscriber record only.
+	before = acc.Size()
+	if _, err := e.Register(spec(eq("symbol", "HAL")), 2); err != nil {
+		t.Fatal(err)
+	}
+	if grew := acc.Size() - before; grew != subRecordSize {
+		t.Fatalf("a shared node's second subscriber grew the arena %d bytes, want %d", grew, subRecordSize)
 	}
 }
 

@@ -32,8 +32,10 @@ func (e *Engine) decodeNode(off uint64, h nodeHeader) ([]pubsub.Constraint, erro
 // every level along its chain, tabled or not, and then attaches as
 // insert does — which keeps the tables — so it is the reference the
 // one-pass, table-scanning insert is held to: the same forest and the
-// same arena bytes after every operation.
-func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, error) {
+// same arena bytes after every operation. Like insert, it gives the node
+// it returns subscriber subID of clientRef: a shared node in a
+// subscriber record, a new one in its header.
+func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription, subID uint64, clientRef uint32) (uint64, error) {
 	cur := sentinel
 	for {
 		curH := e.readHeader(cur)
@@ -50,7 +52,7 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 			if childSub.Covers(sub) {
 				if sub.Covers(&childSub) {
 					// Identical constraints: share the node.
-					return child, nil
+					return child, e.addSubscriber(child, subID, clientRef)
 				}
 				coverer = child
 				break
@@ -78,7 +80,7 @@ func (e *Engine) insertRef(sentinel uint64, sub *pubsub.Subscription) (uint64, e
 		}
 		child = ch.sibling
 	}
-	return e.attach(cur, sub)
+	return e.attach(cur, sub, subID, clientRef)
 }
 
 // registerRef is RegisterNormalized with insertRef in place of insert.
@@ -91,11 +93,8 @@ func (e *Engine) registerRef(sub *pubsub.Subscription, clientRef uint32) (uint64
 	if err != nil {
 		return 0, err
 	}
-	nodeOff, err := e.insertRef(sentinel, sub)
+	nodeOff, err := e.insertRef(sentinel, sub, id, clientRef)
 	if err != nil {
-		return 0, err
-	}
-	if _, err := e.addSubscriber(nodeOff, id, clientRef); err != nil {
 		return 0, err
 	}
 	e.subIndex[id] = nodeOff
@@ -119,7 +118,8 @@ func (s *shadowAcc) Write(off uint64, b []byte) {
 
 // forestDump walks every shard, reading the shadow copy so the meter
 // is not touched, and lists each node as offset, parent, child and
-// sibling links, then its subscription IDs, then nilOff.
+// sibling links, then its subscription IDs — its list's, then its own —
+// then nilOff.
 func forestDump(e *Engine, mem []byte) []uint64 {
 	var out []uint64
 	var walk func(off uint64)
@@ -128,6 +128,9 @@ func forestDump(e *Engine, mem []byte) []uint64 {
 		out = append(out, off, h.parent, h.child, h.sibling)
 		for s := h.firstSub; s != nilOff; s = leUint64(mem[s:]) {
 			out = append(out, leUint64(mem[s+8:]))
+		}
+		if h.flags&flagOwnSub != 0 {
+			out = append(out, h.ownID)
 		}
 		out = append(out, nilOff)
 		for c := h.child; c != nilOff; c = decodeHeader(mem[c:]).sibling {

@@ -12,9 +12,10 @@ import (
 //
 //  1. acyclicity — every node is reached exactly once,
 //  2. covering — every parent's constraints cover each child's,
-//  3. subscriber consistency — the engine's ID index points at nodes
-//     that actually list the subscription, and every listed
-//     subscription is in the index,
+//  3. subscriber consistency — every node but a sentinel holds its own
+//     subscriber in its header, a sentinel none and no list, the
+//     engine's ID index points at nodes that actually hold the
+//     subscription, and every held subscription is in the index,
 //  4. accounting — the live-node counter matches the walk,
 //  5. the tables — each lists its node's children, in chain order, and
 //     only tabled nodes are flagged (checkTables).
@@ -53,12 +54,13 @@ func checkInvariants(t *testing.T, e *Engine) {
 		if h.predLen > 0 {
 			liveNodes++
 		}
-		// Subscriber list consistency.
-		sub := h.firstSub
-		for sub != nilOff {
-			raw := e.acc.Read(sub, subRecordSize)
-			id := leUint64(raw[8:])
-			next := leUint64(raw[0:])
+		// Subscriber consistency: a node has its own subscriber, a
+		// sentinel none, and the list only beside an own subscriber.
+		if own := h.flags&flagOwnSub != 0; own == (h.parent == nilOff) || !own && h.firstSub != nilOff {
+			t.Fatalf("node %d (parent %d): flags %#x, list at %d", off, h.parent, h.flags, h.firstSub)
+		}
+		for _, sub := range e.appendSubscribers(nil, h) {
+			id := sub.SubID
 			if nodeOff, ok := e.subIndex[id]; !ok || nodeOff != off {
 				t.Fatalf("subscription %d listed on node %d but indexed at %d (ok=%v)", id, off, nodeOff, ok)
 			}
@@ -66,7 +68,6 @@ func checkInvariants(t *testing.T, e *Engine) {
 				t.Fatalf("subscription %d appears on two nodes", id)
 			}
 			subsSeen[id] = off
-			sub = next
 		}
 		child := h.child
 		for child != nilOff {

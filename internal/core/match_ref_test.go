@@ -184,15 +184,26 @@ func (w *refWalk) visit(off uint64) (nodeHeader, error) {
 	if !matched {
 		return h, nil
 	}
-	for sub := h.firstSub; sub != nilOff; {
-		raw := e.acc.Read(sub, subRecordSize)
-		w.out = append(w.out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
-		sub = leUint64(raw[0:])
-	}
+	w.out = e.appendSubscribers(w.out, h)
 	if h.child != nilOff {
 		return h, w.children(off, &h)
 	}
 	return h, nil
+}
+
+// appendSubscribers appends the subscribers of the node whose header is
+// h, newest first: its list's records, read through the accessor, then
+// the subscriber its header holds.
+func (e *Engine) appendSubscribers(out []MatchResult, h nodeHeader) []MatchResult {
+	for sub := h.firstSub; sub != nilOff; {
+		raw := e.acc.Read(sub, subRecordSize)
+		out = append(out, MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])})
+		sub = leUint64(raw[0:])
+	}
+	if h.flags&flagOwnSub != 0 {
+		out = append(out, MatchResult{SubID: h.ownID, ClientRef: h.ownRef})
+	}
+	return out
 }
 
 // entryAdmits decides from ev's attributes whether the child of table

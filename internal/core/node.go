@@ -13,9 +13,12 @@
 // Matching walks the forest depth-first and prunes an entire subtree
 // as soon as its root fails, which is sound because an event that
 // fails a covering subscription fails everything that subscription
-// covers. Identical subscriptions share one node with a list of
-// subscribers, realising the footprint reduction the paper attributes
-// to containment.
+// covers. Identical subscriptions share one node, realising the
+// footprint reduction the paper attributes to containment: the node's
+// header holds its first subscriber, and each later one has a record
+// in a list beside it, so a node with one subscriber — nearly every
+// node — is one record, read whole by the header read the walk makes
+// anyway.
 //
 // To bound insertion cost on large databases the forest is sharded by
 // the subscription's first equality constraint (attribute, value);
@@ -44,8 +47,9 @@
 //
 // There is one walk, and it carries up to 64 events: a walk-stack entry
 // is a node and the bitmask of events still live on the path to it, so
-// a publish-batch visits each node once — header, constraint blob and
-// subscriber records read and metered once. The chunk is transposed by
+// a publish-batch visits each node once — header (with the node's own
+// subscriber), constraint blob and any further subscriber records read
+// and metered once. The chunk is transposed by
 // attribute before the walk (pubsub.Columns), and each visited node's
 // blob is evaluated once per visit against every live event: each
 // constraint is read once and tested against the column of its
@@ -70,13 +74,16 @@
 // the per-event walk had.
 //
 // The arena only grows, but the engine reuses what it unlinks.
-// Unregister releases the subscriber record it removes, the node record
-// once its last subscriber leaves, and an equality shard's sentinel once
+// Unregister releases the subscriber record it removes — the list's
+// tail when the node's own subscriber leaves and the tail's subscriber
+// moves into the header — the node record once its last subscriber
+// leaves, and an equality shard's sentinel once
 // its forest is empty (the shard is dropped with it). A released record
 // goes on a free list keyed by its exact arena size, after PadRecordTo
 // and CacheAlign, and the next record of that size takes it before the
-// arena grows; a reused record is rewritten whole — header, reserved
-// bytes included, then blob; or the subscriber record — before anything
+// arena grows; a reused record is rewritten whole — header, its own
+// subscriber and reserved bytes included, then blob; or the subscriber
+// record — before anything
 // reads it, and nothing links to a released one. A store that never
 // unregisters allocates exactly as it would without the lists, and one
 // under churn holds its peak live set (Stats.Bytes) — the tables'
@@ -105,19 +112,28 @@ import (
 //	16     8    next sibling offset (nilOff at end of list)
 //	24     8    first subscriber record offset (nilOff when none)
 //	32     2    constraint blob length in bytes
-//	34     1    flags
-//	35     5    reserved
+//	34     1    flags: flagOwnSub when bytes 36–39 and 48–55 hold a subscriber
+//	35     1    reserved
+//	36     4    own subscriber's client reference
 //	40     8    previous sibling offset (nilOff for the first child)
-//	48     -    constraint blob (pubsub.AppendConstraints format)
+//	48     8    own subscriber's subscription ID
+//	56     -    constraint blob (pubsub.AppendConstraints format)
 //
-// Subscriber records form a second linked list per node:
+// A node carries its oldest subscriber in its own header, so a node
+// with one subscriber — nearly all of them — is read whole, subscriber
+// included, in the header read the walk makes anyway. Every later
+// subscriber of an identical subscription has a record in a second
+// linked list per node, newest first:
 //
 //	0      8    next subscriber offset (nilOff at end)
 //	8      8    subscription ID
 //	16     4    client reference
 //	20     4    reserved
+//
+// The list and then the node's own subscriber is every subscriber,
+// newest first. Only shard sentinels have no subscriber of their own.
 const (
-	nodeHeaderSize = 48
+	nodeHeaderSize = 56
 	subRecordSize  = 24
 
 	offParent   = 0
@@ -126,7 +142,11 @@ const (
 	offFirstSub = 24
 	offPredLen  = 32
 	offFlags    = 34
+	offOwnRef   = 36
 	offPrev     = 40
+	offOwnID    = 48
+
+	flagOwnSub = 1
 )
 
 // nilOff marks an absent offset. Offset 0 is valid arena space, so the
@@ -143,9 +163,12 @@ type nodeHeader struct {
 	firstSub uint64
 	predLen  uint16
 	flags    uint8
+	ownRef   uint32
+	ownID    uint64
 }
 
 func decodeHeader(raw []byte) nodeHeader {
+	raw = raw[:nodeHeaderSize] // one bounds check for every field
 	return nodeHeader{
 		parent:   binary.LittleEndian.Uint64(raw[offParent:]),
 		child:    binary.LittleEndian.Uint64(raw[offChild:]),
@@ -153,16 +176,9 @@ func decodeHeader(raw []byte) nodeHeader {
 		firstSub: binary.LittleEndian.Uint64(raw[offFirstSub:]),
 		predLen:  binary.LittleEndian.Uint16(raw[offPredLen:]),
 		flags:    raw[offFlags],
+		ownRef:   binary.LittleEndian.Uint32(raw[offOwnRef:]),
+		ownID:    binary.LittleEndian.Uint64(raw[offOwnID:]),
 	}
-}
-
-func (h nodeHeader) encode(dst []byte) {
-	binary.LittleEndian.PutUint64(dst[offParent:], h.parent)
-	binary.LittleEndian.PutUint64(dst[offChild:], h.child)
-	binary.LittleEndian.PutUint64(dst[offSibling:], h.sibling)
-	binary.LittleEndian.PutUint64(dst[offFirstSub:], h.firstSub)
-	binary.LittleEndian.PutUint16(dst[offPredLen:], h.predLen)
-	dst[offFlags] = h.flags
 }
 
 // readHeader loads and decodes a node header through the accessor.
@@ -203,9 +219,11 @@ func (e *Engine) release(off uint64, size int) {
 	e.free[size] = append(e.free[size], off)
 }
 
-// newNode serialises a record (nil constraints for shard sentinels)
-// and returns its offset.
-func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) {
+// newNode serialises a record and returns its offset: a live node
+// whose own subscriber is subscription subID of clientRef, or, with nil
+// constraints and subID 0, a shard sentinel, which is not counted. The
+// header is written whole from the engine's scratch.
+func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint, subID uint64, clientRef uint32) (uint64, error) {
 	var blob []byte
 	if len(cs) > 0 {
 		var err error
@@ -222,21 +240,25 @@ func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint) (uint64, error) 
 	if err != nil {
 		return 0, fmt.Errorf("core: allocating node: %w", err)
 	}
-	h := nodeHeader{
-		parent:   parent,
-		child:    nilOff,
-		sibling:  nilOff,
-		firstSub: nilOff,
-		predLen:  uint16(len(blob)),
+	hdr := e.hdrBuf[:]
+	binary.LittleEndian.PutUint64(hdr[offParent:], parent)
+	binary.LittleEndian.PutUint64(hdr[offChild:], nilOff)
+	binary.LittleEndian.PutUint64(hdr[offSibling:], nilOff)
+	binary.LittleEndian.PutUint64(hdr[offFirstSub:], nilOff)
+	binary.LittleEndian.PutUint16(hdr[offPredLen:], uint16(len(blob)))
+	var flags uint8
+	if subID != 0 {
+		flags = flagOwnSub
+		e.nodesLive++
 	}
-	var hdr [nodeHeaderSize]byte
-	h.encode(hdr[:])
+	hdr[offFlags] = flags
+	binary.LittleEndian.PutUint32(hdr[offOwnRef:], clientRef)
 	binary.LittleEndian.PutUint64(hdr[offPrev:], nilOff)
-	e.acc.Write(off, hdr[:])
+	binary.LittleEndian.PutUint64(hdr[offOwnID:], subID)
+	e.acc.Write(off, hdr)
 	if len(blob) > 0 {
 		e.acc.Write(off+nodeHeaderSize, blob)
 	}
-	e.nodesLive++
 	return off, nil
 }
 
@@ -275,14 +297,15 @@ func (e *Engine) unlinkChild(parentOff, childOff uint64) error {
 	return nil
 }
 
-// attach links a new node for sub under cur, which had e.width
+// attach links a new node for sub, its own subscriber subscription
+// subID of clientRef, under cur, which had e.width
 // children if it has no table, and moves the children e.moved lists
 // beneath it, keeping the tables: cur's loses the moved children and
 // gains the new node; an untabled cur left with tableMin children or
 // more, and a new node given that many, build theirs. The offset it returns is the new
 // node's only when the error is nil.
-func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
-	nodeOff, err := e.newNode(cur, sub.Constraints)
+func (e *Engine) attach(cur uint64, sub *pubsub.Subscription, subID uint64, clientRef uint32) (uint64, error) {
+	nodeOff, err := e.newNode(cur, sub.Constraints, subID, clientRef)
 	if err != nil {
 		return 0, err
 	}
@@ -305,49 +328,58 @@ func (e *Engine) attach(cur uint64, sub *pubsub.Subscription) (uint64, error) {
 	return nodeOff, err
 }
 
-// addSubscriber prepends a subscriber record to the node's list and
-// returns the record offset.
-func (e *Engine) addSubscriber(nodeOff uint64, subID uint64, clientRef uint32) (uint64, error) {
+// addSubscriber gives a node that already has its own subscriber
+// another: a subscriber record, written from the engine's scratch and
+// prepended to the node's list, so the list stays newest first.
+func (e *Engine) addSubscriber(nodeOff uint64, subID uint64, clientRef uint32) error {
 	recOff, err := e.alloc(e.alignSize(subRecordSize))
 	if err != nil {
-		return 0, fmt.Errorf("core: allocating subscriber record: %w", err)
+		return fmt.Errorf("core: allocating subscriber record: %w", err)
 	}
-	h := e.readHeader(nodeOff)
-	var rec [subRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:], h.firstSub)
+	rec := e.recBuf[:]
+	binary.LittleEndian.PutUint64(rec[0:], e.readHeader(nodeOff).firstSub)
 	binary.LittleEndian.PutUint64(rec[8:], subID)
 	binary.LittleEndian.PutUint32(rec[16:], clientRef)
-	e.acc.Write(recOff, rec[:])
+	e.acc.Write(recOff, rec)
 	e.setField(nodeOff, offFirstSub, recOff)
-	return recOff, nil
+	return nil
 }
 
-// removeSubscriber unlinks subID's record from the node's list, releases
-// it, and reports how many subscribers remain.
-func (e *Engine) removeSubscriber(nodeOff uint64, subID uint64) (remaining int, err error) {
-	var prev uint64 = nilOff
-	cur := e.readHeader(nodeOff).firstSub
-	found := false
+// removeSubscriber removes subID from the node and reports whether
+// the node has a subscriber left. A listed subscriber's record is
+// unlinked and released. When the node's own subscriber leaves, the
+// list's tail — its oldest entry, the oldest subscriber left — moves
+// into the header and that record is unlinked and released instead, so
+// the list and then the own subscriber stay every subscriber newest
+// first; a node left with none keeps its header as it was, for
+// Unregister to splice out.
+func (e *Engine) removeSubscriber(nodeOff uint64, subID uint64) (left bool, err error) {
+	h := e.readHeader(nodeOff)
+	own := h.flags&flagOwnSub != 0 && h.ownID == subID
+	if own && h.firstSub == nilOff {
+		return false, nil
+	}
+	prev, cur := nilOff, h.firstSub
 	for cur != nilOff {
 		raw := e.acc.Read(cur, subRecordSize)
 		next := binary.LittleEndian.Uint64(raw[0:])
 		id := binary.LittleEndian.Uint64(raw[8:])
-		if !found && id == subID {
-			found = true
-			if prev == nilOff {
-				e.setField(nodeOff, offFirstSub, next)
-			} else {
-				e.setField(prev, 0, next)
-			}
-			e.release(cur, e.alignSize(subRecordSize))
-		} else {
-			remaining++
-			prev = cur
+		if own && next == nilOff {
+			// The tail takes the own subscriber's place.
+			binary.LittleEndian.PutUint32(e.fieldBuf[:4], binary.LittleEndian.Uint32(raw[16:]))
+			e.acc.Write(nodeOff+offOwnRef, e.fieldBuf[:4])
+			e.setField(nodeOff, offOwnID, id)
+		} else if own || id != subID {
+			prev, cur = cur, next
+			continue
 		}
-		cur = next
+		if prev == nilOff {
+			e.setField(nodeOff, offFirstSub, next)
+		} else {
+			e.setField(prev, 0, next)
+		}
+		e.release(cur, e.alignSize(subRecordSize))
+		return true, nil
 	}
-	if !found {
-		return 0, fmt.Errorf("core: subscription %d not on node %d", subID, nodeOff)
-	}
-	return remaining, nil
+	return false, fmt.Errorf("core: subscription %d not on node %d", subID, nodeOff)
 }

@@ -39,7 +39,10 @@ func arenaPages(e *Engine) uint64 {
 // sentinel, a header link, a subscriber list or the subscription index
 // or a table's index — that no record is released twice, and that
 // every reachable record was rewritten whole when it was allocated
-// (flags and reserved bytes zero; checkTables holds the links). It then poisons every released record, so
+// (a node's flags its own subscriber's and its reserved byte zero, that
+// subscriber indexed at it, a sentinel's flags and subscriber bytes
+// zero, a subscriber record's reserved bytes zero; checkTables holds
+// the links). It then poisons every released record, so
 // that a reuse which leaves any byte unwritten is caught by the checks
 // of the next step.
 func checkReleased(t *testing.T, e *Engine) {
@@ -75,10 +78,15 @@ func checkReleased(t *testing.T, e *Engine) {
 		stack = stack[:len(stack)-1]
 		reachable("node", off)
 		raw := e.acc.Read(off, nodeHeaderSize)
-		if !bytes.Equal(raw[offFlags:offPrev], make([]byte, offPrev-offFlags)) {
-			t.Fatalf("node %d: flags and reserved bytes % x, want zero", off, raw[offFlags:offPrev])
-		}
 		h := decodeHeader(raw)
+		if h.parent == nilOff {
+			if !bytes.Equal(raw[offFlags:offPrev], make([]byte, offPrev-offFlags)) || h.ownID != 0 {
+				t.Fatalf("sentinel %d: flags, reserved and subscriber bytes % x, subscriber %d, want zero", off, raw[offFlags:offPrev], h.ownID)
+			}
+		} else if h.flags != flagOwnSub || raw[offFlags+1] != 0 || e.subIndex[h.ownID] != off {
+			t.Fatalf("node %d: flags %#x, reserved byte %#x, own subscriber %d indexed at %d; want %#x, 0 and the node",
+				off, h.flags, raw[offFlags+1], h.ownID, e.subIndex[h.ownID], flagOwnSub)
+		}
 		for sub := h.firstSub; sub != nilOff; {
 			reachable("subscriber record", sub)
 			rec := e.acc.Read(sub, subRecordSize)

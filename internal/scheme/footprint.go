@@ -46,13 +46,15 @@ type FootprintModel struct {
 var (
 	// PlainFootprint: the containment engine stores the predicates
 	// that arrive, so the cost is per subscription and independent of
-	// the universe width. Unpadded engine records measure ≈133 B per
-	// e80a1 subscription (avg 80 B wire encoding + record/index
-	// overhead); the paper's ≈437 B/subscription figure corresponds to
+	// the universe width. Unpadded engine records measure ≈126 B per
+	// e80a1 subscription and ≈128 B per e80a4 one (avg 80 B wire
+	// encoding + record/index overhead; a node holds its first
+	// subscriber in its header, so a subscription that shares no node
+	// has no subscriber record); the paper's ≈437 B/subscription figure corresponds to
 	// PadRecordTo≈400 deployments, which this model does not assume.
 	PlainFootprint = FootprintModel{
 		BaseBytes:    8192,
-		SubBytes:     133,
+		SubBytes:     126,
 		SubAttrBytes: 0,
 	}
 	// ASPEFootprint: every subscription stores ciphertext query
