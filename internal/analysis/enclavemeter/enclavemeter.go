@@ -44,14 +44,14 @@ var exempt = map[string]bool{
 
 // hubMethods are streamhub.Hub's direct per-slice store touches.
 var hubMethods = map[string]bool{
-	"MatchEncodedBatchIn": true, "RegisterEncodedAt": true, "RegisterEncodedAssigned": true,
-	"UnregisterIn": true, "DropCopy": true,
+	"MatchEncodedBatchIn": true, "MatchRecordsIn": true, "RegisterEncodedAt": true,
+	"RegisterEncodedAssigned": true, "UnregisterIn": true, "DropCopy": true,
 }
 
 // sliceMethods are the scheme.Slice store surface.
 var sliceMethods = map[string]bool{
 	"Configure": true, "RegisterEncodedAssigned": true, "Unregister": true,
-	"MatchEncodedBatch": true,
+	"MatchRecords": true,
 }
 
 // boundaryRE matches the resident-worker marker in a doc comment.

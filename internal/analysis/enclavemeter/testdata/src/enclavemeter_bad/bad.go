@@ -14,6 +14,12 @@ func nakedHubTouch(h *streamhub.Hub, encs [][]byte) {
 	h.MatchEncodedBatchIn(0, encs, nil) // want `MatchEncodedBatchIn touches the matcher store outside the metered enclave boundary`
 }
 
+// nakedRecordsTouch asks a slice for its records through the hub with
+// no enclave entry: the records path is metered like the rows path.
+func nakedRecordsTouch(h *streamhub.Hub, encs [][]byte) {
+	h.MatchRecordsIn(0, encs, nil) // want `MatchRecordsIn touches the matcher store outside the metered enclave boundary`
+}
+
 // nakedSliceTouch drives the scheme.Slice surface directly.
 func nakedSliceTouch(s scheme.Slice, enc []byte) {
 	s.RegisterEncodedAssigned(enc, 1, 7) // want `RegisterEncodedAssigned touches the matcher store outside the metered enclave boundary`
@@ -41,7 +47,7 @@ func escapedGoroutine(e *sgx.Enclave, h *streamhub.Hub) {
 // lexically outside its body.
 func afterTheCall(e *sgx.Enclave, s scheme.Slice, enc []byte) {
 	_ = e.Ecall(func() error { return nil })
-	s.MatchEncodedBatch([][]byte{enc}, nil) // want `MatchEncodedBatch touches the matcher store outside the metered enclave boundary`
+	s.MatchRecords([][]byte{enc}, nil) // want `MatchRecords touches the matcher store outside the metered enclave boundary`
 }
 
 // unjustifiedMarker carries the boundary marker with no reason — the

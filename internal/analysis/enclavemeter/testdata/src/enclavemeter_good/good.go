@@ -38,7 +38,7 @@ func insertByIDInsideEcall(e *sgx.Enclave, h *streamhub.Hub, enc []byte) error {
 // scbr:vet enclave-boundary: entry charged once by the switchless ring dispatcher before the drain loop
 func residentWorker(h *streamhub.Hub, batches [][][]byte) {
 	for _, encs := range batches {
-		h.MatchEncodedBatchIn(0, encs, nil)
+		h.MatchRecordsIn(0, encs, nil)
 	}
 }
 

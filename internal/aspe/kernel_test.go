@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"scbr/internal/core"
 )
 
 // kernelCase is one sign test laid out both ways: vec as the arena
@@ -53,7 +55,7 @@ func (c *kernelCase) check(t *testing.T, what string) {
 			want &^= 1 << uint(i)
 		}
 	}
-	if got := signTests(c.vec, c.pts, &c.negTol, c.qScale, c.live); got != want {
+	if got := signTests(c.raw, c.pts, &c.negTol, c.qScale, c.live); got != want {
 		t.Fatalf("%s: signTests passes %#x, Dot %#x", what, got, want)
 	}
 	if !haveKernel {
@@ -283,7 +285,7 @@ func TestScanKernelPathsAgree(t *testing.T) {
 						results[si] = make([][]Match, n)
 						haveKernel = s != portable
 						if s == always {
-							s.scan(eps, results[si], 1)
+							core.AppendRows(results[si], s.scan(eps, 0, nil, 1))
 						} else if err := s.MatchEncodedBatch(eps, results[si]); err != nil {
 							t.Fatal(err)
 						}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"scbr/internal/core"
 	"scbr/internal/pubsub"
 	"scbr/internal/simmem"
 )
@@ -499,10 +500,10 @@ func BenchmarkStoreScan(b *testing.B) {
 // benchLive scans n events against 1,000 subscriptions on which every
 // sign test has exactly n live events: each passes the two bounds of a
 // band wider than the domain, then fails the lower bound of a band
-// above it. It runs each path on every test — scalar (decode and
-// signTests) and, where the host has it, kernel (signKernel) — so ns/op
-// per event read side by side give the live count from which the kernel
-// pays, kernelLive.
+// above it. It runs each path on every test — scalar (signTests,
+// reading the vector in place) and, where the host has it, kernel
+// (signKernel) — so ns/op per event read side by side give the live
+// count from which the kernel pays, kernelLive.
 func benchLive(b *testing.B, n int) {
 	bed := newScanBed(b, 4, 1)
 	store := bed.store(true)
@@ -517,7 +518,7 @@ func benchLive(b *testing.B, n int) {
 	for i := range eps {
 		eps[i] = bed.event()
 	}
-	out := make([][]Match, n)
+	var out []core.Record
 	for _, path := range []struct {
 		name string
 		from int
@@ -526,16 +527,13 @@ func benchLive(b *testing.B, n int) {
 			if path.from <= scanChunk && !haveKernel {
 				b.Skip("no sign kernel on this host")
 			}
-			store.scan(eps, out, path.from)
-			for j := range out {
-				if len(out[j]) != 0 {
-					b.Fatalf("event %d matched %d subscriptions, want none", j, len(out[j]))
-				}
+			if out = store.scan(eps, 0, out[:0], path.from); len(out) != 0 {
+				b.Fatalf("%d subscriptions matched, want none", len(out))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += n {
-				store.scan(eps, out, path.from)
+				out = store.scan(eps, 0, out[:0], path.from)
 			}
 			b.StopTimer()
 			events := float64((b.N + n - 1) / n * n)

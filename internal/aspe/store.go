@@ -6,14 +6,13 @@ import (
 	"math"
 	"math/bits"
 
+	"scbr/internal/core"
 	"scbr/internal/simmem"
 )
 
-// Match identifies one matching subscription of a Store scan.
-type Match struct {
-	SubID     uint64
-	ClientRef uint32
-}
+// Match identifies one matching subscription of a Store scan: the
+// containment engine's result, so a scan's rows need no conversion.
+type Match = core.MatchResult
 
 // scanChunk is the widest batch one scan of the database serves: the
 // events still live on a subscription are one bit each of a uint64.
@@ -64,15 +63,16 @@ type Store struct {
 	dead int
 	free []uint64
 
-	// stage is insert's encode buffer and vec the scan's decode buffer
-	// for one ciphertext vector; pts holds a chunk's points back to back,
-	// rows the same points k-major for signKernel, and sums takes the
-	// kernel's sums, which only its tests read.
+	// stage is insert's encode buffer for one ciphertext vector; pts
+	// holds a chunk's points back to back, rows the same points k-major
+	// for signKernel, and sums takes the kernel's sums, which only its
+	// tests read. recs holds the records MatchEncoded and
+	// MatchEncodedBatch expand.
 	stage []byte
-	vec   []float64
 	pts   []float64
 	rows  []float64
 	sums  [scanChunk]float64
+	recs  []core.Record
 }
 
 // NewStore builds an unconfigured store over the accessor.
@@ -250,35 +250,47 @@ func (s *Store) MatchEncoded(ep *EncodedPublication, out []Match) ([]Match, erro
 		return nil, fmt.Errorf("aspe: point has dimension %d, store expects %d", ep.Dim, s.dim)
 	}
 	eps, outs := [1]*EncodedPublication{ep}, [1][]Match{out}
-	s.scan(eps[:], outs[:], kernelFrom())
+	s.recs = s.scan(eps[:], 0, s.recs[:0], kernelFrom())
+	core.AppendRows(outs[:], s.recs)
 	return outs[0], nil
 }
 
-// MatchEncodedBatch scans the database for a whole batch of encoded
-// publications, appending each item's matches to its out slot. eps and
-// out are parallel and eps is only read; nil items are skipped (their
-// slots stay untouched), as are items whose dimensionality the store
-// rejects — the same items MatchEncoded refuses with an error.
+// MatchRecords scans the database for a whole batch of encoded
+// publications and appends to out one record per subscription any
+// item of a chunk matched, its Mask the items that did (see
+// core.Record). eps is only read; nil items are skipped, as are items
+// whose dimensionality the store rejects — the same items MatchEncoded
+// refuses with an error.
 //
 // The database is walked once per chunk of 64 items (see scan), so a
 // ciphertext vector is read from the metered arena once for up to 64
 // publications — the dominant metered cost of a scan, which is why
 // simulated cost grows sub-linearly in batch size — while the sign-test
-// and prefilter cycles are charged per item, and the matched sets are
-// exactly the per-item MatchEncoded results.
-func (s *Store) MatchEncodedBatch(eps []*EncodedPublication, out [][]Match) error {
+// and prefilter cycles are charged per item, and the records name
+// exactly the per-item MatchEncoded results, in the same order.
+func (s *Store) MatchRecords(eps []*EncodedPublication, out []core.Record) ([]core.Record, error) {
 	if s.dim == 0 {
-		return fmt.Errorf("aspe: store not configured (no scheme parameters provisioned)")
-	}
-	if len(out) < len(eps) {
-		return fmt.Errorf("aspe: batch result slots %d < publications %d", len(out), len(eps))
+		return nil, fmt.Errorf("aspe: store not configured (no scheme parameters provisioned)")
 	}
 	from := kernelFrom()
 	for base := 0; base < len(eps); base += scanChunk {
 		end := min(base+scanChunk, len(eps))
-		s.scan(eps[base:end], out[base:end], from)
+		out = s.scan(eps[base:end], uint32(base), out, from)
 	}
-	return nil
+	return out, nil
+}
+
+// MatchEncodedBatch is MatchRecords expanded into per-item rows: eps
+// and out are parallel, and each item's matches are appended to its
+// out slot.
+func (s *Store) MatchEncodedBatch(eps []*EncodedPublication, out [][]Match) error {
+	if len(out) < len(eps) {
+		return fmt.Errorf("aspe: batch result slots %d < publications %d", len(out), len(eps))
+	}
+	recs, err := s.MatchRecords(eps, s.recs[:0])
+	s.recs = recs
+	core.AppendRows(out, recs)
+	return err
 }
 
 // kernelLive is the fewest live events scan hands one sign test to
@@ -304,25 +316,24 @@ func kernelFrom() int {
 // the subscription's filter sets instead of a subset test per event.
 // Each vector is read through the accessor once, while an event is
 // still live on it; prefilter and multiply-add cycles are summed and
-// charged once — the totals of a per-event scan.
+// charged once — the totals of a per-event scan. A subscription that
+// some event matched is appended to out as one record, Base base and
+// Mask the events it matched.
 //
 // A sign test on at least from live events runs signKernel, four events
 // to a lane, on the bytes Read returned and the points kept k-major in
 // rows (filled only when that many events are valid); a sparser one
-// decodes the vector and runs signTests. Both give Dot's sums, so the
-// path moves no match and no count. BenchmarkStoreScan's live=N sweep
+// runs signTests on the same bytes. Both give Dot's sums, so the path
+// moves no match and no count. BenchmarkStoreScan's live=N sweep
 // puts the crossover between 1 and 4 live events: the two paths tie on
 // a lone event, and the kernel is ahead from 4 (docs/benchmarks.md,
 // "Four events to a lane"), hence kernelLive.
-func (s *Store) scan(eps []*EncodedPublication, out [][]Match, from int) {
+func (s *Store) scan(eps []*EncodedPublication, base uint32, out []core.Record, from int) []core.Record {
 	dim := s.dim
-	if cap(s.vec) < dim {
-		s.vec = make([]float64, dim)
-	}
 	if cap(s.pts) < len(eps)*dim {
 		s.pts = make([]float64, len(eps)*dim)
 	}
-	vec, pts := s.vec[:dim], s.pts[:len(eps)*dim]
+	pts := s.pts[:len(eps)*dim]
 
 	// negTol is the event's factor of the tolerance, negated.
 	var (
@@ -344,7 +355,7 @@ func (s *Store) scan(eps []*EncodedPublication, out [][]Match, from int) {
 		}
 	}
 	if valid == 0 {
-		return
+		return out
 	}
 	nValid := bits.OnesCount64(valid)
 	var rows []float64
@@ -378,49 +389,56 @@ func (s *Store) scan(eps []*EncodedPublication, out [][]Match, from int) {
 			}
 		}
 		for _, off := range ent.vectors(slab) {
-			raw := s.acc.Read(off, s.vecBytes())
+			raw := s.acc.Read(off, dim*8)
 			n := bits.OnesCount64(live)
 			cycles += mulAddCycles * uint64(n)
 			if n >= from {
 				live &^= signKernel(&raw[0], &rows[0], dim, live, &negTol, ent.qScale, &s.sums)
 			} else {
-				for i := range vec {
-					if len(raw) < 8 { // never: Read returned dim × 8 bytes; it spares the loop its bounds checks
-						break
-					}
-					vec[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-					raw = raw[8:]
-				}
-				live = signTests(vec, pts, &negTol, ent.qScale, live)
+				live = signTests(raw, pts, &negTol, ent.qScale, live)
 			}
 			if live == 0 {
 				break
 			}
 		}
-		for m := live; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			out[i] = append(out[i], Match{SubID: ent.id, ClientRef: ent.ref})
+		if live == 0 {
+			continue
 		}
+		out = append(out, core.Record{SubID: ent.id, ClientRef: ent.ref, Base: base, Mask: live})
 	}
 	s.acc.Charge(cycles)
+	return out
 }
 
 // signTests runs one query vector's sign test on every live event and
-// returns the ones that pass: vec · point ≥ −tolerance. It takes four
-// events at a time, a sum each, so four chains of additions are in
-// flight instead of one; each sum still adds its products in index
-// order, which makes it Dot's to the bit. A last group of two or three
-// repeats its second event in the spare lanes; a last event alone is a
-// Dot. It is scan's portable path, and its path for a sign test on
-// fewer than kernelLive live events.
-func signTests(vec, pts []float64, negTol *[scanChunk]float64, qScale float64, live uint64) uint64 {
+// returns the ones that pass: vec · point ≥ −tolerance. The vector is
+// read in place, raw holding its components as the arena stores them
+// (little-endian float64 bits, dim × 8 bytes). It takes four events at
+// a time, a sum each, so four chains of additions are in flight instead
+// of one; each sum still adds its products in index order, which makes
+// it Dot's to the bit. A last group of two or three repeats its second
+// event in the spare lanes; a last event alone is summed as Dot sums.
+// It is scan's portable path, and its path for a sign test on fewer
+// than kernelLive live events.
+func signTests(raw []byte, pts []float64, negTol *[scanChunk]float64, qScale float64, live uint64) uint64 {
+	dim := len(raw) / 8
+	raw = raw[:dim*8]
 	pass := live
 	for m := live; m != 0; {
 		i0 := bits.TrailingZeros64(m)
 		m &= m - 1
-		p0 := pts[i0*len(vec):][:len(vec)]
+		p0 := pts[i0*dim:][:dim]
 		if m == 0 {
-			if Dot(p0, vec) < negTol[i0]*qScale {
+			var a0 float64
+			w := raw
+			for _, x := range p0 {
+				if len(w) < 8 { // never: raw holds dim words; it spares the loop its bounds checks
+					break
+				}
+				a0 += x * math.Float64frombits(binary.LittleEndian.Uint64(w))
+				w = w[8:]
+			}
+			if a0 < negTol[i0]*qScale {
 				pass &^= 1 << uint(i0)
 			}
 			break
@@ -436,11 +454,17 @@ func signTests(vec, pts []float64, negTol *[scanChunk]float64, qScale float64, l
 			i3 = bits.TrailingZeros64(m)
 			m &= m - 1
 		}
-		p1 := pts[i1*len(vec):][:len(vec)]
-		p2 := pts[i2*len(vec):][:len(vec)]
-		p3 := pts[i3*len(vec):][:len(vec)]
+		p1 := pts[i1*dim:][:dim]
+		p2 := pts[i2*dim:][:dim]
+		p3 := pts[i3*dim:][:dim]
 		var a0, a1, a2, a3 float64
-		for k, x := range vec {
+		w := raw
+		for k := range p0 {
+			if len(w) < 8 { // never, as above
+				break
+			}
+			x := math.Float64frombits(binary.LittleEndian.Uint64(w))
+			w = w[8:]
 			a0 += p0[k] * x
 			a1 += p1[k] * x
 			a2 += p2[k] * x

@@ -8,9 +8,13 @@
 //
 // The layer is batch-first: a publish-batch travels as ONE unit — one
 // matchJob handed to every slice — and the schemes match it through
-// their MatchEncodedBatch surface, so per-item work (enclave crossings,
+// their MatchRecords surface, so per-item work (enclave crossings,
 // database walks, allocations) is amortised across the batch. A single
-// publish is just a batch of one. A slice batches across wire messages
+// publish is just a batch of one. What a slice hands back is one record
+// per matched subscription, the items that matched it a bitmask, so a
+// subscription that every item of a batch matches is one record, not
+// one result per item; the merger expands only the records of clients
+// that listen. A slice batches across wire messages
 // too: its worker takes every job already queued behind the one it
 // woke for, up to one walk's width, and matches the group in one
 // enclave entry and one store pass, so under load the per-entry and
@@ -30,6 +34,7 @@
 package broker
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -84,25 +89,26 @@ type partition struct {
 	jobs       chan *matchJob
 	workerDone chan struct{}
 
-	// rows, guarded by mu, lines up a drained group's result rows with
-	// enc: the jobs' perPart[idx] rows, concatenated.
-	rows [][]core.MatchResult
+	// recs, jobOf and jobLo, guarded by mu, are a drained group's
+	// records, the job of each of its items and each job's first item,
+	// while the records are split per job.
+	recs         []core.Record
+	jobOf, jobLo []int32
 }
 
 // matchJob is one wire message — a whole publish-batch — in flight
 // through the matching layer: the per-item header/payload views plus
-// the merge state the slices fill in. perPart[p][i] is slice p's
-// matches for item i: every slot is preallocated by the dispatcher and
-// written only by its own slice, so contribution is lock-free — no
-// merge mutex, no append-growth under a lock. Jobs are recycled once
-// the merger has delivered them.
+// the merge state the slices fill in. perPart[p] is slice p's records
+// for the message, bit i of a record's Mask naming item Base+i: every
+// slot is sized by the dispatcher and written only by its own slice, so
+// contribution is lock-free — no merge mutex, no append-growth under a
+// lock. Jobs are recycled once the merger has delivered them.
 type matchJob struct {
 	blobs    [][]byte // per-item encrypted/encoded headers
 	payloads [][]byte // per-item group-key payloads
 	epoch    uint64
 
-	perPart [][][]core.MatchResult // [slice][item] result slots
-	merged  []core.MatchResult     // per-item cross-slice merge scratch, while deduplicating
+	perPart [][]core.Record // [slice] the slice's records
 
 	// pending counts the slices yet to contribute; the last one hands
 	// the merger a token on done (capacity 1, so the job is reusable).
@@ -167,7 +173,7 @@ func (l *jobList) put(job *matchJob) {
 }
 
 // acquireJob takes a recycled job and loads it with m's publication
-// items, resizing the per-slice merge slots while keeping every
+// items, resizing the per-slice record slots while keeping every
 // previously grown buffer. The caller holds planeMu, so the slice count
 // the slots are sized for is the one the job is dispatched to.
 func (r *Router) acquireJob(m *Message) *matchJob {
@@ -182,85 +188,29 @@ func (r *Router) acquireJob(m *Message) *matchJob {
 		job.blobs = append(job.blobs, m.Blob)
 		job.payloads = append(job.payloads, m.Payload)
 	}
-	k, n := len(r.parts), len(job.blobs)
+	k := len(r.parts)
 	if cap(job.perPart) < k {
-		grown := make([][][]core.MatchResult, k)
+		grown := make([][]core.Record, k)
 		copy(grown, job.perPart[:cap(job.perPart)])
 		job.perPart = grown
 	}
 	job.perPart = job.perPart[:k]
-	for p := 0; p < k; p++ {
-		rows := job.perPart[p]
-		if cap(rows) < n {
-			grown := make([][]core.MatchResult, n)
-			copy(grown, rows[:cap(rows)])
-			rows = grown
-		}
-		rows = rows[:n]
-		for i := range rows {
-			rows[i] = rows[i][:0]
-		}
-		job.perPart[p] = rows
+	for p := range job.perPart {
+		job.perPart[p] = job.perPart[p][:0]
 	}
 	job.pending.Store(int32(k))
 	return job
 }
 
 // releaseJob clears the job's references to message bytes (so the free
-// list never pins a frame) and recycles it. The match-result slots keep
-// their capacity — that is the point of recycling them.
+// list never pins a frame) and recycles it. The record slots keep their
+// capacity — that is the point of recycling them.
 func (r *Router) releaseJob(job *matchJob) {
 	clear(job.blobs)
 	clear(job.payloads)
 	job.blobs = job.blobs[:0]
 	job.payloads = job.payloads[:0]
-	job.merged = job.merged[:0]
 	r.jobs.put(job)
-}
-
-// deliverJob hands the delivery layer each item's per-slice result
-// rows, in slice order, without copying a match. While a migration's
-// two-copy window is open (dedupActive) a subscription can exist on
-// both its source and destination slice and match twice in one item;
-// the rows are then concatenated into the job's merge scratch and the
-// repeats collapsed to one delivery. The flag is a single atomic load,
-// so the steady-state path pays nothing for the capability.
-func (r *Router) deliverJob(job *matchJob, fan *fanout) {
-	dedup := r.dedupActive.Load()
-	for i := range job.blobs {
-		rows := fan.rows[:0]
-		for _, part := range job.perPart {
-			rows = append(rows, part[i])
-		}
-		if dedup {
-			merged := job.merged[:0]
-			for _, row := range rows {
-				merged = append(merged, row...)
-			}
-			if len(merged) > 1 {
-				merged = dedupMatches(merged)
-			}
-			job.merged = merged
-			rows = append(rows[:0], merged)
-		}
-		fan.rows = rows
-		r.deliver(fan, rows, job.payloads[i], job.epoch)
-	}
-	clear(fan.rows) // pin none of the job's rows past it
-}
-
-// dedupMatches drops repeated SubIDs in place, keeping first sight.
-func dedupMatches(merged []core.MatchResult) []core.MatchResult {
-	seen := make(map[uint64]struct{}, len(merged))
-	out := merged[:0]
-	for _, m := range merged {
-		if _, dup := seen[m.SubID]; dup {
-			continue
-		}
-		seen[m.SubID] = struct{}{}
-		out = append(out, m)
-	}
-	return out
 }
 
 // startPipeline brings up the per-slice workers and the merger. Called
@@ -422,16 +372,15 @@ func (p *partition) drain(group []*matchJob) []*matchJob {
 // schemes (aspe) hand the blobs to the store as-is. An item whose
 // envelope fails authentication is blanked, so the scheme's decoder
 // drops it exactly as the per-item path did. The caller holds p.mu and
-// has accounted the enclave entry. Results land in each job's
-// perPart[p.idx] — this slice's own slot — through the group's
-// concatenated rows, whose grown buffers are written back.
+// has accounted the enclave entry. Records land in each job's
+// perPart[p.idx] — this slice's own slot: a lone job's straight from
+// the store, a group's split per job (splitRecords).
 //
 // scbr:vet enclave-boundary: sliceWorker, the only caller, charges the entry under either transition policy — it wraps this in an Ecall body, or is the resident switchless worker whose one transition was charged when it entered
 func (r *Router) matchSliceBatch(p *partition, group []*matchJob, sk *scrypto.SymmetricKey) {
 	n := 0
 	for _, job := range group {
 		n += len(job.blobs)
-		p.rows = append(p.rows, job.perPart[p.idx]...)
 	}
 	for cap(p.enc) < n {
 		p.enc = append(p.enc[:cap(p.enc)], nil)
@@ -453,16 +402,53 @@ func (r *Router) matchSliceBatch(p *partition, group []*matchJob, sk *scrypto.Sy
 	}
 	// A store-level error (an unconfigured store) contributes nothing
 	// for any item, exactly as every per-item call would have failed.
-	_ = r.hub.MatchEncodedBatchIn(p.idx, p.enc, p.rows)
-	i = 0
-	for _, job := range group {
-		i += copy(job.perPart[p.idx], p.rows[i:])
+	if len(group) == 1 {
+		job := group[0]
+		job.perPart[p.idx], _ = r.hub.MatchRecordsIn(p.idx, p.enc, job.perPart[p.idx])
+	} else {
+		p.recs, _ = r.hub.MatchRecordsIn(p.idx, p.enc, p.recs[:0])
+		p.splitRecords(group, p.recs)
 	}
 	if !sealed {
 		clear(p.enc) // the blobs are frame bytes: pin none past the group
 	}
-	clear(p.rows)
-	p.rows = p.rows[:0]
+}
+
+// splitRecords hands each job of a drained group its share of the
+// group's records, in their order. A record names group items
+// Base+i; the bits that fall in one job's items become a record of that
+// job, shifted so that its Base+i names the job's own item. The caller
+// holds p.mu.
+func (p *partition) splitRecords(group []*matchJob, recs []core.Record) {
+	p.jobOf, p.jobLo = p.jobOf[:0], p.jobLo[:0]
+	for j, job := range group {
+		p.jobLo = append(p.jobLo, int32(len(p.jobOf)))
+		for range job.blobs {
+			p.jobOf = append(p.jobOf, int32(j))
+		}
+	}
+	for _, rec := range recs {
+		b := int(rec.Base)
+		for m := rec.Mask; m != 0; {
+			j := p.jobOf[b+bits.TrailingZeros64(m)]
+			job := group[j]
+			// The job's items are [lo, lo+len(job.blobs)); the bits of m
+			// below its first are gone already.
+			lo := int(p.jobLo[j])
+			part := m
+			if w := lo + len(job.blobs) - b; w < 64 {
+				part &= 1<<uint(w) - 1
+			}
+			m &^= part
+			share := rec
+			if lo > b {
+				share.Base, share.Mask = 0, part>>uint(lo-b)
+			} else {
+				share.Base, share.Mask = uint32(b-lo), part
+			}
+			job.perPart[p.idx] = append(job.perPart[p.idx], share)
+		}
+	}
 }
 
 // open authenticates blob under sk with the partition's opener, rebuilt
@@ -504,7 +490,7 @@ func (r *Router) deliveryMerger() {
 			continue
 		}
 		<-job.done
-		r.deliverJob(job, &fan)
+		r.deliver(&fan, job.perPart, job.payloads, job.epoch, r.dedupActive.Load())
 		r.releaseJob(job)
 	}
 }

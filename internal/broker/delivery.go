@@ -19,6 +19,7 @@ package broker
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -718,48 +719,75 @@ func (t *deliveryTable) close(drainTimeout time.Duration) {
 	}
 }
 
-// fanout is the merger's scratch for grouping one event's matches by
-// client. Only the merger goroutine touches it, so it is reused across
-// events without a lock; nothing in it outlives a deliver call but the
-// grown buffers.
+// fanout is the merger's scratch for grouping one message's matches
+// by item and client. Only the merger goroutine touches it, so it is
+// reused across messages without a lock; nothing in it outlives a
+// deliver call but the grown buffers.
 type fanout struct {
 	// slot[ref] is 1 + the index into groups of client ref's group, its
 	// negation for a client without delivery state, and 0 for a client
-	// the event has not named yet. Client refs are dense indices into
+	// the message has not named yet. Client refs are dense indices into
 	// Router.refName, so it grows to the largest ref seen; deliver
 	// resets only the entries it set.
 	slot   []int32
 	groups []clientGroup
 
-	// rows is deliverJob's: an item's per-slice rows.
-	rows [][]core.MatchResult
+	// kept holds the listening clients' records, ClientRef replaced by
+	// the client's group; ends[i] counts item i's matches among them,
+	// then is its cursor into ents, the same matches laid out item by
+	// item; touched lists the groups an item names, in first sight.
+	kept    []core.Record
+	ends    []int32
+	ents    []itemMatch
+	touched []int32
+	// seen is the migration window's deduplication set.
+	seen map[uint64]struct{}
 }
 
-// clientGroup is one client's share of an event's matches.
+// itemMatch is one listening client's match of one item.
+type itemMatch struct {
+	subID uint64
+	group int32
+}
+
+// clientGroup is one client's share of a message's matches.
 type clientGroup struct {
 	ref    uint32
 	st     *clientState // nil: never listened here, so nothing is built
-	subIDs []uint64     // the matched SubIDs, scratch kept across events
+	subIDs []uint64     // an item's matched SubIDs, scratch kept across items
 }
 
-// deliver is step ⑥: hand the still-encrypted payload once to every
-// matched client's outbound queue, whatever number of its
-// subscriptions matched. rows are the event's matches, one row per
-// slice, in slice order. The delivery names every matched subscription
-// of that client in match order, so client-side Subscription handles
-// can route it without decrypting twice; each frame is stamped with the
-// client's delivery cursor by enqueueTo. One pass over the rows groups
-// them: a client's delivery state is resolved the first time the event
-// names it, and a client that has never listened here has none, so
-// each of its matches costs one slot lookup and nothing is built for
-// it. Forwarded publications arriving over federation links take this
+// deliver is step ⑥ for one wire message: hand each item's
+// still-encrypted payload once to every matched client's outbound
+// queue, whatever number of its subscriptions matched. parts are the
+// message's records, one list per slice in slice order, bit i of a
+// record's Mask naming item Base+i (core.Record). The delivery names
+// every matched subscription of that client in slice order and then
+// match order, so client-side Subscription handles can route it without
+// decrypting twice; each frame is stamped with the client's delivery
+// cursor by enqueueTo, items in order. It works in two passes. The
+// first resolves each record's client once, for every item its mask
+// names: a client's delivery state is resolved the first time the
+// message names it, and a client that has never listened here has
+// none, so each of its records costs one slot lookup and nothing is
+// built for it. The second scatters only the listening clients'
+// records into their items and groups each item's matches by client.
+// While a migration's two-copy window is open (dedup) a subscription
+// can exist on both its source and destination slice and match twice
+// in one item; a client's repeated SubIDs then collapse to the first.
+// Forwarded publications arriving over federation links take this
 // same path, so cross-router deliveries ride local cursors like any
 // other.
-func (r *Router) deliver(fan *fanout, rows [][]core.MatchResult, payload []byte, epoch uint64) {
-	groups := fan.groups[:0]
-	for _, row := range rows {
-		for _, match := range row {
-			ref := match.ClientRef
+func (r *Router) deliver(fan *fanout, parts [][]core.Record, payloads [][]byte, epoch uint64, dedup bool) {
+	groups, kept := fan.groups[:0], fan.kept[:0]
+	if cap(fan.ends) < len(payloads) {
+		fan.ends = make([]int32, len(payloads))
+	}
+	ends := fan.ends[:len(payloads)]
+	clear(ends)
+	for _, recs := range parts {
+		for _, rec := range recs {
+			ref := rec.ClientRef
 			if n := int(ref) + 1; n > len(fan.slot) {
 				fan.slot = append(fan.slot, make([]int32, n-len(fan.slot))...)
 			}
@@ -781,32 +809,91 @@ func (r *Router) deliver(fan *fanout, rows [][]core.MatchResult, payload []byte,
 				}
 				fan.slot[ref] = s
 			}
-			if s > 0 {
-				g := &groups[s-1]
-				g.subIDs = append(g.subIDs, match.SubID)
+			if s < 0 {
+				continue
+			}
+			rec.ClientRef = uint32(s - 1)
+			kept = append(kept, rec)
+			for m := rec.Mask; m != 0; m &= m - 1 {
+				ends[int(rec.Base)+bits.TrailingZeros64(m)]++
 			}
 		}
 	}
+	// ends[i] becomes item i's first position in ents, and after the
+	// scatter its end.
+	total := int32(0)
+	for i, n := range ends {
+		ends[i], total = total, total+n
+	}
+	ents := fan.ents[:0]
+	if int(total) > cap(ents) {
+		ents = make([]itemMatch, total)
+	}
+	ents = ents[:total]
+	for _, rec := range kept {
+		for m := rec.Mask; m != 0; m &= m - 1 {
+			i := int(rec.Base) + bits.TrailingZeros64(m)
+			ents[ends[i]] = itemMatch{subID: rec.SubID, group: int32(rec.ClientRef)}
+			ends[i]++
+		}
+	}
+	// Deliver frames and their SubIDs are always freshly allocated: the
+	// replay ring retains them indefinitely, so nothing here may alias
+	// the merger's or a job's scratch. The message's deliveries share
+	// one SubIDs block, each its own capped window of it. The payload
+	// is a view of the publish frame it arrived in — that frame's own,
+	// unshared allocation, which lives for as long as a ring references
+	// it.
+	block := make([]uint64, 0, total)
+	touched, lo := fan.touched[:0], int32(0)
+	for i, hi := range ends {
+		for _, e := range ents[lo:hi] {
+			g := &groups[e.group]
+			if len(g.subIDs) == 0 {
+				touched = append(touched, e.group)
+			}
+			g.subIDs = append(g.subIDs, e.subID)
+		}
+		lo = hi
+		for _, gi := range touched {
+			g := &groups[gi]
+			ids := g.subIDs
+			if dedup {
+				ids = fan.dedup(ids)
+			}
+			at := len(block)
+			block = append(block, ids...)
+			r.delivery.enqueueTo(g.st, &Message{
+				Type:    TypeDeliver,
+				Payload: payloads[i],
+				Epoch:   epoch,
+				SubIDs:  block[at:len(block):len(block)],
+			})
+			g.subIDs = g.subIDs[:0]
+		}
+		touched = touched[:0]
+	}
 	for g := range groups {
 		fan.slot[groups[g].ref] = 0
-		st := groups[g].st
-		if st == nil {
+		groups[g].st = nil // pin no client state past the message
+	}
+	fan.groups, fan.kept, fan.ends, fan.ents, fan.touched = groups, kept, ends, ents, touched
+}
+
+// dedup drops repeated SubIDs from one client's matches of one item in
+// place, keeping first sight.
+func (f *fanout) dedup(ids []uint64) []uint64 {
+	if f.seen == nil {
+		f.seen = make(map[uint64]struct{})
+	}
+	clear(f.seen)
+	out := ids[:0]
+	for _, id := range ids {
+		if _, dup := f.seen[id]; dup {
 			continue
 		}
-		// Deliver frames and their SubIDs are always freshly allocated:
-		// the replay ring retains them indefinitely, so nothing here may
-		// alias the merger's or a job's scratch. The payload is a view of
-		// the publish frame it arrived in — that frame's own, unshared
-		// allocation, which lives for as long as a ring references it.
-		subIDs := make([]uint64, len(groups[g].subIDs))
-		copy(subIDs, groups[g].subIDs)
-		r.delivery.enqueueTo(st, &Message{
-			Type:    TypeDeliver,
-			Payload: payload,
-			Epoch:   epoch,
-			SubIDs:  subIDs,
-		})
-		groups[g].st = nil // pin no client state past the event
+		f.seen[id] = struct{}{}
+		out = append(out, id)
 	}
-	fan.groups = groups
+	return out
 }

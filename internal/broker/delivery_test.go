@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"slices"
 	"testing"
 	"time"
 
 	"scbr/internal/core"
+	"scbr/internal/pubsub"
+	"scbr/internal/scheme"
+	"scbr/internal/simmem"
+	"scbr/internal/streamhub"
 )
 
 // enqueue is enqueueTo for the client named name, if it has state —
@@ -18,6 +23,18 @@ func (t *deliveryTable) enqueue(name string, m *Message) {
 	if st := t.client(name); st != nil {
 		t.enqueueTo(st, m)
 	}
+}
+
+// itemRecords lays one item's per-slice matches out as deliver takes
+// them: a record per match, naming item 0.
+func itemRecords(rows [][]core.MatchResult) [][]core.Record {
+	parts := make([][]core.Record, len(rows))
+	for p, row := range rows {
+		for _, m := range row {
+			parts[p] = append(parts[p], core.Record{SubID: m.SubID, ClientRef: m.ClientRef, Mask: 1})
+		}
+	}
+	return parts
 }
 
 // deliverMsg builds one numbered test delivery.
@@ -38,9 +55,10 @@ func TestDeliverBuildsNothingForClientThatNeverListened(t *testing.T) {
 	payload := []byte("sealed payload")
 	alone := [][]core.MatchResult{{{SubID: 1, ClientRef: 0}, {SubID: 2, ClientRef: 0}}}
 	shared := [][]core.MatchResult{{{SubID: 3, ClientRef: 1}, {SubID: 1, ClientRef: 0}}, {{SubID: 2, ClientRef: 0}}}
+	aloneRecs, sharedRecs, payloads := itemRecords(alone), itemRecords(shared), [][]byte{payload}
 	publish := func() {
-		r.deliver(&fan, alone, payload, 7)
-		r.deliver(&fan, shared, payload, 7)
+		r.deliver(&fan, aloneRecs, payloads, 7, false)
+		r.deliver(&fan, sharedRecs, payloads, 7, false)
 	}
 	if allocs := testing.AllocsPerRun(100, publish); allocs != 0 {
 		t.Fatalf("deliveries to clients that never listened allocate %.1f times per publication pair, want 0", allocs)
@@ -77,8 +95,8 @@ func TestDeliverBuildsNothingForClientThatNeverListened(t *testing.T) {
 // interleave — A B A C B, where B never listened — give one delivery
 // each to A and C, their SubIDs in match order, and build nothing for
 // B. The grouping scratch is left all zero for the next event, and in
-// steady state the only allocations are the two deliveries: a Message
-// and a SubIDs slice each.
+// steady state the only allocations are the two deliveries' Messages
+// and the one SubIDs block they share.
 func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 	table := newDeliveryTable(4, 8, OverflowDropOldest, -1)
 	defer table.close(time.Second)
@@ -89,15 +107,16 @@ func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 	}
 	const a, b, c = 3, 0, 5 // refs need not be in order or contiguous
 	r := &Router{delivery: table, refName: []string{"b", "", "", "a", "", "c"}}
-	matches := [][]core.MatchResult{{{SubID: 1, ClientRef: a}, {SubID: 2, ClientRef: b}, {SubID: 3, ClientRef: a}, {SubID: 4, ClientRef: c}, {SubID: 5, ClientRef: b}}}
+	matches := itemRecords([][]core.MatchResult{{{SubID: 1, ClientRef: a}, {SubID: 2, ClientRef: b}, {SubID: 3, ClientRef: a}, {SubID: 4, ClientRef: c}, {SubID: 5, ClientRef: b}}})
 	payload := []byte("sealed payload")
+	payloads := [][]byte{payload}
 	var fan fanout
 	newest := func(name string) *Message {
 		st := table.clients[name]
 		return st.ring[(st.head+len(st.ring)-1)%len(st.ring)]
 	}
 	for round := 1; round <= 10; round++ {
-		r.deliver(&fan, matches, payload, uint64(round))
+		r.deliver(&fan, matches, payloads, uint64(round), false)
 		for _, want := range []struct {
 			name   string
 			subIDs []uint64
@@ -118,8 +137,8 @@ func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 		}
 	}
 	// The rings are full, so they overwrite in place from here on.
-	if allocs := testing.AllocsPerRun(100, func() { r.deliver(&fan, matches, payload, 1) }); allocs != 4 {
-		t.Fatalf("grouping an event for two clients allocates %.1f times, want 4 (two deliveries)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { r.deliver(&fan, matches, payloads, 1, false) }); allocs != 3 {
+		t.Fatalf("grouping an event for two clients allocates %.1f times, want 3 (two deliveries, one SubIDs block)", allocs)
 	}
 }
 
@@ -128,7 +147,8 @@ func TestDeliverGroupsInterleavedRefs(t *testing.T) {
 // deliver exactly what the same matches merged into one row did — one
 // delivery per listening client, its SubIDs in slice order and then
 // match order, nothing for a client that never listened — and in
-// steady state the only allocations are the two deliveries.
+// steady state the only allocations are the two deliveries' Messages
+// and their shared SubIDs block.
 func TestDeliverAcrossSliceRows(t *testing.T) {
 	const a, b, c = 2, 0, 4
 	refName := []string{"b", "", "a", "", "c"}
@@ -136,7 +156,8 @@ func TestDeliverAcrossSliceRows(t *testing.T) {
 		{{SubID: 1, ClientRef: c}, {SubID: 2, ClientRef: a}, {SubID: 3, ClientRef: b}, {SubID: 4, ClientRef: c}},
 		{{SubID: 5, ClientRef: b}, {SubID: 6, ClientRef: a}, {SubID: 7, ClientRef: c}, {SubID: 8, ClientRef: a}},
 	}
-	merged := [][]core.MatchResult{append(slices.Clone(split[0]), split[1]...)}
+	merged := itemRecords([][]core.MatchResult{append(slices.Clone(split[0]), split[1]...)})
+	splitRecs := itemRecords(split)
 	newRouter := func() *Router {
 		table := newDeliveryTable(4, 8, OverflowDropOldest, -1)
 		t.Cleanup(func() { table.close(time.Second) })
@@ -152,9 +173,10 @@ func TestDeliverAcrossSliceRows(t *testing.T) {
 	rows, ref := newRouter(), newRouter()
 	var fan, refFan fanout
 	payload := []byte("sealed payload")
+	payloads := [][]byte{payload}
 	for round := 1; round <= 10; round++ {
-		rows.deliver(&fan, split, payload, uint64(round))
-		ref.deliver(&refFan, merged, payload, uint64(round))
+		rows.deliver(&fan, splitRecs, payloads, uint64(round), false)
+		ref.deliver(&refFan, merged, payloads, uint64(round), false)
 		for _, want := range []struct {
 			name   string
 			subIDs []uint64
@@ -176,8 +198,8 @@ func TestDeliverAcrossSliceRows(t *testing.T) {
 			t.Fatalf("round %d: grouping scratch left at %v", round, fan.slot)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { rows.deliver(&fan, split, payload, 1) }); allocs != 4 {
-		t.Fatalf("grouping two slices' rows for two clients allocates %.1f times, want 4 (two deliveries)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { rows.deliver(&fan, splitRecs, payloads, 1, false) }); allocs != 3 {
+		t.Fatalf("grouping two slices' rows for two clients allocates %.1f times, want 3 (two deliveries, one SubIDs block)", allocs)
 	}
 }
 
@@ -778,5 +800,159 @@ func TestDisabledReplayRing(t *testing.T) {
 	}
 	if got := table.snapshot().DeliveriesReplayed; got != 0 {
 		t.Fatalf("DeliveriesReplayed = %d with the ring disabled", got)
+	}
+}
+
+// TestDeliverRecordsAcrossSlices drives the records path from two real
+// slices to the clients' rings. Client a and client q, which never
+// listened, subscribe with identical bands, so they share nodes, on
+// both slices; client c listens too; and one subscription of a sits on
+// both slices under one ID, as in a migration's two-copy window. A
+// message of 100 items (two walk chunks, with undecodable items) is
+// matched as a group of three jobs — split per job across the chunk
+// boundary — and as three lone jobs. Either way every listening
+// client receives, in item order, one delivery per item it matched,
+// its SubIDs in slice order and then walk order exactly as matching
+// the item alone on each slice gives them; the duplicate is named
+// twice outside the window and once inside it (dedup); and nothing is
+// built for q.
+func TestDeliverRecordsAcrossSlices(t *testing.T) {
+	const a, q, c = 0, 1, 2
+	const dupID = 1 << 20
+	schema := pubsub.NewSchema()
+	var parts []scheme.Slice
+	for range 2 {
+		e, err := core.NewEngine(simmem.NewPlainAccessor(simmem.DefaultCost()), schema, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, scheme.NewPlainSlice(e, schema))
+	}
+	hub, err := streamhub.NewFromSlices(schema, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := func(lo, hi float64) pubsub.SubscriptionSpec {
+		return pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(lo), Hi: pubsub.Float(hi)}}}
+	}
+	register := func(slice int, ref uint32, id uint64, sp pubsub.SubscriptionSpec) {
+		enc, err := pubsub.EncodeSubscriptionSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := parts[slice].RegisterEncodedAssigned(enc, ref, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 12; k++ {
+		sp := band(float64(k*8), float64(k*8+30))
+		for _, ref := range []uint32{q, a, c} { // q's is the node's own subscriber
+			if ref != c || k%3 == 0 {
+				register(k%2, ref, uint64(10*k+int(ref)+1), sp)
+			}
+		}
+	}
+	register(0, a, dupID, band(20, 60))
+	register(1, a, dupID, band(20, 60))
+
+	rng := rand.New(rand.NewSource(5))
+	blobs := make([][]byte, 100)
+	for i := range blobs {
+		if i%17 == 9 {
+			blobs[i] = []byte{} // undecodable: dropped
+			continue
+		}
+		enc, err := pubsub.EncodeEventSpec(pubsub.EventSpec{Attrs: []pubsub.NamedValue{{Name: "price", Value: pubsub.Float(float64(rng.Intn(120)))}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = enc
+	}
+
+	type delivery struct {
+		item   byte
+		subIDs []uint64
+	}
+	want := map[string][]delivery{}
+	doubled := false
+	for _, dedup := range []bool{false, true} {
+		want["a"], want["c"] = nil, nil
+		for i, blob := range blobs {
+			ids := map[uint32][]uint64{}
+			for p := range parts {
+				recs, err := hub.MatchRecordsIn(p, [][]byte{blob}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rec := range recs {
+					if dedup && slices.Contains(ids[rec.ClientRef], rec.SubID) {
+						continue
+					}
+					ids[rec.ClientRef] = append(ids[rec.ClientRef], rec.SubID)
+				}
+			}
+			for name, ref := range map[string]uint32{"a": a, "c": c} {
+				if len(ids[ref]) > 0 {
+					want[name] = append(want[name], delivery{byte(i), ids[ref]})
+				}
+			}
+			if i := slices.Index(ids[a], dupID); !dedup && i >= 0 && slices.Contains(ids[a][i+1:], dupID) {
+				doubled = true
+			}
+		}
+		if len(want["a"]) < 50 || len(want["c"]) == 0 || !doubled {
+			t.Fatalf("the corpus needs a and c matched often and the duplicate matched on both slices: %d, %d deliveries, doubled %v", len(want["a"]), len(want["c"]), doubled)
+		}
+
+		for _, grouped := range []bool{true, false} {
+			table := newDeliveryTable(4, 1024, OverflowDropOldest, -1)
+			for _, name := range []string{"a", "c"} {
+				table.clients[name] = &clientState{name: name}
+			}
+			r := &Router{hub: hub, backend: &scheme.Backend{}, delivery: table, refName: []string{"a", "q", "c"}}
+			var jobs []*matchJob
+			lo := 0
+			for _, n := range []int{1, 39, 60} {
+				job := &matchJob{blobs: blobs[lo : lo+n], perPart: make([][]core.Record, len(parts))}
+				for i := lo; i < lo+n; i++ {
+					job.payloads = append(job.payloads, []byte{byte(i)})
+				}
+				jobs, lo = append(jobs, job), lo+n
+			}
+			for p := range parts {
+				pt := &partition{idx: p}
+				if grouped {
+					r.matchSliceBatch(pt, jobs, nil)
+					continue
+				}
+				for _, job := range jobs {
+					r.matchSliceBatch(pt, []*matchJob{job}, nil)
+				}
+			}
+			var fan fanout
+			for _, job := range jobs {
+				r.deliver(&fan, job.perPart, job.payloads, 3, dedup)
+			}
+			for _, name := range []string{"a", "c"} {
+				ring := table.clients[name].ring
+				if len(ring) != len(want[name]) {
+					t.Fatalf("dedup %v grouped %v: %s received %d deliveries, want %d", dedup, grouped, name, len(ring), len(want[name]))
+				}
+				for k, m := range ring {
+					w := want[name][k]
+					if m.Cursor != uint64(k+1) || m.Epoch != 3 || len(m.Payload) != 1 || m.Payload[0] != w.item || !slices.Equal(m.SubIDs, w.subIDs) {
+						t.Fatalf("dedup %v grouped %v: %s's delivery %d = cursor %d item %v SubIDs %v; want item %d SubIDs %v",
+							dedup, grouped, name, k, m.Cursor, m.Payload, m.SubIDs, w.item, w.subIDs)
+					}
+				}
+			}
+			if _, built := table.clients["q"]; built {
+				t.Fatalf("dedup %v grouped %v: delivery state built for a client that never listened", dedup, grouped)
+			}
+			if slices.ContainsFunc(fan.slot, func(s int32) bool { return s != 0 }) {
+				t.Fatalf("dedup %v grouped %v: grouping scratch left at %v", dedup, grouped, fan.slot)
+			}
+			table.close(time.Second)
+		}
 	}
 }

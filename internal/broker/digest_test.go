@@ -217,8 +217,8 @@ func TestRegisterUnderCurrentKey(t *testing.T) {
 		r.matchSliceBatch(p, []*matchJob{job}, r.keys())
 		p.mu.Unlock()
 		var got []uint64
-		for _, m := range job.perPart[0][0] {
-			got = append(got, m.SubID)
+		for _, rec := range job.perPart[0] {
+			got = append(got, rec.SubID)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		return got

@@ -28,7 +28,7 @@
 //     flip (a sentinel through the merger). The barrier hold time is
 //     the migration's pause cost.
 //  7. Sweep: drop the stale source copies. Duplicate deliveries in
-//     the window between 4 and 7 are collapsed by deliverJob's dedup;
+//     the window between 4 and 7 are collapsed by deliver's dedup;
 //     the client-side cursor machinery (PR 4) makes any that predate
 //     the arming harmless.
 //

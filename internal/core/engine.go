@@ -59,6 +59,33 @@ type MatchResult struct {
 	ClientRef uint32
 }
 
+// Record is one subscription a walk or scan matched, with the events
+// of its chunk that matched it: bit i of Mask names event Base+i of the
+// batch. A chunk of up to 64 events emits one record per matched
+// subscription, however many of its events match it; Base sits in
+// ClientRef's padding, so a record is 24 bytes.
+type Record struct {
+	SubID     uint64
+	ClientRef uint32
+	Base      uint32
+	Mask      uint64
+}
+
+// AppendRows expands records into per-event rows: each record's match
+// is appended to rows[Base+i] for every bit i of its Mask. Records in
+// emission order give each event's row the matches a walk or scan of
+// that event alone finds, in the same order.
+func AppendRows(rows [][]MatchResult, recs []Record) {
+	for _, r := range recs {
+		res := MatchResult{SubID: r.SubID, ClientRef: r.ClientRef}
+		row := rows[r.Base:]
+		for m := r.Mask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			row[i] = append(row[i], res)
+		}
+	}
+}
+
 // Stats summarises the engine state.
 type Stats struct {
 	// Subscriptions is the number of live registered subscriptions.
@@ -134,6 +161,13 @@ type Engine struct {
 	// addSubscriber writes.
 	hdrBuf [nodeHeaderSize]byte
 	recBuf [subRecordSize]byte
+
+	// Scratch for the records MatchAppend and MatchAppendBatch expand,
+	// the constraint blob newNode encodes, and the directory entry
+	// writeDir encodes.
+	recs    []Record
+	blobBuf []byte
+	dirEnt  [dirEntrySize]byte
 }
 
 // NewEngine builds an engine over the given accessor. The first arena
@@ -403,13 +437,16 @@ func (e *Engine) MatchAppend(ev *pubsub.Event, out []MatchResult) ([]MatchResult
 	outs := [1][]MatchResult{out}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.matchChunk(evs[:], outs[:]); err != nil {
+	recs, err := e.matchChunk(evs[:], 0, e.recs[:0])
+	e.recs = recs
+	if err != nil {
 		return nil, err
 	}
+	AppendRows(outs[:], recs)
 	return outs[0], nil
 }
 
-// MatchAppendBatch matches a batch of events under a single lock
+// MatchRecords matches a batch of events under a single lock
 // acquisition and one pass over the store per chunk of walkChunk
 // events — the engine-side half of the batch-first publication path,
 // where one enclave crossing covers a whole publish-batch. Every
@@ -417,24 +454,43 @@ func (e *Engine) MatchAppend(ev *pubsub.Event, out []MatchResult) ([]MatchResult
 // the path: a node's header, constraint blob and subscriber records
 // are read (and their memory cycles charged) once per visit, however
 // many events reach it, while predicate cycles are charged per event
-// evaluated. evs and out are parallel, and out[i] receives exactly the
-// MatchAppend(evs[i]) results in the same order; nil events are
-// skipped (a dropped item keeps its slot so callers can merge by
-// index), and an event that fails mid-walk contributes nothing to its
-// slot, exactly as the per-item MatchAppend would have returned
-// nothing — the other events of its chunk are not affected.
+// evaluated. It appends to out one Record per subscriber of every
+// matched node, its Mask the chunk's events the node passed, so a
+// subscription matched by many events of a chunk costs one record.
+// Filtered to one event, the records name exactly the MatchAppend
+// results of that event in the same order. nil events are skipped (a
+// dropped item keeps its index so callers can merge by it), and an
+// event that fails mid-walk is cleared from every record of its chunk,
+// exactly as the per-item MatchAppend would have returned nothing —
+// the other events of its chunk are not affected.
+func (e *Engine) MatchRecords(evs []*pubsub.Event, out []Record) []Record {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.matchRecords(evs, out)
+}
+
+// MatchAppendBatch is MatchRecords expanded into per-event rows: evs
+// and out are parallel, and out[i] receives exactly the
+// MatchAppend(evs[i]) results in the same order.
 func (e *Engine) MatchAppendBatch(evs []*pubsub.Event, out [][]MatchResult) error {
 	if len(out) < len(evs) {
 		return fmt.Errorf("core: batch result slots %d < events %d", len(out), len(evs))
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.recs = e.matchRecords(evs, e.recs[:0])
+	AppendRows(out, e.recs)
+	return nil
+}
+
+// matchRecords is MatchRecords under the engine lock.
+func (e *Engine) matchRecords(evs []*pubsub.Event, out []Record) []Record {
 	for lo := 0; lo < len(evs); lo += walkChunk {
 		hi := min(lo+walkChunk, len(evs))
-		// A failed event's slot is already back at its base.
-		_ = e.matchChunk(evs[lo:hi], out[lo:hi])
+		// A failed event's bits are already cleared.
+		out, _ = e.matchChunk(evs[lo:hi], uint32(lo), out)
 	}
-	return nil
+	return out
 }
 
 // walkChunk is the number of events one forest walk carries: one bit
@@ -467,12 +523,13 @@ func keyOf(id pubsub.AttrID, v *pubsub.Value) shardKey {
 // Each event therefore sees the general shard first and its own shards
 // in its attribute order, as if it had been matched alone. When at most
 // tableWalkMax events are live, every walk takes tabled nodes' children
-// from their tables. An event
-// that hits a corrupt node leaves every later walk and has its slot
-// truncated to where it started; the first such error is returned.
-func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
+// from their tables. The walks append their records to out, Base set
+// to base, the chunk's index in its batch. An event that hits a
+// corrupt node leaves every later walk and is cleared from the chunk's
+// records, a record left with no event dropped; the first such error
+// is returned.
+func (e *Engine) matchChunk(evs []*pubsub.Event, base uint32, out []Record) ([]Record, error) {
 	var (
-		base     [walkChunk]int
 		sentinel [walkChunk]uint64
 		live     uint64
 		maxAttrs int
@@ -482,18 +539,18 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 			continue
 		}
 		live |= uint64(1) << i
-		base[i] = len(out[i])
 		maxAttrs = max(maxAttrs, len(ev.Attrs))
 	}
 	if live == 0 {
-		return nil
+		return out, nil
 	}
+	start := len(out)
 	e.cols.Load(evs)
 	var tables map[uint64]*table // nil for a large chunk: no table is read
 	if bits.OnesCount64(live) <= tableWalkMax {
 		tables = e.tables
 	}
-	failed, firstErr := e.walkForest(e.general, live, tables, out)
+	out, failed, firstErr := e.walkForest(e.general, live, tables, base, out)
 	live &^= failed
 	for pos := 0; pos < maxAttrs && live != 0; pos++ {
 		var pending uint64
@@ -517,7 +574,9 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 				}
 			}
 			pending &^= group
-			f, err := e.walkForest(s, group, tables, out)
+			var f uint64
+			var err error
+			out, f, err = e.walkForest(s, group, tables, base, out)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -525,11 +584,16 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 			live &^= f
 		}
 	}
-	for m := failed; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		out[i] = out[i][:base[i]]
+	if failed != 0 {
+		kept := out[:start]
+		for _, r := range out[start:] {
+			if r.Mask &^= failed; r.Mask != 0 {
+				kept = append(kept, r)
+			}
+		}
+		out = kept
 	}
-	return firstErr
+	return out, firstErr
 }
 
 // walkForest walks the forest under a shard's sentinel depth-first for
@@ -542,13 +606,16 @@ func (e *Engine) matchChunk(evs []*pubsub.Event, out [][]MatchResult) error {
 // for a larger one — has its children, the sentinel's included (its
 // header then unread), taken from its table's index, narrowed to the
 // events each summary admits (pushTable); any other node's children are
-// followed along its chain. It appends each event's matches to its
-// slot in the order a walk for that event alone would, and returns the
-// events that hit a corrupt node (with the first error); those stop
-// being evaluated from that node on. The walk stack is a local for the
+// followed along its chain. Every subscriber of a node that some event
+// passes is emitted once, as a Record whose Mask is the events that
+// passed it (Base is base), so a node's subscribers are appended to out
+// in the order a walk for any one of those events alone would find
+// them. It returns the events that hit a corrupt node (with the first
+// error); those stop being evaluated from that node on, and matchChunk
+// clears them from the records. The walk stack is a local for the
 // duration, and only its backing array goes back into the engine, so
 // the loop stores nothing into the Engine struct.
-func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, out [][]MatchResult) (failed uint64, err error) {
+func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, base uint32, out []Record) (_ []Record, failed uint64, err error) {
 	stack := e.stack[:0]
 	if t := tables[sentinel]; t != nil {
 		stack = e.pushTable(stack, t, mask)
@@ -588,18 +655,15 @@ func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, out
 		// its record, then its own, read with the header.
 		own := nh.flags&flagOwnSub != 0
 		for sub := nh.firstSub; sub != nilOff || own; {
-			res := MatchResult{SubID: nh.ownID, ClientRef: nh.ownRef}
+			rec := Record{SubID: nh.ownID, ClientRef: nh.ownRef, Base: base, Mask: pass}
 			if sub != nilOff {
 				raw := e.acc.Read(sub, subRecordSize)
-				res = MatchResult{SubID: leUint64(raw[8:]), ClientRef: leUint32(raw[16:])}
+				rec.SubID, rec.ClientRef = leUint64(raw[8:]), leUint32(raw[16:])
 				sub = leUint64(raw[0:])
 			} else {
 				own = false
 			}
-			for m := pass; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				out[i] = append(out[i], res)
-			}
+			out = append(out, rec)
 		}
 		if nh.child == nilOff {
 			continue
@@ -611,7 +675,7 @@ func (e *Engine) walkForest(sentinel, mask uint64, tables map[uint64]*table, out
 		}
 	}
 	e.stack = stack
-	return failed, err
+	return out, failed, err
 }
 
 // chargeCompare charges the CPU cost of one covering test over n
@@ -627,11 +691,12 @@ func (e *Engine) chargeCompare(n int) {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	bytes := e.acc.Size()
 	return Stats{
 		Subscriptions: len(e.subIndex),
 		Nodes:         e.nodesLive,
 		Shards:        len(e.shards) + 1,
-		Bytes:         e.acc.Size(),
+		Bytes:         bytes,
 	}
 }
 

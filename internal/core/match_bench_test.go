@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -90,22 +91,24 @@ func quoteSpec(rng *rand.Rand, i int) pubsub.SubscriptionSpec {
 	}
 }
 
-// benchMatch times MatchAppendBatch calls of n events each and reports
-// per event: ns/op, metered line lookups, simulated µs and, if any, EPC
-// faults.
+// benchMatch times MatchRecords calls of n events each — the broker's
+// path — and reports per event: ns/op, the records the walks emit and
+// the matches they name, metered line lookups, simulated µs and, if
+// any, EPC faults.
 func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
-	out := make([][]MatchResult, n)
+	var recs []Record
 	batch := func(i int) {
-		for j := range out {
-			out[j] = out[j][:0]
-		}
-		if err := e.MatchAppendBatch(evs[i*n%len(evs):][:n], out); err != nil {
-			b.Fatal(err)
-		}
+		recs = e.MatchRecords(evs[i*n%len(evs):][:n], recs[:0])
 	}
+	records, matches := 0, 0
 	for i := 0; i < len(evs)/n; i++ {
-		batch(i) // grow the slots and the walk stack, fill the LLC model
+		batch(i) // grow the records and the walk stack, fill the LLC model
+		records += len(recs)
+		for _, r := range recs {
+			matches += bits.OnesCount64(r.Mask)
+		}
 	}
+	walked := float64(len(evs) / n * n)
 	meter := e.Accessor().Meter()
 	before := meter.C
 	b.ReportAllocs()
@@ -117,6 +120,8 @@ func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
 	events := float64((b.N + n - 1) / n * n)
 	d := meter.C.Sub(before)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/op")
+	b.ReportMetric(float64(records)/walked, "records/event")
+	b.ReportMetric(float64(matches)/walked, "matches/event")
 	b.ReportMetric(float64(d.LLCHits+d.LLCMisses)/events, "accesses/event")
 	b.ReportMetric(meter.Cost.Micros(d.Cycles)/events, "simus/event")
 	if d.PageFaults > 0 {
@@ -127,7 +132,7 @@ func benchMatch(b *testing.B, e *Engine, evs []*pubsub.Event, n int) {
 // BenchmarkMatchForest is the slice-match layer of the per-layer set:
 // events through a 10,000-subscription forest whose general shard
 // holds a third of them as roots, every access metered, one
-// MatchAppendBatch of n events per iteration. ns/op is per event, so
+// MatchRecords of n events per iteration. ns/op is per event, so
 // batch=1 reads against the figure this benchmark printed when it
 // matched one event per call; accesses/event (LLC lookups) and
 // simus/event are what the batch divides. The epc=store/2 runs repeat

@@ -69,9 +69,13 @@
 // — is passed over with its subtree, header and blob unread, and the
 // others' subtrees are walked in chain order. Events
 // that carry the same (attribute, value) share the walk of that shard.
-// Each event's results are those of matching it alone, in the same
-// order; a single event is the batch of one, with the simulated counts
-// the per-event walk had.
+// A matched node emits one Record per subscriber, carrying the mask of
+// the events that passed it, rather than one result per event: a
+// subscription that every event of a chunk matches costs one 24-byte
+// record. Filtered to one event, the records are that event's results
+// of matching it alone, in the same order (AppendRows expands them into
+// per-event rows); a single event is the batch of one, with the
+// simulated counts the per-event walk had.
 //
 // The arena only grows, but the engine reuses what it unlinks.
 // Unregister releases the subscriber record it removes — the list's
@@ -222,15 +226,17 @@ func (e *Engine) release(off uint64, size int) {
 // newNode serialises a record and returns its offset: a live node
 // whose own subscriber is subscription subID of clientRef, or, with nil
 // constraints and subID 0, a shard sentinel, which is not counted. The
-// header is written whole from the engine's scratch.
+// header and the constraint blob are encoded into the engine's scratch,
+// and the header is written whole.
 func (e *Engine) newNode(parent uint64, cs []pubsub.Constraint, subID uint64, clientRef uint32) (uint64, error) {
 	var blob []byte
 	if len(cs) > 0 {
 		var err error
-		blob, err = pubsub.AppendConstraints(nil, cs)
+		blob, err = pubsub.AppendConstraints(e.blobBuf[:0], cs)
 		if err != nil {
 			return 0, fmt.Errorf("core: encoding constraints: %w", err)
 		}
+		e.blobBuf = blob
 	}
 	size := e.nodeSize(len(blob))
 	if size > simmem.PageSize {

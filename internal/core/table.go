@@ -293,24 +293,6 @@ func (e *Engine) buildTable(node uint64) error {
 	return e.loadIndex(t, ents)
 }
 
-// releaseTable hands the leaves and directory pages of a node's table,
-// if it has one, to the next allocations of their size, as Unregister
-// releases the node.
-func (e *Engine) releaseTable(node uint64) {
-	t := e.tables[node]
-	if t == nil {
-		return
-	}
-	e.dirBuf = e.readDirs(t, 0, t.leaves, e.dirBuf[:0])
-	for j := 0; j < t.leaves; j++ {
-		e.release(decodeDir(e.dirBuf[j*dirEntrySize:]).leaf, leafSize)
-	}
-	for _, page := range t.dir {
-		e.release(page, simmem.PageSize)
-	}
-	delete(e.tables, node)
-}
-
 // scanTable is one level of insert at a tabled node, through its index:
 // every directory entry is tested for one predicate's cycles, and the
 // leaves that may hold a coverer or a covered child (newcomer.mayHold)
@@ -786,9 +768,8 @@ func (e *Engine) readDir(t *table, j int) leafSummary {
 
 // writeDir writes directory entry j.
 func (e *Engine) writeDir(t *table, j int, s leafSummary) {
-	var raw [dirEntrySize]byte
-	s.encode(raw[:])
-	e.writeDirs(t, j, raw[:])
+	s.encode(e.dirEnt[:])
+	e.writeDirs(t, j, e.dirEnt[:])
 }
 
 // shiftDir moves directory entries [j, t.leaves) by delta (±1) and
@@ -966,4 +947,22 @@ func (e *Engine) loadIndex(t *table, ents []byte) error {
 		}
 	}
 	return nil
+}
+
+// releaseTable hands the leaves and directory pages of a node's table,
+// if it has one, to the next allocations of their size, as Unregister
+// releases the node.
+func (e *Engine) releaseTable(node uint64) {
+	t := e.tables[node]
+	if t == nil {
+		return
+	}
+	e.dirBuf = e.readDirs(t, 0, t.leaves, e.dirBuf[:0])
+	for j := 0; j < t.leaves; j++ {
+		e.release(decodeDir(e.dirBuf[j*dirEntrySize:]).leaf, leafSize)
+	}
+	for _, page := range t.dir {
+		e.release(page, simmem.PageSize)
+	}
+	delete(e.tables, node)
 }

@@ -30,7 +30,7 @@ const (
 // router partition holds — in untrusted, EPC-paged or split memory,
 // driven through the calls the router makes. Subscriptions go in with
 // RegisterEncodedAssigned under IDs the runner issues; publications
-// are matched with MatchEncodedBatch, sealed headers opened first with
+// are matched with MatchRecords, sealed headers opened first with
 // one scrypto.Opener and charged with ChargeAES, as the router's slice
 // worker does.
 type runner struct {
@@ -48,10 +48,10 @@ type runner struct {
 
 	// headers is the publication batch prepare encoded.
 	headers [][]byte
-	// item, buf and out are matchOne's scratch.
+	// item, buf and recs are matchOne's scratch.
 	item [1][]byte
 	buf  []byte
-	out  [1][]core.MatchResult
+	recs []core.Record
 }
 
 // newRunner builds codec's slice in mem over schema. With sealed, the
@@ -206,7 +206,7 @@ func (r *runner) prepare(pubs []pubsub.EventSpec) error {
 }
 
 // match matches headers, per headers to an enclave entry, and returns
-// the slice's counter delta. Each header is a MatchEncodedBatch call
+// the slice's counter delta. Each header is a MatchRecords call
 // of its own: the figures price one matching operation per
 // publication, as the paper measures them, and per amortises the
 // enclave border, not the store pass.
@@ -239,8 +239,9 @@ func (r *runner) matchOne(header []byte) error {
 		r.buf, item = plain, plain
 	}
 	r.item[0] = item
-	r.out[0] = r.out[0][:0]
-	return r.slice.MatchEncodedBatch(r.item[:], r.out[:])
+	var err error
+	r.recs, err = r.slice.MatchRecords(r.item[:], r.recs[:0])
+	return err
 }
 
 // perOp is the simulated µs per operation of n operations that cost

@@ -164,9 +164,8 @@ type aspeSlice struct {
 	keyID string
 
 	// Match scratch, reused across calls: decoded publications (their
-	// point storage is recycled) and per-item match slots.
-	eps      []*aspe.EncodedPublication
-	batchOut [][]aspe.Match
+	// point storage is recycled).
+	eps []*aspe.EncodedPublication
 }
 
 func (s *aspeSlice) Configure(params []byte) error {
@@ -198,47 +197,25 @@ func (s *aspeSlice) RegisterEncodedAssigned(enc []byte, clientRef uint32, id uin
 
 func (s *aspeSlice) Unregister(id uint64) error { return s.store.Unregister(id) }
 
-// MatchEncodedBatch decodes the whole batch into reused scratch and
-// hands it to the store's chunked scan: one walk of the database per 64
+// MatchRecords decodes the whole batch into reused scratch and hands
+// it to the store's chunked scan: one walk of the database per 64
 // items, every ciphertext vector read once per walk however many items
 // are still live on its subscription, with point norms, tolerances and
-// the transposed Bloom prefilter set up once per walk.
-func (s *aspeSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error {
-	if len(out) < len(encs) {
-		return fmt.Errorf("scheme: %s batch result slots %d < items %d", ASPE, len(out), len(encs))
+// the transposed Bloom prefilter set up once per walk. The store's
+// records are the slice's: nothing is copied per match.
+func (s *aspeSlice) MatchRecords(encs [][]byte, out []core.Record) ([]core.Record, error) {
+	for len(s.eps) < len(encs) {
+		s.eps = append(s.eps, new(aspe.EncodedPublication))
 	}
-	s.growScratch(len(encs))
-	eps, slots := s.eps[:len(encs)], s.batchOut[:len(encs)]
-	for i, enc := range encs {
-		if err := aspe.DecodePublicationInto(enc, eps[i]); err != nil {
+	eps := s.eps[:len(encs)]
+	for i, ep := range eps {
+		if err := aspe.DecodePublicationInto(encs[i], ep); err != nil {
 			// Dropped: no store has dimension 0, so the scan skips
 			// the item.
-			eps[i].Dim = 0
+			ep.Dim = 0
 		}
-		slots[i] = slots[i][:0]
 	}
-	if err := s.store.MatchEncodedBatch(eps, slots); err != nil {
-		return err
-	}
-	for i, res := range slots {
-		out[i] = appendResults(out[i], res)
-	}
-	return nil
-}
-
-// growScratch makes room for n decoded publications and match slots.
-func (s *aspeSlice) growScratch(n int) {
-	for len(s.eps) < n {
-		s.eps = append(s.eps, new(aspe.EncodedPublication))
-		s.batchOut = append(s.batchOut, nil)
-	}
-}
-
-func appendResults(out []core.MatchResult, res []aspe.Match) []core.MatchResult {
-	for _, r := range res {
-		out = append(out, core.MatchResult{SubID: r.SubID, ClientRef: r.ClientRef})
-	}
-	return out
+	return s.store.MatchRecords(eps, out)
 }
 
 // Stats reports the arena footprint as Bytes: the peak live set of

@@ -34,18 +34,26 @@ func buildSlice(t *testing.T, name string, opts ...Option) (Codec, Slice) {
 	return codec, slice
 }
 
+// matchRows matches encs in one MatchRecords call and expands the
+// records into the rows of out, as the hub's MatchEncodedBatchIn does.
+func matchRows(slice Slice, encs [][]byte, out [][]core.MatchResult) error {
+	recs, err := slice.MatchRecords(encs, nil)
+	core.AppendRows(out, recs)
+	return err
+}
+
 // matchOne matches one header as a batch of one.
 func matchOne(t *testing.T, slice Slice, enc []byte) []core.MatchResult {
 	t.Helper()
 	out := make([][]core.MatchResult, 1)
-	if err := slice.MatchEncodedBatch([][]byte{enc}, out); err != nil {
+	if err := matchRows(slice, [][]byte{enc}, out); err != nil {
 		t.Fatal(err)
 	}
 	return out[0]
 }
 
 // matchBatchEquivalence is the batch-matching correctness property:
-// MatchEncodedBatch appends, for every item, exactly what a batch of
+// MatchRecords names, for every item, exactly what a batch of
 // that item alone appends — same IDs, same order — with undecodable
 // items contributing nothing, and it respects pre-existing content in
 // the result rows.
@@ -101,8 +109,8 @@ func matchBatchEquivalence(t *testing.T, name string, opts ...Option) {
 	for i := range out {
 		out[i] = []core.MatchResult{sentinel}
 	}
-	if err := slice.MatchEncodedBatch(encs, out); err != nil {
-		t.Fatalf("MatchEncodedBatch: %v", err)
+	if err := matchRows(slice, encs, out); err != nil {
+		t.Fatalf("MatchRecords: %v", err)
 	}
 	for i := range encs {
 		if len(out[i]) == 0 || out[i][0] != sentinel {
@@ -137,9 +145,8 @@ func TestMatchBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Result slots shorter than the batch.
-	if err := slice.MatchEncodedBatch([][]byte{blob, blob}, make([][]core.MatchResult, 1)); err == nil {
-		t.Fatal("short result slots accepted")
+	if _, err := slice.MatchRecords([][]byte{blob}, nil); err != nil {
+		t.Fatalf("a configured store failed the batch: %v", err)
 	}
 	// An unconfigured store fails the whole batch.
 	backend, err := Lookup(ASPE)
@@ -150,7 +157,7 @@ func TestMatchBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.MatchEncodedBatch([][]byte{blob}, make([][]core.MatchResult, 1)); err == nil {
+	if _, err := raw.MatchRecords([][]byte{blob}, nil); err == nil {
 		t.Fatal("unconfigured store matched a batch")
 	}
 }

@@ -122,18 +122,18 @@ func (s *PlainSlice) header(i int, enc []byte) (*pubsub.Event, error) {
 	return ev, nil
 }
 
-// MatchEncodedBatch parses every header into reused scratch, then
-// crosses into the engine once: one lock acquisition and one walk of
-// each forest per 64 items, every stored record read once per walk
-// however many items reach it — the sgx-plain counterpart of the ASPE
-// store's single database scan.
-func (s *PlainSlice) MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error {
+// MatchRecords parses every header into reused scratch, then crosses
+// into the engine once: one lock acquisition and one walk of each
+// forest per 64 items, every stored record read once per walk however
+// many items reach it — the sgx-plain counterpart of the ASPE store's
+// single database scan.
+func (s *PlainSlice) MatchRecords(encs [][]byte, out []core.Record) ([]core.Record, error) {
 	s.evs = s.evs[:0]
 	for i, enc := range encs {
 		ev, _ := s.header(i, enc) // nil: an undecodable item is dropped
 		s.evs = append(s.evs, ev)
 	}
-	return s.engine.MatchAppendBatch(s.evs, out)
+	return s.engine.MatchRecords(s.evs, out), nil
 }
 
 func (s *PlainSlice) Stats() SliceStats {

@@ -102,23 +102,27 @@ type Slice interface {
 	RegisterEncodedAssigned(enc []byte, clientRef uint32, id uint64) error
 	// Unregister removes a subscription by slice-local ID.
 	Unregister(id uint64) error
-	// MatchEncodedBatch matches a batch of publication headers in the
-	// scheme's encoding in one store pass, appending encs[i]'s matches
-	// to out[i] (len(out) must be at least len(encs)). An item that
-	// fails to decode or validate contributes nothing to its slot, under
+	// MatchRecords matches a batch of publication headers in the
+	// scheme's encoding in one store pass and appends to out one
+	// core.Record per subscription an item matched, its Mask the items
+	// of the record's chunk that matched it (bit i: item Base+i). An
+	// item that fails to decode or validate is named by no record, under
 	// the wire's fire-and-forget publish semantics, and does not affect
-	// the other items: each item's results are exactly what a batch of
-	// that item alone appends, in the same order. The error return is
-	// reserved for whole-store failures (an unconfigured store), where
-	// every item would have failed identically.
+	// the other items: the records that name an item name exactly what
+	// a batch of that item alone matches, in the same order
+	// (core.AppendRows expands them into per-item rows). The error
+	// return is reserved for whole-store failures (an unconfigured
+	// store), where every item would have failed identically.
 	// Both schemes pass over the store once per chunk of 64 items rather
 	// than once per item, the items still live on the path one bit each
 	// of a mask: ASPE scans its subscriptions, the Bloom prefilter and
 	// then each sign test clearing bits, and reads a ciphertext vector
 	// once while any item is live on it; sgx-plain walks each
 	// containment forest once. A stored line is therefore metered once
-	// per pass, while per-item compute is still charged per item.
-	MatchEncodedBatch(encs [][]byte, out [][]core.MatchResult) error
+	// per pass, while per-item compute is still charged per item; and a
+	// subscription is one record per pass, whatever number of items
+	// match it.
+	MatchRecords(encs [][]byte, out []core.Record) ([]core.Record, error)
 	// Stats summarises the store.
 	Stats() SliceStats
 	// Accessor exposes the slice's metered memory (experiment and

@@ -191,7 +191,7 @@ func TestNaNPublicationMatchesNothing(t *testing.T) {
 		t.Fatalf("NaN price alone matched %v; want nothing", got)
 	}
 	out := make([][]core.MatchResult, 3)
-	if err := slice.MatchEncodedBatch([][]byte{header(25), nan, header(math.Inf(1))}, out); err != nil {
+	if err := matchRows(slice, [][]byte{header(25), nan, header(math.Inf(1))}, out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out[0]) != 3 || len(out[1]) != 0 || len(out[2]) != 1 {

@@ -43,7 +43,7 @@ import (
 // scheme slices (NewFromSlices / NewFromSlicesPlaced). Every partition
 // is a scheme-provided Slice storing whatever the scheme's wire
 // encoding carries (sgx-plain, aspe, ...), so the surface is the
-// encoded one: RegisterEncodedAt, UnregisterIn, MatchEncodedBatchIn.
+// encoded one: RegisterEncodedAt, UnregisterIn, MatchRecordsIn.
 //
 // The hub assigns every subscription a full 64-bit ID up front —
 // shard index in the top byte, a per-shard sequence below — and hands
@@ -64,6 +64,9 @@ type Hub struct {
 	owner  map[uint64]int // subscription ID → owning slice
 	// shardSeq is the per-shard ID sequence (next = shardSeq+1).
 	shardSeq []uint64
+	// recs[i] is MatchEncodedBatchIn's record scratch for partition i,
+	// used only under the caller's serialisation of that partition.
+	recs [][]core.Record
 }
 
 // Hub subscription IDs pack the virtual shard index into the top byte
@@ -121,6 +124,7 @@ func NewFromSlicesPlaced(schema *pubsub.Schema, slices []scheme.Slice, pm *place
 		}
 		h.parts = append(h.parts, s)
 	}
+	h.recs = make([][]core.Record, len(h.parts))
 	return h, nil
 }
 
@@ -257,16 +261,29 @@ func (h *Hub) DropCopy(slice int, hubID uint64) {
 	_ = h.parts[slice].Unregister(hubID)
 }
 
-// MatchEncodedBatchIn matches a batch of wire-encoded publication
-// headers against partition i in one store pass, appending encs[j]'s
-// matches to out[j]. Stored IDs are hub IDs, so the results need no
-// rewriting. The per-item append semantics are the slice's
-// MatchEncodedBatch: items that fail to decode contribute nothing, and
-// the error return is reserved for whole-store failures. Safe to call
-// concurrently for different partitions (the broker's parallel fan-out
-// does).
+// MatchRecordsIn matches a batch of wire-encoded publication headers
+// against partition i in one store pass and appends the slice's records
+// to out: one per matched subscription, its Mask the items that matched
+// it (scheme.Slice.MatchRecords). Stored IDs are hub IDs, so the
+// records need no rewriting. Items that fail to decode are named by no
+// record, and the error return is reserved for whole-store failures.
+// Safe to call concurrently for different partitions (the broker's
+// slice workers do).
+func (h *Hub) MatchRecordsIn(i int, encs [][]byte, out []core.Record) ([]core.Record, error) {
+	return h.parts[i].MatchRecords(encs, out)
+}
+
+// MatchEncodedBatchIn is MatchRecordsIn expanded into per-item rows:
+// encs[j]'s matches are appended to out[j]. The caller serialises calls
+// per partition, as for every other store touch.
 func (h *Hub) MatchEncodedBatchIn(i int, encs [][]byte, out [][]core.MatchResult) error {
-	return h.parts[i].MatchEncodedBatch(encs, out)
+	if len(out) < len(encs) {
+		return fmt.Errorf("streamhub: batch result slots %d < items %d", len(out), len(encs))
+	}
+	recs, err := h.parts[i].MatchRecords(encs, h.recs[i][:0])
+	h.recs[i] = recs
+	core.AppendRows(out, recs)
+	return err
 }
 
 // AddSlice appends a new scheme slice to the hub (the grow half of a
@@ -280,6 +297,7 @@ func (h *Hub) AddSlice(s scheme.Slice) error {
 		return fmt.Errorf("streamhub: %d slices exceed the %d-shard placement map", len(h.parts)+1, h.pm.Shards())
 	}
 	h.parts = append(h.parts, s)
+	h.recs = append(h.recs, nil)
 	return nil
 }
 
@@ -300,9 +318,9 @@ func (h *Hub) RemoveSlicesFrom(k int) error {
 	}
 	h.mu.Unlock()
 	for i := k; i < len(h.parts); i++ {
-		h.parts[i] = nil
+		h.parts[i], h.recs[i] = nil, nil
 	}
-	h.parts = h.parts[:k]
+	h.parts, h.recs = h.parts[:k], h.recs[:k]
 	return nil
 }
 

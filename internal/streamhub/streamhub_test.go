@@ -316,6 +316,11 @@ func TestHubValidation(t *testing.T) {
 	if per, total := sliceCounts(hub); total != 0 {
 		t.Fatalf("per-slice counts = %v", per)
 	}
+	// Result rows shorter than the batch.
+	ev := encodeEvent(t, pubsub.EventSpec{Attrs: []pubsub.NamedValue{{Name: "price", Value: pubsub.Float(1)}}})
+	if err := hub.MatchEncodedBatchIn(0, [][]byte{ev, ev}, make([][]core.MatchResult, 1)); err == nil {
+		t.Fatal("short result slots accepted")
+	}
 }
 
 func TestHubDirectSliceAPI(t *testing.T) {
