@@ -34,7 +34,6 @@
 package broker
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -58,7 +57,8 @@ const pipelineDepth = 128
 // walk's width, the events the forest walk and the ASPE scan serve per
 // pass. A group that reaches it closes; the job that crosses it stays
 // in the group, so a group holds fewer than groupEvents items plus one
-// message.
+// message, and its records — one list, which every job of the group
+// reads its window of — span as many walk chunks as that takes.
 const groupEvents = pubsub.ColumnEvents
 
 // partition is one matcher slice: an enclave, its scheme store (a
@@ -66,7 +66,9 @@ const groupEvents = pubsub.ColumnEvents
 // encoding), and the slice's job queue and resident worker. The
 // partition lock serialises enclave entries and meter access for this
 // slice only; other slices, the control plane, and delivery never wait
-// on it. Its open is the broker's one SK-envelope open.
+// on it. Its open is the broker's one SK-envelope open. It keeps no
+// match results: a drained group's records go to the group's last job
+// (matchJob), where the merger reads them.
 type partition struct {
 	idx     int
 	enclave *sgx.Enclave
@@ -88,27 +90,30 @@ type partition struct {
 	// workerDone closes when the worker has drained it and exited.
 	jobs       chan *matchJob
 	workerDone chan struct{}
-
-	// recs, jobOf and jobLo, guarded by mu, are a drained group's
-	// records, the job of each of its items and each job's first item,
-	// while the records are split per job.
-	recs         []core.Record
-	jobOf, jobLo []int32
 }
 
 // matchJob is one wire message — a whole publish-batch — in flight
 // through the matching layer: the per-item header/payload views plus
-// the merge state the slices fill in. perPart[p] is slice p's records
-// for the message, bit i of a record's Mask naming item Base+i: every
-// slot is sized by the dispatcher and written only by its own slice, so
+// the merge state the slices fill in. Slice p matches the job as part
+// of a drained group and writes the group's records once, into the
+// group's last job's perPart[p]; parts[p] is this job's view of that
+// list, lo its first item within the group (recordView). Every slot is
+// sized by the dispatcher and written only by its own slice, so
 // contribution is lock-free — no merge mutex, no append-growth under a
 // lock. Jobs are recycled once the merger has delivered them.
+//
+// A buffer outlives every view of it: the merger delivers jobs in
+// dispatch order, and a slice's queue holds them in that order, so the
+// last job of a group — the one whose buffer the group's views read —
+// is delivered, and recycled, after every earlier job of the group.
+// No view outlives its delivery either: releaseJob clears them.
 type matchJob struct {
 	blobs    [][]byte // per-item encrypted/encoded headers
 	payloads [][]byte // per-item group-key payloads
 	epoch    uint64
 
-	perPart [][]core.Record // [slice] the slice's records
+	perPart [][]core.Record // [slice] records of the group this job ended
+	parts   []recordView    // [slice] this job's view of its group's records
 
 	// pending counts the slices yet to contribute; the last one hands
 	// the merger a token on done (capacity 1, so the job is reusable).
@@ -120,6 +125,14 @@ type matchJob struct {
 	// Every real job dispatched before the sentinel has been merged and
 	// delivered by the time it closes.
 	flush chan struct{}
+}
+
+// recordView is one job's view of a drained group's records on one
+// slice: recs are the group's, bit i of a record's Mask naming group
+// item Base+i, and the job's items are the group's lo, lo+1, and so on.
+type recordView struct {
+	recs []core.Record
+	lo   int
 }
 
 // forEachPublication visits the publication items a publish or
@@ -193,21 +206,22 @@ func (r *Router) acquireJob(m *Message) *matchJob {
 		grown := make([][]core.Record, k)
 		copy(grown, job.perPart[:cap(job.perPart)])
 		job.perPart = grown
+		job.parts = make([]recordView, k)
 	}
 	job.perPart = job.perPart[:k]
-	for p := range job.perPart {
-		job.perPart[p] = job.perPart[p][:0]
-	}
+	job.parts = job.parts[:k]
 	job.pending.Store(int32(k))
 	return job
 }
 
 // releaseJob clears the job's references to message bytes (so the free
-// list never pins a frame) and recycles it. The record slots keep their
+// list never pins a frame) and its views (so a free job pins no other
+// job's records), and recycles it. The record slots keep their
 // capacity — that is the point of recycling them.
 func (r *Router) releaseJob(job *matchJob) {
 	clear(job.blobs)
 	clear(job.payloads)
+	clear(job.parts)
 	job.blobs = job.blobs[:0]
 	job.payloads = job.payloads[:0]
 	r.jobs.put(job)
@@ -372,9 +386,10 @@ func (p *partition) drain(group []*matchJob) []*matchJob {
 // schemes (aspe) hand the blobs to the store as-is. An item whose
 // envelope fails authentication is blanked, so the scheme's decoder
 // drops it exactly as the per-item path did. The caller holds p.mu and
-// has accounted the enclave entry. Records land in each job's
-// perPart[p.idx] — this slice's own slot: a lone job's straight from
-// the store, a group's split per job (splitRecords).
+// has accounted the enclave entry. The group's records land once, in
+// its last job's perPart[p.idx] — this slice's own slot — and each job
+// of the group, a lone one too, gets a view of them from its first
+// item on (matchJob: why the last job's buffer outlives the views).
 //
 // scbr:vet enclave-boundary: sliceWorker, the only caller, charges the entry under either transition policy — it wraps this in an Ecall body, or is the resident switchless worker whose one transition was charged when it entered
 func (r *Router) matchSliceBatch(p *partition, group []*matchJob, sk *scrypto.SymmetricKey) {
@@ -402,52 +417,16 @@ func (r *Router) matchSliceBatch(p *partition, group []*matchJob, sk *scrypto.Sy
 	}
 	// A store-level error (an unconfigured store) contributes nothing
 	// for any item, exactly as every per-item call would have failed.
-	if len(group) == 1 {
-		job := group[0]
-		job.perPart[p.idx], _ = r.hub.MatchRecordsIn(p.idx, p.enc, job.perPart[p.idx])
-	} else {
-		p.recs, _ = r.hub.MatchRecordsIn(p.idx, p.enc, p.recs[:0])
-		p.splitRecords(group, p.recs)
+	last := group[len(group)-1]
+	recs, _ := r.hub.MatchRecordsIn(p.idx, p.enc, last.perPart[p.idx][:0])
+	last.perPart[p.idx] = recs
+	lo := 0
+	for _, job := range group {
+		job.parts[p.idx] = recordView{recs: recs, lo: lo}
+		lo += len(job.blobs)
 	}
 	if !sealed {
 		clear(p.enc) // the blobs are frame bytes: pin none past the group
-	}
-}
-
-// splitRecords hands each job of a drained group its share of the
-// group's records, in their order. A record names group items
-// Base+i; the bits that fall in one job's items become a record of that
-// job, shifted so that its Base+i names the job's own item. The caller
-// holds p.mu.
-func (p *partition) splitRecords(group []*matchJob, recs []core.Record) {
-	p.jobOf, p.jobLo = p.jobOf[:0], p.jobLo[:0]
-	for j, job := range group {
-		p.jobLo = append(p.jobLo, int32(len(p.jobOf)))
-		for range job.blobs {
-			p.jobOf = append(p.jobOf, int32(j))
-		}
-	}
-	for _, rec := range recs {
-		b := int(rec.Base)
-		for m := rec.Mask; m != 0; {
-			j := p.jobOf[b+bits.TrailingZeros64(m)]
-			job := group[j]
-			// The job's items are [lo, lo+len(job.blobs)); the bits of m
-			// below its first are gone already.
-			lo := int(p.jobLo[j])
-			part := m
-			if w := lo + len(job.blobs) - b; w < 64 {
-				part &= 1<<uint(w) - 1
-			}
-			m &^= part
-			share := rec
-			if lo > b {
-				share.Base, share.Mask = 0, part>>uint(lo-b)
-			} else {
-				share.Base, share.Mask = uint32(b-lo), part
-			}
-			job.perPart[p.idx] = append(job.perPart[p.idx], share)
-		}
 	}
 }
 
@@ -490,7 +469,7 @@ func (r *Router) deliveryMerger() {
 			continue
 		}
 		<-job.done
-		r.deliver(&fan, job.perPart, job.payloads, job.epoch, r.dedupActive.Load())
+		r.deliver(&fan, job.parts, job.payloads, job.epoch, r.dedupActive.Load())
 		r.releaseJob(job)
 	}
 }

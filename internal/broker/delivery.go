@@ -760,17 +760,20 @@ type clientGroup struct {
 // deliver is step ⑥ for one wire message: hand each item's
 // still-encrypted payload once to every matched client's outbound
 // queue, whatever number of its subscriptions matched. parts are the
-// message's records, one list per slice in slice order, bit i of a
-// record's Mask naming item Base+i (core.Record). The delivery names
-// every matched subscription of that client in slice order and then
-// match order, so client-side Subscription handles can route it without
-// decrypting twice; each frame is stamped with the client's delivery
-// cursor by enqueueTo, items in order. It works in two passes. The
-// first resolves each record's client once, for every item its mask
-// names: a client's delivery state is resolved the first time the
-// message names it, and a client that has never listened here has
-// none, so each of its records costs one slot lookup and nothing is
-// built for it. The second scatters only the listening clients'
+// message's views of its drained groups' records, one per slice in
+// slice order (recordView): a record's Mask bit i names group item
+// Base+i (core.Record), which is the message's item Base+i-lo, and
+// only the bits that fall among the message's items count. The
+// delivery names every matched subscription of that client in slice
+// order and then match order, so client-side Subscription handles can
+// route it without decrypting twice; each frame is stamped with the
+// client's delivery cursor by enqueueTo, items in order. It works in
+// two passes. The first cuts each record to the message's items,
+// skipping a record left with none, and resolves its client once, for
+// every item its mask names: a client's delivery state is resolved the
+// first time the message names it, and a client that has never
+// listened here has none, so each of its records costs one slot lookup
+// and nothing is built for it. The second scatters only the listening clients'
 // records into their items and groups each item's matches by client.
 // While a migration's two-copy window is open (dedup) a subscription
 // can exist on both its source and destination slice and match twice
@@ -778,15 +781,33 @@ type clientGroup struct {
 // Forwarded publications arriving over federation links take this
 // same path, so cross-router deliveries ride local cursors like any
 // other.
-func (r *Router) deliver(fan *fanout, parts [][]core.Record, payloads [][]byte, epoch uint64, dedup bool) {
+func (r *Router) deliver(fan *fanout, parts []recordView, payloads [][]byte, epoch uint64, dedup bool) {
 	groups, kept := fan.groups[:0], fan.kept[:0]
-	if cap(fan.ends) < len(payloads) {
-		fan.ends = make([]int32, len(payloads))
+	items := len(payloads)
+	if cap(fan.ends) < items {
+		fan.ends = make([]int32, items)
 	}
-	ends := fan.ends[:len(payloads)]
+	ends := fan.ends[:items]
 	clear(ends)
-	for _, recs := range parts {
-		for _, rec := range recs {
+	for _, v := range parts {
+		for _, rec := range v.recs {
+			// Rebase the record to the message's items: bits of earlier
+			// jobs' items shift out, bits of later ones are masked off.
+			b, m := int(rec.Base)-v.lo, rec.Mask
+			if b < 0 {
+				m >>= uint(-b)
+				b = 0
+			}
+			if b >= items {
+				continue
+			}
+			if w := items - b; w < 64 {
+				m &= 1<<uint(w) - 1
+			}
+			if m == 0 {
+				continue
+			}
+			rec.Base, rec.Mask = uint32(b), m
 			ref := rec.ClientRef
 			if n := int(ref) + 1; n > len(fan.slot) {
 				fan.slot = append(fan.slot, make([]int32, n-len(fan.slot))...)

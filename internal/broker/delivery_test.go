@@ -26,12 +26,13 @@ func (t *deliveryTable) enqueue(name string, m *Message) {
 }
 
 // itemRecords lays one item's per-slice matches out as deliver takes
-// them: a record per match, naming item 0.
-func itemRecords(rows [][]core.MatchResult) [][]core.Record {
-	parts := make([][]core.Record, len(rows))
+// them: a lone message's view per slice, a record per match, naming
+// item 0.
+func itemRecords(rows [][]core.MatchResult) []recordView {
+	parts := make([]recordView, len(rows))
 	for p, row := range rows {
 		for _, m := range row {
-			parts[p] = append(parts[p], core.Record{SubID: m.SubID, ClientRef: m.ClientRef, Mask: 1})
+			parts[p].recs = append(parts[p].recs, core.Record{SubID: m.SubID, ClientRef: m.ClientRef, Mask: 1})
 		}
 	}
 	return parts
@@ -809,13 +810,13 @@ func TestDisabledReplayRing(t *testing.T) {
 // both slices; client c listens too; and one subscription of a sits on
 // both slices under one ID, as in a migration's two-copy window. A
 // message of 100 items (two walk chunks, with undecodable items) is
-// matched as a group of three jobs — split per job across the chunk
-// boundary — and as three lone jobs. Either way every listening
-// client receives, in item order, one delivery per item it matched,
-// its SubIDs in slice order and then walk order exactly as matching
-// the item alone on each slice gives them; the duplicate is named
-// twice outside the window and once inside it (dedup); and nothing is
-// built for q.
+// matched as a group of three jobs — each job reading its window of
+// the group's records, across the chunk boundary — and as three lone
+// jobs. Either way every listening client receives, in item order,
+// one delivery per item it matched, its SubIDs in slice order and then
+// walk order exactly as matching the item alone on each slice gives
+// them; the duplicate is named twice outside the window and once
+// inside it (dedup); and nothing is built for q.
 func TestDeliverRecordsAcrossSlices(t *testing.T) {
 	const a, q, c = 0, 1, 2
 	const dupID = 1 << 20
@@ -913,7 +914,7 @@ func TestDeliverRecordsAcrossSlices(t *testing.T) {
 			var jobs []*matchJob
 			lo := 0
 			for _, n := range []int{1, 39, 60} {
-				job := &matchJob{blobs: blobs[lo : lo+n], perPart: make([][]core.Record, len(parts))}
+				job := &matchJob{blobs: blobs[lo : lo+n], perPart: make([][]core.Record, len(parts)), parts: make([]recordView, len(parts))}
 				for i := lo; i < lo+n; i++ {
 					job.payloads = append(job.payloads, []byte{byte(i)})
 				}
@@ -931,7 +932,7 @@ func TestDeliverRecordsAcrossSlices(t *testing.T) {
 			}
 			var fan fanout
 			for _, job := range jobs {
-				r.deliver(&fan, job.perPart, job.payloads, 3, dedup)
+				r.deliver(&fan, job.parts, job.payloads, 3, dedup)
 			}
 			for _, name := range []string{"a", "c"} {
 				ring := table.clients[name].ring
@@ -954,5 +955,221 @@ func TestDeliverRecordsAcrossSlices(t *testing.T) {
 			}
 			table.close(time.Second)
 		}
+	}
+}
+
+// bandSlices builds a hub of two plain slices holding overlapping
+// price bands: refs 0 and 1 (which never listens in the tests) on
+// every band, in alternation across the slices, ref 2 on every third.
+func bandSlices(t *testing.T) *streamhub.Hub {
+	t.Helper()
+	schema := pubsub.NewSchema()
+	var parts []scheme.Slice
+	for range 2 {
+		e, err := core.NewEngine(simmem.NewPlainAccessor(simmem.DefaultCost()), schema, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, scheme.NewPlainSlice(e, schema))
+	}
+	hub, err := streamhub.NewFromSlices(schema, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 12; k++ {
+		sp := pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(float64(k * 8)), Hi: pubsub.Float(float64(k*8 + 30))}}}
+		enc, err := pubsub.EncodeSubscriptionSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ref := uint32(0); ref < 3; ref++ {
+			if ref == 2 && k%3 != 0 {
+				continue
+			}
+			if err := parts[k%2].RegisterEncodedAssigned(enc, ref, uint64(10*k+int(ref)+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return hub
+}
+
+// priceBatch is a publish-batch of n events priced from rng over
+// [0, 120), each item's payload its number from first on.
+func priceBatch(t *testing.T, rng *rand.Rand, first, n int) *Message {
+	t.Helper()
+	m := &Message{Type: TypePublishBatch}
+	for i := first; i < first+n; i++ {
+		enc, err := pubsub.EncodeEventSpec(pubsub.EventSpec{Attrs: []pubsub.NamedValue{{Name: "price", Value: pubsub.Float(float64(rng.Intn(120)))}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Items = append(m.Items, BatchItem{Blob: enc, Payload: []byte{byte(i)}})
+	}
+	return m
+}
+
+// TestGroupRecordsOutliveRecycledJobs: a drained group's records live
+// in its last job's slot, so they survive the group's first job being
+// delivered, recycled and reused for a later message before the rest
+// of the group is delivered. Three jobs (30, 50 and 20 items, the
+// middle one across the 64-event chunk boundary) are matched as one
+// group on both slices; job 0 is delivered and released, comes back
+// from the free list for a lone message of new events and is matched
+// into its own slots; then jobs 1 and 2 and the lone job are
+// delivered. Every delivery equals the one the same messages give
+// matched one by one as lone jobs. Keeping the group's records on the
+// partition, or in the first job's slot, hands jobs 1 and 2 the lone
+// message's records instead.
+func TestGroupRecordsOutliveRecycledJobs(t *testing.T) {
+	hub := bandSlices(t)
+	newRouter := func() *Router {
+		table := newDeliveryTable(4, 1024, OverflowDropOldest, -1)
+		t.Cleanup(func() { table.close(time.Second) })
+		for _, name := range []string{"a", "c"} {
+			table.clients[name] = &clientState{name: name}
+		}
+		return &Router{hub: hub, backend: &scheme.Backend{}, delivery: table, refName: []string{"a", "q", "c"},
+			parts: []*partition{{idx: 0}, {idx: 1}}}
+	}
+	rng := rand.New(rand.NewSource(9))
+	msgs := []*Message{priceBatch(t, rng, 0, 30), priceBatch(t, rng, 30, 50), priceBatch(t, rng, 80, 20), priceBatch(t, rng, 100, 10)}
+
+	ref := newRouter()
+	var refFan fanout
+	for _, m := range msgs {
+		job := ref.acquireJob(m)
+		for _, p := range ref.parts {
+			ref.matchSliceBatch(p, []*matchJob{job}, nil)
+		}
+		ref.deliver(&refFan, job.parts, job.payloads, 1, false)
+		ref.releaseJob(job)
+	}
+
+	r := newRouter()
+	var fan fanout
+	group := []*matchJob{r.acquireJob(msgs[0]), r.acquireJob(msgs[1]), r.acquireJob(msgs[2])}
+	for _, p := range r.parts {
+		r.matchSliceBatch(p, group, nil)
+	}
+	r.deliver(&fan, group[0].parts, group[0].payloads, 1, false)
+	r.releaseJob(group[0])
+	lone := r.acquireJob(msgs[3])
+	if lone != group[0] {
+		t.Fatal("the free list did not hand back the job just released")
+	}
+	for _, p := range r.parts {
+		r.matchSliceBatch(p, []*matchJob{lone}, nil)
+	}
+	for _, job := range []*matchJob{group[1], group[2], lone} {
+		r.deliver(&fan, job.parts, job.payloads, 1, false)
+	}
+
+	for _, name := range []string{"a", "c"} {
+		got, want := r.delivery.clients[name].ring, ref.delivery.clients[name].ring
+		if len(want) < 20 {
+			t.Fatalf("%s: the reference has %d deliveries; the corpus should match it often", name, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s received %d deliveries, want %d", name, len(got), len(want))
+		}
+		for k := range want {
+			if got[k].Cursor != want[k].Cursor || !bytes.Equal(got[k].Payload, want[k].Payload) || !slices.Equal(got[k].SubIDs, want[k].SubIDs) {
+				t.Fatalf("%s's delivery %d = cursor %d item %v SubIDs %v; want cursor %d item %v SubIDs %v",
+					name, k, got[k].Cursor, got[k].Payload, got[k].SubIDs, want[k].Cursor, want[k].Payload, want[k].SubIDs)
+			}
+		}
+	}
+	for _, job := range []*matchJob{group[1], group[2], lone} {
+		r.releaseJob(job)
+	}
+	if slices.ContainsFunc(lone.parts, func(v recordView) bool { return v.recs != nil }) {
+		t.Fatal("a released job still views records")
+	}
+}
+
+// TestDeliverJobWindow holds deliver's cut of a drained group's records
+// to one job's window to the group's rows expanded by core.AppendRows:
+// job item i receives exactly group row lo+i's matches, grouped by
+// listening client. The cases put bits at lo-1, lo, lo+n-1 and lo+n,
+// a job across item 64 under records based at 0 and at 64, and a job
+// of 64 items at lo = 0. An off-by-one in the shift, a window mask
+// left off (or one bit wide), and a Base not rebased to the job each
+// fail it.
+func TestDeliverJobWindow(t *testing.T) {
+	const a, q, c = 0, 1, 2
+	rec := func(id uint64, ref uint32, base uint32, items ...int) core.Record {
+		r := core.Record{SubID: id, ClientRef: ref, Base: base}
+		for _, i := range items {
+			r.Mask |= 1 << uint(i)
+		}
+		return r
+	}
+	full := func(n int) []int {
+		items := make([]int, n)
+		for i := range items {
+			items[i] = i
+		}
+		return items
+	}
+	for _, tc := range []struct {
+		name      string
+		items, lo int // the group's items and the job's first
+		n         int // the job's items
+		recs      []core.Record
+	}{
+		{"edges", 40, 10, 20, []core.Record{
+			rec(1, a, 0, 9), rec(2, c, 0, 10), rec(3, a, 0, 29), rec(4, c, 0, 30),
+			rec(5, a, 0, 9, 10), rec(6, q, 0, 10, 29), rec(7, c, 0, 29, 30), rec(8, a, 0, full(40)...),
+			rec(9, c, 10, 0, 19, 20), rec(10, a, 9, 0, 1, 20, 21),
+		}},
+		{"across 64", 100, 50, 30, []core.Record{
+			rec(1, a, 0, 49), rec(2, a, 0, 50), rec(3, c, 0, 63), rec(4, a, 0, full(64)...),
+			rec(5, c, 64, 0), rec(6, a, 64, 15), rec(7, c, 64, 16), rec(8, a, 64, full(36)...),
+			rec(9, q, 64, 0, 15), rec(10, c, 40, 9, 10, 39, 40), rec(11, a, 0, 63), rec(12, a, 64, 0),
+		}},
+		{"64 at lo 0", 100, 0, 64, []core.Record{
+			rec(1, a, 0, full(64)...), rec(2, c, 0, 0), rec(3, a, 0, 63), rec(4, c, 64, 0),
+			rec(5, a, 64, full(36)...), rec(6, c, 36, 27, 28), rec(7, q, 0, 0, 63),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			table := newDeliveryTable(4, 128, OverflowDropOldest, -1)
+			defer table.close(time.Second)
+			for _, name := range []string{"a", "c"} {
+				table.clients[name] = &clientState{name: name}
+			}
+			r := &Router{delivery: table, refName: []string{"a", "q", "c"}}
+			payloads := make([][]byte, tc.n)
+			for i := range payloads {
+				payloads[i] = []byte{byte(i)}
+			}
+			var fan fanout
+			r.deliver(&fan, []recordView{{recs: tc.recs, lo: tc.lo}}, payloads, 1, false)
+
+			rows := make([][]core.MatchResult, tc.items)
+			core.AppendRows(rows, tc.recs)
+			want := map[string][][]uint64{}
+			for i := range tc.n {
+				ids := map[uint32][]uint64{}
+				for _, m := range rows[tc.lo+i] {
+					ids[m.ClientRef] = append(ids[m.ClientRef], m.SubID)
+				}
+				for name, ref := range map[string]uint32{"a": a, "c": c} {
+					if len(ids[ref]) > 0 {
+						want[name] = append(want[name], append([]uint64{uint64(i)}, ids[ref]...))
+					}
+				}
+			}
+			for _, name := range []string{"a", "c"} {
+				var got [][]uint64
+				for _, m := range table.clients[name].ring {
+					got = append(got, append([]uint64{uint64(m.Payload[0])}, m.SubIDs...))
+				}
+				if !slices.EqualFunc(got, want[name], slices.Equal) {
+					t.Fatalf("%s received [item SubIDs…] %v, want %v", name, got, want[name])
+				}
+			}
+		})
 	}
 }

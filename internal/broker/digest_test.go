@@ -217,7 +217,7 @@ func TestRegisterUnderCurrentKey(t *testing.T) {
 		r.matchSliceBatch(p, []*matchJob{job}, r.keys())
 		p.mu.Unlock()
 		var got []uint64
-		for _, rec := range job.perPart[0] {
+		for _, rec := range job.parts[0].recs {
 			got = append(got, rec.SubID)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
