@@ -151,7 +151,7 @@ func match(t testing.TB, scheme *Scheme, store *Store, ev *pubsub.Event) []uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := store.MatchEncoded(ep, nil)
+	res, err := matchOne(store, ep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestCiphertextsDifferFromPlain(t *testing.T) {
 
 func TestMatchEncryptedDimensionCheck(t *testing.T) {
 	_, store := newTestMatcher(t, false)
-	if _, err := store.MatchEncoded(&EncodedPublication{Dim: 3, Point: make([]float64, 3)}, nil); err == nil {
+	if _, err := matchOne(store, &EncodedPublication{Dim: 3, Point: make([]float64, 3)}, nil); err == nil {
 		t.Fatal("wrong-dimension point accepted")
 	}
 }

@@ -124,7 +124,7 @@ func TestNonFinitePointMatchesNothing(t *testing.T) {
 			var dec EncodedPublication
 			err = DecodePublicationInto(raw, &dec)
 			if err == nil {
-				got, err := store.MatchEncoded(&dec, nil)
+				got, err := matchOne(store, &dec, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -286,7 +286,7 @@ func TestScanKernelPathsAgree(t *testing.T) {
 						haveKernel = s != portable
 						if s == always {
 							core.AppendRows(results[si], s.scan(eps, 0, nil, 1))
-						} else if err := s.MatchEncodedBatch(eps, results[si]); err != nil {
+						} else if err := matchRows(s, eps, results[si]); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -249,7 +249,7 @@ func TestScanVectorOrderInvariant(t *testing.T) {
 	for k, store := range stores {
 		order := []string{"bounds first", "presence first", "shuffled"}[k]
 		for i, ep := range eps {
-			got, err := store.MatchEncoded(ep, nil)
+			got, err := matchOne(store, ep, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestScanVectorOrderInvariant(t *testing.T) {
 		}
 		for base := 0; base < len(eps); base += 8 {
 			out := make([][]Match, 8)
-			if err := store.MatchEncodedBatch(eps[base:base+8], out); err != nil {
+			if err := matchRows(store, eps[base:base+8], out); err != nil {
 				t.Fatal(err)
 			}
 			for j, got := range out {

@@ -134,10 +134,36 @@ func (b *scanBed) event() *EncodedPublication {
 	return ep
 }
 
+// matchRows is MatchRecords expanded into per-item rows
+// (core.AppendRows): eps and out are parallel, and each item's matches
+// are appended to its slot.
+func matchRows(s *Store, eps []*EncodedPublication, out [][]Match) error {
+	if len(out) < len(eps) {
+		return fmt.Errorf("aspe: batch result slots %d < publications %d", len(out), len(eps))
+	}
+	recs, err := s.MatchRecords(eps, nil)
+	core.AppendRows(out, recs)
+	return err
+}
+
+// matchOne is matchRows for one publication, appending its matches to
+// out; a point the store does not take is refused with an error.
+func matchOne(s *Store, ep *EncodedPublication, out []Match) ([]Match, error) {
+	if s.dim != 0 && !s.accepts(ep) {
+		return nil, fmt.Errorf("aspe: point has dimension %d, store expects %d", ep.Dim, s.dim)
+	}
+	outs := [][]Match{out}
+	if err := matchRows(s, []*EncodedPublication{ep}, outs); err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
 // TestBatchScan holds the chunked scan to the two loops it replaced,
-// on four stores fed the same registrations: MatchEncodedBatch against
-// matchBatchRef (run chunk by chunk, so a batch over 64 re-reads there
-// too) and MatchEncoded against matchPerItem — the same matches in the
+// on four stores fed the same registrations: MatchRecords' rows
+// (matchRows) against matchBatchRef (run chunk by chunk, so a batch over
+// 64 re-reads there too) and one event's (matchOne) against
+// matchPerItem — the same matches in the
 // same order, and after every call every simmem counter equal.
 func TestBatchScan(t *testing.T) {
 	for _, nAttrs := range []int{4, 11} {
@@ -205,11 +231,11 @@ func testBatchScan(t *testing.T, bed *scanBed, prefilter bool, seed int64) {
 		for i := range got {
 			got[i], want[i] = []Match{sentinel}, []Match{sentinel}
 		}
-		if err := batch.MatchEncodedBatch(eps, got); err != nil {
+		if err := matchRows(batch, eps, got); err != nil {
 			t.Fatalf("seed %d batch %d: %v", seed, n, err)
 		}
 		if !slices.Equal(eps, given) {
-			t.Fatalf("seed %d batch %d: MatchEncodedBatch wrote to its caller's slice", seed, n)
+			t.Fatalf("seed %d batch %d: MatchRecords wrote to its caller's slice", seed, n)
 		}
 		for base := 0; base < n; base += scanChunk {
 			end := min(base+scanChunk, n)
@@ -228,16 +254,16 @@ func testBatchScan(t *testing.T, bed *scanBed, prefilter bool, seed int64) {
 			if ep == nil {
 				continue
 			}
-			one, oneErr := single.MatchEncoded(ep, []Match{sentinel})
+			one, oneErr := matchOne(single, ep, []Match{sentinel})
 			ref, refErr := perItem.matchPerItem(ep, []Match{sentinel})
 			if (oneErr != nil) != (refErr != nil) || (ep == wrongDim) != (oneErr != nil) {
-				t.Fatalf("seed %d batch %d item %d: MatchEncoded error %v, reference %v", seed, n, i, oneErr, refErr)
+				t.Fatalf("seed %d batch %d item %d: one-event match error %v, reference %v", seed, n, i, oneErr, refErr)
 			}
 			if oneErr != nil {
 				one, ref = []Match{sentinel}, []Match{sentinel}
 			}
 			if !slices.Equal(one, ref) || !slices.Equal(one, got[i]) {
-				t.Fatalf("seed %d batch %d item %d: MatchEncoded %v, per item %v, batch %v", seed, n, i, one, ref, got[i])
+				t.Fatalf("seed %d batch %d item %d: one-event match %v, per item %v, batch %v", seed, n, i, one, ref, got[i])
 			}
 			if single.Meter().C != perItem.Meter().C {
 				t.Fatalf("seed %d batch %d item %d: counters\n got  %+v\n want %+v", seed, n, i, single.Meter().C, perItem.Meter().C)
@@ -345,7 +371,7 @@ func TestInsertAllocFailureLeavesStoreAsItWas(t *testing.T) {
 		t.Fatalf("the retry grew the arena by %d bytes, want %d: the two slots already written were not reused", grew, want)
 	}
 	ep := bed.event()
-	got, err := store.MatchEncoded(ep, nil)
+	got, err := matchOne(store, ep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +381,7 @@ func TestInsertAllocFailureLeavesStoreAsItWas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := clean.MatchEncoded(ep, nil)
+	want, err := matchOne(clean, ep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,21 +436,28 @@ func workloadBed(tb testing.TB, n int) (*Store, []*EncodedPublication) {
 }
 
 // TestScanSteadyStateAllocatesNothing guards the scan's scratch: one
-// event or a batch at a time into reused slots, it must not allocate.
+// event or a batch at a time, its records into a reused list and
+// expanded into reused slots, it must not allocate.
 func TestScanSteadyStateAllocatesNothing(t *testing.T) {
 	store, eps := workloadBed(t, 600)
-	out := make([]Match, 0, 1024)
-	i := 0
-	one := func() {
+	var recs []core.Record
+	rows := func(eps []*EncodedPublication, out [][]Match) {
 		var err error
-		if out, err = store.MatchEncoded(eps[i%len(eps)], out[:0]); err != nil {
+		if recs, err = store.MatchRecords(eps, recs[:0]); err != nil {
 			t.Fatal(err)
 		}
+		core.AppendRows(out, recs)
+	}
+	out := [][]Match{make([]Match, 0, 1024)}
+	i := 0
+	one := func() {
+		out[0] = out[0][:0]
+		rows(eps[i%len(eps):][:1], out)
 		i++
 	}
 	one()
 	if allocs := testing.AllocsPerRun(len(eps), one); allocs != 0 {
-		t.Fatalf("steady-state MatchEncoded allocates %.1f times per event, want 0", allocs)
+		t.Fatalf("steady-state one-event MatchRecords allocates %.1f times per event, want 0", allocs)
 	}
 
 	const n = 100 // two chunks, with holes
@@ -436,22 +469,20 @@ func TestScanSteadyStateAllocatesNothing(t *testing.T) {
 				batch[j] = nil
 			}
 		}
-		if err := store.MatchEncodedBatch(batch, slots); err != nil {
-			t.Fatal(err)
-		}
+		rows(batch, slots)
 		i += n
 	}
 	for range eps {
 		matchBatch() // grow every slot to the most any event matches
 	}
 	if allocs := testing.AllocsPerRun(len(eps), matchBatch); allocs != 0 {
-		t.Fatalf("steady-state MatchEncodedBatch allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state MatchRecords allocates %.1f times per batch, want 0", allocs)
 	}
 }
 
 // BenchmarkStoreScan is the scan layer of the `aspe` workload, quiet:
-// 4,000 subscriptions, every access metered, one MatchEncoded (batch=1)
-// or one MatchEncodedBatch of n events per iteration. ns/op is per
+// 4,000 subscriptions, every access metered, one MatchRecords of n
+// events per iteration, its records expanded into rows. ns/op is per
 // event; reads/event (ciphertext vectors read through the accessor)
 // and simus/event are what the batch divides. The live=N sub-benchmarks
 // are the sign-test crossover: see benchLive.
@@ -463,19 +494,17 @@ func BenchmarkStoreScan(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {
 			out := make([][]Match, n)
+			var recs []core.Record
 			batch := func(i int) {
 				for j := range out {
 					out[j] = out[j][:0]
 				}
+				at := i * n % len(eps)
 				var err error
-				if at := i * n % len(eps); n == 1 {
-					out[0], err = store.MatchEncoded(eps[at], out[0])
-				} else {
-					err = store.MatchEncodedBatch(eps[at:at+n], out)
-				}
-				if err != nil {
+				if recs, err = store.MatchRecords(eps[at:at+n], recs[:0]); err != nil {
 					b.Fatal(err)
 				}
+				core.AppendRows(out, recs)
 			}
 			for i := 0; i < len(eps)/n; i++ {
 				batch(i) // grow the slots, fill the LLC model

@@ -66,13 +66,11 @@ type Store struct {
 	// stage is insert's encode buffer for one ciphertext vector; pts
 	// holds a chunk's points back to back, rows the same points k-major
 	// for signKernel, and sums takes the kernel's sums, which only its
-	// tests read. recs holds the records MatchEncoded and
-	// MatchEncodedBatch expand.
+	// tests read.
 	stage []byte
 	pts   []float64
 	rows  []float64
 	sums  [scanChunk]float64
-	recs  []core.Record
 }
 
 // NewStore builds an unconfigured store over the accessor.
@@ -240,34 +238,18 @@ func (s *Store) accepts(ep *EncodedPublication) bool {
 	return ep != nil && ep.Dim == s.dim && len(ep.Point) == s.dim
 }
 
-// MatchEncoded scans the database with an encoded publication,
-// appending matches to out: the one-event scan.
-func (s *Store) MatchEncoded(ep *EncodedPublication, out []Match) ([]Match, error) {
-	if s.dim == 0 {
-		return nil, fmt.Errorf("aspe: store not configured (no scheme parameters provisioned)")
-	}
-	if !s.accepts(ep) {
-		return nil, fmt.Errorf("aspe: point has dimension %d, store expects %d", ep.Dim, s.dim)
-	}
-	eps, outs := [1]*EncodedPublication{ep}, [1][]Match{out}
-	s.recs = s.scan(eps[:], 0, s.recs[:0], kernelFrom())
-	core.AppendRows(outs[:], s.recs)
-	return outs[0], nil
-}
-
 // MatchRecords scans the database for a whole batch of encoded
 // publications and appends to out one record per subscription any
 // item of a chunk matched, its Mask the items that did (see
 // core.Record). eps is only read; nil items are skipped, as are items
-// whose dimensionality the store rejects — the same items MatchEncoded
-// refuses with an error.
+// whose dimensionality the store rejects (accepts).
 //
 // The database is walked once per chunk of 64 items (see scan), so a
 // ciphertext vector is read from the metered arena once for up to 64
 // publications — the dominant metered cost of a scan, which is why
 // simulated cost grows sub-linearly in batch size — while the sign-test
 // and prefilter cycles are charged per item, and the records name
-// exactly the per-item MatchEncoded results, in the same order.
+// exactly what a scan of each item alone finds, in the same order.
 func (s *Store) MatchRecords(eps []*EncodedPublication, out []core.Record) ([]core.Record, error) {
 	if s.dim == 0 {
 		return nil, fmt.Errorf("aspe: store not configured (no scheme parameters provisioned)")
@@ -278,19 +260,6 @@ func (s *Store) MatchRecords(eps []*EncodedPublication, out []core.Record) ([]co
 		out = s.scan(eps[base:end], uint32(base), out, from)
 	}
 	return out, nil
-}
-
-// MatchEncodedBatch is MatchRecords expanded into per-item rows: eps
-// and out are parallel, and each item's matches are appended to its
-// out slot.
-func (s *Store) MatchEncodedBatch(eps []*EncodedPublication, out [][]Match) error {
-	if len(out) < len(eps) {
-		return fmt.Errorf("aspe: batch result slots %d < publications %d", len(out), len(eps))
-	}
-	recs, err := s.MatchRecords(eps, s.recs[:0])
-	s.recs = recs
-	core.AppendRows(out, recs)
-	return err
 }
 
 // kernelLive is the fewest live events scan hands one sign test to

@@ -288,7 +288,7 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 							gotRes, err = got.MatchAppend(ev, nil)
 						} else {
 							slot := make([][]MatchResult, 1)
-							err = got.MatchAppendBatch([]*pubsub.Event{ev}, slot)
+							err = got.matchRows([]*pubsub.Event{ev}, slot)
 							gotRes = slot[0]
 						}
 						if err != nil {
@@ -358,7 +358,7 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 							shared += alone * ref.predCycles
 						}
 						before, refBefore := *gotC, *refC
-						if err := got.MatchAppendBatch(evs, out); err != nil {
+						if err := got.matchRows(evs, out); err != nil {
 							t.Fatal(err)
 						}
 						for i, ev := range evs {
@@ -395,7 +395,7 @@ func TestBatchWalkEqualsPerEventWalk(t *testing.T) {
 							evs[i], out[i] = ev, out[i][:0]
 						}
 						before = *gotC
-						if err := got.MatchAppendBatch(evs, out); err != nil {
+						if err := got.matchRows(evs, out); err != nil {
 							t.Fatal(err)
 						}
 						var one simmem.Counters // one event's walk per chunk, of its kind
@@ -466,7 +466,7 @@ func TestBatchWalkIsolatesFailedEvents(t *testing.T) {
 				out[i] = append(out[i], prefix...)
 			}
 		}
-		if err := got.MatchAppendBatch(evs, out); err != nil {
+		if err := got.matchRows(evs, out); err != nil {
 			t.Fatal(err)
 		}
 		return out

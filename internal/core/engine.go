@@ -156,13 +156,14 @@ type Engine struct {
 	leafReads       []leafSummary
 	cands, sorted   []tableCand
 	candKeys        []uint64
+	radixBuf        []uint64
 
 	// Scratch for a node header newNode writes and a subscriber record
 	// addSubscriber writes.
 	hdrBuf [nodeHeaderSize]byte
 	recBuf [subRecordSize]byte
 
-	// Scratch for the records MatchAppend and MatchAppendBatch expand,
+	// Scratch for the records MatchAppend expands,
 	// the constraint blob newNode encodes, and the directory entry
 	// writeDir encodes.
 	recs    []Record
@@ -205,7 +206,7 @@ func NewEngine(acc simmem.Accessor, schema *pubsub.Schema, opts Options) (*Engin
 		return nil, err
 	}
 	e.general = general
-	e.tables[general] = &table{at: make(map[uint64]int), dir: []uint64{dir}}
+	e.tables[general] = &table{dir: []uint64{dir}}
 	return e, nil
 }
 
@@ -398,7 +399,7 @@ func (e *Engine) Unregister(subID uint64) error {
 		ch := e.readHeader(child)
 		e.linkChild(h.parent, child)
 		if t != nil {
-			if err := e.addEntryFromBlob(t, child, ch); err != nil {
+			if err := e.addEntryFromBlob(t, h.parent, child, ch); err != nil {
 				return err
 			}
 		}
@@ -464,32 +465,16 @@ func (e *Engine) MatchAppend(ev *pubsub.Event, out []MatchResult) ([]MatchResult
 // exactly as the per-item MatchAppend would have returned nothing —
 // the other events of its chunk are not affected.
 func (e *Engine) MatchRecords(evs []*pubsub.Event, out []Record) []Record {
+	// Unlocked by hand: a failed walk returns its error, and no caller
+	// recovers a panic.
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.matchRecords(evs, out)
-}
-
-// MatchAppendBatch is MatchRecords expanded into per-event rows: evs
-// and out are parallel, and out[i] receives exactly the
-// MatchAppend(evs[i]) results in the same order.
-func (e *Engine) MatchAppendBatch(evs []*pubsub.Event, out [][]MatchResult) error {
-	if len(out) < len(evs) {
-		return fmt.Errorf("core: batch result slots %d < events %d", len(out), len(evs))
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.recs = e.matchRecords(evs, e.recs[:0])
-	AppendRows(out, e.recs)
-	return nil
-}
-
-// matchRecords is MatchRecords under the engine lock.
-func (e *Engine) matchRecords(evs []*pubsub.Event, out []Record) []Record {
-	for lo := 0; lo < len(evs); lo += walkChunk {
-		hi := min(lo+walkChunk, len(evs))
+	for base := 0; len(evs) > 0; base += walkChunk {
+		chunk := evs[:min(walkChunk, len(evs))]
+		evs = evs[len(chunk):]
 		// A failed event's bits are already cleared.
-		out, _ = e.matchChunk(evs[lo:hi], uint32(lo), out)
+		out, _ = e.matchChunk(chunk, uint32(base), out)
 	}
+	e.mu.Unlock()
 	return out
 }
 

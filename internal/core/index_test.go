@@ -39,7 +39,7 @@ func checkIndex(t testing.TB, node uint64, tab *table, entries map[uint64][]byte
 		want := leafSummary{inter: ^pubsub.AttrSet(0), leaf: d.leaf, count: d.count, flags: dirOneAttr}
 		for i := 0; i < d.count; i++ {
 			ent := ents[i*entrySize : (i+1)*entrySize]
-			off := leUint64(ent)
+			off := entryChild(ent)
 			outline, ok := entries[off]
 			if !ok || seen[off] {
 				t.Fatalf("node %d: leaf %d lists child %d, in the chain: %v, listed before: %v", node, j, off, ok, seen[off])
@@ -101,7 +101,7 @@ func (e *Engine) scanTableRef(node uint64, sub *pubsub.Subscription) (next uint6
 		h := e.readHeader(c)
 		attrs, con, ok := e.outlineFromBlob(c, h)
 		ent := make([]byte, entrySize)
-		encodeEntry(ent, c, attrs, &con, ok)
+		encodeEntry(ent, c, 0, attrs, &con, ok)
 		if !nc.ruledOut(ent) {
 			_, childCovers, subCovers, err := e.coverTest(c, sub)
 			if err != nil || childCovers {
@@ -323,29 +323,38 @@ func TestIndexDirectoryGrows(t *testing.T) {
 		}
 	}
 	if tab.leaves >= leaves/4 {
-		t.Fatalf("%d leaves for %d children, %d before the removals", tab.leaves, len(tab.at), leaves)
+		t.Fatalf("%d leaves for %d children, %d before the removals", tab.leaves, len(tableSeqs(tab, accRead(e))), leaves)
 	}
 	checkTables(t, e, accRead(e))
 	checkIndexedScan(t, e, normalizeAll(t, e, probes))
 }
 
 // TestChainOrder holds inChainOrder to a comparison sort of the
-// candidates by link sequence, latest first, for tables that have seen
-// few links, where it sorts integer keys, and so many that the keys
-// would overflow, where it takes the comparison.
+// candidates by link sequence, latest first: for candidate counts on
+// both sides of insertionMax, where it turns from insertion to radix
+// sort, and about a radix digit (255, 256, 257); for sequences that
+// cross the 8-, 16- and 24-bit digit boundaries, that reach the largest
+// an entry holds, and that spread over all it holds. One engine serves
+// every case, so its key buffers are reused in turn.
 func TestChainOrder(t *testing.T) {
 	e := newTestEngine(t)
 	rng := rand.New(rand.NewSource(8))
-	for _, links := range []int{1000, 1 << 50, math.MaxInt} {
-		for _, n := range []int{0, 1, 2, 333, 1000} {
-			tab := &table{links: links}
+	counts := []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 255, 256, 257, 333, 1000}
+	for _, links := range []int{1000, 1<<16 + 500, 1<<24 + 500, maxLinks, 0} {
+		for _, n := range counts {
 			cands := make([]tableCand, n)
+			seqs := make(map[uint64]bool, n)
 			for i, p := range rng.Perm(1000)[:n] {
-				cands[i] = tableCand{pos: links - 1 - p, off: uint64(p), live: rng.Uint64()}
+				seq := uint64(links - 1 - p)
+				for links == 0 && (seq == 0 || seqs[seq]) { // spread: any distinct sequences below maxLinks
+					seq = uint64(rng.Int63n(maxLinks))
+				}
+				seqs[seq] = true
+				cands[i] = tableCand{seq: seq, off: uint64(p), live: rng.Uint64()}
 			}
 			want := slices.Clone(cands)
-			slices.SortFunc(want, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
-			if got := e.inChainOrder(tab, cands); !slices.Equal(got, want) {
+			slices.SortFunc(want, func(a, b tableCand) int { return cmp.Compare(b.seq, a.seq) })
+			if got := e.inChainOrder(cands); !slices.Equal(got, want) {
 				t.Fatalf("%d links, %d candidates: %v, want %v", links, n, got, want)
 			}
 		}

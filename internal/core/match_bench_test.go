@@ -361,7 +361,7 @@ func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
 				batch[j] = nil
 			}
 		}
-		if err := e.MatchAppendBatch(batch, slots); err != nil {
+		if err := e.matchRows(batch, slots); err != nil {
 			t.Fatal(err)
 		}
 		i += n
@@ -370,6 +370,6 @@ func TestMatchAppendSteadyStateAllocatesNothing(t *testing.T) {
 		matchBatch() // grow every slot to the most any event matches
 	}
 	if allocs := testing.AllocsPerRun(len(evs), matchBatch); allocs != 0 {
-		t.Fatalf("steady-state MatchAppendBatch allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("steady-state batch MatchRecords allocates %.1f times per batch, want 0", allocs)
 	}
 }

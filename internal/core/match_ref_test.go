@@ -148,10 +148,12 @@ func (w *refWalk) children(parent uint64, h *nodeHeader) error {
 		if w.tests != nil {
 			w.tests[tableVisit{w.pos, parent}] = read
 		}
-		// checkTables holds the link sequences to the chain's order.
-		slices.SortFunc(admitted, func(a, b uint64) int { return cmp.Compare(t.at[b], t.at[a]) })
-		for _, off := range admitted {
-			if _, err := w.visit(off); err != nil {
+		// Each admitted entry's word, its link sequence above its child's
+		// offset, sorted by a comparison, latest link first: checkTables
+		// holds the sequences to the chain's order.
+		slices.SortFunc(admitted, func(a, b uint64) int { return cmp.Compare(b, a) })
+		for _, word := range admitted {
+			if _, err := w.visit(word & math.MaxUint32); err != nil {
 				return err
 			}
 		}

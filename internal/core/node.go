@@ -324,7 +324,7 @@ func (e *Engine) attach(cur uint64, sub *pubsub.Subscription, subID uint64, clie
 	e.linkChild(cur, nodeOff)
 	if t := e.tables[cur]; t != nil {
 		attrs, c, ok := sub.Outline()
-		err = e.addEntry(t, nodeOff, attrs, &c, ok)
+		err = e.addEntry(t, cur, nodeOff, attrs, &c, ok)
 	} else if e.width-len(e.moved)+1 >= tableMin {
 		err = e.buildTable(cur)
 	}

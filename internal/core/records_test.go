@@ -11,6 +11,19 @@ import (
 	"scbr/internal/pubsub"
 )
 
+// matchRows is MatchRecords expanded into per-event rows (AppendRows):
+// evs and out are parallel, and out[i] receives exactly the
+// MatchAppend(evs[i]) results in the same order. The records are kept
+// in the engine's scratch, so no other call may match beside it.
+func (e *Engine) matchRows(evs []*pubsub.Event, out [][]MatchResult) error {
+	if len(out) < len(evs) {
+		return fmt.Errorf("core: batch result slots %d < events %d", len(out), len(evs))
+	}
+	e.recs = e.MatchRecords(evs, e.recs[:0])
+	AppendRows(out, e.recs)
+	return nil
+}
+
 // checkRecords holds a batch's records to their shape: every record
 // names at least one event, all of its own chunk (Base a chunk's first
 // index, no bit past the batch), and none of the batch's nil holes.

@@ -182,7 +182,7 @@ func TestUnregisterReusesRecords(t *testing.T) {
 				for i := range out {
 					out[i] = out[i][:0]
 				}
-				if err := e.MatchAppendBatch(probes, out); err != nil {
+				if err := e.matchRows(probes, out); err != nil {
 					t.Fatal(err)
 				}
 				for i, ev := range probes {

@@ -108,7 +108,7 @@ func TestLoneWalkSkipsRuledOutRoots(t *testing.T) {
 	}
 	prefix := []MatchResult{{SubID: 1 << 40, ClientRef: 9}}
 	out := [][]MatchResult{append([]MatchResult(nil), prefix...), nil, append([]MatchResult(nil), prefix...)}
-	if err := e.MatchAppendBatch([]*pubsub.Event{inside, low, priceless}, out); err != nil {
+	if err := e.matchRows([]*pubsub.Event{inside, low, priceless}, out); err != nil {
 		t.Fatal(err)
 	}
 	if want := [][]MatchResult{prefix, intact[low], append(append([]MatchResult(nil), prefix...), intact[priceless]...)}; !reflect.DeepEqual(out, want) {
@@ -165,7 +165,7 @@ func TestLoneWalkSkipsRuledOutRoots(t *testing.T) {
 			t.Fatalf("%s: the chain walk matches %v, want %v", c.name, got, want)
 		}
 		out := make([][]MatchResult, 3)
-		if err := e.MatchAppendBatch([]*pubsub.Event{ev, nil, ev}, out); err != nil {
+		if err := e.matchRows([]*pubsub.Event{ev, nil, ev}, out); err != nil {
 			t.Fatal(err)
 		}
 		if out[1], err = e.MatchAppend(ev, nil); err != nil {
@@ -429,7 +429,7 @@ func FuzzBatchWalkEqualsPerEventWalk(f *testing.F) {
 					}
 					out := make([][]MatchResult, n)
 					before, refBefore := *gotC, *refC
-					if err := got.MatchAppendBatch(evs, out); err != nil {
+					if err := got.matchRows(evs, out); err != nil {
 						t.Fatal(err)
 					}
 					k := chunkEvents(evs)

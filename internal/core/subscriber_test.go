@@ -176,7 +176,7 @@ func TestSingleSubscriberVisitReadsNoRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := make([][]MatchResult, 40)
-		if err := e.MatchAppendBatch(slices.Repeat([]*pubsub.Event{ev}, len(out)), out); err != nil {
+		if err := e.matchRows(slices.Repeat([]*pubsub.Event{ev}, len(out)), out); err != nil {
 			t.Fatal(err)
 		}
 		for _, res := range append(out, lone) {

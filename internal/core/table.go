@@ -35,11 +35,12 @@ import (
 // the chain, read once, and lives as long as its node: Unregister
 // releases its index's leaves and directory pages with the node's
 // record. The host keeps the tables by node (Engine.tables) and, per
-// table, each live child's link sequence: a count of the links made
-// under the node, so that the later a child was linked, the higher its
-// sequence and the nearer the head of the chain (linkChild only
-// prepends). No bound and no key leaves the enclave, and nothing in the
-// arena marks a tabled node.
+// table, the count of the links made under the node. Each child's entry
+// carries its link sequence beside its offset: the count when it was
+// linked, so that the later a child was linked, the higher its sequence
+// and the nearer the head of the chain (linkChild only prepends). No
+// bound and no key leaves the enclave, and nothing in the arena marks a
+// tabled node.
 //
 // The insert reads a tabled node's index and, through it, only the
 // entries that may name a child covering the newcomer or covered by it.
@@ -63,7 +64,8 @@ import (
 // Entry layout:
 //
 //	offset size field
-//	0      8    child node offset
+//	0      4    child node offset
+//	4      4    link sequence
 //	8      8    lower bound (float64 bits; -Inf when the side is open-ended)
 //	16     8    upper bound (+Inf when open-ended)
 //	24     2    attribute ID
@@ -73,6 +75,11 @@ import (
 //
 // The filter compares bounds only — not which side is closed — so it
 // may keep a child the covering test then rejects, never the reverse.
+// The offset and the sequence are one little-endian word, read with the
+// entry, so a child is put in chain order without a host lookup. A
+// tabled node's children lie below 4 GiB of arena, as its index's
+// leaves do; a table whose links reach maxLinks renumbers its entries
+// from the chain, as buildTable sequences them.
 //
 // Every change to a tabled node's children is a metered change to its
 // index: a new child's entry is inserted, and a child that leaves the
@@ -89,6 +96,9 @@ const (
 	offEntryAttrs = 28
 
 	entrySummary uint8 = 1
+
+	// maxLinks is one past the largest link sequence an entry holds.
+	maxLinks = 1 << 32
 )
 
 // tableMin is the fewest children at which a node builds its table.
@@ -103,12 +113,11 @@ const (
 // registration reads 15.02 and 15.08 sim-µs.
 const tableMin = 64
 
-// table is a tabled node's host-side bookkeeping: each live child's
-// link sequence, the sequence the next link takes, and the pages of its
-// index's directory and the number of leaves it lists. Which leaf holds
-// which child, and in what order, is in the arena only.
+// table is a tabled node's host-side bookkeeping: the sequence the next
+// link takes, and the pages of its index's directory and the number of
+// leaves it lists. Which leaf holds which child, in what order and with
+// what sequence, is in the arena only.
 type table struct {
-	at     map[uint64]int
 	links  int
 	dir    []uint64
 	leaves int
@@ -126,10 +135,10 @@ func bounds(c *pubsub.Constraint) (lo, hi float64) {
 	return lo, hi
 }
 
-// encodeEntry fills a zeroed table entry for the child at off, which
-// constrains attrs and is summarised by c when ok.
-func encodeEntry(dst []byte, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) {
-	binary.LittleEndian.PutUint64(dst, off)
+// encodeEntry fills a zeroed table entry for the child at off, linked
+// seq-th, which constrains attrs and is summarised by c when ok.
+func encodeEntry(dst []byte, off uint64, seq int, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) {
+	binary.LittleEndian.PutUint64(dst, uint64(seq)<<32|off)
 	binary.LittleEndian.PutUint32(dst[offEntryAttrs:], uint32(attrs))
 	if !ok {
 		return
@@ -215,6 +224,9 @@ func (n *newcomer) ruledOut(ent []byte) bool {
 	return covers|covered == 0
 }
 
+// entryChild is the offset of the child of entry ent.
+func entryChild(ent []byte) uint64 { return uint64(leUint32(ent)) }
+
 // bit is 1 when b is set, else 0.
 func bit(b bool) uint8 {
 	var v uint8
@@ -224,21 +236,30 @@ func bit(b bool) uint8 {
 	return v
 }
 
-// addEntry gives the node just linked under t's node at off, which
-// constrains attrs and is summarised by c when ok, the next link
-// sequence and indexes its entry.
-func (e *Engine) addEntry(t *table, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) error {
-	t.at[off] = t.links
+// addEntry gives the node just linked under t's node, node, at off,
+// which constrains attrs and is summarised by c when ok, the next link
+// sequence and indexes its entry. A table whose links have reached
+// maxLinks renumbers its entries first.
+func (e *Engine) addEntry(t *table, node, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) error {
+	if off > math.MaxUint32 {
+		return fmt.Errorf("core: node at offset %d, past a table entry's 32-bit field", off)
+	}
+	if t.links == maxLinks {
+		if err := e.renumber(t, node); err != nil {
+			return err
+		}
+	}
+	ent := e.entry(off, t.links, attrs, c, ok)
 	t.links++
-	return e.indexInsert(t, e.entry(off, attrs, c, ok))
+	return e.indexInsert(t, ent)
 }
 
-// entry encodes the entry of the child at off into the engine's
-// scratch, valid until the next call.
-func (e *Engine) entry(off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) []byte {
+// entry encodes the entry of the child at off, linked seq-th, into the
+// engine's scratch, valid until the next call.
+func (e *Engine) entry(off uint64, seq int, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) []byte {
 	ent := e.entBuf[:]
 	clear(ent)
-	encodeEntry(ent, off, attrs, c, ok)
+	encodeEntry(ent, off, seq, attrs, c, ok)
 	return ent
 }
 
@@ -255,19 +276,18 @@ func (e *Engine) outlineFromBlob(off uint64, h nodeHeader) (pubsub.AttrSet, pubs
 }
 
 // addEntryFromBlob indexes the entry of a node linked under t's node,
-// summarised from its stored blob.
-func (e *Engine) addEntryFromBlob(t *table, off uint64, h nodeHeader) error {
+// node, summarised from its stored blob.
+func (e *Engine) addEntryFromBlob(t *table, node, off uint64, h nodeHeader) error {
 	attrs, c, ok := e.outlineFromBlob(off, h)
-	return e.addEntry(t, off, attrs, &c, ok)
+	return e.addEntry(t, node, off, attrs, &c, ok)
 }
 
 // dropEntry takes the entry of a node unlinked from t's node, whose
 // header is h, out of the index: its key is what its stored blob
 // outlines, as when it was linked.
 func (e *Engine) dropEntry(t *table, off uint64, h nodeHeader) error {
-	delete(t.at, off)
 	attrs, c, ok := e.outlineFromBlob(off, h)
-	return e.indexRemove(t, e.entry(off, attrs, &c, ok))
+	return e.indexRemove(t, e.entry(off, 0, attrs, &c, ok))
 }
 
 // buildTable gives node a table of its children, read along its chain
@@ -278,19 +298,50 @@ func (e *Engine) buildTable(node uint64) error {
 	var predLens []uint16
 	for c := e.readHeader(node).child; c != nilOff; {
 		ch := e.readHeader(c)
+		if c > math.MaxUint32 {
+			return fmt.Errorf("core: node at offset %d, past a table entry's 32-bit field", c)
+		}
 		chain, predLens = append(chain, c), append(predLens, ch.predLen)
 		c = ch.sibling
 	}
-	t := &table{at: make(map[uint64]int, len(chain))}
+	t := &table{links: len(chain)}
 	e.tables[node] = t
 	ents := make([]byte, 0, len(chain)*entrySize)
 	for i := len(chain) - 1; i >= 0; i-- {
 		attrs, c, ok := e.outlineFromBlob(chain[i], nodeHeader{predLen: predLens[i]})
-		ents = append(ents, e.entry(chain[i], attrs, &c, ok)...)
-		t.at[chain[i]] = t.links
-		t.links++
+		ents = append(ents, e.entry(chain[i], len(chain)-1-i, attrs, &c, ok)...)
 	}
 	return e.loadIndex(t, ents)
+}
+
+// renumber sequences the entries of t, node's table, from node's chain,
+// read once, as buildTable does: oldest first from 0, each leaf
+// rewritten in place. The head of the chain may be a child not yet
+// indexed; the next link takes the sequence after the chain's.
+func (e *Engine) renumber(t *table, node uint64) error {
+	var chain []uint64
+	for c := e.readHeader(node).child; c != nilOff; c = e.readHeader(c).sibling {
+		chain = append(chain, c)
+	}
+	seq := make(map[uint64]int, len(chain))
+	for i, c := range chain {
+		seq[c] = len(chain) - 1 - i
+	}
+	for j := 0; j < t.leaves; j++ {
+		d := e.readDir(t, j)
+		ents := e.readLeaf(&d)
+		for i := 0; i < len(ents); i += entrySize {
+			off := entryChild(ents[i:])
+			s, ok := seq[off]
+			if !ok {
+				return fmt.Errorf("core: child %d of node %d's table is missing from its chain", off, node)
+			}
+			binary.LittleEndian.PutUint64(ents[i:], uint64(s)<<32|off)
+		}
+		e.acc.Write(d.leaf, ents)
+	}
+	t.links = len(chain)
+	return nil
 }
 
 // scanTable is one level of insert at a tabled node, through its index:
@@ -346,13 +397,13 @@ func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equ
 		tests += uint64(d.count)
 		for i := 0; i < len(raw); i += entrySize {
 			if ent := raw[i : i+entrySize]; !nc.ruledOut(ent) {
-				off := leUint64(ent)
-				cands = append(cands, tableCand{pos: t.at[off], off: off})
+				w := leUint64(ent)
+				cands = append(cands, tableCand{seq: w >> 32, off: w & math.MaxUint32})
 			}
 		}
 	}
 	e.cands = cands
-	for _, c := range e.inChainOrder(t, cands) {
+	for _, c := range e.inChainOrder(cands) {
 		_, childCovers, subCovers, err := e.coverTest(c.off, sub)
 		if err != nil || childCovers {
 			e.acc.Charge(tests * e.predCycles)
@@ -367,37 +418,80 @@ func (e *Engine) scanTable(t *table, sub *pubsub.Subscription) (next uint64, equ
 }
 
 // tableCand is a child a table's index could not rule out: its link
-// sequence (table.at), its offset and, for a walk, the events its entry
-// admits.
+// sequence, its offset and, for a walk, the events its entry admits.
 type tableCand struct {
-	pos  int
+	seq  uint64
 	off  uint64
 	live uint64
 }
 
-// inChainOrder returns the candidates taken from t's index as t's
+// insertionMax is the most candidates inChainOrder sorts by insertion;
+// more take a radix sort.
+const insertionMax = 32
+
+// inChainOrder returns the candidates taken from a table's index as its
 // node's child chain runs, the latest link first, in the engine's
 // scratch. It sorts one integer per candidate, its link sequence above
-// its index in cands, which an ordered sort does in a third of the time
-// a comparison function on the candidates takes; a table that has seen
-// too many links for that integer takes the comparison function.
-func (e *Engine) inChainOrder(t *table, cands []tableCand) []tableCand {
+// its index in cands: by insertion when there are few, else by a radix
+// sort of the sequence's bits alone, since no two candidates share a
+// sequence. Sequences are below maxLinks, so no key overflows.
+func (e *Engine) inChainOrder(cands []tableCand) []tableCand {
 	shift := bits.Len(uint(len(cands)))
-	if t.links>>(64-shift) != 0 {
-		slices.SortFunc(cands, func(a, b tableCand) int { return cmp.Compare(b.pos, a.pos) })
-		return cands
-	}
 	keys := e.candKeys[:0]
 	for i, c := range cands {
-		keys = append(keys, uint64(c.pos)<<shift|uint64(i))
+		keys = append(keys, c.seq<<shift|uint64(i))
 	}
-	slices.Sort(keys)
+	if len(keys) <= insertionMax {
+		for i := 1; i < len(keys); i++ {
+			k, j := keys[i], i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j] = keys[j-1]
+			}
+			keys[j] = k
+		}
+	} else {
+		keys = e.radixSort(keys, shift)
+	}
 	sorted := e.sorted[:0]
 	for i := len(keys) - 1; i >= 0; i-- {
 		sorted = append(sorted, cands[keys[i]&(1<<shift-1)])
 	}
 	e.candKeys, e.sorted = keys, sorted
 	return sorted
+}
+
+// radixSort sorts keys by their bits from bit lo up, a byte at a time,
+// least significant first, between keys and the engine's second key
+// buffer, skipping the bytes every key shares; keys equal there keep
+// their order. It returns the buffer that holds them sorted and keeps
+// the other.
+func (e *Engine) radixSort(keys []uint64, lo int) []uint64 {
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
+	}
+	src, dst := keys, slices.Grow(e.radixBuf[:0], len(keys))[:len(keys)]
+	for d := lo; diff>>d != 0; d += 8 {
+		if diff>>d&0xff == 0 {
+			continue
+		}
+		var start [256]int
+		for _, k := range src {
+			start[k>>d&0xff]++
+		}
+		n := 0
+		for b, c := range start {
+			start[b], n = n, n+c
+		}
+		for _, k := range src {
+			b := k >> d & 0xff
+			dst[start[b]] = k
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	e.radixBuf = dst[:0]
+	return src
 }
 
 // tableWalkMax is the most live events a chunk may hold for its walk to
@@ -409,10 +503,15 @@ func (e *Engine) inChainOrder(t *table, cands []tableCand) []tableCand {
 // sizes — about half the chain walk's, since it tests each entry once
 // for the whole chunk — but in ns per event it lost every pair on the
 // general shard, by 40 % in the median at 16 and 95 % at 32, where
-// most of its roots admit some event and are sorted into chain order
-// and read on top of the index; on wide/in it tied at 16 (5/10) and
-// lost at 32 (9/10, 33 %). So 8 stays (docs/benchmarks.md, "One copy
-// of each entry").
+// most of its roots admit some event and are read on top of the index;
+// on wide/in it tied at 16 (5/10) and lost at 32 (9/10, 33 %). So 8
+// stays (docs/benchmarks.md, "One copy of each entry"). That sweep put
+// the admitted roots into chain order with a comparison sort over a
+// host map's sequences, a third of the index walk's host time; the
+// sequences now come with the entries and a radix sort orders them
+// (docs/benchmarks.md, "Chain order from the entries"), so the sweep's
+// losses overstate today's, and a new sweep, which moves the paper's
+// figures, would decide 16 or 32.
 const tableWalkMax = 8
 
 // pushTable pushes onto the walk stack the children of a tabled node
@@ -450,13 +549,13 @@ func (e *Engine) pushTable(stack []walkEntry, t *table, mask uint64) []walkEntry
 				math.Float64frombits(binary.LittleEndian.Uint64(ent[offEntryHi:])),
 				ent[offEntryFlags]&entrySummary != 0)
 			if live != 0 {
-				off := leUint64(ent)
-				cands = append(cands, tableCand{pos: t.at[off], off: off, live: live})
+				w := leUint64(ent)
+				cands = append(cands, tableCand{seq: w >> 32, off: w & math.MaxUint32, live: live})
 			}
 		}
 	}
 	e.cands = cands
-	sorted := e.inChainOrder(t, cands)
+	sorted := e.inChainOrder(cands)
 	for i := len(sorted) - 1; i >= 0; i-- {
 		stack = append(stack, walkEntry{off: sorted[i].off, live: sorted[i].live, alone: true})
 	}
@@ -861,7 +960,7 @@ func (e *Engine) addLeaf(t *table, j int, ents []byte) error {
 // first leaf, from the last whose first key is below its own on, that
 // lists its child.
 func (e *Engine) indexRemove(t *table, ent []byte) error {
-	k, off := keyOfEntry(ent), leUint64(ent)
+	k, off := keyOfEntry(ent), entryChild(ent)
 	for j := e.findLeaf(t, k, true); j < t.leaves; j++ {
 		d := e.readDir(t, j)
 		if d.first().compare(k) > 0 {
@@ -869,7 +968,7 @@ func (e *Engine) indexRemove(t *table, ent []byte) error {
 		}
 		ents := e.readLeaf(&d)
 		at := 0
-		for at < len(ents) && leUint64(ents[at:]) != off {
+		for at < len(ents) && entryChild(ents[at:]) != off {
 			at += entrySize
 		}
 		if at == len(ents) {
@@ -922,10 +1021,10 @@ func (e *Engine) loadIndex(t *table, ents []byte) error {
 	n := len(ents) / entrySize
 	order := make([]tableCand, n)
 	for i := range order {
-		order[i] = tableCand{pos: i, off: leUint64(ents[i*entrySize:])}
+		order[i] = tableCand{seq: uint64(i), off: entryChild(ents[i*entrySize:])}
 	}
 	slices.SortFunc(order, func(a, b tableCand) int {
-		return keyOfEntry(ents[a.pos*entrySize:]).compare(keyOfEntry(ents[b.pos*entrySize:]))
+		return keyOfEntry(ents[a.seq*entrySize:]).compare(keyOfEntry(ents[b.seq*entrySize:]))
 	})
 	const fill = leafEntries * 3 / 4
 	leaves := (n + fill - 1) / fill
@@ -940,7 +1039,7 @@ func (e *Engine) loadIndex(t *table, ents []byte) error {
 	for j := 0; j < leaves; j++ {
 		leaf = leaf[:0]
 		for _, c := range order[j*fill : min(n, (j+1)*fill)] {
-			leaf = append(leaf, ents[c.pos*entrySize:(c.pos+1)*entrySize]...)
+			leaf = append(leaf, ents[c.seq*entrySize:(c.seq+1)*entrySize]...)
 		}
 		if err := e.addLeaf(t, j, leaf); err != nil {
 			return err

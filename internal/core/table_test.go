@@ -24,9 +24,23 @@ func memRead(mem []byte) func(off uint64, n int) []byte {
 	return func(off uint64, n int) []byte { return mem[off : off+uint64(n)] }
 }
 
+// tableSeqs is the link sequence of every child tab's index lists, by
+// child, read from its entries.
+func tableSeqs(tab *table, read func(off uint64, n int) []byte) map[uint64]int {
+	seqs := make(map[uint64]int)
+	for j := 0; j < tab.leaves; j++ {
+		d := decodeDir(read(tab.dirAt(j), dirEntrySize))
+		ents := read(d.leaf, d.count*entrySize)
+		for i := 0; i < len(ents); i += entrySize {
+			seqs[entryChild(ents[i:])] = int(leUint32(ents[i+4:]))
+		}
+	}
+	return seqs
+}
+
 // checkTables asserts that every table is its node's child chain: the
-// live children the table names are the chain's, their link sequences
-// fall along it, and its interval index lists each with the entry its
+// live children the table's entries name are the chain's, the link
+// sequences their entries carry fall along it, below the table's count, and its interval index lists each with the entry its
 // stored blob outlines (pubsub.OutlineEncoded), byte for byte
 // (checkIndex). The general sentinel has a table, and every table's
 // node is in a forest. In every forest, tabled or not, each child's
@@ -43,9 +57,10 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 	for _, node := range nodes {
 		tab := e.tables[node]
 		entries := make(map[uint64][]byte)
+		seqs := tableSeqs(tab, read)
 		last := tab.links
 		for c := decodeHeader(read(node, nodeHeaderSize)).child; c != nilOff; {
-			seq, ok := tab.at[c]
+			seq, ok := seqs[c]
 			if !ok || seq >= last {
 				t.Fatalf("node %d: child %d has link sequence %d (named: %v), the one before it in the chain %d", node, c, seq, ok, last)
 			}
@@ -56,11 +71,11 @@ func checkTables(t testing.TB, e *Engine, read func(off uint64, n int) []byte) {
 				t.Fatalf("node %d: child %d: %v", node, c, err)
 			}
 			entries[c] = make([]byte, entrySize)
-			encodeEntry(entries[c], c, attrs, &con, ok)
+			encodeEntry(entries[c], c, seq, attrs, &con, ok)
 			c = h.sibling
 		}
-		if len(tab.at) != len(entries) {
-			t.Fatalf("node %d: %d children in the chain, the table names %d", node, len(entries), len(tab.at))
+		if len(seqs) != len(entries) {
+			t.Fatalf("node %d: %d children in the chain, the table names %d", node, len(entries), len(seqs))
 		}
 		checkIndex(t, node, tab, entries, read)
 	}
@@ -159,8 +174,8 @@ func TestWideNodeTable(t *testing.T) {
 	if tab == nil {
 		t.Fatalf("no table at %d children", tableMin)
 	}
-	if len(tab.at) != tableMin {
-		t.Fatalf("a table of %d children, want %d", len(tab.at), tableMin)
+	if n := len(tableSeqs(tab, accRead(e))); n != tableMin {
+		t.Fatalf("a table of %d children, want %d", n, tableMin)
 	}
 
 	// Children that leave drop their entries; the table stays, below
@@ -172,8 +187,8 @@ func TestWideNodeTable(t *testing.T) {
 		checkInvariants(t, e)
 	}
 	kids = kids[10:]
-	if len(tab.at) != tableMin-10 {
-		t.Fatalf("%d children in the table, want %d", len(tab.at), tableMin-10)
+	if n := len(tableSeqs(tab, accRead(e))); n != tableMin-10 {
+		t.Fatalf("%d children in the table, want %d", n, tableMin-10)
 	}
 
 	// Cycling through 600 more children, at most 100 at once.
@@ -253,6 +268,89 @@ func TestWideNodeTable(t *testing.T) {
 	if e.tables[e.subIndex[outer]] == nil {
 		t.Fatalf("a node given %d children in a splice has no table", tableMin)
 	}
+}
+
+// TestTableRenumbersPastMaxLinks drives two tables to maxLinks links —
+// the general sentinel's, and a broad band's — by setting their counts
+// just below it, with gaps left among their children's sequences. The
+// next links renumber each table from its chain, oldest first from 0,
+// as buildTable sequences it: through an insert for the sentinel, and
+// through a splice, child by child, for the band. Every table stays its
+// chain (checkTables), lone walks stay chain walks, and the counts
+// start again from the chains' lengths.
+func TestTableRenumbersPastMaxLinks(t *testing.T) {
+	e := newTestEngine(t)
+	register := func(sp pubsub.SubscriptionSpec) uint64 {
+		t.Helper()
+		id, err := e.Register(sp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, e)
+		return id
+	}
+	unregister := func(id uint64) {
+		t.Helper()
+		if err := e.Unregister(id); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, e)
+	}
+	walks := func() {
+		t.Helper()
+		for p := 0.5; p < 1400; p += 7.3 {
+			ev := event(t, e, map[string]pubsub.Value{"price": pubsub.Float(p)})
+			got, err := e.MatchAppend(ev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.matchPerEvent(ev, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("price %v: table walk vs chain walk: %s", p, firstDiff(got, want))
+			}
+		}
+	}
+	var roots []uint64
+	for k := 0; k < 100; k++ {
+		lo := 1000 + float64(k)*3
+		roots = append(roots, register(spec(between("price", lo, lo+1))))
+	}
+	broad := register(spec(between("price", 0, 100)))
+	inner := register(spec(between("price", 0, 50)))
+	for k := 0; k < tableMin; k++ {
+		lo := float64(k) * 0.7
+		register(spec(between("price", lo, lo+0.5)))
+		register(spec(between("price", 50+lo, 50.5+lo)))
+	}
+	general, band := e.tables[e.general], e.tables[e.subIndex[broad]]
+	if band == nil || e.tables[e.subIndex[inner]] == nil {
+		t.Fatal("the bands have no tables")
+	}
+	for _, id := range roots[:50:50] {
+		unregister(id)
+	}
+	roots = roots[50:]
+	walks()
+
+	general.links = maxLinks - 2
+	for k := 0; k < 5; k++ {
+		lo := 2000 + float64(k)*3
+		roots = append(roots, register(spec(between("price", lo, lo+1))))
+	}
+	if general.links > 1000 {
+		t.Fatalf("the general table counts %d links after passing %d", general.links, maxLinks)
+	}
+	walks()
+
+	band.links = maxLinks - 3
+	unregister(inner) // its tableMin children relink under the band
+	if band.links > 1000 {
+		t.Fatalf("the band's table counts %d links after passing %d", band.links, maxLinks)
+	}
+	walks()
 }
 
 // TestInsertSkipsUnrelatedRoots: among bands that neither cover nor are
