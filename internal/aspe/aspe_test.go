@@ -151,12 +151,12 @@ func match(t testing.TB, scheme *Scheme, store *Store, ev *pubsub.Event) []uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := matchOne(store, ep, nil)
-	if err != nil {
+	res := make([][]Match, 1)
+	if err := matchRows(store, []*EncodedPublication{ep}, res); err != nil {
 		t.Fatal(err)
 	}
-	ids := make([]uint64, len(res))
-	for i, r := range res {
+	ids := make([]uint64, len(res[0]))
+	for i, r := range res[0] {
 		ids[i] = r.SubID
 	}
 	return ids
@@ -395,10 +395,33 @@ func TestCiphertextsDifferFromPlain(t *testing.T) {
 	}
 }
 
+// TestMatchEncryptedDimensionCheck: MatchRecords skips a point whose
+// dimension is not the store's, and the points beside it in the batch
+// still match.
 func TestMatchEncryptedDimensionCheck(t *testing.T) {
-	_, store := newTestMatcher(t, false)
-	if _, err := matchOne(store, &EncodedPublication{Dim: 3, Point: make([]float64, 3)}, nil); err == nil {
-		t.Fatal("wrong-dimension point accepted")
+	scheme, store := newTestMatcher(t, false)
+	sub, err := pubsub.Normalize(scheme.schema, pubsub.SubscriptionSpec{Predicates: []pubsub.Predicate{
+		{Attr: "price", Op: pubsub.OpBetween, Value: pubsub.Float(40), Hi: pubsub.Float(60)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := register(t, scheme, store, sub)
+	ev, err := pubsub.NewEvent(scheme.schema, map[string]pubsub.Value{"price": pubsub.Float(50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := scheme.EncodePublication(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := &EncodedPublication{Dim: 3, Point: make([]float64, 3)}
+	recs, err := store.MatchRecords([]*EncodedPublication{wrong, ep, wrong}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].SubID != id || recs[0].Base != 0 || recs[0].Mask != 1<<1 {
+		t.Fatalf("records %+v, want subscription %d matched by item 1 alone", recs, id)
 	}
 }
 

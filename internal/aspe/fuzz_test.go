@@ -124,11 +124,11 @@ func TestNonFinitePointMatchesNothing(t *testing.T) {
 			var dec EncodedPublication
 			err = DecodePublicationInto(raw, &dec)
 			if err == nil {
-				got, err := matchOne(store, &dec, nil)
-				if err != nil {
+				got := make([][]Match, 1)
+				if err := matchRows(store, []*EncodedPublication{&dec}, got); err != nil {
 					t.Fatal(err)
 				}
-				t.Fatalf("point with component %d = %g decoded, and matched %d of %d subscriptions", k, bad, len(got), store.Len())
+				t.Fatalf("point with component %d = %g decoded, and matched %d of %d subscriptions", k, bad, len(got[0]), store.Len())
 			}
 			if !errors.Is(err, ErrCodec) {
 				t.Fatalf("component %d = %g: %v, want ErrCodec", k, bad, err)

@@ -249,12 +249,12 @@ func TestScanVectorOrderInvariant(t *testing.T) {
 	for k, store := range stores {
 		order := []string{"bounds first", "presence first", "shuffled"}[k]
 		for i, ep := range eps {
-			got, err := matchOne(store, ep, nil)
-			if err != nil {
+			got := make([][]Match, 1)
+			if err := matchRows(store, []*EncodedPublication{ep}, got); err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(ids(got), want[i]) {
-				t.Fatalf("%s, event %d: matched %v, plaintext %v", order, i, ids(got), want[i])
+			if !slices.Equal(ids(got[0]), want[i]) {
+				t.Fatalf("%s, event %d: matched %v, plaintext %v", order, i, ids(got[0]), want[i])
 			}
 		}
 		for base := 0; base < len(eps); base += 8 {

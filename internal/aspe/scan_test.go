@@ -146,25 +146,13 @@ func matchRows(s *Store, eps []*EncodedPublication, out [][]Match) error {
 	return err
 }
 
-// matchOne is matchRows for one publication, appending its matches to
-// out; a point the store does not take is refused with an error.
-func matchOne(s *Store, ep *EncodedPublication, out []Match) ([]Match, error) {
-	if s.dim != 0 && !s.accepts(ep) {
-		return nil, fmt.Errorf("aspe: point has dimension %d, store expects %d", ep.Dim, s.dim)
-	}
-	outs := [][]Match{out}
-	if err := matchRows(s, []*EncodedPublication{ep}, outs); err != nil {
-		return nil, err
-	}
-	return outs[0], nil
-}
-
 // TestBatchScan holds the chunked scan to the two loops it replaced,
 // on four stores fed the same registrations: MatchRecords' rows
 // (matchRows) against matchBatchRef (run chunk by chunk, so a batch over
-// 64 re-reads there too) and one event's (matchOne) against
-// matchPerItem — the same matches in the
-// same order, and after every call every simmem counter equal.
+// 64 re-reads there too) and a batch of one against matchPerItem — the
+// same matches in the same order, and after every call every simmem
+// counter equal. A point of the wrong dimension matches nothing in a
+// batch, where matchPerItem refuses it.
 func TestBatchScan(t *testing.T) {
 	for _, nAttrs := range []int{4, 11} {
 		for _, prefilter := range []bool{true, false} {
@@ -254,21 +242,24 @@ func testBatchScan(t *testing.T, bed *scanBed, prefilter bool, seed int64) {
 			if ep == nil {
 				continue
 			}
-			one, oneErr := matchOne(single, ep, []Match{sentinel})
+			one := [][]Match{{sentinel}}
+			if err := matchRows(single, []*EncodedPublication{ep}, one); err != nil {
+				t.Fatalf("seed %d batch %d item %d: %v", seed, n, i, err)
+			}
 			ref, refErr := perItem.matchPerItem(ep, []Match{sentinel})
-			if (oneErr != nil) != (refErr != nil) || (ep == wrongDim) != (oneErr != nil) {
-				t.Fatalf("seed %d batch %d item %d: one-event match error %v, reference %v", seed, n, i, oneErr, refErr)
+			if (ep == wrongDim) != (refErr != nil) {
+				t.Fatalf("seed %d batch %d item %d: reference error %v", seed, n, i, refErr)
 			}
-			if oneErr != nil {
-				one, ref = []Match{sentinel}, []Match{sentinel}
+			if refErr != nil {
+				ref = []Match{sentinel}
 			}
-			if !slices.Equal(one, ref) || !slices.Equal(one, got[i]) {
-				t.Fatalf("seed %d batch %d item %d: one-event match %v, per item %v, batch %v", seed, n, i, one, ref, got[i])
+			if !slices.Equal(one[0], ref) || !slices.Equal(one[0], got[i]) {
+				t.Fatalf("seed %d batch %d item %d: batch of one %v, per item %v, batch %v", seed, n, i, one[0], ref, got[i])
 			}
 			if single.Meter().C != perItem.Meter().C {
 				t.Fatalf("seed %d batch %d item %d: counters\n got  %+v\n want %+v", seed, n, i, single.Meter().C, perItem.Meter().C)
 			}
-			matched += len(one) - 1
+			matched += len(one[0]) - 1
 		}
 		if matched == 0 {
 			t.Fatalf("seed %d batch %d: no event matched anything", seed, n)
@@ -371,8 +362,8 @@ func TestInsertAllocFailureLeavesStoreAsItWas(t *testing.T) {
 		t.Fatalf("the retry grew the arena by %d bytes, want %d: the two slots already written were not reused", grew, want)
 	}
 	ep := bed.event()
-	got, err := matchOne(store, ep, nil)
-	if err != nil {
+	got := make([][]Match, 1)
+	if err := matchRows(store, []*EncodedPublication{ep}, got); err != nil {
 		t.Fatal(err)
 	}
 	clean := bed.store(true)
@@ -381,12 +372,12 @@ func TestInsertAllocFailureLeavesStoreAsItWas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := matchOne(clean, ep, nil)
-	if err != nil {
+	want := make([][]Match, 1)
+	if err := matchRows(clean, []*EncodedPublication{ep}, want); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("matches %v, a store that never failed gives %v", got, want)
+	if !slices.Equal(got[0], want[0]) {
+		t.Fatalf("matches %v, a store that never failed gives %v", got[0], want[0])
 	}
 }
 

@@ -332,14 +332,15 @@ func TestIndexDirectoryGrows(t *testing.T) {
 // TestChainOrder holds inChainOrder to a comparison sort of the
 // candidates by link sequence, latest first: for candidate counts on
 // both sides of insertionMax, where it turns from insertion to radix
-// sort, and about a radix digit (255, 256, 257); for sequences that
+// sort, where the index below the sequence widens a bit (31, 32, 33)
+// and about a radix digit (255, 256, 257); for sequences that
 // cross the 8-, 16- and 24-bit digit boundaries, that reach the largest
 // an entry holds, and that spread over all it holds. One engine serves
 // every case, so its key buffers are reused in turn.
 func TestChainOrder(t *testing.T) {
 	e := newTestEngine(t)
 	rng := rand.New(rand.NewSource(8))
-	counts := []int{0, 1, 2, insertionMax - 1, insertionMax, insertionMax + 1, 255, 256, 257, 333, 1000}
+	counts := []int{0, 1, 2, 31, 32, 33, insertionMax - 1, insertionMax, insertionMax + 1, 255, 256, 257, 333, 1000}
 	for _, links := range []int{1000, 1<<16 + 500, 1<<24 + 500, maxLinks, 0} {
 		for _, n := range counts {
 			cands := make([]tableCand, n)

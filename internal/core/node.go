@@ -97,7 +97,9 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"scbr/internal/pubsub"
 	"scbr/internal/simmem"
@@ -208,13 +210,21 @@ func (e *Engine) nodeSize(n int) int {
 
 // alloc returns a record of exactly size arena bytes: the one released
 // last at that size if there is one, else fresh arena space. The caller
-// rewrites the whole record before anything reads it.
+// rewrites the whole record before anything reads it. A record must
+// start below 4 GiB, since a table entry holds a child's offset, and a
+// directory entry a leaf's, in 32 bits: fresh space past that is
+// refused here, before anything links to it, so every caller that
+// allocates first fails with the forest unchanged.
 func (e *Engine) alloc(size int) (uint64, error) {
 	if offs := e.free[size]; len(offs) > 0 {
 		e.free[size] = offs[:len(offs)-1]
 		return offs[len(offs)-1], nil
 	}
-	return e.acc.Alloc(size)
+	off, err := e.acc.Alloc(size)
+	if err == nil && off > math.MaxUint32 {
+		return 0, errors.New("core: the arena is past 4 GiB, the most a table or directory entry holds")
+	}
+	return off, err
 }
 
 // release hands a record nothing links to any more to the next alloc of

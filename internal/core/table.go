@@ -76,10 +76,10 @@ import (
 // The filter compares bounds only — not which side is closed — so it
 // may keep a child the covering test then rejects, never the reverse.
 // The offset and the sequence are one little-endian word, read with the
-// entry, so a child is put in chain order without a host lookup. A
-// tabled node's children lie below 4 GiB of arena, as its index's
-// leaves do; a table whose links reach maxLinks renumbers its entries
-// from the chain, as buildTable sequences them.
+// entry, so a child is put in chain order without a host lookup. Every
+// record lies below 4 GiB of arena (alloc), so the offset fits; a table
+// whose links reach maxLinks renumbers its entries from the chain, as
+// buildTable sequences them.
 //
 // Every change to a tabled node's children is a metered change to its
 // index: a new child's entry is inserted, and a child that leaves the
@@ -241,9 +241,6 @@ func bit(b bool) uint8 {
 // sequence and indexes its entry. A table whose links have reached
 // maxLinks renumbers its entries first.
 func (e *Engine) addEntry(t *table, node, off uint64, attrs pubsub.AttrSet, c *pubsub.Constraint, ok bool) error {
-	if off > math.MaxUint32 {
-		return fmt.Errorf("core: node at offset %d, past a table entry's 32-bit field", off)
-	}
 	if t.links == maxLinks {
 		if err := e.renumber(t, node); err != nil {
 			return err
@@ -298,9 +295,6 @@ func (e *Engine) buildTable(node uint64) error {
 	var predLens []uint16
 	for c := e.readHeader(node).child; c != nilOff; {
 		ch := e.readHeader(c)
-		if c > math.MaxUint32 {
-			return fmt.Errorf("core: node at offset %d, past a table entry's 32-bit field", c)
-		}
 		chain, predLens = append(chain, c), append(predLens, ch.predLen)
 		c = ch.sibling
 	}
@@ -426,8 +420,10 @@ type tableCand struct {
 }
 
 // insertionMax is the most candidates inChainOrder sorts by insertion;
-// more take a radix sort.
-const insertionMax = 32
+// more take a radix sort. The two cross near 64 keys: a lone walk on
+// `pipe` sorts a few, one on `match` a hundred or more
+// (docs/benchmarks.md, "Chain order from the entries").
+const insertionMax = 64
 
 // inChainOrder returns the candidates taken from a table's index as its
 // node's child chain runs, the latest link first, in the engine's
@@ -503,15 +499,10 @@ func (e *Engine) radixSort(keys []uint64, lo int) []uint64 {
 // sizes — about half the chain walk's, since it tests each entry once
 // for the whole chunk — but in ns per event it lost every pair on the
 // general shard, by 40 % in the median at 16 and 95 % at 32, where
-// most of its roots admit some event and are read on top of the index;
-// on wide/in it tied at 16 (5/10) and lost at 32 (9/10, 33 %). So 8
-// stays (docs/benchmarks.md, "One copy of each entry"). That sweep put
-// the admitted roots into chain order with a comparison sort over a
-// host map's sequences, a third of the index walk's host time; the
-// sequences now come with the entries and a radix sort orders them
-// (docs/benchmarks.md, "Chain order from the entries"), so the sweep's
-// losses overstate today's, and a new sweep, which moves the paper's
-// figures, would decide 16 or 32.
+// most of its roots admit some event and are put into chain order and
+// read on top of the index; on wide/in it tied at 16 (5/10) and lost
+// at 32 (9/10, 33 %). So 8 stays (docs/benchmarks.md, "One copy of
+// each entry").
 const tableWalkMax = 8
 
 // pushTable pushes onto the walk stack the children of a tabled node
@@ -945,9 +936,6 @@ func (e *Engine) addLeaf(t *table, j int, ents []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: allocating an index leaf: %w", err)
 	}
-	if leaf > math.MaxUint32 {
-		return fmt.Errorf("core: index leaf at offset %d, past the directory's 32-bit field", leaf)
-	}
 	e.acc.Write(leaf, ents)
 	if err := e.shiftDir(t, j, 1); err != nil {
 		return err
@@ -1019,12 +1007,13 @@ func (e *Engine) mergeLeaf(t *table, j int) error {
 // full, listed in a directory whose pages are taken first.
 func (e *Engine) loadIndex(t *table, ents []byte) error {
 	n := len(ents) / entrySize
-	order := make([]tableCand, n)
+	order := make([][]byte, n)
 	for i := range order {
-		order[i] = tableCand{seq: uint64(i), off: entryChild(ents[i*entrySize:])}
+		at := i * entrySize
+		order[i] = ents[at : at+entrySize]
 	}
-	slices.SortFunc(order, func(a, b tableCand) int {
-		return keyOfEntry(ents[a.seq*entrySize:]).compare(keyOfEntry(ents[b.seq*entrySize:]))
+	slices.SortFunc(order, func(a, b []byte) int {
+		return keyOfEntry(a).compare(keyOfEntry(b))
 	})
 	const fill = leafEntries * 3 / 4
 	leaves := (n + fill - 1) / fill
@@ -1039,7 +1028,7 @@ func (e *Engine) loadIndex(t *table, ents []byte) error {
 	for j := 0; j < leaves; j++ {
 		leaf = leaf[:0]
 		for _, c := range order[j*fill : min(n, (j+1)*fill)] {
-			leaf = append(leaf, ents[c.seq*entrySize:(c.seq+1)*entrySize]...)
+			leaf = append(leaf, c...)
 		}
 		if err := e.addLeaf(t, j, leaf); err != nil {
 			return err

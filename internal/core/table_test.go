@@ -353,6 +353,116 @@ func TestTableRenumbersPastMaxLinks(t *testing.T) {
 	walks()
 }
 
+// highAcc hands out arena offsets past 4 GiB once high is set, as an
+// engine that has grown that far would get them; the bytes behind them
+// are never there, so a record placed there would fault on first use.
+type highAcc struct {
+	simmem.Accessor
+	high bool
+}
+
+func (a *highAcc) Alloc(n int) (uint64, error) {
+	off, err := a.Accessor.Alloc(n)
+	if a.high {
+		off += 1 << 32
+	}
+	return off, err
+}
+
+// TestArenaPast4GiBRefused: once fresh arena space lies past 4 GiB,
+// where no table or directory entry can name it, a Register that needs
+// a record is refused before it changes the forest — a new root under
+// the general table, a child under a band's table, a node that would
+// take a band's children, a second subscriber — and the tables, the
+// invariants, the count and every lone walk stay as they were. An
+// Unregister needs no fresh record and still goes through, and once
+// space is found again the refused subscriptions register.
+func TestArenaPast4GiBRefused(t *testing.T) {
+	acc := &highAcc{Accessor: simmem.NewPlainAccessor(simmem.DefaultCost())}
+	e, err := NewEngine(acc, pubsub.NewSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roots []uint64
+	for k := 0; k < 100; k++ {
+		lo := 1000 + float64(k)*3
+		id, err := e.Register(spec(between("price", lo, lo+1)), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roots = append(roots, id)
+	}
+	broad, err := e.Register(spec(between("price", 0, 100)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < tableMin; k++ {
+		lo := 10 + float64(k)*0.7
+		if _, err := e.Register(spec(between("price", lo, lo+0.5)), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.tables[e.subIndex[broad]] == nil {
+		t.Fatal("the band has no table")
+	}
+	walks := func() {
+		t.Helper()
+		for p := 0.5; p < 1400; p += 7.3 {
+			ev := event(t, e, map[string]pubsub.Value{"price": pubsub.Float(p)})
+			got, err := e.MatchAppend(ev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.matchPerEvent(ev, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("price %v: table walk vs chain walk: %s", p, firstDiff(got, want))
+			}
+		}
+	}
+	held := func() {
+		t.Helper()
+		checkInvariants(t, e)
+		checkTables(t, e, accRead(e))
+		walks()
+	}
+	held()
+
+	acc.high = true
+	refused := []pubsub.SubscriptionSpec{
+		spec(between("price", 2000, 2001)), // a new root
+		spec(between("price", 50, 50.5)),   // a child of the band
+		spec(between("price", 5, 70)),      // under the band, over its children
+		spec(between("price", 1000, 1001)), // a root's second subscriber
+	}
+	subs := e.Stats().Subscriptions
+	for _, sp := range refused {
+		if _, err := e.Register(sp, 2); err == nil {
+			t.Fatalf("%+v registered past 4 GiB", sp)
+		}
+		if got := e.Stats().Subscriptions; got != subs {
+			t.Fatalf("%+v refused, yet the engine counts %d subscriptions, not %d", sp, got, subs)
+		}
+		held()
+	}
+	for _, id := range roots[:10] {
+		if err := e.Unregister(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held()
+
+	acc.high = false
+	for _, sp := range refused {
+		if _, err := e.Register(sp, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held()
+}
+
 // TestInsertSkipsUnrelatedRoots: among bands that neither cover nor are
 // covered by the newcomer, the insert reads only the index's directory
 // — no leaf, no table entry, no root header or blob — and charges one
